@@ -18,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_zipf_items;
-use pg_graph::{GraphView, Value};
+use pg_graph::Value;
 use pg_triggers::Session;
 use std::ops::Bound;
 

@@ -10,10 +10,10 @@
 //! variable does.
 
 use pg_graph::{
-    CompositeTrailing, Direction, Graph, GraphView, NodeId, PreStateView, RelId, Value,
+    Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, PreStateView, ProbeMode, Probed,
+    RelId, Value,
 };
 use std::collections::BTreeSet;
-use std::ops::Bound;
 
 /// Pre-statement state overlaid with the post-state of the NEW items.
 pub struct NewStateOverlay<'g> {
@@ -133,9 +133,9 @@ impl GraphView for NewStateOverlay<'_> {
 
     // Scans observe the pre-statement state only (SQL-style: a BEFORE
     // INSERT trigger's table scans do not see the incoming row). The same
-    // goes for the index-backed scans and the count-only planning probes:
-    // they pass through to the pre-state view, which answers them from the
-    // base graph's indexes corrected by the statement overlay.
+    // goes for index probes, materializing or count-only: they pass
+    // through to the pre-state view, which answers them from the base
+    // graph's indexes corrected by the statement overlay.
 
     fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
         self.pre.nodes_with_label(label)
@@ -161,38 +161,6 @@ impl GraphView for NewStateOverlay<'_> {
         self.pre.rels_with_type(rel_type)
     }
 
-    fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
-        self.pre.nodes_with_prop(label, key, value)
-    }
-
-    fn nodes_in_prop_range(
-        &self,
-        label: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<Vec<NodeId>> {
-        self.pre.nodes_in_prop_range(label, key, lower, upper)
-    }
-
-    fn nodes_with_prop_prefix(&self, label: &str, key: &str, prefix: &str) -> Option<Vec<NodeId>> {
-        self.pre.nodes_with_prop_prefix(label, key, prefix)
-    }
-
-    fn rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<Vec<RelId>> {
-        self.pre.rels_with_prop(rel_type, key, value)
-    }
-
-    fn rels_in_prop_range(
-        &self,
-        rel_type: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<Vec<RelId>> {
-        self.pre.rels_in_prop_range(rel_type, key, lower, upper)
-    }
-
     fn rel_type_cardinality(&self, rel_type: &str) -> usize {
         self.pre.rel_type_cardinality(rel_type)
     }
@@ -205,95 +173,25 @@ impl GraphView for NewStateOverlay<'_> {
         self.pre.rel_count_estimate()
     }
 
-    fn count_nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<usize> {
-        self.pre.count_nodes_with_prop(label, key, value)
+    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+        self.pre.index_defs(scope)
     }
 
-    fn count_nodes_in_prop_range(
+    fn probe(
         &self,
-        label: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        self.pre.count_nodes_in_prop_range(label, key, lower, upper)
-    }
-
-    fn count_nodes_with_prop_prefix(&self, label: &str, key: &str, prefix: &str) -> Option<usize> {
-        self.pre.count_nodes_with_prop_prefix(label, key, prefix)
-    }
-
-    fn count_rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<usize> {
-        self.pre.count_rels_with_prop(rel_type, key, value)
-    }
-
-    fn count_rels_in_prop_range(
-        &self,
-        rel_type: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        self.pre
-            .count_rels_in_prop_range(rel_type, key, lower, upper)
-    }
-
-    fn node_composite_defs(&self, label: &str) -> Vec<Vec<String>> {
-        self.pre.node_composite_defs(label)
-    }
-
-    fn rel_composite_defs(&self, rel_type: &str) -> Vec<Vec<String>> {
-        self.pre.rel_composite_defs(rel_type)
-    }
-
-    fn nodes_with_composite(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<NodeId>> {
-        self.pre.nodes_with_composite(label, columns, eq, trailing)
-    }
-
-    fn count_nodes_with_composite(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        self.pre
-            .count_nodes_with_composite(label, columns, eq, trailing)
-    }
-
-    fn rels_with_composite(
-        &self,
-        rel_type: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<RelId>> {
-        self.pre
-            .rels_with_composite(rel_type, columns, eq, trailing)
-    }
-
-    fn count_rels_with_composite(
-        &self,
-        rel_type: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        self.pre
-            .count_rels_with_composite(rel_type, columns, eq, trailing)
+        scope: IndexScope<'_>,
+        probe: IndexProbe<'_>,
+        mode: ProbeMode,
+    ) -> Option<Probed> {
+        self.pre.probe(scope, probe, mode)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_graph::{ItemRef, PropertyMap};
+    use pg_graph::{CompositeTrailing, ItemRef, PropertyMap};
+    use std::ops::Bound;
 
     #[test]
     fn overlay_shows_new_items_post_state_rest_pre_state() {
@@ -354,19 +252,21 @@ mod tests {
         let pre = PreStateView::new(&g, &ops);
         let view = NewStateOverlay::new(pre, &g, [ItemRef::Node(fresh)]);
         // the count probe sees the pre-state: exactly one v=3 node
+        let columns = ["v".to_string()];
+        let count = |eq: &[Value], trailing| {
+            let probe = IndexProbe {
+                columns: &columns,
+                eq,
+                trailing,
+            };
+            view.probe(IndexScope::Label("P"), probe, ProbeMode::Count)
+        };
         assert_eq!(
-            view.count_nodes_with_prop("P", "v", &Value::Int(3)),
-            Some(1)
+            count(&[Value::Int(3)], CompositeTrailing::None),
+            Some(Probed::Count(1))
         );
-        assert_eq!(
-            view.count_nodes_in_prop_range(
-                "P",
-                "v",
-                std::ops::Bound::Included(&Value::Int(0)),
-                std::ops::Bound::Unbounded
-            ),
-            Some(10)
-        );
+        let from0 = CompositeTrailing::Range(Bound::Included(&Value::Int(0)), Bound::Unbounded);
+        assert_eq!(count(&[], from0), Some(Probed::Count(10)));
         assert_eq!(view.node_count_estimate(), 10);
         assert_eq!(view.rel_count_estimate(), 0);
     }

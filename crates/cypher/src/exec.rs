@@ -20,8 +20,7 @@
 //!
 //!    * a **composite walk** over a `(label, [c1, c2, …])` definition that
 //!      contains the order keys as a contiguous run
-//!      ([`GraphView::nodes_in_composite_order`] /
-//!      [`GraphView::rels_in_composite_order`]); columns *before* the run
+//!      ([`GraphView::ordered_walk`]); columns *before* the run
 //!      are **pinned** to equality conjuncts whose operands evaluate
 //!      without row bindings (the §6.2.3 relocation shape with a status
 //!      filter: `{status: 'ICU'} … ORDER BY severity LIMIT 1`). Composite
@@ -29,9 +28,8 @@
 //!      these walks cover the whole extent — both directions fuse (NULL
 //!      last ascending, first descending) and no NULL tail is needed;
 //!    * for single-key orders, the plain ordered walk of the `(label,
-//!      key)` index ([`GraphView::nodes_in_prop_order`] /
-//!      [`GraphView::rels_in_prop_order`]); items without the property
-//!      are appended from the extent after the walk when ascending.
+//!      key)` index; items without the property are appended from the
+//!      extent after the walk when ascending.
 //!
 //!    The fusion *declines* (falls back to the heap path, never changing
 //!    results) when: the projection aggregates, uses `DISTINCT` or a
@@ -56,7 +54,7 @@ use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{extract_pushdowns, match_patterns, pattern_vars, Pushdowns};
 use crate::plan::{composite_pin, plan_topk_projection, TopKSpec};
 use crate::row::{Params, QueryOutput, Row};
-use pg_graph::{Direction, Graph, GraphView, NodeId, PropertyMap, RelId, Value};
+use pg_graph::{Direction, Graph, GraphView, IndexScope, ItemRef, PropertyMap, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
@@ -157,11 +155,33 @@ impl<'o> TopKRows<'o> {
 /// re-match on the trigger hot path.
 const TOPK_WALK_BUDGET: usize = 4096;
 
-/// Which composite catalog a per-seed re-pinned top-k walk probes.
-#[derive(Clone, Copy)]
-enum CompositeSite<'p> {
-    Node { label: &'p str },
-    Rel { rel_type: &'p str },
+/// The statement-side context of one top-k fusion attempt: what every
+/// ordered walk re-matches against.
+struct Fusion<'q> {
+    patterns: &'q [PathPattern],
+    where_clause: Option<&'q Expr>,
+    seeds: &'q [Row],
+    pushed: Pushdowns,
+    spec: TopKSpec,
+}
+
+/// What one binding site (a label or relationship type of the order
+/// variable) offered a fusion.
+enum SiteWalk {
+    /// A complete ordered walk ran: the matched rows.
+    Rows(Vec<Row>),
+    /// A walk exhausted `TOPK_WALK_BUDGET` — decline the whole fusion.
+    OverBudget,
+    /// No index definition of this site serves the order; try the next.
+    NoWalk,
+}
+
+/// The value a raw walk id binds the order variable to.
+fn walked_value(scope: IndexScope<'_>, raw: u64) -> Value {
+    match scope.item(raw) {
+        ItemRef::Node(n) => Value::Node(n),
+        ItemRef::Rel(r) => Value::Rel(r),
+    }
 }
 
 /// The execution target: a mutable graph (full query power) or a read-only
@@ -360,15 +380,12 @@ impl<'a> Executor<'a> {
     /// re-match the full pattern under every seed, stopping once
     /// `spec.keep` rows were produced. Returns `false` when the walk
     /// budget ran dry (the caller declines the fusion).
-    #[allow(clippy::too_many_arguments)] // threads the whole fusion context
     fn drive_walk(
         &self,
         ctx: &EvalCtx<'_>,
+        f: &Fusion<'_>,
         items: impl Iterator<Item = Value>,
-        patterns: &[PathPattern],
-        where_clause: Option<&Expr>,
         seeds: &[Row],
-        spec: &TopKSpec,
         budget: &mut usize,
         collected: &mut Vec<Row>,
     ) -> Result<bool> {
@@ -379,103 +396,137 @@ impl<'a> Executor<'a> {
             *budget -= 1;
             for seed in seeds {
                 let mut s2 = seed.clone();
-                s2.set(spec.var.clone(), item.clone());
-                collected.extend(match_patterns(ctx, &s2, patterns, where_clause, None)?);
+                s2.set(f.spec.var.clone(), item.clone());
+                collected.extend(match_patterns(ctx, &s2, f.patterns, f.where_clause, None)?);
             }
-            if collected.len() >= spec.keep {
+            if collected.len() >= f.spec.keep {
                 break;
             }
         }
         Ok(true)
     }
 
-    /// Per-seed **re-pinned** composite walks (planner v4): when the pin
-    /// operands reference seed bindings (`{group: g.id} … ORDER BY
-    /// severity LIMIT 1` under a `WITH g` pipeline), no single walk
-    /// serves every seed — instead each seed row gets its own walk pinned
-    /// to *its* evaluated values, producing that seed's top `spec.keep`
-    /// rows. The union is a superset of the global top-k (every global
-    /// winner is some seed's local winner) and the caller's projection
-    /// re-sorts it, so results are unchanged. Declines (`Ok(None)`)
-    /// unless **every** seed yields a pinned walk; all walks share the
-    /// one `TOPK_WALK_BUDGET`.
-    #[allow(clippy::too_many_arguments)] // threads the whole fusion context
-    fn drive_per_seed_walks(
+    /// Try every index definition of one binding site: a walk shared by
+    /// all seeds when the columns before the order keys pin to operands
+    /// that evaluate without row bindings, else one **re-pinned walk per
+    /// seed row** (`{group: g.id} … ORDER BY severity LIMIT 1` under a
+    /// `WITH g` pipeline). Per-seed walks are sound only when EVERY seed
+    /// yields a pinned walk: each contributes its own top `keep`, the
+    /// union is a superset of the global top-k (every global winner is
+    /// some seed's local winner) and the caller's projection re-sorts it.
+    fn walk_site(
         &self,
         ctx: &EvalCtx<'_>,
-        site: CompositeSite<'_>,
-        seeds: &[Row],
+        f: &Fusion<'_>,
+        scope: IndexScope<'_>,
         inline_props: &[(String, Expr)],
-        pushed: &Pushdowns,
-        spec: &TopKSpec,
-        def: &[String],
-        patterns: &[PathPattern],
-        where_clause: Option<&Expr>,
         budget: &mut usize,
-    ) -> Result<Option<Vec<Row>>> {
-        // Resolve every seed's pins before driving any walk: a seed whose
-        // pins cannot be evaluated forfeits the whole strategy (its rows
-        // would silently go missing otherwise).
-        let mut all_pins = Vec::with_capacity(seeds.len());
-        for seed in seeds {
-            let Some(pins) = composite_pin(ctx, seed, inline_props, pushed, spec, def) else {
-                return Ok(None);
-            };
-            all_pins.push(pins);
-        }
-        let mut out: Vec<Row> = Vec::new();
-        for (seed, pins) in seeds.iter().zip(&all_pins) {
-            let walk: Box<dyn Iterator<Item = Value> + '_> = match site {
-                CompositeSite::Node { label } => {
-                    match ctx
-                        .view
-                        .nodes_in_composite_order(label, def, pins, spec.descending)
-                    {
-                        Some(w) => Box::new(w.map(Value::Node)),
-                        None => return Ok(None),
-                    }
-                }
-                CompositeSite::Rel { rel_type } => {
-                    match ctx
-                        .view
-                        .rels_in_composite_order(rel_type, def, pins, spec.descending)
-                    {
-                        Some(w) => Box::new(w.map(Value::Rel)),
-                        None => return Ok(None),
-                    }
-                }
-            };
-            // Each walk collects into its own buffer: `drive_walk` stops
-            // at `spec.keep` rows, and the stop must be per seed, not
-            // across the whole union.
-            let mut rows: Vec<Row> = Vec::new();
-            if !self.drive_walk(
-                ctx,
-                walk,
-                patterns,
-                where_clause,
-                std::slice::from_ref(seed),
-                spec,
-                budget,
-                &mut rows,
-            )? {
-                return Ok(None);
+    ) -> Result<SiteWalk> {
+        let empty = Row::new();
+        'defs: for def in ctx.view.index_defs(scope) {
+            if def.len() < 2 {
+                continue; // single-key walks: below
             }
-            out.extend(rows);
+            // One walk per distinct pin vector: the shared walk, or —
+            // resolved up front, so a seed whose pins cannot be evaluated
+            // forfeits the definition instead of silently losing its
+            // rows — one per seed.
+            let pin = |row| composite_pin(ctx, row, inline_props, &f.pushed, &f.spec, &def);
+            let walks: Vec<(Vec<Value>, &[Row])> = match pin(&empty) {
+                Some(pins) => vec![(pins, f.seeds)],
+                None => {
+                    let mut per_seed = Vec::with_capacity(f.seeds.len());
+                    for seed in f.seeds {
+                        let Some(pins) = pin(seed) else {
+                            continue 'defs;
+                        };
+                        per_seed.push((pins, std::slice::from_ref(seed)));
+                    }
+                    per_seed
+                }
+            };
+            let mut out: Vec<Row> = Vec::new();
+            for (pins, seeds) in &walks {
+                let Some(walk) = ctx.view.ordered_walk(scope, &def, pins, f.spec.descending) else {
+                    continue 'defs;
+                };
+                // Each walk collects into its own buffer: `drive_walk`
+                // stops at `spec.keep` rows, and the stop must be per
+                // walk, not across the whole union.
+                let mut rows: Vec<Row> = Vec::new();
+                let items = walk.map(|raw| walked_value(scope, raw));
+                if !self.drive_walk(ctx, f, items, seeds, budget, &mut rows)? {
+                    return Ok(SiteWalk::OverBudget);
+                }
+                out.extend(rows);
+            }
+            return Ok(SiteWalk::Rows(out));
         }
-        Ok(Some(out))
+        // Single-key ordered walk: covers only items carrying the key, so
+        // the property-less ones (NULL keys) are appended from the extent
+        // when ascending, and a descending order they would have to lead
+        // declines.
+        let [key] = &f.spec.keys[..] else {
+            return Ok(SiteWalk::NoWalk);
+        };
+        let columns = std::slice::from_ref(key);
+        let keyed = ctx
+            .view
+            .index_stats(scope, columns)
+            .map_or(0, |st| st.keyed_total);
+        let extent = match scope {
+            IndexScope::Label(l) => ctx.view.label_cardinality(l),
+            IndexScope::RelType(t) => ctx.view.rel_type_cardinality(t),
+        };
+        let missing = extent.saturating_sub(keyed);
+        if f.spec.descending && missing > 0 {
+            return Ok(SiteWalk::NoWalk);
+        }
+        let Some(walk) = ctx
+            .view
+            .ordered_walk(scope, columns, &[], f.spec.descending)
+        else {
+            return Ok(SiteWalk::NoWalk);
+        };
+        let mut collected: Vec<Row> = Vec::new();
+        let mut walked: HashSet<u64> = HashSet::new();
+        let items = walk.inspect(|raw| {
+            walked.insert(*raw);
+        });
+        let items = items.map(|raw| walked_value(scope, raw));
+        if !self.drive_walk(ctx, f, items, f.seeds, budget, &mut collected)? {
+            return Ok(SiteWalk::OverBudget);
+        }
+        if collected.len() < f.spec.keep && missing > 0 {
+            let extent: Vec<u64> = match scope {
+                IndexScope::Label(l) => ctx
+                    .view
+                    .nodes_with_label(l)
+                    .into_iter()
+                    .map(u64::from)
+                    .collect(),
+                IndexScope::RelType(t) => ctx
+                    .view
+                    .rels_with_type(t)
+                    .into_iter()
+                    .map(u64::from)
+                    .collect(),
+            };
+            let tail = extent
+                .into_iter()
+                .filter(|raw| !walked.contains(raw))
+                .map(|raw| walked_value(scope, raw));
+            if !self.drive_walk(ctx, f, tail, f.seeds, budget, &mut collected)? {
+                return Ok(SiteWalk::OverBudget);
+            }
+        }
+        Ok(SiteWalk::Rows(collected))
     }
 
     /// Execute a fused index-served top-k `MATCH`; returns the matched
     /// binding rows (a superset of the final top-k, in order-key order) or
     /// `None` when fusion declined — including when the walk exhausted its
     /// candidate budget — and the caller must run the clauses separately.
-    ///
-    /// Per binding site of `var`, composite walks are tried first
-    /// (optionally pinned to an equality prefix; they cover missing
-    /// values via the explicit marker, so they serve both directions and
-    /// need no NULL tail), then — for single-key orders — the plain
-    /// ordered index walk with its NULL-tail/descending rules.
     fn try_indexed_topk(
         &self,
         patterns: &[PathPattern],
@@ -487,253 +538,50 @@ impl<'a> Executor<'a> {
         let Some(spec) = plan_topk_projection(&ctx, proj, seeds)? else {
             return Ok(None);
         };
-        let pushed = extract_pushdowns(where_clause);
+        let f = Fusion {
+            patterns,
+            where_clause,
+            seeds,
+            pushed: extract_pushdowns(where_clause),
+            spec,
+        };
+        let var = Some(f.spec.var.as_str());
         let mut budget = TOPK_WALK_BUDGET;
-        let mut collected: Vec<Row> = Vec::new();
         // Try every binding site of `var` in the patterns until one offers
-        // a complete ordered walk; the walk is constructed exactly once
-        // and consumed directly.
+        // a complete ordered walk.
         for p in patterns {
-            // Node route: a node pattern position named `var`.
-            for np in std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n)) {
-                if np.var.as_deref() != Some(spec.var.as_str()) {
-                    continue;
-                }
+            // Node route: the first node position named `var`, through
+            // each of its stored labels (a transition-variable label is
+            // not a stored extent).
+            let nodes = std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n));
+            if let Some(np) = nodes.into_iter().find(|np| np.var.as_deref() == var) {
                 for label in &np.labels {
-                    // a transition-variable label is not a stored extent
                     if seeds.iter().any(|r| r.contains(label)) {
                         continue;
                     }
-                    // Composite walks, pinned or plain: one walk shared by
-                    // every seed when the pins evaluate without row
-                    // bindings, else one **re-pinned walk per seed row**
-                    // (the pin operand reads the seed's own bindings).
-                    let empty = Row::new();
-                    for def in ctx.view.node_composite_defs(label) {
-                        if let Some(pins) =
-                            composite_pin(&ctx, &empty, &np.props, &pushed, &spec, &def)
-                        {
-                            let Some(walk) = ctx.view.nodes_in_composite_order(
-                                label,
-                                &def,
-                                &pins,
-                                spec.descending,
-                            ) else {
-                                continue;
-                            };
-                            if !self.drive_walk(
-                                &ctx,
-                                walk.map(Value::Node),
-                                patterns,
-                                where_clause,
-                                seeds,
-                                &spec,
-                                &mut budget,
-                                &mut collected,
-                            )? {
-                                return Ok(None);
-                            }
-                            return Ok(Some(collected));
-                        }
-                        // Per-seed re-pinned walks; sound only when EVERY
-                        // seed row yields a pinned walk (each contributes
-                        // its own top `keep` — the final projection
-                        // re-sorts the union, so it is a superset of the
-                        // global top-k).
-                        if let Some(per_seed) = self.drive_per_seed_walks(
-                            &ctx,
-                            CompositeSite::Node { label },
-                            seeds,
-                            &np.props,
-                            &pushed,
-                            &spec,
-                            &def,
-                            patterns,
-                            where_clause,
-                            &mut budget,
-                        )? {
-                            collected.extend(per_seed);
-                            return Ok(Some(collected));
-                        }
+                    let scope = IndexScope::Label(label);
+                    match self.walk_site(&ctx, &f, scope, &np.props, &mut budget)? {
+                        SiteWalk::Rows(rows) => return Ok(Some(rows)),
+                        SiteWalk::OverBudget => return Ok(None),
+                        SiteWalk::NoWalk => {}
                     }
-                    // Single-key ordered walk.
-                    if spec.keys.len() != 1 {
-                        continue;
-                    }
-                    let key = &spec.keys[0];
-                    let total = ctx
-                        .view
-                        .node_prop_stats(label, key)
-                        .map(|(t, _)| t)
-                        .unwrap_or(0);
-                    let missing = ctx.view.label_cardinality(label).saturating_sub(total);
-                    if spec.descending && missing > 0 {
-                        // property-less items (NULL keys) would have to
-                        // lead a descending order — decline this label
-                        continue;
-                    }
-                    let Some(walk) = ctx.view.nodes_in_prop_order(label, key, spec.descending)
-                    else {
-                        continue;
-                    };
-                    let mut walked: Vec<NodeId> = Vec::new();
-                    for id in walk {
-                        if budget == 0 {
-                            return Ok(None);
-                        }
-                        budget -= 1;
-                        walked.push(id);
-                        for seed in seeds {
-                            let mut s2 = seed.clone();
-                            s2.set(spec.var.clone(), Value::Node(id));
-                            collected.extend(match_patterns(
-                                &ctx,
-                                &s2,
-                                patterns,
-                                where_clause,
-                                None,
-                            )?);
-                        }
-                        if collected.len() >= spec.keep {
-                            break;
-                        }
-                    }
-                    if collected.len() < spec.keep && !spec.descending && missing > 0 {
-                        // NULL tail: extent items without the property
-                        let walked: HashSet<NodeId> = walked.into_iter().collect();
-                        let tail = ctx
-                            .view
-                            .nodes_with_label(label)
-                            .into_iter()
-                            .filter(|id| !walked.contains(id))
-                            .map(Value::Node);
-                        if !self.drive_walk(
-                            &ctx,
-                            tail,
-                            patterns,
-                            where_clause,
-                            seeds,
-                            &spec,
-                            &mut budget,
-                            &mut collected,
-                        )? {
-                            return Ok(None);
-                        }
-                    }
-                    return Ok(Some(collected));
                 }
                 return Ok(None);
             }
             // Rel route: a single-hop relationship position named `var`.
             for (rp, _) in &p.segments {
-                if rp.var.as_deref() != Some(spec.var.as_str())
-                    || rp.hops.is_some()
-                    || rp.types.len() != 1
-                {
-                    continue;
-                }
-                let rel_type = &rp.types[0];
-                // Composite walks, pinned or plain — shared when the pins
-                // are seed-independent, else re-pinned per seed row.
-                let empty = Row::new();
-                for def in ctx.view.rel_composite_defs(rel_type) {
-                    if let Some(pins) = composite_pin(&ctx, &empty, &rp.props, &pushed, &spec, &def)
-                    {
-                        let Some(walk) = ctx.view.rels_in_composite_order(
-                            rel_type,
-                            &def,
-                            &pins,
-                            spec.descending,
-                        ) else {
-                            continue;
-                        };
-                        if !self.drive_walk(
-                            &ctx,
-                            walk.map(Value::Rel),
-                            patterns,
-                            where_clause,
-                            seeds,
-                            &spec,
-                            &mut budget,
-                            &mut collected,
-                        )? {
-                            return Ok(None);
-                        }
-                        return Ok(Some(collected));
-                    }
-                    if let Some(per_seed) = self.drive_per_seed_walks(
-                        &ctx,
-                        CompositeSite::Rel { rel_type },
-                        seeds,
-                        &rp.props,
-                        &pushed,
-                        &spec,
-                        &def,
-                        patterns,
-                        where_clause,
-                        &mut budget,
-                    )? {
-                        collected.extend(per_seed);
-                        return Ok(Some(collected));
-                    }
-                }
-                if spec.keys.len() != 1 {
-                    continue;
-                }
-                let key = &spec.keys[0];
-                let total = ctx
-                    .view
-                    .rel_prop_stats(rel_type, key)
-                    .map(|(t, _)| t)
-                    .unwrap_or(0);
-                let missing = ctx
-                    .view
-                    .rel_type_cardinality(rel_type)
-                    .saturating_sub(total);
-                if spec.descending && missing > 0 {
-                    continue;
-                }
-                let Some(walk) = ctx.view.rels_in_prop_order(rel_type, key, spec.descending) else {
+                let [rel_type] = &rp.types[..] else {
                     continue;
                 };
-                let mut walked: Vec<RelId> = Vec::new();
-                for id in walk {
-                    if budget == 0 {
-                        return Ok(None);
-                    }
-                    budget -= 1;
-                    walked.push(id);
-                    for seed in seeds {
-                        let mut s2 = seed.clone();
-                        s2.set(spec.var.clone(), Value::Rel(id));
-                        collected.extend(match_patterns(&ctx, &s2, patterns, where_clause, None)?);
-                    }
-                    if collected.len() >= spec.keep {
-                        break;
-                    }
+                if rp.var.as_deref() != var || rp.hops.is_some() {
+                    continue;
                 }
-                if collected.len() < spec.keep && !spec.descending && missing > 0 {
-                    let walked: HashSet<RelId> = walked.into_iter().collect();
-                    let tail = ctx
-                        .view
-                        .rels_with_type(rel_type)
-                        .into_iter()
-                        .filter(|id| !walked.contains(id))
-                        .map(Value::Rel);
-                    if !self.drive_walk(
-                        &ctx,
-                        tail,
-                        patterns,
-                        where_clause,
-                        seeds,
-                        &spec,
-                        &mut budget,
-                        &mut collected,
-                    )? {
-                        return Ok(None);
-                    }
+                let scope = IndexScope::RelType(rel_type);
+                match self.walk_site(&ctx, &f, scope, &rp.props, &mut budget)? {
+                    SiteWalk::Rows(rows) => return Ok(Some(rows)),
+                    SiteWalk::OverBudget => return Ok(None),
+                    SiteWalk::NoWalk => {}
                 }
-                return Ok(Some(collected));
             }
         }
         Ok(None)

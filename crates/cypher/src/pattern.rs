@@ -16,8 +16,8 @@
 //!
 //! 1. `WHERE` conjuncts of shape `var.key = e`, `var.key </<=/>/>= e` and
 //!    `var.key STARTS WITH e` are pushed down into candidate selection,
-//!    served by equality, ordered **range**, and **prefix** index scans
-//!    ([`pg_graph::GraphView::nodes_in_prop_range`] and friends);
+//!    served by equality, ordered **range**, and **prefix** index probes
+//!    ([`pg_graph::GraphView::probe`]);
 //! 2. each linear path is **anchored at its most selective node position**
 //!    (estimated from index/extent cardinalities) by reversing the path or
 //!    splitting it at a named interior node, instead of always starting at
@@ -30,23 +30,25 @@
 //!    extent's endpoints rather than from a node scan;
 //! 5. relationship range/prefix pushdowns prune **per-hop expansion**: a
 //!    hop whose pushed predicate is estimated more selective than the
-//!    adjacency list is served from
-//!    [`pg_graph::GraphView::rels_in_prop_range`], and every enumerated
-//!    relationship is pre-filtered against the evaluated predicates.
+//!    adjacency list is served from the relationship type's index, and
+//!    every enumerated relationship is pre-filtered against the evaluated
+//!    predicates.
 //!
 //! Planning itself is **count-only** (v3): all cost estimates go through
-//! the count probes ([`pg_graph::GraphView::count_nodes_with_prop`],
-//! histogram-backed range/prefix estimates,
-//! [`pg_graph::GraphView::node_prop_stats`] `total/distinct` for equality
-//! conjuncts whose operand is bound by another join path) — no candidate
-//! vector is materialized until an access path has been *chosen*.
+//! [`pg_graph::ProbeMode::Count`] probes (exact equality counts,
+//! histogram-backed range estimates) and
+//! [`pg_graph::GraphView::index_stats`] (the average equality bucket, for
+//! equality conjuncts whose operand is bound by another join path) — no
+//! candidate vector is materialized until an access path has been
+//! *chosen*. Node and relationship positions share one estimator and one
+//! probe chooser (`physical::Sargs`).
 
 use crate::ast::{BinOp, Expr, NodePattern, PathPattern, RelPattern};
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
-use crate::physical::{build_intervals, composite_probe_args, Intervals};
+use crate::physical::{NodeAccess, Sargs};
 use crate::row::Row;
-use pg_graph::{Direction, NodeId, RelId, Value};
+use pg_graph::{Direction, IndexScope, NodeId, RelId, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
@@ -147,104 +149,6 @@ pub fn pattern_vars(patterns: &[PathPattern]) -> Vec<String> {
 /// A conservative "don't know" cardinality for unestimatable positions.
 const UNKNOWN_COST: usize = usize::MAX / 4;
 
-/// The best **count-only** index estimate for a node pattern: the same
-/// access paths [`index_candidates`] would try, probed through the
-/// counting APIs so planning materializes no candidate vectors. Equality
-/// conjuncts whose operand cannot be evaluated yet (it references a
-/// variable bound by an earlier join path — an intermediate join result)
-/// contribute the average-bucket selectivity `total / distinct` from
-/// [`pg_graph::GraphView::node_prop_stats`].
-fn index_count_estimate(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    np: &NodePattern,
-    pushed: &Pushdowns,
-) -> Option<usize> {
-    let preds = np.var.as_ref().and_then(|v| pushed.get(v));
-    let mut best: Option<usize> = None;
-    let mut consider = |count: Option<usize>| {
-        if let Some(count) = count {
-            if best.is_none_or(|b| count < b) {
-                best = Some(count);
-            }
-        }
-    };
-
-    let pushed_eqs = preds.map(|p| p.eqs.as_slice()).unwrap_or(&[]);
-    let mut eval_eqs: HashMap<&str, Value> = HashMap::new();
-    for (key, value_expr) in np.props.iter().chain(pushed_eqs) {
-        match eval(ctx, row, value_expr) {
-            Ok(value) => {
-                for label in &np.labels {
-                    consider(ctx.view.count_nodes_with_prop(label, key, &value));
-                }
-                eval_eqs.entry(key.as_str()).or_insert(value);
-            }
-            Err(_) => {
-                for label in &np.labels {
-                    if let Some((total, distinct)) = ctx.view.node_prop_stats(label, key) {
-                        if let Some(avg) = total.checked_div(distinct) {
-                            consider(Some(avg.max(1)));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut intervals: HashMap<String, (Bound<Value>, Bound<Value>)> = HashMap::new();
-    let mut prefix_vals: HashMap<&str, String> = HashMap::new();
-    if let Some(preds) = preds {
-        match build_intervals(ctx, row, &preds.ranges) {
-            Intervals::Never => return Some(0),
-            Intervals::Bounds(b) => intervals = b,
-        }
-        for (key, (lo, hi)) in &intervals {
-            for label in &np.labels {
-                consider(
-                    ctx.view
-                        .count_nodes_in_prop_range(label, key, lo.as_ref(), hi.as_ref()),
-                );
-            }
-        }
-
-        for (key, expr) in &preds.prefixes {
-            let Ok(value) = eval(ctx, row, expr) else {
-                continue;
-            };
-            match &value {
-                Value::Str(prefix) => {
-                    for label in &np.labels {
-                        consider(ctx.view.count_nodes_with_prop_prefix(label, key, prefix));
-                    }
-                    prefix_vals.entry(key.as_str()).or_insert(prefix.clone());
-                }
-                _ => return Some(0),
-            }
-        }
-    }
-
-    // Composite probes: the longest equality prefix of each definition
-    // plus one trailing range/prefix bound, costed count-only like every
-    // other access path.
-    for label in &np.labels {
-        for def in ctx.view.node_composite_defs(label) {
-            if let Some((eq, trailing)) =
-                composite_probe_args(&eval_eqs, &intervals, &prefix_vals, &def)
-            {
-                consider(ctx.view.count_nodes_with_composite(
-                    label,
-                    &def,
-                    &eq,
-                    trailing.as_trailing(),
-                ));
-            }
-        }
-    }
-
-    best
-}
-
 /// Estimated candidate-set size for anchoring a path at a node pattern.
 /// Mirrors the access-path choice of [`node_candidates`] using count-only
 /// probes and statistics (no candidate vector is materialized during
@@ -274,7 +178,17 @@ fn estimate_node_cost(
             return 1;
         }
     }
-    let index_est = index_count_estimate(ctx, row, np, pushed);
+    let sargs = Sargs::eval(
+        ctx,
+        row,
+        &np.props,
+        np.var.as_ref().and_then(|v| pushed.get(v)),
+    );
+    let index_est = np
+        .labels
+        .iter()
+        .filter_map(|l| sargs.estimate(ctx, IndexScope::Label(l)))
+        .min();
     let label_min = np
         .labels
         .iter()
@@ -316,77 +230,18 @@ fn estimate_rel_cost(
     if rp.types.is_empty() {
         return None;
     }
-    let preds = rp.var.as_ref().and_then(|v| pushed.get(v));
-    let pushed_eqs = preds.map(|p| p.eqs.as_slice()).unwrap_or(&[]);
-    let intervals = match preds {
-        Some(p) if !p.ranges.is_empty() => match build_intervals(ctx, row, &p.ranges) {
-            Intervals::Never => return Some(0),
-            Intervals::Bounds(b) => b,
-        },
-        _ => HashMap::new(),
-    };
-    // Evaluate each eq operand exactly once (the per-type loop and the
-    // composite probes both consume the results; an Err means the operand
-    // references a variable bound later → total/distinct estimate).
-    let evaluated: Vec<(&String, Option<Value>)> = rp
-        .props
-        .iter()
-        .chain(pushed_eqs)
-        .map(|(key, value_expr)| (key, eval(ctx, row, value_expr).ok()))
-        .collect();
-    let mut eval_eqs: HashMap<&str, Value> = HashMap::new();
-    for (key, value) in &evaluated {
-        if let Some(v) = value {
-            eval_eqs.entry(key.as_str()).or_insert_with(|| v.clone());
-        }
-    }
-    let mut prefix_vals: HashMap<&str, String> = HashMap::new();
-    if let Some(p) = preds {
-        for (key, expr) in &p.prefixes {
-            if let Ok(Value::Str(prefix)) = eval(ctx, row, expr) {
-                prefix_vals.entry(key.as_str()).or_insert(prefix);
-            }
-        }
-    }
+    let sargs = Sargs::eval(
+        ctx,
+        row,
+        &rp.props,
+        rp.var.as_ref().and_then(|v| pushed.get(v)),
+    );
     let mut total = 0usize;
     for t in &rp.types {
-        let mut best = ctx.view.rel_type_cardinality(t);
-        for (key, value) in &evaluated {
-            match value {
-                Some(value) => {
-                    if let Some(c) = ctx.view.count_rels_with_prop(t, key, value) {
-                        best = best.min(c);
-                    }
-                }
-                None => {
-                    if let Some((tot, distinct)) = ctx.view.rel_prop_stats(t, key) {
-                        if let Some(avg) = tot.checked_div(distinct) {
-                            best = best.min(avg.max(1));
-                        }
-                    }
-                }
-            }
-        }
-        for (key, (lo, hi)) in &intervals {
-            if let Some(c) = ctx
-                .view
-                .count_rels_in_prop_range(t, key, lo.as_ref(), hi.as_ref())
-            {
-                best = best.min(c);
-            }
-        }
-        for def in ctx.view.rel_composite_defs(t) {
-            if let Some((eq, trailing)) =
-                composite_probe_args(&eval_eqs, &intervals, &prefix_vals, &def)
-            {
-                if let Some(c) =
-                    ctx.view
-                        .count_rels_with_composite(t, &def, &eq, trailing.as_trailing())
-                {
-                    best = best.min(c);
-                }
-            }
-        }
+        let extent = ctx.view.rel_type_cardinality(t);
+        let best = sargs
+            .estimate(ctx, IndexScope::RelType(t))
+            .map_or(extent, |est| est.min(extent));
         total = total.saturating_add(best);
     }
     Some(total)
@@ -412,26 +267,22 @@ fn rel_seed_candidates(
     if rp.types.is_empty() {
         return None;
     }
-    let pushed_eqs = rp
-        .var
-        .as_ref()
-        .and_then(|v| pushed.get(v))
-        .map(|p| p.eqs.as_slice())
-        .unwrap_or(&[]);
+    let sargs = Sargs::eval(
+        ctx,
+        row,
+        &rp.props,
+        rp.var.as_ref().and_then(|v| pushed.get(v)),
+    );
+    if sargs.never {
+        return Some(Vec::new());
+    }
     let mut out: Vec<RelId> = Vec::new();
     for t in &rp.types {
-        let mut best: Option<Vec<RelId>> = None;
-        for (key, value_expr) in rp.props.iter().chain(pushed_eqs) {
-            let Ok(value) = eval(ctx, row, value_expr) else {
-                continue;
-            };
-            if let Some(ids) = ctx.view.rels_with_prop(t, key, &value) {
-                if best.as_ref().is_none_or(|b| ids.len() < b.len()) {
-                    best = Some(ids);
-                }
-            }
-        }
-        out.extend(best.unwrap_or_else(|| ctx.view.rels_with_type(t)));
+        let scope = IndexScope::RelType(t);
+        let served = sargs
+            .best_probe(ctx, scope)
+            .and_then(|(access, _)| access.ids(ctx, scope));
+        out.extend(served.unwrap_or_else(|| ctx.view.rels_with_type(t)));
     }
     out.sort();
     out.dedup();
@@ -839,76 +690,10 @@ fn extend_segments(
     Ok(())
 }
 
-/// The pushed-down predicates of a relationship variable, evaluated
-/// against the current row. Conjuncts whose operand cannot be evaluated
-/// yet are skipped (the `WHERE` clause still enforces them); a NULL/NaN
-/// or non-string operand that can never make its conjunct truthy sets
-/// `never` — no relationship can survive the `WHERE`.
-struct RelPredEval {
-    never: bool,
-    eqs: Vec<(String, Value)>,
-    intervals: HashMap<String, (Bound<Value>, Bound<Value>)>,
-    prefixes: Vec<(String, String)>,
-}
-
-/// Evaluate a single-hop relationship pattern's pushed predicates. `None`
-/// when the pattern is variable-length (the variable binds a list, the
-/// predicates do not apply per-relationship) or carries no pushdowns.
-fn eval_rel_pushdowns(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    rel_pat: &RelPattern,
-    pushed: &Pushdowns,
-) -> Option<RelPredEval> {
-    if rel_pat.hops.is_some() {
-        return None;
-    }
-    let preds = rel_pat.var.as_ref().and_then(|v| pushed.get(v))?;
-    let mut out = RelPredEval {
-        never: false,
-        eqs: Vec::new(),
-        intervals: HashMap::new(),
-        prefixes: Vec::new(),
-    };
-    for (key, expr) in &preds.eqs {
-        let Ok(value) = eval(ctx, row, expr) else {
-            continue;
-        };
-        if value.is_null() {
-            out.never = true; // `r.k = NULL` is never truthy
-            return Some(out);
-        }
-        out.eqs.push((key.clone(), value));
-    }
-    match build_intervals(ctx, row, &preds.ranges) {
-        Intervals::Never => {
-            out.never = true;
-            return Some(out);
-        }
-        Intervals::Bounds(b) => out.intervals = b,
-    }
-    for (key, expr) in &preds.prefixes {
-        let Ok(value) = eval(ctx, row, expr) else {
-            continue;
-        };
-        match value {
-            Value::Str(prefix) => out.prefixes.push((key.clone(), prefix)),
-            _ => {
-                out.never = true; // non-string operand never matches
-                return Some(out);
-            }
-        }
-    }
-    if out.eqs.is_empty() && out.intervals.is_empty() && out.prefixes.is_empty() {
-        return None;
-    }
-    Some(out)
-}
-
 /// Whether a concrete relationship satisfies the evaluated pushdowns
 /// (direct predicate evaluation — used to prune expansion early; the full
 /// `WHERE` is still evaluated on surviving rows).
-fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &RelPredEval) -> bool {
+fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &Sargs) -> bool {
     use std::cmp::Ordering;
     for (key, want) in &pd.eqs {
         let have = ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
@@ -947,12 +732,11 @@ fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &RelPredEval) -> bool {
 /// relationship pattern (direction, types, properties, pre-bound rel var).
 ///
 /// Pushed-down range/prefix/equality predicates on the relationship
-/// variable prune the expansion here (planner v3): when a pushed range is
-/// **estimated** (count probe) more selective than the adjacency list and
-/// the relationship-property index can serve it, the hop enumerates
-/// [`pg_graph::GraphView::rels_in_prop_range`] instead of the adjacency
-/// list; either way every candidate is pre-filtered against the evaluated
-/// predicates rather than post-filtered by the final `WHERE`.
+/// variable prune the expansion here (planner v3): when the best index
+/// probe they allow is **estimated** (count probe) more selective than
+/// the adjacency list, the hop enumerates the probe's ids instead of the
+/// adjacency list; either way every candidate is pre-filtered against the
+/// evaluated predicates rather than post-filtered by the final `WHERE`.
 pub(crate) fn hop_candidates(
     ctx: &EvalCtx<'_>,
     row: &Row,
@@ -986,69 +770,31 @@ pub(crate) fn hop_candidates(
             return Ok(Vec::new());
         }
     }
-    let pd = eval_rel_pushdowns(ctx, row, rel_pat, pushed);
+    // Pushed predicates apply per relationship only on single hops (a
+    // variable-length variable binds a list).
+    let pd = match (&rel_pat.var, &rel_pat.hops) {
+        (Some(v), None) => pushed
+            .get(v)
+            .map(|preds| Sargs::eval(ctx, row, &[], Some(preds)))
+            .filter(|pd| !pd.is_empty()),
+        _ => None,
+    };
     if pd.as_ref().is_some_and(|p| p.never) {
         return Ok(Vec::new());
     }
     let mut cands = ctx.view.rels_of(node, rel_pat.direction);
-    // Serve the hop from the relationship-property index when a pushed
-    // range is estimated more selective than the node's adjacency; the
-    // endpoint checks below restore the incidence constraint.
-    if let Some(pd) = &pd {
-        if rel_pat.types.len() == 1 {
-            let t = &rel_pat.types[0];
-            for (key, (lo, hi)) in &pd.intervals {
-                let est = ctx
-                    .view
-                    .count_rels_in_prop_range(t, key, lo.as_ref(), hi.as_ref());
-                if est.is_some_and(|e| e < cands.len()) {
-                    if let Some(ids) = ctx
-                        .view
-                        .rels_in_prop_range(t, key, lo.as_ref(), hi.as_ref())
-                    {
-                        if ids.len() < cands.len() {
-                            cands = ids;
-                        }
-                    }
-                }
-            }
-            // A composite relationship index can serve the *conjunction*
-            // of pushed predicates in one walk; take it when its count
-            // estimate beats both the adjacency and the single-key serve.
-            // (No definitions — the overwhelmingly common case — costs
-            // nothing on this per-hop path.)
-            let defs = ctx.view.rel_composite_defs(t);
-            if !defs.is_empty() {
-                let eval_eqs: HashMap<&str, Value> = pd
-                    .eqs
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.clone()))
-                    .collect();
-                let prefix_vals: HashMap<&str, String> = pd
-                    .prefixes
-                    .iter()
-                    .map(|(k, p)| (k.as_str(), p.clone()))
-                    .collect();
-                for def in defs {
-                    if let Some((eq, trailing)) =
-                        composite_probe_args(&eval_eqs, &pd.intervals, &prefix_vals, &def)
-                    {
-                        let est = ctx.view.count_rels_with_composite(
-                            t,
-                            &def,
-                            &eq,
-                            trailing.as_trailing(),
-                        );
-                        if est.is_some_and(|e| e < cands.len()) {
-                            if let Some(ids) =
-                                ctx.view
-                                    .rels_with_composite(t, &def, &eq, trailing.as_trailing())
-                            {
-                                if ids.len() < cands.len() {
-                                    cands = ids;
-                                }
-                            }
-                        }
+    // Serve the hop from a relationship index when the pushed predicates
+    // are estimated more selective than the node's adjacency; the
+    // endpoint checks below restore the incidence constraint. (No
+    // definitions — the overwhelmingly common case — costs nothing on
+    // this per-hop path.)
+    if let (Some(pd), [t]) = (&pd, &rel_pat.types[..]) {
+        let scope = IndexScope::RelType(t);
+        if let Some((access, est)) = pd.best_probe(ctx, scope) {
+            if est < cands.len() {
+                if let Some(ids) = access.ids::<RelId>(ctx, scope) {
+                    if ids.len() < cands.len() {
+                        cands = ids;
                     }
                 }
             }
@@ -1196,8 +942,8 @@ pub(crate) fn extract_pushdowns(where_clause: Option<&Expr>) -> Pushdowns {
 /// The best index-backed candidate set for a node pattern: the physical
 /// layer chooses the access path **count-only**
 /// ([`crate::physical::choose_index_access`]) and only the winner is
-/// materialized ([`crate::physical::materialize_index_access`]) — choosing
-/// an access path never allocates the vectors of the losers.
+/// materialized — choosing an access path never allocates the vectors of
+/// the losers.
 ///
 /// Returns `Some(ids)` when some index answered (possibly proving the
 /// candidate set empty: a pushed conjunct with a NULL/untyped operand can
@@ -1208,8 +954,10 @@ fn index_candidates(
     np: &NodePattern,
     pushed: &Pushdowns,
 ) -> Option<Vec<NodeId>> {
-    let (access, _est) = crate::physical::choose_index_access(ctx, row, np, pushed)?;
-    crate::physical::materialize_index_access(ctx, &access)
+    match crate::physical::choose_index_access(ctx, row, np, pushed)?.0 {
+        NodeAccess::Index { label, access } => access.ids(ctx, IndexScope::Label(&label)),
+        _ => Some(Vec::new()), // a pushed conjunct proved the set empty
+    }
 }
 
 /// Candidate start nodes for a node pattern.

@@ -1,20 +1,14 @@
 //! Physical planning: access paths **as data** (planner v4).
 //!
-//! Planner v3 chose access paths inline — `index_candidates` counted every
-//! applicable probe and immediately materialized the winner, so the
-//! decision itself was never observable. Planner v4 splits the two halves:
-//!
-//! * `choose_index_access` makes the count-only decision and returns a
-//!   [`NodeAccess`] value — plain data naming the chosen probe and its
-//!   cardinality estimate;
-//! * `materialize_index_access` turns a chosen [`NodeAccess`] into the
-//!   candidate vector.
-//!
-//! The matcher ([`crate::pattern`]) composes the two exactly as before
-//! (same probes, same tie-breaks, same candidate sets), while `EXPLAIN`
-//! and the batched executor inspect the decision without materializing
-//! anything: `plan_node_access` / `plan_seed_access` are the fully
-//! count-only variants used to annotate plans.
+//! The access-path decision is split from its execution: `Sargs`
+//! evaluates a pattern variable's search arguments once, chooses the most
+//! selective index probe **count-only** and returns it as an
+//! [`IndexAccess`] value — plain data naming the definition, the equality
+//! prefix and the trailing bound; only a chosen probe is ever materialized
+//! into a candidate vector. Node patterns, relationship seeds and per-hop
+//! expansion all go through that one chooser (same probes, same
+//! tie-breaks), so `EXPLAIN` and the batched executor inspect the decision
+//! ([`NodeAccess`]) without materializing anything.
 //!
 //! **Join-output cardinality** (planner v4): [`expand_fanout`] estimates
 //! the expected number of output rows per input row of a hop from the
@@ -27,17 +21,17 @@
 //! hop), and `EXPLAIN` prints estimated rows per operator next to the
 //! actual rows observed during execution.
 
-use crate::ast::{Expr, NodePattern, PathPattern};
+use crate::ast::{BinOp, Expr, NodePattern, PathPattern};
 use crate::expr::{eval, EvalCtx};
 use crate::row::Row;
-use pg_graph::{CompositeTrailing, Direction, NodeId, Value};
+use pg_graph::{CompositeTrailing, Direction, IndexProbe, IndexScope, ProbeMode, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
 
-use crate::pattern::Pushdowns;
+use crate::pattern::{Pushdowns, VarPredicates};
 
-/// Owned form of [`CompositeTrailing`]: the trailing bound of a composite
+/// Owned form of [`CompositeTrailing`]: the trailing bound of an index
 /// probe as assembled by the planner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrailingOwned {
@@ -46,51 +40,189 @@ pub enum TrailingOwned {
     Prefix(String),
 }
 
-impl TrailingOwned {
-    pub(crate) fn as_trailing(&self) -> CompositeTrailing<'_> {
-        match self {
-            TrailingOwned::None => CompositeTrailing::None,
-            TrailingOwned::Range(lo, hi) => CompositeTrailing::Range(lo.as_ref(), hi.as_ref()),
-            TrailingOwned::Prefix(p) => CompositeTrailing::Prefix(p),
+/// An index probe as data: the definition's column list, the equality
+/// values of its leading columns, and at most one trailing range or
+/// `STARTS WITH` bound on the next column.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexAccess {
+    pub columns: Vec<String>,
+    pub eq: Vec<Value>,
+    pub trailing: TrailingOwned,
+}
+
+impl IndexAccess {
+    fn probe(&self) -> IndexProbe<'_> {
+        IndexProbe {
+            columns: &self.columns,
+            eq: &self.eq,
+            trailing: match &self.trailing {
+                TrailingOwned::None => CompositeTrailing::None,
+                TrailingOwned::Range(lo, hi) => CompositeTrailing::Range(lo.as_ref(), hi.as_ref()),
+                TrailingOwned::Prefix(p) => CompositeTrailing::Prefix(p),
+            },
         }
+    }
+
+    /// Count-only cardinality (O(log n) / histogram); `None` when the
+    /// index cannot serve the probe.
+    pub(crate) fn count(&self, ctx: &EvalCtx<'_>, scope: IndexScope<'_>) -> Option<usize> {
+        Some(
+            ctx.view
+                .probe(scope, self.probe(), ProbeMode::Count)?
+                .count(),
+        )
+    }
+
+    /// Materialize the probe into its id vector, typed by the caller's
+    /// scope.
+    pub(crate) fn ids<Id: From<u64>>(
+        &self,
+        ctx: &EvalCtx<'_>,
+        scope: IndexScope<'_>,
+    ) -> Option<Vec<Id>> {
+        Some(
+            ctx.view
+                .probe(scope, self.probe(), ProbeMode::Ids)?
+                .into_ids(),
+        )
     }
 }
 
-/// The longest-equality-prefix probe a composite definition can serve from
-/// the evaluated pushdowns: walk `def`'s columns collecting equality
-/// values until the first column without one; that column may contribute
-/// one trailing range or `STARTS WITH` bound. `None` when the definition
-/// constrains nothing.
-pub(crate) fn composite_probe_args(
-    eqs: &HashMap<&str, Value>,
-    intervals: &HashMap<String, (Bound<Value>, Bound<Value>)>,
-    prefixes: &HashMap<&str, String>,
-    def: &[String],
-) -> Option<(Vec<Value>, TrailingOwned)> {
-    let mut eq_vals: Vec<Value> = Vec::new();
-    for col in def {
-        if let Some(v) = eqs.get(col.as_str()) {
-            eq_vals.push(v.clone());
-            continue;
+/// The search arguments of one pattern variable: its inline `{key: value}`
+/// properties and pushed-down `WHERE` conjuncts, evaluated against the
+/// current row — everything an index probe can consume. Conjuncts whose
+/// operand cannot be evaluated yet (it references a variable bound later)
+/// are skipped; the predicate itself is still enforced by the matcher and
+/// the `WHERE` evaluation.
+#[derive(Debug, Default)]
+pub(crate) struct Sargs {
+    /// Some conjunct can never be truthy (a NULL/NaN range operand, a
+    /// non-string `STARTS WITH` operand): the candidate set is
+    /// definitively empty, no index required.
+    pub(crate) never: bool,
+    /// Evaluated equality conjuncts, in predicate order.
+    pub(crate) eqs: Vec<(String, Value)>,
+    /// Keys of equality conjuncts whose operand is not evaluable yet.
+    pub(crate) deferred_eqs: Vec<String>,
+    /// The tightest interval per key from the `<`/`<=`/`>`/`>=` conjuncts.
+    pub(crate) intervals: HashMap<String, (Bound<Value>, Bound<Value>)>,
+    /// Evaluated `STARTS WITH` conjuncts.
+    pub(crate) prefixes: Vec<(String, String)>,
+}
+
+impl Sargs {
+    pub(crate) fn eval(
+        ctx: &EvalCtx<'_>,
+        row: &Row,
+        inline: &[(String, Expr)],
+        preds: Option<&VarPredicates>,
+    ) -> Sargs {
+        let mut out = Sargs::default();
+        let pushed_eqs = preds.map(|p| p.eqs.as_slice()).unwrap_or(&[]);
+        for (key, expr) in inline.iter().chain(pushed_eqs) {
+            match eval(ctx, row, expr) {
+                Ok(value) => out.eqs.push((key.clone(), value)),
+                Err(_) => out.deferred_eqs.push(key.clone()),
+            }
         }
-        if let Some((lo, hi)) = intervals.get(col) {
-            return Some((eq_vals, TrailingOwned::Range(lo.clone(), hi.clone())));
+        let Some(preds) = preds else {
+            return out;
+        };
+        match build_intervals(ctx, row, &preds.ranges) {
+            Intervals::Never => out.never = true,
+            Intervals::Bounds(b) => out.intervals = b,
         }
-        if let Some(p) = prefixes.get(col.as_str()) {
-            return Some((eq_vals, TrailingOwned::Prefix(p.clone())));
+        for (key, expr) in &preds.prefixes {
+            match eval(ctx, row, expr) {
+                Ok(Value::Str(prefix)) => out.prefixes.push((key.clone(), prefix)),
+                Ok(_) => out.never = true,
+                Err(_) => {}
+            }
         }
-        break;
+        out
     }
-    if eq_vals.is_empty() {
-        None
-    } else {
-        Some((eq_vals, TrailingOwned::None))
+
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.never && self.eqs.is_empty() && self.intervals.is_empty() && self.prefixes.is_empty()
+    }
+
+    /// The longest-equality-prefix probe the definition `def` can serve:
+    /// walk its columns collecting equality values until the first column
+    /// without one; that column may contribute one trailing range or
+    /// `STARTS WITH` bound. `None` when the definition constrains nothing.
+    fn probe_for(&self, def: Vec<String>) -> Option<IndexAccess> {
+        let mut eq: Vec<Value> = Vec::new();
+        let mut trailing = TrailingOwned::None;
+        for col in &def {
+            if let Some((_, v)) = self.eqs.iter().find(|(k, _)| k == col) {
+                eq.push(v.clone());
+                continue;
+            }
+            if let Some((lo, hi)) = self.intervals.get(col) {
+                trailing = TrailingOwned::Range(lo.clone(), hi.clone());
+            } else if let Some((_, p)) = self.prefixes.iter().find(|(k, _)| k == col) {
+                trailing = TrailingOwned::Prefix(p.clone());
+            }
+            break;
+        }
+        if eq.is_empty() && trailing == TrailingOwned::None {
+            return None;
+        }
+        Some(IndexAccess {
+            columns: def,
+            eq,
+            trailing,
+        })
+    }
+
+    /// The most selective answerable probe over `scope`'s index
+    /// definitions, chosen **count-only** — nothing is materialized.
+    /// Single-key definitions are counted first, so a multi-key probe
+    /// only wins when *strictly* more selective.
+    pub(crate) fn best_probe(
+        &self,
+        ctx: &EvalCtx<'_>,
+        scope: IndexScope<'_>,
+    ) -> Option<(IndexAccess, usize)> {
+        let mut defs = ctx.view.index_defs(scope);
+        defs.sort_by_key(|def| def.len() > 1);
+        let mut best: Option<(IndexAccess, usize)> = None;
+        for access in defs.into_iter().filter_map(|def| self.probe_for(def)) {
+            if let Some(count) = access.count(ctx, scope) {
+                if best.as_ref().is_none_or(|(_, b)| count < *b) {
+                    best = Some((access, count));
+                }
+            }
+        }
+        best
+    }
+
+    /// The best count-only cardinality estimate `scope`'s indexes give
+    /// for these arguments: [`Sargs::best_probe`], plus — for equality
+    /// conjuncts whose operand is bound by a later join path — the
+    /// average equality bucket `keyed_total / keyed_distinct` of the
+    /// key's single-key index.
+    pub(crate) fn estimate(&self, ctx: &EvalCtx<'_>, scope: IndexScope<'_>) -> Option<usize> {
+        if self.never {
+            return Some(0);
+        }
+        let mut best = self.best_probe(ctx, scope).map(|(_, est)| est);
+        for key in &self.deferred_eqs {
+            let avg = ctx
+                .view
+                .index_stats(scope, std::slice::from_ref(key))
+                .and_then(|st| st.keyed_total.checked_div(st.keyed_distinct));
+            if let Some(avg) = avg {
+                best = Some(best.map_or(avg.max(1), |b| b.min(avg.max(1))));
+            }
+        }
+        best
     }
 }
 
 /// The tightest closed intervals derivable from a variable's `<`/`<=`/
 /// `>`/`>=` conjuncts, per property key.
-pub(crate) enum Intervals {
+enum Intervals {
     /// Some conjunct can never be truthy (NULL/NaN operand) — the
     /// candidate set is definitively empty.
     Never,
@@ -131,12 +263,7 @@ fn tighten(slot: &mut Bound<Value>, value: Value, inclusive: bool, lower: bool) 
 /// ([`Intervals::Never`]); an operand that cannot be evaluated yet (it
 /// references a variable bound later) merely skips the conjunct — the
 /// predicate itself is still enforced by the `WHERE` evaluation.
-pub(crate) fn build_intervals(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    ranges: &[(String, crate::ast::BinOp, Expr)],
-) -> Intervals {
-    use crate::ast::BinOp;
+fn build_intervals(ctx: &EvalCtx<'_>, row: &Row, ranges: &[(String, BinOp, Expr)]) -> Intervals {
     let mut intervals: HashMap<String, (Bound<Value>, Bound<Value>)> = HashMap::new();
     for (key, op, expr) in ranges {
         let Ok(value) = eval(ctx, row, expr) else {
@@ -162,8 +289,7 @@ pub(crate) fn build_intervals(
 // ---------------------------------------------------------------------
 
 /// A node pattern's chosen access path — the physical half of planner v4,
-/// inspectable by `EXPLAIN` and executable by `materialize_index_access`
-/// (index-backed variants) or the matcher's extent paths.
+/// inspectable by `EXPLAIN` and executable by the matcher.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeAccess {
     /// The variable is already bound in the row: one candidate.
@@ -173,33 +299,10 @@ pub enum NodeAccess {
     Transition(String),
     /// A pushed conjunct can never be truthy: definitively empty.
     Empty,
-    /// Single-key equality probe of the `(label, key)` index.
-    IndexEq {
-        label: String,
-        key: String,
-        value: Value,
-    },
-    /// Ordered range scan of the `(label, key)` index.
-    IndexRange {
-        label: String,
-        key: String,
-        lo: Bound<Value>,
-        hi: Bound<Value>,
-    },
-    /// `STARTS WITH` prefix scan of the `(label, key)` index.
-    IndexPrefix {
-        label: String,
-        key: String,
-        prefix: String,
-    },
-    /// Composite probe: equality on the definition's leading columns plus
-    /// at most one trailing range/prefix bound.
-    Composite {
-        label: String,
-        columns: Vec<String>,
-        eq: Vec<Value>,
-        trailing: TrailingOwned,
-    },
+    /// A probe of one of `label`'s indexes. Rendered from its shape: a
+    /// single-key definition is `IndexEq`, `IndexRange` or `IndexPrefix`,
+    /// a multi-key one `CompositeProbe`.
+    Index { label: String, access: IndexAccess },
     /// Intersection of label extents, enumerated from the smallest.
     LabelScan { labels: Vec<String> },
     /// Unconstrained: every node.
@@ -212,12 +315,12 @@ impl fmt::Display for NodeAccess {
             NodeAccess::BoundVar(v) => write!(f, "BoundVar({v})"),
             NodeAccess::Transition(l) => write!(f, "Transition({l})"),
             NodeAccess::Empty => write!(f, "Empty"),
-            NodeAccess::IndexEq { label, key, .. } => write!(f, "IndexEq({label}.{key})"),
-            NodeAccess::IndexRange { label, key, .. } => write!(f, "IndexRange({label}.{key})"),
-            NodeAccess::IndexPrefix { label, key, .. } => write!(f, "IndexPrefix({label}.{key})"),
-            NodeAccess::Composite { label, columns, .. } => {
-                write!(f, "CompositeProbe({label}[{}])", columns.join(","))
-            }
+            NodeAccess::Index { label, access } => match (&access.columns[..], &access.trailing) {
+                ([key], TrailingOwned::None) => write!(f, "IndexEq({label}.{key})"),
+                ([key], TrailingOwned::Range(..)) => write!(f, "IndexRange({label}.{key})"),
+                ([key], TrailingOwned::Prefix(_)) => write!(f, "IndexPrefix({label}.{key})"),
+                (columns, _) => write!(f, "CompositeProbe({label}[{}])", columns.join(",")),
+            },
             NodeAccess::LabelScan { labels } => write!(f, "LabelScan({})", labels.join("&")),
             NodeAccess::AllNodes => write!(f, "AllNodes"),
         }
@@ -225,13 +328,7 @@ impl fmt::Display for NodeAccess {
 }
 
 /// The best index-backed access path for a node pattern, chosen **count-
-/// only**: from inline `{key: value}` properties plus pushed-down `WHERE`
-/// equality, range and prefix conjuncts on this pattern's variable, tried
-/// against every label's single-key and composite indexes. Every probe is
-/// counted (O(log n) / histogram); nothing is materialized. An evaluation
-/// failure (e.g. the value refers to a variable bound later) merely
-/// disqualifies the path — the predicate itself is still enforced by
-/// `node_matches` / the WHERE clause.
+/// only** ([`Sargs::best_probe`]) over every label's index definitions.
 ///
 /// Returns `Some((access, estimate))` when some index answered —
 /// [`NodeAccess::Empty`] with estimate 0 when a pushed conjunct proves the
@@ -243,156 +340,20 @@ pub(crate) fn choose_index_access(
     pushed: &Pushdowns,
 ) -> Option<(NodeAccess, usize)> {
     let preds = np.var.as_ref().and_then(|v| pushed.get(v));
-    let mut probes: Vec<NodeAccess> = Vec::new();
-
-    // Equality: inline property maps and pushed `var.key = e` conjuncts.
-    let pushed_eqs = preds.map(|p| p.eqs.as_slice()).unwrap_or(&[]);
-    let mut eval_eqs: HashMap<&str, Value> = HashMap::new();
-    for (key, value_expr) in np.props.iter().chain(pushed_eqs) {
-        let Ok(value) = eval(ctx, row, value_expr) else {
-            continue;
-        };
-        for label in &np.labels {
-            probes.push(NodeAccess::IndexEq {
-                label: label.clone(),
-                key: key.clone(),
-                value: value.clone(),
-            });
-        }
-        eval_eqs.entry(key.as_str()).or_insert(value);
+    let sargs = Sargs::eval(ctx, row, &np.props, preds);
+    if sargs.never {
+        return Some((NodeAccess::Empty, 0));
     }
-
-    let mut intervals: HashMap<String, (Bound<Value>, Bound<Value>)> = HashMap::new();
-    let mut prefix_vals: HashMap<&str, String> = HashMap::new();
-    if let Some(preds) = preds {
-        // Ranges: combine this variable's `<`/`<=`/`>`/`>=` conjuncts per
-        // key into the tightest closed interval. A NULL or NaN operand
-        // makes the conjunct untruthy for every row — the candidate set is
-        // definitively empty, no index required.
-        intervals = match build_intervals(ctx, row, &preds.ranges) {
-            Intervals::Never => return Some((NodeAccess::Empty, 0)),
-            Intervals::Bounds(b) => b,
-        };
-        for (key, (lo, hi)) in &intervals {
-            for label in &np.labels {
-                probes.push(NodeAccess::IndexRange {
-                    label: label.clone(),
-                    key: key.clone(),
-                    lo: lo.clone(),
-                    hi: hi.clone(),
-                });
-            }
-        }
-
-        // Prefixes: `var.key STARTS WITH e`. A non-string operand can
-        // never make the conjunct truthy.
-        for (key, expr) in &preds.prefixes {
-            let Ok(value) = eval(ctx, row, expr) else {
-                continue;
-            };
-            match &value {
-                Value::Str(prefix) => {
-                    for label in &np.labels {
-                        probes.push(NodeAccess::IndexPrefix {
-                            label: label.clone(),
-                            key: key.clone(),
-                            prefix: prefix.clone(),
-                        });
-                    }
-                    prefix_vals.entry(key.as_str()).or_insert(prefix.clone());
-                }
-                _ => return Some((NodeAccess::Empty, 0)),
-            }
-        }
-    }
-
-    // Composite probes: the longest equality prefix of each definition
-    // plus one trailing range/prefix bound. Added after the single-key
-    // probes so a composite path only wins when *strictly* more selective.
+    let mut best: Option<(NodeAccess, usize)> = None;
     for label in &np.labels {
-        for def in ctx.view.node_composite_defs(label) {
-            if let Some((eq, trailing)) =
-                composite_probe_args(&eval_eqs, &intervals, &prefix_vals, &def)
-            {
-                probes.push(NodeAccess::Composite {
-                    label: label.clone(),
-                    columns: def,
-                    eq,
-                    trailing,
-                });
+        if let Some((access, est)) = sargs.best_probe(ctx, IndexScope::Label(label)) {
+            if best.as_ref().is_none_or(|(_, b)| est < *b) {
+                let label = label.clone();
+                best = Some((NodeAccess::Index { label, access }, est));
             }
         }
     }
-
-    // Count every probe; keep the most selective answerable one.
-    let mut best: Option<(usize, usize)> = None; // (probe idx, estimate)
-    for (i, probe) in probes.iter().enumerate() {
-        let count = count_access(ctx, probe);
-        if let Some(c) = count {
-            if best.is_none_or(|(_, b)| c < b) {
-                best = Some((i, c));
-            }
-        }
-    }
-    let (winner, est) = best?;
-    Some((probes.swap_remove(winner), est))
-}
-
-/// The count-only cardinality of an index-backed access path; `None` when
-/// no index serves it.
-pub(crate) fn count_access(ctx: &EvalCtx<'_>, access: &NodeAccess) -> Option<usize> {
-    match access {
-        NodeAccess::IndexEq { label, key, value } => {
-            ctx.view.count_nodes_with_prop(label, key, value)
-        }
-        NodeAccess::IndexRange { label, key, lo, hi } => {
-            ctx.view
-                .count_nodes_in_prop_range(label, key, lo.as_ref(), hi.as_ref())
-        }
-        NodeAccess::IndexPrefix { label, key, prefix } => {
-            ctx.view.count_nodes_with_prop_prefix(label, key, prefix)
-        }
-        NodeAccess::Composite {
-            label,
-            columns,
-            eq,
-            trailing,
-        } => ctx
-            .view
-            .count_nodes_with_composite(label, columns, eq, trailing.as_trailing()),
-        NodeAccess::Empty => Some(0),
-        _ => None,
-    }
-}
-
-/// Materialize a chosen index-backed access path into its candidate
-/// vector. `None` when the index cannot serve it after all (dropped
-/// between choice and materialization — cannot happen within one
-/// statement, but the contract stays total).
-pub(crate) fn materialize_index_access(
-    ctx: &EvalCtx<'_>,
-    access: &NodeAccess,
-) -> Option<Vec<NodeId>> {
-    match access {
-        NodeAccess::IndexEq { label, key, value } => ctx.view.nodes_with_prop(label, key, value),
-        NodeAccess::IndexRange { label, key, lo, hi } => {
-            ctx.view
-                .nodes_in_prop_range(label, key, lo.as_ref(), hi.as_ref())
-        }
-        NodeAccess::IndexPrefix { label, key, prefix } => {
-            ctx.view.nodes_with_prop_prefix(label, key, prefix)
-        }
-        NodeAccess::Composite {
-            label,
-            columns,
-            eq,
-            trailing,
-        } => ctx
-            .view
-            .nodes_with_composite(label, columns, eq, trailing.as_trailing()),
-        NodeAccess::Empty => Some(Vec::new()),
-        _ => None,
-    }
+    best
 }
 
 /// The fully count-only access decision for a node pattern — what

@@ -135,6 +135,81 @@ pub enum CompositeTrailing<'a> {
     Prefix(&'a str),
 }
 
+/// One index probe against a definition's column list: equality on the
+/// first `eq.len()` columns, then at most one range or `STARTS WITH`
+/// bound on the next. A single-key equality lookup is `eq = [v]` on a
+/// width-1 definition; a single-key range or prefix scan has `eq = []`.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexProbe<'a> {
+    pub columns: &'a [String],
+    pub eq: &'a [Value],
+    pub trailing: CompositeTrailing<'a>,
+}
+
+impl IndexProbe<'_> {
+    /// Whether a property map satisfies the probe under Cypher semantics
+    /// ([`Value::eq3`] equality, [`Value::cmp3`] ranges — cross-family
+    /// comparisons never match). Unconstrained columns are free: a
+    /// missing property only fails the probe when it is constrained.
+    /// Overlay views use this to correct base-graph answers for touched
+    /// items.
+    pub fn matches(&self, props: &PropertyMap) -> bool {
+        if self.eq.len() > self.columns.len() {
+            return false;
+        }
+        for (col, want) in self.columns.iter().zip(self.eq) {
+            if props.get(col).is_none_or(|w| w.eq3(want) != Some(true)) {
+                return false;
+            }
+        }
+        let next = || {
+            self.columns
+                .get(self.eq.len())
+                .and_then(|col| props.get(col))
+        };
+        match self.trailing {
+            CompositeTrailing::None => true,
+            CompositeTrailing::Range(lo, hi) => next().is_some_and(|w| value_in_range(w, lo, hi)),
+            CompositeTrailing::Prefix(p) => {
+                next().is_some_and(|w| matches!(w, Value::Str(s) if s.starts_with(p)))
+            }
+        }
+    }
+}
+
+/// Whether `v` satisfies `lower ⋚ v ⋚ upper` under [`Value::cmp3`]
+/// semantics. A both-unbounded pair is not a range predicate and matches
+/// nothing, mirroring the index's refusal.
+fn value_in_range(v: &Value, lower: Bound<&Value>, upper: Bound<&Value>) -> bool {
+    let lo_ok = match lower {
+        Bound::Unbounded => true,
+        Bound::Included(l) => matches!(v.cmp3(l), Some(Ordering::Greater | Ordering::Equal)),
+        Bound::Excluded(l) => matches!(v.cmp3(l), Some(Ordering::Greater)),
+    };
+    let hi_ok = match upper {
+        Bound::Unbounded => true,
+        Bound::Included(h) => matches!(v.cmp3(h), Some(Ordering::Less | Ordering::Equal)),
+        Bound::Excluded(h) => matches!(v.cmp3(h), Some(Ordering::Less)),
+    };
+    lo_ok && hi_ok && !(matches!(lower, Bound::Unbounded) && matches!(upper, Bound::Unbounded))
+}
+
+/// Cardinality statistics of one index definition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Records indexed — the whole extent minus unkeyable exclusions.
+    pub total: usize,
+    /// Distinct key vectors.
+    pub distinct: usize,
+    /// Records whose leading column is present.
+    pub keyed_total: usize,
+    /// Distinct key vectors whose leading column is present. At width 1
+    /// `keyed_total / keyed_distinct` is the average equality bucket —
+    /// the planner's selectivity estimate for an equality conjunct whose
+    /// operand cannot be evaluated yet.
+    pub keyed_distinct: usize,
+}
+
 /// Why a record is excluded from its composite entry.
 enum Exclusion {
     Lossy,

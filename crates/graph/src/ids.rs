@@ -43,6 +43,30 @@ impl fmt::Display for ItemRef {
     }
 }
 
+impl From<u64> for NodeId {
+    fn from(raw: u64) -> Self {
+        NodeId(raw)
+    }
+}
+
+impl From<u64> for RelId {
+    fn from(raw: u64) -> Self {
+        RelId(raw)
+    }
+}
+
+impl From<NodeId> for u64 {
+    fn from(n: NodeId) -> Self {
+        n.0
+    }
+}
+
+impl From<RelId> for u64 {
+    fn from(r: RelId) -> Self {
+        r.0
+    }
+}
+
 impl From<NodeId> for ItemRef {
     fn from(n: NodeId) -> Self {
         ItemRef::Node(n)

@@ -50,7 +50,10 @@ pub mod value;
 pub mod view;
 
 pub use codec::CodecError;
-pub use composite::{CompositeIndex, CompositeTrailing, NodeCompositeIndex, RelCompositeIndex};
+pub use composite::{
+    CompositeIndex, CompositeTrailing, IndexProbe, IndexStats, NodeCompositeIndex,
+    RelCompositeIndex,
+};
 pub use delta::{Delta, LabelEvent, PropAssign, PropRemove};
 pub use error::{GraphError, Result};
 pub use ids::{ItemRef, NodeId, RelId};
@@ -62,4 +65,4 @@ pub use snapshot::{GraphHandle, Snapshot};
 pub use stats::{degree_bucket, DegreeHistogram, Histogram, DEGREE_BUCKETS};
 pub use store::{CommitSink, Graph, IndexProbes, StatementMark, WritePolicy};
 pub use value::{Direction, Value};
-pub use view::{GraphView, PreStateView};
+pub use view::{GraphView, IndexScope, PreStateView, ProbeMode, Probed};

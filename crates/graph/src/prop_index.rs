@@ -6,11 +6,8 @@
 //! `(:Hospital {name: 'Sacco'})` or `occupancy >= 0.95` (paper §6) sit on
 //! the hottest path of the engine. A [`PropIndex`] gives equality *and*
 //! range/prefix predicates an index-backed access path; the candidate
-//! planner in `pg-cypher` consults it through
-//! [`crate::GraphView::nodes_with_prop`],
-//! [`crate::GraphView::nodes_in_prop_range`] and
-//! [`crate::GraphView::nodes_with_prop_prefix`]. A [`RelPropIndex`] provides
-//! the same for relationships keyed by type.
+//! planner in `pg-cypher` consults it through [`crate::GraphView::probe`].
+//! A [`RelPropIndex`] provides the same for relationships keyed by type.
 //!
 //! ## Equality semantics
 //!
@@ -695,7 +692,7 @@ fn range_is_empty(lo: &Bound<IndexKey>, hi: &Bound<IndexKey>) -> bool {
 /// mutation *and undo* path of [`crate::Graph`].
 #[derive(Debug, Clone, Default)]
 pub struct PropIndex {
-    inner: KeyedIndex<NodeId>,
+    pub(crate) inner: KeyedIndex<NodeId>,
 }
 
 impl PropIndex {
@@ -837,7 +834,7 @@ impl PropIndex {
 /// "labels".
 #[derive(Debug, Clone, Default)]
 pub struct RelPropIndex {
-    inner: KeyedIndex<RelId>,
+    pub(crate) inner: KeyedIndex<RelId>,
 }
 
 impl RelPropIndex {

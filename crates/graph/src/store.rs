@@ -1,19 +1,22 @@
 //! The graph store: storage, indexes, transactions, the mutation API, and
 //! commit-epoch publication for snapshot-isolated readers.
 
-use crate::composite::{CompositeTrailing, NodeCompositeIndex, RelCompositeIndex};
+use crate::composite::{
+    CompositeIndex, CompositeTrailing, IndexProbe, IndexStats, NodeCompositeIndex,
+    RelCompositeIndex,
+};
 use crate::delta::Delta;
 use crate::error::{GraphError, Result};
 use crate::ids::{ItemRef, NodeId, RelId};
 use crate::op::Op;
 use crate::pmap::{PMap, TailSet};
-use crate::prop_index::{PropIndex, RelPropIndex};
+use crate::prop_index::{KeyedIndex, PropIndex, RelPropIndex};
 use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
 use crate::snapshot::{GraphHandle, Publisher, Snapshot};
 use crate::stats::{degree_bucket, DegreeHistogram};
 use crate::value::{Direction, Value};
-use crate::view::GraphView;
+use crate::view::{GraphView, IndexScope, ProbeMode, Probed};
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -57,6 +60,21 @@ impl ProbeCounters {
             ordered: self.ordered.load(AtomicOrdering::Relaxed),
             composite: self.composite.load(AtomicOrdering::Relaxed),
         }
+    }
+
+    /// Account for one [`GraphView::probe`] call: count-only probes are
+    /// `counting`, id lookups `materializing` — and `composite` too when
+    /// the definition is multi-key.
+    fn note_probe(&self, width: usize, mode: ProbeMode) {
+        match mode {
+            ProbeMode::Count => self.counting.fetch_add(1, AtomicOrdering::Relaxed),
+            ProbeMode::Ids => {
+                if width > 1 {
+                    self.composite.fetch_add(1, AtomicOrdering::Relaxed);
+                }
+                self.materializing.fetch_add(1, AtomicOrdering::Relaxed)
+            }
+        };
     }
 
     pub(crate) fn reset(&self) {
@@ -1523,6 +1541,186 @@ impl Graph {
     }
 
     // ------------------------------------------------------------------
+    // Typed index reads: thin fronts over [`GraphView::probe`] and
+    // [`GraphView::index_stats`] for direct (non-query) callers. `None` =
+    // not indexed or refused, exactly as the probe answers.
+    // ------------------------------------------------------------------
+
+    fn probe_ids<Id: From<u64>>(
+        &self,
+        scope: IndexScope<'_>,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<Vec<Id>> {
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        Some(self.probe(scope, probe, ProbeMode::Ids)?.into_ids())
+    }
+
+    fn probe_count(
+        &self,
+        scope: IndexScope<'_>,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<usize> {
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        Some(self.probe(scope, probe, ProbeMode::Count)?.count())
+    }
+
+    /// Nodes with `label` whose property `key` equals `value`.
+    pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
+        let eq = std::slice::from_ref(value);
+        self.probe_ids(
+            IndexScope::Label(label),
+            &[key.into()],
+            eq,
+            CompositeTrailing::None,
+        )
+    }
+
+    /// Nodes with `label` whose property `key` lies within the bounds
+    /// ([`Value::cmp3`] semantics).
+    pub fn nodes_in_prop_range(
+        &self,
+        label: &str,
+        key: &str,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+    ) -> Option<Vec<NodeId>> {
+        let range = CompositeTrailing::Range(lower, upper);
+        self.probe_ids(IndexScope::Label(label), &[key.into()], &[], range)
+    }
+
+    /// Nodes with `label` whose string property `key` starts with `prefix`.
+    pub fn nodes_with_prop_prefix(
+        &self,
+        label: &str,
+        key: &str,
+        prefix: &str,
+    ) -> Option<Vec<NodeId>> {
+        let prefix = CompositeTrailing::Prefix(prefix);
+        self.probe_ids(IndexScope::Label(label), &[key.into()], &[], prefix)
+    }
+
+    /// Relationships of `rel_type` whose property `key` equals `value`.
+    pub fn rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<Vec<RelId>> {
+        let eq = std::slice::from_ref(value);
+        self.probe_ids(
+            IndexScope::RelType(rel_type),
+            &[key.into()],
+            eq,
+            CompositeTrailing::None,
+        )
+    }
+
+    /// Relationships of `rel_type` whose property `key` lies within the
+    /// bounds.
+    pub fn rels_in_prop_range(
+        &self,
+        rel_type: &str,
+        key: &str,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+    ) -> Option<Vec<RelId>> {
+        let range = CompositeTrailing::Range(lower, upper);
+        self.probe_ids(IndexScope::RelType(rel_type), &[key.into()], &[], range)
+    }
+
+    /// Exact count of [`Graph::nodes_with_prop`] results.
+    pub fn count_nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<usize> {
+        let eq = std::slice::from_ref(value);
+        self.probe_count(
+            IndexScope::Label(label),
+            &[key.into()],
+            eq,
+            CompositeTrailing::None,
+        )
+    }
+
+    /// Count **estimate** of [`Graph::nodes_in_prop_range`] results
+    /// (histogram-served once built; planning only).
+    pub fn count_nodes_in_prop_range(
+        &self,
+        label: &str,
+        key: &str,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+    ) -> Option<usize> {
+        let range = CompositeTrailing::Range(lower, upper);
+        self.probe_count(IndexScope::Label(label), &[key.into()], &[], range)
+    }
+
+    /// Nodes a probe of the `(label, columns)` index matches: equality on
+    /// the leading columns plus at most one trailing bound.
+    pub fn nodes_with_composite(
+        &self,
+        label: &str,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<Vec<NodeId>> {
+        self.probe_ids(IndexScope::Label(label), columns, eq, trailing)
+    }
+
+    /// Count of [`Graph::nodes_with_composite`] results.
+    pub fn count_nodes_with_composite(
+        &self,
+        label: &str,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<usize> {
+        self.probe_count(IndexScope::Label(label), columns, eq, trailing)
+    }
+
+    /// `(nodes carrying the key, distinct values)` of the `(label, key)`
+    /// index.
+    pub fn node_prop_stats(&self, label: &str, key: &str) -> Option<(usize, usize)> {
+        let st = self.index_stats(IndexScope::Label(label), &[key.into()])?;
+        Some((st.keyed_total, st.keyed_distinct))
+    }
+
+    /// `(indexed records, distinct key vectors)` of the `(label, columns)`
+    /// index — absent properties key on the missing marker, so the total
+    /// covers the whole extent.
+    pub fn node_composite_stats(&self, label: &str, columns: &[String]) -> Option<(usize, usize)> {
+        let st = self.index_stats(IndexScope::Label(label), columns)?;
+        Some((st.total, st.distinct))
+    }
+
+    /// Log2-bucketed distribution of per-node degrees for the
+    /// `(label, rel_type, dir)` population (see [`DegreeHistogram`] for
+    /// the drift-bounded maintenance contract). `None` for `Both`.
+    pub fn degree_histogram(
+        &self,
+        label: &str,
+        rel_type: &str,
+        dir: Direction,
+    ) -> Option<DegreeHistogram> {
+        let i = match dir {
+            Direction::Out => DEG_OUT,
+            Direction::In => DEG_IN,
+            // Out+in histograms are per-node distributions over
+            // different populations; a merged view would not be.
+            Direction::Both => return None,
+        };
+        self.state
+            .degree_stats
+            .get(label)
+            .and_then(|m| m.get(rel_type))
+            .map(|e| e[i].hist.clone())
+    }
+
+    // ------------------------------------------------------------------
     // Probe observability (debug counters)
     // ------------------------------------------------------------------
 
@@ -1535,6 +1733,101 @@ impl Graph {
     pub fn reset_index_probes(&self) {
         self.probes.reset()
     }
+}
+
+// Width dispatch over the two index cores: width-1 definitions live in
+// the single-key core, wider ones in the composite core.
+
+fn index_defs_two_cores<Id: Ord + Copy>(
+    single: &KeyedIndex<Id>,
+    multi: &CompositeIndex<Id>,
+    label: &str,
+) -> Vec<Vec<String>> {
+    let mut defs: Vec<Vec<String>> = single
+        .keys_for_label(label)
+        .into_iter()
+        .map(|k| vec![k])
+        .collect();
+    defs.sort();
+    defs.extend(multi.defs_for_label(label));
+    defs
+}
+
+fn probe_two_cores<Id: Ord + Copy + Into<u64>>(
+    single: &KeyedIndex<Id>,
+    multi: &CompositeIndex<Id>,
+    label: &str,
+    p: IndexProbe<'_>,
+    mode: ProbeMode,
+) -> Option<Probed> {
+    let raw = |ids: Vec<Id>| Probed::Ids(ids.into_iter().map(Into::into).collect());
+    let [key] = p.columns else {
+        return match mode {
+            ProbeMode::Count => multi
+                .count(label, p.columns, p.eq, p.trailing)
+                .map(Probed::Count),
+            ProbeMode::Ids => multi.lookup(label, p.columns, p.eq, p.trailing).map(raw),
+        };
+    };
+    match (p.eq, p.trailing, mode) {
+        ([v], CompositeTrailing::None, ProbeMode::Count) => {
+            single.count_eq(label, key, v).map(Probed::Count)
+        }
+        ([v], CompositeTrailing::None, ProbeMode::Ids) => single.lookup(label, key, v).map(raw),
+        ([], CompositeTrailing::Range(lo, hi), ProbeMode::Count) => {
+            single.count_range(label, key, lo, hi).map(Probed::Count)
+        }
+        ([], CompositeTrailing::Range(lo, hi), ProbeMode::Ids) => {
+            single.range_lookup(label, key, lo, hi).map(raw)
+        }
+        ([], CompositeTrailing::Prefix(p), ProbeMode::Count) => {
+            single.count_prefix(label, key, p).map(Probed::Count)
+        }
+        ([], CompositeTrailing::Prefix(p), ProbeMode::Ids) => {
+            single.prefix_lookup(label, key, p).map(raw)
+        }
+        _ => None,
+    }
+}
+
+/// Width-1 walks cover only items that carry the key (callers account
+/// for the rest via [`IndexStats::keyed_total`]); wider walks cover the
+/// whole extent.
+fn walk_two_cores<'s, Id: Ord + Copy + Into<u64> + 's>(
+    single: &'s KeyedIndex<Id>,
+    multi: &'s CompositeIndex<Id>,
+    label: &str,
+    columns: &[String],
+    pins: &[Value],
+    descending: bool,
+) -> Option<Box<dyn Iterator<Item = u64> + 's>> {
+    let walk = match columns {
+        [key] if pins.is_empty() => single.ordered_walk(label, key, descending)?,
+        [_] => return None,
+        _ => multi.ordered_walk(label, columns, pins, descending)?,
+    };
+    Some(Box::new(walk.map(Into::into)))
+}
+
+fn stats_two_cores<Id: Ord + Copy>(
+    single: &KeyedIndex<Id>,
+    multi: &CompositeIndex<Id>,
+    label: &str,
+    columns: &[String],
+) -> Option<IndexStats> {
+    let (total, distinct) = match columns {
+        [key] => single.stats(label, key)?,
+        _ => multi.stats(label, columns)?,
+    };
+    // Neither core tracks missing-leading entries separately yet: the
+    // single-key core indexes keyed items only, the composite core's
+    // statistics are whole-extent.
+    Some(IndexStats {
+        total,
+        distinct,
+        keyed_total: total,
+        keyed_distinct: distinct,
+    })
 }
 
 /// Implements [`GraphView`] for a store-backed type carrying a `state`
@@ -1649,264 +1942,90 @@ macro_rules! impl_graph_view_via_state {
                 out
             }
 
-            fn nodes_with_prop(
+            fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+                match scope {
+                    IndexScope::Label(l) => index_defs_two_cores(
+                        &self.state.prop_index.inner,
+                        &self.state.composite_index,
+                        l,
+                    ),
+                    IndexScope::RelType(t) => index_defs_two_cores(
+                        &self.state.rel_prop_index.inner,
+                        &self.state.rel_composite_index,
+                        t,
+                    ),
+                }
+            }
+
+            fn probe(
                 &self,
-                label: &str,
-                key: &str,
-                value: &Value,
-            ) -> Option<Vec<NodeId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.lookup(label, key, value)
+                scope: IndexScope<'_>,
+                probe: IndexProbe<'_>,
+                mode: ProbeMode,
+            ) -> Option<Probed> {
+                self.probes.note_probe(probe.columns.len(), mode);
+                match scope {
+                    IndexScope::Label(l) => probe_two_cores(
+                        &self.state.prop_index.inner,
+                        &self.state.composite_index,
+                        l,
+                        probe,
+                        mode,
+                    ),
+                    IndexScope::RelType(t) => probe_two_cores(
+                        &self.state.rel_prop_index.inner,
+                        &self.state.rel_composite_index,
+                        t,
+                        probe,
+                        mode,
+                    ),
+                }
             }
 
-            fn nodes_in_prop_range(
+            fn ordered_walk(
                 &self,
-                label: &str,
-                key: &str,
-                lower: Bound<&Value>,
-                upper: Bound<&Value>,
-            ) -> Option<Vec<NodeId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.range_lookup(label, key, lower, upper)
-            }
-
-            fn nodes_with_prop_prefix(
-                &self,
-                label: &str,
-                key: &str,
-                prefix: &str,
-            ) -> Option<Vec<NodeId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.prefix_lookup(label, key, prefix)
-            }
-
-            fn rels_with_prop(
-                &self,
-                rel_type: &str,
-                key: &str,
-                value: &Value,
-            ) -> Option<Vec<RelId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.rel_prop_index.lookup(rel_type, key, value)
-            }
-
-            fn rels_in_prop_range(
-                &self,
-                rel_type: &str,
-                key: &str,
-                lower: Bound<&Value>,
-                upper: Bound<&Value>,
-            ) -> Option<Vec<RelId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_prop_index
-                    .range_lookup(rel_type, key, lower, upper)
-            }
-
-            fn count_nodes_with_prop(
-                &self,
-                label: &str,
-                key: &str,
-                value: &Value,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.count_eq(label, key, value)
-            }
-
-            fn count_nodes_in_prop_range(
-                &self,
-                label: &str,
-                key: &str,
-                lower: Bound<&Value>,
-                upper: Bound<&Value>,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.count_range(label, key, lower, upper)
-            }
-
-            fn count_nodes_with_prop_prefix(
-                &self,
-                label: &str,
-                key: &str,
-                prefix: &str,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.count_prefix(label, key, prefix)
-            }
-
-            fn count_rels_with_prop(
-                &self,
-                rel_type: &str,
-                key: &str,
-                value: &Value,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.rel_prop_index.count_eq(rel_type, key, value)
-            }
-
-            fn count_rels_in_prop_range(
-                &self,
-                rel_type: &str,
-                key: &str,
-                lower: Bound<&Value>,
-                upper: Bound<&Value>,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_prop_index
-                    .count_range(rel_type, key, lower, upper)
-            }
-
-            fn node_prop_stats(&self, label: &str, key: &str) -> Option<(usize, usize)> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.stats(label, key)
-            }
-
-            fn rel_prop_stats(&self, rel_type: &str, key: &str) -> Option<(usize, usize)> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.rel_prop_index.stats(rel_type, key)
-            }
-
-            fn nodes_in_prop_order(
-                &self,
-                label: &str,
-                key: &str,
+                scope: IndexScope<'_>,
+                columns: &[String],
+                pins: &[Value],
                 descending: bool,
-            ) -> Option<Box<dyn Iterator<Item = NodeId> + '_>> {
+            ) -> Option<Box<dyn Iterator<Item = u64> + '_>> {
                 self.probes.ordered.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.prop_index.ordered_walk(label, key, descending)
+                match scope {
+                    IndexScope::Label(l) => walk_two_cores(
+                        &self.state.prop_index.inner,
+                        &self.state.composite_index,
+                        l,
+                        columns,
+                        pins,
+                        descending,
+                    ),
+                    IndexScope::RelType(t) => walk_two_cores(
+                        &self.state.rel_prop_index.inner,
+                        &self.state.rel_composite_index,
+                        t,
+                        columns,
+                        pins,
+                        descending,
+                    ),
+                }
             }
 
-            fn rels_in_prop_order(
-                &self,
-                rel_type: &str,
-                key: &str,
-                descending: bool,
-            ) -> Option<Box<dyn Iterator<Item = RelId> + '_>> {
-                self.probes.ordered.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_prop_index
-                    .ordered_walk(rel_type, key, descending)
-            }
-
-            fn node_composite_defs(&self, label: &str) -> Vec<Vec<String>> {
-                self.state.composite_index.defs_for_label(label)
-            }
-
-            fn rel_composite_defs(&self, rel_type: &str) -> Vec<Vec<String>> {
-                self.state.rel_composite_index.defs_for_label(rel_type)
-            }
-
-            fn nodes_with_composite(
-                &self,
-                label: &str,
-                columns: &[String],
-                eq: &[Value],
-                trailing: CompositeTrailing<'_>,
-            ) -> Option<Vec<NodeId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.probes.composite.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .composite_index
-                    .lookup(label, columns, eq, trailing)
-            }
-
-            fn count_nodes_with_composite(
-                &self,
-                label: &str,
-                columns: &[String],
-                eq: &[Value],
-                trailing: CompositeTrailing<'_>,
-            ) -> Option<usize> {
+            fn index_stats(&self, scope: IndexScope<'_>, columns: &[String]) -> Option<IndexStats> {
                 self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .composite_index
-                    .count(label, columns, eq, trailing)
-            }
-
-            fn rels_with_composite(
-                &self,
-                rel_type: &str,
-                columns: &[String],
-                eq: &[Value],
-                trailing: CompositeTrailing<'_>,
-            ) -> Option<Vec<RelId>> {
-                self.probes
-                    .materializing
-                    .fetch_add(1, AtomicOrdering::Relaxed);
-                self.probes.composite.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_composite_index
-                    .lookup(rel_type, columns, eq, trailing)
-            }
-
-            fn count_rels_with_composite(
-                &self,
-                rel_type: &str,
-                columns: &[String],
-                eq: &[Value],
-                trailing: CompositeTrailing<'_>,
-            ) -> Option<usize> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_composite_index
-                    .count(rel_type, columns, eq, trailing)
-            }
-
-            fn nodes_in_composite_order(
-                &self,
-                label: &str,
-                columns: &[String],
-                eq: &[Value],
-                descending: bool,
-            ) -> Option<Box<dyn Iterator<Item = NodeId> + '_>> {
-                self.probes.ordered.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .composite_index
-                    .ordered_walk(label, columns, eq, descending)
-            }
-
-            fn rels_in_composite_order(
-                &self,
-                rel_type: &str,
-                columns: &[String],
-                eq: &[Value],
-                descending: bool,
-            ) -> Option<Box<dyn Iterator<Item = RelId> + '_>> {
-                self.probes.ordered.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state
-                    .rel_composite_index
-                    .ordered_walk(rel_type, columns, eq, descending)
-            }
-
-            fn node_composite_stats(
-                &self,
-                label: &str,
-                columns: &[String],
-            ) -> Option<(usize, usize)> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.composite_index.stats(label, columns)
-            }
-
-            fn rel_composite_stats(
-                &self,
-                rel_type: &str,
-                columns: &[String],
-            ) -> Option<(usize, usize)> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                self.state.rel_composite_index.stats(rel_type, columns)
+                match scope {
+                    IndexScope::Label(l) => stats_two_cores(
+                        &self.state.prop_index.inner,
+                        &self.state.composite_index,
+                        l,
+                        columns,
+                    ),
+                    IndexScope::RelType(t) => stats_two_cores(
+                        &self.state.rel_prop_index.inner,
+                        &self.state.rel_composite_index,
+                        t,
+                        columns,
+                    ),
+                }
             }
 
             fn rels_with_type(&self, rel_type: &str) -> Vec<RelId> {
@@ -1962,27 +2081,6 @@ macro_rules! impl_graph_view_via_state {
                     (Some(e), Direction::In) => e[DEG_IN].edges,
                     (Some(e), Direction::Both) => e[DEG_OUT].edges + e[DEG_IN].edges,
                 })
-            }
-
-            fn degree_histogram(
-                &self,
-                label: &str,
-                rel_type: &str,
-                dir: Direction,
-            ) -> Option<DegreeHistogram> {
-                self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
-                let i = match dir {
-                    Direction::Out => DEG_OUT,
-                    Direction::In => DEG_IN,
-                    // Out+in histograms are per-node distributions over
-                    // different populations; a merged view would not be.
-                    Direction::Both => return None,
-                };
-                self.state
-                    .degree_stats
-                    .get(label)
-                    .and_then(|m| m.get(rel_type))
-                    .map(|e| e[i].hist.clone())
             }
 
             fn parallel_snapshot(&self) -> Option<Snapshot> {

@@ -7,16 +7,73 @@
 //! observe the database as it was before the activating statement (paper
 //! §4.2 "Action Time").
 
-use crate::composite::CompositeTrailing;
-use crate::ids::{NodeId, RelId};
+use crate::composite::{IndexProbe, IndexStats};
+use crate::ids::{ItemRef, NodeId, RelId};
 use crate::op::Op;
-use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
-use crate::stats::DegreeHistogram;
 use crate::store::Graph;
 use crate::value::{Direction, Value};
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::hash::Hash;
+
+/// The extent an index definition covers — and thereby the kind of item
+/// its probes return: node ids under a label, relationship ids under a
+/// relationship type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexScope<'a> {
+    Label(&'a str),
+    RelType(&'a str),
+}
+
+impl IndexScope<'_> {
+    /// The graph item a raw id returned by this scope's probes and walks
+    /// denotes.
+    pub fn item(&self, raw: u64) -> ItemRef {
+        match self {
+            IndexScope::Label(_) => ItemRef::Node(NodeId(raw)),
+            IndexScope::RelType(_) => ItemRef::Rel(RelId(raw)),
+        }
+    }
+}
+
+/// What a [`GraphView::probe`] should produce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeMode {
+    /// How many items match — the planning access path. Exact except for
+    /// leading-column ranges, which the live graph estimates from the
+    /// definition's histogram (planning only — not for correctness).
+    Count,
+    /// The matching ids, ascending — the execution access path.
+    Ids,
+}
+
+/// A [`GraphView::probe`] answer, in the shape the [`ProbeMode`] asked for.
+/// Ids are raw: [`NodeId`]s under [`IndexScope::Label`], [`RelId`]s under
+/// [`IndexScope::RelType`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Probed {
+    Count(usize),
+    Ids(Vec<u64>),
+}
+
+impl Probed {
+    /// The number of matching items.
+    pub fn count(&self) -> usize {
+        match self {
+            Probed::Count(n) => *n,
+            Probed::Ids(ids) => ids.len(),
+        }
+    }
+
+    /// The matching ids, typed by the caller's scope (empty for a
+    /// count-only answer).
+    pub fn into_ids<Id: From<u64>>(self) -> Vec<Id> {
+        match self {
+            Probed::Count(_) => Vec::new(),
+            Probed::Ids(ids) => ids.into_iter().map(Id::from).collect(),
+        }
+    }
+}
 
 /// Read-only access to a graph state.
 pub trait GraphView {
@@ -37,56 +94,6 @@ pub trait GraphView {
     fn all_rel_ids(&self) -> Vec<RelId>;
     /// Relationships incident to `node` in the given direction.
     fn rels_of(&self, node: NodeId, dir: Direction) -> Vec<RelId>;
-
-    /// Index-backed equality lookup: nodes with `label` whose property
-    /// `key` equals `value`. `Some(ids)` when a property index on
-    /// `(label, key)` exists *and* can answer for `value`; `None` when the
-    /// caller must fall back to a filtered scan. The default (used by
-    /// overlay/pre-state views) has no indexes.
-    fn nodes_with_prop(&self, _label: &str, _key: &str, _value: &Value) -> Option<Vec<NodeId>> {
-        None
-    }
-
-    /// Index-backed ordered range lookup: nodes with `label` whose
-    /// property `key` lies within the given bounds under [`Value::cmp3`]
-    /// semantics. `None` = no index can answer faithfully (fall back to a
-    /// filtered scan); see `PropIndex::range_lookup` for the exact
-    /// contract, including the ±2⁵³ lossy-numeric opt-out.
-    fn nodes_in_prop_range(
-        &self,
-        _label: &str,
-        _key: &str,
-        _lower: Bound<&Value>,
-        _upper: Bound<&Value>,
-    ) -> Option<Vec<NodeId>> {
-        None
-    }
-
-    /// Index-backed `STARTS WITH` prefix scan over string values of `key`.
-    fn nodes_with_prop_prefix(
-        &self,
-        _label: &str,
-        _key: &str,
-        _prefix: &str,
-    ) -> Option<Vec<NodeId>> {
-        None
-    }
-
-    /// Index-backed equality lookup over relationships of `rel_type`.
-    fn rels_with_prop(&self, _rel_type: &str, _key: &str, _value: &Value) -> Option<Vec<RelId>> {
-        None
-    }
-
-    /// Index-backed ordered range lookup over relationships of `rel_type`.
-    fn rels_in_prop_range(
-        &self,
-        _rel_type: &str,
-        _key: &str,
-        _lower: Bound<&Value>,
-        _upper: Bound<&Value>,
-    ) -> Option<Vec<RelId>> {
-        None
-    }
 
     /// Relationships of the given type. The default filters the full
     /// relationship extent; the live graph answers from the type index.
@@ -123,206 +130,51 @@ pub trait GraphView {
     }
 
     // ------------------------------------------------------------------
-    // Count-only probes (planner v3): answer "how many would the index
-    // return" without materializing the id vector. Defaults delegate to
-    // the materializing lookups so every view stays correct; the live
-    // graph overrides them with O(log n) / histogram answers.
+    // Property indexes. One definition is `(scope, [c1, c2, …])`; a
+    // single-key index is the width-1 case. Defaults: a view without
+    // indexes (every caller falls back to scans and sorts).
     // ------------------------------------------------------------------
 
-    /// Count of [`GraphView::nodes_with_prop`] results — exact when
-    /// answered; `None` = the index cannot answer, fall back to a scan.
-    fn count_nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<usize> {
-        self.nodes_with_prop(label, key, value).map(|ids| ids.len())
-    }
-
-    /// Count **estimate** of [`GraphView::nodes_in_prop_range`] results
-    /// (histogram-based on the live graph; planning only — do not use for
-    /// correctness).
-    fn count_nodes_in_prop_range(
-        &self,
-        label: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        self.nodes_in_prop_range(label, key, lower, upper)
-            .map(|ids| ids.len())
-    }
-
-    /// Count of [`GraphView::nodes_with_prop_prefix`] results.
-    fn count_nodes_with_prop_prefix(&self, label: &str, key: &str, prefix: &str) -> Option<usize> {
-        self.nodes_with_prop_prefix(label, key, prefix)
-            .map(|ids| ids.len())
-    }
-
-    /// Count of [`GraphView::rels_with_prop`] results.
-    fn count_rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<usize> {
-        self.rels_with_prop(rel_type, key, value)
-            .map(|ids| ids.len())
-    }
-
-    /// Count **estimate** of [`GraphView::rels_in_prop_range`] results.
-    fn count_rels_in_prop_range(
-        &self,
-        rel_type: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        self.rels_in_prop_range(rel_type, key, lower, upper)
-            .map(|ids| ids.len())
-    }
-
-    /// `(total keyable entries, distinct values)` for an indexed
-    /// `(label, key)` — the planner derives `total / distinct` as the
-    /// average equality selectivity when the operand is not evaluable yet
-    /// (e.g. it references a variable bound by an earlier join path).
-    /// `None` = no statistics (not indexed, or an overlay view).
-    fn node_prop_stats(&self, _label: &str, _key: &str) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// `(total, distinct)` statistics for an indexed `(rel_type, key)`.
-    fn rel_prop_stats(&self, _rel_type: &str, _key: &str) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Walk nodes of `label` in `ORDER BY node.key` order (ascending
-    /// [`Value::cmp_order`], or reversed). `Some` only when an index on
-    /// `(label, key)` exists and covers every currently stored value (no
-    /// lossy numerics / NaN / lists / maps present), so the walk is a
-    /// complete ordering of all nodes that *have* the property; nodes
-    /// without it (whose key is `NULL`, ordering last) are not walked —
-    /// compare [`GraphView::node_prop_stats`] totals against
-    /// [`GraphView::label_cardinality`] to account for them. Default:
-    /// `None` (overlay/pre-state views fall back to sorting).
-    fn nodes_in_prop_order(
-        &self,
-        _label: &str,
-        _key: &str,
-        _descending: bool,
-    ) -> Option<Box<dyn Iterator<Item = NodeId> + '_>> {
-        None
-    }
-
-    /// Walk relationships of `rel_type` in `ORDER BY rel.key` order; same
-    /// contract as [`GraphView::nodes_in_prop_order`].
-    fn rels_in_prop_order(
-        &self,
-        _rel_type: &str,
-        _key: &str,
-        _descending: bool,
-    ) -> Option<Box<dyn Iterator<Item = RelId> + '_>> {
-        None
-    }
-
-    // ------------------------------------------------------------------
-    // Composite (multi-key) indexes. A probe is an equality prefix over
-    // the definition's column list plus at most one trailing range or
-    // `STARTS WITH` bound on the next column; `None` = no composite index
-    // can answer faithfully (fall back to single-key paths or a scan).
-    // See `pg_graph::composite` for the exact refusal rules.
-    // ------------------------------------------------------------------
-
-    /// The composite column lists declared under `label` (planner
-    /// discovery; DDL is not transactional, so overlay views delegate to
-    /// their base graph).
-    fn node_composite_defs(&self, _label: &str) -> Vec<Vec<String>> {
+    /// The column lists indexed under `scope` (planner discovery; DDL is
+    /// not transactional, so overlay views delegate to their base graph).
+    fn index_defs(&self, _scope: IndexScope<'_>) -> Vec<Vec<String>> {
         Vec::new()
     }
 
-    /// The composite column lists declared under `rel_type`.
-    fn rel_composite_defs(&self, _rel_type: &str) -> Vec<Vec<String>> {
-        Vec::new()
-    }
-
-    /// Composite lookup: nodes with `label` whose first `eq.len()` columns
-    /// of `columns` equal `eq` and whose next column satisfies `trailing`.
-    fn nodes_with_composite(
+    /// Probe the index `(scope, probe.columns)`: items whose leading
+    /// columns equal `probe.eq` and whose next column satisfies
+    /// `probe.trailing`. `None` = no index can answer faithfully (not
+    /// indexed, unkeyable probe values, or a refusal rule — see
+    /// [`crate::composite`]) and the caller falls back to a scan.
+    fn probe(
         &self,
-        _label: &str,
-        _columns: &[String],
-        _eq: &[Value],
-        _trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<NodeId>> {
+        _scope: IndexScope<'_>,
+        _probe: IndexProbe<'_>,
+        _mode: ProbeMode,
+    ) -> Option<Probed> {
         None
     }
 
-    /// Count of [`GraphView::nodes_with_composite`] results — exact except
-    /// for leading-column ranges, which the live graph estimates from the
-    /// leading-column histogram (planning only).
-    fn count_nodes_with_composite(
+    /// Walk the items of `scope` in `ORDER BY c_{j+1}, c_{j+2}, …` order
+    /// over the columns after the `pins.len()` leading ones, which are
+    /// pinned to equal `pins`: ascending [`Value::cmp_order`] with
+    /// NULL/missing last, or fully reversed (missing first). The walk
+    /// covers property-less items too. `None` when the definition does
+    /// not cover every record (unkeyable values present) or the view
+    /// cannot merge its overlay into a walk — fall back to sorting.
+    fn ordered_walk(
         &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        self.nodes_with_composite(label, columns, eq, trailing)
-            .map(|ids| ids.len())
-    }
-
-    /// Composite lookup over relationships of `rel_type`.
-    fn rels_with_composite(
-        &self,
-        _rel_type: &str,
+        _scope: IndexScope<'_>,
         _columns: &[String],
-        _eq: &[Value],
-        _trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<RelId>> {
-        None
-    }
-
-    /// Count of [`GraphView::rels_with_composite`] results.
-    fn count_rels_with_composite(
-        &self,
-        rel_type: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        self.rels_with_composite(rel_type, columns, eq, trailing)
-            .map(|ids| ids.len())
-    }
-
-    /// Walk nodes of `label` in `ORDER BY` order over the composite
-    /// columns after the pinned equality prefix `eq` (ascending
-    /// [`Value::cmp_order`] with NULL/missing last, or fully reversed —
-    /// missing-first, matching NULL-first descending order). Unlike
-    /// [`GraphView::nodes_in_prop_order`], the walk covers property-less
-    /// items too (they key on an explicit missing marker), so no NULL tail
-    /// needs appending. `None` when no composite index covers every
-    /// record (unkeyable values present) — fall back to sorting.
-    fn nodes_in_composite_order(
-        &self,
-        _label: &str,
-        _columns: &[String],
-        _eq: &[Value],
+        _pins: &[Value],
         _descending: bool,
-    ) -> Option<Box<dyn Iterator<Item = NodeId> + '_>> {
+    ) -> Option<Box<dyn Iterator<Item = u64> + '_>> {
         None
     }
 
-    /// Walk relationships of `rel_type` in composite `ORDER BY` order;
-    /// same contract as [`GraphView::nodes_in_composite_order`].
-    fn rels_in_composite_order(
-        &self,
-        _rel_type: &str,
-        _columns: &[String],
-        _eq: &[Value],
-        _descending: bool,
-    ) -> Option<Box<dyn Iterator<Item = RelId> + '_>> {
-        None
-    }
-
-    /// `(total indexed records, distinct key vectors)` of a composite
-    /// definition; `None` = no statistics.
-    fn node_composite_stats(&self, _label: &str, _columns: &[String]) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// `(total, distinct)` statistics of a composite relationship index.
-    fn rel_composite_stats(&self, _rel_type: &str, _columns: &[String]) -> Option<(usize, usize)> {
+    /// Cardinality statistics of the index `(scope, columns)`; `None` =
+    /// no statistics (not indexed, or an overlay view).
+    fn index_stats(&self, _scope: IndexScope<'_>, _columns: &[String]) -> Option<IndexStats> {
         None
     }
 
@@ -330,7 +182,7 @@ pub trait GraphView {
     // Degree statistics (planner v4): join-*output* cardinality. The live
     // graph and snapshots answer from per-(label, rel-type, direction)
     // entries maintained through every mutation and undo path; overlay
-    // views keep the defaults (`None` = unknown, fall back to
+    // views keep the default (`None` = unknown, fall back to
     // access-path-only costing).
     // ------------------------------------------------------------------
 
@@ -342,19 +194,6 @@ pub trait GraphView {
     /// `label`-typed variable along a `rel_type` hop. `None` = this view
     /// maintains no degree statistics.
     fn degree_edge_count(&self, _label: &str, _rel_type: &str, _dir: Direction) -> Option<usize> {
-        None
-    }
-
-    /// Log2-bucketed distribution of per-node degrees for the
-    /// `(label, rel_type, dir)` population (see [`DegreeHistogram`] for
-    /// the drift-bounded maintenance contract). `None` for `Both` and on
-    /// views without statistics.
-    fn degree_histogram(
-        &self,
-        _label: &str,
-        _rel_type: &str,
-        _dir: Direction,
-    ) -> Option<DegreeHistogram> {
         None
     }
 
@@ -384,55 +223,43 @@ pub trait GraphView {
     fn absorb_probes(&self, _probes: crate::store::IndexProbes) {}
 }
 
-/// Whether a property map satisfies a composite probe: equality on the
-/// first `eq.len()` columns, the trailing bound (if any) on the next.
-/// Unconstrained columns are free — a missing property only fails the
-/// probe when it is constrained. Used by overlay views to correct
-/// base-graph composite answers for touched items.
-pub(crate) fn props_match_composite(
-    props: &PropertyMap,
-    columns: &[String],
-    eq: &[Value],
-    trailing: CompositeTrailing<'_>,
-) -> bool {
-    if eq.len() > columns.len() {
-        return false;
-    }
-    for (col, want) in columns.iter().zip(eq.iter()) {
-        if props.get(col).is_none_or(|w| w.eq3(want) != Some(true)) {
-            return false;
+/// Correct a base-graph probe answer for the items an op slice touched:
+/// a count moves by one per touched item whose match status differs
+/// between its base record and its pre-state record (the base answer may
+/// be an estimate; the correction is exact per item, so the error bound
+/// carries over); an id list drops every touched id and re-admits the
+/// pre-state records that match.
+fn correct_probe<'r, Id, R: 'r>(
+    base: Probed,
+    touched: &HashMap<Id, Option<R>>,
+    base_rec: impl Fn(Id) -> Option<&'r R>,
+    matches: impl Fn(&R) -> bool,
+) -> Probed
+where
+    Id: Copy + Eq + Hash + From<u64> + Into<u64>,
+{
+    match base {
+        Probed::Count(n) => {
+            let mut n = n as isize;
+            for (id, pre) in touched {
+                let pre_m = pre.as_ref().is_some_and(&matches);
+                let base_m = base_rec(*id).is_some_and(&matches);
+                n += pre_m as isize - base_m as isize;
+            }
+            Probed::Count(n.max(0) as usize)
+        }
+        Probed::Ids(mut ids) => {
+            ids.retain(|raw| !touched.contains_key(&Id::from(*raw)));
+            ids.extend(
+                touched
+                    .iter()
+                    .filter(|(_, pre)| pre.as_ref().is_some_and(&matches))
+                    .map(|(id, _)| (*id).into()),
+            );
+            ids.sort_unstable();
+            Probed::Ids(ids)
         }
     }
-    match trailing {
-        CompositeTrailing::None => true,
-        CompositeTrailing::Range(lo, hi) => columns
-            .get(eq.len())
-            .is_some_and(|col| props.get(col).is_some_and(|w| value_in_range(w, lo, hi))),
-        CompositeTrailing::Prefix(p) => columns.get(eq.len()).is_some_and(|col| {
-            props
-                .get(col)
-                .is_some_and(|w| matches!(w, Value::Str(s) if s.starts_with(p)))
-        }),
-    }
-}
-
-/// Whether `v` satisfies `lower ⋚ v ⋚ upper` under [`Value::cmp3`]
-/// semantics (cross-family comparisons are NULL, hence never match). Used
-/// by overlay views to correct base-graph range counts for touched items.
-pub(crate) fn value_in_range(v: &Value, lower: Bound<&Value>, upper: Bound<&Value>) -> bool {
-    use std::cmp::Ordering;
-    let lo_ok = match lower {
-        Bound::Unbounded => true,
-        Bound::Included(l) => matches!(v.cmp3(l), Some(Ordering::Greater | Ordering::Equal)),
-        Bound::Excluded(l) => matches!(v.cmp3(l), Some(Ordering::Greater)),
-    };
-    let hi_ok = match upper {
-        Bound::Unbounded => true,
-        Bound::Included(h) => matches!(v.cmp3(h), Some(Ordering::Less | Ordering::Equal)),
-        Bound::Excluded(h) => matches!(v.cmp3(h), Some(Ordering::Less)),
-    };
-    // a both-unbounded probe is not a range predicate; mirrors range_lookup
-    lo_ok && hi_ok && !(matches!(lower, Bound::Unbounded) && matches!(upper, Bound::Unbounded))
 }
 
 /// The state of the graph **before** a slice of operations was applied.
@@ -706,364 +533,40 @@ impl GraphView for PreStateView<'_> {
         n
     }
 
-    // Index-backed lookups and count-only probes: answer from the base
-    // index corrected by the touched overlay, in O(base answer + touched)
-    // — pre-state trigger conditions get the same access paths the live
-    // graph has, and the planner's count estimates always agree with what
-    // execution can materialize. When the base index refuses (`None`), so
-    // does the pre-state (both sides fall back to a scan together).
+    // Index probes: the base index's answer corrected by the touched
+    // overlay, in O(base answer + touched) — pre-state trigger conditions
+    // get the same access paths the live graph has, and the planner's
+    // count estimates always agree with what execution can materialize.
+    // When the base index refuses (`None`), so does the pre-state (both
+    // sides fall back to a scan together). Ordered walks and statistics
+    // stay at the trait defaults: an overlay cannot be merged into a walk
+    // in O(touched).
 
-    fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
-        let matches = |rec: Option<&NodeRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.has_label(label) && r.props.get(key).is_some_and(|w| w.eq3(value) == Some(true))
-            })
-        };
-        let mut ids: Vec<NodeId> = self
-            .base
-            .nodes_with_prop(label, key, value)?
-            .into_iter()
-            .filter(|id| !self.nodes.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.nodes {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
+    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+        self.base.index_defs(scope)
     }
 
-    fn nodes_in_prop_range(
+    fn probe(
         &self,
-        label: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<Vec<NodeId>> {
-        let matches = |rec: Option<&NodeRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.has_label(label)
-                    && r.props
-                        .get(key)
-                        .is_some_and(|w| value_in_range(w, lower, upper))
-            })
-        };
-        let mut ids: Vec<NodeId> = self
-            .base
-            .nodes_in_prop_range(label, key, lower, upper)?
-            .into_iter()
-            .filter(|id| !self.nodes.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.nodes {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn nodes_with_prop_prefix(&self, label: &str, key: &str, prefix: &str) -> Option<Vec<NodeId>> {
-        let matches = |rec: Option<&NodeRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.has_label(label)
-                    && r.props
-                        .get(key)
-                        .is_some_and(|w| matches!(w, Value::Str(s) if s.starts_with(prefix)))
-            })
-        };
-        let mut ids: Vec<NodeId> = self
-            .base
-            .nodes_with_prop_prefix(label, key, prefix)?
-            .into_iter()
-            .filter(|id| !self.nodes.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.nodes {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<Vec<RelId>> {
-        let matches = |rec: Option<&RelRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.rel_type == rel_type
-                    && r.props.get(key).is_some_and(|w| w.eq3(value) == Some(true))
-            })
-        };
-        let mut ids: Vec<RelId> = self
-            .base
-            .rels_with_prop(rel_type, key, value)?
-            .into_iter()
-            .filter(|id| !self.rels.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.rels {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn rels_in_prop_range(
-        &self,
-        rel_type: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<Vec<RelId>> {
-        let matches = |rec: Option<&RelRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.rel_type == rel_type
-                    && r.props
-                        .get(key)
-                        .is_some_and(|w| value_in_range(w, lower, upper))
-            })
-        };
-        let mut ids: Vec<RelId> = self
-            .base
-            .rels_in_prop_range(rel_type, key, lower, upper)?
-            .into_iter()
-            .filter(|id| !self.rels.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.rels {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn count_nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<usize> {
-        let mut n = self.base.count_nodes_with_prop(label, key, value)? as isize;
-        for (id, overlay) in &self.nodes {
-            let matches = |rec: Option<&NodeRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.has_label(label)
-                        && r.props.get(key).is_some_and(|w| w.eq3(value) == Some(true))
-                })
-            };
-            let base_m = matches(self.base.node(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    fn count_nodes_in_prop_range(
-        &self,
-        label: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        // The base answers with an estimate; the overlay correction is
-        // exact per touched item, so the result stays an estimate with the
-        // same error bound.
-        let mut n = self
-            .base
-            .count_nodes_in_prop_range(label, key, lower, upper)? as isize;
-        for (id, overlay) in &self.nodes {
-            let matches = |rec: Option<&NodeRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.has_label(label)
-                        && r.props
-                            .get(key)
-                            .is_some_and(|w| value_in_range(w, lower, upper))
-                })
-            };
-            let base_m = matches(self.base.node(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    fn count_nodes_with_prop_prefix(&self, label: &str, key: &str, prefix: &str) -> Option<usize> {
-        let mut n = self.base.count_nodes_with_prop_prefix(label, key, prefix)? as isize;
-        for (id, overlay) in &self.nodes {
-            let matches = |rec: Option<&NodeRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.has_label(label)
-                        && r.props
-                            .get(key)
-                            .is_some_and(|w| matches!(w, Value::Str(s) if s.starts_with(prefix)))
-                })
-            };
-            let base_m = matches(self.base.node(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    fn count_rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<usize> {
-        let mut n = self.base.count_rels_with_prop(rel_type, key, value)? as isize;
-        for (id, overlay) in &self.rels {
-            let matches = |rec: Option<&RelRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.rel_type == rel_type
-                        && r.props.get(key).is_some_and(|w| w.eq3(value) == Some(true))
-                })
-            };
-            let base_m = matches(self.base.rel(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    fn count_rels_in_prop_range(
-        &self,
-        rel_type: &str,
-        key: &str,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-    ) -> Option<usize> {
-        let mut n = self
-            .base
-            .count_rels_in_prop_range(rel_type, key, lower, upper)? as isize;
-        for (id, overlay) in &self.rels {
-            let matches = |rec: Option<&RelRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.rel_type == rel_type
-                        && r.props
-                            .get(key)
-                            .is_some_and(|w| value_in_range(w, lower, upper))
-                })
-            };
-            let base_m = matches(self.base.rel(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    // Composite lookups: same overlay-correction pattern as the
-    // single-key paths — base index answer, touched items re-evaluated
-    // against the probe. Ordered composite walks stay at the trait
-    // default (`None`, sort fallback): an overlay cannot be merged into a
-    // walk in O(touched).
-
-    fn node_composite_defs(&self, label: &str) -> Vec<Vec<String>> {
-        self.base.node_composite_defs(label)
-    }
-
-    fn rel_composite_defs(&self, rel_type: &str) -> Vec<Vec<String>> {
-        self.base.rel_composite_defs(rel_type)
-    }
-
-    fn nodes_with_composite(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<NodeId>> {
-        let matches = |rec: Option<&NodeRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.has_label(label) && props_match_composite(&r.props, columns, eq, trailing)
-            })
-        };
-        let mut ids: Vec<NodeId> = self
-            .base
-            .nodes_with_composite(label, columns, eq, trailing)?
-            .into_iter()
-            .filter(|id| !self.nodes.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.nodes {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn count_nodes_with_composite(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        let mut n = self
-            .base
-            .count_nodes_with_composite(label, columns, eq, trailing)? as isize;
-        for (id, overlay) in &self.nodes {
-            let matches = |rec: Option<&NodeRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.has_label(label) && props_match_composite(&r.props, columns, eq, trailing)
-                })
-            };
-            let base_m = matches(self.base.node(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
-    }
-
-    fn rels_with_composite(
-        &self,
-        rel_type: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<RelId>> {
-        let matches = |rec: Option<&RelRecord>| -> bool {
-            rec.is_some_and(|r| {
-                r.rel_type == rel_type && props_match_composite(&r.props, columns, eq, trailing)
-            })
-        };
-        let mut ids: Vec<RelId> = self
-            .base
-            .rels_with_composite(rel_type, columns, eq, trailing)?
-            .into_iter()
-            .filter(|id| !self.rels.contains_key(id))
-            .collect();
-        for (id, overlay) in &self.rels {
-            if matches(overlay.as_ref()) {
-                ids.push(*id);
-            }
-        }
-        ids.sort();
-        ids.dedup();
-        Some(ids)
-    }
-
-    fn count_rels_with_composite(
-        &self,
-        rel_type: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        let mut n =
-            self.base
-                .count_rels_with_composite(rel_type, columns, eq, trailing)? as isize;
-        for (id, overlay) in &self.rels {
-            let matches = |rec: Option<&RelRecord>| -> bool {
-                rec.is_some_and(|r| {
-                    r.rel_type == rel_type && props_match_composite(&r.props, columns, eq, trailing)
-                })
-            };
-            let base_m = matches(self.base.rel(*id));
-            let pre_m = matches(overlay.as_ref());
-            n += pre_m as isize - base_m as isize;
-        }
-        Some(n.max(0) as usize)
+        scope: IndexScope<'_>,
+        probe: IndexProbe<'_>,
+        mode: ProbeMode,
+    ) -> Option<Probed> {
+        let base = self.base.probe(scope, probe, mode)?;
+        Some(match scope {
+            IndexScope::Label(label) => correct_probe(
+                base,
+                &self.nodes,
+                |id| self.base.node(id),
+                |r: &NodeRecord| r.has_label(label) && probe.matches(&r.props),
+            ),
+            IndexScope::RelType(rel_type) => correct_probe(
+                base,
+                &self.rels,
+                |id| self.base.rel(id),
+                |r: &RelRecord| r.rel_type == rel_type && probe.matches(&r.props),
+            ),
+        })
     }
 
     fn all_node_ids(&self) -> Vec<NodeId> {
@@ -1142,7 +645,9 @@ impl GraphView for PreStateView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::composite::CompositeTrailing;
     use crate::props::PropertyMap;
+    use std::ops::Bound;
 
     fn props(entries: &[(&str, Value)]) -> PropertyMap {
         entries
@@ -1263,43 +768,28 @@ mod tests {
         let _ = n;
     }
 
-    #[test]
-    fn count_probes_correct_for_overlays() {
-        let (g, ops, kept) = run(
-            |g| {
-                let mut last = NodeId(0);
-                for i in 0..5 {
-                    last = g
-                        .create_node(["P"], props(&[("v", Value::Int(i))]))
-                        .unwrap();
-                }
-                g.create_index("P", "v");
-                last
-            },
-            |g, kept| {
-                // statement: delete v=4, add v=1 (duplicate), retag one
-                g.detach_delete_node(*kept).unwrap();
-                g.create_node(["P"], props(&[("v", Value::Int(1))]))
-                    .unwrap();
-            },
-        );
-        let pre = PreStateView::new(&g, &ops);
-        // pre-state: v ∈ {0,1,2,3,4}, one node each
-        assert_eq!(pre.count_nodes_with_prop("P", "v", &Value::Int(4)), Some(1));
-        assert_eq!(pre.count_nodes_with_prop("P", "v", &Value::Int(1)), Some(1));
-        let in_range = pre
-            .count_nodes_in_prop_range("P", "v", Bound::Included(&Value::Int(0)), Bound::Unbounded)
-            .unwrap();
-        assert_eq!(in_range, 5);
-        assert_eq!(pre.rel_count_estimate(), 0);
-        let _ = kept;
+    /// Probe the width-1 index `(label, key)` on a view.
+    fn probe1(
+        view: &dyn GraphView,
+        label: &str,
+        key: &str,
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+        mode: ProbeMode,
+    ) -> Option<Probed> {
+        let probe = IndexProbe {
+            columns: &[key.to_string()],
+            eq,
+            trailing,
+        };
+        view.probe(IndexScope::Label(label), probe, mode)
     }
 
     #[test]
-    fn index_lookups_correct_for_overlays() {
-        // Planning estimates (counts) and execution access paths
-        // (materializing lookups) must agree on a pre-state view: both
-        // answer from the base index corrected by the overlay.
+    fn index_probes_correct_for_overlays() {
+        // Planning estimates (counts) and execution access paths (id
+        // lookups) must agree on a pre-state view: both answer from the
+        // base index corrected by the overlay.
         let (g, ops, deleted) = run(
             |g| {
                 let mut last = NodeId(0);
@@ -1318,32 +808,31 @@ mod tests {
             },
         );
         let pre = PreStateView::new(&g, &ops);
+        let none = CompositeTrailing::None;
+        for (v, want) in [(5, vec![deleted.0]), (2, vec![2])] {
+            let eq = [Value::Int(v)];
+            assert_eq!(
+                probe1(&pre, "P", "v", &eq, none, ProbeMode::Ids),
+                Some(Probed::Ids(want))
+            );
+            assert_eq!(
+                probe1(&pre, "P", "v", &eq, none, ProbeMode::Count),
+                Some(Probed::Count(1))
+            );
+        }
+        let three = Value::Int(3);
+        let from3 = CompositeTrailing::Range(Bound::Included(&three), Bound::Unbounded);
+        let in_range = probe1(&pre, "P", "v", &[], from3, ProbeMode::Ids).unwrap();
+        assert_eq!(in_range.count(), 3); // v ∈ {3, 4, 5}
         assert_eq!(
-            pre.nodes_with_prop("P", "v", &Value::Int(5)),
-            Some(vec![deleted])
-        );
-        assert_eq!(
-            pre.nodes_with_prop("P", "v", &Value::Int(2))
-                .map(|v| v.len()),
-            Some(1)
-        );
-        let in_range = pre
-            .nodes_in_prop_range("P", "v", Bound::Included(&Value::Int(3)), Bound::Unbounded)
-            .unwrap();
-        assert_eq!(in_range.len(), 3); // v ∈ {3, 4, 5}
-                                       // counts agree with materialization
-        assert_eq!(
-            pre.count_nodes_in_prop_range(
-                "P",
-                "v",
-                Bound::Included(&Value::Int(3)),
-                Bound::Unbounded
-            ),
-            Some(3)
+            probe1(&pre, "P", "v", &[], from3, ProbeMode::Count),
+            Some(Probed::Count(3))
         );
         // unindexed key: both sides refuse together
-        assert_eq!(pre.nodes_with_prop("P", "w", &Value::Int(1)), None);
-        assert_eq!(pre.count_nodes_with_prop("P", "w", &Value::Int(1)), None);
+        for mode in [ProbeMode::Ids, ProbeMode::Count] {
+            assert_eq!(probe1(&pre, "P", "w", &[Value::Int(1)], none, mode), None);
+        }
+        assert_eq!(pre.rel_count_estimate(), 0);
     }
 
     #[test]

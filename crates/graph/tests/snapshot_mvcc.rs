@@ -1,7 +1,26 @@
 //! MVCC-lite battery: snapshot isolation, epoch lifecycle, version
 //! reclamation, per-snapshot probe counters, and a threaded smoke test.
 
-use pg_graph::{Graph, GraphView, PropertyMap, Value};
+use pg_graph::{
+    CompositeTrailing, Graph, GraphView, IndexProbe, IndexScope, NodeId, ProbeMode, PropertyMap,
+    Value,
+};
+
+/// Probe the `("A", columns)` index of any view for an equality prefix.
+fn probe_a(view: &dyn GraphView, columns: &[&str], eq: &[Value], mode: ProbeMode) -> Option<usize> {
+    let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+    let probe = IndexProbe {
+        columns: &columns,
+        eq,
+        trailing: CompositeTrailing::None,
+    };
+    Some(view.probe(IndexScope::Label("A"), probe, mode)?.count())
+}
+
+/// How many `A` nodes the `(A, v)` index of a view holds for `v = value`.
+fn a_with_v(view: &dyn GraphView, value: i64) -> Option<usize> {
+    probe_a(view, &["v"], &[Value::Int(value)], ProbeMode::Ids)
+}
 
 fn props(pairs: &[(&str, Value)]) -> PropertyMap {
     pairs
@@ -102,14 +121,9 @@ fn rollback_restores_and_republishes_consistent_state() {
 
     let after = g.snapshot();
     assert_eq!(after.node_count(), before.node_count());
-    assert_eq!(
-        after.nodes_with_prop("A", "v", &Value::Int(7)),
-        before.nodes_with_prop("A", "v", &Value::Int(7))
-    );
-    assert_eq!(
-        after.nodes_with_prop("A", "v", &Value::Int(8)),
-        Some(Vec::new())
-    );
+    assert_eq!(a_with_v(&before, 7), Some(1));
+    assert_eq!(a_with_v(&after, 7), Some(1));
+    assert_eq!(a_with_v(&after, 8), Some(0));
 }
 
 #[test]
@@ -127,18 +141,14 @@ fn snapshots_serve_index_probes_and_ordered_walks() {
     let snap = g.snapshot();
 
     // Equality probe against the pinned property index.
-    assert_eq!(
-        snap.nodes_with_prop("A", "v", &Value::Int(3))
-            .unwrap()
-            .len(),
-        4
-    );
+    assert_eq!(a_with_v(&snap, 3), Some(4));
 
     // Ordered walk (top-k path) against the pinned index.
-    let walk: Vec<_> = snap
-        .nodes_in_prop_order("A", "v", true)
+    let walk: Vec<NodeId> = snap
+        .ordered_walk(IndexScope::Label("A"), &["v".to_string()], &[], true)
         .unwrap()
         .take(4)
+        .map(NodeId)
         .collect();
     assert_eq!(walk.len(), 4);
     for id in &walk {
@@ -146,24 +156,12 @@ fn snapshots_serve_index_probes_and_ordered_walks() {
     }
 
     // Composite probe against the pinned composite index.
-    let both = snap
-        .nodes_with_composite(
-            "A",
-            &["v".to_string(), "w".to_string()],
-            &[Value::Int(2)],
-            pg_graph::CompositeTrailing::None,
-        )
-        .unwrap();
-    assert_eq!(both.len(), 4);
+    let both = probe_a(&snap, &["v", "w"], &[Value::Int(2)], ProbeMode::Ids);
+    assert_eq!(both, Some(4));
 
     // The snapshot keeps answering identically after further commits.
     commit_tagged_node(&mut g, 999);
-    assert_eq!(
-        snap.nodes_with_prop("A", "v", &Value::Int(3))
-            .unwrap()
-            .len(),
-        4
-    );
+    assert_eq!(a_with_v(&snap, 3), Some(4));
 }
 
 #[test]
@@ -177,9 +175,9 @@ fn probe_counters_are_per_snapshot() {
     let s2 = g.snapshot();
     g.reset_index_probes();
 
-    s1.nodes_with_prop("A", "v", &Value::Int(1));
-    s1.nodes_with_prop("A", "v", &Value::Int(1));
-    s2.count_nodes_with_prop("A", "v", &Value::Int(1));
+    a_with_v(&s1, 1);
+    a_with_v(&s1, 1);
+    probe_a(&s2, &["v"], &[Value::Int(1)], ProbeMode::Count);
 
     assert_eq!(s1.index_probes().materializing, 2);
     assert_eq!(s1.index_probes().counting, 0);
@@ -336,10 +334,7 @@ fn concurrent_readers_only_see_invariant_states() {
                     assert_eq!(a, b, "snapshot exposed a half-applied commit");
                     // Index answers agree with the extent on the same pin.
                     if a > 0 {
-                        let hits = snap
-                            .nodes_with_prop("A", "v", &Value::Int((a - 1) as i64))
-                            .unwrap();
-                        assert_eq!(hits.len(), 1);
+                        assert_eq!(a_with_v(&snap, (a - 1) as i64), Some(1));
                     }
                     checked += 1;
                 }
