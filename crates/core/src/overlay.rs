@@ -14,6 +14,7 @@ use pg_graph::{
     RelId, Value,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Pre-statement state overlaid with the post-state of the NEW items.
 pub struct NewStateOverlay<'g> {
@@ -173,7 +174,7 @@ impl GraphView for NewStateOverlay<'_> {
         self.pre.rel_count_estimate()
     }
 
-    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
         self.pre.index_defs(scope)
     }
 
@@ -269,6 +270,25 @@ mod tests {
         assert_eq!(count(&[], from0), Some(Probed::Count(10)));
         assert_eq!(view.node_count_estimate(), 10);
         assert_eq!(view.rel_count_estimate(), 0);
+        // With an empty NEW set the overlay *is* the pre-state: its probe
+        // must equal the answer of a graph that never ran the statement.
+        let mut reference = Graph::new();
+        for rec in g.nodes().filter(|rec| rec.id != fresh) {
+            reference.load_node(rec.clone()).unwrap();
+        }
+        reference.create_index("P", "v");
+        let no_new = NewStateOverlay::new(PreStateView::new(&g, &ops), &g, []);
+        let three = [Value::Int(3)];
+        let probe = IndexProbe {
+            columns: &columns,
+            eq: &three,
+            trailing: CompositeTrailing::None,
+        };
+        let scope = IndexScope::Label("P");
+        assert_eq!(
+            no_new.probe(scope, probe, ProbeMode::Ids),
+            reference.probe(scope, probe, ProbeMode::Ids)
+        );
     }
 
     #[test]

@@ -129,6 +129,22 @@ fn index_consistent_after_cascade_aborted_by_recursion_limit() {
 }
 
 #[test]
+fn single_key_ddl_is_the_width_one_definition() {
+    let mut s = Session::new();
+    s.execute("CREATE INDEX ON :L(k)").unwrap();
+    // the same definition through the multi-key front door
+    assert!(!s.graph_mut().create_composite_index("L", &["k".into()]));
+    assert_eq!(
+        s.graph().indexes(),
+        vec![("L".to_string(), "k".to_string())]
+    );
+    assert!(s.graph().composite_indexes().is_empty());
+    s.execute("DROP INDEX ON :L(k)").unwrap();
+    assert!(s.graph().indexes().is_empty());
+    assert!(!s.graph().has_index("L", "k"));
+}
+
+#[test]
 fn schema_key_and_index_props_create_indexes() {
     let mut s = Session::new();
     let gt = pg_schema::parse_graph_type(

@@ -54,9 +54,8 @@ use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{extract_pushdowns, match_patterns, pattern_vars, Pushdowns};
 use crate::plan::{composite_pin, plan_topk_projection, TopKSpec};
 use crate::row::{Params, QueryOutput, Row};
-use pg_graph::{Direction, Graph, GraphView, IndexScope, ItemRef, PropertyMap, Value};
+use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 /// Compare two keyed rows by the `ORDER BY` spec, breaking full ties by
 /// input index — the total order a stable sort + truncate would produce.
@@ -178,9 +177,9 @@ enum SiteWalk {
 
 /// The value a raw walk id binds the order variable to.
 fn walked_value(scope: IndexScope<'_>, raw: u64) -> Value {
-    match scope.item(raw) {
-        ItemRef::Node(n) => Value::Node(n),
-        ItemRef::Rel(r) => Value::Rel(r),
+    match scope {
+        IndexScope::Label(_) => Value::Node(NodeId(raw)),
+        IndexScope::RelType(_) => Value::Rel(RelId(raw)),
     }
 }
 
@@ -378,8 +377,8 @@ impl<'a> Executor<'a> {
 
     /// Drive one ordered walk: for each walked item, bind `spec.var` and
     /// re-match the full pattern under every seed, stopping once
-    /// `spec.keep` rows were produced. Returns `false` when the walk
-    /// budget ran dry (the caller declines the fusion).
+    /// `spec.keep` rows were produced. `None` when the walk budget ran dry
+    /// (the caller declines the fusion).
     fn drive_walk(
         &self,
         ctx: &EvalCtx<'_>,
@@ -387,23 +386,23 @@ impl<'a> Executor<'a> {
         items: impl Iterator<Item = Value>,
         seeds: &[Row],
         budget: &mut usize,
-        collected: &mut Vec<Row>,
-    ) -> Result<bool> {
+    ) -> Result<Option<Vec<Row>>> {
+        let mut rows: Vec<Row> = Vec::new();
         for item in items {
             if *budget == 0 {
-                return Ok(false);
+                return Ok(None);
             }
             *budget -= 1;
             for seed in seeds {
                 let mut s2 = seed.clone();
                 s2.set(f.spec.var.clone(), item.clone());
-                collected.extend(match_patterns(ctx, &s2, f.patterns, f.where_clause, None)?);
+                rows.extend(match_patterns(ctx, &s2, f.patterns, f.where_clause, None)?);
             }
-            if collected.len() >= f.spec.keep {
+            if rows.len() >= f.spec.keep {
                 break;
             }
         }
-        Ok(true)
+        Ok(Some(rows))
     }
 
     /// Try every index definition of one binding site: a walk shared by
@@ -424,9 +423,6 @@ impl<'a> Executor<'a> {
     ) -> Result<SiteWalk> {
         let empty = Row::new();
         'defs: for def in ctx.view.index_defs(scope) {
-            if def.len() < 2 {
-                continue; // single-key walks: below
-            }
             // One walk per distinct pin vector: the shared walk, or —
             // resolved up front, so a seed whose pins cannot be evaluated
             // forfeits the definition instead of silently losing its
@@ -450,77 +446,17 @@ impl<'a> Executor<'a> {
                 let Some(walk) = ctx.view.ordered_walk(scope, &def, pins, f.spec.descending) else {
                     continue 'defs;
                 };
-                // Each walk collects into its own buffer: `drive_walk`
-                // stops at `spec.keep` rows, and the stop must be per
-                // walk, not across the whole union.
-                let mut rows: Vec<Row> = Vec::new();
+                // Each walk stops at its own `spec.keep` rows — per walk,
+                // not across the whole union.
                 let items = walk.map(|raw| walked_value(scope, raw));
-                if !self.drive_walk(ctx, f, items, seeds, budget, &mut rows)? {
-                    return Ok(SiteWalk::OverBudget);
+                match self.drive_walk(ctx, f, items, seeds, budget)? {
+                    Some(rows) => out.extend(rows),
+                    None => return Ok(SiteWalk::OverBudget),
                 }
-                out.extend(rows);
             }
             return Ok(SiteWalk::Rows(out));
         }
-        // Single-key ordered walk: covers only items carrying the key, so
-        // the property-less ones (NULL keys) are appended from the extent
-        // when ascending, and a descending order they would have to lead
-        // declines.
-        let [key] = &f.spec.keys[..] else {
-            return Ok(SiteWalk::NoWalk);
-        };
-        let columns = std::slice::from_ref(key);
-        let keyed = ctx
-            .view
-            .index_stats(scope, columns)
-            .map_or(0, |st| st.keyed_total);
-        let extent = match scope {
-            IndexScope::Label(l) => ctx.view.label_cardinality(l),
-            IndexScope::RelType(t) => ctx.view.rel_type_cardinality(t),
-        };
-        let missing = extent.saturating_sub(keyed);
-        if f.spec.descending && missing > 0 {
-            return Ok(SiteWalk::NoWalk);
-        }
-        let Some(walk) = ctx
-            .view
-            .ordered_walk(scope, columns, &[], f.spec.descending)
-        else {
-            return Ok(SiteWalk::NoWalk);
-        };
-        let mut collected: Vec<Row> = Vec::new();
-        let mut walked: HashSet<u64> = HashSet::new();
-        let items = walk.inspect(|raw| {
-            walked.insert(*raw);
-        });
-        let items = items.map(|raw| walked_value(scope, raw));
-        if !self.drive_walk(ctx, f, items, f.seeds, budget, &mut collected)? {
-            return Ok(SiteWalk::OverBudget);
-        }
-        if collected.len() < f.spec.keep && missing > 0 {
-            let extent: Vec<u64> = match scope {
-                IndexScope::Label(l) => ctx
-                    .view
-                    .nodes_with_label(l)
-                    .into_iter()
-                    .map(u64::from)
-                    .collect(),
-                IndexScope::RelType(t) => ctx
-                    .view
-                    .rels_with_type(t)
-                    .into_iter()
-                    .map(u64::from)
-                    .collect(),
-            };
-            let tail = extent
-                .into_iter()
-                .filter(|raw| !walked.contains(raw))
-                .map(|raw| walked_value(scope, raw));
-            if !self.drive_walk(ctx, f, tail, f.seeds, budget, &mut collected)? {
-                return Ok(SiteWalk::OverBudget);
-            }
-        }
-        Ok(SiteWalk::Rows(collected))
+        Ok(SiteWalk::NoWalk)
     }
 
     /// Execute a fused index-served top-k `MATCH`; returns the matched

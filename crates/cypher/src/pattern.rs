@@ -178,12 +178,10 @@ fn estimate_node_cost(
             return 1;
         }
     }
-    let sargs = Sargs::eval(
-        ctx,
-        row,
-        &np.props,
-        np.var.as_ref().and_then(|v| pushed.get(v)),
-    );
+    let sargs = Sargs::eval(ctx, row, np.var.as_ref(), &np.props, pushed);
+    if sargs.never {
+        return 0;
+    }
     let index_est = np
         .labels
         .iter()
@@ -230,12 +228,7 @@ fn estimate_rel_cost(
     if rp.types.is_empty() {
         return None;
     }
-    let sargs = Sargs::eval(
-        ctx,
-        row,
-        &rp.props,
-        rp.var.as_ref().and_then(|v| pushed.get(v)),
-    );
+    let sargs = Sargs::eval(ctx, row, rp.var.as_ref(), &rp.props, pushed);
     let mut total = 0usize;
     for t in &rp.types {
         let extent = ctx.view.rel_type_cardinality(t);
@@ -267,12 +260,7 @@ fn rel_seed_candidates(
     if rp.types.is_empty() {
         return None;
     }
-    let sargs = Sargs::eval(
-        ctx,
-        row,
-        &rp.props,
-        rp.var.as_ref().and_then(|v| pushed.get(v)),
-    );
+    let sargs = Sargs::eval(ctx, row, rp.var.as_ref(), &rp.props, pushed);
     if sargs.never {
         return Some(Vec::new());
     }
@@ -772,13 +760,9 @@ pub(crate) fn hop_candidates(
     }
     // Pushed predicates apply per relationship only on single hops (a
     // variable-length variable binds a list).
-    let pd = match (&rel_pat.var, &rel_pat.hops) {
-        (Some(v), None) => pushed
-            .get(v)
-            .map(|preds| Sargs::eval(ctx, row, &[], Some(preds)))
-            .filter(|pd| !pd.is_empty()),
-        _ => None,
-    };
+    let pd = (rel_pat.hops.is_none())
+        .then(|| Sargs::eval(ctx, row, rel_pat.var.as_ref(), &[], pushed))
+        .filter(|pd| !pd.is_empty());
     if pd.as_ref().is_some_and(|p| p.never) {
         return Ok(Vec::new());
     }

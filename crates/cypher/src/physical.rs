@@ -28,8 +28,9 @@ use pg_graph::{CompositeTrailing, Direction, IndexProbe, IndexScope, ProbeMode, 
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
-use crate::pattern::{Pushdowns, VarPredicates};
+use crate::pattern::Pushdowns;
 
 /// Owned form of [`CompositeTrailing`]: the trailing bound of an index
 /// probe as assembled by the planner.
@@ -45,7 +46,7 @@ pub enum TrailingOwned {
 /// `STARTS WITH` bound on the next column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexAccess {
-    pub columns: Vec<String>,
+    pub columns: Arc<[String]>,
     pub eq: Vec<Value>,
     pub trailing: TrailingOwned,
 }
@@ -111,12 +112,16 @@ pub(crate) struct Sargs {
 }
 
 impl Sargs {
+    /// Evaluate the inline property map of a pattern position plus the
+    /// conjuncts pushed down onto its variable.
     pub(crate) fn eval(
         ctx: &EvalCtx<'_>,
         row: &Row,
+        var: Option<&String>,
         inline: &[(String, Expr)],
-        preds: Option<&VarPredicates>,
+        pushed: &Pushdowns,
     ) -> Sargs {
+        let preds = var.and_then(|v| pushed.get(v));
         let mut out = Sargs::default();
         let pushed_eqs = preds.map(|p| p.eqs.as_slice()).unwrap_or(&[]);
         for (key, expr) in inline.iter().chain(pushed_eqs) {
@@ -150,10 +155,10 @@ impl Sargs {
     /// walk its columns collecting equality values until the first column
     /// without one; that column may contribute one trailing range or
     /// `STARTS WITH` bound. `None` when the definition constrains nothing.
-    fn probe_for(&self, def: Vec<String>) -> Option<IndexAccess> {
+    fn probe_for(&self, def: Arc<[String]>) -> Option<IndexAccess> {
         let mut eq: Vec<Value> = Vec::new();
         let mut trailing = TrailingOwned::None;
-        for col in &def {
+        for col in def.iter() {
             if let Some((_, v)) = self.eqs.iter().find(|(k, _)| k == col) {
                 eq.push(v.clone());
                 continue;
@@ -184,6 +189,9 @@ impl Sargs {
         ctx: &EvalCtx<'_>,
         scope: IndexScope<'_>,
     ) -> Option<(IndexAccess, usize)> {
+        if self.is_empty() {
+            return None; // nothing to probe with: skip the catalog lookup
+        }
         let mut defs = ctx.view.index_defs(scope);
         defs.sort_by_key(|def| def.len() > 1);
         let mut best: Option<(IndexAccess, usize)> = None;
@@ -339,8 +347,7 @@ pub(crate) fn choose_index_access(
     np: &NodePattern,
     pushed: &Pushdowns,
 ) -> Option<(NodeAccess, usize)> {
-    let preds = np.var.as_ref().and_then(|v| pushed.get(v));
-    let sargs = Sargs::eval(ctx, row, &np.props, preds);
+    let sargs = Sargs::eval(ctx, row, np.var.as_ref(), &np.props, pushed);
     if sargs.never {
         return Some((NodeAccess::Empty, 0));
     }

@@ -1,5 +1,5 @@
-//! Multi-key (composite) top-k fusion and one asserting test per
-//! documented decline rule.
+//! Multi-key (composite) top-k fusion, one asserting test per documented
+//! decline rule, and the single-key-is-width-1 identities.
 //!
 //! Every decline test runs the same query against an indexed twin (fusion
 //! candidate) and an unindexed twin (the sort path the fusion must fall
@@ -261,11 +261,10 @@ fn decline_lossy_values() {
 }
 
 #[test]
-fn decline_null_leading_desc_single_key() {
-    // Single-key walks exclude property-less items entirely, so items
-    // whose NULL keys would lead a descending order force a decline (the
-    // composite walk lifts this — see
-    // `multi_key_fusion_serves_missing_values_both_directions`).
+fn null_leading_desc_single_key_fuses() {
+    // A single-key index is a width-1 composite: property-less items key
+    // on the missing marker, which leads a descending walk exactly where
+    // `ORDER BY … DESC` puts NULL — no decline, in either direction.
     let mut plain = Graph::new();
     let mut indexed = Graph::new();
     for g in [&mut plain, &mut indexed] {
@@ -276,10 +275,45 @@ fn decline_null_leading_desc_single_key() {
         g.create_node(["Item"], PropertyMap::new()).unwrap();
     }
     indexed.create_index("Item", "k");
-    let q = "MATCH (i:Item) WITH i ORDER BY i.k DESC LIMIT 1 RETURN i.k AS k";
-    assert_same(&mut plain, &mut indexed, q);
-    let out = run(&mut indexed, q);
+    for q in [
+        "MATCH (i:Item) WITH i ORDER BY i.k DESC LIMIT 1 RETURN i.k AS k",
+        "MATCH (i:Item) WITH i ORDER BY i.k DESC LIMIT 3 RETURN i.k AS k",
+        "MATCH (i:Item) WITH i ORDER BY i.k SKIP 9 LIMIT 2 RETURN i.k AS k",
+    ] {
+        assert_same(&mut plain, &mut indexed, q);
+        indexed.reset_index_probes();
+        run(&mut indexed, q);
+        assert!(
+            indexed.index_probes().ordered >= 1,
+            "expected a fused ordered walk for {q}"
+        );
+    }
+    let out = run(
+        &mut indexed,
+        "MATCH (i:Item) WITH i ORDER BY i.k DESC LIMIT 1 RETURN i.k AS k",
+    );
     assert_eq!(out.rows, vec![vec![Value::Null]]);
+}
+
+#[test]
+fn single_key_ddl_is_the_width_one_definition() {
+    let mut g = Graph::new();
+    g.create_node(["L"], props(&[("k", Value::Int(1))]))
+        .unwrap();
+    assert!(g.create_index("L", "k"));
+    // the same definition through the multi-key front door
+    assert!(!g.create_composite_index("L", &cols(&["k"])));
+    assert_eq!(g.indexes(), vec![("L".to_string(), "k".to_string())]);
+    assert!(g.composite_indexes().is_empty());
+    assert!(g.has_index("L", "k"));
+    assert!(g.drop_index("L", "k"));
+    assert!(g.indexes().is_empty());
+    assert!(!g.has_index("L", "k"));
+    // and the other way round: a width-1 column list is a single-key index
+    assert!(g.create_composite_index("L", &cols(&["k"])));
+    assert!(!g.create_index("L", "k"));
+    assert_eq!(g.indexes(), vec![("L".to_string(), "k".to_string())]);
+    assert!(g.composite_indexes().is_empty());
 }
 
 #[test]

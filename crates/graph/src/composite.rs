@@ -1,25 +1,28 @@
-//! Composite (multi-key) property indexes: `(label, [k1, k2, …])` →
-//! lexicographic key vectors → item sets.
+//! Property indexes: `(label, [k1, k2, …])` → lexicographic key vectors →
+//! item sets. The one index implementation of the store — a single-key
+//! index (`CREATE INDEX ON :L(k)`) is the width-1 case.
 //!
-//! The paper's §6 trigger conditions are conjunctions over *several*
-//! properties of one label (`(p:Patient {status: 'ICU'}) WHERE
-//! p.severity >= t`); single-key indexes can only serve one conjunct and
-//! post-filter (or intersect) the rest. A [`CompositeIndex`] answers the
-//! whole conjunction in one O(log n + k) walk: equality on the longest
-//! prefix of the column list plus one trailing range or `STARTS WITH`
-//! bound on the next column, and — because the key space is ordered the
-//! way `ORDER BY` orders values — multi-key top-k walks
-//! (`ORDER BY a.x, a.y LIMIT k`), optionally pinned to an equality prefix.
+//! The PG-Trigger engine evaluates trigger conditions as Cypher pattern
+//! matches on every activating statement, so predicates like
+//! `(:Hospital {name: 'Sacco'})`, `occupancy >= 0.95` or the conjunction
+//! `(p:Patient {status: 'ICU'}) WHERE p.severity >= t` (paper §6) sit on
+//! the hottest path of the engine. A [`CompositeIndex`] answers each in
+//! one O(log n + k) walk: equality on the longest prefix of the column
+//! list plus one trailing range or `STARTS WITH` bound on the next column
+//! ([`IndexProbe`]), and — because the key space is ordered the way
+//! `ORDER BY` orders values — top-k walks (`ORDER BY a.x, a.y LIMIT k`),
+//! optionally pinned to an equality prefix.
 //!
 //! ## Key construction
 //!
 //! Every item carrying the label contributes exactly one key vector: one
-//! [`CompositeSeg`] per column, either the [`IndexKey`] of its value or the
-//! explicit [`CompositeSeg::Missing`] marker when the property is absent.
-//! Indexing the *absence* is what keeps sub-width probes (equality on
-//! fewer columns than the index has) and whole-extent ordered walks
-//! complete — unlike single-key indexes, a composite entry covers the
-//! label's full extent.
+//! [`CompositeSeg`] per column, either the [`IndexKey`] of its value (see
+//! [`crate::prop_index`] for how values normalize so that keys agree with
+//! Cypher's `1 = 1.0` equality) or the explicit [`CompositeSeg::Missing`]
+//! marker when the property is absent. Indexing the *absence* is what
+//! keeps sub-width probes (equality on fewer columns than the index has)
+//! and whole-extent ordered walks complete: an entry covers the label's
+//! full extent at every width.
 //!
 //! Segments order by [`Value::cmp_order`]'s family rank (strings <
 //! booleans < numerics < dates < datetimes), numerics interleaved, with
@@ -39,22 +42,25 @@
 //! * probes narrower than the full column width — the excluded record may
 //!   satisfy the probed prefix via an unprobed column;
 //! * numeric trailing ranges while **lossy numerics** are present — a
-//!   stored out-of-range numeric can satisfy `x > 0` (same rule as
-//!   [`crate::prop_index`]);
+//!   stored out-of-range numeric is absent from the index yet can satisfy
+//!   `x > 0`; string/date/boolean ranges and prefix scans are unaffected,
+//!   every value of those families is keyable;
 //! * ordered walks — the excluded record belongs somewhere in the order.
 //!
 //! Full-width equality probes stay answerable: a keyable probe value never
-//! `eq3`-equals an excluded (unkeyable) stored value.
+//! `eq3`-equals an excluded (unkeyable) stored value. A probe *value* that
+//! is itself unkeyable is refused unless it equals nothing at all (`NULL`,
+//! `NaN`), which is definitively empty.
 
-use crate::ids::{NodeId, RelId};
 use crate::pmap::{PMap, PSet};
-use crate::prop_index::IndexKey;
+use crate::prop_index::{family_max, family_min, IndexKey};
 use crate::props::PropertyMap;
 use crate::stats::Histogram;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// One segment of a composite key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +76,7 @@ pub enum CompositeSeg {
 }
 
 /// `cmp_order` family rank of an [`IndexKey`]: strings < booleans <
-/// numerics < dates < datetimes (see `KeyedIndex::ordered_walk`).
+/// numerics < dates < datetimes.
 fn order_rank(k: &IndexKey) -> u8 {
     match k {
         IndexKey::Str(_) => 0,
@@ -216,11 +222,14 @@ enum Exclusion {
     Unkeyable,
 }
 
-/// One `(label, columns)` composite index entry.
+/// One `(label, columns)` index entry: the ordered key space, the
+/// exclusion counts behind the refusal rules, and cardinality statistics
+/// maintained through the same insert/remove calls — hence through every
+/// undo path.
 #[derive(Debug, Clone)]
 struct CompositeEntries<Id> {
     /// The ordered column list of the definition.
-    columns: Vec<String>,
+    columns: Arc<[String]>,
     map: PMap<Vec<CompositeSeg>, PSet<Id>>,
     /// Records excluded because some column holds a ±2⁵³ lossy numeric.
     lossy_numerics: usize,
@@ -228,6 +237,8 @@ struct CompositeEntries<Id> {
     unkeyable: usize,
     /// Records currently indexed (`Σ bucket sizes`).
     total: usize,
+    /// Indexed records whose leading column is present.
+    keyed: usize,
     /// Equi-depth histogram over the **leading column**'s key space
     /// (`Missing` leading segments are not attributed — range probes never
     /// match them).
@@ -240,6 +251,8 @@ enum ProbeQuery {
     Empty,
     /// The entry cannot answer faithfully — fall back to a scan.
     Refused,
+    /// Full-width equality: at most one bucket.
+    Point(Vec<CompositeSeg>),
     /// Walk the key space between these vector bounds; when `prefix_col`
     /// is set, additionally `take_while` that column's segment is a string
     /// with the given prefix (`STARTS WITH` has no closed upper key).
@@ -251,13 +264,14 @@ enum ProbeQuery {
 }
 
 impl<Id: Ord + Copy> CompositeEntries<Id> {
-    fn new(columns: Vec<String>) -> Self {
+    fn new(columns: &[String]) -> Self {
         CompositeEntries {
-            columns,
+            columns: columns.into(),
             map: PMap::new(),
             lossy_numerics: 0,
             unkeyable: 0,
             total: 0,
+            keyed: 0,
             hist: Histogram::default(),
         }
     }
@@ -266,7 +280,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
     fn key_of(&self, props: &PropertyMap) -> Result<Vec<CompositeSeg>, Exclusion> {
         let mut segs = Vec::with_capacity(self.columns.len());
         let mut excluded: Option<Exclusion> = None;
-        for col in &self.columns {
+        for col in self.columns.iter() {
             match props.get(col) {
                 None => segs.push(CompositeSeg::Missing),
                 Some(v) => match IndexKey::from_value(v) {
@@ -291,15 +305,24 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
     fn insert(&mut self, props: &PropertyMap, id: Id) {
         match self.key_of(props) {
             Ok(segs) => {
-                let leading = segs.first().cloned();
-                if self.map.get_or_default(segs).insert(id) {
-                    self.total += 1;
-                    if let Some(CompositeSeg::Key(ik)) = &leading {
-                        self.hist.note_insert(ik);
-                    }
-                    if self.hist.stale(self.total) {
-                        self.rebuild_hist();
-                    }
+                // An existing bucket is edited in place; a fresh one is
+                // inserted only after the statistics have read the key
+                // vector it takes ownership of.
+                let bucket = self.map.get_mut(&segs);
+                let fresh = bucket.is_none();
+                if !bucket.is_none_or(|set| set.insert(id)) {
+                    return; // already indexed
+                }
+                self.total += 1;
+                if let Some(CompositeSeg::Key(ik)) = segs.first() {
+                    self.keyed += 1;
+                    self.hist.note_insert(ik);
+                }
+                if fresh {
+                    self.map.insert(segs, PSet::from_iter([id]));
+                }
+                if self.hist.stale(self.keyed) {
+                    self.rebuild_hist();
                 }
             }
             Err(Exclusion::Lossy) => self.lossy_numerics += 1,
@@ -314,13 +337,14 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
                     if set.remove(&id) {
                         self.total = self.total.saturating_sub(1);
                         if let Some(CompositeSeg::Key(ik)) = segs.first() {
+                            self.keyed = self.keyed.saturating_sub(1);
                             self.hist.note_remove(ik);
                         }
                     }
                     if set.is_empty() {
                         self.map.remove(&segs);
                     }
-                    if self.hist.stale(self.total) {
+                    if self.hist.stale(self.keyed) {
                         self.rebuild_hist();
                     }
                 }
@@ -331,19 +355,29 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
     }
 
     /// Rebuild the leading-column histogram from the live key space. The
-    /// map iterates by `cmp_order` rank; the histogram compares bounds in
-    /// [`IndexKey`] order, so counts are regrouped first.
+    /// map orders families by `cmp_order` rank while the histogram
+    /// compares bounds in [`IndexKey`] order; within a family the two
+    /// agree, so the families are walked in `IndexKey` order, coalescing
+    /// the adjacent vectors that share a leading key.
     fn rebuild_hist(&mut self) {
-        let mut by_leading: BTreeMap<IndexKey, usize> = BTreeMap::new();
-        let mut keyed_total = 0usize;
-        for (segs, set) in self.map.iter() {
-            if let Some(CompositeSeg::Key(ik)) = segs.first() {
-                *by_leading.entry(ik.clone()).or_insert(0) += set.len();
-                keyed_total += set.len();
+        // booleans, numerics, strings, dates, datetimes — as `order_rank`s
+        const RANKS_IN_KEY_ORDER: [u8; 5] = [1, 2, 0, 3, 4];
+        let mut by_leading: Vec<(&IndexKey, usize)> = Vec::new();
+        for rank in RANKS_IN_KEY_ORDER {
+            let lo = Bound::Included(vec![CompositeSeg::Key(rank_min(rank))]);
+            let hi = Bound::Excluded(vec![rank_sup(rank)]);
+            for (segs, set) in self.map.range(lo, hi) {
+                let Some(CompositeSeg::Key(ik)) = segs.first() else {
+                    continue;
+                };
+                match by_leading.last_mut() {
+                    Some((last, n)) if *last == ik => *n += set.len(),
+                    _ => by_leading.push((ik, set.len())),
+                }
             }
         }
         self.hist
-            .rebuild_from(by_leading.iter().map(|(k, n)| (k, *n)), keyed_total);
+            .rebuild_from(by_leading.iter().copied(), self.keyed);
     }
 
     /// Classify an equality-prefix + trailing-bound probe (see module docs
@@ -369,6 +403,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
             return ProbeQuery::Refused;
         }
         match trailing {
+            CompositeTrailing::None if eq.len() == width => ProbeQuery::Point(prefix),
             CompositeTrailing::None => {
                 let mut hi = prefix.clone();
                 hi.push(CompositeSeg::Hi);
@@ -499,10 +534,17 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
             })
     }
 
-    fn lookup(&self, eq: &[Value], trailing: CompositeTrailing<'_>) -> Option<Vec<Id>> {
-        match self.classify(eq, trailing) {
+    /// The ids matching a probe, ascending.
+    fn lookup(&self, p: IndexProbe<'_>) -> Option<Vec<Id>> {
+        match self.classify(p.eq, p.trailing) {
             ProbeQuery::Empty => Some(Vec::new()),
             ProbeQuery::Refused => None,
+            ProbeQuery::Point(segs) => Some(
+                self.map
+                    .get(&segs)
+                    .map(|set| set.iter().copied().collect())
+                    .unwrap_or_default(),
+            ),
             ProbeQuery::Walk { lo, hi, prefix_col } => {
                 let mut out: Vec<Id> = self
                     .walk_probe(lo, hi, prefix_col)
@@ -515,22 +557,21 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
     }
 
     /// Count the ids a [`CompositeEntries::lookup`] would return, without
-    /// materializing them. Leading-column-only ranges are served from the
-    /// histogram once built; everything else counts the walk exactly
-    /// (allocation-free).
-    fn count(&self, eq: &[Value], trailing: CompositeTrailing<'_>) -> Option<usize> {
-        match self.classify(eq, trailing) {
+    /// materializing them. Leading-column ranges are served from the
+    /// histogram once built (an **estimate**, O(#buckets)); everything
+    /// else is exact — O(log n) for full-width equality, an
+    /// allocation-free walk otherwise.
+    fn count(&self, p: IndexProbe<'_>) -> Option<usize> {
+        match self.classify(p.eq, p.trailing) {
             ProbeQuery::Empty => Some(0),
             ProbeQuery::Refused => None,
+            ProbeQuery::Point(segs) => Some(self.map.get(&segs).map_or(0, |set| set.len())),
             ProbeQuery::Walk { lo, hi, prefix_col } => {
-                // Leading-column ranges: estimate from the histogram (it
-                // attributes leading IndexKeys, so only width-1 walks can
-                // be served from it).
-                if eq.is_empty() && prefix_col.is_none() {
-                    if let CompositeTrailing::Range(lower, upper) = trailing {
-                        if let Some(est) = self.hist_estimate(lower, upper) {
-                            return Some(est);
-                        }
+                if let (true, CompositeTrailing::Range(lower, upper)) =
+                    (p.eq.is_empty(), p.trailing)
+                {
+                    if let Some(est) = self.hist_estimate(lower, upper) {
+                        return Some(est);
                     }
                 }
                 Some(
@@ -544,8 +585,8 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
 
     /// Histogram estimate for a leading-column range (bounds already
     /// validated by [`CompositeEntries::classify`]). The histogram orders
-    /// its buckets in [`IndexKey`] order, so bounds are resolved with the
-    /// same family frontiers the single-key index uses.
+    /// its buckets in [`IndexKey`] order, so unbounded sides close at that
+    /// order's family frontiers.
     fn hist_estimate(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Option<usize> {
         let key_bound = |b: Bound<&Value>| -> Option<Bound<IndexKey>> {
             Some(match b {
@@ -562,11 +603,11 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
             _ => return None,
         };
         let lo = match lo {
-            Bound::Unbounded => crate::prop_index::family_min(fam),
+            Bound::Unbounded => family_min(fam),
             b => b,
         };
         let hi = match hi {
-            Bound::Unbounded => crate::prop_index::family_max(fam),
+            Bound::Unbounded => family_max(fam),
             b => b,
         };
         self.hist.estimate_range(&lo, &hi)
@@ -613,9 +654,22 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
         }
     }
 
-    /// `(total indexed records, distinct key vectors)`.
-    fn stats(&self) -> (usize, usize) {
-        (self.total, self.map.len())
+    fn stats(&self) -> IndexStats {
+        // Missing-leading vectors sort after every keyed one; at width 1
+        // there is at most one such bucket.
+        let missing_distinct = self
+            .map
+            .range(
+                Bound::Included(vec![CompositeSeg::Missing]),
+                Bound::Unbounded,
+            )
+            .count();
+        IndexStats {
+            total: self.total,
+            distinct: self.map.len(),
+            keyed_total: self.keyed,
+            keyed_distinct: self.map.len() - missing_distinct,
+        }
     }
 }
 
@@ -630,76 +684,66 @@ fn range_keys_empty(lo: &Bound<IndexKey>, hi: &Bound<IndexKey>) -> bool {
     }
 }
 
-/// The set of composite indexes of a graph, generic over the item id
+/// The set of property indexes of a graph, generic over the item id
 /// (nodes keyed by label, relationships by type), maintained through
 /// every mutation *and undo* path of [`crate::Graph`].
 #[derive(Debug, Clone)]
 pub struct CompositeIndex<Id> {
-    by_label: HashMap<String, Vec<CompositeEntries<Id>>>,
-    /// Number of definitions; cheap emptiness check for the mutation fast
-    /// path.
-    count: usize,
+    /// Entries are `Arc`-shared so a copy-on-write clone of the whole
+    /// index (every published commit boundary) bumps refcounts instead of
+    /// deep-copying per-entry statistics; mutators go through
+    /// [`Arc::make_mut`] on the entries they touch only.
+    by_label: HashMap<Arc<str>, Vec<Arc<CompositeEntries<Id>>>>,
 }
 
 impl<Id> Default for CompositeIndex<Id> {
     fn default() -> Self {
         CompositeIndex {
             by_label: HashMap::new(),
-            count: 0,
         }
     }
 }
 
 impl<Id: Ord + Copy> CompositeIndex<Id> {
-    /// `true` when no composite index exists (mutation fast path).
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Declare a composite index on `(label, columns)`. Returns `false`
-    /// when it already exists or `columns` has fewer than two entries
-    /// (single keys belong to [`crate::PropIndex`]) or repeats a column.
-    /// The caller (the store) populates it from the live extent.
+    /// Declare an index on `(label, columns)`. Returns `false` when it
+    /// already exists or `columns` is empty or repeats a column. The
+    /// caller (the store) populates it from the live extent.
     pub fn create(&mut self, label: &str, columns: &[String]) -> bool {
-        if columns.len() < 2 {
+        let repeats = columns
+            .iter()
+            .enumerate()
+            .any(|(i, c)| columns[..i].contains(c));
+        if columns.is_empty() || repeats || self.is_indexed(label, columns) {
             return false;
         }
-        let mut distinct: Vec<&String> = columns.iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        if distinct.len() != columns.len() {
-            return false;
+        let entry = Arc::new(CompositeEntries::new(columns));
+        match self.by_label.get_mut(label) {
+            Some(defs) => defs.push(entry),
+            None => {
+                self.by_label.insert(label.into(), vec![entry]);
+            }
         }
-        let defs = self.by_label.entry(label.to_string()).or_default();
-        if defs.iter().any(|e| e.columns == columns) {
-            return false;
-        }
-        defs.push(CompositeEntries::new(columns.to_vec()));
-        self.count += 1;
         true
     }
 
-    /// Drop the composite index on `(label, columns)`; `false` when absent.
+    /// Drop the index on `(label, columns)`; `false` when absent.
     pub fn drop_index(&mut self, label: &str, columns: &[String]) -> bool {
         let Some(defs) = self.by_label.get_mut(label) else {
             return false;
         };
-        let Some(pos) = defs.iter().position(|e| e.columns == columns) else {
+        let Some(pos) = defs.iter().position(|e| *e.columns == *columns) else {
             return false;
         };
         defs.remove(pos);
         if defs.is_empty() {
             self.by_label.remove(label);
         }
-        self.count -= 1;
         true
     }
 
     /// Whether `(label, columns)` is indexed.
     pub fn is_indexed(&self, label: &str, columns: &[String]) -> bool {
-        self.by_label
-            .get(label)
-            .is_some_and(|defs| defs.iter().any(|e| e.columns == columns))
+        self.entry(label, columns).is_some()
     }
 
     /// All `(label, columns)` definitions, sorted.
@@ -707,109 +751,89 @@ impl<Id: Ord + Copy> CompositeIndex<Id> {
         let mut out: Vec<(String, Vec<String>)> = self
             .by_label
             .iter()
-            .flat_map(|(l, defs)| defs.iter().map(move |e| (l.clone(), e.columns.clone())))
+            .flat_map(|(l, defs)| {
+                defs.iter()
+                    .map(move |e| (l.to_string(), e.columns.to_vec()))
+            })
             .collect();
         out.sort();
         out
     }
 
-    /// The column lists indexed under `label` (planner discovery).
-    pub fn defs_for_label(&self, label: &str) -> Vec<Vec<String>> {
+    /// The column lists indexed under `label`, in creation order (planner
+    /// discovery; shared, so listing them copies no strings).
+    pub fn defs_for_label(&self, label: &str) -> Vec<Arc<[String]>> {
         self.by_label
             .get(label)
             .map(|defs| defs.iter().map(|e| e.columns.clone()).collect())
             .unwrap_or_default()
     }
 
-    /// Index one item under one of its labels (all of that label's
-    /// definitions).
-    pub fn index_item_label(&mut self, label: &str, props: &PropertyMap, id: Id) {
-        if self.count == 0 {
-            return;
-        }
-        if let Some(defs) = self.by_label.get_mut(label) {
-            for e in defs {
-                e.insert(props, id);
-            }
-        }
-    }
-
-    /// Remove one item's entries under one label.
-    pub fn deindex_item_label(&mut self, label: &str, props: &PropertyMap, id: Id) {
-        if self.count == 0 {
-            return;
-        }
-        if let Some(defs) = self.by_label.get_mut(label) {
-            for e in defs {
-                e.remove(props, id);
-            }
-        }
-    }
-
-    /// Index one item under every given label.
+    /// Index one item under every given label. `changed` names the one
+    /// property a mutation touches: definitions not carrying it keep
+    /// their entry and are skipped (`None` = every definition — the item
+    /// or one of its labels is appearing).
     pub fn index_item<'l>(
         &mut self,
         labels: impl IntoIterator<Item = &'l str>,
         props: &PropertyMap,
         id: Id,
+        changed: Option<&str>,
     ) {
-        if self.count == 0 {
-            return;
-        }
-        for l in labels {
-            self.index_item_label(l, props, id);
-        }
+        self.for_entries(labels, changed, |e| e.insert(props, id));
     }
 
-    /// Remove one item's entries under every given label.
+    /// Remove one item's entries under every given label (exact inverse
+    /// of [`CompositeIndex::index_item`] on the same `props`).
     pub fn deindex_item<'l>(
         &mut self,
         labels: impl IntoIterator<Item = &'l str>,
         props: &PropertyMap,
         id: Id,
+        changed: Option<&str>,
     ) {
-        if self.count == 0 {
-            return;
+        self.for_entries(labels, changed, |e| e.remove(props, id));
+    }
+
+    fn for_entries<'l>(
+        &mut self,
+        labels: impl IntoIterator<Item = &'l str>,
+        changed: Option<&str>,
+        mut f: impl FnMut(&mut CompositeEntries<Id>),
+    ) {
+        if self.by_label.is_empty() {
+            return; // mutation fast path: no index anywhere
         }
-        for l in labels {
-            self.deindex_item_label(l, props, id);
+        for label in labels {
+            for e in self.by_label.get_mut(label).into_iter().flatten() {
+                if changed.is_none_or(|key| e.columns.iter().any(|c| c == key)) {
+                    f(Arc::make_mut(e));
+                }
+            }
         }
     }
 
     /// Insert one item into one specific definition (index creation
     /// populating from the live extent).
     pub fn insert_into(&mut self, label: &str, columns: &[String], props: &PropertyMap, id: Id) {
-        if let Some(defs) = self.by_label.get_mut(label) {
-            if let Some(e) = defs.iter_mut().find(|e| e.columns == columns) {
-                e.insert(props, id);
-            }
+        let defs = self.by_label.get_mut(label).into_iter().flatten();
+        if let Some(e) = defs.into_iter().find(|e| *e.columns == *columns) {
+            Arc::make_mut(e).insert(props, id);
         }
     }
 
-    /// Composite lookup: items whose first `eq.len()` columns equal `eq`
-    /// and whose next column satisfies `trailing`. `None` = the index
-    /// cannot answer faithfully (not indexed, unkeyable probe values,
-    /// exclusion rules — see module docs) and the caller must fall back.
-    pub fn lookup(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<Id>> {
-        self.entry(label, columns)?.lookup(eq, trailing)
+    /// The ids matching `probe` on `(label, probe.columns)`, ascending.
+    /// `None` = the index cannot answer faithfully (not indexed,
+    /// unkeyable probe values, exclusion rules — see module docs) and the
+    /// caller must fall back.
+    pub fn lookup(&self, label: &str, probe: IndexProbe<'_>) -> Option<Vec<Id>> {
+        self.entry(label, probe.columns)?.lookup(probe)
     }
 
     /// Count-only probe mirroring [`CompositeIndex::lookup`] (histogram
-    /// estimate for leading-column ranges, exact walk counts otherwise).
-    pub fn count(
-        &self,
-        label: &str,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        self.entry(label, columns)?.count(eq, trailing)
+    /// estimate for leading-column ranges, exact counts otherwise).
+    pub fn count(&self, label: &str, probe: IndexProbe<'_>) -> Option<usize> {
+        self.entry(label, probe.columns)?.count(probe)
     }
 
     /// Ordered walk in `ORDER BY` order over the columns after the
@@ -824,37 +848,75 @@ impl<Id: Ord + Copy> CompositeIndex<Id> {
         self.entry(label, columns)?.ordered_walk(eq, descending)
     }
 
-    /// `(total indexed records, distinct key vectors)` for a definition.
-    pub fn stats(&self, label: &str, columns: &[String]) -> Option<(usize, usize)> {
+    /// Cardinality statistics of a definition.
+    pub fn stats(&self, label: &str, columns: &[String]) -> Option<IndexStats> {
         Some(self.entry(label, columns)?.stats())
     }
 
     /// Rebuild every leading-column histogram from the live key space
     /// (post-bulk-load refresh; see [`crate::Graph::rebuild_stats`]).
     pub fn rebuild_stats(&mut self) {
-        for defs in self.by_label.values_mut() {
-            for e in defs {
-                e.rebuild_hist();
-            }
+        for e in self.by_label.values_mut().flatten() {
+            Arc::make_mut(e).rebuild_hist();
         }
     }
 
     fn entry(&self, label: &str, columns: &[String]) -> Option<&CompositeEntries<Id>> {
-        self.by_label
-            .get(label)?
-            .iter()
-            .find(|e| e.columns == columns)
+        let defs = self.by_label.get(label)?;
+        defs.iter().find(|e| *e.columns == *columns).map(|e| &**e)
     }
 }
-
-/// Composite node indexes (`(label, [k1, k2, …])`).
-pub type NodeCompositeIndex = CompositeIndex<NodeId>;
-/// Composite relationship indexes (`(rel_type, [k1, k2, …])`).
-pub type RelCompositeIndex = CompositeIndex<RelId>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{NodeId, RelId};
+    use std::iter::once;
+
+    type NodeIndex = CompositeIndex<NodeId>;
+
+    fn put(ix: &mut NodeIndex, label: &str, props: &PropertyMap, id: NodeId) {
+        ix.index_item(once(label), props, id, None);
+    }
+
+    fn take(ix: &mut NodeIndex, label: &str, props: &PropertyMap, id: NodeId) {
+        ix.deindex_item(once(label), props, id, None);
+    }
+
+    fn lookup(
+        ix: &NodeIndex,
+        label: &str,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<Vec<u64>> {
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        Some(ix.lookup(label, probe)?.into_iter().map(|n| n.0).collect())
+    }
+
+    fn count(
+        ix: &NodeIndex,
+        label: &str,
+        columns: &[String],
+        eq: &[Value],
+        trailing: CompositeTrailing<'_>,
+    ) -> Option<usize> {
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        ix.count(label, probe)
+    }
+
+    /// `(total, distinct)` of a definition.
+    fn totals(ix: &NodeIndex, label: &str, columns: &[String]) -> Option<(usize, usize)> {
+        ix.stats(label, columns).map(|st| (st.total, st.distinct))
+    }
 
     fn props(entries: &[(&str, Value)]) -> PropertyMap {
         entries
@@ -867,17 +929,13 @@ mod tests {
         cs.iter().map(|c| c.to_string()).collect()
     }
 
-    fn ids(v: Option<Vec<NodeId>>) -> Option<Vec<u64>> {
-        v.map(|ids| ids.into_iter().map(|n| n.0).collect())
-    }
-
     #[test]
     fn create_drop_and_definitions() {
-        let mut ix = NodeCompositeIndex::default();
-        assert!(ix.is_empty());
+        let mut ix = NodeIndex::default();
+        assert!(ix.definitions().is_empty());
         assert!(ix.create("A", &cols(&["x", "y"])));
         assert!(!ix.create("A", &cols(&["x", "y"]))); // duplicate
-        assert!(!ix.create("A", &cols(&["x"]))); // too narrow
+        assert!(!ix.create("A", &[])); // no columns
         assert!(!ix.create("A", &cols(&["x", "x"]))); // repeated column
         assert!(ix.create("A", &cols(&["y", "x"]))); // order matters
         assert!(ix.create("B", &cols(&["x", "y", "z"])));
@@ -891,13 +949,13 @@ mod tests {
         );
         assert!(ix.drop_index("A", &cols(&["y", "x"])));
         assert!(!ix.drop_index("A", &cols(&["y", "x"])));
-        assert_eq!(ix.defs_for_label("A"), vec![cols(&["x", "y"])]);
+        assert_eq!(ix.defs_for_label("A"), vec![cols(&["x", "y"]).into()]);
         assert!(ix.is_indexed("B", &cols(&["x", "y", "z"])));
     }
 
     /// A small (status, severity) fixture: the paper's §6 conjunction shape.
-    fn fixture() -> NodeCompositeIndex {
-        let mut ix = NodeCompositeIndex::default();
+    fn fixture() -> NodeIndex {
+        let mut ix = NodeIndex::default();
         ix.create("P", &cols(&["status", "severity"]));
         let rows: &[(&str, Option<i64>)] = &[
             ("icu", Some(9)),  // 0
@@ -912,7 +970,7 @@ mod tests {
             if let Some(s) = sev {
                 entries.push(("severity", Value::Int(*s)));
             }
-            ix.index_item_label("P", &props(&entries), NodeId(i as u64));
+            put(&mut ix, "P", &props(&entries), NodeId(i as u64));
         }
         ix
     }
@@ -923,74 +981,81 @@ mod tests {
         let c = cols(&["status", "severity"]);
         // full-width equality
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu"), Value::Int(9)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![0])
         );
         // equality prefix + trailing range (the §6 conjunction)
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu")],
                 CompositeTrailing::Range(Bound::Included(&Value::Int(8)), Bound::Unbounded)
-            )),
+            ),
             Some(vec![0])
         );
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu")],
                 CompositeTrailing::Range(Bound::Excluded(&Value::Int(7)), Bound::Unbounded)
-            )),
+            ),
             Some(vec![0])
         );
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("ward")],
                 CompositeTrailing::Range(Bound::Unbounded, Bound::Excluded(&Value::Int(9)))
-            )),
+            ),
             Some(vec![4])
         );
         // a missing trailing value satisfies no range
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu")],
                 CompositeTrailing::Range(Bound::Included(&Value::Int(0)), Bound::Unbounded)
-            )),
+            ),
             Some(vec![0, 1])
         );
         // sub-width equality prefix covers missing trailing values
         assert_eq!(
-            ids(ix.lookup("P", &c, &[Value::str("icu")], CompositeTrailing::None)),
+            lookup(&ix, "P", &c, &[Value::str("icu")], CompositeTrailing::None),
             Some(vec![0, 1, 2])
         );
         // NULL probe values are definitively empty
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::Null, Value::Int(1)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![])
         );
         // unknown definition / unkeyable probe → refuse
         assert_eq!(
-            ix.lookup("P", &cols(&["a", "b"]), &[], CompositeTrailing::None),
+            lookup(&ix, "P", &cols(&["a", "b"]), &[], CompositeTrailing::None),
             None
         );
         assert_eq!(
-            ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::list([Value::Int(1)])],
@@ -1000,11 +1065,12 @@ mod tests {
         );
         // counts agree with lookups
         assert_eq!(
-            ix.count("P", &c, &[Value::str("icu")], CompositeTrailing::None),
+            count(&ix, "P", &c, &[Value::str("icu")], CompositeTrailing::None),
             Some(3)
         );
         assert_eq!(
-            ix.count(
+            count(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu")],
@@ -1012,45 +1078,65 @@ mod tests {
             ),
             Some(1)
         );
-        assert_eq!(ix.stats("P", &c), Some((6, 6)));
+        assert_eq!(totals(&ix, "P", &c), Some((6, 6)));
     }
 
     #[test]
     fn trailing_prefix_bound() {
-        let mut ix = NodeCompositeIndex::default();
+        let mut ix = NodeIndex::default();
         let c = cols(&["k", "s"]);
         ix.create("A", &c);
         for (i, (k, s)) in [(1i64, "alpha"), (1, "alphabet"), (1, "beta"), (2, "alpha")]
             .iter()
             .enumerate()
         {
-            ix.index_item_label(
+            put(
+                &mut ix,
                 "A",
                 &props(&[("k", Value::Int(*k)), ("s", Value::str(*s))]),
                 NodeId(i as u64),
             );
         }
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "A",
                 &c,
                 &[Value::Int(1)],
                 CompositeTrailing::Prefix("alpha")
-            )),
+            ),
             Some(vec![0, 1])
         );
         assert_eq!(
-            ids(ix.lookup("A", &c, &[Value::Int(1)], CompositeTrailing::Prefix("z"))),
+            lookup(
+                &ix,
+                "A",
+                &c,
+                &[Value::Int(1)],
+                CompositeTrailing::Prefix("z")
+            ),
             Some(vec![])
         );
         // the empty prefix matches every string (and only strings)
-        ix.index_item_label("A", &props(&[("k", Value::Int(1))]), NodeId(9));
+        put(&mut ix, "A", &props(&[("k", Value::Int(1))]), NodeId(9));
         assert_eq!(
-            ids(ix.lookup("A", &c, &[Value::Int(1)], CompositeTrailing::Prefix(""))),
+            lookup(
+                &ix,
+                "A",
+                &c,
+                &[Value::Int(1)],
+                CompositeTrailing::Prefix("")
+            ),
             Some(vec![0, 1, 2])
         );
         assert_eq!(
-            ix.count("A", &c, &[Value::Int(1)], CompositeTrailing::Prefix("alp")),
+            count(
+                &ix,
+                "A",
+                &c,
+                &[Value::Int(1)],
+                CompositeTrailing::Prefix("alp")
+            ),
             Some(2)
         );
     }
@@ -1060,64 +1146,68 @@ mod tests {
         let mut ix = fixture();
         let c = cols(&["status", "severity"]);
         let p = props(&[("status", Value::str("icu")), ("severity", Value::Int(9))]);
-        ix.deindex_item_label("P", &p, NodeId(0));
+        take(&mut ix, "P", &p, NodeId(0));
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu"), Value::Int(9)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![])
         );
-        assert_eq!(ix.stats("P", &c), Some((5, 5)));
-        ix.index_item_label("P", &p, NodeId(0));
+        assert_eq!(totals(&ix, "P", &c), Some((5, 5)));
+        put(&mut ix, "P", &p, NodeId(0));
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "P",
                 &c,
                 &[Value::str("icu"), Value::Int(9)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![0])
         );
     }
 
     #[test]
     fn exclusions_refuse_sub_width_probes_only() {
-        let mut ix = NodeCompositeIndex::default();
+        let mut ix = NodeIndex::default();
         let c = cols(&["a", "b"]);
         ix.create("A", &c);
-        ix.index_item_label(
+        put(
+            &mut ix,
             "A",
             &props(&[("a", Value::Int(1)), ("b", Value::Int(5))]),
             NodeId(0),
         );
         // a record with an unkeyable column value is excluded whole
         let excluded = props(&[("a", Value::Int(1)), ("b", Value::list([Value::Int(1)]))]);
-        ix.index_item_label("A", &excluded, NodeId(1));
+        put(&mut ix, "A", &excluded, NodeId(1));
         // sub-width probes could miss it → refused
         assert_eq!(
-            ix.lookup("A", &c, &[Value::Int(1)], CompositeTrailing::None),
+            lookup(&ix, "A", &c, &[Value::Int(1)], CompositeTrailing::None),
             None
         );
         // full-width equality stays answerable (a keyable probe never
         // eq3-equals the excluded list)
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "A",
                 &c,
                 &[Value::Int(1), Value::Int(5)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![0])
         );
         // ordered walks refuse
         assert!(ix.ordered_walk("A", &c, &[], false).is_none());
         // removing the exclusion restores everything
-        ix.deindex_item_label("A", &excluded, NodeId(1));
+        take(&mut ix, "A", &excluded, NodeId(1));
         assert_eq!(
-            ids(ix.lookup("A", &c, &[Value::Int(1)], CompositeTrailing::None)),
+            lookup(&ix, "A", &c, &[Value::Int(1)], CompositeTrailing::None),
             Some(vec![0])
         );
         assert!(ix.ordered_walk("A", &c, &[], false).is_some());
@@ -1126,19 +1216,21 @@ mod tests {
     #[test]
     fn lossy_numerics_refuse_numeric_trailing_ranges() {
         let bound = 1i64 << 53;
-        let mut ix = NodeCompositeIndex::default();
+        let mut ix = NodeIndex::default();
         let c = cols(&["a", "b"]);
         ix.create("A", &c);
-        ix.index_item_label(
+        put(
+            &mut ix,
             "A",
             &props(&[("a", Value::Int(1)), ("b", Value::Int(5))]),
             NodeId(0),
         );
         let lossy = props(&[("a", Value::Int(1)), ("b", Value::Int(bound + 1))]);
-        ix.index_item_label("A", &lossy, NodeId(1));
+        put(&mut ix, "A", &lossy, NodeId(1));
         // the lossy record would satisfy `b > 0` but is not indexed
         assert_eq!(
-            ix.lookup(
+            lookup(
+                &ix,
                 "A",
                 &c,
                 &[Value::Int(1)],
@@ -1148,22 +1240,24 @@ mod tests {
         );
         // full-width equality still answers
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "A",
                 &c,
                 &[Value::Int(1), Value::Int(5)],
                 CompositeTrailing::None
-            )),
+            ),
             Some(vec![0])
         );
-        ix.deindex_item_label("A", &lossy, NodeId(1));
+        take(&mut ix, "A", &lossy, NodeId(1));
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "A",
                 &c,
                 &[Value::Int(1)],
                 CompositeTrailing::Range(Bound::Excluded(&Value::Int(0)), Bound::Unbounded)
-            )),
+            ),
             Some(vec![0])
         );
     }
@@ -1207,7 +1301,7 @@ mod tests {
 
     #[test]
     fn mixed_family_segments_order_like_cmp_order() {
-        let mut ix = NodeCompositeIndex::default();
+        let mut ix = NodeIndex::default();
         let c = cols(&["a", "b"]);
         ix.create("M", &c);
         let rows = [
@@ -1218,7 +1312,8 @@ mod tests {
             (Value::Date(3), Value::Int(0)),     // 4
         ];
         for (i, (a, b)) in rows.iter().enumerate() {
-            ix.index_item_label(
+            put(
+                &mut ix,
                 "M",
                 &props(&[("a", a.clone()), ("b", b.clone())]),
                 NodeId(i as u64),
@@ -1233,42 +1328,346 @@ mod tests {
         assert_eq!(asc, vec![0, 1, 2, 3, 4]);
         // a numeric trailing range on the leading column sees only numerics
         assert_eq!(
-            ids(ix.lookup(
+            lookup(
+                &ix,
                 "M",
                 &c,
                 &[],
                 CompositeTrailing::Range(Bound::Included(&Value::Int(0)), Bound::Unbounded)
-            )),
+            ),
             Some(vec![2, 3])
         );
     }
 
     #[test]
     fn leading_column_histogram_estimates() {
-        let mut ix = NodeCompositeIndex::default();
+        let mut ix = NodeIndex::default();
         let c = cols(&["a", "b"]);
         ix.create("A", &c);
         for i in 0..2000i64 {
-            ix.index_item_label(
+            put(
+                &mut ix,
                 "A",
                 &props(&[("a", Value::Int(i)), ("b", Value::Int(i % 7))]),
                 NodeId(i as u64),
             );
         }
-        assert_eq!(ix.stats("A", &c), Some((2000, 2000)));
-        let est = ix
-            .count(
-                "A",
-                &c,
-                &[],
-                CompositeTrailing::Range(
-                    Bound::Included(&Value::Int(0)),
-                    Bound::Excluded(&Value::Int(200)),
-                ),
-            )
-            .unwrap();
+        assert_eq!(totals(&ix, "A", &c), Some((2000, 2000)));
+        let est = count(
+            &ix,
+            "A",
+            &c,
+            &[],
+            CompositeTrailing::Range(
+                Bound::Included(&Value::Int(0)),
+                Bound::Excluded(&Value::Int(200)),
+            ),
+        )
+        .unwrap();
         let depth = 2000usize.div_ceil(32);
         let bound = 2 * depth + 2000 / 8;
         assert!(est.abs_diff(200) <= bound, "est {est} too far from 200");
+    }
+
+    // --------------------------------------------------------------
+    // Width 1: a single-key index is the same core. `single` indexes one
+    // value per node id under `("A", ["x"])`; `eq`/`range`/`prefix`
+    // express the three single-key probe shapes.
+    // --------------------------------------------------------------
+
+    fn single(values: &[Value]) -> NodeIndex {
+        let mut ix = NodeIndex::default();
+        assert!(ix.create("A", &cols(&["x"])));
+        for (i, v) in values.iter().enumerate() {
+            put(&mut ix, "A", &props(&[("x", v.clone())]), NodeId(i as u64));
+        }
+        ix
+    }
+
+    fn eq(ix: &NodeIndex, v: &Value) -> Option<Vec<u64>> {
+        let one = std::slice::from_ref(v);
+        lookup(ix, "A", &cols(&["x"]), one, CompositeTrailing::None)
+    }
+
+    fn range(ix: &NodeIndex, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<Vec<u64>> {
+        lookup(
+            ix,
+            "A",
+            &cols(&["x"]),
+            &[],
+            CompositeTrailing::Range(lo, hi),
+        )
+    }
+
+    fn prefix(ix: &NodeIndex, p: &str) -> Option<Vec<u64>> {
+        lookup(ix, "A", &cols(&["x"]), &[], CompositeTrailing::Prefix(p))
+    }
+
+    #[test]
+    fn single_key_lookup_distinguishes_empty_from_unanswerable() {
+        let ix = single(&[Value::Int(1)]);
+        assert_eq!(eq(&ix, &Value::Int(1)), Some(vec![0]));
+        // cross-type numeric equality answered from the same key
+        assert_eq!(eq(&ix, &Value::Float(1.0)), Some(vec![0]));
+        // indexed, absent value → definitive empty
+        assert_eq!(eq(&ix, &Value::Int(2)), Some(vec![]));
+        // NULL / NaN equal nothing → definitive empty
+        assert_eq!(eq(&ix, &Value::Null), Some(vec![]));
+        assert_eq!(eq(&ix, &Value::Float(f64::NAN)), Some(vec![]));
+        // lists and huge numerics cannot be answered
+        assert_eq!(eq(&ix, &Value::list([Value::Int(1)])), None);
+        assert_eq!(eq(&ix, &Value::Int(i64::MAX)), None);
+        // unindexed (label, key)
+        let one = [Value::Int(1)];
+        let none = CompositeTrailing::None;
+        assert_eq!(lookup(&ix, "A", &cols(&["y"]), &one, none), None);
+        assert_eq!(lookup(&ix, "B", &cols(&["x"]), &one, none), None);
+    }
+
+    #[test]
+    fn single_key_remove_prunes_empty_buckets() {
+        let v = Value::str("v");
+        let mut ix = single(&[v.clone(), v.clone()]);
+        take(&mut ix, "A", &props(&[("x", v.clone())]), NodeId(0));
+        assert_eq!(eq(&ix, &v), Some(vec![1]));
+        take(&mut ix, "A", &props(&[("x", v.clone())]), NodeId(1));
+        assert_eq!(eq(&ix, &v), Some(vec![]));
+        assert_eq!(totals(&ix, "A", &cols(&["x"])), Some((0, 0)));
+    }
+
+    #[test]
+    fn single_key_numeric_ranges_interleave_ints_and_floats() {
+        let ix = single(&[
+            Value::Int(1),
+            Value::Float(1.5),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::Int(3),
+        ]);
+        use Bound::*;
+        // closed interval crossing the Int/Float interleave
+        assert_eq!(
+            range(&ix, Included(&Value::Float(1.5)), Excluded(&Value::Int(3))),
+            Some(vec![1, 2, 3])
+        );
+        // one-sided ranges
+        assert_eq!(
+            range(&ix, Excluded(&Value::Int(2)), Unbounded),
+            Some(vec![3, 4])
+        );
+        assert_eq!(
+            range(&ix, Unbounded, Included(&Value::Float(1.5))),
+            Some(vec![0, 1])
+        );
+        // inverted and cross-family ranges are definitively empty
+        assert_eq!(
+            range(&ix, Included(&Value::Int(5)), Included(&Value::Int(4))),
+            Some(vec![])
+        );
+        assert_eq!(
+            range(&ix, Included(&Value::Int(1)), Included(&Value::str("z"))),
+            Some(vec![])
+        );
+        // NULL bounds compare to nothing
+        assert_eq!(range(&ix, Excluded(&Value::Null), Unbounded), Some(vec![]));
+        // both-unbounded is not a range predicate
+        assert_eq!(range(&ix, Unbounded, Unbounded), None);
+    }
+
+    #[test]
+    fn single_key_ranges_respect_type_families() {
+        let ix = single(&[
+            Value::Int(5),
+            Value::str("m"),
+            Value::Bool(true),
+            Value::Date(10),
+            Value::DateTime(10),
+        ]);
+        use Bound::*;
+        // a string range sees only strings (cmp3 is NULL across types)
+        assert_eq!(
+            range(&ix, Included(&Value::str("a")), Unbounded),
+            Some(vec![1])
+        );
+        // a numeric range sees only numerics, not dates
+        assert_eq!(
+            range(&ix, Included(&Value::Int(0)), Unbounded),
+            Some(vec![0])
+        );
+        // date vs datetime stay separate
+        assert_eq!(
+            range(&ix, Included(&Value::Date(0)), Unbounded),
+            Some(vec![3])
+        );
+        assert_eq!(
+            range(&ix, Unbounded, Included(&Value::DateTime(99))),
+            Some(vec![4])
+        );
+        assert_eq!(
+            range(&ix, Excluded(&Value::Bool(false)), Unbounded),
+            Some(vec![2])
+        );
+    }
+
+    #[test]
+    fn single_key_lossy_numerics_disable_numeric_ranges_only() {
+        let bound = 1i64 << 53;
+        // a stored out-of-range numeric would satisfy `> 0` but is not in
+        // the index: numeric ranges must refuse, equality must still work.
+        let lossy = Value::Int(bound + 1);
+        let mut ix = single(&[Value::Int(1), Value::str("s"), lossy.clone()]);
+        use Bound::*;
+        assert_eq!(range(&ix, Excluded(&Value::Int(0)), Unbounded), None);
+        assert_eq!(eq(&ix, &Value::Int(1)), Some(vec![0]));
+        // string ranges and prefix scans are unaffected
+        assert_eq!(
+            range(&ix, Included(&Value::str("")), Unbounded),
+            Some(vec![1])
+        );
+        assert_eq!(prefix(&ix, "s"), Some(vec![1]));
+        // count probes refuse exactly like lookups
+        let from0 = CompositeTrailing::Range(Included(&Value::Int(0)), Unbounded);
+        assert_eq!(count(&ix, "A", &cols(&["x"]), &[], from0), None);
+        // removing the lossy value re-enables numeric ranges
+        take(&mut ix, "A", &props(&[("x", lossy)]), NodeId(2));
+        assert_eq!(
+            range(&ix, Excluded(&Value::Int(0)), Unbounded),
+            Some(vec![0])
+        );
+        // an out-of-range *bound* is refused even with a clean index
+        assert_eq!(range(&ix, Included(&Value::Int(bound)), Unbounded), None);
+        // NaN bounds compare to nothing → definitively empty
+        assert_eq!(
+            range(&ix, Included(&Value::Float(f64::NAN)), Unbounded),
+            Some(vec![])
+        );
+    }
+
+    #[test]
+    fn single_key_prefix_matches_starts_with() {
+        let ix = single(&[
+            Value::str("alpha"),
+            Value::str("alphabet"),
+            Value::str("beta"),
+            Value::Int(7), // non-string: never matches
+        ]);
+        assert_eq!(prefix(&ix, "alpha"), Some(vec![0, 1]));
+        assert_eq!(prefix(&ix, "alphabe"), Some(vec![1]));
+        assert_eq!(prefix(&ix, "z"), Some(vec![]));
+        // empty prefix matches every string (and only strings)
+        assert_eq!(prefix(&ix, ""), Some(vec![0, 1, 2]));
+        let p = CompositeTrailing::Prefix("alp");
+        assert_eq!(count(&ix, "A", &cols(&["x"]), &[], p), Some(2));
+    }
+
+    #[test]
+    fn single_key_counts_and_stats() {
+        let values: Vec<Value> = (0..50).map(|i| Value::Int(i % 10)).collect();
+        let mut ix = single(&values);
+        let c = cols(&["x"]);
+        let none = CompositeTrailing::None;
+        // equality: exact count, no materialization
+        assert_eq!(count(&ix, "A", &c, &[Value::Int(3)], none), Some(5));
+        assert_eq!(count(&ix, "A", &c, &[Value::Int(99)], none), Some(0));
+        assert_eq!(count(&ix, "A", &c, &[Value::Null], none), Some(0));
+        assert_eq!(count(&ix, "A", &c, &[Value::Int(i64::MAX)], none), None);
+        // a property-less node is indexed under the missing marker: it
+        // joins the whole-extent totals but not the keyed ones
+        put(&mut ix, "A", &PropertyMap::new(), NodeId(50));
+        assert_eq!(
+            ix.stats("A", &c),
+            Some(IndexStats {
+                total: 51,
+                distinct: 11,
+                keyed_total: 50,
+                keyed_distinct: 10,
+            })
+        );
+        // range count: an estimate within the documented error bound
+        // (2·depth + drift), never counting the missing marker
+        let below5 = CompositeTrailing::Range(
+            Bound::Included(&Value::Int(0)),
+            Bound::Excluded(&Value::Int(5)),
+        );
+        let est = count(&ix, "A", &c, &[], below5).unwrap();
+        let bound = 2 * 50usize.div_ceil(32) + 16;
+        assert!(est.abs_diff(25) <= bound, "estimate {est} too far from 25");
+    }
+
+    #[test]
+    fn single_key_ordered_walk_matches_cmp_order_with_missing_last() {
+        // mixed families: cmp_order ranks Str < Bool < numerics < Date
+        let mut ix = single(&[
+            Value::Int(2),
+            Value::Float(1.5),
+            Value::str("b"),
+            Value::str("a"),
+            Value::Bool(true),
+            Value::Date(7),
+        ]);
+        put(&mut ix, "A", &PropertyMap::new(), NodeId(6)); // NULL key
+        let c = cols(&["x"]);
+        let walk = |ix: &NodeIndex, desc: bool| -> Option<Vec<u64>> {
+            Some(ix.ordered_walk("A", &c, &[], desc)?.map(|n| n.0).collect())
+        };
+        // "a", "b", true, 1.5, 2, date(7), NULL
+        assert_eq!(walk(&ix, false), Some(vec![3, 2, 4, 1, 0, 5, 6]));
+        // descending is the exact reverse: NULL leads
+        assert_eq!(walk(&ix, true), Some(vec![6, 5, 0, 1, 4, 2, 3]));
+        // walks refuse while unkeyable values are present…
+        let list = props(&[("x", Value::list([Value::Int(1)]))]);
+        put(&mut ix, "A", &list, NodeId(9));
+        assert_eq!(walk(&ix, false), None);
+        take(&mut ix, "A", &list, NodeId(9));
+        assert!(walk(&ix, false).is_some());
+        // …and while lossy numerics are present
+        let lossy = props(&[("x", Value::Int(1 << 60))]);
+        put(&mut ix, "A", &lossy, NodeId(9));
+        assert_eq!(walk(&ix, false), None);
+        take(&mut ix, "A", &lossy, NodeId(9));
+        assert!(walk(&ix, false).is_some());
+    }
+
+    #[test]
+    fn changed_key_skips_definitions_not_carrying_it() {
+        let mut ix = NodeIndex::default();
+        let (x, xy) = (cols(&["x"]), cols(&["x", "y"]));
+        ix.create("A", &x);
+        ix.create("A", &xy);
+        let before = props(&[("x", Value::Int(1)), ("y", Value::Int(2))]);
+        put(&mut ix, "A", &before, NodeId(0));
+        // `y` changes: only the definition carrying it is touched, and the
+        // deindex/reindex pair leaves every entry exact
+        let after = props(&[("x", Value::Int(1)), ("y", Value::Int(3))]);
+        ix.deindex_item(once("A"), &before, NodeId(0), Some("y"));
+        ix.index_item(once("A"), &after, NodeId(0), Some("y"));
+        let none = CompositeTrailing::None;
+        assert_eq!(lookup(&ix, "A", &x, &[Value::Int(1)], none), Some(vec![0]));
+        let old = [Value::Int(1), Value::Int(2)];
+        let new = [Value::Int(1), Value::Int(3)];
+        assert_eq!(lookup(&ix, "A", &xy, &old, none), Some(vec![]));
+        assert_eq!(lookup(&ix, "A", &xy, &new, none), Some(vec![0]));
+        assert_eq!(totals(&ix, "A", &x), Some((1, 1)));
+        assert_eq!(totals(&ix, "A", &xy), Some((1, 1)));
+    }
+
+    #[test]
+    fn rel_index_is_the_same_core() {
+        let mut ix: CompositeIndex<RelId> = CompositeIndex::default();
+        let w = cols(&["w"]);
+        assert!(ix.create("R", &w));
+        ix.index_item(once("R"), &props(&[("w", Value::Int(5))]), RelId(1), None);
+        ix.index_item(once("R"), &props(&[("w", Value::Int(9))]), RelId(2), None);
+        let five = [Value::Int(5)];
+        let eq5 = IndexProbe {
+            columns: &w,
+            eq: &five,
+            trailing: CompositeTrailing::None,
+        };
+        assert_eq!(ix.lookup("R", eq5), Some(vec![RelId(1)]));
+        assert_eq!(ix.lookup("S", eq5), None);
+        ix.deindex_item(once("R"), &props(&[("w", Value::Int(5))]), RelId(1), None);
+        assert_eq!(ix.lookup("R", eq5), Some(vec![]));
+        assert_eq!(ix.definitions(), vec![("R".to_string(), w.clone())]);
     }
 }

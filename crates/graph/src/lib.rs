@@ -13,16 +13,14 @@
 //!   assigned/removed properties with old and new values;
 //! * read **views**: the live graph, and a [`PreStateView`] that exposes the
 //!   state *before* a statement ran (needed for `BEFORE` trigger semantics);
-//! * **property indexes** (`(label, key, value)` → node set and
-//!   `(type, key, value)` → relationship set, [`prop_index`]) kept
-//!   consistent through every mutation *and undo* path, giving the query
-//!   layer index-backed access paths for equality, ordered range
-//!   (`<`/`<=`/`>`/`>=`), and `STARTS WITH` prefix predicates;
-//! * **composite (multi-key) indexes** ([`composite`]): lexicographic key
-//!   vectors over several properties of one label / relationship type,
-//!   serving conjunctions (equality prefix + one trailing range/prefix
-//!   bound) and multi-key `ORDER BY` walks, maintained through the same
-//!   mutation and undo paths;
+//! * **property indexes** ([`composite`]): `(label, [k1, k2, …])` and
+//!   `(type, [k1, k2, …])` → lexicographic key vectors → item sets — a
+//!   single-key index is the width-1 case — kept consistent through every
+//!   mutation *and undo* path, giving the query layer index-backed access
+//!   paths for equality, ordered range (`<`/`<=`/`>`/`>=`) and
+//!   `STARTS WITH` prefix predicates, their conjunctions (an equality
+//!   prefix and one trailing bound), and `ORDER BY` walks, all through one
+//!   probe entry point ([`GraphView::probe`]);
 //! * **snapshot-isolated reads** ([`snapshot`]): the single writer publishes
 //!   commit epochs, and any number of reader threads pin cheap, immutable
 //!   [`Snapshot`]s — full [`GraphView`]s over persistent (structurally
@@ -50,15 +48,11 @@ pub mod value;
 pub mod view;
 
 pub use codec::CodecError;
-pub use composite::{
-    CompositeIndex, CompositeTrailing, IndexProbe, IndexStats, NodeCompositeIndex,
-    RelCompositeIndex,
-};
+pub use composite::{CompositeTrailing, IndexProbe, IndexStats};
 pub use delta::{Delta, LabelEvent, PropAssign, PropRemove};
 pub use error::{GraphError, Result};
 pub use ids::{ItemRef, NodeId, RelId};
 pub use op::Op;
-pub use prop_index::{IndexKey, KeyedIndex, PropIndex, RelPropIndex};
 pub use props::PropertyMap;
 pub use record::{NodeRecord, RelRecord};
 pub use snapshot::{GraphHandle, Snapshot};

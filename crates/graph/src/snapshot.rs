@@ -92,7 +92,7 @@ impl GraphHandle {
 /// An immutable [`crate::GraphView`] pinned to one committed epoch.
 ///
 /// Cheap to create (two `Arc` clones) and to hold; implements the full
-/// read surface — extent scans, property/composite index probes, ordered
+/// read surface — extent scans, index probes, ordered
 /// top-k walks, statistics — against the pinned version, so the query
 /// planner and executor run unchanged against it. Each snapshot carries
 /// its **own** probe counters ([`Snapshot::index_probes`]), so concurrent

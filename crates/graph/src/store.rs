@@ -1,16 +1,12 @@
 //! The graph store: storage, indexes, transactions, the mutation API, and
 //! commit-epoch publication for snapshot-isolated readers.
 
-use crate::composite::{
-    CompositeIndex, CompositeTrailing, IndexProbe, IndexStats, NodeCompositeIndex,
-    RelCompositeIndex,
-};
+use crate::composite::{CompositeIndex, CompositeTrailing, IndexProbe, IndexStats};
 use crate::delta::Delta;
 use crate::error::{GraphError, Result};
 use crate::ids::{ItemRef, NodeId, RelId};
 use crate::op::Op;
 use crate::pmap::{PMap, TailSet};
-use crate::prop_index::{KeyedIndex, PropIndex, RelPropIndex};
 use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
 use crate::snapshot::{GraphHandle, Publisher, Snapshot};
@@ -18,6 +14,7 @@ use crate::stats::{degree_bucket, DegreeHistogram};
 use crate::value::{Direction, Value};
 use crate::view::{GraphView, IndexScope, ProbeMode, Probed};
 use std::collections::{BTreeSet, HashMap};
+use std::iter::once;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -142,19 +139,15 @@ pub(crate) struct StoreState {
     in_adj: PMap<NodeId, Vec<RelId>>,
     label_index: HashMap<Arc<str>, TailSet<NodeId>>,
     type_index: HashMap<Arc<str>, TailSet<RelId>>,
-    /// Property indexes (`CREATE INDEX ON :Label(key)`), maintained
-    /// through every mutation and undo path below.
-    prop_index: PropIndex,
-    /// Relationship-property indexes (`CREATE INDEX ON -[:TYPE(key)]-`),
-    /// maintained through the same mutation and undo paths.
-    rel_prop_index: RelPropIndex,
-    /// Composite node indexes (`CREATE INDEX ON :Label(k1, k2, …)`),
-    /// maintained record-at-a-time through every mutation and undo path:
-    /// a touched record is deindexed before and reindexed after each
-    /// change, so the key vector always reflects the full record.
-    composite_index: NodeCompositeIndex,
-    /// Composite relationship indexes (`CREATE INDEX ON -[:TYPE(k1, k2)]-`).
-    rel_composite_index: RelCompositeIndex,
+    /// Node property indexes (`CREATE INDEX ON :Label(k1, …)`; a single
+    /// key is the width-1 case), maintained record-at-a-time through
+    /// every mutation and undo path below: a touched record is deindexed
+    /// before and reindexed after each change, so the key vector always
+    /// reflects the full record.
+    node_index: CompositeIndex<NodeId>,
+    /// Relationship property indexes (`CREATE INDEX ON -[:TYPE(k1, …)]-`),
+    /// maintained through the same paths.
+    rel_index: CompositeIndex<RelId>,
     /// Per-(label, rel-type, direction) degree statistics feeding join
     /// *output* cardinality estimation: `degree_stats[label][type]` holds
     /// `[out, in]` entries, each with an **exact** incidence (edge) count
@@ -224,11 +217,11 @@ impl StoreState {
         for l in &record.labels {
             extent_insert(&mut self.label_index, l, record.id);
         }
-        self.prop_index.index_node(&record);
-        self.composite_index.index_item(
+        self.node_index.index_item(
             record.labels.iter().map(String::as_str),
             &record.props,
             record.id,
+            None,
         );
         // Adjacency entries are created on demand by `raw_insert_rel`; a
         // missing entry reads as empty everywhere, and skipping the eager
@@ -243,11 +236,11 @@ impl StoreState {
                     ix.remove(&id);
                 }
             }
-            self.prop_index.deindex_node(&rec);
-            self.composite_index.deindex_item(
+            self.node_index.deindex_item(
                 rec.labels.iter().map(String::as_str),
                 &rec.props,
                 id,
+                None,
             );
         }
         self.out_adj.remove(&id);
@@ -256,9 +249,12 @@ impl StoreState {
 
     fn raw_insert_rel(&mut self, record: RelRecord) {
         extent_insert(&mut self.type_index, &record.rel_type, record.id);
-        self.rel_prop_index.index_rel(&record);
-        self.rel_composite_index
-            .index_item_label(&record.rel_type, &record.props, record.id);
+        self.rel_index.index_item(
+            once(record.rel_type.as_str()),
+            &record.props,
+            record.id,
+            None,
+        );
         self.out_adj.get_or_default(record.src).push(record.id);
         self.in_adj.get_or_default(record.dst).push(record.id);
         let (src, dst) = (record.src, record.dst);
@@ -273,9 +269,8 @@ impl StoreState {
             if let Some(ix) = self.type_index.get_mut(rec.rel_type.as_str()) {
                 ix.remove(&id);
             }
-            self.rel_prop_index.deindex_rel(&rec);
-            self.rel_composite_index
-                .deindex_item_label(&rec.rel_type, &rec.props, id);
+            self.rel_index
+                .deindex_item(once(rec.rel_type.as_str()), &rec.props, id, None);
             if let Some(adj) = self.out_adj.get_mut(&rec.src) {
                 adj.retain(|&r| r != id);
             }
@@ -410,11 +405,8 @@ impl StoreState {
                     if let Some(n) = self.nodes.get_mut(node) {
                         let n = Arc::make_mut(n);
                         n.labels.remove(label);
-                        for (k, v) in n.props.iter() {
-                            self.prop_index.remove(label, k, v, *node);
-                        }
-                        self.composite_index
-                            .deindex_item_label(label, &n.props, *node);
+                        self.node_index
+                            .deindex_item(once(label.as_str()), &n.props, *node, None);
                     }
                     if let Some(ix) = self.label_index.get_mut(label.as_str()) {
                         ix.remove(node);
@@ -425,100 +417,58 @@ impl StoreState {
                     if let Some(n) = self.nodes.get_mut(node) {
                         let n = Arc::make_mut(n);
                         n.labels.insert(label.clone());
-                        for (k, v) in n.props.iter() {
-                            self.prop_index.insert(label, k, v, *node);
-                        }
-                        self.composite_index
-                            .index_item_label(label, &n.props, *node);
+                        self.node_index
+                            .index_item(once(label.as_str()), &n.props, *node, None);
                     }
                     extent_insert(&mut self.label_index, label, *node);
                     self.degree_note_label(*node, label, true);
                 }
-                Op::SetNodeProp {
-                    node,
-                    key,
-                    old,
-                    new,
-                } => {
-                    if let Some(n) = self.nodes.get_mut(node) {
-                        let n = Arc::make_mut(n);
-                        self.composite_index.deindex_item(
-                            n.labels.iter().map(String::as_str),
-                            &n.props,
-                            *node,
-                        );
-                        for l in n.labels.iter() {
-                            self.prop_index.remove(l, key, new, *node);
-                        }
-                        match old {
-                            Some(v) => {
-                                n.props.set(key.clone(), v.clone());
-                                for l in n.labels.iter() {
-                                    self.prop_index.insert(l, key, v, *node);
-                                }
-                            }
-                            None => {
-                                n.props.remove(key);
-                            }
-                        }
-                        self.composite_index.index_item(
-                            n.labels.iter().map(String::as_str),
-                            &n.props,
-                            *node,
-                        );
-                    }
+                Op::SetNodeProp { node, key, old, .. } => {
+                    self.put_node_prop(*node, key, old.clone());
                 }
                 Op::RemoveNodeProp { node, key, old } => {
-                    if let Some(n) = self.nodes.get_mut(node) {
-                        let n = Arc::make_mut(n);
-                        self.composite_index.deindex_item(
-                            n.labels.iter().map(String::as_str),
-                            &n.props,
-                            *node,
-                        );
-                        n.props.set(key.clone(), old.clone());
-                        for l in n.labels.iter() {
-                            self.prop_index.insert(l, key, old, *node);
-                        }
-                        self.composite_index.index_item(
-                            n.labels.iter().map(String::as_str),
-                            &n.props,
-                            *node,
-                        );
-                    }
+                    self.put_node_prop(*node, key, Some(old.clone()));
                 }
-                Op::SetRelProp { rel, key, old, new } => {
-                    if let Some(r) = self.rels.get_mut(rel) {
-                        let r = Arc::make_mut(r);
-                        self.rel_composite_index
-                            .deindex_item_label(&r.rel_type, &r.props, *rel);
-                        self.rel_prop_index.remove(&r.rel_type, key, new, *rel);
-                        match old {
-                            Some(v) => {
-                                r.props.set(key.clone(), v.clone());
-                                self.rel_prop_index.insert(&r.rel_type, key, v, *rel);
-                            }
-                            None => {
-                                r.props.remove(key);
-                            }
-                        }
-                        self.rel_composite_index
-                            .index_item_label(&r.rel_type, &r.props, *rel);
-                    }
+                Op::SetRelProp { rel, key, old, .. } => {
+                    self.put_rel_prop(*rel, key, old.clone());
                 }
                 Op::RemoveRelProp { rel, key, old } => {
-                    if let Some(r) = self.rels.get_mut(rel) {
-                        let r = Arc::make_mut(r);
-                        self.rel_composite_index
-                            .deindex_item_label(&r.rel_type, &r.props, *rel);
-                        r.props.set(key.clone(), old.clone());
-                        self.rel_prop_index.insert(&r.rel_type, key, old, *rel);
-                        self.rel_composite_index
-                            .index_item_label(&r.rel_type, &r.props, *rel);
-                    }
+                    self.put_rel_prop(*rel, key, Some(old.clone()));
                 }
             }
         }
+    }
+
+    /// Set (`Some`) or remove (`None`) one node property, reindexing the
+    /// record under the definitions that carry `key`; returns the previous
+    /// value. `None` when the node does not exist. The one write path for
+    /// node properties — mutations and their undo both land here.
+    fn put_node_prop(&mut self, node: NodeId, key: &str, value: Option<Value>) -> Option<Value> {
+        let rec = Arc::make_mut(self.nodes.get_mut(&node)?);
+        let labels = || rec.labels.iter().map(String::as_str);
+        self.node_index
+            .deindex_item(labels(), &rec.props, node, Some(key));
+        let old = match value {
+            Some(v) => rec.props.set(key.to_string(), v),
+            None => rec.props.remove(key),
+        };
+        self.node_index
+            .index_item(labels(), &rec.props, node, Some(key));
+        old
+    }
+
+    /// Relationship counterpart of [`StoreState::put_node_prop`].
+    fn put_rel_prop(&mut self, rel: RelId, key: &str, value: Option<Value>) -> Option<Value> {
+        let rec = Arc::make_mut(self.rels.get_mut(&rel)?);
+        let ty = || once(rec.rel_type.as_str());
+        self.rel_index
+            .deindex_item(ty(), &rec.props, rel, Some(key));
+        let old = match value {
+            Some(v) => rec.props.set(key.to_string(), v),
+            None => rec.props.remove(key),
+        };
+        self.rel_index.index_item(ty(), &rec.props, rel, Some(key));
+        old
     }
 }
 
@@ -1011,11 +961,8 @@ impl Graph {
         let st = self.state_mut();
         let rec = Arc::make_mut(st.nodes.get_mut(&node).expect("existence checked above"));
         rec.labels.insert(label.clone());
-        for (k, v) in rec.props.iter() {
-            st.prop_index.insert(&label, k, v, node);
-        }
-        st.composite_index
-            .index_item_label(&label, &rec.props, node);
+        st.node_index
+            .index_item(once(label.as_str()), &rec.props, node, None);
         extent_insert(&mut st.label_index, &label, node);
         st.degree_note_label(node, &label, true);
         self.log(Op::SetLabel { node, label });
@@ -1038,11 +985,8 @@ impl Graph {
         let st = self.state_mut();
         let rec = Arc::make_mut(st.nodes.get_mut(&node).expect("existence checked above"));
         rec.labels.remove(label);
-        for (k, v) in rec.props.iter() {
-            st.prop_index.remove(label, k, v, node);
-        }
-        st.composite_index
-            .deindex_item_label(label, &rec.props, node);
+        st.node_index
+            .deindex_item(once(label), &rec.props, node, None);
         if let Some(ix) = st.label_index.get_mut(label) {
             ix.remove(&node);
         }
@@ -1073,33 +1017,15 @@ impl Graph {
         if !self.state.nodes.contains_key(&node) {
             return Err(GraphError::NodeNotFound(node));
         }
-        let st = self.state_mut();
-        let rec = Arc::make_mut(st.nodes.get_mut(&node).expect("existence checked above"));
-        st.composite_index
-            .deindex_item(rec.labels.iter().map(String::as_str), &rec.props, node);
         if value.is_null() {
-            let old = rec.props.remove(&key);
-            if let Some(old_v) = &old {
-                for l in rec.labels.iter() {
-                    st.prop_index.remove(l, &key, old_v, node);
-                }
-            }
-            st.composite_index
-                .index_item(rec.labels.iter().map(String::as_str), &rec.props, node);
-            if let Some(old) = old {
+            if let Some(old) = self.state_mut().put_node_prop(node, &key, None) {
                 self.log(Op::RemoveNodeProp { node, key, old });
             }
             return Ok(());
         }
-        let old = rec.props.set(key.clone(), value.clone());
-        for l in rec.labels.iter() {
-            if let Some(old_v) = &old {
-                st.prop_index.remove(l, &key, old_v, node);
-            }
-            st.prop_index.insert(l, &key, &value, node);
-        }
-        st.composite_index
-            .index_item(rec.labels.iter().map(String::as_str), &rec.props, node);
+        let old = self
+            .state_mut()
+            .put_node_prop(node, &key, Some(value.clone()));
         self.log(Op::SetNodeProp {
             node,
             key,
@@ -1115,18 +1041,7 @@ impl Graph {
         if !self.state.nodes.contains_key(&node) {
             return Err(GraphError::NodeNotFound(node));
         }
-        let st = self.state_mut();
-        let rec = Arc::make_mut(st.nodes.get_mut(&node).expect("existence checked above"));
-        st.composite_index
-            .deindex_item(rec.labels.iter().map(String::as_str), &rec.props, node);
-        let old = rec.props.remove(key);
-        if let Some(old_v) = &old {
-            for l in rec.labels.iter() {
-                st.prop_index.remove(l, key, old_v, node);
-            }
-        }
-        st.composite_index
-            .index_item(rec.labels.iter().map(String::as_str), &rec.props, node);
+        let old = self.state_mut().put_node_prop(node, key, None);
         if let Some(old_v) = &old {
             self.log(Op::RemoveNodeProp {
                 node,
@@ -1150,29 +1065,15 @@ impl Graph {
         if !self.state.rels.contains_key(&rel) {
             return Err(GraphError::RelNotFound(rel));
         }
-        let st = self.state_mut();
-        let rec = Arc::make_mut(st.rels.get_mut(&rel).expect("existence checked above"));
-        st.rel_composite_index
-            .deindex_item_label(&rec.rel_type, &rec.props, rel);
         if value.is_null() {
-            let old = rec.props.remove(&key);
-            if let Some(old_v) = &old {
-                st.rel_prop_index.remove(&rec.rel_type, &key, old_v, rel);
-            }
-            st.rel_composite_index
-                .index_item_label(&rec.rel_type, &rec.props, rel);
-            if let Some(old) = old {
+            if let Some(old) = self.state_mut().put_rel_prop(rel, &key, None) {
                 self.log(Op::RemoveRelProp { rel, key, old });
             }
             return Ok(());
         }
-        let old = rec.props.set(key.clone(), value.clone());
-        if let Some(old_v) = &old {
-            st.rel_prop_index.remove(&rec.rel_type, &key, old_v, rel);
-        }
-        st.rel_prop_index.insert(&rec.rel_type, &key, &value, rel);
-        st.rel_composite_index
-            .index_item_label(&rec.rel_type, &rec.props, rel);
+        let old = self
+            .state_mut()
+            .put_rel_prop(rel, &key, Some(value.clone()));
         self.log(Op::SetRelProp {
             rel,
             key,
@@ -1188,16 +1089,7 @@ impl Graph {
         if !self.state.rels.contains_key(&rel) {
             return Err(GraphError::RelNotFound(rel));
         }
-        let st = self.state_mut();
-        let rec = Arc::make_mut(st.rels.get_mut(&rel).expect("existence checked above"));
-        st.rel_composite_index
-            .deindex_item_label(&rec.rel_type, &rec.props, rel);
-        let old = rec.props.remove(key);
-        if let Some(old_v) = &old {
-            st.rel_prop_index.remove(&rec.rel_type, key, old_v, rel);
-        }
-        st.rel_composite_index
-            .index_item_label(&rec.rel_type, &rec.props, rel);
+        let old = self.state_mut().put_rel_prop(rel, key, None);
         if let Some(old_v) = &old {
             self.log(Op::RemoveRelProp {
                 rel,
@@ -1267,164 +1159,126 @@ impl Graph {
     // Property indexes (DDL)
     // ------------------------------------------------------------------
 
-    /// Create a property index on `(label, key)` and populate it from the
-    /// current extent. Returns `false` when it already exists.
+    /// Create a property index on `(label, columns)` and populate it from
+    /// the current extent. Returns `false` when it already exists or the
+    /// column list is malformed (empty, or repeats a column).
     ///
     /// Index DDL is not transactional: the definition survives rollback
     /// (its *entries* are kept consistent by the undo paths).
-    pub fn create_index(&mut self, label: &str, key: &str) -> bool {
-        if self.state.prop_index.is_indexed(label, key) {
-            return false;
-        }
-        let st = self.state_mut();
-        st.prop_index.create(label, key);
-        if let Some(extent) = st.label_index.get(label) {
-            for id in extent.iter() {
-                if let Some(v) = st.nodes.get(id).and_then(|rec| rec.props.get(key)) {
-                    st.prop_index.insert(label, key, v, *id);
-                }
-            }
-        }
-        true
-    }
-
-    /// Drop the property index on `(label, key)`; `false` when absent.
-    pub fn drop_index(&mut self, label: &str, key: &str) -> bool {
-        if !self.state.prop_index.is_indexed(label, key) {
-            return false;
-        }
-        self.state_mut().prop_index.drop_index(label, key)
-    }
-
-    /// Whether `(label, key)` is indexed.
-    pub fn has_index(&self, label: &str, key: &str) -> bool {
-        self.state.prop_index.is_indexed(label, key)
-    }
-
-    /// All `(label, key)` index definitions, sorted.
-    pub fn indexes(&self) -> Vec<(String, String)> {
-        self.state.prop_index.definitions()
-    }
-
-    /// Create a relationship-property index on `(rel_type, key)` and
-    /// populate it from the current type extent. Returns `false` when it
-    /// already exists. Like node indexes, the definition is not
-    /// transactional (entries are kept consistent by the undo paths).
-    pub fn create_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
-        if self.state.rel_prop_index.is_indexed(rel_type, key) {
-            return false;
-        }
-        let st = self.state_mut();
-        st.rel_prop_index.create(rel_type, key);
-        if let Some(extent) = st.type_index.get(rel_type) {
-            for id in extent.iter() {
-                if let Some(v) = st.rels.get(id).and_then(|rec| rec.props.get(key)) {
-                    st.rel_prop_index.insert(rel_type, key, v, *id);
-                }
-            }
-        }
-        true
-    }
-
-    /// Drop the relationship-property index on `(rel_type, key)`.
-    pub fn drop_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
-        if !self.state.rel_prop_index.is_indexed(rel_type, key) {
-            return false;
-        }
-        self.state_mut().rel_prop_index.drop_index(rel_type, key)
-    }
-
-    /// Whether `(rel_type, key)` is indexed.
-    pub fn has_rel_index(&self, rel_type: &str, key: &str) -> bool {
-        self.state.rel_prop_index.is_indexed(rel_type, key)
-    }
-
-    /// All `(rel_type, key)` relationship-index definitions, sorted.
-    pub fn rel_indexes(&self) -> Vec<(String, String)> {
-        self.state.rel_prop_index.definitions()
-    }
-
-    /// Create a composite index on `(label, columns)` and populate it from
-    /// the current extent. Returns `false` when it already exists or the
-    /// column list is malformed (fewer than two columns, or repeats).
-    /// Like single-key indexes, the definition is not transactional (its
-    /// entries are kept consistent by the undo paths).
     pub fn create_composite_index(&mut self, label: &str, columns: &[String]) -> bool {
-        if self.state.composite_index.is_indexed(label, columns) {
+        if self.state.node_index.is_indexed(label, columns) {
             return false;
         }
         let st = self.state_mut();
-        if !st.composite_index.create(label, columns) {
+        if !st.node_index.create(label, columns) {
             return false;
         }
-        if let Some(extent) = st.label_index.get(label) {
-            for id in extent.iter() {
-                if let Some(rec) = st.nodes.get(id) {
-                    st.composite_index
-                        .insert_into(label, columns, &rec.props, *id);
-                }
+        for id in st.label_index.get(label).into_iter().flat_map(|x| x.iter()) {
+            if let Some(rec) = st.nodes.get(id) {
+                st.node_index.insert_into(label, columns, &rec.props, *id);
             }
         }
         true
     }
 
-    /// Drop the composite index on `(label, columns)`; `false` when absent.
+    /// Drop the index on `(label, columns)`; `false` when absent.
     pub fn drop_composite_index(&mut self, label: &str, columns: &[String]) -> bool {
-        if !self.state.composite_index.is_indexed(label, columns) {
-            return false;
-        }
-        self.state_mut().composite_index.drop_index(label, columns)
+        self.state.node_index.is_indexed(label, columns)
+            && self.state_mut().node_index.drop_index(label, columns)
     }
 
-    /// Whether `(label, columns)` carries a composite index.
+    /// Whether `(label, columns)` is indexed.
     pub fn has_composite_index(&self, label: &str, columns: &[String]) -> bool {
-        self.state.composite_index.is_indexed(label, columns)
+        self.state.node_index.is_indexed(label, columns)
     }
 
-    /// All `(label, columns)` composite-index definitions, sorted.
+    /// All multi-key `(label, columns)` index definitions, sorted.
     pub fn composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        self.state.composite_index.definitions()
+        let mut defs = self.state.node_index.definitions();
+        defs.retain(|(_, columns)| columns.len() > 1);
+        defs
     }
 
-    /// Create a composite relationship index on `(rel_type, columns)` and
-    /// populate it from the current type extent.
+    /// Create the single-key index `(label, [key])`.
+    pub fn create_index(&mut self, label: &str, key: &str) -> bool {
+        self.create_composite_index(label, &[key.to_string()])
+    }
+
+    /// Drop the single-key index on `(label, key)`; `false` when absent.
+    pub fn drop_index(&mut self, label: &str, key: &str) -> bool {
+        self.drop_composite_index(label, &[key.to_string()])
+    }
+
+    /// Whether `(label, key)` carries a single-key index.
+    pub fn has_index(&self, label: &str, key: &str) -> bool {
+        self.has_composite_index(label, &[key.to_string()])
+    }
+
+    /// All single-key `(label, key)` index definitions, sorted.
+    pub fn indexes(&self) -> Vec<(String, String)> {
+        single_key_defs(self.state.node_index.definitions())
+    }
+
+    /// Create a relationship-property index on `(rel_type, columns)` and
+    /// populate it from the current type extent; same contract as
+    /// [`Graph::create_composite_index`].
     pub fn create_rel_composite_index(&mut self, rel_type: &str, columns: &[String]) -> bool {
-        if self.state.rel_composite_index.is_indexed(rel_type, columns) {
+        if self.state.rel_index.is_indexed(rel_type, columns) {
             return false;
         }
         let st = self.state_mut();
-        if !st.rel_composite_index.create(rel_type, columns) {
+        if !st.rel_index.create(rel_type, columns) {
             return false;
         }
-        if let Some(extent) = st.type_index.get(rel_type) {
-            for id in extent.iter() {
-                if let Some(rec) = st.rels.get(id) {
-                    st.rel_composite_index
-                        .insert_into(rel_type, columns, &rec.props, *id);
-                }
+        for id in st
+            .type_index
+            .get(rel_type)
+            .into_iter()
+            .flat_map(|x| x.iter())
+        {
+            if let Some(rec) = st.rels.get(id) {
+                st.rel_index.insert_into(rel_type, columns, &rec.props, *id);
             }
         }
         true
     }
 
-    /// Drop the composite relationship index on `(rel_type, columns)`.
+    /// Drop the relationship index on `(rel_type, columns)`.
     pub fn drop_rel_composite_index(&mut self, rel_type: &str, columns: &[String]) -> bool {
-        if !self.state.rel_composite_index.is_indexed(rel_type, columns) {
-            return false;
-        }
-        self.state_mut()
-            .rel_composite_index
-            .drop_index(rel_type, columns)
+        self.state.rel_index.is_indexed(rel_type, columns)
+            && self.state_mut().rel_index.drop_index(rel_type, columns)
     }
 
-    /// Whether `(rel_type, columns)` carries a composite index.
+    /// Whether `(rel_type, columns)` is indexed.
     pub fn has_rel_composite_index(&self, rel_type: &str, columns: &[String]) -> bool {
-        self.state.rel_composite_index.is_indexed(rel_type, columns)
+        self.state.rel_index.is_indexed(rel_type, columns)
     }
 
-    /// All `(rel_type, columns)` composite relationship-index definitions.
+    /// All multi-key `(rel_type, columns)` index definitions, sorted.
     pub fn rel_composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        self.state.rel_composite_index.definitions()
+        let mut defs = self.state.rel_index.definitions();
+        defs.retain(|(_, columns)| columns.len() > 1);
+        defs
+    }
+
+    /// Create the single-key relationship index `(rel_type, [key])`.
+    pub fn create_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
+        self.create_rel_composite_index(rel_type, &[key.to_string()])
+    }
+
+    /// Drop the single-key relationship index on `(rel_type, key)`.
+    pub fn drop_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
+        self.drop_rel_composite_index(rel_type, &[key.to_string()])
+    }
+
+    /// Whether `(rel_type, key)` carries a single-key index.
+    pub fn has_rel_index(&self, rel_type: &str, key: &str) -> bool {
+        self.has_rel_composite_index(rel_type, &[key.to_string()])
+    }
+
+    /// All single-key `(rel_type, key)` index definitions, sorted.
+    pub fn rel_indexes(&self) -> Vec<(String, String)> {
+        single_key_defs(self.state.rel_index.definitions())
     }
 
     /// Rebuild every index histogram from the live key space (drift → 0).
@@ -1436,10 +1290,8 @@ impl Graph {
     /// fresh, zero-drift histogram.
     pub fn rebuild_stats(&mut self) {
         let st = self.state_mut();
-        st.prop_index.rebuild_stats();
-        st.rel_prop_index.rebuild_stats();
-        st.composite_index.rebuild_stats();
-        st.rel_composite_index.rebuild_stats();
+        st.node_index.rebuild_stats();
+        st.rel_index.rebuild_stats();
         let combos: Vec<(String, String)> = st
             .degree_stats
             .iter()
@@ -1546,45 +1398,28 @@ impl Graph {
     // not indexed or refused, exactly as the probe answers.
     // ------------------------------------------------------------------
 
-    fn probe_ids<Id: From<u64>>(
+    /// Probe the single-key index `(scope, [key])`.
+    fn probe_key(
         &self,
         scope: IndexScope<'_>,
-        columns: &[String],
+        key: &str,
         eq: &[Value],
         trailing: CompositeTrailing<'_>,
-    ) -> Option<Vec<Id>> {
+        mode: ProbeMode,
+    ) -> Option<Probed> {
         let probe = IndexProbe {
-            columns,
+            columns: &[key.to_string()],
             eq,
             trailing,
         };
-        Some(self.probe(scope, probe, ProbeMode::Ids)?.into_ids())
-    }
-
-    fn probe_count(
-        &self,
-        scope: IndexScope<'_>,
-        columns: &[String],
-        eq: &[Value],
-        trailing: CompositeTrailing<'_>,
-    ) -> Option<usize> {
-        let probe = IndexProbe {
-            columns,
-            eq,
-            trailing,
-        };
-        Some(self.probe(scope, probe, ProbeMode::Count)?.count())
+        self.probe(scope, probe, mode)
     }
 
     /// Nodes with `label` whose property `key` equals `value`.
     pub fn nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<Vec<NodeId>> {
-        let eq = std::slice::from_ref(value);
-        self.probe_ids(
-            IndexScope::Label(label),
-            &[key.into()],
-            eq,
-            CompositeTrailing::None,
-        )
+        let (scope, eq) = (IndexScope::Label(label), std::slice::from_ref(value));
+        let hits = self.probe_key(scope, key, eq, CompositeTrailing::None, ProbeMode::Ids)?;
+        Some(hits.into_ids())
     }
 
     /// Nodes with `label` whose property `key` lies within the bounds
@@ -1597,7 +1432,8 @@ impl Graph {
         upper: Bound<&Value>,
     ) -> Option<Vec<NodeId>> {
         let range = CompositeTrailing::Range(lower, upper);
-        self.probe_ids(IndexScope::Label(label), &[key.into()], &[], range)
+        let hits = self.probe_key(IndexScope::Label(label), key, &[], range, ProbeMode::Ids)?;
+        Some(hits.into_ids())
     }
 
     /// Nodes with `label` whose string property `key` starts with `prefix`.
@@ -1608,18 +1444,15 @@ impl Graph {
         prefix: &str,
     ) -> Option<Vec<NodeId>> {
         let prefix = CompositeTrailing::Prefix(prefix);
-        self.probe_ids(IndexScope::Label(label), &[key.into()], &[], prefix)
+        let hits = self.probe_key(IndexScope::Label(label), key, &[], prefix, ProbeMode::Ids)?;
+        Some(hits.into_ids())
     }
 
     /// Relationships of `rel_type` whose property `key` equals `value`.
     pub fn rels_with_prop(&self, rel_type: &str, key: &str, value: &Value) -> Option<Vec<RelId>> {
-        let eq = std::slice::from_ref(value);
-        self.probe_ids(
-            IndexScope::RelType(rel_type),
-            &[key.into()],
-            eq,
-            CompositeTrailing::None,
-        )
+        let (scope, eq) = (IndexScope::RelType(rel_type), std::slice::from_ref(value));
+        let hits = self.probe_key(scope, key, eq, CompositeTrailing::None, ProbeMode::Ids)?;
+        Some(hits.into_ids())
     }
 
     /// Relationships of `rel_type` whose property `key` lies within the
@@ -1631,19 +1464,21 @@ impl Graph {
         lower: Bound<&Value>,
         upper: Bound<&Value>,
     ) -> Option<Vec<RelId>> {
-        let range = CompositeTrailing::Range(lower, upper);
-        self.probe_ids(IndexScope::RelType(rel_type), &[key.into()], &[], range)
+        let (scope, range) = (
+            IndexScope::RelType(rel_type),
+            CompositeTrailing::Range(lower, upper),
+        );
+        Some(
+            self.probe_key(scope, key, &[], range, ProbeMode::Ids)?
+                .into_ids(),
+        )
     }
 
     /// Exact count of [`Graph::nodes_with_prop`] results.
     pub fn count_nodes_with_prop(&self, label: &str, key: &str, value: &Value) -> Option<usize> {
-        let eq = std::slice::from_ref(value);
-        self.probe_count(
-            IndexScope::Label(label),
-            &[key.into()],
-            eq,
-            CompositeTrailing::None,
-        )
+        let (scope, eq) = (IndexScope::Label(label), std::slice::from_ref(value));
+        let hits = self.probe_key(scope, key, eq, CompositeTrailing::None, ProbeMode::Count)?;
+        Some(hits.count())
     }
 
     /// Count **estimate** of [`Graph::nodes_in_prop_range`] results
@@ -1656,7 +1491,8 @@ impl Graph {
         upper: Bound<&Value>,
     ) -> Option<usize> {
         let range = CompositeTrailing::Range(lower, upper);
-        self.probe_count(IndexScope::Label(label), &[key.into()], &[], range)
+        let hits = self.probe_key(IndexScope::Label(label), key, &[], range, ProbeMode::Count)?;
+        Some(hits.count())
     }
 
     /// Nodes a probe of the `(label, columns)` index matches: equality on
@@ -1668,7 +1504,13 @@ impl Graph {
         eq: &[Value],
         trailing: CompositeTrailing<'_>,
     ) -> Option<Vec<NodeId>> {
-        self.probe_ids(IndexScope::Label(label), columns, eq, trailing)
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        let hits = self.probe(IndexScope::Label(label), probe, ProbeMode::Ids)?;
+        Some(hits.into_ids())
     }
 
     /// Count of [`Graph::nodes_with_composite`] results.
@@ -1679,7 +1521,13 @@ impl Graph {
         eq: &[Value],
         trailing: CompositeTrailing<'_>,
     ) -> Option<usize> {
-        self.probe_count(IndexScope::Label(label), columns, eq, trailing)
+        let probe = IndexProbe {
+            columns,
+            eq,
+            trailing,
+        };
+        let hits = self.probe(IndexScope::Label(label), probe, ProbeMode::Count)?;
+        Some(hits.count())
     }
 
     /// `(nodes carrying the key, distinct values)` of the `(label, key)`
@@ -1735,98 +1583,29 @@ impl Graph {
     }
 }
 
-// Width dispatch over the two index cores: width-1 definitions live in
-// the single-key core, wider ones in the composite core.
-
-fn index_defs_two_cores<Id: Ord + Copy>(
-    single: &KeyedIndex<Id>,
-    multi: &CompositeIndex<Id>,
-    label: &str,
-) -> Vec<Vec<String>> {
-    let mut defs: Vec<Vec<String>> = single
-        .keys_for_label(label)
-        .into_iter()
-        .map(|k| vec![k])
-        .collect();
-    defs.sort();
-    defs.extend(multi.defs_for_label(label));
-    defs
+/// The width-1 definitions of a sorted definition list, as `(label, key)`.
+fn single_key_defs(defs: Vec<(String, Vec<String>)>) -> Vec<(String, String)> {
+    defs.into_iter()
+        .filter_map(|(label, mut columns)| (columns.len() == 1).then(|| (label, columns.remove(0))))
+        .collect()
 }
 
-fn probe_two_cores<Id: Ord + Copy + Into<u64>>(
-    single: &KeyedIndex<Id>,
-    multi: &CompositeIndex<Id>,
+/// Answer a probe from one scope's index in the shape `mode` asks for.
+fn run_probe<Id: Ord + Copy + Into<u64>>(
+    index: &CompositeIndex<Id>,
     label: &str,
-    p: IndexProbe<'_>,
+    probe: IndexProbe<'_>,
     mode: ProbeMode,
 ) -> Option<Probed> {
-    let raw = |ids: Vec<Id>| Probed::Ids(ids.into_iter().map(Into::into).collect());
-    let [key] = p.columns else {
-        return match mode {
-            ProbeMode::Count => multi
-                .count(label, p.columns, p.eq, p.trailing)
-                .map(Probed::Count),
-            ProbeMode::Ids => multi.lookup(label, p.columns, p.eq, p.trailing).map(raw),
-        };
-    };
-    match (p.eq, p.trailing, mode) {
-        ([v], CompositeTrailing::None, ProbeMode::Count) => {
-            single.count_eq(label, key, v).map(Probed::Count)
-        }
-        ([v], CompositeTrailing::None, ProbeMode::Ids) => single.lookup(label, key, v).map(raw),
-        ([], CompositeTrailing::Range(lo, hi), ProbeMode::Count) => {
-            single.count_range(label, key, lo, hi).map(Probed::Count)
-        }
-        ([], CompositeTrailing::Range(lo, hi), ProbeMode::Ids) => {
-            single.range_lookup(label, key, lo, hi).map(raw)
-        }
-        ([], CompositeTrailing::Prefix(p), ProbeMode::Count) => {
-            single.count_prefix(label, key, p).map(Probed::Count)
-        }
-        ([], CompositeTrailing::Prefix(p), ProbeMode::Ids) => {
-            single.prefix_lookup(label, key, p).map(raw)
-        }
-        _ => None,
-    }
-}
-
-/// Width-1 walks cover only items that carry the key (callers account
-/// for the rest via [`IndexStats::keyed_total`]); wider walks cover the
-/// whole extent.
-fn walk_two_cores<'s, Id: Ord + Copy + Into<u64> + 's>(
-    single: &'s KeyedIndex<Id>,
-    multi: &'s CompositeIndex<Id>,
-    label: &str,
-    columns: &[String],
-    pins: &[Value],
-    descending: bool,
-) -> Option<Box<dyn Iterator<Item = u64> + 's>> {
-    let walk = match columns {
-        [key] if pins.is_empty() => single.ordered_walk(label, key, descending)?,
-        [_] => return None,
-        _ => multi.ordered_walk(label, columns, pins, descending)?,
-    };
-    Some(Box::new(walk.map(Into::into)))
-}
-
-fn stats_two_cores<Id: Ord + Copy>(
-    single: &KeyedIndex<Id>,
-    multi: &CompositeIndex<Id>,
-    label: &str,
-    columns: &[String],
-) -> Option<IndexStats> {
-    let (total, distinct) = match columns {
-        [key] => single.stats(label, key)?,
-        _ => multi.stats(label, columns)?,
-    };
-    // Neither core tracks missing-leading entries separately yet: the
-    // single-key core indexes keyed items only, the composite core's
-    // statistics are whole-extent.
-    Some(IndexStats {
-        total,
-        distinct,
-        keyed_total: total,
-        keyed_distinct: distinct,
+    Some(match mode {
+        ProbeMode::Count => Probed::Count(index.count(label, probe)?),
+        ProbeMode::Ids => Probed::Ids(
+            index
+                .lookup(label, probe)?
+                .into_iter()
+                .map(Into::into)
+                .collect(),
+        ),
     })
 }
 
@@ -1942,18 +1721,10 @@ macro_rules! impl_graph_view_via_state {
                 out
             }
 
-            fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+            fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
                 match scope {
-                    IndexScope::Label(l) => index_defs_two_cores(
-                        &self.state.prop_index.inner,
-                        &self.state.composite_index,
-                        l,
-                    ),
-                    IndexScope::RelType(t) => index_defs_two_cores(
-                        &self.state.rel_prop_index.inner,
-                        &self.state.rel_composite_index,
-                        t,
-                    ),
+                    IndexScope::Label(l) => self.state.node_index.defs_for_label(l),
+                    IndexScope::RelType(t) => self.state.rel_index.defs_for_label(t),
                 }
             }
 
@@ -1965,20 +1736,8 @@ macro_rules! impl_graph_view_via_state {
             ) -> Option<Probed> {
                 self.probes.note_probe(probe.columns.len(), mode);
                 match scope {
-                    IndexScope::Label(l) => probe_two_cores(
-                        &self.state.prop_index.inner,
-                        &self.state.composite_index,
-                        l,
-                        probe,
-                        mode,
-                    ),
-                    IndexScope::RelType(t) => probe_two_cores(
-                        &self.state.rel_prop_index.inner,
-                        &self.state.rel_composite_index,
-                        t,
-                        probe,
-                        mode,
-                    ),
+                    IndexScope::Label(l) => run_probe(&self.state.node_index, l, probe, mode),
+                    IndexScope::RelType(t) => run_probe(&self.state.rel_index, t, probe, mode),
                 }
             }
 
@@ -1990,41 +1749,27 @@ macro_rules! impl_graph_view_via_state {
                 descending: bool,
             ) -> Option<Box<dyn Iterator<Item = u64> + '_>> {
                 self.probes.ordered.fetch_add(1, AtomicOrdering::Relaxed);
-                match scope {
-                    IndexScope::Label(l) => walk_two_cores(
-                        &self.state.prop_index.inner,
-                        &self.state.composite_index,
-                        l,
-                        columns,
-                        pins,
-                        descending,
+                Some(match scope {
+                    IndexScope::Label(l) => Box::new(
+                        self.state
+                            .node_index
+                            .ordered_walk(l, columns, pins, descending)?
+                            .map(u64::from),
                     ),
-                    IndexScope::RelType(t) => walk_two_cores(
-                        &self.state.rel_prop_index.inner,
-                        &self.state.rel_composite_index,
-                        t,
-                        columns,
-                        pins,
-                        descending,
+                    IndexScope::RelType(t) => Box::new(
+                        self.state
+                            .rel_index
+                            .ordered_walk(t, columns, pins, descending)?
+                            .map(u64::from),
                     ),
-                }
+                })
             }
 
             fn index_stats(&self, scope: IndexScope<'_>, columns: &[String]) -> Option<IndexStats> {
                 self.probes.counting.fetch_add(1, AtomicOrdering::Relaxed);
                 match scope {
-                    IndexScope::Label(l) => stats_two_cores(
-                        &self.state.prop_index.inner,
-                        &self.state.composite_index,
-                        l,
-                        columns,
-                    ),
-                    IndexScope::RelType(t) => stats_two_cores(
-                        &self.state.rel_prop_index.inner,
-                        &self.state.rel_composite_index,
-                        t,
-                        columns,
-                    ),
+                    IndexScope::Label(l) => self.state.node_index.stats(l, columns),
+                    IndexScope::RelType(t) => self.state.rel_index.stats(t, columns),
                 }
             }
 

@@ -8,13 +8,14 @@
 //! §4.2 "Action Time").
 
 use crate::composite::{IndexProbe, IndexStats};
-use crate::ids::{ItemRef, NodeId, RelId};
+use crate::ids::{NodeId, RelId};
 use crate::op::Op;
 use crate::record::{NodeRecord, RelRecord};
 use crate::store::Graph;
 use crate::value::{Direction, Value};
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// The extent an index definition covers — and thereby the kind of item
 /// its probes return: node ids under a label, relationship ids under a
@@ -23,17 +24,6 @@ use std::hash::Hash;
 pub enum IndexScope<'a> {
     Label(&'a str),
     RelType(&'a str),
-}
-
-impl IndexScope<'_> {
-    /// The graph item a raw id returned by this scope's probes and walks
-    /// denotes.
-    pub fn item(&self, raw: u64) -> ItemRef {
-        match self {
-            IndexScope::Label(_) => ItemRef::Node(NodeId(raw)),
-            IndexScope::RelType(_) => ItemRef::Rel(RelId(raw)),
-        }
-    }
 }
 
 /// What a [`GraphView::probe`] should produce.
@@ -137,7 +127,7 @@ pub trait GraphView {
 
     /// The column lists indexed under `scope` (planner discovery; DDL is
     /// not transactional, so overlay views delegate to their base graph).
-    fn index_defs(&self, _scope: IndexScope<'_>) -> Vec<Vec<String>> {
+    fn index_defs(&self, _scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
         Vec::new()
     }
 
@@ -542,7 +532,7 @@ impl GraphView for PreStateView<'_> {
     // stay at the trait defaults: an overlay cannot be merged into a walk
     // in O(touched).
 
-    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Vec<String>> {
+    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
         self.base.index_defs(scope)
     }
 

@@ -4,13 +4,18 @@
 //! * rollback restores the exact pre-transaction state;
 //! * the label index always equals a full scan;
 //! * adjacency is consistent with relationship endpoints;
-//! * the pre-state view of a statement equals the actual pre-state;
+//! * the pre-state view of a statement equals the actual pre-state —
+//!   records, adjacency, and every overlay-corrected index probe;
 //! * delta normalization is sound (created ∩ deleted = ∅, events never
 //!   reference items created later in the same slice).
 
-use pg_graph::{Direction, Graph, GraphView, NodeId, PreStateView, PropertyMap, Value};
+use pg_graph::{
+    CompositeTrailing, Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, PreStateView,
+    ProbeMode, PropertyMap, Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::ops::Bound;
 
 /// A random mutation script step, referencing nodes/rels by dense index so
 /// scripts stay valid regardless of prior steps.
@@ -76,8 +81,16 @@ fn apply(g: &mut Graph, step: &Step) {
             if !nodes.is_empty() {
                 let s = nodes[src % nodes.len()];
                 let d = nodes[dst % nodes.len()];
-                g.create_rel(s, d, format!("T{ty}"), PropertyMap::new())
-                    .unwrap();
+                // Properties are a function of the step, so twins agree and
+                // the relationship indexes have something to key on.
+                let props: PropertyMap = [
+                    (prop_name(0), Value::Int((src % 5) as i64 - 2)),
+                    (prop_name(1), Value::Int((dst % 3) as i64)),
+                ]
+                .into_iter()
+                .filter(|_| src % 4 != 0)
+                .collect();
+                g.create_rel(s, d, format!("T{ty}"), props).unwrap();
             }
         }
         Step::DeleteRel { pick } => {
@@ -152,6 +165,87 @@ fn check_indexes(g: &Graph) {
     }
 }
 
+/// Width-1 and width-2 definitions over the script's labels, types and
+/// property names, for nodes and relationships.
+fn index_defs() -> Vec<(bool, String, Vec<String>)> {
+    let cols = |ps: &[u8]| ps.iter().map(|p| prop_name(*p)).collect::<Vec<_>>();
+    vec![
+        (true, label_name(0), cols(&[0])),
+        (true, label_name(1), cols(&[1])),
+        (true, label_name(0), cols(&[0, 1])),
+        (true, label_name(1), cols(&[2, 0])),
+        (false, "T0".to_string(), cols(&[0])),
+        (false, "T1".to_string(), cols(&[1])),
+        (false, "T0".to_string(), cols(&[0, 1])),
+    ]
+}
+
+fn create_indexes(g: &mut Graph) {
+    for (node, name, columns) in index_defs() {
+        let created = if node {
+            g.create_composite_index(&name, &columns)
+        } else {
+            g.create_rel_composite_index(&name, &columns)
+        };
+        assert!(created);
+    }
+}
+
+/// Every probe shape × {ids, count}: the pre-state view's overlay-corrected
+/// answer must equal the reference pre-state graph's own index answer (or
+/// both refuse). Leading-column range *counts* are histogram estimates
+/// whose drift depends on each twin's history, so there only the refusal
+/// must agree.
+fn check_probes(view: &PreStateView<'_>, reference: &Graph) {
+    let vals: Vec<Value> = (-5..5).map(Value::Int).collect();
+    for (node, name, columns) in index_defs() {
+        let scope = if node {
+            IndexScope::Label(&name)
+        } else {
+            IndexScope::RelType(&name)
+        };
+        let mut specs: Vec<(Vec<Value>, CompositeTrailing<'_>)> = Vec::new();
+        for (i, v) in vals.iter().enumerate() {
+            let from = CompositeTrailing::Range(Bound::Included(v), Bound::Unbounded);
+            let below = CompositeTrailing::Range(Bound::Unbounded, Bound::Excluded(v));
+            // leading-column equality (full width at 1, sub-width at 2),
+            // range and prefix
+            specs.push((vec![v.clone()], CompositeTrailing::None));
+            specs.push((vec![], from));
+            specs.push((vec![], below));
+            if columns.len() == 2 {
+                // full-width equality, and equality + trailing bound
+                specs.push((
+                    vec![v.clone(), vals[(i * 3) % 10].clone()],
+                    CompositeTrailing::None,
+                ));
+                specs.push((vec![v.clone()], from));
+                specs.push((vec![v.clone()], CompositeTrailing::Prefix("")));
+            }
+        }
+        specs.push((vec![], CompositeTrailing::Prefix("")));
+        for (eq, trailing) in &specs {
+            let probe = IndexProbe {
+                columns: &columns,
+                eq,
+                trailing: *trailing,
+            };
+            for mode in [ProbeMode::Ids, ProbeMode::Count] {
+                let got = view.probe(scope, probe, mode);
+                let want = reference.probe(scope, probe, mode);
+                let estimated = mode == ProbeMode::Count
+                    && eq.is_empty()
+                    && matches!(trailing, CompositeTrailing::Range(..));
+                if estimated {
+                    assert_eq!(got.is_some(), want.is_some(), "{name}{columns:?} {probe:?}");
+                } else {
+                    assert_eq!(got, want, "{name}{columns:?} {probe:?} {mode:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -185,15 +279,18 @@ proptest! {
         // Build the pre-state twice: once as a live graph (reference), once
         // via PreStateView over the post-state.
         let mut reference = Graph::new();
+        create_indexes(&mut reference);
         for s in &pre { apply(&mut reference, s); }
 
         let mut g = Graph::new();
+        create_indexes(&mut g);
         for s in &pre { apply(&mut g, s); }
         g.begin().unwrap();
         let mark = g.mark();
         for s in &stmt { apply(&mut g, s); }
         let ops = g.ops_since(mark).to_vec();
         let view = PreStateView::new(&g, &ops);
+        check_probes(&view, &reference);
 
         prop_assert_eq!(view.all_node_ids(), reference.all_node_ids());
         prop_assert_eq!(view.all_rel_ids(), reference.all_rel_ids());
