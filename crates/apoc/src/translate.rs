@@ -306,7 +306,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
     let mut cond_expr = plan.label_check.clone();
     let mut condition_pipeline = String::new();
     if let Some(cond) = &spec.condition {
-        let renamed = rename_vars(cond, &plan.renames);
+        let renamed = rename_vars(cond.query(), &plan.renames);
         match renamed.clauses.as_slice() {
             [Clause::Where(pred)] => {
                 cond_expr = Expr::Binary(
@@ -328,7 +328,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
     // ------------------------------------------------------------------
     // Statement + operands.
     // ------------------------------------------------------------------
-    let statement = rename_vars(&spec.statement, &plan.renames);
+    let statement = rename_vars(spec.statement.query(), &plan.renames);
     let stmt_text = unparse_query(&statement);
 
     // Operands = variables the statement references that the prefix (or the
@@ -339,7 +339,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
         bound.insert(v.clone());
     }
     if let Some(cond) = &spec.condition {
-        collect_bound_vars(&rename_vars(cond, &plan.renames), &mut bound);
+        collect_bound_vars(&rename_vars(cond.query(), &plan.renames), &mut bound);
     }
     let mut referenced: BTreeSet<String> = BTreeSet::new();
     collect_var_refs(&statement, &mut referenced);

@@ -72,9 +72,7 @@ fn main() {
     let threshold = quick.then_some(0.0);
     let g = follower_graph(n, follows, 0, wz_total);
 
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
+    let cores = pg_cypher::hardware_parallelism();
     let mut ceilings = vec![1usize, 2, 4];
     if cores > 4 {
         ceilings.push(cores);

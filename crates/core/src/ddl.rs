@@ -27,7 +27,8 @@ use crate::spec::*;
 use pg_cypher::ast::{Clause, RemoveItem, SetItem};
 use pg_cypher::lexer::lex;
 use pg_cypher::token::{Token, TokenKind};
-use pg_cypher::{parse_expression, parse_query_lenient, Query};
+use pg_cypher::{parse_expression, parse_query_lenient, Query, StatementClass};
+use std::sync::Arc;
 
 /// A parsed DDL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +40,7 @@ pub enum DdlStatement {
 /// Quick check whether a source string looks like trigger DDL (used by the
 /// session to dispatch between DDL and queries).
 pub fn is_trigger_ddl(src: &str) -> bool {
-    let up = src.trim_start().to_ascii_uppercase();
-    up.starts_with("CREATE TRIGGER") || up.starts_with("DROP TRIGGER")
+    StatementClass::of(src) == StatementClass::TriggerDdl
 }
 
 /// A parsed property-index DDL statement.
@@ -72,8 +72,7 @@ pub enum IndexDdl {
 
 /// Quick check whether a source string looks like index DDL.
 pub fn is_index_ddl(src: &str) -> bool {
-    let up = src.trim_start().to_ascii_uppercase();
-    up.starts_with("CREATE INDEX") || up.starts_with("DROP INDEX")
+    StatementClass::of(src) == StatementClass::IndexDdl
 }
 
 /// Parse `CREATE INDEX ON :Label(key)` / `DROP INDEX ON :Label(key)`
@@ -399,9 +398,10 @@ impl<'a> DdlParser<'a> {
         // Parse embedded fragments.
         let condition = match condition_src {
             None => None,
-            Some(text) => Some(parse_condition(text)?),
+            Some(text) => Some(Arc::new(parse_condition(text)?.into())),
         };
         let statement = parse_query_lenient(body_src).map_err(InstallError::Parse)?;
+        let statement = Arc::new(statement.into());
 
         let spec = TriggerSpec {
             name,
@@ -520,7 +520,7 @@ pub fn validate_spec(spec: &TriggerSpec) -> Result<(), InstallError> {
     }
 
     // The statement may not set/remove the target label.
-    if statement_mutates_label(&spec.statement.clauses, &spec.label) {
+    if statement_mutates_label(&spec.statement.query().clauses, &spec.label) {
         return Err(InstallError::TargetLabelMutation {
             trigger: spec.name.clone(),
             label: spec.label.clone(),
@@ -529,7 +529,7 @@ pub fn validate_spec(spec: &TriggerSpec) -> Result<(), InstallError> {
 
     // BEFORE statements may only condition NEW states: reads, SET, ABORT.
     if spec.time == ActionTime::Before {
-        if let Some(clause) = first_strong_clause(&spec.statement.clauses) {
+        if let Some(clause) = first_strong_clause(&spec.statement.query().clauses) {
             return Err(InstallError::BeforeStatementTooStrong {
                 trigger: spec.name.clone(),
                 clause,
@@ -615,7 +615,7 @@ mod tests {
         assert_eq!(t.granularity, Granularity::Each);
         assert_eq!(t.item, ItemKind::Node);
         assert!(t.condition.is_some());
-        assert_eq!(t.statement.clauses.len(), 1);
+        assert_eq!(t.statement.query().clauses.len(), 1);
     }
 
     /// Paper §6.2.1 — property-event trigger.
@@ -657,7 +657,7 @@ mod tests {
         );
         assert_eq!(t.granularity, Granularity::All);
         let cond = t.condition.unwrap();
-        assert_eq!(cond.clauses.len(), 2); // MATCH + WITH(where)
+        assert_eq!(cond.query().clauses.len(), 2); // MATCH + WITH(where)
     }
 
     /// Paper §6.2.3 — trigger with FOREACH/THEN/BEGIN body.
@@ -690,7 +690,7 @@ mod tests {
              END",
         );
         assert_eq!(t.name, "MoveToNearHospital");
-        assert!(t.statement.clauses.len() >= 4);
+        assert!(t.statement.query().clauses.len() >= 4);
     }
 
     #[test]
@@ -830,7 +830,9 @@ mod tests {
         // a condition that mutates is rejected — build via spec directly
         let mut spec =
             create("CREATE TRIGGER t AFTER CREATE ON 'L' FOR EACH NODE BEGIN CREATE (:X) END");
-        spec.condition = Some(pg_cypher::parse_query("CREATE (:Evil)").unwrap());
+        spec.condition = Some(Arc::new(
+            pg_cypher::parse_query("CREATE (:Evil)").unwrap().into(),
+        ));
         assert!(matches!(
             validate_spec(&spec),
             Err(InstallError::UpdatingCondition(_))
@@ -949,6 +951,6 @@ mod tests {
                SET n.size = CASE WHEN n.x > 10 THEN 'big' ELSE 'small' END
              END",
         );
-        assert_eq!(t.statement.clauses.len(), 2);
+        assert_eq!(t.statement.query().clauses.len(), 2);
     }
 }

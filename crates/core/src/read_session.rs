@@ -35,8 +35,12 @@
 //! ```
 
 use crate::error::TriggerError;
-use pg_cypher::{parse_query, run_read_only, Params, QueryOutput};
+use pg_cypher::{
+    run_prepared, CypherError, Params, Prepared, QueryOutput, Row, StatementCache, StatementClass,
+    Target,
+};
 use pg_graph::{GraphHandle, IndexProbes, Snapshot};
+use std::sync::Arc;
 
 /// A read-only query session over an epoch-pinned [`Snapshot`].
 ///
@@ -49,6 +53,9 @@ pub struct ReadSession {
     handle: GraphHandle,
     snapshot: Snapshot,
     now_ms: i64,
+    /// Statements prepared from text by [`ReadSession::prepare`]. Holds
+    /// parsed texts only — never rows, plans or a snapshot.
+    statements: StatementCache,
 }
 
 impl ReadSession {
@@ -59,6 +66,7 @@ impl ReadSession {
             handle,
             snapshot,
             now_ms: 0,
+            statements: StatementCache::new(),
         }
     }
 
@@ -100,10 +108,35 @@ impl ReadSession {
         src: &str,
         params: &Params,
     ) -> Result<QueryOutput, TriggerError> {
+        let stmt = self.prepare(src)?;
+        self.run_prepared(&stmt, Vec::new(), params)
+    }
+
+    /// Prepare `src` through this session's statement cache: classify
+    /// it and, unless it is DDL, parse it — once per distinct text.
+    pub fn prepare(&mut self, src: &str) -> Result<Arc<Prepared>, TriggerError> {
+        Ok(self.statements.get_or_prepare(src)?)
+    }
+
+    /// Run a prepared query against the pinned snapshot from `seeds` —
+    /// the one execution entry point of a read session. Only the query
+    /// class runs here: DDL and `EXPLAIN` belong to the writer.
+    pub fn run_prepared(
+        &mut self,
+        stmt: &Prepared,
+        seeds: Vec<Row>,
+        params: &Params,
+    ) -> Result<QueryOutput, TriggerError> {
+        match stmt.class() {
+            StatementClass::Query => {}
+            StatementClass::Explain => return Err(CypherError::ReadOnly("EXPLAIN").into()),
+            StatementClass::TriggerDdl | StatementClass::IndexDdl => {
+                return Err(CypherError::ReadOnly("DDL").into())
+            }
+        }
         self.now_ms += 1000;
-        let query = parse_query(src)?;
-        let out = run_read_only(&self.snapshot, &query, Vec::new(), params, self.now_ms)?;
-        Ok(out)
+        let target = Target::Read(&self.snapshot);
+        Ok(run_prepared(target, stmt, seeds, params, self.now_ms)?)
     }
 
     /// This session's own index-probe counters (see

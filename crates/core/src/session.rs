@@ -23,12 +23,13 @@
 
 use crate::binding::{affected_items, seed_rows, Affected};
 use crate::catalog::{DeltaSignature, OrderPolicy, TriggerCatalog};
-use crate::ddl::{
-    is_index_ddl, is_trigger_ddl, parse_index_ddl, parse_trigger_ddl, DdlStatement, IndexDdl,
-};
+use crate::ddl::{parse_index_ddl, parse_trigger_ddl, DdlStatement, IndexDdl};
 use crate::error::{InstallError, TriggerError};
 use crate::spec::{ActionTime, TriggerSpec};
-use pg_cypher::{parse_query, run_ast, run_read_only, Params, Query, QueryOutput, Row};
+use pg_cypher::{
+    run_prepared, CypherError, Params, Prepared, Query, QueryOutput, Row, StatementCache,
+    StatementClass, Target,
+};
 use pg_graph::{Graph, PreStateView, StatementMark, WritePolicy};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -141,6 +142,20 @@ pub struct Session {
     /// Attached durability layer (WAL + snapshots) when opened through
     /// [`Session::open_durable`]; `None` for in-memory sessions.
     durable: Option<pg_wal::Durable>,
+    /// Statements prepared from text by [`Session::prepare`].
+    statements: StatementCache,
+}
+
+/// What the row-returning fronts answer for a statement of another class.
+const NOT_A_QUERY: TriggerError =
+    TriggerError::Session("expected a query; DDL and EXPLAIN go through execute()");
+
+/// The rows of a query-class result; the other classes have none.
+fn query_output(result: ExecResult) -> Result<QueryOutput, TriggerError> {
+    match result {
+        ExecResult::Query(out) => Ok(out),
+        _ => Err(NOT_A_QUERY),
+    }
 }
 
 impl Default for Session {
@@ -167,6 +182,7 @@ impl Session {
             stats: EngineStats::default(),
             schema: None,
             durable: None,
+            statements: StatementCache::new(),
         }
     }
 
@@ -381,68 +397,107 @@ impl Session {
     // Statement execution
     // ------------------------------------------------------------------
 
-    /// Execute DDL (trigger or index) or a query, dispatching on the text.
+    /// Prepare `src` through this session's statement cache: classify
+    /// it and, unless it is DDL, parse it — once per distinct text.
+    pub fn prepare(&mut self, src: &str) -> Result<Arc<Prepared>, TriggerError> {
+        Ok(self.statements.get_or_prepare(src)?)
+    }
+
+    /// Execute DDL (trigger or index), an `EXPLAIN` or a query,
+    /// dispatching on the text.
     pub fn execute(&mut self, src: &str) -> Result<ExecResult, TriggerError> {
-        if is_trigger_ddl(src) {
-            match parse_trigger_ddl(src).map_err(TriggerError::Install)? {
-                DdlStatement::CreateTrigger(spec) => {
-                    let name = self.install_spec(spec).map_err(TriggerError::Install)?;
-                    Ok(ExecResult::TriggerCreated(name))
+        let stmt = self.prepare(src)?;
+        self.run_prepared(&stmt, Vec::new(), &Params::new())
+    }
+
+    /// Run a prepared statement of any class — the one execution entry
+    /// point; [`Session::execute`], [`Session::run`],
+    /// [`Session::run_with_params`] and [`Session::run_query_ast`] all end
+    /// here. A query runs as one statement (auto-commit unless inside an
+    /// explicit transaction) from `seeds`, with full trigger processing.
+    /// An `EXPLAIN` renders the plan of its query under `params` — chosen
+    /// access paths, degree-statistics join-output estimates, and, for a
+    /// read-only query, which is executed once against the current graph,
+    /// the actual row count next to the estimate. DDL takes no parameters.
+    pub fn run_prepared(
+        &mut self,
+        stmt: &Prepared,
+        seeds: Vec<Row>,
+        params: &Params,
+    ) -> Result<ExecResult, TriggerError> {
+        match stmt.class() {
+            StatementClass::Query => self
+                .run_statement(stmt, seeds, params)
+                .map(ExecResult::Query),
+            StatementClass::Explain => {
+                pg_cypher::explain_prepared(&self.graph, stmt, params, self.now_ms, None)
+                    .map(ExecResult::Explain)
+                    .map_err(TriggerError::Cypher)
+            }
+            StatementClass::TriggerDdl | StatementClass::IndexDdl => {
+                if !params.is_empty() {
+                    return Err(TriggerError::Cypher(CypherError::type_err(
+                        "DDL statements take no parameters",
+                    )));
                 }
-                DdlStatement::DropTrigger(name) => {
-                    self.drop_trigger(&name)?;
-                    Ok(ExecResult::TriggerDropped(name))
+                let text = stmt.text().expect("DDL classes are prepared from text");
+                if stmt.class() == StatementClass::TriggerDdl {
+                    self.execute_trigger_ddl(text)
+                } else {
+                    self.execute_index_ddl(text)
                 }
             }
-        } else if is_index_ddl(src) {
-            match parse_index_ddl(src).map_err(TriggerError::Install)? {
-                IndexDdl::Create { label, key } => {
-                    self.create_index(&label, &key)?;
-                    Ok(ExecResult::IndexCreated { label, key })
-                }
-                IndexDdl::Drop { label, key } => {
-                    self.drop_index(&label, &key)?;
-                    Ok(ExecResult::IndexDropped { label, key })
-                }
-                IndexDdl::CreateRel { rel_type, key } => {
-                    self.create_rel_index(&rel_type, &key)?;
-                    Ok(ExecResult::RelIndexCreated { rel_type, key })
-                }
-                IndexDdl::DropRel { rel_type, key } => {
-                    self.drop_rel_index(&rel_type, &key)?;
-                    Ok(ExecResult::RelIndexDropped { rel_type, key })
-                }
-                IndexDdl::CreateComposite { label, columns } => {
-                    self.create_composite_index(&label, &columns)?;
-                    Ok(ExecResult::CompositeIndexCreated { label, columns })
-                }
-                IndexDdl::DropComposite { label, columns } => {
-                    self.drop_composite_index(&label, &columns)?;
-                    Ok(ExecResult::CompositeIndexDropped { label, columns })
-                }
-                IndexDdl::CreateRelComposite { rel_type, columns } => {
-                    self.create_rel_composite_index(&rel_type, &columns)?;
-                    Ok(ExecResult::RelCompositeIndexCreated { rel_type, columns })
-                }
-                IndexDdl::DropRelComposite { rel_type, columns } => {
-                    self.drop_rel_composite_index(&rel_type, &columns)?;
-                    Ok(ExecResult::RelCompositeIndexDropped { rel_type, columns })
-                }
-            }
-        } else if let Some(rest) = pg_cypher::strip_explain(src) {
-            self.explain(rest).map(ExecResult::Explain)
-        } else {
-            self.run(src).map(ExecResult::Query)
         }
     }
 
-    /// Render the physical plan of `src` (without the `EXPLAIN` keyword):
-    /// chosen access paths, degree-statistics join-output estimates, and
-    /// — for read-only queries, which are executed once against the
-    /// current graph — the actual row count next to the estimate.
-    pub fn explain(&self, src: &str) -> Result<String, TriggerError> {
-        pg_cypher::explain_query(&self.graph, src, &Params::new(), self.now_ms)
-            .map_err(TriggerError::Cypher)
+    fn execute_trigger_ddl(&mut self, src: &str) -> Result<ExecResult, TriggerError> {
+        match parse_trigger_ddl(src).map_err(TriggerError::Install)? {
+            DdlStatement::CreateTrigger(spec) => {
+                let name = self.install_spec(spec).map_err(TriggerError::Install)?;
+                Ok(ExecResult::TriggerCreated(name))
+            }
+            DdlStatement::DropTrigger(name) => {
+                self.drop_trigger(&name)?;
+                Ok(ExecResult::TriggerDropped(name))
+            }
+        }
+    }
+
+    fn execute_index_ddl(&mut self, src: &str) -> Result<ExecResult, TriggerError> {
+        match parse_index_ddl(src).map_err(TriggerError::Install)? {
+            IndexDdl::Create { label, key } => {
+                self.create_index(&label, &key)?;
+                Ok(ExecResult::IndexCreated { label, key })
+            }
+            IndexDdl::Drop { label, key } => {
+                self.drop_index(&label, &key)?;
+                Ok(ExecResult::IndexDropped { label, key })
+            }
+            IndexDdl::CreateRel { rel_type, key } => {
+                self.create_rel_index(&rel_type, &key)?;
+                Ok(ExecResult::RelIndexCreated { rel_type, key })
+            }
+            IndexDdl::DropRel { rel_type, key } => {
+                self.drop_rel_index(&rel_type, &key)?;
+                Ok(ExecResult::RelIndexDropped { rel_type, key })
+            }
+            IndexDdl::CreateComposite { label, columns } => {
+                self.create_composite_index(&label, &columns)?;
+                Ok(ExecResult::CompositeIndexCreated { label, columns })
+            }
+            IndexDdl::DropComposite { label, columns } => {
+                self.drop_composite_index(&label, &columns)?;
+                Ok(ExecResult::CompositeIndexDropped { label, columns })
+            }
+            IndexDdl::CreateRelComposite { rel_type, columns } => {
+                self.create_rel_composite_index(&rel_type, &columns)?;
+                Ok(ExecResult::RelCompositeIndexCreated { rel_type, columns })
+            }
+            IndexDdl::DropRelComposite { rel_type, columns } => {
+                self.drop_rel_composite_index(&rel_type, &columns)?;
+                Ok(ExecResult::RelCompositeIndexDropped { rel_type, columns })
+            }
+        }
     }
 
     /// Create a property index on `(label, key)`, populated from the
@@ -601,14 +656,30 @@ impl Session {
         src: &str,
         params: &Params,
     ) -> Result<QueryOutput, TriggerError> {
-        let query = parse_query(src)?;
-        self.run_query_ast(&query, Vec::new(), params)
+        let stmt = self.prepare(src)?;
+        if stmt.class() != StatementClass::Query {
+            // Refuse before anything runs: DDL must not take effect here.
+            return Err(NOT_A_QUERY);
+        }
+        query_output(self.run_prepared(&stmt, Vec::new(), params)?)
     }
 
-    /// Run a pre-parsed query with seed rows.
+    /// Run a pre-parsed query with seed rows. Prepares a copy of `query`
+    /// per call; a caller that runs one AST many times keeps a
+    /// [`Prepared`] and calls [`Session::run_prepared`].
     pub fn run_query_ast(
         &mut self,
         query: &Query,
+        seeds: Vec<Row>,
+        params: &Params,
+    ) -> Result<QueryOutput, TriggerError> {
+        query_output(self.run_prepared(&Prepared::from(query.clone()), seeds, params)?)
+    }
+
+    /// The query class of [`Session::run_prepared`].
+    fn run_statement(
+        &mut self,
+        stmt: &Prepared,
         seeds: Vec<Row>,
         params: &Params,
     ) -> Result<QueryOutput, TriggerError> {
@@ -617,7 +688,7 @@ impl Session {
             // Statement inside an explicit transaction: statement-level
             // rollback on error, transaction survives.
             let stmt_mark = self.graph.mark();
-            match self.exec_statement(query, seeds, params, 0) {
+            match self.exec_statement(stmt, seeds, params, 0) {
                 Ok(out) => Ok(out),
                 Err(e) => {
                     self.graph.rollback_to(stmt_mark)?;
@@ -628,7 +699,7 @@ impl Session {
             // Auto-commit statement.
             self.graph.begin()?;
             self.tx_mark = Some(self.graph.mark());
-            let result = self.exec_statement(query, seeds, params, 0);
+            let result = self.exec_statement(stmt, seeds, params, 0);
             match result {
                 Ok(out) => match self.commit() {
                     Ok(()) => Ok(out),
@@ -737,8 +808,8 @@ impl Session {
                         continue;
                     }
                     let stmt_mark = self.graph.mark();
-                    run_ast(
-                        &mut self.graph,
+                    run_prepared(
+                        Target::Write(&mut self.graph),
                         &spec.statement,
                         surviving,
                         &Params::new(),
@@ -839,8 +910,8 @@ impl Session {
         let tx_mark = self.graph.mark();
         let body = (|| -> Result<(), TriggerError> {
             let stmt_mark = self.graph.mark();
-            run_ast(
-                &mut self.graph,
+            run_prepared(
+                Target::Write(&mut self.graph),
                 &spec.statement,
                 surviving,
                 &Params::new(),
@@ -880,13 +951,14 @@ impl Session {
     /// Execute a statement and process its BEFORE/AFTER triggers.
     fn exec_statement(
         &mut self,
-        query: &Query,
+        stmt: &Prepared,
         seeds: Vec<Row>,
         params: &Params,
         depth: usize,
     ) -> Result<QueryOutput, TriggerError> {
         let mark = self.graph.mark();
-        let out = run_ast(&mut self.graph, query, seeds, params, self.now_ms)?;
+        let target = Target::Write(&mut self.graph);
+        let out = run_prepared(target, stmt, seeds, params, self.now_ms)?;
         self.fire_statement_triggers(mark, depth)?;
         Ok(out)
     }
@@ -955,8 +1027,8 @@ impl Session {
                     let prev = self.graph.set_write_policy(WritePolicy::ConditionNewOnly(
                         allowed.iter().copied().collect(),
                     ));
-                    let res = run_ast(
-                        &mut self.graph,
+                    let res = run_prepared(
+                        Target::Write(&mut self.graph),
                         &spec.statement,
                         surviving,
                         &Params::new(),
@@ -1016,8 +1088,8 @@ impl Session {
                     });
                 }
                 let stmt_mark = self.graph.mark();
-                run_ast(
-                    &mut self.graph,
+                run_prepared(
+                    Target::Write(&mut self.graph),
                     &spec.statement,
                     surviving,
                     &Params::new(),
@@ -1071,7 +1143,14 @@ fn eval_condition(
     };
     let mut out = Vec::new();
     for seed in seeds {
-        let rows = run_read_only(view, cond, vec![seed.clone()], &Params::new(), now_ms)?.bindings;
+        let rows = run_prepared(
+            Target::Read(view),
+            cond,
+            vec![seed.clone()],
+            &Params::new(),
+            now_ms,
+        )?
+        .bindings;
         for mut row in rows {
             for (k, v) in seed.iter() {
                 if !row.contains(k) {

@@ -1,7 +1,8 @@
 //! Trigger specifications: the AST of `CREATE TRIGGER` (paper Figure 1).
 
-use pg_cypher::Query;
+use pg_cypher::Prepared;
 use std::fmt;
+use std::sync::Arc;
 
 /// `<time>`: when the trigger's condition is considered and its action run
 /// relative to the activating statement (paper §4.2 "Action Time").
@@ -139,9 +140,11 @@ pub struct TriggerSpec {
     pub item: ItemKind,
     /// `WHEN` condition: a read-only clause pipeline; the condition holds
     /// for an activation when at least one binding row survives it.
-    pub condition: Option<Query>,
+    /// Prepared at `CREATE TRIGGER` time, like the body, so an activation
+    /// repeats none of the text-invariant work.
+    pub condition: Option<Arc<Prepared>>,
     /// The `BEGIN … END` body.
-    pub statement: Query,
+    pub statement: Arc<Prepared>,
 }
 
 impl TriggerSpec {
@@ -184,11 +187,14 @@ impl TriggerSpec {
             }
         ));
         if let Some(cond) = &self.condition {
-            out.push_str(&format!("WHEN {}\n", pg_cypher::unparse_query(cond)));
+            out.push_str(&format!(
+                "WHEN {}\n",
+                pg_cypher::unparse_query(cond.query())
+            ));
         }
         out.push_str(&format!(
             "BEGIN\n  {}\nEND",
-            pg_cypher::unparse_query(&self.statement)
+            pg_cypher::unparse_query(self.statement.query())
         ));
         out
     }
@@ -264,7 +270,7 @@ mod tests {
             granularity: Granularity::Each,
             item: ItemKind::Node,
             condition: None,
-            statement: pg_cypher::parse_query("RETURN 1").unwrap(),
+            statement: Arc::new(pg_cypher::parse_query("RETURN 1").unwrap().into()),
         };
         assert_eq!(spec.var_name(TransitionVar::New), "fresh");
         assert_eq!(spec.var_name(TransitionVar::Old), "OLD");

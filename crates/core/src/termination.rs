@@ -84,9 +84,9 @@ pub fn generated_events(spec: &TriggerSpec) -> Vec<EventPattern> {
 
     let mut all_clauses: Vec<&Clause> = Vec::new();
     if let Some(cond) = &spec.condition {
-        all_clauses.extend(cond.clauses.iter());
+        all_clauses.extend(cond.query().clauses.iter());
     }
-    all_clauses.extend(spec.statement.clauses.iter());
+    all_clauses.extend(spec.statement.query().clauses.iter());
 
     fn harvest_pattern(
         p: &PathPattern,
@@ -385,7 +385,7 @@ pub fn generated_events(spec: &TriggerSpec) -> Vec<EventPattern> {
 
     let mut push_fn = |ep: EventPattern| push(ep, &mut out);
     walk(
-        &spec.statement.clauses,
+        &spec.statement.query().clauses,
         &node_labels,
         &rel_types,
         &rel_vars,

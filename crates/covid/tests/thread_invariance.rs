@@ -19,7 +19,10 @@
 //! writes cannot race another test in the same process.
 
 use pg_covid::{GeneratorConfig, Scenario, ScenarioConfig, ScenarioReport};
-use pg_cypher::{parse_query, Executor, MatchMode, Params, Target};
+use pg_cypher::{
+    parse_query, plan_parallelism, Executor, MatchMode, ParallelPlan, Params, Target,
+    PARALLEL_ROW_THRESHOLD,
+};
 use pg_graph::Value;
 
 fn cfg() -> ScenarioConfig {
@@ -71,11 +74,30 @@ fn run_scenario() -> (ScenarioReport, Vec<Vec<Vec<Value>>>) {
     (report, rows)
 }
 
+/// The worker degree the process-wide ceiling grants a group wide and
+/// costly enough that nothing else clamps it (1 024 morsels, a cost
+/// width of 1 024).
+fn process_wide_degree() -> usize {
+    let est_rows = 1024.0 * PARALLEL_ROW_THRESHOLD;
+    match plan_parallelism(65_536, false, est_rows, true, None, PARALLEL_ROW_THRESHOLD) {
+        ParallelPlan::Parallel { degree, .. } => degree,
+        serial => panic!("a huge pinnable group must morselize, got {serial:?}"),
+    }
+}
+
 #[test]
 fn scenario_is_invariant_under_pg_threads() {
     let baseline = run_scenario();
     for threads in ["1", "2", "8"] {
         std::env::set_var("PG_THREADS", threads);
+        // The variable is read when a decision needs the ceiling, not
+        // remembered from the first statement of the process: the three
+        // runs below really are three different ceilings.
+        assert_eq!(
+            process_wide_degree().to_string(),
+            threads,
+            "PG_THREADS={threads} is not the ceiling in force"
+        );
         let run = run_scenario();
         assert_eq!(
             run, baseline,

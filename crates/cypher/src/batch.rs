@@ -44,8 +44,8 @@ use crate::ast::{Expr, NodePattern, PathPattern, RelPattern};
 use crate::error::Result;
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{
-    extract_pushdowns, hop_candidates, match_patterns, node_matches, plan_patterns,
-    start_candidates, MatchState, Pushdowns,
+    hop_candidates, match_patterns_pushed, node_matches, plan_patterns, start_candidates,
+    MatchState, Pushdowns,
 };
 use crate::physical::{plan_parallelism, plan_path, ParallelPlan, MORSEL_SIZE};
 use crate::row::Row;
@@ -54,13 +54,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The executor's parallelism knobs, resolved once per query (see
+/// The executor's parallelism knobs (see
 /// [`crate::exec::Executor::with_thread_limit`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ParallelCfg {
-    /// Worker-degree ceiling (`PG_THREADS` / `available_parallelism`);
+    /// Worker-degree ceiling, `None` = the process-wide one, which
+    /// [`plan_parallelism`] resolves only for a group past its cost gate;
     /// clamps scheduling width only, never the morselize decision.
-    pub threads: usize,
+    pub threads: Option<usize>,
     /// Estimated-join-output-rows floor for morselization — normally
     /// [`crate::physical::PARALLEL_ROW_THRESHOLD`], overridable so tests
     /// can force the parallel path on small fixtures.
@@ -70,20 +71,22 @@ pub(crate) struct ParallelCfg {
 /// Match `patterns` for every seed row, returning the matches **per
 /// seed** (the caller owns `OPTIONAL MATCH` null-binding, which is a
 /// per-seed decision). Row-for-row identical to calling
-/// [`match_patterns`] on each seed; batches only where sharing is sound,
-/// and morselizes a batch across worker threads when the cost model
-/// says the join output is large enough ([`plan_parallelism`]).
+/// [`crate::pattern::match_patterns`] on each seed; batches only where
+/// sharing is sound, and morselizes a batch across worker threads when
+/// the cost model says the join output is large enough
+/// ([`plan_parallelism`]). `pushed` is
+/// [`crate::pattern::extract_pushdowns`] of `where_clause`.
 pub(crate) fn match_patterns_batch(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
     patterns: &[PathPattern],
     where_clause: Option<&Expr>,
+    pushed: &Pushdowns,
     par: &ParallelCfg,
 ) -> Result<Vec<Vec<Row>>> {
-    let pushed = extract_pushdowns(where_clause);
     let plans: Vec<Vec<PathPattern>> = seeds
         .iter()
-        .map(|s| plan_patterns(ctx, s, patterns, &pushed))
+        .map(|s| plan_patterns(ctx, s, patterns, pushed))
         .collect();
     let mut out: Vec<Vec<Row>> = Vec::with_capacity(seeds.len());
     let mut i = 0;
@@ -98,10 +101,17 @@ pub(crate) fn match_patterns_batch(
             .any(|p| p.segments.iter().any(|(r, _)| r.hops.is_some()));
         if group.len() == 1 || var_length {
             for seed in group {
-                out.push(match_patterns(ctx, seed, patterns, where_clause, None)?);
+                out.push(match_patterns_pushed(
+                    ctx,
+                    seed,
+                    patterns,
+                    where_clause,
+                    pushed,
+                    None,
+                )?);
             }
         } else {
-            let est = group_est_rows(ctx, group, &plans[i], &pushed);
+            let est = group_est_rows(ctx, group, &plans[i], pushed);
             // Pin only once the cost gate passes — pinning is cheap but
             // not free, and most groups are small.
             let snap = (est >= par.threshold)
@@ -122,13 +132,13 @@ pub(crate) fn match_patterns_batch(
                         group,
                         &plans[i],
                         where_clause,
-                        &pushed,
+                        pushed,
                         degree,
                         &snap.expect("Parallel decision implies a pinned view"),
                     )?);
                 }
                 ParallelPlan::Serial(_) => {
-                    out.extend(run_group(ctx, group, &plans[i], where_clause, &pushed)?);
+                    out.extend(run_group(ctx, group, &plans[i], where_clause, pushed)?);
                 }
             }
         }

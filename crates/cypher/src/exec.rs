@@ -53,9 +53,12 @@ use crate::expr::{eval, EvalCtx};
 use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{extract_pushdowns, match_patterns, pattern_vars, Pushdowns};
 use crate::plan::{composite_pin, plan_topk_projection, TopKSpec};
+use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
 use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::OnceLock;
 
 /// Compare two keyed rows by the `ORDER BY` spec, breaking full ties by
 /// input index — the total order a stable sort + truncate would produce.
@@ -160,7 +163,7 @@ struct Fusion<'q> {
     patterns: &'q [PathPattern],
     where_clause: Option<&'q Expr>,
     seeds: &'q [Row],
-    pushed: Pushdowns,
+    pushed: &'q Pushdowns,
     spec: TopKSpec,
 }
 
@@ -219,17 +222,30 @@ pub(crate) fn resolve_thread_limit(
     explicit.or(env).unwrap_or(hardware).max(1)
 }
 
-/// The process-wide thread ceiling: `PG_THREADS` (when set to a positive
-/// integer) or the machine's available parallelism.
-pub(crate) fn default_thread_limit() -> usize {
+/// The machine's available parallelism, probed once per process: on
+/// Linux the probe re-reads the cgroup files (~11 µs), and the answer is
+/// not expected to change under a running server. The one place in the
+/// workspace allowed to ask the standard library (see `clippy.toml`).
+pub fn hardware_parallelism() -> usize {
+    static PROBE: OnceLock<usize> = OnceLock::new();
+    #[allow(clippy::disallowed_methods)]
+    *PROBE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The thread ceiling behind `explicit`: that value, or for `None` the
+/// process-wide one — `PG_THREADS` (when set to a positive integer;
+/// read on every call, so it can change under a running process) or
+/// [`hardware_parallelism`]. Called only by a parallelism decision whose
+/// cost gate has already passed, never per statement.
+pub(crate) fn thread_limit(explicit: Option<usize>) -> usize {
+    if explicit.is_some() {
+        return resolve_thread_limit(explicit, None, 1);
+    }
     let env = std::env::var("PG_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0);
-    let hardware = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    resolve_thread_limit(None, env, hardware)
+    resolve_thread_limit(None, env, hardware_parallelism())
 }
 
 /// Executes a parsed query over a target.
@@ -239,13 +255,16 @@ pub struct Executor<'a> {
     now_ms: i64,
     match_mode: MatchMode,
     /// Worker-degree ceiling for morsel-driven `MATCH` execution;
-    /// `None` = `PG_THREADS` / available parallelism.
+    /// `None` = the process-wide one (see [`thread_limit`]).
     thread_limit: Option<usize>,
     /// Estimated-rows floor for morselization; `None` = the documented
     /// [`crate::physical::PARALLEL_ROW_THRESHOLD`]. Test knob: row order
     /// and probe totals are identical either way, so lowering it merely
     /// forces the parallel machinery onto small fixtures.
     parallel_threshold: Option<f64>,
+    /// The statement being run, when it was prepared: its `MATCH`
+    /// clauses skip the text-invariant part of planning.
+    prepared: Option<&'a Prepared>,
 }
 
 impl<'a> Executor<'a> {
@@ -257,6 +276,7 @@ impl<'a> Executor<'a> {
             match_mode: MatchMode::default(),
             thread_limit: None,
             parallel_threshold: None,
+            prepared: None,
         }
     }
 
@@ -284,7 +304,7 @@ impl<'a> Executor<'a> {
     /// The parallelism knobs handed to the batch matcher.
     fn parallel_cfg(&self) -> crate::batch::ParallelCfg {
         crate::batch::ParallelCfg {
-            threads: self.thread_limit.unwrap_or_else(default_thread_limit),
+            threads: self.thread_limit,
             threshold: self
                 .parallel_threshold
                 .unwrap_or(crate::physical::PARALLEL_ROW_THRESHOLD),
@@ -302,6 +322,28 @@ impl<'a> Executor<'a> {
         match &mut self.target {
             Target::Write(g) => Ok(g),
             Target::Read(_) => Err(CypherError::ReadOnly(what)),
+        }
+    }
+
+    /// Run a prepared statement's query from the given seed rows, reusing
+    /// its per-`MATCH` preparation. Row-for-row what [`Executor::run`]
+    /// gives for the same query.
+    pub fn run_prepared(&mut self, stmt: &'a Prepared, seeds: Vec<Row>) -> Result<QueryOutput> {
+        self.prepared = Some(stmt);
+        self.run(stmt.query(), seeds)
+    }
+
+    /// The preparation of `clause` when it belongs to the prepared
+    /// statement being run.
+    fn match_prep(&self, clause: &Clause) -> Option<&'a MatchPrep> {
+        self.prepared.and_then(|stmt| stmt.match_prep(clause))
+    }
+
+    /// The pushdowns of a `MATCH` clause: prepared, else extracted now.
+    fn pushdowns(&self, clause: &Clause, where_clause: Option<&Expr>) -> Cow<'a, Pushdowns> {
+        match self.match_prep(clause) {
+            Some(prep) => Cow::Borrowed(&prep.pushed),
+            None => Cow::Owned(extract_pushdowns(where_clause)),
         }
     }
 
@@ -356,9 +398,13 @@ impl<'a> Executor<'a> {
                     _ => None,
                 };
                 if let Some((proj, is_return)) = next_proj {
-                    if let Some(matched) =
-                        self.try_indexed_topk(patterns, where_clause.as_ref(), proj, &rows)?
-                    {
+                    if let Some(matched) = self.try_indexed_topk(
+                        &clauses[i],
+                        patterns,
+                        where_clause.as_ref(),
+                        proj,
+                        &rows,
+                    )? {
                         let (cols, out) = self.project(proj, matched, !is_return)?;
                         if is_return {
                             *output = Some((cols, out.clone()));
@@ -427,7 +473,7 @@ impl<'a> Executor<'a> {
             // resolved up front, so a seed whose pins cannot be evaluated
             // forfeits the definition instead of silently losing its
             // rows — one per seed.
-            let pin = |row| composite_pin(ctx, row, inline_props, &f.pushed, &f.spec, &def);
+            let pin = |row| composite_pin(ctx, row, inline_props, f.pushed, &f.spec, &def);
             let walks: Vec<(Vec<Value>, &[Row])> = match pin(&empty) {
                 Some(pins) => vec![(pins, f.seeds)],
                 None => {
@@ -465,6 +511,7 @@ impl<'a> Executor<'a> {
     /// candidate budget — and the caller must run the clauses separately.
     fn try_indexed_topk(
         &self,
+        clause: &Clause,
         patterns: &[PathPattern],
         where_clause: Option<&Expr>,
         proj: &Projection,
@@ -474,11 +521,12 @@ impl<'a> Executor<'a> {
         let Some(spec) = plan_topk_projection(&ctx, proj, seeds)? else {
             return Ok(None);
         };
+        let pushed = self.pushdowns(clause, where_clause);
         let f = Fusion {
             patterns,
             where_clause,
             seeds,
-            pushed: extract_pushdowns(where_clause),
+            pushed: &pushed,
             spec,
         };
         let var = Some(f.spec.var.as_str());
@@ -542,6 +590,7 @@ impl<'a> Executor<'a> {
                         &rows,
                         patterns,
                         where_clause.as_ref(),
+                        &self.pushdowns(clause, where_clause.as_ref()),
                         &self.parallel_cfg(),
                     )?,
                     MatchMode::Reference => rows
@@ -549,13 +598,19 @@ impl<'a> Executor<'a> {
                         .map(|row| match_patterns(&ctx, row, patterns, where_clause.as_ref(), None))
                         .collect::<Result<_>>()?,
                 };
+                // What an unmatched OPTIONAL MATCH null-binds.
+                let vars: Cow<'_, [String]> = match (self.match_prep(clause), optional) {
+                    (Some(prep), _) => Cow::Borrowed(&prep.vars),
+                    (None, true) => Cow::Owned(pattern_vars(patterns)),
+                    (None, false) => Cow::Borrowed(&[]),
+                };
                 let mut out = Vec::new();
                 for (row, matches) in rows.iter().zip(per_seed) {
                     if matches.is_empty() && *optional {
                         let mut r2 = row.clone();
-                        for v in pattern_vars(patterns) {
-                            if !r2.contains(&v) {
-                                r2.set(v, Value::Null);
+                        for v in vars.iter() {
+                            if !r2.contains(v) {
+                                r2.set(v.clone(), Value::Null);
                             }
                         }
                         out.push(r2);

@@ -17,6 +17,7 @@ use crate::expr::EvalCtx;
 use crate::parser::parse_query;
 use crate::physical::ParallelPlan;
 use crate::plan::{lower_query_with, LogicalOp};
+use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
 use pg_graph::GraphView;
@@ -35,14 +36,15 @@ fn fmt_est(v: f64) -> String {
 /// Render the physical plan of `query`. When `executed` is given, the
 /// query has been run and the report compares estimated to actual rows.
 ///
-/// `threads` is the worker ceiling fed into the parallelism decision —
-/// callers that pin a plan in a golden test pass a fixed count so the
-/// report does not depend on the machine running the test.
+/// `threads` is the worker ceiling fed into the parallelism decision
+/// (`None` = the process-wide one) — callers that pin a plan in a golden
+/// test pass a fixed count so the report does not depend on the machine
+/// running the test.
 pub fn render_plan(
     ctx: &EvalCtx<'_>,
     query: &Query,
     executed: Option<&QueryOutput>,
-    threads: usize,
+    threads: Option<usize>,
 ) -> Result<String> {
     let (plan, phys) = lower_query_with(ctx, query, threads)?;
     let mut out = String::new();
@@ -164,13 +166,7 @@ pub fn explain_query(
     params: &Params,
     now_ms: i64,
 ) -> Result<String> {
-    explain_query_with(
-        view,
-        src,
-        params,
-        now_ms,
-        crate::exec::default_thread_limit(),
-    )
+    explain_query_with(view, src, params, now_ms, None)
 }
 
 /// [`explain_query`] with an explicit thread ceiling for the parallelism
@@ -181,20 +177,33 @@ pub fn explain_query_with(
     src: &str,
     params: &Params,
     now_ms: i64,
-    threads: usize,
+    threads: Option<usize>,
 ) -> Result<String> {
-    let query = parse_query(src)?;
-    let executed = if query.is_updating() {
+    let stmt = Prepared::from(parse_query(src)?);
+    explain_prepared(view, &stmt, params, now_ms, threads)
+}
+
+/// Explain the query of a prepared statement (of an `EXPLAIN` statement:
+/// the inner one) under `params`; see [`explain_query_with`].
+pub fn explain_prepared(
+    view: &dyn GraphView,
+    stmt: &Prepared,
+    params: &Params,
+    now_ms: i64,
+    threads: Option<usize>,
+) -> Result<String> {
+    let executed = if stmt.is_updating() {
         None
     } else {
-        Some(crate::run_read_only(
-            view,
-            &query,
+        let target = crate::exec::Target::Read(view);
+        Some(crate::run_prepared(
+            target,
+            stmt,
             Vec::new(),
             params,
             now_ms,
         )?)
     };
     let ctx = EvalCtx::new(view, params, now_ms);
-    render_plan(&ctx, &query, executed.as_ref(), threads)
+    render_plan(&ctx, stmt.query(), executed.as_ref(), threads)
 }

@@ -37,19 +37,21 @@ pub mod parser;
 pub mod pattern;
 pub mod physical;
 pub mod plan;
+pub mod prepared;
 pub mod row;
 pub mod token;
 pub mod unparse;
 
 pub use ast::{Clause, Expr, Query};
 pub use error::{CypherError, Result};
-pub use exec::{Executor, MatchMode, Target};
-pub use explain::{explain_query, explain_query_with};
-pub use parser::{parse_expression, parse_query, parse_query_lenient, strip_explain};
+pub use exec::{hardware_parallelism, Executor, MatchMode, Target};
+pub use explain::{explain_prepared, explain_query, explain_query_with};
+pub use parser::{parse_expression, parse_query, parse_query_lenient};
 pub use physical::{
     plan_parallelism, ParallelDecline, ParallelPlan, MORSEL_SIZE, PARALLEL_ROW_THRESHOLD,
 };
 pub use plan::{lower_query, lower_query_with, LogicalOp, LogicalPlan, TopKSpec};
+pub use prepared::{Prepared, StatementCache, StatementClass, STATEMENT_CACHE_CAPACITY};
 pub use row::{Params, QueryOutput, Row};
 pub use unparse::{rename_vars, unparse_clause, unparse_expr, unparse_query};
 
@@ -75,6 +77,18 @@ pub fn run_ast(
     now_ms: i64,
 ) -> Result<QueryOutput> {
     Executor::new(Target::Write(graph), params, now_ms).run(query, seeds)
+}
+
+/// Run a prepared statement's query against `target` from seed rows,
+/// reusing its per-`MATCH` preparation (see [`prepared`]).
+pub fn run_prepared(
+    target: Target<'_>,
+    stmt: &Prepared,
+    seeds: Vec<Row>,
+    params: &Params,
+    now_ms: i64,
+) -> Result<QueryOutput> {
+    Executor::new(target, params, now_ms).run_prepared(stmt, seeds)
 }
 
 /// Run a pre-parsed query against a read-only view (updating clauses fail).

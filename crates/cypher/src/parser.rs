@@ -34,7 +34,7 @@ pub fn parse_query_lenient(src: &str) -> Result<Query> {
 /// If `src` is an `EXPLAIN <query>` statement, return the `<query>` part
 /// (with the keyword stripped); `None` otherwise. The keyword must be
 /// followed by whitespace — `EXPLAINED` is not an `EXPLAIN`.
-pub fn strip_explain(src: &str) -> Option<&str> {
+pub(crate) fn strip_explain(src: &str) -> Option<&str> {
     let t = src.trim_start();
     let head = t.get(..7)?;
     if !head.eq_ignore_ascii_case("EXPLAIN") {

@@ -56,7 +56,7 @@ use std::ops::Bound;
 /// per pattern variable. Pushing a conjunct down is always sound: the full
 /// `WHERE` is still evaluated on every surviving row, and a row on which a
 /// conjunct is false or NULL can never make the conjunction truthy.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct VarPredicates {
     /// `var.key = e` conjuncts (either orientation).
     pub(crate) eqs: Vec<(String, Expr)>,
@@ -87,16 +87,29 @@ pub fn match_patterns(
     where_clause: Option<&Expr>,
     limit: Option<usize>,
 ) -> Result<Vec<Row>> {
+    let pushed = extract_pushdowns(where_clause);
+    match_patterns_pushed(ctx, seed, patterns, where_clause, &pushed, limit)
+}
+
+/// [`match_patterns`] given the [`extract_pushdowns`] of `where_clause`
+/// (a prepared statement holds them per `MATCH` clause).
+pub(crate) fn match_patterns_pushed(
+    ctx: &EvalCtx<'_>,
+    seed: &Row,
+    patterns: &[PathPattern],
+    where_clause: Option<&Expr>,
+    pushed: &Pushdowns,
+    limit: Option<usize>,
+) -> Result<Vec<Row>> {
     let mut states = vec![MatchState {
         row: seed.clone(),
         used: Vec::new(),
     }];
-    let pushed = extract_pushdowns(where_clause);
-    let planned = plan_patterns(ctx, seed, patterns, &pushed);
+    let planned = plan_patterns(ctx, seed, patterns, pushed);
     for pattern in &planned {
         let mut next = Vec::new();
         for st in &states {
-            match_path(ctx, pattern, st, &pushed, &mut next, None)?;
+            match_path(ctx, pattern, st, pushed, &mut next, None)?;
         }
         states = next;
         if states.is_empty() {

@@ -483,8 +483,11 @@ pub enum ParallelPlan {
 /// independent** — it looks only at the group shape and the cost
 /// estimate — so the set of morsel boundaries (and therefore the result
 /// rows, their order, and the index-probe totals) cannot vary with
-/// `PG_THREADS` or the machine. `threads` only clamps the worker
-/// `degree`, which affects scheduling alone. The degree also never
+/// `PG_THREADS` or the machine. `threads` (`None` = the process-wide
+/// ceiling: `PG_THREADS`, else the machine's parallelism) only clamps the
+/// worker `degree`, which affects scheduling alone, and is resolved only
+/// here, after every decline rule has passed — a serial decision reads
+/// neither the environment nor the machine. The degree also never
 /// exceeds the morsel count (idle workers are pure overhead) or the
 /// cost-derived width `est_rows / PARALLEL_ROW_THRESHOLD` (one
 /// threshold's worth of estimated output per worker).
@@ -493,7 +496,7 @@ pub fn plan_parallelism(
     var_length: bool,
     est_rows: f64,
     pinnable: bool,
-    threads: usize,
+    threads: Option<usize>,
     threshold: f64,
 ) -> ParallelPlan {
     if var_length {
@@ -516,7 +519,9 @@ pub fn plan_parallelism(
     }
     let morsels = group_len.div_ceil(MORSEL_SIZE);
     let cost_width = (est_rows / threshold) as usize;
-    let degree = cost_width.clamp(1, threads.max(1)).min(morsels);
+    let degree = cost_width
+        .clamp(1, crate::exec::thread_limit(threads))
+        .min(morsels);
     ParallelPlan::Parallel {
         degree,
         morsels,

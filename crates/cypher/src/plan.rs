@@ -337,17 +337,17 @@ pub fn lower_query(
     ctx: &EvalCtx<'_>,
     query: &Query,
 ) -> Result<(LogicalPlan, Vec<PhysicalPathPlan>)> {
-    lower_query_with(ctx, query, crate::exec::default_thread_limit())
+    lower_query_with(ctx, query, None)
 }
 
-/// [`lower_query`] with an explicit worker-thread ceiling, so plan
-/// renderings (and their golden tests) are machine-independent. The
-/// ceiling affects only the degree printed on `Parallelism` lines —
-/// never the morselize-or-not half of the decision.
+/// [`lower_query`] with an explicit worker-thread ceiling (`None` = the
+/// process-wide one), so plan renderings (and their golden tests) are
+/// machine-independent. The ceiling affects only the degree printed on
+/// `Parallelism` lines — never the morselize-or-not half of the decision.
 pub fn lower_query_with(
     ctx: &EvalCtx<'_>,
     query: &Query,
-    threads: usize,
+    threads: Option<usize>,
 ) -> Result<(LogicalPlan, Vec<PhysicalPathPlan>)> {
     let mut plan = LogicalPlan::default();
     let mut seeds_out: Vec<PhysicalPathPlan> = Vec::new();

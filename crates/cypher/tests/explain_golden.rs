@@ -60,7 +60,7 @@ fn fixture() -> Graph {
 /// running the test (or on `PG_THREADS`).
 fn explain(src: &str) -> String {
     let g = fixture();
-    explain_query_with(&g, src, &Params::new(), 0, 4).unwrap_or_else(|e| panic!("{src}: {e}"))
+    explain_query_with(&g, src, &Params::new(), 0, Some(4)).unwrap_or_else(|e| panic!("{src}: {e}"))
 }
 
 #[test]
@@ -160,7 +160,7 @@ fn parallel_decision_renders_degree_and_morsels() {
          MATCH (b)-[:FOLLOWS]->(c:User) RETURN count(c) AS n",
         &Params::new(),
         0,
-        4,
+        Some(4),
     )
     .unwrap();
     // degree = est / threshold = 8192 / 4096 = 2 (the cost-width clamp

@@ -298,7 +298,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
     let mut check = plan.check.clone();
     let mut pipeline = String::new();
     if let Some(cond) = &spec.condition {
-        let renamed = rename_vars(cond, &plan.renames);
+        let renamed = rename_vars(cond.query(), &plan.renames);
         match renamed.clauses.as_slice() {
             [Clause::Where(pred)] => {
                 check = Expr::Binary(
@@ -319,7 +319,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
 
     // Figure 3: WITH CASE WHEN <check> THEN <item> END AS flag, <carried>…
     // WHERE flag IS NOT NULL, then the statement.
-    let statement = rename_vars(&spec.statement, &plan.renames);
+    let statement = rename_vars(spec.statement.query(), &plan.renames);
     let stmt_text = unparse_query(&statement);
     // Variables the statement needs carried through the WITH (the item plus
     // condition bindings). We conservatively carry `*`.

@@ -29,13 +29,16 @@
 //! take the writer lock, and they observe trigger cascades atomically
 //! (a snapshot is a published commit epoch: all of a cascade's effects or
 //! none). Updating statements, DDL, and `EXPLAIN` serialize through the
-//! writer.
+//! writer. The route is a property of the statement's text, decided when
+//! the text is first prepared on the connection's statement cache
+//! ([`Prepared::is_snapshot_read`]); a repeated text is neither parsed
+//! nor classified again.
 
 use crate::engine::Engine;
 use crate::protocol::{self, Request, Response, WireError, SERVER_AGENT};
-use pg_cypher::{parse_query, Params};
+use pg_cypher::{Params, Prepared};
 use pg_graph::Value;
-use pg_triggers::{is_index_ddl, is_trigger_ddl, ExecResult, ReadSession, Session, TriggerError};
+use pg_triggers::{ExecResult, ReadSession, Session, TriggerError};
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -178,43 +181,33 @@ struct RunOutcome {
 fn run_autocommit(
     engine: &Engine,
     reader: &mut ReadSession,
-    query: &str,
+    stmt: &Prepared,
     params: &Params,
 ) -> Result<RunOutcome, TriggerError> {
-    let is_ddl = is_trigger_ddl(query) || is_index_ddl(query);
-    let is_explain = pg_cypher::strip_explain(query).is_some();
-    if !is_ddl && !is_explain {
-        let parsed = parse_query(query).map_err(TriggerError::Cypher)?;
-        if !parsed.is_updating() {
-            // Read-only: fresh snapshot, no writer lock. The pinned epoch
-            // is a committed one, so cascade effects appear atomically.
-            let epoch = reader.refresh();
-            let out = reader.run_with_params(query, params)?;
-            return Ok(RunOutcome {
-                columns: out.columns,
-                rows: out.rows.into(),
-                fired: 0,
-                epoch_meta: vec![("epoch".to_string(), Value::Int(epoch as i64))],
-            });
-        }
+    if stmt.is_snapshot_read() {
+        // Read-only: fresh snapshot, no writer lock. The pinned epoch
+        // is a committed one, so cascade effects appear atomically.
+        let epoch = reader.refresh();
+        let out = reader.run_prepared(stmt, Vec::new(), params)?;
+        return Ok(RunOutcome {
+            columns: out.columns,
+            rows: out.rows.into(),
+            fired: 0,
+            epoch_meta: vec![("epoch".to_string(), Value::Int(epoch as i64))],
+        });
     }
     let mut writer = engine.writer();
-    run_on_writer(&mut writer, query, params)
+    run_on_writer(&mut writer, stmt, params)
 }
 
 /// Execute one statement on the writer session (auto-commit or in-tx).
 fn run_on_writer(
     session: &mut Session,
-    query: &str,
+    stmt: &Prepared,
     params: &Params,
 ) -> Result<RunOutcome, TriggerError> {
     let fired_before = session.stats().fired;
-    let res = if params.is_empty() {
-        session.execute(query)?
-    } else {
-        // Parameterized statements are queries (DDL takes no parameters).
-        ExecResult::Query(session.run_with_params(query, params)?)
-    };
+    let res = session.run_prepared(stmt, Vec::new(), params)?;
     let fired = session.stats().fired - fired_before;
     let (columns, rows) = result_rows(res);
     // A WAL sequence only means something on a durable server.
@@ -353,10 +346,15 @@ pub(crate) fn serve_connection(engine: &Engine, stream: TcpStream) -> Result<(),
                     continue;
                 }
                 let params: Params = params.into_iter().collect();
-                let outcome = match tx.as_deref_mut() {
-                    Some(session) => run_on_writer(session, &query, &params),
-                    None => run_autocommit(engine, &mut reader, &query, &params),
-                };
+                // Prepared once per distinct text on this connection's
+                // cache; the same preparation serves whichever session
+                // the statement is routed to.
+                let outcome = reader
+                    .prepare(&query)
+                    .and_then(|stmt| match tx.as_deref_mut() {
+                        Some(session) => run_on_writer(session, &stmt, &params),
+                        None => run_autocommit(engine, &mut reader, &stmt, &params),
+                    });
                 match outcome {
                     Ok(out) => {
                         let meta = run_success_meta(&out);

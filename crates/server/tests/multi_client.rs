@@ -331,3 +331,45 @@ fn concurrent_parameterized_reads_while_writing() {
     }
     handle.shutdown();
 }
+
+/// A connection's statement cache holds parsed texts, never data: the
+/// same text (a cache hit from its second use on) issued before and after
+/// another connection's write pins a newer epoch and sees the new row.
+#[test]
+fn a_cached_read_sees_another_connections_write() {
+    let server = Server::bind("127.0.0.1:0", Session::new()).unwrap();
+    let addr = server.local_addr().to_string();
+    let handle = server.spawn();
+    let mut reader = Client::connect(&addr).unwrap();
+    let mut writer = Client::connect(&addr).unwrap();
+    writer.run_all("CREATE (:Row {k: 1})", &[]).unwrap();
+
+    const READ: &str = "MATCH (r:Row) WHERE r.k >= $lo RETURN count(*) AS n";
+    let lo = [("lo".to_string(), Value::Int(0))];
+    let first = reader.run_all(READ, &lo).unwrap();
+    let again = reader.run_all(READ, &lo).unwrap();
+    assert_eq!(first.single_i64(), Some(1));
+    assert_eq!(again.single_i64(), Some(1));
+    assert_eq!(again.epoch, first.epoch, "nothing was committed in between");
+
+    writer.run_all("CREATE (:Row {k: 2})", &[]).unwrap();
+    let after = reader.run_all(READ, &lo).unwrap();
+    assert_eq!(
+        after.single_i64(),
+        Some(2),
+        "the cached text reads fresh data"
+    );
+    assert!(
+        after.epoch > first.epoch,
+        "{:?} after {:?}",
+        after.epoch,
+        first.epoch
+    );
+    // The parameters are per execution too.
+    let hi = [("lo".to_string(), Value::Int(2))];
+    assert_eq!(reader.run_all(READ, &hi).unwrap().single_i64(), Some(1));
+
+    reader.goodbye().ok();
+    writer.goodbye().ok();
+    handle.shutdown();
+}

@@ -223,6 +223,51 @@ fn ddl_explain_and_trigger_metadata_over_the_wire() {
 }
 
 #[test]
+fn explain_takes_parameters_and_ddl_refuses_them() {
+    let (handle, addr) = spawn_empty();
+    let mut client = Client::connect(&addr).unwrap();
+    client.run_all("CREATE INDEX ON :P(k)", &[]).unwrap();
+    client
+        .run_all("CREATE (:P {k: 1}), (:P {k: 2})", &[])
+        .unwrap();
+    let plan = |client: &mut Client, text: &str, params: &[(String, Value)]| -> Vec<String> {
+        let out = client.run_all(text, params).unwrap();
+        assert_eq!(out.columns, ["plan"]);
+        out.rows
+            .iter()
+            .map(|r| r[0].as_str().expect("plan lines are strings").to_string())
+            .collect()
+    };
+    let k = [("k".to_string(), Value::Int(1))];
+    let bound = plan(&mut client, "EXPLAIN MATCH (p:P {k: $k}) RETURN p", &k);
+    let inlined = plan(&mut client, "EXPLAIN MATCH (p:P {k: 1}) RETURN p", &[]);
+    assert_eq!(bound, inlined, "a bound $k plans like the literal");
+    assert!(bound.iter().any(|l| l.contains("actual rows: 1")));
+    // Inside a transaction too (every statement there runs on the writer).
+    client.begin().unwrap();
+    let in_tx = plan(&mut client, "EXPLAIN MATCH (p:P {k: $k}) RETURN p", &k);
+    assert_eq!(in_tx, inlined);
+    client.rollback().unwrap();
+
+    // DDL with parameters: a typed refusal, not a parser position.
+    match client.run_all("CREATE INDEX ON :P(j)", &k) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, "Statement.Error");
+            assert!(
+                message.contains("DDL statements take no parameters"),
+                "{message}"
+            );
+        }
+        other => panic!("expected FAILURE, got {other:?}"),
+    }
+    client.reset().unwrap();
+    let out = client.run_all("CREATE INDEX ON :P(j)", &[]).unwrap();
+    assert_eq!(out.columns, ["summary"], "the refused DDL had no effect");
+    client.goodbye().ok();
+    handle.shutdown();
+}
+
+#[test]
 fn reads_report_monotonic_epochs() {
     let (handle, addr) = spawn_empty();
     let mut client = Client::connect(&addr).unwrap();

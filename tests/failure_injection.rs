@@ -121,7 +121,8 @@ fn write_in_read_only_condition_is_impossible() {
         pg_triggers::DdlStatement::CreateTrigger(sp) => sp,
         _ => unreachable!(),
     };
-    spec.condition = Some(pg_cypher::parse_query("CREATE (:Evil) RETURN 1").unwrap());
+    let evil = pg_cypher::parse_query("CREATE (:Evil) RETURN 1").unwrap();
+    spec.condition = Some(std::sync::Arc::new(evil.into()));
     assert!(s.install_spec(spec).is_err());
 }
 
