@@ -802,24 +802,7 @@ impl Session {
             let mut fired_any = false;
             for (spec, seeds, _aff) in activations {
                 for unit in activation_units(&spec, seeds) {
-                    let surviving = self.eval_condition_current(&spec, unit)?;
-                    if surviving.is_empty() {
-                        self.stats.suppressed += 1;
-                        continue;
-                    }
-                    let stmt_mark = self.graph.mark();
-                    run_prepared(
-                        Target::Write(&mut self.graph),
-                        &spec.statement,
-                        surviving,
-                        &Params::new(),
-                        self.now_ms,
-                    )?;
-                    self.stats.fired += 1;
-                    if self.config.cascading_enabled {
-                        self.fire_statement_triggers(stmt_mark, 1)?;
-                    }
-                    fired_any = true;
+                    fired_any |= self.activate(&spec, unit, 0)?;
                 }
             }
             if !fired_any {
@@ -899,48 +882,28 @@ impl Session {
         seeds: Vec<Row>,
         queue: &mut DetachedQueue,
     ) -> Result<(), TriggerError> {
-        // Condition is considered at action time, i.e. post-commit (§4.2).
-        // (Each queue entry is already one activation unit.)
-        let surviving = self.eval_condition_current(spec, seeds)?;
-        if surviving.is_empty() {
-            self.stats.suppressed += 1;
-            return Ok(());
-        }
+        // Condition is considered at action time, i.e. post-commit (§4.2),
+        // inside the activation's autonomous transaction. (Each queue
+        // entry is already one activation unit.)
         self.graph.begin()?;
         let tx_mark = self.graph.mark();
-        let body = (|| -> Result<(), TriggerError> {
-            let stmt_mark = self.graph.mark();
-            run_prepared(
-                Target::Write(&mut self.graph),
-                &spec.statement,
-                surviving,
-                &Params::new(),
-                self.now_ms,
-            )?;
-            self.stats.fired += 1;
-            if self.config.cascading_enabled {
-                self.fire_statement_triggers(stmt_mark, 1)?;
+        let nested = self.activate(spec, seeds, 0).and_then(|fired| {
+            if !fired {
+                return Ok(None);
             }
-            Ok(())
-        })();
-        match body {
-            Ok(()) => {
-                // ONCOMMIT + nested DETACHED of the autonomous transaction.
-                let saved_tx = self.tx_mark.take();
-                self.tx_mark = Some(tx_mark);
-                let res = self.commit_inner(tx_mark);
-                self.tx_mark = saved_tx;
-                match res {
-                    Ok(nested) => {
-                        queue.extend(nested);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        let _ = self.graph.rollback();
-                        Err(e)
-                    }
-                }
+            // ONCOMMIT + nested DETACHED of the autonomous transaction.
+            let saved_tx = self.tx_mark.replace(tx_mark);
+            let res = self.commit_inner(tx_mark);
+            self.tx_mark = saved_tx;
+            res.map(Some)
+        });
+        match nested {
+            Ok(Some(nested)) => {
+                queue.extend(nested);
+                Ok(())
             }
+            // Suppressed: the transaction is empty, there is nothing to commit.
+            Ok(None) => Ok(self.graph.rollback()?),
             Err(e) => {
                 let _ = self.graph.rollback();
                 Err(e)
@@ -1076,42 +1039,49 @@ impl Session {
             // FOR EACH: one statement execution per affected item (SQL3
             // row-trigger semantics); FOR ALL: one per statement.
             for unit in units {
-                let surviving = self.eval_condition_current(&spec, unit)?;
-                if surviving.is_empty() {
-                    self.stats.suppressed += 1;
-                    continue;
-                }
-                if depth >= self.config.max_cascade_depth {
-                    return Err(TriggerError::RecursionLimit {
-                        depth,
-                        trigger: spec.name.clone(),
-                    });
-                }
-                let stmt_mark = self.graph.mark();
-                run_prepared(
-                    Target::Write(&mut self.graph),
-                    &spec.statement,
-                    surviving,
-                    &Params::new(),
-                    self.now_ms,
-                )?;
-                self.stats.fired += 1;
-                if self.config.cascading_enabled {
-                    self.fire_statement_triggers(stmt_mark, depth + 1)?;
-                }
+                self.activate(&spec, unit, depth)?;
             }
         }
         Ok(())
     }
 
-    /// Evaluate a condition against the current graph state (AFTER,
-    /// ONCOMMIT, DETACHED). Returns the surviving binding rows.
-    fn eval_condition_current(
-        &self,
+    /// One AFTER / ONCOMMIT / DETACHED activation at cascade depth `depth`
+    /// (0 = activated by a top-level statement, a commit or the detached
+    /// queue): evaluate the condition against the current graph state;
+    /// when rows survive, run the statement from them and — if cascading
+    /// is enabled — process the triggers its own delta activates, one
+    /// level deeper. Returns whether the statement ran (`false` = the
+    /// condition suppressed the activation).
+    fn activate(
+        &mut self,
         spec: &TriggerSpec,
-        seeds: Vec<Row>,
-    ) -> Result<Vec<Row>, TriggerError> {
-        eval_condition(&self.graph, spec, seeds, self.now_ms)
+        unit: Vec<Row>,
+        depth: usize,
+    ) -> Result<bool, TriggerError> {
+        let surviving = eval_condition(&self.graph, spec, unit, self.now_ms)?;
+        if surviving.is_empty() {
+            self.stats.suppressed += 1;
+            return Ok(false);
+        }
+        if depth >= self.config.max_cascade_depth {
+            return Err(TriggerError::RecursionLimit {
+                depth,
+                trigger: spec.name.clone(),
+            });
+        }
+        let stmt_mark = self.graph.mark();
+        run_prepared(
+            Target::Write(&mut self.graph),
+            &spec.statement,
+            surviving,
+            &Params::new(),
+            self.now_ms,
+        )?;
+        self.stats.fired += 1;
+        if self.config.cascading_enabled {
+            self.fire_statement_triggers(stmt_mark, depth + 1)?;
+        }
+        Ok(true)
     }
 }
 

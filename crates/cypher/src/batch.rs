@@ -1,10 +1,11 @@
 //! Batch-at-a-time pattern matching (planner v4).
 //!
 //! The reference executor ([`crate::pattern::match_patterns`]) recurses
-//! one seed row at a time: each seed re-plans the join order, re-runs
-//! `start_candidates` and walks its own DFS. This module instead runs
-//! **operator stages over candidate batches**: all seed rows that share a
-//! plan advance together through one `Seed` stage and one `Expand` stage
+//! one seed row at a time: each seed plans its join order, materializes
+//! its seeds and walks its own DFS. This module plans each seed the same
+//! way — once, with the same `plan_patterns` — and then runs **operator
+//! stages over candidate batches**: all seed rows whose planned paths
+//! agree advance together through one `Seed` stage and one `Expand` stage
 //! per segment, so stage-level work can be shared across the whole batch:
 //!
 //! * the **seed candidate vector** is computed once per batch when the
@@ -37,17 +38,17 @@
 //! (BFS) leaf order equals the reference DFS leaf order — both are the
 //! lexicographic order of per-level candidate indices. Variable-length
 //! segments do not batch (their DFS interleaves depths); a plan group
-//! containing one falls back to the reference path per seed, as does a
-//! singleton group (nothing to share).
+//! containing one hands each seed's plan to the reference matcher, as
+//! does a singleton group (nothing to share).
 
 use crate::ast::{Expr, NodePattern, PathPattern, RelPattern};
 use crate::error::Result;
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{
-    hop_candidates, match_patterns_pushed, node_matches, plan_patterns, start_candidates,
-    MatchState, Pushdowns,
+    hop_candidates, match_planned, node_matches, node_reads, plan_patterns, rel_reads, seed_reads,
+    start_candidates, MatchState, Pushdowns,
 };
-use crate::physical::{plan_parallelism, plan_path, ParallelPlan, MORSEL_SIZE};
+use crate::physical::{plan_parallelism, ParallelPlan, PhysicalPathPlan, MORSEL_SIZE};
 use crate::row::Row;
 use pg_graph::{NodeId, Value};
 use std::collections::{HashMap, HashSet};
@@ -84,34 +85,39 @@ pub(crate) fn match_patterns_batch(
     pushed: &Pushdowns,
     par: &ParallelCfg,
 ) -> Result<Vec<Vec<Row>>> {
-    let plans: Vec<Vec<PathPattern>> = seeds
+    let mut plans: Vec<Vec<PhysicalPathPlan>> = seeds
         .iter()
         .map(|s| plan_patterns(ctx, s, patterns, pushed))
         .collect();
+    // Seeds batch together when their planned *paths* agree; each keeps
+    // its own seed accesses, which may carry values of its own row.
+    let same_paths = |a: &[PhysicalPathPlan], b: &[PhysicalPathPlan]| {
+        a.iter().map(|p| &p.path).eq(b.iter().map(|p| &p.path))
+    };
     let mut out: Vec<Vec<Row>> = Vec::with_capacity(seeds.len());
     let mut i = 0;
     while i < seeds.len() {
         let mut j = i + 1;
-        while j < seeds.len() && plans[j] == plans[i] {
+        while j < seeds.len() && same_paths(&plans[j], &plans[i]) {
             j += 1;
         }
         let group = &seeds[i..j];
         let var_length = plans[i]
             .iter()
-            .any(|p| p.segments.iter().any(|(r, _)| r.hops.is_some()));
+            .any(|p| p.path.segments.iter().any(|(r, _)| r.hops.is_some()));
         if group.len() == 1 || var_length {
-            for seed in group {
-                out.push(match_patterns_pushed(
+            for (seed, planned) in group.iter().zip(&plans[i..j]) {
+                out.push(match_planned(
                     ctx,
                     seed,
-                    patterns,
+                    planned,
                     where_clause,
                     pushed,
                     None,
                 )?);
             }
         } else {
-            let est = group_est_rows(ctx, group, &plans[i], pushed);
+            let est = group_est_rows(ctx, group, &mut plans[i]);
             // Pin only once the cost gate passes — pinning is cheap but
             // not free, and most groups are small.
             let snap = (est >= par.threshold)
@@ -125,12 +131,13 @@ pub(crate) fn match_patterns_batch(
                 par.threads,
                 par.threshold,
             );
+            let plans = &plans[i..j];
             match decision {
                 ParallelPlan::Parallel { degree, .. } => {
                     out.extend(run_group_morselized(
                         ctx,
                         group,
-                        &plans[i],
+                        plans,
                         where_clause,
                         pushed,
                         degree,
@@ -138,7 +145,7 @@ pub(crate) fn match_patterns_batch(
                     )?);
                 }
                 ParallelPlan::Serial(_) => {
-                    out.extend(run_group(ctx, group, &plans[i], where_clause, pushed)?);
+                    out.extend(run_group(ctx, group, plans, where_clause, pushed)?);
                 }
             }
         }
@@ -147,24 +154,18 @@ pub(crate) fn match_patterns_batch(
     Ok(out)
 }
 
-/// Estimated join-output rows of one plan-equal group: the group size
-/// times the product of each planned path's degree-statistics estimate
-/// (see [`plan_path`]), evaluated against the group's representative
-/// (first) seed row. Unlabeled source positions whose variable the
-/// representative row binds to a concrete node borrow that node's stored
-/// labels for the fanout lookup — at runtime the binding is real, so the
-/// hint is exact where `EXPLAIN`'s plan-time `Null` representative can
-/// only guess.
-fn group_est_rows(
-    ctx: &EvalCtx<'_>,
-    group: &[Row],
-    planned: &[PathPattern],
-    pushed: &Pushdowns,
-) -> f64 {
+/// Estimated join-output rows of one path-equal group: the group size
+/// times the product of each planned path's estimate, taken from the plan
+/// of the group's representative (first) seed row. Unlabeled source
+/// positions whose variable the representative row binds to a concrete
+/// node borrow that node's stored labels for the fanout lookup — at
+/// runtime the binding is real, so the hint is exact where `EXPLAIN`'s
+/// plan-time `Null` representative can only guess.
+fn group_est_rows(ctx: &EvalCtx<'_>, group: &[Row], planned: &mut [PhysicalPathPlan]) -> f64 {
     let rep = &group[0];
     let mut hints: HashMap<String, Vec<String>> = HashMap::new();
-    for path in planned {
-        let mut note = |np: &NodePattern| {
+    for path in planned.iter().map(|plan| &plan.path) {
+        for np in std::iter::once(&path.start).chain(path.segments.iter().map(|(_, np)| np)) {
             if let (Some(v), true) = (&np.var, np.labels.is_empty()) {
                 if let Some(Value::Node(id)) = rep.get(v) {
                     hints
@@ -172,15 +173,12 @@ fn group_est_rows(
                         .or_insert_with(|| ctx.view.node_labels(*id));
                 }
             }
-        };
-        note(&path.start);
-        for (_, np) in &path.segments {
-            note(np);
         }
     }
     let mut est = group.len() as f64;
-    for path in planned {
-        est *= plan_path(ctx, rep, path, pushed, &hints).est_rows();
+    for plan in planned {
+        plan.apply_hints(ctx, &hints);
+        est *= plan.est_rows();
     }
     est
 }
@@ -211,16 +209,19 @@ type MorselSlot = Mutex<Option<Result<Vec<Vec<Row>>>>>;
 fn run_group_morselized(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
-    planned: &[PathPattern],
+    plans: &[Vec<PhysicalPathPlan>],
     where_clause: Option<&Expr>,
     pushed: &Pushdowns,
     degree: usize,
     snap: &pg_graph::Snapshot,
 ) -> Result<Vec<Vec<Row>>> {
-    let morsels: Vec<&[Row]> = seeds.chunks(MORSEL_SIZE).collect();
+    let morsels: Vec<(&[Row], &[Vec<PhysicalPathPlan>])> = seeds
+        .chunks(MORSEL_SIZE)
+        .zip(plans.chunks(MORSEL_SIZE))
+        .collect();
     if degree <= 1 {
         let mut out = Vec::with_capacity(seeds.len());
-        for m in &morsels {
+        for (m, planned) in &morsels {
             out.extend(run_group(ctx, m, planned, where_clause, pushed)?);
         }
         return Ok(out);
@@ -239,7 +240,7 @@ fn run_group_morselized(
                     let wctx = EvalCtx::new(snap, params, now_ms);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(morsel) = morsels.get(i) else {
+                        let Some((morsel, planned)) = morsels.get(i) else {
                             break;
                         };
                         let r = run_group(&wctx, morsel, planned, where_clause, pushed);
@@ -263,11 +264,12 @@ fn run_group_morselized(
     Ok(out)
 }
 
-/// Stage-wise execution of one plan over a batch of seed rows.
+/// Stage-wise execution of a batch of seed rows whose plans (`plans[i]`
+/// is `seeds[i]`'s) share one planned path list.
 fn run_group(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
-    planned: &[PathPattern],
+    plans: &[Vec<PhysicalPathPlan>],
     where_clause: Option<&Expr>,
     pushed: &Pushdowns,
 ) -> Result<Vec<Vec<Row>>> {
@@ -283,22 +285,16 @@ fn run_group(
     // (seed index, in-progress match) — the batch the stages flow over.
     let mut states: Vec<(usize, MatchState)> = seeds
         .iter()
+        .map(|s| MatchState::new(s.clone()))
         .enumerate()
-        .map(|(si, s)| {
-            (
-                si,
-                MatchState {
-                    row: s.clone(),
-                    used: Vec::new(),
-                },
-            )
-        })
         .collect();
 
-    for path in planned {
-        // ---- Seed stage: anchor candidates per surviving state ----
+    for (pi, plan) in plans[0].iter().enumerate() {
+        let path = &plan.path;
+        // ---- Seed stage: each state materializes its seed's plan ----
         let shared: Option<Vec<NodeId>> = if start_shareable(path, pushed, &live) {
-            Some(start_candidates(ctx, &states[0].1.row, path, pushed)?)
+            let (si, st) = &states[0];
+            Some(start_candidates(ctx, &st.row, &plans[*si][pi], pushed)?)
         } else {
             None
         };
@@ -311,36 +307,18 @@ fn run_group(
             let cands: &[NodeId] = match &shared {
                 Some(c) => c,
                 None => {
-                    owned = start_candidates(ctx, &st.row, path, pushed)?;
+                    owned = start_candidates(ctx, &st.row, &plans[*si][pi], pushed)?;
                     &owned
                 }
             };
             for &cand in cands {
-                let ok = match &mut nmemo {
-                    Some(memo) => match memo.get(&cand) {
-                        Some(&ok) => ok,
-                        None => {
-                            let ok = node_matches(ctx, &st.row, cand, &path.start)?;
-                            memo.insert(cand, ok);
-                            ok
-                        }
-                    },
-                    None => node_matches(ctx, &st.row, cand, &path.start)?,
-                };
-                if !ok {
+                if !node_ok(ctx, &st.row, cand, &path.start, &mut nmemo)? {
                     continue;
                 }
                 let mut st2 = st.clone();
-                if let Some(v) = &path.start.var {
-                    if let Some(bound) = st2.row.get(v) {
-                        if bound.eq3(&Value::Node(cand)) != Some(true) {
-                            continue;
-                        }
-                    } else {
-                        st2.row.set(v.clone(), Value::Node(cand));
-                    }
+                if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
+                    cur.push((*si, st2, cand));
                 }
-                cur.push((*si, st2, cand));
             }
         }
         if let Some(v) = &path.start.var {
@@ -367,44 +345,18 @@ fn run_group(
                     &owned
                 };
                 for (rid, other) in cands {
-                    if st.used.contains(rid) {
-                        continue;
-                    }
-                    let ok = match &mut nmemo {
-                        Some(memo) => match memo.get(other) {
-                            Some(&ok) => ok,
-                            None => {
-                                let ok = node_matches(ctx, &st.row, *other, node_pat)?;
-                                memo.insert(*other, ok);
-                                ok
-                            }
-                        },
-                        None => node_matches(ctx, &st.row, *other, node_pat)?,
-                    };
-                    if !ok {
+                    if st.used.contains(rid)
+                        || !node_ok(ctx, &st.row, *other, node_pat, &mut nmemo)?
+                    {
                         continue;
                     }
                     let mut st2 = st.clone();
                     st2.used.push(*rid);
-                    if let Some(v) = &rel_pat.var {
-                        if let Some(bound) = st2.row.get(v) {
-                            if bound.eq3(&Value::Rel(*rid)) != Some(true) {
-                                continue;
-                            }
-                        } else {
-                            st2.row.set(v.clone(), Value::Rel(*rid));
-                        }
+                    if st2.bind(rel_pat.var.as_ref(), Value::Rel(*rid))
+                        && st2.bind(node_pat.var.as_ref(), Value::Node(*other))
+                    {
+                        next.push((*si, st2, *other));
                     }
-                    if let Some(v) = &node_pat.var {
-                        if let Some(bound) = st2.row.get(v) {
-                            if bound.eq3(&Value::Node(*other)) != Some(true) {
-                                continue;
-                            }
-                        } else {
-                            st2.row.set(v.clone(), Value::Node(*other));
-                        }
-                    }
-                    next.push((*si, st2, *other));
                 }
             }
             if let Some(v) = &rel_pat.var {
@@ -435,46 +387,35 @@ fn run_group(
     Ok(out)
 }
 
-/// Free variables of every pushed-down operand of `var`.
-fn pushed_expr_vars(var: Option<&String>, pushed: &Pushdowns, out: &mut Vec<String>) {
-    let Some(p) = var.and_then(|v| pushed.get(v)) else {
-        return;
+/// [`node_matches`], decided once per node when the stage carries a memo
+/// (the check is row-independent there, see [`node_shareable`]).
+fn node_ok(
+    ctx: &EvalCtx<'_>,
+    row: &Row,
+    node: NodeId,
+    np: &NodePattern,
+    memo: &mut Option<HashMap<NodeId, bool>>,
+) -> Result<bool> {
+    let Some(memo) = memo else {
+        return node_matches(ctx, row, node, np);
     };
-    for (_, e) in &p.eqs {
-        e.collect_vars(out);
+    if let Some(&ok) = memo.get(&node) {
+        return Ok(ok);
     }
-    for (_, _, e) in &p.ranges {
-        e.collect_vars(out);
-    }
-    for (_, e) in &p.prefixes {
-        e.collect_vars(out);
-    }
+    let ok = node_matches(ctx, row, node, np)?;
+    memo.insert(node, ok);
+    Ok(ok)
+}
+
+/// Whether none of `names` is bound in any batched row.
+fn none_live(names: &[String], live: &HashSet<String>) -> bool {
+    names.iter().all(|n| !live.contains(n))
 }
 
 /// Whether [`start_candidates`] is row-independent for this batch: none
-/// of the names its access decision consults — the anchor variable, its
-/// labels (transition-variable check), the free variables of its inline
-/// props and pushdowns, and the same for the first segment's relationship
-/// (a rel extent may seed the anchor) — is live in any batched row.
+/// of the names choosing the seed reads is live in any batched row.
 fn start_shareable(path: &PathPattern, pushed: &Pushdowns, live: &HashSet<String>) -> bool {
-    if live.is_empty() {
-        return true;
-    }
-    let mut names: Vec<String> = Vec::new();
-    names.extend(path.start.var.iter().cloned());
-    names.extend(path.start.labels.iter().cloned());
-    for (_, e) in &path.start.props {
-        e.collect_vars(&mut names);
-    }
-    pushed_expr_vars(path.start.var.as_ref(), pushed, &mut names);
-    if let Some((rel_pat, _)) = path.segments.first() {
-        names.extend(rel_pat.var.iter().cloned());
-        for (_, e) in &rel_pat.props {
-            e.collect_vars(&mut names);
-        }
-        pushed_expr_vars(rel_pat.var.as_ref(), pushed, &mut names);
-    }
-    names.iter().all(|n| !live.contains(n))
+    live.is_empty() || none_live(&seed_reads(path, pushed), live)
 }
 
 /// Whether [`hop_candidates`] depends only on the source node for this
@@ -482,16 +423,7 @@ fn start_shareable(path: &PathPattern, pushed: &Pushdowns, live: &HashSet<String
 /// rel fast path) and no inline prop or pushdown operand reads a live
 /// variable.
 fn hop_shareable(rel_pat: &RelPattern, pushed: &Pushdowns, live: &HashSet<String>) -> bool {
-    if live.is_empty() {
-        return true;
-    }
-    let mut names: Vec<String> = Vec::new();
-    names.extend(rel_pat.var.iter().cloned());
-    for (_, e) in &rel_pat.props {
-        e.collect_vars(&mut names);
-    }
-    pushed_expr_vars(rel_pat.var.as_ref(), pushed, &mut names);
-    names.iter().all(|n| !live.contains(n))
+    live.is_empty() || none_live(&rel_reads(rel_pat, pushed), live)
 }
 
 /// Whether [`node_matches`] depends only on the candidate node for this
@@ -500,13 +432,5 @@ fn hop_shareable(rel_pat: &RelPattern, pushed: &Pushdowns, live: &HashSet<String
 /// irrelevant — `node_matches` never consults it; the bound-variable
 /// equality check stays per state, outside the memo.)
 fn node_shareable(np: &NodePattern, live: &HashSet<String>) -> bool {
-    if live.is_empty() {
-        return true;
-    }
-    let mut names: Vec<String> = Vec::new();
-    names.extend(np.labels.iter().cloned());
-    for (_, e) in &np.props {
-        e.collect_vars(&mut names);
-    }
-    names.iter().all(|n| !live.contains(n))
+    live.is_empty() || none_live(&node_reads(np), live)
 }

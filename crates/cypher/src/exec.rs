@@ -51,7 +51,9 @@ use crate::ast::*;
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
 use crate::functions::{is_aggregate, Accumulator};
-use crate::pattern::{extract_pushdowns, match_patterns, pattern_vars, Pushdowns};
+use crate::pattern::{
+    extract_pushdowns, match_patterns, match_patterns_pushed, pattern_vars, Pushdowns,
+};
 use crate::plan::{composite_pin, plan_topk_projection, TopKSpec};
 use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
@@ -442,7 +444,14 @@ impl<'a> Executor<'a> {
             for seed in seeds {
                 let mut s2 = seed.clone();
                 s2.set(f.spec.var.clone(), item.clone());
-                rows.extend(match_patterns(ctx, &s2, f.patterns, f.where_clause, None)?);
+                rows.extend(match_patterns_pushed(
+                    ctx,
+                    &s2,
+                    f.patterns,
+                    f.where_clause,
+                    f.pushed,
+                    None,
+                )?);
             }
             if rows.len() >= f.spec.keep {
                 break;

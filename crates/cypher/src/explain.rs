@@ -1,17 +1,17 @@
 //! `EXPLAIN` — render a query's physical plan (planner v4).
 //!
-//! The report is produced from [`crate::plan::lower_query`], so every
-//! line reflects a decision the real executor makes: the `Seed` lines
-//! carry the [`crate::physical::NodeAccess`] chosen count-only by the
-//! cost model, `Expand` lines carry the per-hop degree-statistics fanout
-//! and the running join-output estimate, and a `TopK` line appears
+//! The report only formats [`crate::plan::lower_query`]'s output; no
+//! access path or estimate is worked out here. `Seed` lines print the
+//! [`crate::physical::NodeAccess`] of a planned path — the value the
+//! matchers materialize — `Expand` lines its per-hop degree-statistics
+//! fanout and running join-output estimate, and a `TopK` line appears
 //! exactly when the executor's index-served top-k fusion accepts the
 //! `MATCH` + projection pair. For read-only queries the query is also
 //! executed once so the report closes with `actual rows` next to the
 //! estimate — the estimated-vs-actual gap is what the `join_planning`
 //! bench tracks.
 
-use crate::ast::Query;
+use crate::ast::{PathPattern, Query};
 use crate::error::Result;
 use crate::expr::EvalCtx;
 use crate::parser::parse_query;
@@ -20,7 +20,7 @@ use crate::plan::{lower_query_with, LogicalOp};
 use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
-use pg_graph::GraphView;
+use pg_graph::{Direction, GraphView};
 use std::fmt::Write as _;
 
 /// Format an estimate: integral values print without a fraction
@@ -31,6 +31,24 @@ fn fmt_est(v: f64) -> String {
     } else {
         format!("{v:.1}")
     }
+}
+
+/// `-[:T]->(x:L)`-style rendering of one hop: direction, types, target.
+fn fmt_hop(path: &PathPattern, segment: usize) -> String {
+    let (rp, np) = &path.segments[segment];
+    let (left, right) = match rp.direction {
+        Direction::Out => ("-", "->"),
+        Direction::In => ("<-", "-"),
+        Direction::Both => ("-", "-"),
+    };
+    let types = if rp.types.is_empty() {
+        String::new()
+    } else {
+        format!(":{}", rp.types.join("|"))
+    };
+    let target = np.var.as_deref().unwrap_or("_");
+    let labels: String = np.labels.iter().map(|l| format!(":{l}")).collect();
+    format!("{left}[{types}]{right}({target}{labels})")
 }
 
 /// Render the physical plan of `query`. When `executed` is given, the
@@ -59,13 +77,14 @@ pub fn render_plan(
                 let _ = writeln!(
                     out,
                     "  {opt} ({}) access={} est={} rows",
-                    p.seed_var, p.seed, p.seed_est
+                    p.path.start.var.as_deref().unwrap_or("_"),
+                    p.seed,
+                    p.seed_est
                 );
             }
-            LogicalOp::Expand { segment, .. } => {
+            LogicalOp::Expand { pattern, segment } => {
                 // `pi` has already advanced past this path's Seed.
-                let p = &phys[pi - 1];
-                let h = &p.hops[*segment];
+                let h = &phys[pi - 1].hops[*segment];
                 let fanout = match h.fanout {
                     Some(f) => format!("{f:.2}"),
                     None => "?".to_string(),
@@ -73,7 +92,7 @@ pub fn render_plan(
                 let _ = writeln!(
                     out,
                     "  Expand {} fanout={fanout} est={} rows",
-                    h.repr,
+                    fmt_hop(pattern, *segment),
                     fmt_est(h.est_rows)
                 );
             }

@@ -12,7 +12,7 @@
 //! trigger engine binds `NEWNODES`/`NEW` in the seed row.
 //!
 //! **Planner v3** (`plan_patterns`): before matching, each `MATCH`'s
-//! pattern list is re-planned per seed row —
+//! pattern list is planned once per seed row —
 //!
 //! 1. `WHERE` conjuncts of shape `var.key = e`, `var.key </<=/>/>= e` and
 //!    `var.key STARTS WITH e` are pushed down into candidate selection,
@@ -34,19 +34,28 @@
 //!    every enumerated relationship is pre-filtered against the evaluated
 //!    predicates.
 //!
+//! **The planned path is what runs.** `plan_patterns` returns one
+//! [`PhysicalPathPlan`] per re-rooted path, carrying the seed access its
+//! anchor was costed with (see [`crate::physical`]); the DFS here and the
+//! stage-wise [`crate::batch`] both seed a path by materializing that
+//! value (`start_candidates`).
+//!
 //! Planning itself is **count-only** (v3): all cost estimates go through
 //! [`pg_graph::ProbeMode::Count`] probes (exact equality counts,
 //! histogram-backed range estimates) and
 //! [`pg_graph::GraphView::index_stats`] (the average equality bucket, for
 //! equality conjuncts whose operand is bound by another join path) — no
 //! candidate vector is materialized until an access path has been
-//! *chosen*. Node and relationship positions share one estimator and one
-//! probe chooser (`physical::Sargs`).
+//! *chosen*. Node and relationship positions share one probe chooser
+//! (`physical::Sargs`).
 
 use crate::ast::{BinOp, Expr, NodePattern, PathPattern, RelPattern};
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
-use crate::physical::{NodeAccess, Sargs};
+use crate::physical::{
+    choose_node_access, choose_rel_seed, choose_seed, hop_fanout, NodeAccess, PhysicalPathPlan,
+    Sargs,
+};
 use crate::row::Row;
 use pg_graph::{Direction, IndexScope, NodeId, RelId, Value};
 use std::collections::{HashMap, HashSet};
@@ -77,9 +86,34 @@ pub(crate) struct MatchState {
     pub(crate) used: Vec<RelId>,
 }
 
+impl MatchState {
+    pub(crate) fn new(row: Row) -> MatchState {
+        let used = Vec::new();
+        MatchState { row, used }
+    }
+
+    /// Bind the pattern variable `var` (if the position names one) to
+    /// `value`; a variable that is already bound must equal it (`eq3`).
+    /// `false` rejects the state.
+    pub(crate) fn bind(&mut self, var: Option<&String>, value: Value) -> bool {
+        let Some(v) = var else {
+            return true;
+        };
+        match self.row.get(v) {
+            Some(bound) => bound.eq3(&value) == Some(true),
+            None => {
+                self.row.set(v.clone(), value);
+                true
+            }
+        }
+    }
+}
+
 /// Match a list of path patterns (as one joint MATCH clause) against the
-/// view, starting from `seed`. Returns the extended binding rows; when
-/// `limit` is given, stops after that many (EXISTS only needs one).
+/// view, starting from `seed`. Returns the extended binding rows, at most
+/// `limit` of them when given: enumeration always runs to completion and
+/// the result is truncated afterwards (`EXISTS` asks for one row but does
+/// not yet stop early — ROADMAP item 2).
 pub fn match_patterns(
     ctx: &EvalCtx<'_>,
     seed: &Row,
@@ -101,15 +135,26 @@ pub(crate) fn match_patterns_pushed(
     pushed: &Pushdowns,
     limit: Option<usize>,
 ) -> Result<Vec<Row>> {
-    let mut states = vec![MatchState {
-        row: seed.clone(),
-        used: Vec::new(),
-    }];
     let planned = plan_patterns(ctx, seed, patterns, pushed);
-    for pattern in &planned {
+    match_planned(ctx, seed, &planned, where_clause, pushed, limit)
+}
+
+/// Run the plan [`plan_patterns`] made for `seed` — the reference matcher:
+/// one depth-first walk per planned path, each seeded by materializing the
+/// plan's access.
+pub(crate) fn match_planned(
+    ctx: &EvalCtx<'_>,
+    seed: &Row,
+    planned: &[PhysicalPathPlan],
+    where_clause: Option<&Expr>,
+    pushed: &Pushdowns,
+    limit: Option<usize>,
+) -> Result<Vec<Row>> {
+    let mut states = vec![MatchState::new(seed.clone())];
+    for plan in planned {
         let mut next = Vec::new();
         for st in &states {
-            match_path(ctx, pattern, st, pushed, &mut next, None)?;
+            match_path(ctx, plan, st, pushed, &mut next)?;
         }
         states = next;
         if states.is_empty() {
@@ -162,132 +207,12 @@ pub fn pattern_vars(patterns: &[PathPattern]) -> Vec<String> {
 /// A conservative "don't know" cardinality for unestimatable positions.
 const UNKNOWN_COST: usize = usize::MAX / 4;
 
-/// Estimated candidate-set size for anchoring a path at a node pattern.
-/// Mirrors the access-path choice of [`node_candidates`] using count-only
-/// probes and statistics (no candidate vector is materialized during
-/// planning); `bound` holds variables that will already be bound when this
-/// path runs (seed row plus earlier-joined paths).
-fn estimate_node_cost(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    np: &NodePattern,
-    pushed: &Pushdowns,
-    bound: &HashSet<String>,
-) -> usize {
-    if let Some(v) = &np.var {
-        if row.contains(v) || bound.contains(v) {
-            return 0;
-        }
+/// Node position `i` of a path: 0 = `path.start`, i>0 = `segments[i-1].1`.
+fn node_at(path: &PathPattern, i: usize) -> &NodePattern {
+    match i.checked_sub(1) {
+        None => &path.start,
+        Some(seg) => &path.segments[seg].1,
     }
-    for l in &np.labels {
-        if let Some(v) = row.get(l) {
-            return match v {
-                Value::List(items) => items.len(),
-                _ => 1,
-            };
-        }
-        if bound.contains(l) {
-            // bound by an earlier path: restricted, size unknown but small
-            return 1;
-        }
-    }
-    let sargs = Sargs::eval(ctx, row, np.var.as_ref(), &np.props, pushed);
-    if sargs.never {
-        return 0;
-    }
-    let index_est = np
-        .labels
-        .iter()
-        .filter_map(|l| sargs.estimate(ctx, IndexScope::Label(l)))
-        .min();
-    let label_min = np
-        .labels
-        .iter()
-        .map(|l| ctx.view.label_cardinality(l))
-        .min();
-    match (index_est, label_min) {
-        (Some(i), Some(l)) => i.min(l),
-        (Some(i), None) => i,
-        (None, Some(l)) => l,
-        (None, None) => ctx.view.node_count_estimate().max(1),
-    }
-}
-
-/// Estimated extent size when a single-hop relationship pattern is used as
-/// the access path (type extents, relationship-property index hits, or a
-/// pre-bound rel variable). `None` = unusable as a seed (variable-length,
-/// untyped and unbound). Count-only (v3): equality, range and prefix
-/// pushdowns on the relationship variable are costed through the counting
-/// probes; unevaluable equality operands fall back to the `total/distinct`
-/// average-bucket selectivity.
-fn estimate_rel_cost(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    rp: &RelPattern,
-    pushed: &Pushdowns,
-    bound: &HashSet<String>,
-) -> Option<usize> {
-    if rp.hops.is_some() {
-        return None;
-    }
-    if let Some(v) = &rp.var {
-        if let Some(Value::Rel(_)) = row.get(v) {
-            return Some(1);
-        }
-        if bound.contains(v) {
-            return Some(1);
-        }
-    }
-    if rp.types.is_empty() {
-        return None;
-    }
-    let sargs = Sargs::eval(ctx, row, rp.var.as_ref(), &rp.props, pushed);
-    let mut total = 0usize;
-    for t in &rp.types {
-        let extent = ctx.view.rel_type_cardinality(t);
-        let best = sargs
-            .estimate(ctx, IndexScope::RelType(t))
-            .map_or(extent, |est| est.min(extent));
-        total = total.saturating_add(best);
-    }
-    Some(total)
-}
-
-/// Candidate relationships when a single-hop relationship pattern seeds the
-/// path: the pre-bound rel variable, or per type the best of a
-/// relationship-property index hit and the type extent.
-fn rel_seed_candidates(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    rp: &RelPattern,
-    pushed: &Pushdowns,
-) -> Option<Vec<RelId>> {
-    if rp.hops.is_some() {
-        return None;
-    }
-    if let Some(v) = &rp.var {
-        if let Some(Value::Rel(r)) = row.get(v) {
-            return Some(vec![*r]);
-        }
-    }
-    if rp.types.is_empty() {
-        return None;
-    }
-    let sargs = Sargs::eval(ctx, row, rp.var.as_ref(), &rp.props, pushed);
-    if sargs.never {
-        return Some(Vec::new());
-    }
-    let mut out: Vec<RelId> = Vec::new();
-    for t in &rp.types {
-        let scope = IndexScope::RelType(t);
-        let served = sargs
-            .best_probe(ctx, scope)
-            .and_then(|(access, _)| access.ids(ctx, scope));
-        out.extend(served.unwrap_or_else(|| ctx.view.rels_with_type(t)));
-    }
-    out.sort();
-    out.dedup();
-    Some(out)
 }
 
 /// A relationship pattern as seen from its other endpoint.
@@ -302,14 +227,7 @@ fn reverse_rel(rp: &RelPattern) -> RelPattern {
 /// returned paths start at the anchor node pattern; the second is empty
 /// (`None`) unless the anchor is interior.
 fn reroot_path(path: &PathPattern, anchor: usize) -> (PathPattern, Option<PathPattern>) {
-    // node position i: 0 = path.start, i>0 = segments[i-1].1
-    let node_at = |i: usize| -> &NodePattern {
-        if i == 0 {
-            &path.start
-        } else {
-            &path.segments[i - 1].1
-        }
-    };
+    let node_at = |i| node_at(path, i);
     if anchor == 0 {
         return (path.clone(), None);
     }
@@ -332,81 +250,42 @@ fn reroot_path(path: &PathPattern, anchor: usize) -> (PathPattern, Option<PathPa
     }
 }
 
-/// Expected output rows **per input row** of one hop, from the degree
-/// statistics ([`crate::physical::expand_fanout`], planner v4). Labels
-/// bound in the row or by an earlier join path are transition variables,
-/// not stored labels, and contribute no statistic; hops with no applicable
-/// statistic (variable-length, untyped, unlabeled source) multiply by 1 —
-/// the conservative "don't know" fanout.
-fn hop_fanout(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    src: &NodePattern,
-    rp: &RelPattern,
-    bound: &HashSet<String>,
-) -> f64 {
-    if rp.hops.is_some() {
-        return 1.0;
-    }
-    let labels: Vec<String> = src
-        .labels
-        .iter()
-        .filter(|l| row.get(l).is_none() && !bound.contains(l.as_str()))
-        .cloned()
-        .collect();
-    crate::physical::expand_fanout(ctx, &labels, &rp.types, rp.direction).unwrap_or(1.0)
+/// One segment of a path as anchor costing sees it: its fanout walked
+/// rightwards and leftwards, and how its relationship would seed an
+/// adjacent anchor.
+type CostedSegment = (Option<f64>, Option<f64>, Option<(NodeAccess, usize)>);
+
+/// The cheapest way to anchor one path.
+struct Anchor {
+    /// Node position to start from (0 = lexical start).
+    pos: usize,
+    cost: usize,
+    /// What seeds the path re-rooted at `pos`, and its estimate.
+    seed: (NodeAccess, usize),
+    segments: Vec<CostedSegment>,
 }
 
-/// Expected rows enumerated while walking the whole path from anchor
-/// position `anchor` — the **join-output cardinality** term of an anchor's
-/// cost (planner v4). Starting from the anchor's access estimate, each hop
-/// multiplies the running row count by its expected fanout and the
-/// cumulative counts of every hop are summed. The leftward (reversed-
-/// prefix) walk runs first and the rightward suffix walk continues from
-/// its result, mirroring what an interior anchor actually executes after
-/// [`reroot_path`]: the suffix half-path runs once per row of the reversed
-/// prefix, so its rows multiply — an additive model would systematically
-/// undercount interior splits with a fat left side.
-fn walk_cost(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    path: &PathPattern,
-    anchor: usize,
-    access: usize,
-    bound: &HashSet<String>,
-) -> usize {
-    let k = path.segments.len();
-    let node_at = |i: usize| -> &NodePattern {
-        if i == 0 {
-            &path.start
-        } else {
-            &path.segments[i - 1].1
-        }
-    };
-    let mut total = 0f64;
-    let mut rows = access.max(1) as f64;
-    for j in (0..anchor).rev() {
-        let rp = reverse_rel(&path.segments[j].0);
-        rows *= hop_fanout(ctx, row, node_at(j + 1), &rp, bound);
-        total += rows;
-    }
-    for j in anchor..k {
-        rows *= hop_fanout(ctx, row, node_at(j), &path.segments[j].0, bound);
-        total += rows;
-    }
-    if total.is_finite() && total < UNKNOWN_COST as f64 {
-        total as usize
-    } else {
-        UNKNOWN_COST
-    }
+/// Per-hop fanouts of the walk from position `pos`: the reversed prefix,
+/// then the suffix.
+fn walk_from(segments: &[CostedSegment], pos: usize) -> impl Iterator<Item = Option<f64>> + '_ {
+    let (prefix, suffix) = segments.split_at(pos);
+    let leftwards = prefix.iter().rev().map(|(_, rev, _)| *rev);
+    leftwards.chain(suffix.iter().map(|(fwd, _, _)| *fwd))
 }
 
-/// The cheapest anchor position of a path and its estimated cost. A
-/// position's **access** cost is the best of its node access paths and
-/// (for single-hop segments adjacent to it) the relationship extent that
-/// could seed it; its total cost adds the expected rows of walking the
-/// whole path from there ([`walk_cost`] — join-output cardinality from
-/// degree statistics). Interior anchors require a named node (the two
+/// The cheapest anchor position of a path. A position's **access** cost
+/// is the best of its node access and (for single-hop segments adjacent to
+/// it) the relationship extent that could seed it — a bound variable
+/// enumerates nothing and costs 0. Its total cost adds the **join-output
+/// cardinality** of walking the whole path from there (planner v4):
+/// starting from the access estimate, each hop multiplies the running row
+/// count by its expected fanout ([`hop_fanout`]) and the cumulative counts
+/// of every hop are summed. The leftward (reversed-prefix) walk runs first
+/// and the rightward suffix walk continues from its result, mirroring what
+/// an interior anchor executes after [`reroot_path`]: the suffix half-path
+/// runs once per row of the reversed prefix, so its rows multiply — an
+/// additive model would systematically undercount interior splits with a
+/// fat left side. Interior anchors require a named node (the two
 /// half-paths join on the variable); unnamed interior positions are
 /// skipped.
 fn best_anchor(
@@ -415,160 +294,203 @@ fn best_anchor(
     path: &PathPattern,
     pushed: &Pushdowns,
     bound: &HashSet<String>,
-) -> (usize, usize) {
+) -> Anchor {
     let k = path.segments.len();
-    let node_at = |i: usize| -> &NodePattern {
-        if i == 0 {
-            &path.start
-        } else {
-            &path.segments[i - 1].1
-        }
-    };
-    let mut best = (0usize, UNKNOWN_COST);
-    for i in 0..=k {
-        if i != 0 && i != k && node_at(i).var.is_none() {
-            continue; // interior split needs the anchor variable
-        }
-        let mut access = estimate_node_cost(ctx, row, node_at(i), pushed, bound);
+    let node_at = |i| node_at(path, i);
+    let usable = |i: usize| i == 0 || i == k || node_at(i).var.is_some();
+    // Join ordering takes no label hints.
+    let no_hints = HashMap::new();
+    let mut segments: Vec<CostedSegment> = (0..k)
+        .map(|j| {
+            let rp = &path.segments[j].0;
+            let fanout = |src: usize, dir: Direction| {
+                hop_fanout(ctx, row, node_at(src), rp, dir, bound, &no_hints)
+            };
+            let rel = (usable(j) || usable(j + 1))
+                .then(|| choose_rel_seed(ctx, row, rp, pushed, bound))
+                .flatten();
+            (
+                fanout(j, rp.direction),
+                fanout(j + 1, rp.direction.reverse()),
+                rel,
+            )
+        })
+        .collect();
+
+    let mut best: Option<(usize, usize, (NodeAccess, usize))> = None;
+    for i in (0..=k).filter(|&i| usable(i)) {
+        let node = choose_node_access(ctx, row, node_at(i), pushed, bound);
+        let mut access = match node.0 {
+            NodeAccess::BoundVar(_) => 0,
+            _ => node.1,
+        };
         // a selective adjacent relationship can seed this anchor
-        for seg in [i.checked_sub(1), (i < k).then_some(i)]
-            .into_iter()
-            .flatten()
-        {
-            if let Some(rc) = estimate_rel_cost(ctx, row, &path.segments[seg].0, pushed, bound) {
-                access = access.min(rc);
-            }
+        for (_, _, rel) in &segments[i.saturating_sub(1)..(i + 1).min(k)] {
+            access = rel.as_ref().map_or(access, |(_, est)| access.min(*est));
         }
-        let cost = access.saturating_add(walk_cost(ctx, row, path, i, access, bound));
-        if cost < best.1 {
-            best = (i, cost);
+        let (mut walk, mut rows) = (0f64, access.max(1) as f64);
+        for fanout in walk_from(&segments, i) {
+            rows *= fanout.unwrap_or(1.0);
+            walk += rows;
+        }
+        let cost = if walk.is_finite() && walk < UNKNOWN_COST as f64 {
+            access.saturating_add(walk as usize).min(UNKNOWN_COST)
+        } else {
+            UNKNOWN_COST
+        };
+        if best.as_ref().is_none_or(|(_, b, _)| cost < *b) {
+            best = Some((i, cost, node));
         }
     }
-    best
+    let (pos, cost, node) = best.expect("position 0 is always usable");
+    // The re-rooted path leaves `pos` leftwards when it can.
+    let first_seg = pos.saturating_sub(1);
+    Anchor {
+        pos,
+        cost,
+        seed: choose_seed(node, || segments.get_mut(first_seg)?.2.take()),
+        segments,
+    }
 }
 
 /// Join-order planning for one `MATCH`'s pattern list: re-root each path at
 /// its cheapest anchor and greedily order paths by estimated anchor cost,
-/// re-costing as earlier paths bind variables. Pure re-planning — the set
-/// of result rows is unchanged (pattern matching is a join and relationship
-/// uniqueness is a symmetric constraint over the whole assignment); only
-/// the enumeration order (and hence row order) may differ.
+/// re-costing as earlier paths bind variables. Each planned path carries
+/// the seed access its anchor was costed with — the matchers materialize
+/// it instead of choosing again. Pure re-planning — the set of result rows
+/// is unchanged (pattern matching is a join and relationship uniqueness is
+/// a symmetric constraint over the whole assignment); only the enumeration
+/// order (and hence row order) may differ.
 pub(crate) fn plan_patterns(
     ctx: &EvalCtx<'_>,
     seed: &Row,
     patterns: &[PathPattern],
     pushed: &Pushdowns,
-) -> Vec<PathPattern> {
-    if patterns.len() == 1 && patterns[0].segments.is_empty() {
-        return patterns.to_vec(); // nothing to plan
-    }
-    let mut bound: HashSet<String> = seed.names().cloned().collect();
-    let mut remaining: Vec<(usize, &PathPattern)> = patterns.iter().enumerate().collect();
+) -> Vec<PhysicalPathPlan> {
+    // What earlier-joined paths bind, on top of `seed`.
+    let mut bound: HashSet<String> = HashSet::new();
+    let mut remaining: Vec<&PathPattern> = patterns.iter().collect();
     let mut out = Vec::with_capacity(patterns.len());
     while !remaining.is_empty() {
         // pick the cheapest remaining path (stable on ties)
-        let mut pick = 0usize;
-        let mut pick_anchor = (0usize, UNKNOWN_COST);
-        for (slot, (_, p)) in remaining.iter().enumerate() {
+        let mut pick: Option<(usize, Anchor)> = None;
+        for (slot, p) in remaining.iter().enumerate() {
             let anchor = best_anchor(ctx, seed, p, pushed, &bound);
-            if anchor.1 < pick_anchor.1 {
-                pick = slot;
-                pick_anchor = anchor;
+            if pick.as_ref().is_none_or(|(_, b)| anchor.cost < b.cost) {
+                pick = Some((slot, anchor));
             }
         }
-        let (_, path) = remaining.remove(pick);
-        for v in pattern_vars(std::slice::from_ref(path)) {
-            bound.insert(v);
-        }
-        let (first, second) = reroot_path(path, pick_anchor.0);
-        out.push(first);
+        let (slot, anchor) = pick.expect("remaining is non-empty");
+        let path = remaining.remove(slot);
+        let (first, second) = reroot_path(path, anchor.pos);
+        let fanouts = || walk_from(&anchor.segments, anchor.pos);
+        let split = first.segments.len();
+        // A seed chosen from a name only an earlier path binds (the
+        // planning row does not hold its value) is chosen again per row.
+        let deferred =
+            !bound.is_empty() && seed_reads(&first, pushed).iter().any(|n| bound.contains(n));
+        let second = second.map(|half| {
+            let var = half.start.var.clone().expect("interior anchors are named");
+            let joined = (NodeAccess::BoundVar(var), 1);
+            PhysicalPathPlan::new(half, joined, false, fanouts().skip(split))
+        });
+        let prefix = fanouts().take(split);
+        out.push(PhysicalPathPlan::new(first, anchor.seed, deferred, prefix));
         out.extend(second);
+        if !remaining.is_empty() {
+            bound.extend(pattern_vars(std::slice::from_ref(path)));
+        }
     }
     out
 }
 
-/// Candidate start nodes for a path: the node-pattern access paths of
-/// [`node_candidates`], improved by seeding from the first segment's
-/// relationship extent when that is **estimated** strictly smaller (a
-/// pre-bound rel variable, a small type extent, or a relationship-
-/// property index hit). Both sides are compared by count-only estimates;
-/// only the winning access path is materialized.
+/// Free variables of every pushed-down operand of `var`.
+fn pushed_expr_vars(var: Option<&String>, pushed: &Pushdowns, out: &mut Vec<String>) {
+    let Some(p) = var.and_then(|v| pushed.get(v)) else {
+        return;
+    };
+    let operands = p.eqs.iter().map(|(_, e)| e);
+    let operands = operands.chain(p.ranges.iter().map(|(_, _, e)| e));
+    for e in operands.chain(p.prefixes.iter().map(|(_, e)| e)) {
+        e.collect_vars(out);
+    }
+}
+
+/// The names whose bindings [`node_matches`] reads for `np`: its labels
+/// (transition-variable check) and the free variables of its inline props.
+pub(crate) fn node_reads(np: &NodePattern) -> Vec<String> {
+    let mut names = np.labels.clone();
+    for (_, e) in &np.props {
+        e.collect_vars(&mut names);
+    }
+    names
+}
+
+/// The names whose bindings [`hop_candidates`] reads for `rel_pat`: the
+/// relationship variable (pre-bound rel fast path) and the free variables
+/// of its inline props and pushdown operands.
+pub(crate) fn rel_reads(rel_pat: &RelPattern, pushed: &Pushdowns) -> Vec<String> {
+    let mut names: Vec<String> = rel_pat.var.iter().cloned().collect();
+    for (_, e) in &rel_pat.props {
+        e.collect_vars(&mut names);
+    }
+    pushed_expr_vars(rel_pat.var.as_ref(), pushed, &mut names);
+    names
+}
+
+/// The names whose bindings choosing a path's seed reads: the anchor
+/// variable and its pushdowns, what checking the anchor reads, and what
+/// the first segment's relationship reads (its extent may seed the anchor).
+pub(crate) fn seed_reads(path: &PathPattern, pushed: &Pushdowns) -> Vec<String> {
+    let mut names = node_reads(&path.start);
+    names.extend(path.start.var.iter().cloned());
+    pushed_expr_vars(path.start.var.as_ref(), pushed, &mut names);
+    if let Some((rel_pat, _)) = path.segments.first() {
+        names.extend(rel_reads(rel_pat, pushed));
+    }
+    names
+}
+
+/// The start candidates of a planned path for one binding row: the planned
+/// seed, materialized. A deferred seed (see [`PhysicalPathPlan`]) is first
+/// chosen again — by the planner's own functions — now that `row` binds
+/// what planning could not evaluate.
 pub(crate) fn start_candidates(
     ctx: &EvalCtx<'_>,
     row: &Row,
-    path: &PathPattern,
+    plan: &PhysicalPathPlan,
     pushed: &Pushdowns,
 ) -> Result<Vec<NodeId>> {
-    let Some((rel_pat, _)) = path.segments.first() else {
-        return node_candidates(ctx, row, &path.start, pushed);
-    };
-    let node_est = estimate_node_cost(ctx, row, &path.start, pushed, &HashSet::new());
-    if node_est <= 1 {
-        return node_candidates(ctx, row, &path.start, pushed);
+    let path = &plan.path;
+    if !plan.deferred {
+        return plan.seed.candidates(ctx, row, path);
     }
-    let est = estimate_rel_cost(ctx, row, rel_pat, pushed, &HashSet::new());
-    if est.is_none_or(|e| e >= node_est) {
-        return node_candidates(ctx, row, &path.start, pushed);
-    }
-    let Some(rels) = rel_seed_candidates(ctx, row, rel_pat, pushed) else {
-        return node_candidates(ctx, row, &path.start, pushed);
-    };
-    if rels.len() >= node_est {
-        return node_candidates(ctx, row, &path.start, pushed);
-    }
-    let mut out: Vec<NodeId> = Vec::with_capacity(rels.len());
-    for rid in rels {
-        let Some((s, d)) = ctx.view.rel_endpoints(rid) else {
-            continue;
-        };
-        match rel_pat.direction {
-            Direction::Out => out.push(s),
-            Direction::In => out.push(d),
-            Direction::Both => {
-                out.push(s);
-                out.push(d);
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
-    Ok(out)
+    let none = HashSet::new();
+    let node = choose_node_access(ctx, row, &path.start, pushed, &none);
+    let first_rel = || choose_rel_seed(ctx, row, &path.segments.first()?.0, pushed, &none);
+    choose_seed(node, first_rel).0.candidates(ctx, row, path)
 }
 
 fn match_path(
     ctx: &EvalCtx<'_>,
-    path: &PathPattern,
+    plan: &PhysicalPathPlan,
     st: &MatchState,
     pushed: &Pushdowns,
     out: &mut Vec<MatchState>,
-    cap: Option<usize>,
 ) -> Result<()> {
-    let candidates = start_candidates(ctx, &st.row, path, pushed)?;
-    for cand in candidates {
+    let path = &plan.path;
+    for cand in start_candidates(ctx, &st.row, plan, pushed)? {
         if !node_matches(ctx, &st.row, cand, &path.start)? {
             continue;
         }
         let mut st2 = st.clone();
-        if let Some(v) = &path.start.var {
-            if let Some(bound) = st2.row.get(v) {
-                if bound.eq3(&Value::Node(cand)) != Some(true) {
-                    continue;
-                }
-            } else {
-                st2.row.set(v.clone(), Value::Node(cand));
-            }
-        }
-        extend_segments(ctx, path, 0, cand, st2, pushed, out, cap)?;
-        if let Some(c) = cap {
-            if out.len() >= c {
-                return Ok(());
-            }
+        if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
+            extend_segments(ctx, path, 0, cand, st2, pushed, out)?;
         }
     }
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // threads the whole match context
 fn extend_segments(
     ctx: &EvalCtx<'_>,
     path: &PathPattern,
@@ -577,7 +499,6 @@ fn extend_segments(
     st: MatchState,
     pushed: &Pushdowns,
     out: &mut Vec<MatchState>,
-    cap: Option<usize>,
 ) -> Result<()> {
     if seg_idx == path.segments.len() {
         out.push(st);
@@ -586,106 +507,51 @@ fn extend_segments(
     let (rel_pat, node_pat) = &path.segments[seg_idx];
 
     if let Some((min, max)) = rel_pat.hops {
-        // Variable-length expansion (DFS with per-path rel uniqueness).
+        // Variable-length expansion: depth-first enumeration of all paths
+        // with length in [min, max], with per-path rel uniqueness.
         let max = max.unwrap_or(64); // practical bound for unbounded patterns
-        let mut stack: Vec<(NodeId, Vec<RelId>)> = vec![(current, Vec::new())];
-        // Depth-first enumeration of all paths with length in [min, max].
-        #[allow(clippy::too_many_arguments)] // local helper threading the whole match context
-        fn dfs(
-            ctx: &EvalCtx<'_>,
-            st: &MatchState,
-            rel_pat: &RelPattern,
-            node_pat: &NodePattern,
-            path: &PathPattern,
-            seg_idx: usize,
-            frontier: &mut Vec<(NodeId, Vec<RelId>)>,
-            min: u32,
-            max: u32,
-            pushed: &Pushdowns,
-            out: &mut Vec<MatchState>,
-            cap: Option<usize>,
-        ) -> Result<()> {
-            while let Some((node, rels)) = frontier.pop() {
-                let depth = rels.len() as u32;
-                if depth >= min && node_matches(ctx, &st.row, node, node_pat)? {
-                    // Complete this segment here.
-                    let mut st2 = st.clone();
-                    st2.used.extend(rels.iter().copied());
-                    if let Some(v) = &rel_pat.var {
-                        st2.row.set(
-                            v.clone(),
-                            Value::List(rels.iter().map(|&r| Value::Rel(r)).collect()),
-                        );
-                    }
-                    let mut ok = true;
-                    if let Some(v) = &node_pat.var {
-                        if let Some(bound) = st2.row.get(v) {
-                            ok = bound.eq3(&Value::Node(node)) == Some(true);
-                        } else {
-                            st2.row.set(v.clone(), Value::Node(node));
-                        }
-                    }
-                    if ok {
-                        extend_segments(ctx, path, seg_idx + 1, node, st2, pushed, out, cap)?;
-                        if let Some(c) = cap {
-                            if out.len() >= c {
-                                return Ok(());
-                            }
-                        }
-                    }
+        let mut frontier: Vec<(NodeId, Vec<RelId>)> = vec![(current, Vec::new())];
+        while let Some((node, rels)) = frontier.pop() {
+            let depth = rels.len() as u32;
+            if depth >= min && node_matches(ctx, &st.row, node, node_pat)? {
+                // Complete this segment here.
+                let mut st2 = st.clone();
+                st2.used.extend(rels.iter().copied());
+                if let Some(v) = &rel_pat.var {
+                    st2.row.set(
+                        v.clone(),
+                        Value::List(rels.iter().map(|&r| Value::Rel(r)).collect()),
+                    );
                 }
-                if depth < max {
-                    for (rid, other) in hop_candidates(ctx, &st.row, node, rel_pat, pushed)? {
-                        if rels.contains(&rid) || st.used.contains(&rid) {
-                            continue;
-                        }
-                        let mut rels2 = rels.clone();
-                        rels2.push(rid);
-                        frontier.push((other, rels2));
-                    }
+                if st2.bind(node_pat.var.as_ref(), Value::Node(node)) {
+                    extend_segments(ctx, path, seg_idx + 1, node, st2, pushed, out)?;
                 }
             }
-            Ok(())
+            if depth < max {
+                for (rid, other) in hop_candidates(ctx, &st.row, node, rel_pat, pushed)? {
+                    if rels.contains(&rid) || st.used.contains(&rid) {
+                        continue;
+                    }
+                    let mut rels2 = rels.clone();
+                    rels2.push(rid);
+                    frontier.push((other, rels2));
+                }
+            }
         }
-        dfs(
-            ctx, &st, rel_pat, node_pat, path, seg_idx, &mut stack, min, max, pushed, out, cap,
-        )?;
         return Ok(());
     }
 
     // Single-hop segment.
     for (rid, other) in hop_candidates(ctx, &st.row, current, rel_pat, pushed)? {
-        if st.used.contains(&rid) {
-            continue;
-        }
-        if !node_matches(ctx, &st.row, other, node_pat)? {
+        if st.used.contains(&rid) || !node_matches(ctx, &st.row, other, node_pat)? {
             continue;
         }
         let mut st2 = st.clone();
         st2.used.push(rid);
-        if let Some(v) = &rel_pat.var {
-            if let Some(bound) = st2.row.get(v) {
-                if bound.eq3(&Value::Rel(rid)) != Some(true) {
-                    continue;
-                }
-            } else {
-                st2.row.set(v.clone(), Value::Rel(rid));
-            }
-        }
-        if let Some(v) = &node_pat.var {
-            if let Some(bound) = st2.row.get(v) {
-                if bound.eq3(&Value::Node(other)) != Some(true) {
-                    continue;
-                }
-            } else {
-                st2.row.set(v.clone(), Value::Node(other));
-            }
-        }
-        extend_segments(ctx, path, seg_idx + 1, other, st2, pushed, out, cap)?;
-        if let Some(c) = cap {
-            if out.len() >= c {
-                return Ok(());
-            }
+        if st2.bind(rel_pat.var.as_ref(), Value::Rel(rid))
+            && st2.bind(node_pat.var.as_ref(), Value::Node(other))
+        {
+            extend_segments(ctx, path, seg_idx + 1, other, st2, pushed, out)?;
         }
     }
     Ok(())
@@ -746,40 +612,22 @@ pub(crate) fn hop_candidates(
     pushed: &Pushdowns,
 ) -> Result<Vec<(RelId, NodeId)>> {
     // A pre-bound relationship variable fixes the candidate.
-    if let Some(v) = &rel_pat.var {
-        if let Some(Value::Rel(rid)) = row.get(v) {
-            let rid = *rid;
-            if let Some((s, d)) = ctx.view.rel_endpoints(rid) {
-                let other = if s == node {
-                    Some(d)
-                } else if d == node {
-                    Some(s)
-                } else {
-                    None
-                };
-                let dir_ok = match rel_pat.direction {
-                    Direction::Out => s == node,
-                    Direction::In => d == node,
-                    Direction::Both => true,
-                };
-                if let (Some(other), true) = (other, dir_ok) {
-                    if rel_matches(ctx, row, rid, rel_pat)? {
-                        return Ok(vec![(rid, other)]);
-                    }
-                }
-            }
-            return Ok(Vec::new());
-        }
-    }
-    // Pushed predicates apply per relationship only on single hops (a
-    // variable-length variable binds a list).
-    let pd = (rel_pat.hops.is_none())
+    let prebound = match rel_pat.var.as_ref().and_then(|v| row.get(v)) {
+        Some(Value::Rel(rid)) => Some(*rid),
+        _ => None,
+    };
+    // Pushed predicates apply per relationship only on unbound single hops
+    // (a variable-length variable binds a list).
+    let pd = (prebound.is_none() && rel_pat.hops.is_none())
         .then(|| Sargs::eval(ctx, row, rel_pat.var.as_ref(), &[], pushed))
         .filter(|pd| !pd.is_empty());
     if pd.as_ref().is_some_and(|p| p.never) {
         return Ok(Vec::new());
     }
-    let mut cands = ctx.view.rels_of(node, rel_pat.direction);
+    let mut cands = match prebound {
+        Some(rid) => vec![rid],
+        None => ctx.view.rels_of(node, rel_pat.direction),
+    };
     // Serve the hop from a relationship index when the pushed predicates
     // are estimated more selective than the node's adjacency; the
     // endpoint checks below restore the incidence constraint. (No
@@ -803,27 +651,9 @@ pub(crate) fn hop_candidates(
             continue;
         };
         let other = match rel_pat.direction {
-            Direction::Out => {
-                if s != node {
-                    continue;
-                }
-                d
-            }
-            Direction::In => {
-                if d != node {
-                    continue;
-                }
-                s
-            }
-            Direction::Both => {
-                if s == node {
-                    d
-                } else if d == node {
-                    s
-                } else {
-                    continue;
-                }
-            }
+            Direction::Out | Direction::Both if s == node => d,
+            Direction::In | Direction::Both if d == node => s,
+            _ => continue,
         };
         if let Some(pd) = &pd {
             if !rel_satisfies(ctx, rid, pd) {
@@ -936,92 +766,9 @@ pub(crate) fn extract_pushdowns(where_clause: Option<&Expr>) -> Pushdowns {
     map
 }
 
-/// The best index-backed candidate set for a node pattern: the physical
-/// layer chooses the access path **count-only**
-/// ([`crate::physical::choose_index_access`]) and only the winner is
-/// materialized — choosing an access path never allocates the vectors of
-/// the losers.
-///
-/// Returns `Some(ids)` when some index answered (possibly proving the
-/// candidate set empty: a pushed conjunct with a NULL/untyped operand can
-/// never be truthy), `None` when no index path applies.
-fn index_candidates(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    np: &NodePattern,
-    pushed: &Pushdowns,
-) -> Option<Vec<NodeId>> {
-    match crate::physical::choose_index_access(ctx, row, np, pushed)?.0 {
-        NodeAccess::Index { label, access } => access.ids(ctx, IndexScope::Label(&label)),
-        _ => Some(Vec::new()), // a pushed conjunct proved the set empty
-    }
-}
-
-/// Candidate start nodes for a node pattern.
-///
-/// Access paths, in order of preference:
-/// 1. a **pre-bound variable** (single candidate);
-/// 2. a **transition-variable label** (`NEW`, `NEWNODES`, …) bound in the
-///    row restricts candidates to those items;
-/// 3. the cheapest of — a **property-index lookup** (equality from inline
-///    `{key: value}` maps and `WHERE` conjuncts, ordered range scans for
-///    `<`/`<=`/`>`/`>=`, prefix scans for `STARTS WITH`), the
-///    **intersection of all label extents** (enumerated from the
-///    smallest), or a **full scan** — chosen by estimated cardinality.
-fn node_candidates(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    np: &NodePattern,
-    pushed: &Pushdowns,
-) -> Result<Vec<NodeId>> {
-    if let Some(v) = &np.var {
-        match row.get(v) {
-            Some(Value::Node(n)) => return Ok(vec![*n]),
-            Some(Value::Null) => return Ok(Vec::new()),
-            Some(other) => {
-                return Err(CypherError::type_err(format!(
-                    "variable '{v}' is bound to {}, expected a node",
-                    other.type_name()
-                )))
-            }
-            None => {}
-        }
-    }
-    // Transition-variable labels restrict candidates.
-    for l in &np.labels {
-        if let Some(v) = row.get(l) {
-            return nodes_from_value(l, v);
-        }
-    }
-
-    let best_index = index_candidates(ctx, row, np, pushed);
-
-    // Label extents, cheapest first.
-    let mut label_cards: Vec<(&String, usize)> = np
-        .labels
-        .iter()
-        .map(|l| (l, ctx.view.label_cardinality(l)))
-        .collect();
-    label_cards.sort_by_key(|(_, c)| *c);
-
-    match (best_index, label_cards.first().map(|(_, c)| *c)) {
-        (Some(ids), Some(lc)) if ids.len() <= lc => Ok(ids),
-        (Some(ids), None) => Ok(ids),
-        (_, Some(_)) => {
-            // Intersect all label extents: enumerate the smallest, filter
-            // by membership in the rest (a pattern `(:A:B)` must not scan
-            // every `A` when `B` is far more selective).
-            let mut ids = ctx.view.nodes_with_label(label_cards[0].0);
-            for (l, _) in &label_cards[1..] {
-                ids.retain(|id| ctx.view.node_has_label(*id, l));
-            }
-            Ok(ids)
-        }
-        (None, None) => Ok(ctx.view.all_node_ids()),
-    }
-}
-
-fn nodes_from_value(name: &str, v: &Value) -> Result<Vec<NodeId>> {
+/// The node(s) a transition-variable label (or a bound variable used as
+/// one) restricts a position to, in the bound list's order.
+pub(crate) fn nodes_from_value(name: &str, v: &Value) -> Result<Vec<NodeId>> {
     match v {
         Value::Node(n) => Ok(vec![*n]),
         Value::List(items) => {
@@ -1321,7 +1068,10 @@ mod tests {
         let params = Params::new();
         let ctx = EvalCtx::new(g, &params, 0);
         let pushed = extract_pushdowns(where_.as_ref());
-        node_candidates(&ctx, seed, &pats[0].start, &pushed).unwrap()
+        choose_node_access(&ctx, seed, &pats[0].start, &pushed, &HashSet::new())
+            .0
+            .candidates(&ctx, seed, &pats[0])
+            .unwrap()
     }
 
     #[test]
@@ -1449,7 +1199,19 @@ mod tests {
         let params = Params::new();
         let ctx = EvalCtx::new(g, &params, 0);
         let pushed = extract_pushdowns(where_.as_ref());
-        plan_patterns(&ctx, seed, &pats, &pushed)
+        let planned = plan_patterns(&ctx, seed, &pats, &pushed);
+        planned.into_iter().map(|p| p.path).collect()
+    }
+
+    /// Planner-level helper: the start candidates the plan of a query's
+    /// (single-path) MATCH materializes for `seed`.
+    fn start_of(g: &Graph, src: &str, seed: &Row) -> Vec<NodeId> {
+        let (pats, where_) = patterns_of(src);
+        let params = Params::new();
+        let ctx = EvalCtx::new(g, &params, 0);
+        let pushed = extract_pushdowns(where_.as_ref());
+        let planned = plan_patterns(&ctx, seed, &pats, &pushed);
+        start_candidates(&ctx, seed, &planned[0], &pushed).unwrap()
     }
 
     #[test]
@@ -1634,11 +1396,7 @@ mod tests {
         }
         let mut seed = Row::new();
         seed.set("NEW", Value::Rel(last.1));
-        let (pats, where_) = patterns_of("MATCH (s:Sequence)-[NEW]-(l:Lineage) RETURN 1");
-        let params = Params::new();
-        let ctx = EvalCtx::new(&g, &params, 0);
-        let pushed = extract_pushdowns(where_.as_ref());
-        let cands = start_candidates(&ctx, &seed, &pats[0], &pushed).unwrap();
+        let cands = start_of(&g, "MATCH (s:Sequence)-[NEW]-(l:Lineage) RETURN 1", &seed);
         assert_eq!(cands.len(), 2, "only the bound rel's endpoints");
         assert!(cands.contains(&last.0) && cands.contains(&last.2));
         let rows = run_match(&g, "MATCH (s:Sequence)-[NEW]-(l:Lineage) RETURN 1", seed);
@@ -1658,10 +1416,7 @@ mod tests {
                 endpoints.push(a);
             }
         }
-        let (pats, _) = patterns_of("MATCH (x:A)-[:Rare]->(y:B) RETURN 1");
-        let params = Params::new();
-        let ctx = EvalCtx::new(&g, &params, 0);
-        let cands = start_candidates(&ctx, &Row::new(), &pats[0], &Pushdowns::new()).unwrap();
+        let cands = start_of(&g, "MATCH (x:A)-[:Rare]->(y:B) RETURN 1", &Row::new());
         assert_eq!(cands, endpoints, "seeded from the Rare extent");
         let rows = run_match(&g, "MATCH (x:A)-[:Rare]->(y:B) RETURN 1", Row::new());
         assert_eq!(rows.len(), 2);
@@ -1681,10 +1436,7 @@ mod tests {
             }
         }
         g.create_rel_index("R", "w");
-        let (pats, _) = patterns_of("MATCH (x:A)-[r:R {w: 42}]->(y:B) RETURN 1");
-        let params = Params::new();
-        let ctx = EvalCtx::new(&g, &params, 0);
-        let cands = start_candidates(&ctx, &Row::new(), &pats[0], &Pushdowns::new()).unwrap();
+        let cands = start_of(&g, "MATCH (x:A)-[r:R {w: 42}]->(y:B) RETURN 1", &Row::new());
         assert_eq!(cands, vec![wanted], "seeded from the rel-prop index");
         let rows = run_match(&g, "MATCH (x:A)-[r:R {w: 42}]->(y:B) RETURN 1", Row::new());
         assert_eq!(rows.len(), 1);
@@ -1694,8 +1446,8 @@ mod tests {
     #[test]
     fn planning_materializes_no_candidate_vectors() {
         // Planner v3 invariant: plan_patterns over indexed predicates uses
-        // count-only probes — zero materializing index lookups until an
-        // access path is chosen by node_candidates.
+        // count-only probes — zero materializing index lookups until a
+        // matcher materializes the planned seed.
         let mut g = Graph::new();
         for i in 0..200 {
             let a = g
@@ -1748,7 +1500,8 @@ mod tests {
         let params = Params::new();
         let ctx = EvalCtx::new(&g, &params, 0);
         let pushed = extract_pushdowns(where_.as_ref());
-        let cost = estimate_node_cost(&ctx, &Row::new(), &pats[0].start, &pushed, &HashSet::new());
+        let (_, cost) =
+            choose_node_access(&ctx, &Row::new(), &pats[0].start, &pushed, &HashSet::new());
         // 100 entries over 2 distinct values → average bucket 50
         assert_eq!(cost, 50);
     }
@@ -1878,7 +1631,8 @@ mod tests {
         let ctx = EvalCtx::new(&g, &params, 0);
         let pushed = extract_pushdowns(where_.as_ref());
         g.reset_index_probes();
-        let cost = estimate_node_cost(&ctx, &Row::new(), &pats[0].start, &pushed, &HashSet::new());
+        let (_, cost) =
+            choose_node_access(&ctx, &Row::new(), &pats[0].start, &pushed, &HashSet::new());
         // (a, b) ≡ (1, 3) ⇔ i ≡ 13 (mod 20) → 10 nodes
         assert_eq!(cost, 10);
         let probes = g.index_probes();

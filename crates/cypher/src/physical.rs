@@ -5,12 +5,16 @@
 //! selective index probe **count-only** and returns it as an
 //! [`IndexAccess`] value — plain data naming the definition, the equality
 //! prefix and the trailing bound; only a chosen probe is ever materialized
-//! into a candidate vector. Node patterns, relationship seeds and per-hop
-//! expansion all go through that one chooser (same probes, same
-//! tie-breaks), so `EXPLAIN` and the batched executor inspect the decision
-//! ([`NodeAccess`]) without materializing anything.
+//! into a candidate vector.
 //!
-//! **Join-output cardinality** (planner v4): [`expand_fanout`] estimates
+//! **One decision per pattern position.** `choose_node_access` is the only
+//! place a node position's access is chosen and `choose_rel_seed` the only
+//! place a relationship seed's is. The join-order planner
+//! ([`crate::pattern`]'s `plan_patterns`) costs anchors with them and keeps
+//! the winner in the [`PhysicalPathPlan`] it returns; `EXPLAIN` renders
+//! that value and both matchers materialize it (`NodeAccess::candidates`).
+//!
+//! **Join-output cardinality** (planner v4): `hop_fanout` estimates
 //! the expected number of output rows per input row of a hop from the
 //! per-(label, rel-type, direction) degree statistics maintained by
 //! pg-graph ([`pg_graph::GraphView::degree_edge_count`]): the average
@@ -21,16 +25,18 @@
 //! hop), and `EXPLAIN` prints estimated rows per operator next to the
 //! actual rows observed during execution.
 
-use crate::ast::{BinOp, Expr, NodePattern, PathPattern};
+use crate::ast::{BinOp, Expr, NodePattern, PathPattern, RelPattern};
+use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
+use crate::pattern::{nodes_from_value, Pushdowns};
 use crate::row::Row;
-use pg_graph::{CompositeTrailing, Direction, IndexProbe, IndexScope, ProbeMode, Value};
-use std::collections::HashMap;
+use pg_graph::{
+    CompositeTrailing, Direction, IndexProbe, IndexScope, NodeId, ProbeMode, RelId, Value,
+};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
-
-use crate::pattern::Pushdowns;
 
 /// Owned form of [`CompositeTrailing`]: the trailing bound of an index
 /// probe as assembled by the planner.
@@ -133,9 +139,25 @@ impl Sargs {
         let Some(preds) = preds else {
             return out;
         };
-        match build_intervals(ctx, row, &preds.ranges) {
-            Intervals::Never => out.never = true,
-            Intervals::Bounds(b) => out.intervals = b,
+        // The tightest interval per key. A NULL or NaN operand makes its
+        // conjunct untruthy for every row.
+        for (key, op, expr) in &preds.ranges {
+            let Ok(value) = eval(ctx, row, expr) else {
+                continue;
+            };
+            if value.is_null() || matches!(&value, Value::Float(f) if f.is_nan()) {
+                out.never = true;
+                return out;
+            }
+            let entry = out
+                .intervals
+                .entry(key.clone())
+                .or_insert((Bound::Unbounded, Bound::Unbounded));
+            match op {
+                BinOp::Gt | BinOp::Ge => tighten(&mut entry.0, value, *op == BinOp::Ge, true),
+                BinOp::Lt | BinOp::Le => tighten(&mut entry.1, value, *op == BinOp::Le, false),
+                _ => {}
+            }
         }
         for (key, expr) in &preds.prefixes {
             match eval(ctx, row, expr) {
@@ -205,37 +227,17 @@ impl Sargs {
         best
     }
 
-    /// The best count-only cardinality estimate `scope`'s indexes give
-    /// for these arguments: [`Sargs::best_probe`], plus — for equality
-    /// conjuncts whose operand is bound by a later join path — the
-    /// average equality bucket `keyed_total / keyed_distinct` of the
-    /// key's single-key index.
-    pub(crate) fn estimate(&self, ctx: &EvalCtx<'_>, scope: IndexScope<'_>) -> Option<usize> {
-        if self.never {
-            return Some(0);
-        }
-        let mut best = self.best_probe(ctx, scope).map(|(_, est)| est);
-        for key in &self.deferred_eqs {
-            let avg = ctx
-                .view
-                .index_stats(scope, std::slice::from_ref(key))
-                .and_then(|st| st.keyed_total.checked_div(st.keyed_distinct));
-            if let Some(avg) = avg {
-                best = Some(best.map_or(avg.max(1), |b| b.min(avg.max(1))));
-            }
-        }
-        best
+    /// What the equality conjuncts whose operand is bound by a later join
+    /// path will narrow the position to: the smallest average equality
+    /// bucket `keyed_total / keyed_distinct` of their keys' single-key
+    /// indexes under `scope`. `None` = no such conjunct is indexed.
+    fn deferred_estimate(&self, ctx: &EvalCtx<'_>, scope: IndexScope<'_>) -> Option<usize> {
+        let avg_bucket = |key| {
+            let st = ctx.view.index_stats(scope, std::slice::from_ref(key))?;
+            Some(st.keyed_total.checked_div(st.keyed_distinct)?.max(1))
+        };
+        self.deferred_eqs.iter().filter_map(avg_bucket).min()
     }
-}
-
-/// The tightest closed intervals derivable from a variable's `<`/`<=`/
-/// `>`/`>=` conjuncts, per property key.
-enum Intervals {
-    /// Some conjunct can never be truthy (NULL/NaN operand) — the
-    /// candidate set is definitively empty.
-    Never,
-    /// Per-key `(lower, upper)` bounds (possibly unbounded on one side).
-    Bounds(HashMap<String, (Bound<Value>, Bound<Value>)>),
 }
 
 /// Replace `slot` when `value` tightens it: a greater lower bound /
@@ -266,38 +268,12 @@ fn tighten(slot: &mut Bound<Value>, value: Value, inclusive: bool, lower: bool) 
     };
 }
 
-/// Combine a variable's ordering conjuncts into per-key intervals. A NULL
-/// or NaN operand makes its conjunct untruthy for every row
-/// ([`Intervals::Never`]); an operand that cannot be evaluated yet (it
-/// references a variable bound later) merely skips the conjunct — the
-/// predicate itself is still enforced by the `WHERE` evaluation.
-fn build_intervals(ctx: &EvalCtx<'_>, row: &Row, ranges: &[(String, BinOp, Expr)]) -> Intervals {
-    let mut intervals: HashMap<String, (Bound<Value>, Bound<Value>)> = HashMap::new();
-    for (key, op, expr) in ranges {
-        let Ok(value) = eval(ctx, row, expr) else {
-            continue;
-        };
-        if value.is_null() || matches!(&value, Value::Float(f) if f.is_nan()) {
-            return Intervals::Never;
-        }
-        let entry = intervals
-            .entry(key.clone())
-            .or_insert((Bound::Unbounded, Bound::Unbounded));
-        match op {
-            BinOp::Gt | BinOp::Ge => tighten(&mut entry.0, value, *op == BinOp::Ge, true),
-            BinOp::Lt | BinOp::Le => tighten(&mut entry.1, value, *op == BinOp::Le, false),
-            _ => {}
-        }
-    }
-    Intervals::Bounds(intervals)
-}
-
 // ---------------------------------------------------------------------
-// Node access paths as data
+// Access paths as data: one decision per pattern position
 // ---------------------------------------------------------------------
 
-/// A node pattern's chosen access path — the physical half of planner v4,
-/// inspectable by `EXPLAIN` and executable by the matcher.
+/// How a planned path obtains its start candidates: chosen once by the
+/// join-order planner, rendered by `EXPLAIN`, materialized by the matchers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeAccess {
     /// The variable is already bound in the row: one candidate.
@@ -315,6 +291,23 @@ pub enum NodeAccess {
     LabelScan { labels: Vec<String> },
     /// Unconstrained: every node.
     AllNodes,
+    /// The endpoints of the first segment's relationship, whose variable
+    /// is already bound.
+    BoundRel(String),
+    /// The endpoints of the first segment's relationship extent: per
+    /// relationship type, a probe of one of its indexes (`RelIndexEq`, …)
+    /// or the whole type extent (`RelTypeScan`).
+    RelScan(Vec<(String, Option<IndexAccess>)>),
+}
+
+/// `IndexEq(L.k)`-style name of a probe of one of `extent`'s indexes.
+fn fmt_probe(f: &mut fmt::Formatter<'_>, extent: &str, access: &IndexAccess) -> fmt::Result {
+    match (&access.columns[..], &access.trailing) {
+        ([key], TrailingOwned::None) => write!(f, "IndexEq({extent}.{key})"),
+        ([key], TrailingOwned::Range(..)) => write!(f, "IndexRange({extent}.{key})"),
+        ([key], TrailingOwned::Prefix(_)) => write!(f, "IndexPrefix({extent}.{key})"),
+        (columns, _) => write!(f, "CompositeProbe({extent}[{}])", columns.join(",")),
+    }
 }
 
 impl fmt::Display for NodeAccess {
@@ -323,87 +316,232 @@ impl fmt::Display for NodeAccess {
             NodeAccess::BoundVar(v) => write!(f, "BoundVar({v})"),
             NodeAccess::Transition(l) => write!(f, "Transition({l})"),
             NodeAccess::Empty => write!(f, "Empty"),
-            NodeAccess::Index { label, access } => match (&access.columns[..], &access.trailing) {
-                ([key], TrailingOwned::None) => write!(f, "IndexEq({label}.{key})"),
-                ([key], TrailingOwned::Range(..)) => write!(f, "IndexRange({label}.{key})"),
-                ([key], TrailingOwned::Prefix(_)) => write!(f, "IndexPrefix({label}.{key})"),
-                (columns, _) => write!(f, "CompositeProbe({label}[{}])", columns.join(",")),
-            },
+            NodeAccess::Index { label, access } => fmt_probe(f, label, access),
             NodeAccess::LabelScan { labels } => write!(f, "LabelScan({})", labels.join("&")),
             NodeAccess::AllNodes => write!(f, "AllNodes"),
-        }
-    }
-}
-
-/// The best index-backed access path for a node pattern, chosen **count-
-/// only** ([`Sargs::best_probe`]) over every label's index definitions.
-///
-/// Returns `Some((access, estimate))` when some index answered —
-/// [`NodeAccess::Empty`] with estimate 0 when a pushed conjunct proves the
-/// candidate set empty — and `None` when no index path applies.
-pub(crate) fn choose_index_access(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    np: &NodePattern,
-    pushed: &Pushdowns,
-) -> Option<(NodeAccess, usize)> {
-    let sargs = Sargs::eval(ctx, row, np.var.as_ref(), &np.props, pushed);
-    if sargs.never {
-        return Some((NodeAccess::Empty, 0));
-    }
-    let mut best: Option<(NodeAccess, usize)> = None;
-    for label in &np.labels {
-        if let Some((access, est)) = sargs.best_probe(ctx, IndexScope::Label(label)) {
-            if best.as_ref().is_none_or(|(_, b)| est < *b) {
-                let label = label.clone();
-                best = Some((NodeAccess::Index { label, access }, est));
+            NodeAccess::BoundRel(v) => write!(f, "BoundRel({v})"),
+            NodeAccess::RelScan(types) => {
+                for (i, (rel_type, probe)) in types.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("|")?;
+                    }
+                    match probe {
+                        Some(access) => {
+                            f.write_str("Rel")?;
+                            fmt_probe(f, rel_type, access)?;
+                        }
+                        None => write!(f, "RelTypeScan({rel_type})")?,
+                    }
+                }
+                Ok(())
             }
         }
     }
-    best
 }
 
-/// The fully count-only access decision for a node pattern — what
-/// [`crate::pattern`]'s `node_candidates` will pick, as data, with its
-/// cardinality estimate. Used by `EXPLAIN` and by the batched executor's
-/// seed stage; never materializes a candidate vector.
-pub(crate) fn plan_node_access(
+impl NodeAccess {
+    /// Materialize the access into the start candidates of `path` for one
+    /// binding row: a superset of the nodes that can start a match (the
+    /// matcher still checks the pattern and the `WHERE`), ascending by id
+    /// except `Transition`, which keeps the bound list's order.
+    pub(crate) fn candidates(
+        &self,
+        ctx: &EvalCtx<'_>,
+        row: &Row,
+        path: &PathPattern,
+    ) -> Result<Vec<NodeId>> {
+        Ok(match self {
+            NodeAccess::BoundVar(v) => match row.get(v) {
+                Some(Value::Node(n)) => vec![*n],
+                Some(Value::Null) | None => Vec::new(),
+                Some(other) => {
+                    return Err(CypherError::type_err(format!(
+                        "variable '{v}' is bound to {}, expected a node",
+                        other.type_name()
+                    )))
+                }
+            },
+            NodeAccess::Transition(l) => nodes_from_value(l, row.get(l).unwrap_or(&Value::Null))?,
+            NodeAccess::Empty => Vec::new(),
+            NodeAccess::Index { label, access } => access
+                .ids(ctx, IndexScope::Label(label))
+                .unwrap_or_else(|| ctx.view.nodes_with_label(label)),
+            NodeAccess::LabelScan { labels } => {
+                // Enumerate the smallest extent, filter by membership in
+                // the rest (`(:A:B)` must not scan every `A` when `B` is
+                // far more selective).
+                let mut ids = ctx.view.nodes_with_label(&labels[0]);
+                for l in &labels[1..] {
+                    ids.retain(|id| ctx.view.node_has_label(*id, l));
+                }
+                ids
+            }
+            NodeAccess::AllNodes => ctx.view.all_node_ids(),
+            NodeAccess::BoundRel(v) => match row.get(v) {
+                Some(Value::Rel(r)) => endpoints(ctx, path, vec![*r]),
+                _ => Vec::new(),
+            },
+            NodeAccess::RelScan(types) => {
+                let ids = |(t, probe): &(String, Option<IndexAccess>)| {
+                    probe
+                        .as_ref()
+                        .and_then(|access| access.ids(ctx, IndexScope::RelType(t)))
+                        .unwrap_or_else(|| ctx.view.rels_with_type(t))
+                };
+                endpoints(ctx, path, types.iter().flat_map(ids).collect())
+            }
+        })
+    }
+}
+
+/// The endpoint(s) of `rels` that `path` — whose first segment they
+/// match — starts from, ascending.
+fn endpoints(ctx: &EvalCtx<'_>, path: &PathPattern, rels: Vec<RelId>) -> Vec<NodeId> {
+    let dir = path.segments.first().map(|(rp, _)| rp.direction);
+    let mut out: Vec<NodeId> = Vec::with_capacity(rels.len());
+    for (s, d) in rels.into_iter().filter_map(|r| ctx.view.rel_endpoints(r)) {
+        match dir {
+            Some(Direction::Out) => out.push(s),
+            Some(Direction::In) => out.push(d),
+            _ => out.extend([s, d]),
+        }
+    }
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Choose the access path of one node position, **count-only** — the only
+/// place a node position's access is decided. In order of preference:
+///
+/// 1. a **bound variable** (single candidate);
+/// 2. a **transition-variable label** (`NEW`, `NEWNODES`, …) restricting
+///    candidates to the bound item(s);
+/// 3. the cheapest of — the most selective **index probe**
+///    ([`Sargs::best_probe`] over every label's definitions: equality from
+///    inline `{key: value}` maps and `WHERE` conjuncts, ordered ranges,
+///    prefixes), the **intersection of the label extents**, or a **full
+///    scan** — by estimated cardinality.
+///
+/// `bound` names what will be bound when the position is matched although
+/// `row` does not hold it yet: the variables of earlier-joined paths of
+/// the same `MATCH`. The estimate additionally credits equality conjuncts
+/// whose operand a later path binds with their index's average bucket, so
+/// join ordering sees them; the access itself can only use what `row`
+/// evaluates.
+pub(crate) fn choose_node_access(
     ctx: &EvalCtx<'_>,
     row: &Row,
     np: &NodePattern,
     pushed: &Pushdowns,
+    bound: &HashSet<String>,
 ) -> (NodeAccess, usize) {
     if let Some(v) = &np.var {
-        if row.contains(v) {
+        if row.contains(v) || bound.contains(v) {
             return (NodeAccess::BoundVar(v.clone()), 1);
         }
     }
     for l in &np.labels {
-        if let Some(v) = row.get(l) {
-            let n = match v {
-                Value::List(items) => items.len(),
-                _ => 1,
-            };
-            return (NodeAccess::Transition(l.clone()), n);
+        let items = match row.get(l) {
+            Some(Value::List(items)) => items.len(),
+            Some(_) => 1,
+            None if bound.contains(l) => 1, // bound by an earlier path
+            None => continue,
+        };
+        return (NodeAccess::Transition(l.clone()), items);
+    }
+    let sargs = Sargs::eval(ctx, row, np.var.as_ref(), &np.props, pushed);
+    if sargs.never {
+        return (NodeAccess::Empty, 0);
+    }
+    let mut index: Option<(NodeAccess, usize)> = None;
+    let mut deferred_est: Option<usize> = None;
+    for label in &np.labels {
+        let scope = IndexScope::Label(label);
+        if let Some((access, est)) = sargs.best_probe(ctx, scope) {
+            if index.as_ref().is_none_or(|(_, b)| est < *b) {
+                let label = label.clone();
+                index = Some((NodeAccess::Index { label, access }, est));
+            }
+        }
+        if let Some(d) = sargs.deferred_estimate(ctx, scope) {
+            deferred_est = Some(deferred_est.map_or(d, |b| b.min(d)));
         }
     }
-    let best_index = choose_index_access(ctx, row, np, pushed);
-    let mut label_cards: Vec<(&String, usize)> = np
-        .labels
-        .iter()
-        .map(|l| (l, ctx.view.label_cardinality(l)))
-        .collect();
-    label_cards.sort_by_key(|(_, c)| *c);
-    match (best_index, label_cards.first().map(|(_, c)| *c)) {
-        (Some((acc, est)), Some(lc)) if est <= lc => (acc, est),
-        (Some((acc, est)), None) => (acc, est),
-        (_, Some(lc)) => (
-            NodeAccess::LabelScan {
-                labels: label_cards.iter().map(|(l, _)| (*l).clone()).collect(),
-            },
-            lc,
-        ),
+    let cardinality = |l: &String| ctx.view.label_cardinality(l);
+    let (access, est) = match (index, np.labels.iter().map(cardinality).min()) {
+        (Some((access, est)), Some(lc)) if est <= lc => (access, est),
+        (Some((access, est)), None) => (access, est),
+        (_, Some(lc)) => {
+            let mut labels = np.labels.clone();
+            labels.sort_by_key(cardinality); // stable: pattern order on ties
+            (NodeAccess::LabelScan { labels }, lc)
+        }
         (None, None) => (NodeAccess::AllNodes, ctx.view.node_count_estimate().max(1)),
+    };
+    (access, deferred_est.map_or(est, |d| est.min(d)))
+}
+
+/// Choose how a single-hop relationship pattern would seed the path it
+/// starts, **count-only** — the only place a relationship seed is decided:
+/// the pre-bound relationship variable, or per type the better of a
+/// relationship-index probe and the type extent. `None` = unusable as a
+/// seed (variable-length; untyped and unbound). `bound` as for
+/// [`choose_node_access`].
+pub(crate) fn choose_rel_seed(
+    ctx: &EvalCtx<'_>,
+    row: &Row,
+    rp: &RelPattern,
+    pushed: &Pushdowns,
+    bound: &HashSet<String>,
+) -> Option<(NodeAccess, usize)> {
+    if rp.hops.is_some() {
+        return None;
+    }
+    if let Some(v) = &rp.var {
+        if row.contains(v) || bound.contains(v) {
+            return Some((NodeAccess::BoundRel(v.clone()), 1));
+        }
+    }
+    if rp.types.is_empty() {
+        return None;
+    }
+    let sargs = Sargs::eval(ctx, row, rp.var.as_ref(), &rp.props, pushed);
+    if sargs.never {
+        return Some((NodeAccess::Empty, 0));
+    }
+    let mut total = 0usize;
+    let mut types = Vec::with_capacity(rp.types.len());
+    for t in &rp.types {
+        let scope = IndexScope::RelType(t);
+        let mut est = ctx.view.rel_type_cardinality(t);
+        let probe = sargs.best_probe(ctx, scope).map(|(access, n)| {
+            est = est.min(n);
+            access
+        });
+        if let Some(d) = sargs.deferred_estimate(ctx, scope) {
+            est = est.min(d);
+        }
+        total = total.saturating_add(est);
+        types.push((t.clone(), probe));
+    }
+    Some((NodeAccess::RelScan(types), total))
+}
+
+/// The seed of a path whose start position chose `node`: the start
+/// position's own access, unless the first segment's relationship (asked
+/// for only when the node side leaves more than one candidate) is
+/// estimated **strictly** smaller — then its endpoints.
+pub(crate) fn choose_seed(
+    node: (NodeAccess, usize),
+    first_rel: impl FnOnce() -> Option<(NodeAccess, usize)>,
+) -> (NodeAccess, usize) {
+    if node.1 <= 1 {
+        return node;
+    }
+    match first_rel() {
+        Some(rel) if rel.1 < node.1 => rel,
+        _ => node,
     }
 }
 
@@ -533,32 +671,46 @@ pub fn plan_parallelism(
 // Join-output cardinality from degree statistics
 // ---------------------------------------------------------------------
 
-/// Expected output rows **per input row** of a hop expansion, from the
-/// per-(label, rel-type, direction) degree statistics: the average degree
-/// `edges / |label|` of the hop's *source* pattern, minimized over the
-/// source's labels (all labels must hold) and summed over the hop's types
-/// (any type matches). `None` when the source has no stored label or the
-/// hop no type — no statistic applies and the planner falls back to
-/// access-path-only costing for that hop.
+/// Expected output rows **per input row** of the hop `rp`, walked in
+/// direction `dir` out of `src` — the only fanout estimate: the join-order
+/// planner costs anchors with it, `EXPLAIN` and the batch matcher's group
+/// estimate read the result. It is the average degree `edges / |label|`
+/// from the per-(label, rel-type, direction) degree statistics, minimized
+/// over the source's labels (all labels must hold) and summed over the
+/// hop's types (any type matches). Both numerator and denominator are
+/// exact at every instant (pg-graph maintains them through every mutation
+/// and undo path), so a whole-extent expansion estimate is exact; filtered
+/// sources inherit only the seed estimate's error.
 ///
-/// Both numerator and denominator are exact at every instant (pg-graph
-/// maintains them through every mutation and undo path), so a
-/// whole-extent expansion estimate is exact; filtered sources inherit
-/// only the seed estimate's error.
-pub fn expand_fanout(
+/// Labels bound in `row` or by an earlier join path (`bound`) are
+/// transition variables, not stored labels, and contribute no statistic;
+/// an unlabeled source borrows the labels `hints` records for its
+/// variable. `None` = no statistic applies (variable-length, untyped, no
+/// stored label) and the hop multiplies by 1 — the conservative "don't
+/// know" fanout.
+pub(crate) fn hop_fanout(
     ctx: &EvalCtx<'_>,
-    src_labels: &[String],
-    rel_types: &[String],
+    row: &Row,
+    src: &NodePattern,
+    rp: &RelPattern,
     dir: Direction,
+    bound: &HashSet<String>,
+    hints: &HashMap<String, Vec<String>>,
 ) -> Option<f64> {
-    if src_labels.is_empty() || rel_types.is_empty() {
+    if rp.hops.is_some() || rp.types.is_empty() {
         return None;
     }
+    let labels = if src.labels.is_empty() {
+        hints.get(src.var.as_ref()?)?
+    } else {
+        &src.labels
+    };
+    let stored = |l: &&String| row.get(l).is_none() && !bound.contains(l.as_str());
     let mut best: Option<f64> = None;
-    for label in src_labels {
+    for label in labels.iter().filter(stored) {
         let card = ctx.view.label_cardinality(label);
         let mut edges = 0usize;
-        for t in rel_types {
+        for t in &rp.types {
             edges += ctx.view.degree_edge_count(label, t, dir)?;
         }
         let avg = if card == 0 {
@@ -573,29 +725,66 @@ pub fn expand_fanout(
     best
 }
 
-/// One hop of a physically-planned path: its estimated fanout and the
-/// cumulative expected rows after the hop.
+/// One hop of a planned path: its estimated fanout and the cumulative
+/// expected rows after the hop.
 #[derive(Debug, Clone)]
 pub struct PhysicalHop {
-    /// `-[:T]->`-style rendering of the hop (direction + types + target).
-    pub repr: String,
     /// Expected output rows per input row; `None` = no statistic applies.
     pub fanout: Option<f64>,
     /// Expected rows after this hop.
     pub est_rows: f64,
 }
 
-/// One planned path: the seed access path plus its hops, with estimates.
+/// One planned path — what the join-order planner decided and what the
+/// matchers run: the re-rooted path, the access that seeds its start
+/// position, and the estimates the decision was made with.
 #[derive(Debug, Clone)]
 pub struct PhysicalPathPlan {
-    /// The variable (or `_`) of the seed position.
-    pub seed_var: String,
+    /// The path as matched: from the chosen anchor outwards.
+    pub path: PathPattern,
     pub seed: NodeAccess,
     pub seed_est: usize,
+    /// One entry per segment of `path`.
     pub hops: Vec<PhysicalHop>,
+    /// `seed` is provisional: choosing it read a name that only an
+    /// earlier-joined path of the same `MATCH` binds, so the matcher
+    /// chooses again — through the same functions — against each row
+    /// those paths produce.
+    pub(crate) deferred: bool,
 }
 
 impl PhysicalPathPlan {
+    pub(crate) fn new(
+        path: PathPattern,
+        (seed, seed_est): (NodeAccess, usize),
+        deferred: bool,
+        fanouts: impl Iterator<Item = Option<f64>>,
+    ) -> Self {
+        let hop = |fanout| PhysicalHop {
+            fanout,
+            est_rows: 0.0,
+        };
+        let mut plan = PhysicalPathPlan {
+            path,
+            seed,
+            seed_est,
+            hops: fanouts.map(hop).collect(),
+            deferred,
+        };
+        plan.accumulate();
+        plan
+    }
+
+    /// Join-output cardinality: the running product
+    /// `seed_est × fanout₁ × fanout₂ × …` ("don't know" multiplies by 1).
+    fn accumulate(&mut self) {
+        let mut rows = self.seed_est as f64;
+        for hop in &mut self.hops {
+            rows *= hop.fanout.unwrap_or(1.0);
+            hop.est_rows = rows;
+        }
+    }
+
     /// Expected rows after the whole path.
     pub fn est_rows(&self) -> f64 {
         self.hops
@@ -603,66 +792,24 @@ impl PhysicalPathPlan {
             .map(|h| h.est_rows)
             .unwrap_or(self.seed_est as f64)
     }
-}
 
-/// Physically annotate one already-ordered path (as produced by the join-
-/// order planner): the seed access decision plus per-hop fanout estimates.
-pub(crate) fn plan_path(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    path: &PathPattern,
-    pushed: &Pushdowns,
-    label_hints: &HashMap<String, Vec<String>>,
-) -> PhysicalPathPlan {
-    let (seed, seed_est) = plan_node_access(ctx, row, &path.start, pushed);
-    let mut hops = Vec::with_capacity(path.segments.len());
-    let mut rows = seed_est as f64;
-    let mut src = &path.start;
-    for (rp, np) in &path.segments {
-        // An unlabeled source position (typically a variable bound by an
-        // earlier clause) falls back to the label its binder declared.
-        let src_labels: &[String] = if src.labels.is_empty() {
-            src.var
-                .as_ref()
-                .and_then(|v| label_hints.get(v))
-                .map(|l| l.as_slice())
-                .unwrap_or(&[])
-        } else {
-            &src.labels
-        };
-        let fanout = if rp.hops.is_some() {
-            None // variable-length: no per-hop statistic
-        } else {
-            expand_fanout(ctx, src_labels, &rp.types, rp.direction)
-        };
-        rows *= fanout.unwrap_or(1.0);
-        let arrow = match rp.direction {
-            Direction::Out => ("-", "->"),
-            Direction::In => ("<-", "-"),
-            Direction::Both => ("-", "-"),
-        };
-        let types = if rp.types.is_empty() {
-            String::new()
-        } else {
-            format!(":{}", rp.types.join("|"))
-        };
-        let target = np.var.clone().unwrap_or_else(|| "_".into());
-        let tlabels = if np.labels.is_empty() {
-            String::new()
-        } else {
-            format!(":{}", np.labels.join(":"))
-        };
-        hops.push(PhysicalHop {
-            repr: format!("{}[{}]{}({}{})", arrow.0, types, arrow.1, target, tlabels),
-            fanout,
-            est_rows: rows,
-        });
-        src = np;
-    }
-    PhysicalPathPlan {
-        seed_var: path.start.var.clone().unwrap_or_else(|| "_".into()),
-        seed,
-        seed_est,
-        hops,
+    /// Re-estimate the hops that leave an unlabeled variable under the
+    /// labels `hints` records for it (its binder's declared labels, or the
+    /// stored labels of the node a seed row binds it to). Join ordering
+    /// never sees hints; they refine only the estimates reported
+    /// afterwards.
+    pub(crate) fn apply_hints(&mut self, ctx: &EvalCtx<'_>, hints: &HashMap<String, Vec<String>>) {
+        if hints.is_empty() {
+            return;
+        }
+        let none = HashSet::new();
+        let mut src = &self.path.start;
+        for (hop, (rp, dst)) in self.hops.iter_mut().zip(&self.path.segments) {
+            if hop.fanout.is_none() && src.labels.is_empty() {
+                hop.fanout = hop_fanout(ctx, &Row::new(), src, rp, rp.direction, &none, hints);
+            }
+            src = dst;
+        }
+        self.accumulate();
     }
 }

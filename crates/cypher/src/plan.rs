@@ -3,10 +3,13 @@
 //! The logical layer sits between the AST and the physical access-path
 //! decisions of [`crate::physical`]: a query's clauses are lowered to a
 //! flat list of [`LogicalOp`]s — `Seed`, `Expand`, `Filter`, `Project`,
-//! `Sort`, `TopK`, `Aggregate`, … — built by the *existing* pushdown and
-//! join-order machinery (`extract_pushdowns` / `plan_patterns` in
-//! [`crate::pattern`]), so the plan printed by `EXPLAIN` is the plan the
-//! matcher executes, not a parallel reimplementation.
+//! `Sort`, `TopK`, `Aggregate`, … . A `MATCH` lowers through the very
+//! `plan_patterns` call the matchers make ([`crate::pattern`]), and the
+//! [`PhysicalPathPlan`]s it returns are the values they materialize, so
+//! the `Seed`/`Expand` lines `EXPLAIN` prints are the matcher's plan by
+//! construction. The clause loop around them (which clause fuses into a
+//! top-k walk, what each projection lowers to) still mirrors
+//! `exec::run_clauses` by convention.
 //!
 //! This module is also the home of the **top-k fusion analysis** that
 //! previously lived inside the executor: [`TopKSpec`],
@@ -18,7 +21,7 @@ use crate::ast::{Clause, Expr, PathPattern, Projection, Query};
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{extract_pushdowns, pattern_vars, plan_patterns, Pushdowns};
-use crate::physical::{plan_path, PhysicalPathPlan};
+use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
 use pg_graph::Value;
 use std::collections::HashMap;
@@ -247,12 +250,11 @@ pub struct LogicalPlan {
     pub ops: Vec<LogicalOp>,
 }
 
-/// Lower one `MATCH` clause: plan the join order from `seed` (the
-/// representative seed row — execution re-plans per seed, which can only
-/// refine the order), then emit `Seed`/`Expand` per planned path and a
-/// trailing `Filter`. Returns the **physical annotation** of each planned
-/// (re-rooted, ordered) path — the chosen access paths and join-output
-/// estimates for exactly what will run.
+/// Lower one `MATCH` clause: plan it from `seed` (the representative seed
+/// row — execution plans per seed row, which can only refine the order),
+/// then emit `Seed`/`Expand` per planned path and a trailing `Filter`.
+/// Returns the planned paths — the values a matcher would run — with
+/// `label_hints` applied to their estimates.
 pub(crate) fn lower_match(
     ctx: &EvalCtx<'_>,
     seed: &Row,
@@ -263,27 +265,26 @@ pub(crate) fn lower_match(
     plan: &mut LogicalPlan,
 ) -> Vec<PhysicalPathPlan> {
     let pushed = extract_pushdowns(where_clause);
-    let planned = plan_patterns(ctx, seed, patterns, &pushed);
-    let mut phys = Vec::with_capacity(planned.len());
-    for path in &planned {
+    let mut planned = plan_patterns(ctx, seed, patterns, &pushed);
+    for path in &mut planned {
+        path.apply_hints(ctx, label_hints);
         plan.ops.push(LogicalOp::Seed {
             optional,
-            pattern: path.clone(),
+            pattern: path.path.clone(),
         });
-        for seg in 0..path.segments.len() {
+        for seg in 0..path.path.segments.len() {
             plan.ops.push(LogicalOp::Expand {
-                pattern: path.clone(),
+                pattern: path.path.clone(),
                 segment: seg,
             });
         }
-        phys.push(plan_path(ctx, seed, path, &pushed, label_hints));
     }
     if let Some(w) = where_clause {
         plan.ops.push(LogicalOp::Filter {
             predicate: w.clone(),
         });
     }
-    phys
+    planned
 }
 
 /// Lower a projection (`WITH` / `RETURN`); `fused` carries the top-k spec
@@ -320,8 +321,8 @@ pub(crate) fn lower_projection(
 /// Lower a whole query to its logical plan. Mirrors the executor's clause
 /// loop — including the `MATCH` + `WITH`/`RETURN` top-k fusion decision —
 /// so `EXPLAIN` prints what `run_clauses` will do. Also returns, aligned
-/// with the `Seed` ops in order, the physical annotation of each planned
-/// path (access paths and join-output estimates).
+/// with the `Seed` ops in order, each planned path (seed access and
+/// join-output estimates).
 ///
 /// Later clauses are planned from a **representative bound row**: every
 /// variable an earlier clause binds is present, bound to `Null`. That is

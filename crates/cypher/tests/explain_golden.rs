@@ -7,7 +7,7 @@
 //! or an estimate shows up here as a readable diff.
 
 use pg_cypher::{explain_query_with, Params};
-use pg_graph::{Graph, PropertyMap, Value};
+use pg_graph::{Graph, GraphView, PropertyMap, Value};
 
 fn props(entries: &[(&str, Value)]) -> PropertyMap {
     entries
@@ -195,5 +195,67 @@ fn aggregate_and_sort() {
          \x20 Sort keys=1 desc\n\
          estimated match rows: 16\n\
          actual rows: 4\n"
+    );
+}
+
+/// 200 Patient, 10 Hospital, 200 TreatedAt (patient *i* → hospital
+/// *i mod 10*, `w = i`) with a relationship index on `TreatedAt(w)`: the
+/// pushed `t.w = 5` makes the relationship the cheapest way into the
+/// path, and the `Seed` line must say so — its estimate is the probe's
+/// count, not the Patient label's cardinality.
+#[test]
+fn relationship_index_seeds_the_anchor() {
+    let mut g = Graph::new();
+    let hospitals: Vec<_> = (0..10)
+        .map(|_| g.create_node(["Hospital"], PropertyMap::new()).unwrap())
+        .collect();
+    for i in 0..200i64 {
+        let p = g.create_node(["Patient"], PropertyMap::new()).unwrap();
+        let w = props(&[("w", Value::Int(i))]);
+        g.create_rel(p, hospitals[(i % 10) as usize], "TreatedAt", w)
+            .unwrap();
+    }
+    g.create_rel_index("TreatedAt", "w");
+    let explain =
+        |src: &str| explain_query_with(&g, src, &Params::new(), 0, Some(4)).expect("explains");
+    assert_eq!(
+        explain("MATCH (p:Patient)-[t:TreatedAt]->(h:Hospital) WHERE t.w = 5 RETURN h"),
+        "Plan\n\
+         \x20 Seed (p) access=RelIndexEq(TreatedAt.w) est=1 rows\n\
+         \x20 Expand -[:TreatedAt]->(h:Hospital) fanout=1.00 est=1 rows\n\
+         \x20 Filter (t.w = 5)\n\
+         \x20 Serial (singleton-seed)\n\
+         \x20 Project [h]\n\
+         estimated match rows: 1\n\
+         actual rows: 1\n"
+    );
+    // Without a usable predicate the relationship extent (200) is no
+    // smaller than either endpoint's label scan and the plan stays put.
+    let unseeded = explain("MATCH (p:Patient)-[t:TreatedAt]->(h:Hospital) RETURN h");
+    assert!(
+        unseeded.contains("  Seed (h) access=LabelScan(Hospital) est=10 rows\n"),
+        "{unseeded}"
+    );
+}
+
+/// A type extent smaller than both endpoint extents seeds the anchor as
+/// a `RelTypeScan`.
+#[test]
+fn small_type_extent_seeds_the_anchor() {
+    let mut g = fixture();
+    let people = g.nodes_with_label("Person");
+    g.create_rel(people[0], people[1], "KNOWS", PropertyMap::new())
+        .unwrap();
+    let out = explain_query_with(
+        &g,
+        "MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN a",
+        &Params::new(),
+        0,
+        Some(4),
+    )
+    .unwrap();
+    assert!(
+        out.starts_with("Plan\n  Seed (a) access=RelTypeScan(KNOWS) est=1 rows\n"),
+        "{out}"
     );
 }
