@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_pairs;
-use pg_triggers::Session;
+use pg_triggers::{IndexDef, Session};
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
@@ -47,10 +47,16 @@ fn bench_composite_lookup(c: &mut Criterion) {
 
     let cols = ["status".to_string(), "severity".to_string()];
     let mut composite = session_with_pairs(n, statuses, severities);
-    composite.create_composite_index("Item", &cols).unwrap();
+    composite
+        .create_index(&IndexDef::node("Item", &cols))
+        .unwrap();
     let mut single = session_with_pairs(n, statuses, severities);
-    single.create_index("Item", "status").unwrap();
-    single.create_index("Item", "severity").unwrap();
+    single
+        .create_index(&IndexDef::node("Item", &["status"]))
+        .unwrap();
+    single
+        .create_index(&IndexDef::node("Item", &["severity"]))
+        .unwrap();
     let mut scan = session_with_pairs(n, statuses, severities);
 
     // All three plans must agree before we time anything.

@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_items;
-use pg_triggers::Session;
+use pg_triggers::{IndexDef, Session};
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
@@ -33,7 +33,9 @@ fn bench_index_lookup(c: &mut Criterion) {
     let where_eq = format!("MATCH (i:Item) WHERE i.k = {needle} RETURN count(*) AS n");
 
     let mut indexed = session_with_items(n);
-    indexed.create_index("Item", "k").unwrap();
+    indexed
+        .create_index(&IndexDef::node("Item", &["k"]))
+        .unwrap();
     let mut scan = session_with_items(n);
 
     // Both paths must agree before we time anything.
@@ -63,7 +65,7 @@ fn bench_index_lookup(c: &mut Criterion) {
     for (tag, with_index) in [("indexed", true), ("scan", false)] {
         let mut s = session_with_items(n);
         if with_index {
-            s.create_index("Item", "k").unwrap();
+            s.create_index(&IndexDef::node("Item", &["k"])).unwrap();
         }
         s.install(&format!(
             "CREATE TRIGGER probe AFTER CREATE ON 'Probe' FOR EACH NODE

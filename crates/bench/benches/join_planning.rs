@@ -143,13 +143,7 @@ fn main() {
         "executor": executor,
         "estimates": estimates,
     });
-    let rendered = serde_json::to_string_pretty(&report).unwrap();
-    println!("{rendered}");
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_join_planning.json"
-    );
-    std::fs::write(out, rendered + "\n").unwrap();
+    pg_bench::write_report("join_planning", quick, &report);
 
     if !quick {
         assert!(

@@ -1,8 +1,8 @@
 //! Multi-threaded throughput: N snapshot readers against a live,
 //! trigger-firing writer.
 //!
-//! Three measurements, emitted as `BENCH_mt_throughput.json` in the
-//! working directory (the repo's benchmark-artifact trajectory):
+//! Three measurements, emitted as `BENCH_mt_throughput.json`
+//! ([`pg_bench::write_report`]: the repo root in full mode):
 //!
 //! 1. **Writer, exclusive mode** — no reader handle ever created, so the
 //!    store root stays unshared and copy-on-write never copies.
@@ -29,7 +29,7 @@
 //! shrinks sizes and skips the acceptance assertions (noise-proof);
 //! the `concurrency` CI job runs the full mode and archives the JSON.
 
-use pg_triggers::{ReadSession, Session};
+use pg_triggers::{IndexDef, ReadSession, Session};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -47,7 +47,7 @@ fn trigger_session(preload: usize) -> Session {
          BEGIN CREATE (:Audit {of: NEW.i}) END",
     )
     .unwrap();
-    s.create_index("Item", "k").unwrap();
+    s.create_index(&IndexDef::node("Item", &["k"])).unwrap();
     let g = s.graph_mut();
     for i in 0..preload {
         let props: pg_graph::PropertyMap = [("k".to_string(), pg_graph::Value::Int(i as i64))]
@@ -212,15 +212,7 @@ fn main() {
         "writer": writer_report,
         "readers": reader_report,
     });
-    let rendered = serde_json::to_string_pretty(&report).unwrap();
-    println!("{rendered}");
-    // Manifest-relative so the artifact lands at the repo root (where CI
-    // archives it) regardless of the bench binary's working directory.
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_mt_throughput.json"
-    );
-    std::fs::write(out, rendered + "\n").unwrap();
+    pg_bench::write_report("mt_throughput", quick, &report);
 
     if !quick {
         assert!(

@@ -134,13 +134,7 @@ fn main() {
         "runs": runs,
         "bar_speedup_min_x_at_4_threads": 2.0,
     });
-    let rendered = serde_json::to_string_pretty(&report).unwrap();
-    println!("{rendered}");
-    let out = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_parallel_exec.json"
-    );
-    std::fs::write(out, rendered + "\n").unwrap();
+    pg_bench::write_report("parallel_exec", quick, &report);
 
     if !quick && scaling_measurable {
         assert!(

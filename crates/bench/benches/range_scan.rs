@@ -13,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_named_items;
-use pg_triggers::Session;
+use pg_triggers::{IndexDef, Session};
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
@@ -39,8 +39,12 @@ fn bench_range_scan(c: &mut Criterion) {
         format!("MATCH (i:Item) WHERE i.name STARTS WITH '{prefix}' RETURN count(*) AS c");
 
     let mut indexed = session_with_named_items(n);
-    indexed.create_index("Item", "k").unwrap();
-    indexed.create_index("Item", "name").unwrap();
+    indexed
+        .create_index(&IndexDef::node("Item", &["k"]))
+        .unwrap();
+    indexed
+        .create_index(&IndexDef::node("Item", &["name"]))
+        .unwrap();
     let mut scan = session_with_named_items(n);
 
     // Both paths must agree before we time anything.
@@ -72,7 +76,7 @@ fn bench_range_scan(c: &mut Criterion) {
     for (tag, with_index) in [("indexed", true), ("scan", false)] {
         let mut s = session_with_named_items(n);
         if with_index {
-            s.create_index("Item", "k").unwrap();
+            s.create_index(&IndexDef::node("Item", &["k"])).unwrap();
         }
         s.install(&format!(
             "CREATE TRIGGER probe AFTER CREATE ON 'Probe' FOR EACH NODE

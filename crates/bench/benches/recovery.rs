@@ -195,12 +195,7 @@ fn main() {
         "recovery": replay_report,
         "bar_snapshot_speedup_x_min": 1.5,
     });
-    let rendered = serde_json::to_string_pretty(&report).unwrap();
-    println!("{rendered}");
-    // Manifest-relative so the artifact lands at the repo root (where CI
-    // archives it) regardless of the bench binary's working directory.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
-    std::fs::write(out, rendered + "\n").unwrap();
+    pg_bench::write_report("recovery", quick, &report);
 
     if !quick {
         assert!(

@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_zipf_items;
 use pg_graph::Value;
-use pg_triggers::Session;
+use pg_triggers::{IndexDef, Session};
 use std::ops::Bound;
 
 fn quick_mode() -> bool {
@@ -52,7 +52,7 @@ fn hot_session(n: usize, hot: bool) -> Session {
         g.create_rel(anchor.unwrap(), t, "R", pg_graph::PropertyMap::new())
             .unwrap();
     }
-    s.create_index("Item", "k").unwrap();
+    s.create_index(&IndexDef::node("Item", &["k"])).unwrap();
     s
 }
 
@@ -104,7 +104,7 @@ fn bench_stats_probe(c: &mut Criterion) {
     // Histogram selectivity on skewed data: estimate vs exact over the
     // hot head and the cold tail of a Zipf distribution.
     let mut zipf = session_with_zipf_items(n, 1000, 1.05, 42);
-    zipf.create_index("Item", "k").unwrap();
+    zipf.create_index(&IndexDef::node("Item", &["k"])).unwrap();
     let g = zipf.graph();
     for (tag, lo, hi) in [("head", 0i64, 10i64), ("tail", 500, 1000)] {
         let est = g

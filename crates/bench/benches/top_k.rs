@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::workloads::session_with_items;
-use pg_triggers::Session;
+use pg_triggers::{IndexDef, Session};
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
@@ -38,7 +38,9 @@ fn bench_top_k(c: &mut Criterion) {
     let q_desc = "MATCH (i:Item) WITH i ORDER BY i.k DESC LIMIT 1 RETURN i.k AS k";
 
     let mut indexed = session_with_items(n);
-    indexed.create_index("Item", "k").unwrap();
+    indexed
+        .create_index(&IndexDef::node("Item", &["k"]))
+        .unwrap();
     let mut sort = session_with_items(n);
 
     // Both paths must agree before we time anything.
@@ -101,7 +103,8 @@ fn bench_top_k(c: &mut Criterion) {
             }
         }
         if with_index {
-            s.graph_mut().create_rel_index("ConnectedTo", "distance");
+            s.graph_mut()
+                .define_index(&IndexDef::rel("ConnectedTo", &["distance"]));
         }
         let q = "MATCH (h:Hospital {name: 'Sacco'})-[ct:ConnectedTo]-(hc:Hospital) \
                  WITH ct, hc ORDER BY ct.distance LIMIT 1 \

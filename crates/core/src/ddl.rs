@@ -28,6 +28,7 @@ use pg_cypher::ast::{Clause, RemoveItem, SetItem};
 use pg_cypher::lexer::lex;
 use pg_cypher::token::{Token, TokenKind};
 use pg_cypher::{parse_expression, parse_query_lenient, Query, StatementClass};
+use pg_graph::{IndexDef, IndexOn};
 use std::sync::Arc;
 
 /// A parsed DDL statement.
@@ -43,31 +44,13 @@ pub fn is_trigger_ddl(src: &str) -> bool {
     StatementClass::of(src) == StatementClass::TriggerDdl
 }
 
-/// A parsed property-index DDL statement.
+/// A parsed property-index DDL statement: `CREATE INDEX ON <def>` or
+/// `DROP INDEX ON <def>`, with `<def>` as [`IndexDef`] prints it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum IndexDdl {
-    /// `CREATE INDEX ON :Label(key)`
-    Create { label: String, key: String },
-    /// `DROP INDEX ON :Label(key)`
-    Drop { label: String, key: String },
-    /// `CREATE INDEX ON -[:TYPE(key)]-` (relationship-property index)
-    CreateRel { rel_type: String, key: String },
-    /// `DROP INDEX ON -[:TYPE(key)]-`
-    DropRel { rel_type: String, key: String },
-    /// `CREATE INDEX ON :Label(k1, k2, …)` (composite / multi-key index)
-    CreateComposite { label: String, columns: Vec<String> },
-    /// `DROP INDEX ON :Label(k1, k2, …)`
-    DropComposite { label: String, columns: Vec<String> },
-    /// `CREATE INDEX ON -[:TYPE(k1, k2, …)]-`
-    CreateRelComposite {
-        rel_type: String,
-        columns: Vec<String>,
-    },
-    /// `DROP INDEX ON -[:TYPE(k1, k2, …)]-`
-    DropRelComposite {
-        rel_type: String,
-        columns: Vec<String>,
-    },
+pub struct IndexDdl {
+    /// `CREATE` (else `DROP`).
+    pub create: bool,
+    pub def: IndexDef,
 }
 
 /// Quick check whether a source string looks like index DDL.
@@ -103,18 +86,24 @@ pub fn parse_index_ddl(src: &str) -> Result<IndexDdl, InstallError> {
     }
     p.bump();
 
-    // Relationship form: [-] [ : TYPE ( key (, key)* ) ] [-]
+    // Relationship form `[-] [ : TYPE ( key (, key)* ) ] [-]`, else the
+    // node form `[:] Label ( key (, key)* )`.
     let leading_dash = p.peek() == &TokenKind::Minus;
     if leading_dash {
         p.bump();
     }
-    if p.peek() == &TokenKind::LBracket {
+    let on_rel = p.peek() == &TokenKind::LBracket;
+    if on_rel {
         p.bump();
-        if p.peek() == &TokenKind::Colon {
-            p.bump();
-        }
-        let rel_type = p.expect_name()?;
-        let mut keys = p.paren_keys()?;
+    } else if leading_dash {
+        return Err(p.err("expected '[' after '-' in relationship index DDL"));
+    }
+    if p.peek() == &TokenKind::Colon {
+        p.bump();
+    }
+    let name = p.expect_name()?;
+    let columns = p.paren_keys()?;
+    if on_rel {
         if p.peek() != &TokenKind::RBracket {
             return Err(p.err("expected ']' after the relationship key"));
         }
@@ -122,55 +111,15 @@ pub fn parse_index_ddl(src: &str) -> Result<IndexDdl, InstallError> {
         if p.peek() == &TokenKind::Minus {
             p.bump();
         }
-        p.expect_end("index DDL")?;
-        return Ok(match (create, keys.len()) {
-            (true, 1) => IndexDdl::CreateRel {
-                rel_type,
-                key: keys.remove(0),
-            },
-            (false, 1) => IndexDdl::DropRel {
-                rel_type,
-                key: keys.remove(0),
-            },
-            (true, _) => IndexDdl::CreateRelComposite {
-                rel_type,
-                columns: keys,
-            },
-            (false, _) => IndexDdl::DropRelComposite {
-                rel_type,
-                columns: keys,
-            },
-        });
     }
-    if leading_dash {
-        return Err(p.err("expected '[' after '-' in relationship index DDL"));
-    }
-
-    // Node form: [:] Label ( key (, key)* )
-    if p.peek() == &TokenKind::Colon {
-        p.bump();
-    }
-    let label = p.expect_name()?;
-    let mut keys = p.paren_keys()?;
     p.expect_end("index DDL")?;
-    Ok(match (create, keys.len()) {
-        (true, 1) => IndexDdl::Create {
-            label,
-            key: keys.remove(0),
-        },
-        (false, 1) => IndexDdl::Drop {
-            label,
-            key: keys.remove(0),
-        },
-        (true, _) => IndexDdl::CreateComposite {
-            label,
-            columns: keys,
-        },
-        (false, _) => IndexDdl::DropComposite {
-            label,
-            columns: keys,
-        },
-    })
+    let on = if on_rel {
+        IndexOn::RelType(name)
+    } else {
+        IndexOn::Label(name)
+    };
+    let def = IndexDef { on, columns };
+    Ok(IndexDdl { create, def })
 }
 
 /// Parse a `CREATE TRIGGER` / `DROP TRIGGER` statement.
@@ -245,7 +194,11 @@ impl<'a> DdlParser<'a> {
         let mut keys = vec![self.expect_name()?];
         while self.peek() == &TokenKind::Comma {
             self.bump();
-            keys.push(self.expect_name()?);
+            let key = self.expect_name()?;
+            if keys.contains(&key) {
+                return Err(self.err(format!("index column '{key}' is repeated")));
+            }
+            keys.push(key);
         }
         if self.peek() != &TokenKind::RParen {
             return Err(self.err("expected ')' after the property key list"));
@@ -732,66 +685,48 @@ mod tests {
         assert!(is_index_ddl("  create index on :L(x)"));
         assert!(is_index_ddl("DROP INDEX ON :L(x)"));
         assert!(!is_index_ddl("CREATE (n)"));
-        assert_eq!(
-            parse_index_ddl("CREATE INDEX ON :Mutation(name)").unwrap(),
-            IndexDdl::Create {
-                label: "Mutation".into(),
-                key: "name".into()
-            }
-        );
-        // quoted label, no colon (trigger-grammar style), trailing semicolon
-        assert_eq!(
-            parse_index_ddl("CREATE INDEX ON 'Hospital'(name);").unwrap(),
-            IndexDdl::Create {
-                label: "Hospital".into(),
-                key: "name".into()
-            }
-        );
-        assert_eq!(
-            parse_index_ddl("DROP INDEX ON :Mutation(name)").unwrap(),
-            IndexDdl::Drop {
-                label: "Mutation".into(),
-                key: "name".into()
-            }
-        );
-        assert!(parse_index_ddl("CREATE INDEX ON :L").is_err());
-        assert!(parse_index_ddl("CREATE INDEX :L(x)").is_err());
-        assert!(parse_index_ddl("CREATE INDEX ON :L(x) extra").is_err());
-    }
-
-    #[test]
-    fn parse_composite_index_ddl_shapes() {
-        let cols = |cs: &[&str]| cs.iter().map(|c| c.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            parse_index_ddl("CREATE INDEX ON :Patient(status, severity)").unwrap(),
-            IndexDdl::CreateComposite {
-                label: "Patient".into(),
-                columns: cols(&["status", "severity"]),
-            }
-        );
-        assert_eq!(
-            parse_index_ddl("DROP INDEX ON 'Patient'(status, severity);").unwrap(),
-            IndexDdl::DropComposite {
-                label: "Patient".into(),
-                columns: cols(&["status", "severity"]),
-            }
-        );
-        assert_eq!(
-            parse_index_ddl("CREATE INDEX ON -[:ConnectedTo(kind, distance)]-").unwrap(),
-            IndexDdl::CreateRelComposite {
-                rel_type: "ConnectedTo".into(),
-                columns: cols(&["kind", "distance"]),
-            }
-        );
-        assert_eq!(
-            parse_index_ddl("DROP INDEX ON [:ConnectedTo(kind, distance)]").unwrap(),
-            IndexDdl::DropRelComposite {
-                rel_type: "ConnectedTo".into(),
-                columns: cols(&["kind", "distance"]),
-            }
-        );
-        assert!(parse_index_ddl("CREATE INDEX ON :L(x,)").is_err());
-        assert!(parse_index_ddl("CREATE INDEX ON :L(x, y").is_err());
+        // every spelling of the operand is one `(scope, columns)` value;
+        // `tests/index_session.rs` round-trips all shapes and widths
+        for (src, create, def) in [
+            (
+                "CREATE INDEX ON :Mutation(name)",
+                true,
+                IndexDef::node("Mutation", &["name"]),
+            ),
+            // quoted label, no colon (trigger-grammar style), semicolon
+            (
+                "DROP INDEX ON 'Patient'(status, severity);",
+                false,
+                IndexDef::node("Patient", &["status", "severity"]),
+            ),
+            (
+                "create index on -[:ConnectedTo(kind, distance)]-",
+                true,
+                IndexDef::rel("ConnectedTo", &["kind", "distance"]),
+            ),
+            (
+                "DROP INDEX ON [ConnectedTo(distance)]",
+                false,
+                IndexDef::rel("ConnectedTo", &["distance"]),
+            ),
+        ] {
+            assert_eq!(parse_index_ddl(src), Ok(IndexDdl { create, def }), "{src}");
+        }
+        for bad in [
+            "CREATE INDEX ON :L",
+            "CREATE INDEX :L(x)",
+            "CREATE INDEX ON :L(x) extra",
+            "CREATE INDEX ON :L(x,)",
+            "CREATE INDEX ON :L(x, y",
+            "CREATE INDEX ON -:L(x)",
+            "CREATE INDEX ON -[:T(x)-",
+            "CREATE INDEX ON :L(x, y, x)",
+        ] {
+            assert!(
+                matches!(parse_index_ddl(bad), Err(InstallError::Syntax(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Error types for the trigger engine.
 
 use pg_cypher::CypherError;
-use pg_graph::GraphError;
+use pg_graph::{GraphError, IndexDef};
 use std::fmt;
 
 /// Errors installing a trigger (`CREATE TRIGGER` time checks, §4.2).
@@ -32,29 +32,10 @@ pub enum InstallError {
         var: String,
         reason: &'static str,
     },
-    /// `CREATE INDEX` on an already-indexed `(label, key)`.
-    DuplicateIndex { label: String, key: String },
-    /// `DROP INDEX` on a `(label, key)` that is not indexed.
-    UnknownIndex { label: String, key: String },
-    /// `CREATE INDEX` on an already-indexed `(rel_type, key)`.
-    DuplicateRelIndex { rel_type: String, key: String },
-    /// `DROP INDEX` on a `(rel_type, key)` that is not indexed.
-    UnknownRelIndex { rel_type: String, key: String },
-    /// `CREATE INDEX` on an existing (or malformed — repeated columns)
-    /// composite `(label, columns)` definition.
-    DuplicateCompositeIndex { label: String, columns: Vec<String> },
-    /// `DROP INDEX` on a composite `(label, columns)` that is not indexed.
-    UnknownCompositeIndex { label: String, columns: Vec<String> },
-    /// `CREATE INDEX` on an existing composite `(rel_type, columns)`.
-    DuplicateRelCompositeIndex {
-        rel_type: String,
-        columns: Vec<String>,
-    },
-    /// `DROP INDEX` on a composite `(rel_type, columns)` not indexed.
-    UnknownRelCompositeIndex {
-        rel_type: String,
-        columns: Vec<String>,
-    },
+    /// `CREATE INDEX` on a definition that already exists.
+    DuplicateIndex(IndexDef),
+    /// `DROP INDEX` on a definition that is not indexed.
+    UnknownIndex(IndexDef),
 }
 
 impl fmt::Display for InstallError {
@@ -77,42 +58,8 @@ impl fmt::Display for InstallError {
             InstallError::BadReferencing { trigger, var, reason } => {
                 write!(f, "trigger '{trigger}': REFERENCING {var}: {reason}")
             }
-            InstallError::DuplicateIndex { label, key } => {
-                write!(f, "index on :{label}({key}) already exists")
-            }
-            InstallError::UnknownIndex { label, key } => {
-                write!(f, "no index on :{label}({key})")
-            }
-            InstallError::DuplicateRelIndex { rel_type, key } => {
-                write!(f, "index on -[:{rel_type}({key})]- already exists")
-            }
-            InstallError::UnknownRelIndex { rel_type, key } => {
-                write!(f, "no index on -[:{rel_type}({key})]-")
-            }
-            InstallError::DuplicateCompositeIndex { label, columns } => {
-                write!(
-                    f,
-                    "composite index on :{label}({}) already exists or is malformed",
-                    columns.join(", ")
-                )
-            }
-            InstallError::UnknownCompositeIndex { label, columns } => {
-                write!(f, "no composite index on :{label}({})", columns.join(", "))
-            }
-            InstallError::DuplicateRelCompositeIndex { rel_type, columns } => {
-                write!(
-                    f,
-                    "composite index on -[:{rel_type}({})]- already exists or is malformed",
-                    columns.join(", ")
-                )
-            }
-            InstallError::UnknownRelCompositeIndex { rel_type, columns } => {
-                write!(
-                    f,
-                    "no composite index on -[:{rel_type}({})]-",
-                    columns.join(", ")
-                )
-            }
+            InstallError::DuplicateIndex(def) => write!(f, "index on {def} already exists"),
+            InstallError::UnknownIndex(def) => write!(f, "no index on {def}"),
         }
     }
 }

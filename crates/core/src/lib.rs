@@ -57,6 +57,7 @@ pub use ddl::{
     is_index_ddl, is_trigger_ddl, parse_index_ddl, parse_trigger_ddl, DdlStatement, IndexDdl,
 };
 pub use error::{InstallError, TriggerError};
+pub use pg_graph::{IndexDef, IndexOn};
 pub use pg_wal as wal;
 pub use pg_wal::{
     RecoveryError, RecoveryOptions, RecoveryReport, SyncPolicy, WalError, WalOptions,

@@ -30,7 +30,7 @@ use pg_cypher::{
     run_prepared, CypherError, Params, Prepared, Query, QueryOutput, Row, StatementCache,
     StatementClass, Target,
 };
-use pg_graph::{Graph, PreStateView, StatementMark, WritePolicy};
+use pg_graph::{Graph, IndexDef, PreStateView, StatementMark, WritePolicy};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -92,38 +92,8 @@ pub enum ExecResult {
     Explain(String),
     TriggerCreated(String),
     TriggerDropped(String),
-    IndexCreated {
-        label: String,
-        key: String,
-    },
-    IndexDropped {
-        label: String,
-        key: String,
-    },
-    RelIndexCreated {
-        rel_type: String,
-        key: String,
-    },
-    RelIndexDropped {
-        rel_type: String,
-        key: String,
-    },
-    CompositeIndexCreated {
-        label: String,
-        columns: Vec<String>,
-    },
-    CompositeIndexDropped {
-        label: String,
-        columns: Vec<String>,
-    },
-    RelCompositeIndexCreated {
-        rel_type: String,
-        columns: Vec<String>,
-    },
-    RelCompositeIndexDropped {
-        rel_type: String,
-        columns: Vec<String>,
-    },
+    IndexCreated(IndexDef),
+    IndexDropped(IndexDef),
 }
 
 /// An active-graph session: graph + trigger catalog + engine.
@@ -277,17 +247,8 @@ impl Session {
     /// [`crate::schema_guard`]). Properties the schema declares `KEY` or
     /// `INDEX` get a property index created on the spot (idempotent).
     pub fn set_schema(&mut self, graph_type: pg_schema::GraphType) {
-        for (label, key) in graph_type.indexed_props() {
-            self.graph.create_index(&label, &key);
-        }
-        for (rel_type, key) in graph_type.indexed_rel_props() {
-            self.graph.create_rel_index(&rel_type, &key);
-        }
-        for (label, columns) in graph_type.composite_indexed_props() {
-            self.graph.create_composite_index(&label, &columns);
-        }
-        for (rel_type, columns) in graph_type.composite_indexed_rel_props() {
-            self.graph.create_rel_composite_index(&rel_type, &columns);
+        for def in graph_type.index_defs() {
+            self.graph.define_index(&def);
         }
         self.schema = Some(SchemaGuard::new(graph_type));
     }
@@ -464,185 +425,45 @@ impl Session {
     }
 
     fn execute_index_ddl(&mut self, src: &str) -> Result<ExecResult, TriggerError> {
-        match parse_index_ddl(src).map_err(TriggerError::Install)? {
-            IndexDdl::Create { label, key } => {
-                self.create_index(&label, &key)?;
-                Ok(ExecResult::IndexCreated { label, key })
-            }
-            IndexDdl::Drop { label, key } => {
-                self.drop_index(&label, &key)?;
-                Ok(ExecResult::IndexDropped { label, key })
-            }
-            IndexDdl::CreateRel { rel_type, key } => {
-                self.create_rel_index(&rel_type, &key)?;
-                Ok(ExecResult::RelIndexCreated { rel_type, key })
-            }
-            IndexDdl::DropRel { rel_type, key } => {
-                self.drop_rel_index(&rel_type, &key)?;
-                Ok(ExecResult::RelIndexDropped { rel_type, key })
-            }
-            IndexDdl::CreateComposite { label, columns } => {
-                self.create_composite_index(&label, &columns)?;
-                Ok(ExecResult::CompositeIndexCreated { label, columns })
-            }
-            IndexDdl::DropComposite { label, columns } => {
-                self.drop_composite_index(&label, &columns)?;
-                Ok(ExecResult::CompositeIndexDropped { label, columns })
-            }
-            IndexDdl::CreateRelComposite { rel_type, columns } => {
-                self.create_rel_composite_index(&rel_type, &columns)?;
-                Ok(ExecResult::RelCompositeIndexCreated { rel_type, columns })
-            }
-            IndexDdl::DropRelComposite { rel_type, columns } => {
-                self.drop_rel_composite_index(&rel_type, &columns)?;
-                Ok(ExecResult::RelCompositeIndexDropped { rel_type, columns })
-            }
+        let IndexDdl { create, def } = parse_index_ddl(src).map_err(TriggerError::Install)?;
+        if create {
+            self.create_index(&def)?;
+            Ok(ExecResult::IndexCreated(def))
+        } else {
+            self.drop_index(&def)?;
+            Ok(ExecResult::IndexDropped(def))
         }
     }
 
-    /// Create a property index on `(label, key)`, populated from the
-    /// current extent and maintained through every subsequent mutation
-    /// (including statement rollback and aborted trigger cascades).
-    pub fn create_index(&mut self, label: &str, key: &str) -> Result<(), TriggerError> {
-        if self.graph.create_index(label, key) {
+    /// Create the property index `def`, populated from the current extent
+    /// and maintained through every subsequent mutation (including
+    /// statement rollback and aborted trigger cascades). A malformed
+    /// column list (empty or repeating — index DDL text rejects both at
+    /// parse time) also answers `DuplicateIndex`.
+    pub fn create_index(&mut self, def: &IndexDef) -> Result<(), TriggerError> {
+        if self.graph.define_index(def) {
             Ok(())
         } else {
-            Err(TriggerError::Install(InstallError::DuplicateIndex {
-                label: label.to_string(),
-                key: key.to_string(),
-            }))
+            Err(TriggerError::Install(InstallError::DuplicateIndex(
+                def.clone(),
+            )))
         }
     }
 
-    /// Drop the property index on `(label, key)`.
-    pub fn drop_index(&mut self, label: &str, key: &str) -> Result<(), TriggerError> {
-        if self.graph.drop_index(label, key) {
+    /// Drop the property index `def`.
+    pub fn drop_index(&mut self, def: &IndexDef) -> Result<(), TriggerError> {
+        if self.graph.drop_index(def) {
             Ok(())
         } else {
-            Err(TriggerError::Install(InstallError::UnknownIndex {
-                label: label.to_string(),
-                key: key.to_string(),
-            }))
+            Err(TriggerError::Install(InstallError::UnknownIndex(
+                def.clone(),
+            )))
         }
     }
 
-    /// All `(label, key)` property-index definitions, sorted.
-    pub fn indexes(&self) -> Vec<(String, String)> {
+    /// Every property-index definition, sorted (nodes first).
+    pub fn indexes(&self) -> Vec<IndexDef> {
         self.graph.indexes()
-    }
-
-    /// Create a relationship-property index on `(rel_type, key)`,
-    /// populated from the current type extent and maintained through every
-    /// subsequent mutation (including statement rollback and aborted
-    /// trigger cascades), exactly like node indexes.
-    pub fn create_rel_index(&mut self, rel_type: &str, key: &str) -> Result<(), TriggerError> {
-        if self.graph.create_rel_index(rel_type, key) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(InstallError::DuplicateRelIndex {
-                rel_type: rel_type.to_string(),
-                key: key.to_string(),
-            }))
-        }
-    }
-
-    /// Drop the relationship-property index on `(rel_type, key)`.
-    pub fn drop_rel_index(&mut self, rel_type: &str, key: &str) -> Result<(), TriggerError> {
-        if self.graph.drop_rel_index(rel_type, key) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(InstallError::UnknownRelIndex {
-                rel_type: rel_type.to_string(),
-                key: key.to_string(),
-            }))
-        }
-    }
-
-    /// All `(rel_type, key)` relationship-index definitions, sorted.
-    pub fn rel_indexes(&self) -> Vec<(String, String)> {
-        self.graph.rel_indexes()
-    }
-
-    /// Create a composite index on `(label, columns)`, populated from the
-    /// current extent and maintained through every subsequent mutation
-    /// (including statement rollback and aborted trigger cascades).
-    pub fn create_composite_index(
-        &mut self,
-        label: &str,
-        columns: &[String],
-    ) -> Result<(), TriggerError> {
-        if self.graph.create_composite_index(label, columns) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(
-                InstallError::DuplicateCompositeIndex {
-                    label: label.to_string(),
-                    columns: columns.to_vec(),
-                },
-            ))
-        }
-    }
-
-    /// Drop the composite index on `(label, columns)`.
-    pub fn drop_composite_index(
-        &mut self,
-        label: &str,
-        columns: &[String],
-    ) -> Result<(), TriggerError> {
-        if self.graph.drop_composite_index(label, columns) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(InstallError::UnknownCompositeIndex {
-                label: label.to_string(),
-                columns: columns.to_vec(),
-            }))
-        }
-    }
-
-    /// All `(label, columns)` composite-index definitions, sorted.
-    pub fn composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        self.graph.composite_indexes()
-    }
-
-    /// Create a composite relationship index on `(rel_type, columns)`.
-    pub fn create_rel_composite_index(
-        &mut self,
-        rel_type: &str,
-        columns: &[String],
-    ) -> Result<(), TriggerError> {
-        if self.graph.create_rel_composite_index(rel_type, columns) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(
-                InstallError::DuplicateRelCompositeIndex {
-                    rel_type: rel_type.to_string(),
-                    columns: columns.to_vec(),
-                },
-            ))
-        }
-    }
-
-    /// Drop the composite relationship index on `(rel_type, columns)`.
-    pub fn drop_rel_composite_index(
-        &mut self,
-        rel_type: &str,
-        columns: &[String],
-    ) -> Result<(), TriggerError> {
-        if self.graph.drop_rel_composite_index(rel_type, columns) {
-            Ok(())
-        } else {
-            Err(TriggerError::Install(
-                InstallError::UnknownRelCompositeIndex {
-                    rel_type: rel_type.to_string(),
-                    columns: columns.to_vec(),
-                },
-            ))
-        }
-    }
-
-    /// All `(rel_type, columns)` composite relationship-index definitions.
-    pub fn rel_composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        self.graph.rel_composite_indexes()
     }
 
     /// Run one query as a statement (auto-commit unless inside an explicit

@@ -120,5 +120,8 @@ fn ddl_takes_no_parameters_and_run_takes_no_ddl() {
         s.run("CREATE INDEX ON :Person(name)"),
         Err(TriggerError::Session(_))
     ));
-    assert_eq!(s.indexes(), [("Person".to_string(), "age".to_string())]);
+    assert_eq!(
+        s.indexes(),
+        [pg_triggers::IndexDef::node("Person", &["age"])]
+    );
 }

@@ -2,8 +2,12 @@
 //! engine aborts work: statement rollback inside an explicit transaction
 //! and a trigger cascade cut off by `RecursionLimit`.
 
-use pg_graph::{GraphView, NodeId, Value};
-use pg_triggers::{EngineConfig, ExecResult, Session, TriggerError};
+use pg_graph::{
+    CompositeTrailing, GraphView, IndexDef, IndexProbe, IndexScope, NodeId, ProbeMode, Value,
+};
+use pg_triggers::{
+    parse_index_ddl, EngineConfig, ExecResult, IndexDdl, InstallError, Session, TriggerError,
+};
 use std::collections::BTreeSet;
 
 fn count(s: &mut Session, label: &str) -> i64 {
@@ -18,10 +22,13 @@ fn count(s: &mut Session, label: &str) -> i64 {
 fn assert_index_equals_scan(s: &Session, values: &[Value]) {
     let g = s.graph();
     let all = g.all_node_ids();
-    for (label, key) in s.indexes() {
+    for def in s.indexes() {
+        let (IndexScope::Label(label), [key]) = (def.scope(), &def.columns[..]) else {
+            panic!("only single-key node indexes are created, found {def}");
+        };
         for value in values {
             let via_index: BTreeSet<NodeId> = g
-                .nodes_with_prop(&label, &key, value)
+                .nodes_with_prop(label, key, value)
                 .expect("indexed (label, key) must answer")
                 .into_iter()
                 .collect();
@@ -29,8 +36,8 @@ fn assert_index_equals_scan(s: &Session, values: &[Value]) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, &label)
-                        && g.node_prop(id, &key)
+                    g.node_has_label(id, label)
+                        && g.node_prop(id, key)
                             .is_some_and(|have| have.eq3(value) == Some(true))
                 })
                 .collect();
@@ -39,36 +46,136 @@ fn assert_index_equals_scan(s: &Session, values: &[Value]) {
     }
 }
 
+/// One table over `{node, rel} × {width 1, width 2}`: every shape walks
+/// `create → duplicate → drop → unknown` through `execute` and answers
+/// with the one definition value.
 #[test]
-fn execute_dispatches_index_ddl() {
+fn execute_dispatches_index_ddl_in_every_shape() {
     let mut s = Session::new();
-    s.run("CREATE (:M {name: 'a'}), (:M {name: 'b'})").unwrap();
-    match s.execute("CREATE INDEX ON :M(name)").unwrap() {
-        ExecResult::IndexCreated { label, key } => {
-            assert_eq!((label.as_str(), key.as_str()), ("M", "name"));
-        }
-        other => panic!("unexpected {other:?}"),
+    s.run("CREATE (:M {name: 'a', k: 1})-[:T {w: 5, tag: 'x'}]->(:M {name: 'b', k: 2})")
+        .unwrap();
+    let install = |e: InstallError| Err(TriggerError::Install(e));
+    for (def, eq, served) in [
+        (
+            IndexDef::node("M", &["name"]),
+            vec![Value::str("a")],
+            "MATCH (x:M {name: 'a'}) RETURN x",
+        ),
+        (
+            IndexDef::node("M", &["name", "k"]),
+            vec![Value::str("a"), Value::Int(1)],
+            "MATCH (x:M {name: 'a', k: 1}) RETURN x",
+        ),
+        (
+            IndexDef::rel("T", &["w"]),
+            vec![Value::Int(5)],
+            "MATCH ()-[r:T {w: 5}]->() RETURN r",
+        ),
+        (
+            IndexDef::rel("T", &["tag", "w"]),
+            vec![Value::str("x"), Value::Int(5)],
+            "MATCH ()-[r:T {tag: 'x', w: 5}]->() RETURN r",
+        ),
+    ] {
+        let (create, drop) = (
+            format!("CREATE INDEX ON {def}"),
+            format!("DROP INDEX ON {def}"),
+        );
+        assert_eq!(
+            s.execute(&create),
+            Ok(ExecResult::IndexCreated(def.clone()))
+        );
+        assert_eq!(s.indexes(), std::slice::from_ref(&def));
+        assert_eq!(
+            s.execute(&create),
+            install(InstallError::DuplicateIndex(def.clone()))
+        );
+        // populated from the live extent, and serving matches
+        let probe = IndexProbe {
+            columns: &def.columns,
+            eq: &eq,
+            trailing: CompositeTrailing::None,
+        };
+        let hits = s.graph().probe(def.scope(), probe, ProbeMode::Count);
+        assert_eq!(hits.map(|h| h.count()), Some(1), "{def}");
+        assert_eq!(s.run(served).unwrap().rows.len(), 1, "{served}");
+        assert_eq!(s.execute(&drop), Ok(ExecResult::IndexDropped(def.clone())));
+        assert!(s.indexes().is_empty());
+        assert_eq!(
+            s.execute(&drop),
+            install(InstallError::UnknownIndex(def.clone()))
+        );
     }
-    assert_eq!(s.indexes(), vec![("M".to_string(), "name".to_string())]);
-    // duplicate create and unknown drop are errors
-    assert!(matches!(
-        s.execute("CREATE INDEX ON :M(name)"),
-        Err(TriggerError::Install(_))
-    ));
-    assert!(matches!(
-        s.execute("DROP INDEX ON :M(nope)"),
-        Err(TriggerError::Install(_))
-    ));
-    // the index actually serves matches
-    let rows = s.run("MATCH (x:M {name: 'a'}) RETURN x.name AS n").unwrap();
-    assert_eq!(rows.rows.len(), 1);
-    match s.execute("DROP INDEX ON :M(name)").unwrap() {
-        ExecResult::IndexDropped { label, key } => {
-            assert_eq!((label.as_str(), key.as_str()), ("M", "name"));
+    // the error texts name the operand the way the DDL spells it
+    let def = IndexDef::rel("T", &["tag", "w"]);
+    assert_eq!(
+        InstallError::DuplicateIndex(def.clone()).to_string(),
+        "index on -[:T(tag, w)]- already exists"
+    );
+    assert_eq!(
+        InstallError::UnknownIndex(def).to_string(),
+        "no index on -[:T(tag, w)]-"
+    );
+}
+
+/// `Display` prints the DDL operand: `CREATE INDEX ON {def}` parses back
+/// to `def` (identifier names, widths 1-3, both scopes); the dash-less
+/// and quoted spellings name the same definitions.
+#[test]
+fn index_ddl_round_trips_the_definition() {
+    for width in 1..=3 {
+        let columns = &["a", "b", "c"][..width];
+        for def in [IndexDef::node("L", columns), IndexDef::rel("T", columns)] {
+            for (verb, create) in [("CREATE", true), ("DROP", false)] {
+                assert_eq!(
+                    parse_index_ddl(&format!("{verb} INDEX ON {def}")),
+                    Ok(IndexDdl {
+                        create,
+                        def: def.clone()
+                    })
+                );
+            }
         }
-        other => panic!("unexpected {other:?}"),
+    }
+    let def = |src: &str| parse_index_ddl(src).unwrap().def;
+    assert_eq!(
+        def("CREATE INDEX ON [:T(a, b)]"),
+        IndexDef::rel("T", &["a", "b"])
+    );
+    assert_eq!(def("DROP INDEX ON 'L'(a);"), IndexDef::node("L", &["a"]));
+}
+
+/// Malformed is not duplicate: a repeated or missing column is a syntax
+/// error naming the column, in both scopes and for both verbs; through
+/// the API the store still just refuses.
+#[test]
+fn malformed_column_lists_are_syntax_errors() {
+    let mut s = Session::new();
+    for src in [
+        "CREATE INDEX ON :L(x, x)",
+        "DROP INDEX ON :L(x, y, x)",
+        "CREATE INDEX ON -[:T(x, x)]-",
+        "DROP INDEX ON [:T(y, x, x)]",
+    ] {
+        match s.execute(src) {
+            Err(TriggerError::Install(InstallError::Syntax(msg))) => {
+                assert!(msg.contains("'x' is repeated"), "{src}: {msg}")
+            }
+            other => panic!("{src}: unexpected {other:?}"),
+        }
+    }
+    for src in ["CREATE INDEX ON :L()", "CREATE INDEX ON -[:T()]-"] {
+        assert!(
+            matches!(parse_index_ddl(src), Err(InstallError::Syntax(_))),
+            "{src}"
+        );
     }
     assert!(s.indexes().is_empty());
+    let repeated = IndexDef::node("L", &["x", "x"]);
+    assert!(!s.graph_mut().define_index(&repeated));
+    assert!(!s
+        .graph_mut()
+        .define_index(&IndexDef::node("L", &[] as &[&str])));
 }
 
 #[test]
@@ -134,14 +241,9 @@ fn single_key_ddl_is_the_width_one_definition() {
     s.execute("CREATE INDEX ON :L(k)").unwrap();
     // the same definition through the multi-key front door
     assert!(!s.graph_mut().create_composite_index("L", &["k".into()]));
-    assert_eq!(
-        s.graph().indexes(),
-        vec![("L".to_string(), "k".to_string())]
-    );
-    assert!(s.graph().composite_indexes().is_empty());
+    assert_eq!(s.graph().indexes(), [IndexDef::node("L", &["k"])]);
     s.execute("DROP INDEX ON :L(k)").unwrap();
     assert!(s.graph().indexes().is_empty());
-    assert!(!s.graph().has_index("L", "k"));
 }
 
 #[test]
@@ -156,66 +258,11 @@ fn schema_key_and_index_props_create_indexes() {
     s.set_schema(gt);
     assert_eq!(
         s.indexes(),
-        vec![
-            ("Patient".to_string(), "name".to_string()),
-            ("Patient".to_string(), "ssn".to_string()),
+        [
+            IndexDef::node("Patient", &["name"]),
+            IndexDef::node("Patient", &["ssn"]),
         ]
     );
-}
-
-#[test]
-fn execute_dispatches_rel_index_ddl() {
-    let mut s = Session::new();
-    s.run("CREATE (:H {n: 1})-[:ConnectedTo {distance: 5}]->(:H {n: 2})")
-        .unwrap();
-    match s
-        .execute("CREATE INDEX ON -[:ConnectedTo(distance)]-")
-        .unwrap()
-    {
-        ExecResult::RelIndexCreated { rel_type, key } => {
-            assert_eq!(
-                (rel_type.as_str(), key.as_str()),
-                ("ConnectedTo", "distance")
-            );
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-    assert_eq!(
-        s.rel_indexes(),
-        vec![("ConnectedTo".to_string(), "distance".to_string())]
-    );
-    // populated from the live extent
-    assert_eq!(
-        s.graph()
-            .rels_with_prop("ConnectedTo", "distance", &Value::Int(5))
-            .map(|v| v.len()),
-        Some(1)
-    );
-    // duplicate create and unknown drop are errors
-    assert!(matches!(
-        s.execute("CREATE INDEX ON -[:ConnectedTo(distance)]-"),
-        Err(TriggerError::Install(_))
-    ));
-    assert!(matches!(
-        s.execute("DROP INDEX ON -[:ConnectedTo(nope)]-"),
-        Err(TriggerError::Install(_))
-    ));
-    // the dash-less form parses too
-    s.execute("CREATE INDEX ON [:ConnectedTo(weight)]").unwrap();
-    assert_eq!(s.rel_indexes().len(), 2);
-    match s
-        .execute("DROP INDEX ON -[:ConnectedTo(distance)]-")
-        .unwrap()
-    {
-        ExecResult::RelIndexDropped { rel_type, key } => {
-            assert_eq!(
-                (rel_type.as_str(), key.as_str()),
-                ("ConnectedTo", "distance")
-            );
-        }
-        other => panic!("unexpected {other:?}"),
-    }
-    assert_eq!(s.rel_indexes().len(), 1);
 }
 
 #[test]
@@ -247,7 +294,7 @@ fn rel_index_consistent_after_statement_rollback_in_tx() {
 }
 
 #[test]
-fn schema_edge_index_props_create_rel_indexes() {
+fn schema_edge_index_props_index_relationships() {
     let mut s = Session::new();
     let gt = pg_schema::parse_graph_type(
         "CREATE GRAPH TYPE G LOOSE {
@@ -257,10 +304,7 @@ fn schema_edge_index_props_create_rel_indexes() {
     )
     .unwrap();
     s.set_schema(gt);
-    assert_eq!(
-        s.rel_indexes(),
-        vec![("ConnectedTo".to_string(), "distance".to_string())]
-    );
+    assert_eq!(s.indexes(), [IndexDef::rel("ConnectedTo", &["distance"])]);
 }
 
 #[test]

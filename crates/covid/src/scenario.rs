@@ -374,7 +374,8 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.indexed = true;
         let mut indexed = Scenario::new(cfg);
-        assert!(!indexed.session.composite_indexes().is_empty());
+        let paper_composite = pg_graph::IndexDef::node("Patient", &["status", "severity"]);
+        assert!(indexed.session.indexes().contains(&paper_composite));
         let a = plain.session.run(conj).unwrap();
         indexed.session.graph().reset_index_probes();
         let b = indexed.session.run(conj).unwrap();

@@ -72,22 +72,14 @@ mod tests {
         // backed by a composite INDEX(status, severity) declaration that
         // `set_schema` auto-creates.
         let gt = covid_graph_type();
-        assert_eq!(
-            gt.composite_indexed_props(),
-            vec![(
-                "Patient".to_string(),
-                vec!["status".to_string(), "severity".to_string()]
-            )]
-        );
+        let composite = [pg_graph::IndexDef::node("Patient", &["status", "severity"])];
+        let wide = |defs: Vec<pg_graph::IndexDef>| -> Vec<_> {
+            defs.into_iter().filter(|d| d.columns.len() > 1).collect()
+        };
+        assert_eq!(wide(gt.index_defs()), composite);
         let mut s = pg_triggers::Session::new();
         s.set_schema(gt);
-        assert_eq!(
-            s.composite_indexes(),
-            vec![(
-                "Patient".to_string(),
-                vec!["status".to_string(), "severity".to_string()]
-            )]
-        );
+        assert_eq!(wide(s.indexes()), composite);
     }
 
     #[test]

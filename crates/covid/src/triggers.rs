@@ -14,6 +14,7 @@
 //! * the paper's `THEN BEGIN … END` block punctuation is accepted verbatim
 //!   by the lenient parser.
 
+use pg_graph::{IndexDef, IndexScope};
 use pg_triggers::{InstallError, Session};
 
 /// §6.2.1 — "reacts to the fact that a new mutation is associated with a
@@ -165,47 +166,41 @@ pub fn install_paper_triggers(session: &mut Session) -> Result<Vec<String>, Inst
         .collect()
 }
 
-/// The `(label, property)` pairs the §6.2 trigger conditions filter on
-/// with equality predicates — `{name: 'Sacco'}`, `{name: 'Lombardy'}`,
-/// sequence accessions, lineage names — plus the schema's PG-Keys
-/// (`Patient.ssn`), whose key-based access is what condition matching over
-/// a large patient population needs. Indexing them turns the
-/// condition-matching hot path from label scans into index lookups.
-pub const PAPER_INDEXES: [(&str, &str); 6] = [
-    ("Hospital", "name"),
-    ("Region", "name"),
-    ("Lineage", "name"),
-    ("Mutation", "name"),
-    ("Patient", "ssn"),
-    ("Sequence", "accession"),
+/// The single-key indexes behind the §6.2 triggers, as
+/// [`IndexDef::new`] arguments. On nodes: the properties the conditions
+/// filter on with equality predicates — `{name: 'Sacco'}`,
+/// `{name: 'Lombardy'}`, sequence accessions, lineage names — plus the
+/// schema's PG-Keys (`Patient.ssn`), turning the condition-matching hot
+/// path from label scans into index lookups. On relationships:
+/// `ConnectedTo.distance`, which backs the §6.2.3 `MoveToNearHospital`
+/// body's `ORDER BY ct.distance LIMIT 1` as an index-backed top-k walk.
+pub const PAPER_INDEXES: [(IndexScope<'static>, &[&str]); 7] = [
+    (IndexScope::Label("Hospital"), &["name"]),
+    (IndexScope::Label("Region"), &["name"]),
+    (IndexScope::Label("Lineage"), &["name"]),
+    (IndexScope::Label("Mutation"), &["name"]),
+    (IndexScope::Label("Patient"), &["ssn"]),
+    (IndexScope::Label("Sequence"), &["accession"]),
+    (IndexScope::RelType("ConnectedTo"), &["distance"]),
 ];
 
-/// The `(rel_type, property)` pairs the §6.2 triggers order or filter
-/// relationships by — `ConnectedTo.distance` backs the §6.2.3
-/// `MoveToNearHospital` body's `ORDER BY ct.distance LIMIT 1`, which the
-/// executor serves as an index-backed top-k walk once this index exists.
-pub const PAPER_REL_INDEXES: [(&str, &str); 1] = [("ConnectedTo", "distance")];
-
-/// The `(label, columns)` composite indexes behind §6's *conjunctive*
-/// condition shapes — `(p:Patient {status: 'icu'}) WHERE p.severity >= t`
-/// is one O(log n + k) walk of `(Patient, [status, severity])`, and the
-/// same index serves `{status: 'icu'} … ORDER BY p.severity LIMIT k` as
-/// an equality-prefix-pinned ordered walk.
-pub const PAPER_COMPOSITE_INDEXES: [(&str, &[&str]); 1] = [("Patient", &["status", "severity"])];
+/// The composite indexes behind §6's *conjunctive* condition shapes —
+/// `(p:Patient {status: 'icu'}) WHERE p.severity >= t` is one
+/// O(log n + k) walk of `(Patient, [status, severity])`, and the same
+/// index serves `{status: 'icu'} … ORDER BY p.severity LIMIT k` as an
+/// equality-prefix-pinned ordered walk. In-process only:
+/// [`crate::wire::setup_statements`] has never installed these, and
+/// adding them there is a benchmark workload change (ROADMAP 5a).
+pub const PAPER_COMPOSITE_INDEXES: [(IndexScope<'static>, &[&str]); 1] =
+    [(IndexScope::Label("Patient"), &["status", "severity"])];
 
 /// Create the property indexes backing the §6.2 trigger predicates
 /// (idempotent: already-existing indexes are left alone).
 pub fn install_paper_indexes(session: &mut Session) {
-    for (label, key) in PAPER_INDEXES {
-        // ignore "already exists" — the covid schema may have created some
-        let _ = session.graph_mut().create_index(label, key);
-    }
-    for (rel_type, key) in PAPER_REL_INDEXES {
-        let _ = session.graph_mut().create_rel_index(rel_type, key);
-    }
-    for (label, columns) in PAPER_COMPOSITE_INDEXES {
-        let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
-        let _ = session.graph_mut().create_composite_index(label, &columns);
+    for (scope, columns) in PAPER_INDEXES.into_iter().chain(PAPER_COMPOSITE_INDEXES) {
+        // `false` = already exists — the covid schema may have created some
+        let def = IndexDef::new(scope, columns);
+        session.graph_mut().define_index(&def);
     }
     // indexes created after a bulk load start with fresh statistics
     session.graph_mut().rebuild_stats();

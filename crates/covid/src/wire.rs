@@ -13,7 +13,8 @@
 //! §6.2.1 alert trigger — each committing an atomic multi-effect epoch
 //! that *other* clients' snapshot reads must observe all-or-nothing.
 
-use crate::triggers::{PAPER_INDEXES, PAPER_REL_INDEXES, PAPER_TRIGGERS};
+use crate::triggers::{PAPER_INDEXES, PAPER_TRIGGERS};
+use pg_graph::IndexDef;
 
 /// ICU capacity of the Sacco hospital in the wire seed — small, so
 /// admission waves overflow it quickly and the relocation cascade fires.
@@ -28,11 +29,9 @@ pub const TARGET_ICU_BEDS: i64 = 500;
 /// itself fires nothing).
 pub fn setup_statements() -> Vec<String> {
     let mut stmts: Vec<String> = Vec::new();
-    for (label, key) in PAPER_INDEXES {
-        stmts.push(format!("CREATE INDEX ON :{label}({key})"));
-    }
-    for (rel_type, key) in PAPER_REL_INDEXES {
-        stmts.push(format!("CREATE INDEX ON -[:{rel_type}({key})]-"));
+    for (scope, columns) in PAPER_INDEXES {
+        let def = IndexDef::new(scope, columns);
+        stmts.push(format!("CREATE INDEX ON {def}"));
     }
     stmts.extend(seed_statements());
     stmts.extend(PAPER_TRIGGERS.iter().map(|t| t.to_string()));
@@ -141,6 +140,41 @@ pub const ALERT_COUNT_QUERY: &str = "MATCH (a:Alert) RETURN count(*) AS n";
 mod tests {
     use super::*;
     use pg_triggers::Session;
+
+    /// The benchmark's wire workloads replay this statement stream at every
+    /// daemon start: a literal copy, so a change to the index lists or
+    /// to how a definition prints cannot move it unnoticed. (The trigger
+    /// texts are `PAPER_TRIGGERS` itself; their total size pins them.)
+    #[test]
+    fn setup_statements_are_byte_identical() {
+        let stmts = setup_statements();
+        let want = [
+            "CREATE INDEX ON :Hospital(name)",
+            "CREATE INDEX ON :Region(name)",
+            "CREATE INDEX ON :Lineage(name)",
+            "CREATE INDEX ON :Mutation(name)",
+            "CREATE INDEX ON :Patient(ssn)",
+            "CREATE INDEX ON :Sequence(accession)",
+            "CREATE INDEX ON -[:ConnectedTo(distance)]-",
+            "CREATE (:Region {name: 'Lombardy'})",
+            "MATCH (r:Region {name: 'Lombardy'}) \
+             CREATE (:Hospital {name: 'Sacco', icuBeds: 3})-[:LocatedIn]->(r)",
+            "MATCH (r:Region {name: 'Lombardy'}) \
+             CREATE (:Hospital {name: 'Meyer', icuBeds: 500})-[:LocatedIn]->(r)",
+            "MATCH (r:Region {name: 'Lombardy'}) \
+             CREATE (:Hospital {name: 'Niguarda', icuBeds: 500})-[:LocatedIn]->(r)",
+            "MATCH (a:Hospital {name: 'Sacco'}), (b:Hospital {name: 'Meyer'}) \
+             CREATE (a)-[:ConnectedTo {distance: 12}]->(b)",
+            "MATCH (a:Hospital {name: 'Sacco'}), (b:Hospital {name: 'Niguarda'}) \
+             CREATE (a)-[:ConnectedTo {distance: 3}]->(b)",
+            "CREATE (:CriticalEffect {name: 'SevereOutcome'})",
+            "CREATE (:Lineage {name: 'B.1.617.2', whoDesignation: 'Indian'})",
+            "CREATE (:Sequence {accession: 'SEQ-1'})",
+        ];
+        assert_eq!(stmts[..want.len()], want);
+        assert_eq!(stmts[want.len()..], PAPER_TRIGGERS);
+        assert_eq!(stmts.iter().map(String::len).sum::<usize>(), 3751);
+    }
 
     /// The wire statements must stand up the scenario on a plain session
     /// (what the server does with them), and the cascade probes must

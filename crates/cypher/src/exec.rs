@@ -54,7 +54,7 @@ use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{
     extract_pushdowns, match_patterns, match_patterns_pushed, pattern_vars, Pushdowns,
 };
-use crate::plan::{composite_pin, plan_topk_projection, TopKSpec};
+use crate::plan::{plan_topk_projection, plan_topk_walk};
 use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
 use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
@@ -158,27 +158,6 @@ impl<'o> TopKRows<'o> {
 /// filtering) must not degrade into a full index walk with a per-item
 /// re-match on the trigger hot path.
 const TOPK_WALK_BUDGET: usize = 4096;
-
-/// The statement-side context of one top-k fusion attempt: what every
-/// ordered walk re-matches against.
-struct Fusion<'q> {
-    patterns: &'q [PathPattern],
-    where_clause: Option<&'q Expr>,
-    seeds: &'q [Row],
-    pushed: &'q Pushdowns,
-    spec: TopKSpec,
-}
-
-/// What one binding site (a label or relationship type of the order
-/// variable) offered a fusion.
-enum SiteWalk {
-    /// A complete ordered walk ran: the matched rows.
-    Rows(Vec<Row>),
-    /// A walk exhausted `TOPK_WALK_BUDGET` — decline the whole fusion.
-    OverBudget,
-    /// No index definition of this site serves the order; try the next.
-    NoWalk,
-}
 
 /// The value a raw walk id binds the order variable to.
 fn walked_value(scope: IndexScope<'_>, raw: u64) -> Value {
@@ -423,101 +402,14 @@ impl<'a> Executor<'a> {
         Ok(rows)
     }
 
-    /// Drive one ordered walk: for each walked item, bind `spec.var` and
-    /// re-match the full pattern under every seed, stopping once
-    /// `spec.keep` rows were produced. `None` when the walk budget ran dry
-    /// (the caller declines the fusion).
-    fn drive_walk(
-        &self,
-        ctx: &EvalCtx<'_>,
-        f: &Fusion<'_>,
-        items: impl Iterator<Item = Value>,
-        seeds: &[Row],
-        budget: &mut usize,
-    ) -> Result<Option<Vec<Row>>> {
-        let mut rows: Vec<Row> = Vec::new();
-        for item in items {
-            if *budget == 0 {
-                return Ok(None);
-            }
-            *budget -= 1;
-            for seed in seeds {
-                let mut s2 = seed.clone();
-                s2.set(f.spec.var.clone(), item.clone());
-                rows.extend(match_patterns_pushed(
-                    ctx,
-                    &s2,
-                    f.patterns,
-                    f.where_clause,
-                    f.pushed,
-                    None,
-                )?);
-            }
-            if rows.len() >= f.spec.keep {
-                break;
-            }
-        }
-        Ok(Some(rows))
-    }
-
-    /// Try every index definition of one binding site: a walk shared by
-    /// all seeds when the columns before the order keys pin to operands
-    /// that evaluate without row bindings, else one **re-pinned walk per
-    /// seed row** (`{group: g.id} … ORDER BY severity LIMIT 1` under a
-    /// `WITH g` pipeline). Per-seed walks are sound only when EVERY seed
-    /// yields a pinned walk: each contributes its own top `keep`, the
-    /// union is a superset of the global top-k (every global winner is
-    /// some seed's local winner) and the caller's projection re-sorts it.
-    fn walk_site(
-        &self,
-        ctx: &EvalCtx<'_>,
-        f: &Fusion<'_>,
-        scope: IndexScope<'_>,
-        inline_props: &[(String, Expr)],
-        budget: &mut usize,
-    ) -> Result<SiteWalk> {
-        let empty = Row::new();
-        'defs: for def in ctx.view.index_defs(scope) {
-            // One walk per distinct pin vector: the shared walk, or —
-            // resolved up front, so a seed whose pins cannot be evaluated
-            // forfeits the definition instead of silently losing its
-            // rows — one per seed.
-            let pin = |row| composite_pin(ctx, row, inline_props, f.pushed, &f.spec, &def);
-            let walks: Vec<(Vec<Value>, &[Row])> = match pin(&empty) {
-                Some(pins) => vec![(pins, f.seeds)],
-                None => {
-                    let mut per_seed = Vec::with_capacity(f.seeds.len());
-                    for seed in f.seeds {
-                        let Some(pins) = pin(seed) else {
-                            continue 'defs;
-                        };
-                        per_seed.push((pins, std::slice::from_ref(seed)));
-                    }
-                    per_seed
-                }
-            };
-            let mut out: Vec<Row> = Vec::new();
-            for (pins, seeds) in &walks {
-                let Some(walk) = ctx.view.ordered_walk(scope, &def, pins, f.spec.descending) else {
-                    continue 'defs;
-                };
-                // Each walk stops at its own `spec.keep` rows — per walk,
-                // not across the whole union.
-                let items = walk.map(|raw| walked_value(scope, raw));
-                match self.drive_walk(ctx, f, items, seeds, budget)? {
-                    Some(rows) => out.extend(rows),
-                    None => return Ok(SiteWalk::OverBudget),
-                }
-            }
-            return Ok(SiteWalk::Rows(out));
-        }
-        Ok(SiteWalk::NoWalk)
-    }
-
-    /// Execute a fused index-served top-k `MATCH`; returns the matched
-    /// binding rows (a superset of the final top-k, in order-key order) or
-    /// `None` when fusion declined — including when the walk exhausted its
-    /// candidate budget — and the caller must run the clauses separately.
+    /// Execute a fused index-served top-k `MATCH` — the walk
+    /// [`plan_topk_walk`] decided: for each walked item, bind `spec.var`
+    /// and re-match the full pattern under the walk's seeds, each walk
+    /// stopping at its own `spec.keep` rows. Returns the matched binding
+    /// rows (a superset of the final top-k, in order-key order) or `None`
+    /// when fusion declined — no walk planned, the index refuses an
+    /// ordered walk (lossy values), or the candidate budget ran dry — and
+    /// the caller must run the clauses separately.
     fn try_indexed_topk(
         &self,
         clause: &Clause,
@@ -531,53 +423,42 @@ impl<'a> Executor<'a> {
             return Ok(None);
         };
         let pushed = self.pushdowns(clause, where_clause);
-        let f = Fusion {
-            patterns,
-            where_clause,
-            seeds,
-            pushed: &pushed,
-            spec,
+        let Some(plan) = plan_topk_walk(&ctx, patterns, &pushed, &spec, seeds) else {
+            return Ok(None);
         };
-        let var = Some(f.spec.var.as_str());
         let mut budget = TOPK_WALK_BUDGET;
-        // Try every binding site of `var` in the patterns until one offers
-        // a complete ordered walk.
-        for p in patterns {
-            // Node route: the first node position named `var`, through
-            // each of its stored labels (a transition-variable label is
-            // not a stored extent).
-            let nodes = std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n));
-            if let Some(np) = nodes.into_iter().find(|np| np.var.as_deref() == var) {
-                for label in &np.labels {
-                    if seeds.iter().any(|r| r.contains(label)) {
-                        continue;
-                    }
-                    let scope = IndexScope::Label(label);
-                    match self.walk_site(&ctx, &f, scope, &np.props, &mut budget)? {
-                        SiteWalk::Rows(rows) => return Ok(Some(rows)),
-                        SiteWalk::OverBudget => return Ok(None),
-                        SiteWalk::NoWalk => {}
-                    }
-                }
+        let mut out: Vec<Row> = Vec::new();
+        for (pins, seeds) in &plan.walks {
+            let walk = ctx
+                .view
+                .ordered_walk(plan.scope, &plan.def, pins, spec.descending);
+            let Some(walk) = walk else {
                 return Ok(None);
-            }
-            // Rel route: a single-hop relationship position named `var`.
-            for (rp, _) in &p.segments {
-                let [rel_type] = &rp.types[..] else {
-                    continue;
-                };
-                if rp.var.as_deref() != var || rp.hops.is_some() {
-                    continue;
+            };
+            let produced = out.len();
+            for raw in walk {
+                if budget == 0 {
+                    return Ok(None);
                 }
-                let scope = IndexScope::RelType(rel_type);
-                match self.walk_site(&ctx, &f, scope, &rp.props, &mut budget)? {
-                    SiteWalk::Rows(rows) => return Ok(Some(rows)),
-                    SiteWalk::OverBudget => return Ok(None),
-                    SiteWalk::NoWalk => {}
+                budget -= 1;
+                for seed in *seeds {
+                    let mut s2 = seed.clone();
+                    s2.set(spec.var.clone(), walked_value(plan.scope, raw));
+                    out.extend(match_patterns_pushed(
+                        &ctx,
+                        &s2,
+                        patterns,
+                        where_clause,
+                        &pushed,
+                        None,
+                    )?);
+                }
+                if out.len() - produced >= spec.keep {
+                    break;
                 }
             }
         }
-        Ok(None)
+        Ok(Some(out))
     }
 
     fn exec_clause(

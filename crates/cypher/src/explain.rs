@@ -5,8 +5,13 @@
 //! [`crate::physical::NodeAccess`] of a planned path — the value the
 //! matchers materialize — `Expand` lines its per-hop degree-statistics
 //! fanout and running join-output estimate, and a `TopK` line appears
-//! exactly when the executor's index-served top-k fusion accepts the
-//! `MATCH` + projection pair. For read-only queries the query is also
+//! when the fusion decision the executor runs (`plan::plan_topk_walk`)
+//! finds an ordered index walk for the `MATCH` + projection pair —
+//! otherwise the pair renders unfused (`Serial`/`Parallel`, `Project`,
+//! `Sort`, `Page`). Two declines remain run-time only and are not
+//! rendered: the index refusing an ordered walk over lossy values, and
+//! a walk exhausting its candidate budget; both fall back to the heap
+//! sort with identical results. For read-only queries the query is also
 //! executed once so the report closes with `actual rows` next to the
 //! estimate — the estimated-vs-actual gap is what the `join_planning`
 //! bench tracks.

@@ -831,7 +831,7 @@ mod tests {
     use crate::ast::Clause;
     use crate::parser::parse_query;
     use crate::row::Params;
-    use pg_graph::{Graph, PropertyMap};
+    use pg_graph::{Graph, IndexDef, PropertyMap};
 
     fn props(entries: &[(&str, Value)]) -> PropertyMap {
         entries
@@ -1435,7 +1435,7 @@ mod tests {
                 wanted = a;
             }
         }
-        g.create_rel_index("R", "w");
+        g.define_index(&IndexDef::rel("R", &["w"]));
         let cands = start_of(&g, "MATCH (x:A)-[r:R {w: 42}]->(y:B) RETURN 1", &Row::new());
         assert_eq!(cands, vec![wanted], "seeded from the rel-prop index");
         let rows = run_match(&g, "MATCH (x:A)-[r:R {w: 42}]->(y:B) RETURN 1", Row::new());
@@ -1521,7 +1521,7 @@ mod tests {
         let q = "MATCH (h:Hub)-[r:R]->(x:Leaf) WHERE r.w >= 197 RETURN 1";
         let rows = run_match(&g, q, Row::new());
         assert_eq!(rows.len(), 3);
-        g.create_rel_index("R", "w");
+        g.define_index(&IndexDef::rel("R", &["w"]));
         g.reset_index_probes();
         let rows = run_match(&g, q, Row::new());
         assert_eq!(rows.len(), 3);
@@ -1664,7 +1664,7 @@ mod tests {
         let rows = run_match(&g, q, Row::new());
         let expected = rows.len();
         assert!(expected > 0);
-        g.create_rel_composite_index("R", &cols(&["kind", "w"]));
+        g.define_index(&IndexDef::rel("R", &cols(&["kind", "w"])));
         g.reset_index_probes();
         let rows = run_match(&g, q, Row::new());
         assert_eq!(rows.len(), expected);

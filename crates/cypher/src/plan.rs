@@ -7,15 +7,17 @@
 //! `plan_patterns` call the matchers make ([`crate::pattern`]), and the
 //! [`PhysicalPathPlan`]s it returns are the values they materialize, so
 //! the `Seed`/`Expand` lines `EXPLAIN` prints are the matcher's plan by
-//! construction. The clause loop around them (which clause fuses into a
-//! top-k walk, what each projection lowers to) still mirrors
-//! `exec::run_clauses` by convention.
+//! construction. The clause loop around them (what each projection
+//! lowers to) still mirrors `exec::run_clauses` by convention.
 //!
-//! This module is also the home of the **top-k fusion analysis** that
-//! previously lived inside the executor: [`TopKSpec`],
-//! `plan_topk_projection` (the decline rules) and `composite_pin` are
-//! plan-level decisions — they inspect only the AST and the catalog — and
-//! both the executor and `EXPLAIN` consume them.
+//! This module is also the home of the **top-k fusion decision**:
+//! [`TopKSpec`] and `plan_topk_projection` (the projection-side decline
+//! rules), `plan_topk_walk` (binding site, index definition, pins) and
+//! `composite_pin` inspect only the AST, the seeds and the catalog. The
+//! executor runs the walk they return and `EXPLAIN` renders `TopK` when
+//! they return one, so the two cannot disagree about *whether* a pair
+//! fuses; what remains run-time only is the walk itself (an index that
+//! refuses an ordered walk over lossy values, the candidate budget).
 
 use crate::ast::{Clause, Expr, PathPattern, Projection, Query};
 use crate::error::{CypherError, Result};
@@ -23,8 +25,9 @@ use crate::expr::{eval, EvalCtx};
 use crate::pattern::{extract_pushdowns, pattern_vars, plan_patterns, Pushdowns};
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
-use pg_graph::Value;
+use pg_graph::{IndexScope, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Largest `SKIP + LIMIT` the index-served top-k fusion accepts; beyond
 /// it, per-item re-matching would erase the early-exit advantage.
@@ -196,6 +199,79 @@ pub(crate) fn composite_pin(
     Some(pins)
 }
 
+/// The walk half of a fused top-k: which binding site of `spec.var`
+/// serves the order, through which index definition, under which pins.
+/// `EXPLAIN` renders a `TopK` line exactly when one exists; the executor
+/// runs it ([`crate::exec`] keeps the ordered walk, the re-match and the
+/// walk budget — its two run-time declines).
+pub(crate) struct TopKWalk<'q> {
+    pub scope: IndexScope<'q>,
+    pub def: Arc<[String]>,
+    /// One ordered walk per entry, each re-matched under its own seeds:
+    /// a single walk shared by all seeds when the columns before the
+    /// order keys pin to operands that evaluate without row bindings,
+    /// else one **re-pinned walk per seed row** (`{group: g.id} … ORDER
+    /// BY severity LIMIT 1` under a `WITH g` pipeline). Per-seed walks
+    /// are sound because EVERY seed yields a pinned walk: each
+    /// contributes its own top `keep`, the union is a superset of the
+    /// global top-k (every global winner is some seed's local winner)
+    /// and the caller's projection re-sorts it.
+    pub walks: Vec<(Vec<Value>, &'q [Row])>,
+}
+
+/// Decide the walk of a fused top-k: the first binding site of
+/// `spec.var` in `patterns` — a node position through each of its stored
+/// labels (a label shadowed by a transition variable is not a stored
+/// extent), else a single-hop relationship position through its one
+/// type — with an index definition whose [`composite_pin`]s resolve,
+/// shared or per seed. `None` = no index serves the order; the pair
+/// runs (and lowers) unfused.
+pub(crate) fn plan_topk_walk<'q>(
+    ctx: &EvalCtx<'_>,
+    patterns: &'q [PathPattern],
+    pushed: &Pushdowns,
+    spec: &TopKSpec,
+    seeds: &'q [Row],
+) -> Option<TopKWalk<'q>> {
+    let var = Some(spec.var.as_str());
+    let empty = Row::new();
+    let site = |scope: IndexScope<'q>, inline_props: &[(String, Expr)]| {
+        ctx.view.index_defs(scope).into_iter().find_map(|def| {
+            // Pins are resolved up front, so a seed whose pins cannot be
+            // evaluated forfeits the definition instead of silently
+            // losing its rows.
+            let pin = |row| composite_pin(ctx, row, inline_props, pushed, spec, &def);
+            let walks = match pin(&empty) {
+                Some(pins) => vec![(pins, seeds)],
+                None => seeds
+                    .iter()
+                    .map(|seed| Some((pin(seed)?, std::slice::from_ref(seed))))
+                    .collect::<Option<_>>()?,
+            };
+            Some(TopKWalk { scope, def, walks })
+        })
+    };
+    for p in patterns {
+        let mut nodes = std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n));
+        if let Some(np) = nodes.find(|np| np.var.as_deref() == var) {
+            let shadowed = |label: &String| seeds.iter().any(|r| r.contains(label));
+            let mut stored = np.labels.iter().filter(|l| !shadowed(l));
+            return stored.find_map(|label| site(IndexScope::Label(label), &np.props));
+        }
+        let rels = p.segments.iter().map(|(rp, _)| rp);
+        let walk = rels
+            .filter(|rp| rp.var.as_deref() == var && rp.hops.is_none())
+            .find_map(|rp| match &rp.types[..] {
+                [rel_type] => site(IndexScope::RelType(rel_type), &rp.props),
+                _ => None,
+            });
+        if walk.is_some() {
+            return walk;
+        }
+    }
+    None
+}
+
 // ---------------------------------------------------------------------
 // Logical plan IR
 // ---------------------------------------------------------------------
@@ -319,10 +395,11 @@ pub(crate) fn lower_projection(
 }
 
 /// Lower a whole query to its logical plan. Mirrors the executor's clause
-/// loop — including the `MATCH` + `WITH`/`RETURN` top-k fusion decision —
-/// so `EXPLAIN` prints what `run_clauses` will do. Also returns, aligned
-/// with the `Seed` ops in order, each planned path (seed access and
-/// join-output estimates).
+/// loop — the `MATCH` + `WITH`/`RETURN` top-k fusion is the executor's own
+/// decision (`plan_topk_projection`, `plan_topk_walk`), a pair without a
+/// walk lowers exactly like the unfused clauses — so `EXPLAIN` prints
+/// what `run_clauses` will do. Also returns, aligned with the `Seed` ops
+/// in order, each planned path (seed access and join-output estimates).
 ///
 /// Later clauses are planned from a **representative bound row**: every
 /// variable an earlier clause binds is present, bound to `Null`. That is
@@ -373,48 +450,26 @@ pub fn lower_query_with(
     let mut hints: HashMap<String, Vec<String>> = HashMap::new();
     let mut i = 0;
     while i < clauses.len() {
-        if let Clause::Match {
-            optional: false,
-            patterns,
-            where_clause,
-        } = &clauses[i]
-        {
-            // The same fusion test the executor runs, over the
-            // representative row.
-            let next_proj = match clauses.get(i + 1) {
-                Some(Clause::With(p)) | Some(Clause::Return(p)) => Some(p),
-                _ => None,
-            };
-            if let Some(p) = next_proj {
-                let reps = std::slice::from_ref(&bound);
-                if let Some(spec) = plan_topk_projection(ctx, p, reps)? {
-                    note_hints(&mut hints, patterns);
-                    let planned = lower_match(
-                        ctx,
-                        &bound,
-                        false,
-                        patterns,
-                        where_clause.as_ref(),
-                        &hints,
-                        &mut plan,
-                    );
-                    let clause_est: f64 = planned.iter().map(|p| p.est_rows()).product();
-                    est_in = (est_in * clause_est).min(spec.keep as f64);
-                    seeds_out.extend(planned);
-                    lower_projection(p, Some(&spec), &mut plan);
-                    bind_patterns(&mut bound, patterns);
-                    rebind_projection(&mut bound, p);
-                    i += 2;
-                    continue;
-                }
-            }
-        }
         match &clauses[i] {
             Clause::Match {
                 optional,
                 patterns,
                 where_clause,
             } => {
+                // The fusion decision the executor makes, over the
+                // representative row: projection shape, then the walk.
+                let reps = std::slice::from_ref(&bound);
+                let fused = match clauses.get(i + 1) {
+                    Some(Clause::With(p) | Clause::Return(p)) if !optional => {
+                        plan_topk_projection(ctx, p, reps)?
+                            .filter(|spec| {
+                                let pushed = extract_pushdowns(where_clause.as_ref());
+                                plan_topk_walk(ctx, patterns, &pushed, spec, reps).is_some()
+                            })
+                            .map(|spec| (p, spec))
+                    }
+                    _ => None,
+                };
                 note_hints(&mut hints, patterns);
                 let planned = lower_match(
                     ctx,
@@ -425,6 +480,17 @@ pub fn lower_query_with(
                     &hints,
                     &mut plan,
                 );
+                let clause_est: f64 = planned.iter().map(|p| p.est_rows()).product();
+                let est_rows = est_in * clause_est;
+                seeds_out.extend(planned);
+                bind_patterns(&mut bound, patterns);
+                if let Some((p, spec)) = fused {
+                    est_in = est_rows.min(spec.keep as f64);
+                    lower_projection(p, Some(&spec), &mut plan);
+                    rebind_projection(&mut bound, p);
+                    i += 2;
+                    continue;
+                }
                 // The same decision the batch matcher makes at runtime,
                 // from plan-time estimates: incoming rows stand in for
                 // the seed-group size, the join-output estimate feeds
@@ -432,8 +498,6 @@ pub fn lower_query_with(
                 let var_length = patterns
                     .iter()
                     .any(|p| p.segments.iter().any(|(r, _)| r.hops.is_some()));
-                let clause_est: f64 = planned.iter().map(|p| p.est_rows()).product();
-                let est_rows = est_in * clause_est;
                 plan.ops.push(LogicalOp::Parallelism {
                     plan: crate::physical::plan_parallelism(
                         est_in.round() as usize,
@@ -445,8 +509,6 @@ pub fn lower_query_with(
                     ),
                 });
                 est_in = est_rows;
-                seeds_out.extend(planned);
-                bind_patterns(&mut bound, patterns);
             }
             Clause::With(p) | Clause::Return(p) => {
                 if p.items.iter().any(|it| it.expr.has_aggregate()) {

@@ -45,7 +45,7 @@
 //! for every PR.
 
 use pg_cypher::{parse_query, run_query, run_read_only, Executor, MatchMode, Params, Target};
-use pg_graph::{Graph, GraphView, StatementMark, Value};
+use pg_graph::{Graph, GraphView, IndexDef, StatementMark, Value};
 use proptest::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -59,10 +59,6 @@ fn props(entries: Vec<(&str, Value)>) -> pg_graph::PropertyMap {
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
-}
-
-fn cols(cs: &[&str]) -> Vec<String> {
-    cs.iter().map(|c| c.to_string()).collect()
 }
 
 #[derive(Debug, Clone)]
@@ -249,52 +245,18 @@ struct Script {
 
 impl Script {
     fn toggle_index(&mut self, which: u8) {
-        let g = &mut self.g;
-        match which % 8 {
-            0 => {
-                if !g.create_index("A", "k") {
-                    g.drop_index("A", "k");
-                }
-            }
-            1 => {
-                if !g.create_index("B", "k") {
-                    g.drop_index("B", "k");
-                }
-            }
-            2 => {
-                if !g.create_index("A", "s") {
-                    g.drop_index("A", "s");
-                }
-            }
-            3 => {
-                if !g.create_rel_index("R", "w") {
-                    g.drop_rel_index("R", "w");
-                }
-            }
-            4 => {
-                let c = cols(&["k", "m"]);
-                if !g.create_composite_index("A", &c) {
-                    g.drop_composite_index("A", &c);
-                }
-            }
-            5 => {
-                let c = cols(&["k", "s"]);
-                if !g.create_composite_index("A", &c) {
-                    g.drop_composite_index("A", &c);
-                }
-            }
-            6 => {
-                let c = cols(&["k", "m"]);
-                if !g.create_composite_index("B", &c) {
-                    g.drop_composite_index("B", &c);
-                }
-            }
-            _ => {
-                let c = cols(&["tag", "w"]);
-                if !g.create_rel_composite_index("R", &c) {
-                    g.drop_rel_composite_index("R", &c);
-                }
-            }
+        let def = match which % 8 {
+            0 => IndexDef::node("A", &["k"]),
+            1 => IndexDef::node("B", &["k"]),
+            2 => IndexDef::node("A", &["s"]),
+            3 => IndexDef::rel("R", &["w"]),
+            4 => IndexDef::node("A", &["k", "m"]),
+            5 => IndexDef::node("A", &["k", "s"]),
+            6 => IndexDef::node("B", &["k", "m"]),
+            _ => IndexDef::rel("R", &["tag", "w"]),
+        };
+        if !self.g.define_index(&def) {
+            self.g.drop_index(&def);
         }
     }
 
@@ -496,11 +458,8 @@ fn check_exec_twin(g: &Graph, panel: &[String], step: usize) {
             batched,
             reference,
             "batched/reference executor divergence after step {step} for {q}\n\
-             node indexes: {:?}\ncomposite: {:?}\nrel: {:?}\nrel composite: {:?}",
+             indexes: {:?}",
             g.indexes(),
-            g.composite_indexes(),
-            g.rel_indexes(),
-            g.rel_composite_indexes(),
         );
     }
 }
@@ -513,11 +472,8 @@ fn check_panel(t: &mut Twin, panel: &[String], step: usize) {
             plain,
             indexed,
             "indexed/unindexed divergence after step {step} for {q}\n\
-             node indexes: {:?}\ncomposite: {:?}\nrel: {:?}\nrel composite: {:?}",
+             indexes: {:?}",
             t.indexed.g.indexes(),
-            t.indexed.g.composite_indexes(),
-            t.indexed.g.rel_indexes(),
-            t.indexed.g.rel_composite_indexes(),
         );
     }
 }

@@ -7,7 +7,7 @@
 //! or an estimate shows up here as a readable diff.
 
 use pg_cypher::{explain_query_with, Params};
-use pg_graph::{Graph, GraphView, PropertyMap, Value};
+use pg_graph::{Graph, GraphView, IndexDef, PropertyMap, Value};
 
 fn props(entries: &[(&str, Value)]) -> PropertyMap {
     entries
@@ -108,6 +108,45 @@ fn fused_topk_plan() {
          estimated match rows: 4\n\
          actual rows: 3\n"
     );
+}
+
+/// `TopK` is rendered from the executor's own fusion decision: the same
+/// `ORDER BY … LIMIT 1` shape fuses over the indexed `Person.age` and
+/// lowers unfused (parallelism line, `Sort`, `Page`) over the unindexed
+/// `City.pop` — where execution does no ordered probe and heap-sorts.
+#[test]
+fn topk_renders_only_where_a_walk_runs() {
+    assert_eq!(
+        explain("MATCH (p:Person) RETURN p ORDER BY p.age LIMIT 1"),
+        "Plan\n\
+         \x20 Seed (p) access=LabelScan(Person) est=8 rows\n\
+         \x20 Project [p]\n\
+         \x20 TopK p.age asc keep=1\n\
+         estimated match rows: 8\n\
+         actual rows: 1\n"
+    );
+    assert_eq!(
+        explain("MATCH (c:City) RETURN c ORDER BY c.pop LIMIT 1"),
+        "Plan\n\
+         \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
+         \x20 Serial (singleton-seed)\n\
+         \x20 Project [c]\n\
+         \x20 Sort keys=1 asc\n\
+         \x20 Page (SKIP/LIMIT)\n\
+         estimated match rows: 4\n\
+         actual rows: 1\n"
+    );
+    let probes = |src: &str| {
+        let g = fixture();
+        let query = pg_cypher::parse_query(src).unwrap();
+        pg_cypher::run_read_only(&g, &query, Vec::new(), &Params::new(), 0).unwrap();
+        g.index_probes().ordered
+    };
+    assert_eq!(
+        probes("MATCH (p:Person) RETURN p ORDER BY p.age LIMIT 1"),
+        1
+    );
+    assert_eq!(probes("MATCH (c:City) RETURN c ORDER BY c.pop LIMIT 1"), 0);
 }
 
 #[test]
@@ -215,7 +254,7 @@ fn relationship_index_seeds_the_anchor() {
         g.create_rel(p, hospitals[(i % 10) as usize], "TreatedAt", w)
             .unwrap();
     }
-    g.create_rel_index("TreatedAt", "w");
+    g.define_index(&IndexDef::rel("TreatedAt", &["w"]));
     let explain =
         |src: &str| explain_query_with(&g, src, &Params::new(), 0, Some(4)).expect("explains");
     assert_eq!(

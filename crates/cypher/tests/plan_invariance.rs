@@ -19,7 +19,7 @@
 //!   error bound.
 
 use pg_cypher::{run_query, Params};
-use pg_graph::{Graph, GraphView, PropertyMap, StatementMark, Value};
+use pg_graph::{Graph, GraphView, IndexDef, PropertyMap, StatementMark, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -100,7 +100,7 @@ impl Twin {
         let mut t = Twin::default();
         t.indexed.create_index("A", "k");
         t.indexed.create_index("B", "k");
-        t.indexed.create_rel_index("R", "w");
+        t.indexed.define_index(&IndexDef::rel("R", &["w"]));
         t
     }
 
@@ -155,7 +155,7 @@ impl Twin {
                 let label = if *which == 0 { "A" } else { "B" };
                 let c = composite_cols();
                 if !self.indexed.create_composite_index(label, &c) {
-                    self.indexed.drop_composite_index(label, &c);
+                    self.indexed.drop_index(&IndexDef::node(label, &c));
                 }
             }
             Step::RemoveProp { pick } => {

@@ -14,7 +14,7 @@ use pg_cypher::expr::EvalCtx;
 use pg_cypher::{
     explain_query, lower_query, parse_query, Executor, MatchMode, Params, QueryOutput, Target,
 };
-use pg_graph::{Graph, IndexProbes, PropertyMap, Value};
+use pg_graph::{Graph, IndexDef, IndexProbes, PropertyMap, Value};
 
 const PATIENTS: i64 = 200;
 
@@ -59,7 +59,7 @@ fn fixture() -> Graph {
     }
     g.create_index("Patient", "ssn");
     g.create_index("Patient", "name");
-    g.create_rel_index("TreatedAt", "w");
+    g.define_index(&IndexDef::rel("TreatedAt", &["w"]));
     g
 }
 

@@ -6,7 +6,7 @@
 //! boundaries; these fixtures use unique keys so full row equality holds.
 
 use pg_cypher::{run_query, Params, QueryOutput};
-use pg_graph::{Graph, GraphView, NodeId, PropertyMap, Value};
+use pg_graph::{Graph, GraphView, IndexDef, NodeId, PropertyMap, Value};
 
 fn props(entries: &[(&str, Value)]) -> PropertyMap {
     entries
@@ -128,7 +128,7 @@ fn rel_route_serves_paper_6_2_3_shape() {
             .unwrap();
         }
     }
-    indexed.create_rel_index("ConnectedTo", "distance");
+    indexed.define_index(&IndexDef::rel("ConnectedTo", &["distance"]));
     let q = "MATCH (h:Hospital {name: 'Sacco'})-[ct:ConnectedTo]-(hc:Hospital) \
              WITH ct, hc ORDER BY ct.distance LIMIT 1 \
              RETURN hc.name AS name, ct.distance AS d";

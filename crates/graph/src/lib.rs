@@ -59,4 +59,4 @@ pub use snapshot::{GraphHandle, Snapshot};
 pub use stats::{degree_bucket, DegreeHistogram, Histogram, DEGREE_BUCKETS};
 pub use store::{CommitSink, Graph, IndexProbes, StatementMark, WritePolicy};
 pub use value::{Direction, Value};
-pub use view::{GraphView, IndexScope, PreStateView, ProbeMode, Probed};
+pub use view::{GraphView, IndexDef, IndexOn, IndexScope, PreStateView, ProbeMode, Probed};

@@ -12,7 +12,7 @@ use crate::record::{NodeRecord, RelRecord};
 use crate::snapshot::{GraphHandle, Publisher, Snapshot};
 use crate::stats::{degree_bucket, DegreeHistogram};
 use crate::value::{Direction, Value};
-use crate::view::{GraphView, IndexScope, ProbeMode, Probed};
+use crate::view::{GraphView, IndexDef, IndexOn, IndexScope, ProbeMode, Probed};
 use std::collections::{BTreeSet, HashMap};
 use std::iter::once;
 use std::ops::Bound;
@@ -1159,126 +1159,71 @@ impl Graph {
     // Property indexes (DDL)
     // ------------------------------------------------------------------
 
-    /// Create a property index on `(label, columns)` and populate it from
-    /// the current extent. Returns `false` when it already exists or the
-    /// column list is malformed (empty, or repeats a column).
+    /// Create the property index `def` and populate it from the current
+    /// extent. Returns `false` when it already exists or the column list
+    /// is malformed (empty, or repeats a column).
     ///
     /// Index DDL is not transactional: the definition survives rollback
     /// (its *entries* are kept consistent by the undo paths).
-    pub fn create_composite_index(&mut self, label: &str, columns: &[String]) -> bool {
-        if self.state.node_index.is_indexed(label, columns) {
+    pub fn define_index(&mut self, def: &IndexDef) -> bool {
+        if self.is_indexed(def) {
             return false;
         }
         let st = self.state_mut();
-        if !st.node_index.create(label, columns) {
-            return false;
-        }
-        for id in st.label_index.get(label).into_iter().flat_map(|x| x.iter()) {
-            if let Some(rec) = st.nodes.get(id) {
-                st.node_index.insert_into(label, columns, &rec.props, *id);
+        let columns = &def.columns;
+        match &def.on {
+            IndexOn::Label(l) => {
+                let extent = st.label_index.get(l.as_str());
+                populate(&mut st.node_index, l, columns, extent, |id| {
+                    st.nodes.get(id).map(|rec| &rec.props)
+                })
+            }
+            IndexOn::RelType(t) => {
+                let extent = st.type_index.get(t.as_str());
+                populate(&mut st.rel_index, t, columns, extent, |id| {
+                    st.rels.get(id).map(|rec| &rec.props)
+                })
             }
         }
-        true
     }
 
-    /// Drop the index on `(label, columns)`; `false` when absent.
-    pub fn drop_composite_index(&mut self, label: &str, columns: &[String]) -> bool {
-        self.state.node_index.is_indexed(label, columns)
-            && self.state_mut().node_index.drop_index(label, columns)
+    /// Drop the index `def`; `false` when absent.
+    pub fn drop_index(&mut self, def: &IndexDef) -> bool {
+        if !self.is_indexed(def) {
+            return false;
+        }
+        let st = self.state_mut();
+        match &def.on {
+            IndexOn::Label(l) => st.node_index.drop_index(l, &def.columns),
+            IndexOn::RelType(t) => st.rel_index.drop_index(t, &def.columns),
+        }
     }
 
-    /// Whether `(label, columns)` is indexed.
-    pub fn has_composite_index(&self, label: &str, columns: &[String]) -> bool {
-        self.state.node_index.is_indexed(label, columns)
+    /// Every index definition, sorted (nodes first).
+    pub fn indexes(&self) -> Vec<IndexDef> {
+        let node = self.state.node_index.definitions().into_iter();
+        let rel = self.state.rel_index.definitions().into_iter();
+        node.map(|(l, columns)| (IndexOn::Label(l), columns))
+            .chain(rel.map(|(t, columns)| (IndexOn::RelType(t), columns)))
+            .map(|(on, columns)| IndexDef { on, columns })
+            .collect()
     }
 
-    /// All multi-key `(label, columns)` index definitions, sorted.
-    pub fn composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        let mut defs = self.state.node_index.definitions();
-        defs.retain(|(_, columns)| columns.len() > 1);
-        defs
+    fn is_indexed(&self, def: &IndexDef) -> bool {
+        match &def.on {
+            IndexOn::Label(l) => self.state.node_index.is_indexed(l, &def.columns),
+            IndexOn::RelType(t) => self.state.rel_index.is_indexed(t, &def.columns),
+        }
     }
 
-    /// Create the single-key index `(label, [key])`.
+    /// [`Graph::define_index`] of the single-key node index `(label, [key])`.
     pub fn create_index(&mut self, label: &str, key: &str) -> bool {
-        self.create_composite_index(label, &[key.to_string()])
+        self.define_index(&IndexDef::node(label, &[key]))
     }
 
-    /// Drop the single-key index on `(label, key)`; `false` when absent.
-    pub fn drop_index(&mut self, label: &str, key: &str) -> bool {
-        self.drop_composite_index(label, &[key.to_string()])
-    }
-
-    /// Whether `(label, key)` carries a single-key index.
-    pub fn has_index(&self, label: &str, key: &str) -> bool {
-        self.has_composite_index(label, &[key.to_string()])
-    }
-
-    /// All single-key `(label, key)` index definitions, sorted.
-    pub fn indexes(&self) -> Vec<(String, String)> {
-        single_key_defs(self.state.node_index.definitions())
-    }
-
-    /// Create a relationship-property index on `(rel_type, columns)` and
-    /// populate it from the current type extent; same contract as
-    /// [`Graph::create_composite_index`].
-    pub fn create_rel_composite_index(&mut self, rel_type: &str, columns: &[String]) -> bool {
-        if self.state.rel_index.is_indexed(rel_type, columns) {
-            return false;
-        }
-        let st = self.state_mut();
-        if !st.rel_index.create(rel_type, columns) {
-            return false;
-        }
-        for id in st
-            .type_index
-            .get(rel_type)
-            .into_iter()
-            .flat_map(|x| x.iter())
-        {
-            if let Some(rec) = st.rels.get(id) {
-                st.rel_index.insert_into(rel_type, columns, &rec.props, *id);
-            }
-        }
-        true
-    }
-
-    /// Drop the relationship index on `(rel_type, columns)`.
-    pub fn drop_rel_composite_index(&mut self, rel_type: &str, columns: &[String]) -> bool {
-        self.state.rel_index.is_indexed(rel_type, columns)
-            && self.state_mut().rel_index.drop_index(rel_type, columns)
-    }
-
-    /// Whether `(rel_type, columns)` is indexed.
-    pub fn has_rel_composite_index(&self, rel_type: &str, columns: &[String]) -> bool {
-        self.state.rel_index.is_indexed(rel_type, columns)
-    }
-
-    /// All multi-key `(rel_type, columns)` index definitions, sorted.
-    pub fn rel_composite_indexes(&self) -> Vec<(String, Vec<String>)> {
-        let mut defs = self.state.rel_index.definitions();
-        defs.retain(|(_, columns)| columns.len() > 1);
-        defs
-    }
-
-    /// Create the single-key relationship index `(rel_type, [key])`.
-    pub fn create_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
-        self.create_rel_composite_index(rel_type, &[key.to_string()])
-    }
-
-    /// Drop the single-key relationship index on `(rel_type, key)`.
-    pub fn drop_rel_index(&mut self, rel_type: &str, key: &str) -> bool {
-        self.drop_rel_composite_index(rel_type, &[key.to_string()])
-    }
-
-    /// Whether `(rel_type, key)` carries a single-key index.
-    pub fn has_rel_index(&self, rel_type: &str, key: &str) -> bool {
-        self.has_rel_composite_index(rel_type, &[key.to_string()])
-    }
-
-    /// All single-key `(rel_type, key)` index definitions, sorted.
-    pub fn rel_indexes(&self) -> Vec<(String, String)> {
-        single_key_defs(self.state.rel_index.definitions())
+    /// [`Graph::define_index`] of the node index `(label, columns)`.
+    pub fn create_composite_index(&mut self, label: &str, columns: &[String]) -> bool {
+        self.define_index(&IndexDef::node(label, columns))
     }
 
     /// Rebuild every index histogram from the live key space (drift → 0).
@@ -1583,11 +1528,24 @@ impl Graph {
     }
 }
 
-/// The width-1 definitions of a sorted definition list, as `(label, key)`.
-fn single_key_defs(defs: Vec<(String, Vec<String>)>) -> Vec<(String, String)> {
-    defs.into_iter()
-        .filter_map(|(label, mut columns)| (columns.len() == 1).then(|| (label, columns.remove(0))))
-        .collect()
+/// Declare `(name, columns)` on one scope's index and fill it from that
+/// scope's `extent`; `false` when the index refuses the definition.
+fn populate<'p, Id: Ord + Copy>(
+    index: &mut CompositeIndex<Id>,
+    name: &str,
+    columns: &[String],
+    extent: Option<&TailSet<Id>>,
+    props: impl Fn(&Id) -> Option<&'p PropertyMap>,
+) -> bool {
+    if !index.create(name, columns) {
+        return false;
+    }
+    for id in extent.into_iter().flat_map(|x| x.iter()) {
+        if let Some(props) = props(id) {
+            index.insert_into(name, columns, props, *id);
+        }
+    }
+    true
 }
 
 /// Answer a probe from one scope's index in the shape `mode` asks for.
@@ -2126,7 +2084,7 @@ mod tests {
             .unwrap();
         assert!(g.create_index("P", "ssn"));
         assert!(!g.create_index("P", "ssn"));
-        assert_eq!(g.indexes(), vec![("P".to_string(), "ssn".to_string())]);
+        assert_eq!(g.indexes(), vec![IndexDef::node("P", &["ssn"])]);
         // populated from the existing extent
         assert_eq!(g.nodes_with_prop("P", "ssn", &Value::Int(1)), Some(vec![a]));
         // new nodes join the index
@@ -2155,7 +2113,7 @@ mod tests {
         assert_eq!(g.nodes_with_prop("P", "ssn", &Value::Int(1)), Some(vec![]));
         // unindexed (label, key) cannot answer
         assert_eq!(g.nodes_with_prop("P", "name", &Value::Int(1)), None);
-        assert!(g.drop_index("P", "ssn"));
+        assert!(g.drop_index(&IndexDef::node("P", &["ssn"])));
         assert_eq!(g.nodes_with_prop("P", "ssn", &Value::Int(3)), None);
     }
 
@@ -2247,7 +2205,7 @@ mod tests {
             .unwrap();
         assert!(g.create_composite_index("P", &c));
         assert!(!g.create_composite_index("P", &c));
-        assert_eq!(g.composite_indexes(), vec![("P".to_string(), c.clone())]);
+        assert_eq!(g.indexes(), vec![IndexDef::node("P", &c)]);
         // populated from the existing extent
         let probe = |g: &Graph, status: &str, sev: i64| {
             g.nodes_with_composite(
@@ -2290,7 +2248,7 @@ mod tests {
         // deletion removes; drop stops answering
         g.detach_delete_node(a).unwrap();
         assert_eq!(probe(&g, "icu", 9), Some(vec![]));
-        assert!(g.drop_composite_index("P", &c));
+        assert!(g.drop_index(&IndexDef::node("P", &c)));
         assert_eq!(probe(&g, "icu", 9), None);
     }
 

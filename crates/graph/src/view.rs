@@ -14,6 +14,7 @@ use crate::record::{NodeRecord, RelRecord};
 use crate::store::Graph;
 use crate::value::{Direction, Value};
 use std::collections::HashMap;
+use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -24,6 +25,67 @@ use std::sync::Arc;
 pub enum IndexScope<'a> {
     Label(&'a str),
     RelType(&'a str),
+}
+
+/// What an [`IndexDef`] is declared on: the owned twin of [`IndexScope`].
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum IndexOn {
+    Label(String),
+    RelType(String),
+}
+
+/// One property-index definition `(label-or-type, [k1, k2, …])` — the
+/// owned twin of the `(IndexScope, columns)` pair the probe path takes,
+/// and the only shape index DDL speaks, from `CREATE INDEX` text to
+/// snapshot bytes. A single-key index is the width-1 case. Definitions
+/// order node-before-relationship, then by name, then by columns.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct IndexDef {
+    pub on: IndexOn,
+    pub columns: Vec<String>,
+}
+
+impl IndexDef {
+    /// The definition `(scope, columns)`, owned.
+    pub fn new(scope: IndexScope<'_>, columns: &[impl AsRef<str>]) -> Self {
+        IndexDef {
+            on: match scope {
+                IndexScope::Label(l) => IndexOn::Label(l.to_string()),
+                IndexScope::RelType(t) => IndexOn::RelType(t.to_string()),
+            },
+            columns: columns.iter().map(|c| c.as_ref().to_string()).collect(),
+        }
+    }
+
+    /// The node index `(label, columns)`.
+    pub fn node(label: &str, columns: &[impl AsRef<str>]) -> Self {
+        IndexDef::new(IndexScope::Label(label), columns)
+    }
+
+    /// The relationship index `(rel_type, columns)`.
+    pub fn rel(rel_type: &str, columns: &[impl AsRef<str>]) -> Self {
+        IndexDef::new(IndexScope::RelType(rel_type), columns)
+    }
+
+    /// The extent this definition covers, as the probe path names it.
+    pub fn scope(&self) -> IndexScope<'_> {
+        match &self.on {
+            IndexOn::Label(l) => IndexScope::Label(l),
+            IndexOn::RelType(t) => IndexScope::RelType(t),
+        }
+    }
+}
+
+/// The DDL operand: `:Label(k1, k2)` / `-[:TYPE(k)]-`, so
+/// `CREATE INDEX ON {def}` parses back to `def` for identifier names.
+impl fmt::Display for IndexDef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let columns = self.columns.join(", ");
+        match &self.on {
+            IndexOn::Label(l) => write!(f, ":{l}({columns})"),
+            IndexOn::RelType(t) => write!(f, "-[:{t}({columns})]-"),
+        }
+    }
 }
 
 /// What a [`GraphView::probe`] should produce.

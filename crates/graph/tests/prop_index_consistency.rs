@@ -12,7 +12,7 @@
 //! cascade) aborts; the engine-level half (RecursionLimit aborts) lives in
 //! `pg-triggers`' integration tests.
 
-use pg_graph::{Graph, GraphView, NodeId, PropertyMap, StatementMark, Value};
+use pg_graph::{Graph, GraphView, IndexDef, IndexScope, NodeId, PropertyMap, StatementMark, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -226,7 +226,7 @@ impl Driver {
                 g.create_index(&label_name(*label), &prop_name(*prop));
             }
             Step::DropIndex { label, prop } => {
-                g.drop_index(&label_name(*label), &prop_name(*prop));
+                g.drop_index(&IndexDef::node(&label_name(*label), &[prop_name(*prop)]));
             }
             Step::Begin => {
                 if !g.in_tx() {
@@ -289,10 +289,13 @@ fn check_index_vs_scan(g: &Graph) {
     universe.extend((-5i64..6).map(|v| Value::Float(v as f64)));
     universe.push(Value::Float(0.5));
     universe.push(Value::Int(huge - 1));
-    for (label, key) in g.indexes() {
+    for def in g.indexes() {
+        let (IndexScope::Label(label), [key]) = (def.scope(), &def.columns[..]) else {
+            panic!("only single-key node indexes are created, found {def}");
+        };
         for value in &universe {
             let via_index: BTreeSet<NodeId> = g
-                .nodes_with_prop(&label, &key, value)
+                .nodes_with_prop(label, key, value)
                 .unwrap_or_else(|| panic!("index on ({label},{key}) must answer"))
                 .into_iter()
                 .collect();
@@ -300,8 +303,8 @@ fn check_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, &label)
-                        && g.node_prop(id, &key)
+                    g.node_has_label(id, label)
+                        && g.node_prop(id, key)
                             .is_some_and(|have| have.eq3(value) == Some(true))
                 })
                 .collect();
@@ -339,14 +342,14 @@ fn check_index_vs_scan(g: &Graph) {
             Bound::Included(&range_bounds[2]),
         ));
         for (lo, hi) in ranges {
-            if let Some(ids) = g.nodes_in_prop_range(&label, &key, lo, hi) {
+            if let Some(ids) = g.nodes_in_prop_range(label, key, lo, hi) {
                 let via_index: BTreeSet<NodeId> = ids.into_iter().collect();
                 let via_scan: BTreeSet<NodeId> = all
                     .iter()
                     .copied()
                     .filter(|&id| {
-                        g.node_has_label(id, &label)
-                            && g.node_prop(id, &key)
+                        g.node_has_label(id, label)
+                            && g.node_prop(id, key)
                                 .is_some_and(|have| in_range3(&have, &lo, &hi))
                     })
                     .collect();
@@ -360,7 +363,7 @@ fn check_index_vs_scan(g: &Graph) {
         // Prefix queries must always answer on an indexed (label, key).
         for prefix in ["", "a", "ab", "abc", "b", "zz"] {
             let via_index: BTreeSet<NodeId> = g
-                .nodes_with_prop_prefix(&label, &key, prefix)
+                .nodes_with_prop_prefix(label, key, prefix)
                 .unwrap_or_else(|| panic!("prefix on ({label},{key}) must answer"))
                 .into_iter()
                 .collect();
@@ -368,8 +371,8 @@ fn check_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, &label)
-                        && g.node_prop(id, &key).is_some_and(
+                    g.node_has_label(id, label)
+                        && g.node_prop(id, key).is_some_and(
                             |have| matches!(&have, Value::Str(s) if s.starts_with(prefix)),
                         )
                 })

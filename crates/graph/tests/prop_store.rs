@@ -10,7 +10,7 @@
 //!   reference items created later in the same slice).
 
 use pg_graph::{
-    CompositeTrailing, Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, PreStateView,
+    CompositeTrailing, Direction, Graph, GraphView, IndexDef, IndexProbe, NodeId, PreStateView,
     ProbeMode, PropertyMap, Value,
 };
 use proptest::prelude::*;
@@ -167,27 +167,22 @@ fn check_indexes(g: &Graph) {
 
 /// Width-1 and width-2 definitions over the script's labels, types and
 /// property names, for nodes and relationships.
-fn index_defs() -> Vec<(bool, String, Vec<String>)> {
+fn index_defs() -> Vec<IndexDef> {
     let cols = |ps: &[u8]| ps.iter().map(|p| prop_name(*p)).collect::<Vec<_>>();
     vec![
-        (true, label_name(0), cols(&[0])),
-        (true, label_name(1), cols(&[1])),
-        (true, label_name(0), cols(&[0, 1])),
-        (true, label_name(1), cols(&[2, 0])),
-        (false, "T0".to_string(), cols(&[0])),
-        (false, "T1".to_string(), cols(&[1])),
-        (false, "T0".to_string(), cols(&[0, 1])),
+        IndexDef::node(&label_name(0), &cols(&[0])),
+        IndexDef::node(&label_name(1), &cols(&[1])),
+        IndexDef::node(&label_name(0), &cols(&[0, 1])),
+        IndexDef::node(&label_name(1), &cols(&[2, 0])),
+        IndexDef::rel("T0", &cols(&[0])),
+        IndexDef::rel("T1", &cols(&[1])),
+        IndexDef::rel("T0", &cols(&[0, 1])),
     ]
 }
 
 fn create_indexes(g: &mut Graph) {
-    for (node, name, columns) in index_defs() {
-        let created = if node {
-            g.create_composite_index(&name, &columns)
-        } else {
-            g.create_rel_composite_index(&name, &columns)
-        };
-        assert!(created);
+    for def in index_defs() {
+        assert!(g.define_index(&def), "{def}");
     }
 }
 
@@ -198,12 +193,8 @@ fn create_indexes(g: &mut Graph) {
 /// must agree.
 fn check_probes(view: &PreStateView<'_>, reference: &Graph) {
     let vals: Vec<Value> = (-5..5).map(Value::Int).collect();
-    for (node, name, columns) in index_defs() {
-        let scope = if node {
-            IndexScope::Label(&name)
-        } else {
-            IndexScope::RelType(&name)
-        };
+    for def in index_defs() {
+        let (scope, columns) = (def.scope(), &def.columns);
         let mut specs: Vec<(Vec<Value>, CompositeTrailing<'_>)> = Vec::new();
         for (i, v) in vals.iter().enumerate() {
             let from = CompositeTrailing::Range(Bound::Included(v), Bound::Unbounded);
@@ -226,7 +217,7 @@ fn check_probes(view: &PreStateView<'_>, reference: &Graph) {
         specs.push((vec![], CompositeTrailing::Prefix("")));
         for (eq, trailing) in &specs {
             let probe = IndexProbe {
-                columns: &columns,
+                columns,
                 eq,
                 trailing: *trailing,
             };
@@ -237,9 +228,9 @@ fn check_probes(view: &PreStateView<'_>, reference: &Graph) {
                     && eq.is_empty()
                     && matches!(trailing, CompositeTrailing::Range(..));
                 if estimated {
-                    assert_eq!(got.is_some(), want.is_some(), "{name}{columns:?} {probe:?}");
+                    assert_eq!(got.is_some(), want.is_some(), "{def} {probe:?}");
                 } else {
-                    assert_eq!(got, want, "{name}{columns:?} {probe:?} {mode:?}");
+                    assert_eq!(got, want, "{def} {probe:?} {mode:?}");
                 }
             }
         }

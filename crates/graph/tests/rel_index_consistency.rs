@@ -7,7 +7,7 @@
 //! equality and range lookup must agree with a brute-force scan over all
 //! relationships.
 
-use pg_graph::{Graph, GraphView, PropertyMap, RelId, StatementMark, Value};
+use pg_graph::{Graph, GraphView, IndexDef, IndexScope, PropertyMap, RelId, StatementMark, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -195,10 +195,10 @@ impl Driver {
                 }
             }
             Step::CreateIndex { ty, prop } => {
-                g.create_rel_index(&type_name(*ty), &prop_name(*prop));
+                g.define_index(&IndexDef::rel(&type_name(*ty), &[prop_name(*prop)]));
             }
             Step::DropIndex { ty, prop } => {
-                g.drop_rel_index(&type_name(*ty), &prop_name(*prop));
+                g.drop_index(&IndexDef::rel(&type_name(*ty), &[prop_name(*prop)]));
             }
             Step::Begin => {
                 if !g.in_tx() {
@@ -254,10 +254,13 @@ fn check_rel_index_vs_scan(g: &Graph) {
     let mut universe: Vec<Value> = (-5i64..6).map(Value::Int).collect();
     universe.extend([-1i64, 0, 1].map(|v| Value::Float(v as f64)));
     universe.push(Value::Int((1i64 << 53) - 1));
-    for (ty, key) in g.rel_indexes() {
+    for def in g.indexes() {
+        let (IndexScope::RelType(ty), [key]) = (def.scope(), &def.columns[..]) else {
+            panic!("only single-key relationship indexes are created, found {def}");
+        };
         for value in &universe {
             let via_index: BTreeSet<RelId> = g
-                .rels_with_prop(&ty, &key, value)
+                .rels_with_prop(ty, key, value)
                 .unwrap_or_else(|| panic!("rel index on ({ty},{key}) must answer"))
                 .into_iter()
                 .collect();
@@ -265,8 +268,8 @@ fn check_rel_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.rel_type(id).as_deref() == Some(ty.as_str())
-                        && g.rel_prop(id, &key)
+                    g.rel_type(id).as_deref() == Some(ty)
+                        && g.rel_prop(id, key)
                             .is_some_and(|have| have.eq3(value) == Some(true))
                 })
                 .collect();
@@ -280,14 +283,14 @@ fn check_rel_index_vs_scan(g: &Graph) {
             (Bound::Unbounded, Bound::Excluded(&universe[7])),
             (Bound::Excluded(&universe[2]), Bound::Included(&universe[8])),
         ] {
-            if let Some(ids) = g.rels_in_prop_range(&ty, &key, lo, hi) {
+            if let Some(ids) = g.rels_in_prop_range(ty, key, lo, hi) {
                 let via_index: BTreeSet<RelId> = ids.into_iter().collect();
                 let via_scan: BTreeSet<RelId> = all
                     .iter()
                     .copied()
                     .filter(|&id| {
-                        g.rel_type(id).as_deref() == Some(ty.as_str())
-                            && g.rel_prop(id, &key)
+                        g.rel_type(id).as_deref() == Some(ty)
+                            && g.rel_prop(id, key)
                                 .is_some_and(|have| in_range3(&have, &lo, &hi))
                     })
                     .collect();
@@ -323,7 +326,7 @@ proptest! {
         let mut g = Graph::new();
         for t in 0..2u8 {
             for p in 0..3u8 {
-                g.create_rel_index(&type_name(t), &prop_name(p));
+                g.define_index(&IndexDef::rel(&type_name(t), &[prop_name(p)]));
             }
         }
         let mut d = Driver::default();

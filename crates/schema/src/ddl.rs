@@ -367,6 +367,7 @@ fn parse_props(p: &mut Parser) -> Result<(Vec<PropDef>, Vec<Vec<String>>), Schem
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pg_graph::IndexDef;
 
     #[test]
     fn parse_minimal_graph_type() {
@@ -400,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_index_qualifier_and_indexed_props() {
+    fn parse_index_qualifier_and_index_defs() {
         let gt = parse_graph_type(
             "CREATE GRAPH TYPE G STRICT {
                (PatientType: Patient {ssn STRING KEY, name STRING INDEX, age INT32}),
@@ -413,17 +414,17 @@ mod tests {
         assert!(p.props.iter().any(|d| d.name == "age" && !d.indexed));
         // KEY implies an index; explicit INDEX adds one.
         assert_eq!(
-            gt.indexed_props(),
-            vec![
-                ("Hospital".to_string(), "name".to_string()),
-                ("Patient".to_string(), "name".to_string()),
-                ("Patient".to_string(), "ssn".to_string()),
+            gt.index_defs(),
+            [
+                IndexDef::node("Hospital", &["name"]),
+                IndexDef::node("Patient", &["name"]),
+                IndexDef::node("Patient", &["ssn"]),
             ]
         );
     }
 
     #[test]
-    fn parse_edge_index_qualifier_and_indexed_rel_props() {
+    fn parse_edge_index_qualifier_and_index_defs() {
         let gt = parse_graph_type(
             "CREATE GRAPH TYPE G STRICT {
                (HospitalType: Hospital {name STRING}),
@@ -433,13 +434,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            gt.indexed_rel_props(),
-            vec![
-                ("ConnectedTo".to_string(), "distance".to_string()),
-                ("RefersTo".to_string(), "code".to_string()),
+            gt.index_defs(),
+            [
+                IndexDef::rel("ConnectedTo", &["distance"]),
+                IndexDef::rel("RefersTo", &["code"]),
             ]
         );
-        assert!(gt.indexed_props().is_empty());
     }
 
     #[test]
@@ -454,22 +454,14 @@ mod tests {
              }",
         )
         .unwrap();
+        // and the plain per-prop declarations add no single-key index
         assert_eq!(
-            gt.composite_indexed_props(),
-            vec![(
-                "Patient".to_string(),
-                vec!["status".to_string(), "severity".to_string()]
-            )]
+            gt.index_defs(),
+            [
+                IndexDef::node("Patient", &["status", "severity"]),
+                IndexDef::rel("ConnectedTo", &["kind", "distance"]),
+            ]
         );
-        assert_eq!(
-            gt.composite_indexed_rel_props(),
-            vec![(
-                "ConnectedTo".to_string(),
-                vec!["kind".to_string(), "distance".to_string()]
-            )]
-        );
-        // the plain per-prop declarations are untouched
-        assert!(gt.indexed_props().is_empty());
         // one-column composite declarations are rejected
         assert!(
             parse_graph_type("CREATE GRAPH TYPE G STRICT { (AType: A {x STRING, INDEX(x)}) }")

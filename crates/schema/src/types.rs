@@ -1,6 +1,6 @@
 //! Graph-type definitions: node types, edge types, property types, keys.
 
-use pg_graph::Value;
+use pg_graph::{IndexDef, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -244,71 +244,26 @@ impl GraphType {
         out
     }
 
-    /// The `(label, property)` pairs that declare a property index: every
-    /// own label of a node type paired with each of its own `INDEX` (or
-    /// `KEY`, which implies an index) property declarations. The trigger
-    /// engine creates these indexes when the graph type is attached to a
-    /// session.
-    pub fn indexed_props(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::new();
+    /// Every index definition the graph type declares, sorted: each own
+    /// label of a node type — and each edge type's label — paired with
+    /// each of its `INDEX` (or `KEY`, which implies an index) properties
+    /// and each of its `INDEX (k1, k2, …)` column lists. The trigger
+    /// engine creates them when the graph type is attached to a session.
+    pub fn index_defs(&self) -> Vec<IndexDef> {
+        let columns = |props: &[PropDef], composite: &[Vec<String>]| -> Vec<Vec<String>> {
+            let single = props.iter().filter(|p| p.indexed || p.key);
+            let single = single.map(|p| vec![p.name.clone()]);
+            single.chain(composite.iter().cloned()).collect()
+        };
+        let mut out: Vec<IndexDef> = Vec::new();
         for t in &self.node_types {
-            for p in &t.props {
-                if p.indexed || p.key {
-                    for l in &t.labels {
-                        out.push((l.clone(), p.name.clone()));
-                    }
-                }
+            for cols in columns(&t.props, &t.composite_indexes) {
+                out.extend(t.labels.iter().map(|l| IndexDef::node(l, &cols)));
             }
         }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The `(label, columns)` pairs that declare a **composite** index:
-    /// every own label of a node type paired with each of its
-    /// `INDEX (k1, k2, …)` declarations. The trigger engine creates these
-    /// composite indexes when the graph type is attached to a session.
-    pub fn composite_indexed_props(&self) -> Vec<(String, Vec<String>)> {
-        let mut out: Vec<(String, Vec<String>)> = Vec::new();
-        for t in &self.node_types {
-            for cols in &t.composite_indexes {
-                for l in &t.labels {
-                    out.push((l.clone(), cols.clone()));
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The `(relationship type, columns)` pairs that declare a composite
-    /// relationship index.
-    pub fn composite_indexed_rel_props(&self) -> Vec<(String, Vec<String>)> {
-        let mut out: Vec<(String, Vec<String>)> = Vec::new();
         for e in &self.edge_types {
-            for cols in &e.composite_indexes {
-                out.push((e.label.clone(), cols.clone()));
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// The `(relationship type, property)` pairs that declare a
-    /// relationship-property index: each edge type's label paired with its
-    /// `INDEX` (or `KEY`) property declarations. The trigger engine creates
-    /// these indexes when the graph type is attached to a session.
-    pub fn indexed_rel_props(&self) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = Vec::new();
-        for e in &self.edge_types {
-            for p in &e.props {
-                if p.indexed || p.key {
-                    out.push((e.label.clone(), p.name.clone()));
-                }
-            }
+            let cols = columns(&e.props, &e.composite_indexes);
+            out.extend(cols.into_iter().map(|cols| IndexDef::rel(&e.label, &cols)));
         }
         out.sort();
         out.dedup();

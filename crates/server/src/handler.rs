@@ -135,34 +135,8 @@ fn result_rows(res: ExecResult) -> (Vec<String>, VecDeque<Vec<Value>>) {
         ),
         ExecResult::TriggerCreated(name) => summary(format!("trigger created: {name}")),
         ExecResult::TriggerDropped(name) => summary(format!("trigger dropped: {name}")),
-        ExecResult::IndexCreated { label, key } => {
-            summary(format!("index created: :{label}({key})"))
-        }
-        ExecResult::IndexDropped { label, key } => {
-            summary(format!("index dropped: :{label}({key})"))
-        }
-        ExecResult::RelIndexCreated { rel_type, key } => {
-            summary(format!("rel index created: [:{rel_type}({key})]"))
-        }
-        ExecResult::RelIndexDropped { rel_type, key } => {
-            summary(format!("rel index dropped: [:{rel_type}({key})]"))
-        }
-        ExecResult::CompositeIndexCreated { label, columns } => summary(format!(
-            "composite index created: :{label}({})",
-            columns.join(", ")
-        )),
-        ExecResult::CompositeIndexDropped { label, columns } => summary(format!(
-            "composite index dropped: :{label}({})",
-            columns.join(", ")
-        )),
-        ExecResult::RelCompositeIndexCreated { rel_type, columns } => summary(format!(
-            "composite rel index created: [:{rel_type}({})]",
-            columns.join(", ")
-        )),
-        ExecResult::RelCompositeIndexDropped { rel_type, columns } => summary(format!(
-            "composite rel index dropped: [:{rel_type}({})]",
-            columns.join(", ")
-        )),
+        ExecResult::IndexCreated(def) => summary(format!("index created: {def}")),
+        ExecResult::IndexDropped(def) => summary(format!("index dropped: {def}")),
     }
 }
 

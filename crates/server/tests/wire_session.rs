@@ -185,10 +185,34 @@ fn ddl_explain_and_trigger_metadata_over_the_wire() {
     let (handle, addr) = spawn_empty();
     let mut client = Client::connect(&addr).unwrap();
 
-    // DDL answers a one-row summary.
-    let out = client.run_all("CREATE INDEX ON :City(name)", &[]).unwrap();
-    assert_eq!(out.columns, ["summary"]);
-    assert_eq!(out.rows.len(), 1);
+    // DDL answers a one-row summary; an index prints as its DDL operand,
+    // whatever its shape.
+    for operand in [
+        ":City(name)",
+        ":City(name, pop)",
+        "-[:Road(km)]-",
+        "-[:Road(kind, km)]-",
+    ] {
+        for (verb, done) in [
+            ("CREATE", "created"),
+            ("DROP", "dropped"),
+            ("CREATE", "created"),
+        ] {
+            let ddl = format!("{verb} INDEX ON {operand}");
+            let out = client.run_all(&ddl, &[]).unwrap();
+            assert_eq!(out.columns, ["summary"]);
+            let summary = format!("index {done}: {operand}");
+            assert_eq!(out.rows, [[Value::str(summary)]], "{ddl}");
+        }
+    }
+    match client.run_all("CREATE INDEX ON [:Road(kind, km)]", &[]) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, "Trigger.Install");
+            assert_eq!(message, "index on -[:Road(kind, km)]- already exists");
+        }
+        other => panic!("expected FAILURE, got {other:?}"),
+    }
+    client.reset().unwrap();
 
     // EXPLAIN renders the plan, one line per row.
     client

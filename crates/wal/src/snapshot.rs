@@ -4,14 +4,18 @@
 //! is what keeps the log from growing without bound. The file carries the
 //! commit sequence it was cut at, the id-allocator watermarks, every index
 //! *definition* (index entries are rebuilt by loading records through the
-//! normal index-maintaining insert paths), and every record:
+//! normal index-maintaining insert paths) in four sections — by scope and
+//! by width, the layout that predates the single definition list — and
+//! every record:
 //!
 //! ```text
 //! snapshot.pgs := MAGIC payload_len:u64 crc:u32 payload
 //! MAGIC        := "PGSNAP01"
 //! payload      := seq:u64 next_node:u64 next_rel:u64
-//!                 node_indexes rel_indexes composite_indexes
-//!                 rel_composite_indexes nodes rels
+//!                 node_single rel_single node_wide rel_wide
+//!                 nodes rels
+//! *_single     := n:u32 (name key)*
+//! *_wide       := n:u32 (name n_cols:u32 col*)*
 //! ```
 //!
 //! Writing is crash-atomic: the bytes go to `snapshot.pgs.tmp`, are
@@ -24,7 +28,7 @@
 use crate::crc::crc32;
 use crate::errors::RecoveryError;
 use pg_graph::codec::{self, Reader};
-use pg_graph::Graph;
+use pg_graph::{Graph, IndexDef, IndexOn};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -36,45 +40,57 @@ pub const SNAPSHOT_TMP: &str = "snapshot.pgs.tmp";
 /// 8-byte file magic; doubles as the format version.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PGSNAP01";
 
-fn encode_string_pairs(pairs: &[(String, String)], out: &mut Vec<u8>) {
-    codec::put_u32(out, pairs.len() as u32);
-    for (a, b) in pairs {
-        codec::put_str(out, a);
-        codec::put_str(out, b);
-    }
+/// The four index sections of the payload, in file order, as `(on a
+/// relationship type, more than one column)`. Single-key sections store
+/// `name key` per definition, composite ones `name n_cols:u32 col*`.
+const INDEX_SECTIONS: [(bool, bool); 4] =
+    [(false, false), (true, false), (false, true), (true, true)];
+
+fn index_section(def: &IndexDef) -> (bool, bool) {
+    let on_rel = matches!(def.on, IndexOn::RelType(_));
+    (on_rel, def.columns.len() > 1)
 }
 
-fn decode_string_pairs(r: &mut Reader<'_>) -> Result<Vec<(String, String)>, RecoveryError> {
-    let n = r.u32("index definition count")?;
-    let mut pairs = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        pairs.push((r.string("index label")?, r.string("index key")?));
-    }
-    Ok(pairs)
-}
-
-fn encode_composite_defs(defs: &[(String, Vec<String>)], out: &mut Vec<u8>) {
-    codec::put_u32(out, defs.len() as u32);
-    for (label, cols) in defs {
-        codec::put_str(out, label);
-        codec::put_u32(out, cols.len() as u32);
-        for c in cols {
-            codec::put_str(out, c);
+fn encode_index_defs(defs: &[IndexDef], out: &mut Vec<u8>) {
+    for (on_rel, composite) in INDEX_SECTIONS {
+        let defs = defs
+            .iter()
+            .filter(|d| index_section(d) == (on_rel, composite));
+        codec::put_u32(out, defs.clone().count() as u32);
+        for def in defs {
+            let (IndexOn::Label(name) | IndexOn::RelType(name)) = &def.on;
+            codec::put_str(out, name);
+            if composite {
+                codec::put_u32(out, def.columns.len() as u32);
+            }
+            for c in &def.columns {
+                codec::put_str(out, c);
+            }
         }
     }
 }
 
-fn decode_composite_defs(r: &mut Reader<'_>) -> Result<Vec<(String, Vec<String>)>, RecoveryError> {
-    let n = r.u32("composite definition count")?;
-    let mut defs = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        let label = r.string("composite label")?;
-        let n_cols = r.u32("composite column count")?;
-        let mut cols = Vec::with_capacity((n_cols as usize).min(64));
-        for _ in 0..n_cols {
-            cols.push(r.string("composite column")?);
+fn decode_index_defs(r: &mut Reader<'_>) -> Result<Vec<IndexDef>, RecoveryError> {
+    let mut defs = Vec::new();
+    for (on_rel, composite) in INDEX_SECTIONS {
+        for _ in 0..r.u32("index definition count")? {
+            let name = r.string("index label")?;
+            let n_cols = if composite {
+                r.u32("index column count")?
+            } else {
+                1
+            };
+            let mut columns = Vec::with_capacity((n_cols as usize).min(64));
+            for _ in 0..n_cols {
+                columns.push(r.string("index column")?);
+            }
+            let on = if on_rel {
+                IndexOn::RelType(name)
+            } else {
+                IndexOn::Label(name)
+            };
+            defs.push(IndexDef { on, columns });
         }
-        defs.push((label, cols));
     }
     Ok(defs)
 }
@@ -86,10 +102,7 @@ pub fn encode_snapshot(graph: &Graph, seq: u64) -> Vec<u8> {
     let (next_node, next_rel) = graph.id_watermarks();
     codec::put_u64(&mut payload, next_node);
     codec::put_u64(&mut payload, next_rel);
-    encode_string_pairs(&graph.indexes(), &mut payload);
-    encode_string_pairs(&graph.rel_indexes(), &mut payload);
-    encode_composite_defs(&graph.composite_indexes(), &mut payload);
-    encode_composite_defs(&graph.rel_composite_indexes(), &mut payload);
+    encode_index_defs(&graph.indexes(), &mut payload);
     codec::put_u64(&mut payload, graph.node_count() as u64);
     for rec in graph.nodes() {
         codec::encode_node_record(rec, &mut payload);
@@ -178,17 +191,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<LoadedSnapshot, RecoveryError> {
         let mut graph = Graph::new();
         // Definitions before records: loading through the normal insert
         // paths then maintains every index incrementally.
-        for (label, key) in decode_string_pairs(&mut r)? {
-            graph.create_index(&label, &key);
-        }
-        for (ty, key) in decode_string_pairs(&mut r)? {
-            graph.create_rel_index(&ty, &key);
-        }
-        for (label, cols) in decode_composite_defs(&mut r)? {
-            graph.create_composite_index(&label, &cols);
-        }
-        for (ty, cols) in decode_composite_defs(&mut r)? {
-            graph.create_rel_composite_index(&ty, &cols);
+        for def in decode_index_defs(&mut r)? {
+            graph.define_index(&def);
         }
         let n_nodes = r.u64("snapshot node count")? as usize;
         for _ in 0..n_nodes {

@@ -5,7 +5,7 @@
 //! keep encoding to exactly the bytes recorded here, and those bytes must
 //! keep recovering.
 
-use pg_graph::{Graph, PropertyMap, Value};
+use pg_graph::{Graph, IndexDef, PropertyMap, Value};
 use pg_wal::encode_snapshot;
 use pg_wal::snapshot::decode_snapshot;
 
@@ -59,9 +59,9 @@ fn fixture() -> Graph {
     g.create_rel(ward, sacco, "TreatedAt", PropertyMap::new())
         .unwrap();
     g.create_index("Hospital", "name");
-    g.create_rel_index("TreatedAt", "since");
+    g.define_index(&IndexDef::rel("TreatedAt", &["since"]));
     g.create_composite_index("Patient", &["status".to_string(), "severity".to_string()]);
-    g.create_rel_composite_index("TreatedAt", &["ward".to_string(), "since".to_string()]);
+    g.define_index(&IndexDef::rel("TreatedAt", &["ward", "since"]));
     g
 }
 
@@ -86,12 +86,18 @@ fn parent_format_snapshot_still_recovers() {
     let loaded = decode_snapshot(&unhex(GOLDEN_HEX)).expect("golden snapshot decodes");
     assert_eq!((loaded.seq, loaded.nodes, loaded.rels), (7, 4, 2));
     let (g, want) = (loaded.graph, fixture());
-    // every definition lands in the list it was written from
+    // every definition comes back with the scope and width it was
+    // written with
     assert_eq!(g.indexes(), want.indexes());
-    assert_eq!(g.rel_indexes(), want.rel_indexes());
-    assert_eq!(g.composite_indexes(), want.composite_indexes());
-    assert_eq!(g.rel_composite_indexes(), want.rel_composite_indexes());
-    assert_eq!(g.indexes().len() + g.composite_indexes().len(), 2);
+    assert_eq!(
+        g.indexes(),
+        [
+            IndexDef::node("Hospital", &["name"]),
+            IndexDef::node("Patient", &["status", "severity"]),
+            IndexDef::rel("TreatedAt", &["since"]),
+            IndexDef::rel("TreatedAt", &["ward", "since"]),
+        ]
+    );
     // records and watermarks survive, and the rebuilt indexes answer
     assert!(g.nodes().eq(want.nodes()) && g.rels().eq(want.rels()));
     assert_eq!(g.id_watermarks(), want.id_watermarks());

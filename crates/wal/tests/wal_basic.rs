@@ -5,7 +5,7 @@
 mod common;
 
 use common::{canned_commit, dump, TempDir};
-use pg_graph::{Graph, GraphView, PropertyMap, Value};
+use pg_graph::{Graph, GraphView, IndexDef, PropertyMap, Value};
 use pg_wal::{Durable, RecoveryOptions, SyncPolicy, TailState, WalOptions, SNAPSHOT_TMP};
 
 fn opts(sync: SyncPolicy) -> WalOptions {
@@ -101,7 +101,7 @@ fn snapshot_preserves_index_definitions_and_answers() {
     {
         let (durable, mut graph, _) = open(tmp.path(), SyncPolicy::Always);
         graph.create_index("All", "w");
-        graph.create_rel_index("T0", "w");
+        graph.define_index(&IndexDef::rel("T0", &["w"]));
         graph.create_composite_index("All", &["tag".to_string(), "w".to_string()]);
         for i in 0..4 {
             canned_commit(&mut graph, i);
@@ -111,9 +111,14 @@ fn snapshot_preserves_index_definitions_and_answers() {
     }
     let (_, graph, _) = open(tmp.path(), SyncPolicy::Always);
     assert_eq!(dump(&graph), want_dump);
-    assert!(graph.has_index("All", "w"));
-    assert!(graph.has_rel_index("T0", "w"));
-    assert!(graph.has_composite_index("All", &["tag".to_string(), "w".to_string()]));
+    assert_eq!(
+        graph.indexes(),
+        [
+            IndexDef::node("All", &["tag", "w"]),
+            IndexDef::node("All", &["w"]),
+            IndexDef::rel("T0", &["w"]),
+        ]
+    );
     // The rebuilt index serves the same rows as a scan.
     let via_index: Vec<_> = graph
         .nodes_with_prop("All", "w", &Value::Int(7))

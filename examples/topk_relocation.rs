@@ -15,7 +15,7 @@
 
 use pg_covid::generate;
 use pg_covid::GeneratorConfig;
-use pg_graph::{GraphView, PropertyMap, Value};
+use pg_graph::{GraphView, IndexDef, PropertyMap, Value};
 use pg_triggers::Session;
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ fn build_session(cfg: &GeneratorConfig, connections: usize, indexed: bool) -> Se
         // this demo compares; only the rel-property index differs.
         g.create_index("Hospital", "name");
         if indexed {
-            g.create_rel_index("ConnectedTo", "distance");
+            g.define_index(&IndexDef::rel("ConnectedTo", &["distance"]));
         }
     }
     session.install(MOVE_TO_NEAR).expect("relocation trigger");
