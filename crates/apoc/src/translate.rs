@@ -22,7 +22,9 @@
 use crate::system::Phase;
 use pg_cypher::ast::{Clause, Expr, PathPattern, Query};
 use pg_cypher::{rename_vars, unparse_clause, unparse_expr, unparse_query};
-use pg_triggers::{ActionTime, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec};
+use pg_triggers::{
+    ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A translated trigger: the arguments of `apoc.trigger.install`.
@@ -103,8 +105,8 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
 
     let each_plan = |spec: &TriggerSpec| -> Result<Plan, TranslateError> {
         let mut renames = BTreeMap::new();
-        let p = match (spec.event, spec.item, &spec.property) {
-            (EventType::Create, ItemKind::Node, _) => {
+        let p = match (spec.kind(), &spec.property) {
+            (Some(EventKind::NodeCreated), _) => {
                 renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
                 Plan {
                     prefix: "UNWIND $createdNodes AS cNodes".to_string(),
@@ -113,7 +115,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Create, ItemKind::Relationship, _) => {
+            (Some(EventKind::RelCreated), _) => {
                 renames.insert(spec.var_name(TransitionVar::New), "cRels".to_string());
                 Plan {
                     prefix: "UNWIND $createdRelationships AS cRels".to_string(),
@@ -130,7 +132,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Delete, ItemKind::Node, _) => {
+            (Some(EventKind::NodeDeleted), _) => {
                 renames.insert(spec.var_name(TransitionVar::Old), "dNodes".to_string());
                 Plan {
                     prefix: "UNWIND $deletedNodes AS dNodes".to_string(),
@@ -143,7 +145,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Delete, ItemKind::Relationship, _) => {
+            (Some(EventKind::RelDeleted), _) => {
                 renames.insert(spec.var_name(TransitionVar::Old), "dRels".to_string());
                 Plan {
                     prefix: "UNWIND $deletedRelationships AS dRels".to_string(),
@@ -156,7 +158,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Set, ItemKind::Node, None) => {
+            (Some(EventKind::LabelSet), _) => {
                 renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
                 Plan {
                     prefix: format!("UNWIND $assignedLabels['{label}'] AS cNodes"),
@@ -165,7 +167,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Remove, ItemKind::Node, None) => {
+            (Some(EventKind::LabelRemoved), _) => {
                 renames.insert(spec.var_name(TransitionVar::Old), "cNodes".to_string());
                 renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
                 Plan {
@@ -175,7 +177,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Set, ItemKind::Node, Some(p)) => {
+            (Some(EventKind::NodePropSet), Some(p)) => {
                 renames.insert(spec.var_name(TransitionVar::New), "node".to_string());
                 renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
                 Plan {
@@ -188,7 +190,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Remove, ItemKind::Node, Some(p)) => {
+            (Some(EventKind::NodePropRemoved), Some(p)) => {
                 renames.insert(spec.var_name(TransitionVar::New), "node".to_string());
                 renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
                 Plan {
@@ -201,7 +203,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Set, ItemKind::Relationship, Some(p)) => {
+            (Some(EventKind::RelPropSet), Some(p)) => {
                 renames.insert(spec.var_name(TransitionVar::New), "rel".to_string());
                 renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
                 Plan {
@@ -222,7 +224,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (EventType::Remove, ItemKind::Relationship, Some(p)) => {
+            (Some(EventKind::RelPropRemoved), Some(p)) => {
                 renames.insert(spec.var_name(TransitionVar::New), "rel".to_string());
                 renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
                 Plan {
@@ -243,9 +245,10 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     renames,
                 }
             }
-            (e, i, p) => {
+            (None, _) | (_, None) => {
                 return Err(TranslateError::Unsupported(format!(
-                    "event {e:?} on {i:?} with property {p:?}"
+                    "event {:?} on {:?} with property {:?}",
+                    spec.event, spec.item, spec.property
                 )))
             }
         };
@@ -290,7 +293,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
                     .insert(spec.var_name(old_set), list_var.clone());
             }
         }
-        if matches!(spec.event, EventType::Set | EventType::Remove) && spec.property.is_some() {
+        if spec.kind().is_some_and(EventKind::on_property) {
             return Err(TranslateError::Unsupported(
                 "FOR ALL with property events: APOC metadata cannot deliver aligned OLD/NEW item sets"
                     .to_string(),

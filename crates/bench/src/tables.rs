@@ -6,7 +6,6 @@
 
 use pg_apoc::ApocDb;
 use pg_covid::{Scenario, ScenarioConfig};
-use pg_cypher::Row;
 use pg_graph::{Delta, Graph, PreStateView, PropertyMap, Value};
 use pg_memgraph::MemgraphDb;
 use pg_triggers::{parse_trigger_ddl, DdlStatement, Session};
@@ -392,11 +391,11 @@ pub fn table3() -> Artifact {
             DdlStatement::CreateTrigger(s) => s,
             _ => unreachable!(),
         };
-        let affected = pg_triggers::binding::affected_items(&spec, &delta, &pre, &g);
-        let seeds = pg_triggers::binding::seed_rows(&spec, &affected);
+        // FOR EACH: one activation unit of one seed row per affected item.
+        let (seeds, _) = pg_triggers::binding::bind(&spec, &delta, &pre, &g);
         let (has_old, has_new) = seeds
             .first()
-            .map(|r: &Row| (r.contains("OLD"), r.contains("NEW")))
+            .map(|unit| (unit[0].contains("OLD"), unit[0].contains("NEW")))
             .unwrap_or((false, false));
         if seeds.is_empty() {
             all_match = false;

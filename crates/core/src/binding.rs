@@ -19,39 +19,9 @@
 //! value of any property, which is what the paper's
 //! `WHEN OLD.whoDesignation <> NEW.whoDesignation` needs).
 
-use crate::spec::{EventType, Granularity, ItemKind, TransitionVar, TriggerSpec};
+use crate::spec::{EventKind, Granularity, ItemKind, TransitionVar, TriggerSpec};
 use pg_cypher::Row;
-use pg_graph::{Delta, GraphView, NodeId, RelId, Value};
-
-/// The items a trigger activation is about: per item an optional NEW
-/// reference and an optional OLD snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Affected {
-    /// `(new_ref, old_snapshot)` per affected item, in delta order.
-    pub items: Vec<(Option<Value>, Option<Value>)>,
-}
-
-impl Affected {
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The NEW item references (for the BEFORE write policy).
-    pub fn new_refs(&self) -> Vec<pg_graph::ItemRef> {
-        self.items
-            .iter()
-            .filter_map(|(n, _)| match n {
-                Some(Value::Node(id)) => Some(pg_graph::ItemRef::Node(*id)),
-                Some(Value::Rel(id)) => Some(pg_graph::ItemRef::Rel(*id)),
-                _ => None,
-            })
-            .collect()
-    }
-}
+use pg_graph::{Delta, GraphView, ItemRef, NodeId, RelId, Value};
 
 /// Materialize a node's state (from any view) as a map value.
 fn node_snapshot(view: &dyn GraphView, id: NodeId) -> Value {
@@ -90,140 +60,121 @@ fn rel_snapshot(view: &dyn GraphView, id: RelId) -> Value {
     Value::Map(m)
 }
 
-/// Compute the items of `delta` this trigger is about. `pre` is the
-/// pre-statement view (used to build OLD snapshots); `post` is the current
-/// state (used to check the target label of property events).
-pub fn affected_items(
+/// One trigger's activations for a delta: the seed rows of each activation
+/// unit — `FOR EACH` runs condition and statement once per affected item,
+/// `FOR ALL` once per statement with list bindings (paper §4.2
+/// "Granularity") — and the NEW items (what a BEFORE statement may
+/// condition). No units means the trigger is not activated.
+pub type Activations = (Vec<Vec<Row>>, Vec<ItemRef>);
+
+/// Bind `spec` against `delta`. `pre` is the state before the delta's ops
+/// (the source of `OLD` snapshots); `post` is the current state (NEW items
+/// are live references into it, and it decides the target label of
+/// property events, which the delta does not record).
+pub fn bind(
     spec: &TriggerSpec,
     delta: &Delta,
     pre: &dyn GraphView,
     post: &dyn GraphView,
-) -> Affected {
-    let mut out = Affected::default();
-    match (spec.event, spec.item) {
-        (EventType::Create, ItemKind::Node) => {
-            for rec in &delta.created_nodes {
-                if rec.has_label(&spec.label) {
-                    out.items.push((Some(Value::Node(rec.id)), None));
-                }
-            }
-        }
-        (EventType::Create, ItemKind::Relationship) => {
-            for rec in &delta.created_rels {
-                if rec.rel_type == spec.label {
-                    out.items.push((Some(Value::Rel(rec.id)), None));
-                }
-            }
-        }
-        (EventType::Delete, ItemKind::Node) => {
-            for rec in &delta.deleted_nodes {
-                if rec.has_label(&spec.label) {
-                    out.items.push((None, Some(rec.to_value())));
-                }
-            }
-        }
-        (EventType::Delete, ItemKind::Relationship) => {
-            for rec in &delta.deleted_rels {
-                if rec.rel_type == spec.label {
-                    out.items.push((None, Some(rec.to_value())));
-                }
-            }
-        }
-        (EventType::Set, ItemKind::Node) => match &spec.property {
-            None => {
-                // label-set events for the target label
-                for ev in &delta.assigned_labels {
-                    if ev.label == spec.label {
-                        out.items.push((
-                            Some(Value::Node(ev.node)),
-                            Some(node_snapshot(pre, ev.node)),
-                        ));
-                    }
-                }
-            }
-            Some(p) => {
-                for pa in &delta.assigned_node_props {
-                    if &pa.key == p && post.node_has_label(pa.target, &spec.label) {
-                        out.items.push((
-                            Some(Value::Node(pa.target)),
-                            Some(node_snapshot(pre, pa.target)),
-                        ));
-                    }
-                }
-            }
-        },
-        (EventType::Set, ItemKind::Relationship) => {
-            if let Some(p) = &spec.property {
-                for pa in &delta.assigned_rel_props {
-                    if &pa.key == p && post.rel_type(pa.target).as_deref() == Some(&spec.label) {
-                        out.items.push((
-                            Some(Value::Rel(pa.target)),
-                            Some(rel_snapshot(pre, pa.target)),
-                        ));
-                    }
-                }
-            }
-        }
-        (EventType::Remove, ItemKind::Node) => match &spec.property {
-            None => {
-                for ev in &delta.removed_labels {
-                    if ev.label == spec.label {
-                        out.items.push((
-                            Some(Value::Node(ev.node)),
-                            Some(node_snapshot(pre, ev.node)),
-                        ));
-                    }
-                }
-            }
-            Some(p) => {
-                for pr in &delta.removed_node_props {
-                    if &pr.key == p && post.node_has_label(pr.target, &spec.label) {
-                        out.items.push((
-                            Some(Value::Node(pr.target)),
-                            Some(node_snapshot(pre, pr.target)),
-                        ));
-                    }
-                }
-            }
-        },
-        (EventType::Remove, ItemKind::Relationship) => {
-            if let Some(p) = &spec.property {
-                for pr in &delta.removed_rel_props {
-                    if &pr.key == p && post.rel_type(pr.target).as_deref() == Some(&spec.label) {
-                        out.items.push((
-                            Some(Value::Rel(pr.target)),
-                            Some(rel_snapshot(pre, pr.target)),
-                        ));
-                    }
-                }
-            }
-        }
+) -> Activations {
+    let label = spec.label.as_str();
+    let key = spec.property.as_deref();
+    let created = |new: Value| (Some(new), None);
+    let deleted = |old: Value| (None, Some(old));
+    let node = |id: NodeId| (Some(Value::Node(id)), Some(node_snapshot(pre, id)));
+    let rel = |id: RelId| (Some(Value::Rel(id)), Some(rel_snapshot(pre, id)));
+    let on_node = |id: NodeId, k: &str| Some(k) == key && post.node_has_label(id, label);
+    let on_rel = |id: RelId, k: &str| Some(k) == key && post.rel_type(id).as_deref() == Some(label);
+    // (NEW reference, OLD snapshot) per affected item, in delta order.
+    let items: Vec<(Option<Value>, Option<Value>)> = match spec.kind() {
+        None => Vec::new(),
+        Some(EventKind::NodeCreated) => delta
+            .created_nodes
+            .iter()
+            .filter(|r| r.has_label(label))
+            .map(|r| created(Value::Node(r.id)))
+            .collect(),
+        Some(EventKind::RelCreated) => delta
+            .created_rels
+            .iter()
+            .filter(|r| r.rel_type == label)
+            .map(|r| created(Value::Rel(r.id)))
+            .collect(),
+        Some(EventKind::NodeDeleted) => delta
+            .deleted_nodes
+            .iter()
+            .filter(|r| r.has_label(label))
+            .map(|r| deleted(r.to_value()))
+            .collect(),
+        Some(EventKind::RelDeleted) => delta
+            .deleted_rels
+            .iter()
+            .filter(|r| r.rel_type == label)
+            .map(|r| deleted(r.to_value()))
+            .collect(),
+        Some(EventKind::LabelSet) => delta
+            .assigned_labels
+            .iter()
+            .filter(|e| e.label == label)
+            .map(|e| node(e.node))
+            .collect(),
+        Some(EventKind::LabelRemoved) => delta
+            .removed_labels
+            .iter()
+            .filter(|e| e.label == label)
+            .map(|e| node(e.node))
+            .collect(),
+        Some(EventKind::NodePropSet) => delta
+            .assigned_node_props
+            .iter()
+            .filter(|p| on_node(p.target, &p.key))
+            .map(|p| node(p.target))
+            .collect(),
+        Some(EventKind::NodePropRemoved) => delta
+            .removed_node_props
+            .iter()
+            .filter(|p| on_node(p.target, &p.key))
+            .map(|p| node(p.target))
+            .collect(),
+        Some(EventKind::RelPropSet) => delta
+            .assigned_rel_props
+            .iter()
+            .filter(|p| on_rel(p.target, &p.key))
+            .map(|p| rel(p.target))
+            .collect(),
+        Some(EventKind::RelPropRemoved) => delta
+            .removed_rel_props
+            .iter()
+            .filter(|p| on_rel(p.target, &p.key))
+            .map(|p| rel(p.target))
+            .collect(),
+    };
+    if items.is_empty() {
+        return Activations::default();
     }
-    out
-}
-
-/// Build the seed rows for an activation: one row per item (`FOR EACH`) or
-/// a single row with list bindings (`FOR ALL`).
-pub fn seed_rows(spec: &TriggerSpec, affected: &Affected) -> Vec<Row> {
-    if affected.is_empty() {
-        return Vec::new();
-    }
-    match spec.granularity {
+    let new_refs = items
+        .iter()
+        .filter_map(|(new, _)| match new {
+            Some(Value::Node(id)) => Some(ItemRef::Node(*id)),
+            Some(Value::Rel(id)) => Some(ItemRef::Rel(*id)),
+            _ => None,
+        })
+        .collect();
+    let units = match spec.granularity {
         Granularity::Each => {
             let new_name = spec.var_name(TransitionVar::New);
             let old_name = spec.var_name(TransitionVar::Old);
-            affected
-                .items
-                .iter()
+            items
+                .into_iter()
                 .map(|(new, old)| {
                     let mut row = Row::new();
                     if let Some(n) = new {
-                        row.set(new_name.clone(), n.clone());
+                        row.set(new_name.clone(), n);
                     }
                     if let Some(o) = old {
-                        row.set(old_name.clone(), o.clone());
+                        row.set(old_name.clone(), o);
                     }
-                    row
+                    vec![row]
                 })
                 .collect()
         }
@@ -232,26 +183,18 @@ pub fn seed_rows(spec: &TriggerSpec, affected: &Affected) -> Vec<Row> {
                 ItemKind::Node => (TransitionVar::NewNodes, TransitionVar::OldNodes),
                 ItemKind::Relationship => (TransitionVar::NewRels, TransitionVar::OldRels),
             };
+            let (news, olds): (Vec<_>, Vec<_>) = items.into_iter().unzip();
             let mut row = Row::new();
-            let news: Vec<Value> = affected
-                .items
-                .iter()
-                .filter_map(|(n, _)| n.clone())
-                .collect();
-            let olds: Vec<Value> = affected
-                .items
-                .iter()
-                .filter_map(|(_, o)| o.clone())
-                .collect();
-            if !news.is_empty() {
-                row.set(spec.var_name(new_var), Value::List(news));
+            for (var, values) in [(new_var, news), (old_var, olds)] {
+                let values: Vec<Value> = values.into_iter().flatten().collect();
+                if !values.is_empty() {
+                    row.set(spec.var_name(var), Value::List(values));
+                }
             }
-            if !olds.is_empty() {
-                row.set(spec.var_name(old_var), Value::List(olds));
-            }
-            vec![row]
+            vec![vec![row]]
         }
-    }
+    };
+    (units, new_refs)
 }
 
 #[cfg(test)]
@@ -272,6 +215,12 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect()
+    }
+
+    /// The seed rows `t` binds, flattened over its activation units.
+    fn rows_of(t: &TriggerSpec, g: &Graph, delta: &Delta, ops: &[pg_graph::Op]) -> Vec<Row> {
+        let pre = PreStateView::new(g, ops);
+        bind(t, delta, &pre, g).0.into_iter().flatten().collect()
     }
 
     /// Run `stmt` inside a tx and return (graph, delta, ops).
@@ -300,10 +249,7 @@ mod tests {
                 g.create_node(["Other"], PropertyMap::new()).unwrap();
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        assert_eq!(aff.len(), 1);
-        let rows = seed_rows(&t, &aff);
+        let rows = rows_of(&t, &g, &delta, &ops);
         assert_eq!(rows.len(), 1);
         assert!(matches!(rows[0].get("NEW"), Some(Value::Node(_))));
         assert!(rows[0].get("OLD").is_none());
@@ -320,9 +266,7 @@ mod tests {
             },
             |g, ids| g.detach_delete_node(ids[0]).unwrap(),
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        let rows = seed_rows(&t, &aff);
+        let rows = rows_of(&t, &g, &delta, &ops);
         assert_eq!(rows.len(), 1);
         match rows[0].get("OLD") {
             Some(Value::Map(m)) => assert_eq!(m["name"], Value::str("gone")),
@@ -350,9 +294,7 @@ mod tests {
                     .unwrap();
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        let rows = seed_rows(&t, &aff);
+        let rows = rows_of(&t, &g, &delta, &ops);
         assert_eq!(rows.len(), 1);
         // OLD.whoDesignation = Indian (pre-state map); NEW = live node with Delta
         match rows[0].get("OLD") {
@@ -385,9 +327,7 @@ mod tests {
                 g.set_node_prop(ids[1], "x", Value::Int(2)).unwrap();
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        assert_eq!(aff.len(), 1);
+        assert_eq!(rows_of(&t, &g, &delta, &ops).len(), 1);
     }
 
     #[test]
@@ -399,10 +339,8 @@ mod tests {
                 g.set_label(ids[0], "Flagged").unwrap();
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        assert_eq!(aff.len(), 1);
-        let rows = seed_rows(&t, &aff);
+        let rows = rows_of(&t, &g, &delta, &ops);
+        assert_eq!(rows.len(), 1);
         assert!(matches!(rows[0].get("NEW"), Some(Value::Node(_))));
         // OLD snapshot shows the pre-state without the label
         match rows[0].get("OLD") {
@@ -426,9 +364,7 @@ mod tests {
                 }
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let aff = affected_items(&t, &delta, &pre, &g);
-        let rows = seed_rows(&t, &aff);
+        let rows = rows_of(&t, &g, &delta, &ops);
         assert_eq!(rows.len(), 1);
         match rows[0].get("NEWNODES") {
             Some(Value::List(items)) => assert_eq!(items.len(), 3),
@@ -449,8 +385,7 @@ mod tests {
                 g.create_node(["P"], PropertyMap::new()).unwrap();
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        let rows = seed_rows(&t, &affected_items(&t, &delta, &pre, &g));
+        let rows = rows_of(&t, &g, &delta, &ops);
         assert!(rows[0].get("admitted").is_some());
         assert!(rows[0].get("NEWNODES").is_none());
     }
@@ -476,9 +411,8 @@ mod tests {
                 let _ = r;
             },
         );
-        let pre = PreStateView::new(&g, &ops);
-        assert_eq!(affected_items(&t_create, &delta, &pre, &g).len(), 1);
-        assert_eq!(affected_items(&t_set, &delta, &pre, &g).len(), 0);
+        assert_eq!(rows_of(&t_create, &g, &delta, &ops).len(), 1);
+        assert_eq!(rows_of(&t_set, &g, &delta, &ops).len(), 0);
 
         // now a property set on the existing rel
         let (g2, delta2, ops2) = capture(
@@ -493,15 +427,19 @@ mod tests {
                 g.set_rel_prop(r, "conf", Value::Float(0.9)).unwrap();
             },
         );
-        let pre2 = PreStateView::new(&g2, &ops2);
-        assert_eq!(affected_items(&t_set, &delta2, &pre2, &g2).len(), 1);
-        assert_eq!(affected_items(&t_create, &delta2, &pre2, &g2).len(), 0);
+        assert_eq!(rows_of(&t_set, &g2, &delta2, &ops2).len(), 1);
+        assert_eq!(rows_of(&t_create, &g2, &delta2, &ops2).len(), 0);
     }
 
     #[test]
-    fn empty_affected_yields_no_rows() {
+    fn unaffected_trigger_binds_no_units() {
         let t = spec("CREATE TRIGGER t AFTER CREATE ON 'Nope' FOR ALL NODES BEGIN CREATE (:X) END");
-        let aff = Affected::default();
-        assert!(seed_rows(&t, &aff).is_empty());
+        let (g, delta, ops) = capture(
+            |_| vec![],
+            |g, _| {
+                g.create_node(["P"], PropertyMap::new()).unwrap();
+            },
+        );
+        assert!(rows_of(&t, &g, &delta, &ops).is_empty());
     }
 }

@@ -1,21 +1,20 @@
-//! The trigger catalog: installed triggers with a total activation order
-//! and an event-keyed dispatch pre-filter.
+//! The trigger catalog: installed triggers, their total activation order,
+//! and the one event-keyed dispatch index.
 //!
-//! Trigger conditions are evaluated on every activating statement, so the
-//! catalog must let the engine skip triggers whose events *cannot*
-//! intersect a statement's delta **before** any per-trigger work (building
-//! a `PreStateView`, computing affected items). [`DeltaSignature`]
-//! compresses a delta into the touched event kinds, labels/types and
-//! property keys; [`TriggerCatalog::wants`] answers "could any enabled
-//! trigger of this action time match?" from a per-action-time summary
-//! (event-kind bitmask + label set) maintained across installs/drops, and
-//! [`TriggerCatalog::scheduled_matching`] yields only the triggers that
-//! survive the per-spec filter, as cheap `Arc` clones.
+//! Trigger conditions are considered on every activating statement, so the
+//! engine must skip the triggers whose event *cannot* intersect a
+//! statement's delta before any per-trigger work. The catalog keeps one
+//! index — `(action time, event kind, name) → triggers` — where `name` is
+//! the target label/type for the six item/label kinds and the monitored
+//! key for the four property kinds (a touched item may carry a property
+//! trigger's target label without the delta mentioning it; the key is
+//! always there). [`TriggerCatalog::matching`] walks a delta once against
+//! it and yields exactly the candidates, in activation order.
 
 use crate::error::InstallError;
-use crate::spec::{ActionTime, EventType, ItemKind, TriggerSpec};
+use crate::spec::{ActionTime, EventKind, TriggerSpec};
 use pg_graph::Delta;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How triggers sharing an action time are ordered (paper §4.2: "the most
@@ -42,156 +41,13 @@ pub struct InstalledTrigger {
     pub enabled: bool,
 }
 
-/// The `(event, item)` kind of a trigger as one bit of an 8-bit mask.
-fn kind_bit(event: EventType, item: ItemKind) -> u8 {
-    let e = match event {
-        EventType::Create => 0,
-        EventType::Delete => 1,
-        EventType::Set => 2,
-        EventType::Remove => 3,
-    };
-    let i = match item {
-        ItemKind::Node => 0,
-        ItemKind::Relationship => 1,
-    };
-    1u8 << (e * 2 + i)
-}
+/// Enabled triggers sharing one dispatch key, as `(seq, spec)` in
+/// installation order.
+type Bucket = Vec<(u64, Arc<TriggerSpec>)>;
 
-/// Per-action-time dispatch summary: which event kinds any enabled trigger
-/// monitors, and the union of their target labels/types. Lets the engine
-/// skip a whole trigger phase in O(delta) without touching the specs.
-#[derive(Debug, Default, Clone)]
-struct DispatchSummary {
-    /// OR of [`kind_bit`] over enabled triggers of this action time.
-    kinds: u8,
-    /// Union of target labels/types of enabled triggers whose label check
-    /// is exact at dispatch (CREATE/DELETE and label SET/REMOVE events).
-    labels: HashSet<String>,
-    /// Union of monitored property keys of enabled property-event triggers
-    /// at this action time. Their target *label* cannot be checked from
-    /// the delta alone (the touched item may carry the label without the
-    /// delta mentioning it), but the key can.
-    prop_keys: HashSet<String>,
-}
-
-/// The touched event kinds, labels/types and property keys of a statement
-/// delta — everything the dispatch pre-filter needs, computed once per
-/// statement.
-#[derive(Debug, Default)]
-pub struct DeltaSignature {
-    kinds: u8,
-    /// Labels/types with exact dispatch semantics: created/deleted node
-    /// labels and rel types, assigned/removed labels.
-    labels: HashSet<String>,
-    /// Union of all assigned/removed property keys (node and rel).
-    prop_keys: HashSet<String>,
-    assigned_node_prop_keys: HashSet<String>,
-    removed_node_prop_keys: HashSet<String>,
-    assigned_rel_prop_keys: HashSet<String>,
-    removed_rel_prop_keys: HashSet<String>,
-    /// Labels touched by label SET events only (label-event dispatch).
-    assigned_labels: HashSet<String>,
-    removed_labels: HashSet<String>,
-    created_node_labels: HashSet<String>,
-    deleted_node_labels: HashSet<String>,
-    created_rel_types: HashSet<String>,
-    deleted_rel_types: HashSet<String>,
-}
-
-impl DeltaSignature {
-    /// Compress a delta into its dispatch signature.
-    pub fn of(delta: &Delta) -> DeltaSignature {
-        let mut sig = DeltaSignature::default();
-        for n in &delta.created_nodes {
-            sig.kinds |= kind_bit(EventType::Create, ItemKind::Node);
-            sig.created_node_labels.extend(n.labels.iter().cloned());
-        }
-        for n in &delta.deleted_nodes {
-            sig.kinds |= kind_bit(EventType::Delete, ItemKind::Node);
-            sig.deleted_node_labels.extend(n.labels.iter().cloned());
-        }
-        for r in &delta.created_rels {
-            sig.kinds |= kind_bit(EventType::Create, ItemKind::Relationship);
-            sig.created_rel_types.insert(r.rel_type.clone());
-        }
-        for r in &delta.deleted_rels {
-            sig.kinds |= kind_bit(EventType::Delete, ItemKind::Relationship);
-            sig.deleted_rel_types.insert(r.rel_type.clone());
-        }
-        for ev in &delta.assigned_labels {
-            sig.kinds |= kind_bit(EventType::Set, ItemKind::Node);
-            sig.assigned_labels.insert(ev.label.clone());
-        }
-        for ev in &delta.removed_labels {
-            sig.kinds |= kind_bit(EventType::Remove, ItemKind::Node);
-            sig.removed_labels.insert(ev.label.clone());
-        }
-        for pa in &delta.assigned_node_props {
-            sig.kinds |= kind_bit(EventType::Set, ItemKind::Node);
-            sig.assigned_node_prop_keys.insert(pa.key.clone());
-        }
-        for pr in &delta.removed_node_props {
-            sig.kinds |= kind_bit(EventType::Remove, ItemKind::Node);
-            sig.removed_node_prop_keys.insert(pr.key.clone());
-        }
-        for pa in &delta.assigned_rel_props {
-            sig.kinds |= kind_bit(EventType::Set, ItemKind::Relationship);
-            sig.assigned_rel_prop_keys.insert(pa.key.clone());
-        }
-        for pr in &delta.removed_rel_props {
-            sig.kinds |= kind_bit(EventType::Remove, ItemKind::Relationship);
-            sig.removed_rel_prop_keys.insert(pr.key.clone());
-        }
-        sig.labels.extend(sig.created_node_labels.iter().cloned());
-        sig.labels.extend(sig.deleted_node_labels.iter().cloned());
-        sig.labels.extend(sig.created_rel_types.iter().cloned());
-        sig.labels.extend(sig.deleted_rel_types.iter().cloned());
-        sig.labels.extend(sig.assigned_labels.iter().cloned());
-        sig.labels.extend(sig.removed_labels.iter().cloned());
-        sig.prop_keys
-            .extend(sig.assigned_node_prop_keys.iter().cloned());
-        sig.prop_keys
-            .extend(sig.removed_node_prop_keys.iter().cloned());
-        sig.prop_keys
-            .extend(sig.assigned_rel_prop_keys.iter().cloned());
-        sig.prop_keys
-            .extend(sig.removed_rel_prop_keys.iter().cloned());
-        sig
-    }
-
-    /// Whether a trigger's event can intersect this delta. Exact on event
-    /// kind, target label/type (for creation/deletion/label events) and
-    /// monitored property key; property events over-approximate the target
-    /// label check (done precisely by `affected_items` later).
-    pub fn may_match(&self, spec: &TriggerSpec) -> bool {
-        match (spec.event, spec.item) {
-            (EventType::Create, ItemKind::Node) => self.created_node_labels.contains(&spec.label),
-            (EventType::Create, ItemKind::Relationship) => {
-                self.created_rel_types.contains(&spec.label)
-            }
-            (EventType::Delete, ItemKind::Node) => self.deleted_node_labels.contains(&spec.label),
-            (EventType::Delete, ItemKind::Relationship) => {
-                self.deleted_rel_types.contains(&spec.label)
-            }
-            (EventType::Set, ItemKind::Node) => match &spec.property {
-                None => self.assigned_labels.contains(&spec.label),
-                Some(p) => self.assigned_node_prop_keys.contains(p),
-            },
-            (EventType::Remove, ItemKind::Node) => match &spec.property {
-                None => self.removed_labels.contains(&spec.label),
-                Some(p) => self.removed_node_prop_keys.contains(p),
-            },
-            (EventType::Set, ItemKind::Relationship) => spec
-                .property
-                .as_ref()
-                .is_some_and(|p| self.assigned_rel_prop_keys.contains(p)),
-            (EventType::Remove, ItemKind::Relationship) => spec
-                .property
-                .as_ref()
-                .is_some_and(|p| self.removed_rel_prop_keys.contains(p)),
-        }
-    }
-}
+/// One `(action time, event kind)` cell of the index, keyed by dispatch
+/// name.
+type Buckets = HashMap<String, Bucket>;
 
 /// The catalog of installed triggers.
 #[derive(Debug, Default)]
@@ -199,18 +55,9 @@ pub struct TriggerCatalog {
     triggers: Vec<InstalledTrigger>,
     next_seq: u64,
     pub order: OrderPolicy,
-    /// Per-action-time dispatch summaries (Before/After/OnCommit/Detached),
-    /// rebuilt on install/drop/enable changes.
-    summaries: [DispatchSummary; 4],
-}
-
-fn time_slot(time: ActionTime) -> usize {
-    match time {
-        ActionTime::Before => 0,
-        ActionTime::After => 1,
-        ActionTime::OnCommit => 2,
-        ActionTime::Detached => 3,
-    }
+    /// The dispatch index, `[time as usize][kind as usize]`; rebuilt on
+    /// install/drop/enable, which are rare next to statement dispatch.
+    index: [[Buckets; EventKind::COUNT]; 4],
 }
 
 impl TriggerCatalog {
@@ -230,7 +77,7 @@ impl TriggerCatalog {
             seq,
             enabled: true,
         });
-        self.rebuild_summaries();
+        self.reindex();
         Ok(seq)
     }
 
@@ -240,7 +87,7 @@ impl TriggerCatalog {
         self.triggers.retain(|t| t.spec.name != name);
         let dropped = self.triggers.len() != before;
         if dropped {
-            self.rebuild_summaries();
+            self.reindex();
         }
         dropped
     }
@@ -248,7 +95,7 @@ impl TriggerCatalog {
     /// Drop all triggers (APOC `dropAll`).
     pub fn drop_all(&mut self) {
         self.triggers.clear();
-        self.rebuild_summaries();
+        self.reindex();
     }
 
     /// Pause (`false`) or resume (`true`) a trigger; `true` if found.
@@ -256,35 +103,28 @@ impl TriggerCatalog {
         match self.triggers.iter_mut().find(|t| t.spec.name == name) {
             Some(t) => {
                 t.enabled = enabled;
-                self.rebuild_summaries();
+                self.reindex();
                 true
             }
             None => false,
         }
     }
 
-    /// Recompute the per-action-time dispatch summaries. Catalog mutations
-    /// are rare next to statement dispatch, so summaries are maintained
-    /// eagerly here and read lock-step on every statement.
-    fn rebuild_summaries(&mut self) {
-        let mut summaries: [DispatchSummary; 4] = Default::default();
+    /// Rebuild the dispatch index from the enabled triggers. A spec with no
+    /// event kind (`validate_spec` rejects it) monitors nothing.
+    fn reindex(&mut self) {
+        self.index = Default::default();
         for t in self.triggers.iter().filter(|t| t.enabled) {
-            let s = &mut summaries[time_slot(t.spec.time)];
-            s.kinds |= kind_bit(t.spec.event, t.spec.item);
-            // Bucket by how `affected_items` actually dispatches: only
-            // SET/REMOVE events key on the monitored property; a property
-            // on a CREATE/DELETE trigger is ignored there, so the trigger
-            // must gate on its label like any creation/deletion trigger.
-            match (&t.spec.event, &t.spec.property) {
-                (EventType::Set | EventType::Remove, Some(p)) => {
-                    s.prop_keys.insert(p.clone());
-                }
-                _ => {
-                    s.labels.insert(t.spec.label.clone());
-                }
-            }
+            let Some(kind) = t.spec.kind() else { continue };
+            let name = match &t.spec.property {
+                Some(key) if kind.on_property() => key,
+                _ => &t.spec.label,
+            };
+            self.index[t.spec.time as usize][kind as usize]
+                .entry(name.clone())
+                .or_default()
+                .push((t.seq, Arc::clone(&t.spec)));
         }
-        self.summaries = summaries;
     }
 
     pub fn get(&self, name: &str) -> Option<&InstalledTrigger> {
@@ -304,55 +144,70 @@ impl TriggerCatalog {
         self.triggers.iter()
     }
 
-    /// Enabled triggers with the given action time, in activation order.
-    pub fn scheduled(&self, time: ActionTime) -> Vec<&InstalledTrigger> {
-        let mut out: Vec<&InstalledTrigger> = self
-            .triggers
-            .iter()
-            .filter(|t| t.enabled && t.spec.time == time)
-            .collect();
+    /// Whether any enabled trigger has this action time.
+    pub(crate) fn armed(&self, time: ActionTime) -> bool {
+        self.index[time as usize].iter().any(|b| !b.is_empty())
+    }
+
+    /// The enabled triggers of `time` whose event can intersect `delta`, in
+    /// activation order. Exact on event kind, on the target label/type of
+    /// creation/deletion/label events and on the monitored key of property
+    /// events; a property trigger's target-label check needs the graph and
+    /// is left to [`crate::binding::bind`]. One walk over the delta, one
+    /// `&str` probe per touched label/type/key, nothing allocated unless a
+    /// trigger matches.
+    pub fn matching(&self, time: ActionTime, delta: &Delta) -> Vec<Arc<TriggerSpec>> {
+        let cell = &self.index[time as usize];
+        // Distinct buckets hold distinct triggers, so de-duplicating the
+        // buckets a bulk statement hits repeatedly is enough.
+        let mut hits: Vec<&Bucket> = Vec::new();
+        let mut probe = |kind: EventKind, name: &str| {
+            if let Some(bucket) = cell[kind as usize].get(name) {
+                if !hits.iter().any(|h| std::ptr::eq(*h, bucket)) {
+                    hits.push(bucket);
+                }
+            }
+        };
+        for n in &delta.created_nodes {
+            n.labels
+                .iter()
+                .for_each(|l| probe(EventKind::NodeCreated, l));
+        }
+        for n in &delta.deleted_nodes {
+            n.labels
+                .iter()
+                .for_each(|l| probe(EventKind::NodeDeleted, l));
+        }
+        for r in &delta.created_rels {
+            probe(EventKind::RelCreated, &r.rel_type);
+        }
+        for r in &delta.deleted_rels {
+            probe(EventKind::RelDeleted, &r.rel_type);
+        }
+        for e in &delta.assigned_labels {
+            probe(EventKind::LabelSet, &e.label);
+        }
+        for e in &delta.removed_labels {
+            probe(EventKind::LabelRemoved, &e.label);
+        }
+        for p in &delta.assigned_node_props {
+            probe(EventKind::NodePropSet, &p.key);
+        }
+        for p in &delta.removed_node_props {
+            probe(EventKind::NodePropRemoved, &p.key);
+        }
+        for p in &delta.assigned_rel_props {
+            probe(EventKind::RelPropSet, &p.key);
+        }
+        for p in &delta.removed_rel_props {
+            probe(EventKind::RelPropRemoved, &p.key);
+        }
+        let mut matched: Vec<_> = hits.into_iter().flatten().collect();
         match self.order {
-            OrderPolicy::CreationTime => out.sort_by_key(|t| t.seq),
-            OrderPolicy::Name => out.sort_by(|a, b| a.spec.name.cmp(&b.spec.name)),
+            OrderPolicy::CreationTime => matched.sort_by_key(|(seq, _)| *seq),
+            OrderPolicy::Name => matched.sort_by(|a, b| a.1.name.cmp(&b.1.name)),
         }
-        out
-    }
-
-    /// O(1)-ish phase gate: could **any** enabled trigger of `time` match a
-    /// statement with this delta signature? Checked before building a
-    /// `PreStateView` or cloning anything. Exact on event kinds, on the
-    /// target labels of creation/deletion/label-event triggers, and on the
-    /// monitored keys of property-event triggers (the latter's label check
-    /// is deferred to `affected_items`).
-    pub fn wants(&self, time: ActionTime, sig: &DeltaSignature) -> bool {
-        let s = &self.summaries[time_slot(time)];
-        if s.kinds & sig.kinds == 0 {
-            return false;
-        }
-        !s.labels.is_disjoint(&sig.labels) || !s.prop_keys.is_disjoint(&sig.prop_keys)
-    }
-
-    /// Enabled triggers of `time` whose event can intersect the delta, in
-    /// activation order, as shared specs (no deep clones).
-    pub fn scheduled_matching(
-        &self,
-        time: ActionTime,
-        sig: &DeltaSignature,
-    ) -> Vec<Arc<TriggerSpec>> {
-        self.scheduled(time)
-            .into_iter()
-            .filter(|t| sig.may_match(&t.spec))
-            .map(|t| Arc::clone(&t.spec))
-            .collect()
-    }
-
-    /// Enabled triggers of `time` as shared specs, unfiltered (ONCOMMIT
-    /// rounds re-filter per round against each round's delta).
-    pub fn scheduled_specs(&self, time: ActionTime) -> Vec<Arc<TriggerSpec>> {
-        self.scheduled(time)
-            .into_iter()
-            .map(|t| Arc::clone(&t.spec))
-            .collect()
+        matched.into_iter().map(|(_, s)| Arc::clone(s)).collect()
     }
 }
 
@@ -360,6 +215,7 @@ impl TriggerCatalog {
 mod tests {
     use super::*;
     use crate::ddl::{parse_trigger_ddl, DdlStatement};
+    use pg_graph::{NodeId, NodeRecord, PropAssign, Value};
 
     fn spec(name: &str, time: &str) -> TriggerSpec {
         let src = format!(
@@ -371,17 +227,32 @@ mod tests {
         }
     }
 
+    /// The delta of a statement creating one node labelled `label`.
+    fn created(label: &str) -> Delta {
+        let mut rec = NodeRecord::new(NodeId(1));
+        rec.labels.insert(label.to_string());
+        Delta {
+            created_nodes: vec![rec],
+            ..Delta::default()
+        }
+    }
+
+    fn names(c: &TriggerCatalog, time: ActionTime, delta: &Delta) -> Vec<String> {
+        c.matching(time, delta)
+            .iter()
+            .map(|s| s.name.clone())
+            .collect()
+    }
+
     #[test]
     fn install_orders_by_creation() {
         let mut c = TriggerCatalog::new();
         c.install(spec("zeta", "AFTER")).unwrap();
         c.install(spec("alpha", "AFTER")).unwrap();
-        let names: Vec<_> = c
-            .scheduled(ActionTime::After)
-            .iter()
-            .map(|t| t.spec.name.clone())
-            .collect();
-        assert_eq!(names, vec!["zeta", "alpha"]);
+        assert_eq!(
+            names(&c, ActionTime::After, &created("L")),
+            vec!["zeta", "alpha"]
+        );
     }
 
     #[test]
@@ -390,12 +261,10 @@ mod tests {
         c.order = OrderPolicy::Name;
         c.install(spec("zeta", "AFTER")).unwrap();
         c.install(spec("alpha", "AFTER")).unwrap();
-        let names: Vec<_> = c
-            .scheduled(ActionTime::After)
-            .iter()
-            .map(|t| t.spec.name.clone())
-            .collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        assert_eq!(
+            names(&c, ActionTime::After, &created("L")),
+            vec!["alpha", "zeta"]
+        );
     }
 
     #[test]
@@ -409,99 +278,75 @@ mod tests {
     }
 
     #[test]
-    fn delta_signature_prefilters_by_label_and_kind() {
-        use pg_graph::{NodeId, NodeRecord};
+    fn matching_filters_by_label_kind_and_time() {
         let mut c = TriggerCatalog::new();
-        c.install(spec("on_a", "AFTER")).unwrap(); // AFTER CREATE ON 'L'
+        c.install(spec("on_l", "AFTER")).unwrap(); // AFTER CREATE ON 'L'
         let mut other = spec("on_b", "AFTER");
         other.label = "B".into();
         c.install(other).unwrap();
 
-        // a statement creating only a :B node
-        let mut delta = Delta::default();
-        let mut rec = NodeRecord::new(NodeId(1));
-        rec.labels.insert("B".to_string());
-        delta.created_nodes.push(rec);
-        let sig = DeltaSignature::of(&delta);
-
-        // the :L trigger is filtered out before any evaluation…
-        let matching = c.scheduled_matching(ActionTime::After, &sig);
-        assert_eq!(matching.len(), 1);
-        assert_eq!(matching[0].label, "B");
-        // …and the phase gate still opens (one trigger matches)
-        assert!(c.wants(ActionTime::After, &sig));
-        // no BEFORE triggers installed at all: that phase is gated off
-        assert!(!c.wants(ActionTime::Before, &sig));
-
-        // a label-disjoint statement gates the whole AFTER phase off
-        let mut delta2 = Delta::default();
-        let mut rec2 = NodeRecord::new(NodeId(2));
-        rec2.labels.insert("Unrelated".to_string());
-        delta2.created_nodes.push(rec2);
-        let sig2 = DeltaSignature::of(&delta2);
-        assert!(!c.wants(ActionTime::After, &sig2));
-        assert!(c.scheduled_matching(ActionTime::After, &sig2).is_empty());
-
-        // an event-kind-disjoint statement (deletion) gates it off too
-        let mut delta3 = Delta::default();
-        let mut rec3 = NodeRecord::new(NodeId(3));
-        rec3.labels.insert("L".to_string());
-        delta3.deleted_nodes.push(rec3);
-        let sig3 = DeltaSignature::of(&delta3);
-        assert!(!c.wants(ActionTime::After, &sig3));
+        // a statement creating only a :B node: the :L trigger is skipped
+        assert_eq!(names(&c, ActionTime::After, &created("B")), vec!["on_b"]);
+        // no BEFORE triggers installed at all
+        assert!(c.matching(ActionTime::Before, &created("B")).is_empty());
+        assert!(!c.armed(ActionTime::Before));
+        // a label-disjoint statement matches nothing
+        assert!(c
+            .matching(ActionTime::After, &created("Unrelated"))
+            .is_empty());
+        // nor does an event-kind-disjoint one (deletion of an :L node)
+        let deletion = Delta {
+            deleted_nodes: created("L").created_nodes,
+            ..Delta::default()
+        };
+        assert!(c.matching(ActionTime::After, &deletion).is_empty());
+        // a bulk statement hitting one bucket many times yields it once
+        let mut bulk = created("L");
+        bulk.created_nodes.extend(created("L").created_nodes);
+        assert_eq!(names(&c, ActionTime::After, &bulk), vec!["on_l"]);
     }
 
     #[test]
     fn property_event_triggers_filter_by_key_not_label() {
-        use pg_graph::{NodeId, PropAssign, Value};
         let src = "CREATE TRIGGER p AFTER SET ON 'L'.'occupancy' FOR EACH NODE
                    BEGIN CREATE (:X) END";
         let mut c = TriggerCatalog::new();
-        match crate::ddl::parse_trigger_ddl(src).unwrap() {
-            crate::ddl::DdlStatement::CreateTrigger(s) => c.install(s).unwrap(),
+        match parse_trigger_ddl(src).unwrap() {
+            DdlStatement::CreateTrigger(s) => c.install(s).unwrap(),
             _ => panic!(),
         };
+        let assigned = |key: &str| Delta {
+            assigned_node_props: vec![PropAssign {
+                target: NodeId(1),
+                key: key.into(),
+                old: Value::Null,
+                new: Value::Float(0.97),
+            }],
+            ..Delta::default()
+        };
         // assignment of the monitored key on an unlabeled node: the label
-        // check cannot be decided from the delta — must stay scheduled
-        let mut delta = Delta::default();
-        delta.assigned_node_props.push(PropAssign {
-            target: NodeId(1),
-            key: "occupancy".into(),
-            old: Value::Null,
-            new: Value::Float(0.97),
-        });
-        let sig = DeltaSignature::of(&delta);
-        assert!(c.wants(ActionTime::After, &sig));
-        assert_eq!(c.scheduled_matching(ActionTime::After, &sig).len(), 1);
+        // check cannot be decided from the delta — must stay a candidate
+        assert_eq!(
+            c.matching(ActionTime::After, &assigned("occupancy")).len(),
+            1
+        );
         // a different key is filtered out
-        let mut delta2 = Delta::default();
-        delta2.assigned_node_props.push(PropAssign {
-            target: NodeId(1),
-            key: "other".into(),
-            old: Value::Null,
-            new: Value::Int(1),
-        });
-        let sig2 = DeltaSignature::of(&delta2);
-        assert!(!c.wants(ActionTime::After, &sig2));
+        assert!(c.matching(ActionTime::After, &assigned("other")).is_empty());
     }
 
     #[test]
-    fn summaries_track_enable_disable_and_drop() {
-        use pg_graph::{NodeId, NodeRecord};
+    fn index_tracks_enable_disable_and_drop() {
         let mut c = TriggerCatalog::new();
         c.install(spec("t", "AFTER")).unwrap();
-        let mut delta = Delta::default();
-        let mut rec = NodeRecord::new(NodeId(1));
-        rec.labels.insert("L".to_string());
-        delta.created_nodes.push(rec);
-        let sig = DeltaSignature::of(&delta);
-        assert!(c.wants(ActionTime::After, &sig));
+        let delta = created("L");
+        assert_eq!(c.matching(ActionTime::After, &delta).len(), 1);
         c.set_enabled("t", false);
-        assert!(!c.wants(ActionTime::After, &sig));
+        assert!(c.matching(ActionTime::After, &delta).is_empty());
+        assert!(!c.armed(ActionTime::After));
         c.set_enabled("t", true);
-        assert!(c.wants(ActionTime::After, &sig));
+        assert_eq!(c.matching(ActionTime::After, &delta).len(), 1);
         c.drop_trigger("t");
-        assert!(!c.wants(ActionTime::After, &sig));
+        assert!(c.matching(ActionTime::After, &delta).is_empty());
     }
 
     #[test]
@@ -509,14 +354,14 @@ mod tests {
         let mut c = TriggerCatalog::new();
         c.install(spec("a", "AFTER")).unwrap();
         c.install(spec("b", "ONCOMMIT")).unwrap();
-        assert_eq!(c.scheduled(ActionTime::After).len(), 1);
-        assert_eq!(c.scheduled(ActionTime::OnCommit).len(), 1);
+        assert!(c.armed(ActionTime::After) && c.armed(ActionTime::OnCommit));
         assert!(c.set_enabled("a", false));
-        assert!(c.scheduled(ActionTime::After).is_empty());
+        assert!(!c.armed(ActionTime::After));
         assert!(c.set_enabled("a", true));
         assert!(c.drop_trigger("a"));
         assert!(!c.drop_trigger("a"));
         c.drop_all();
         assert!(c.is_empty());
+        assert!(!c.armed(ActionTime::OnCommit));
     }
 }

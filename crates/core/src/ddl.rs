@@ -431,12 +431,8 @@ fn parse_condition(text: &str) -> Result<Query, InstallError> {
 
 /// Install-time semantic checks (paper §4.2).
 pub fn validate_spec(spec: &TriggerSpec) -> Result<(), InstallError> {
-    // Label events exist only for nodes (the 10-kind event matrix of §5.1:
-    // {label, node-property, relationship-property} × {set, removal}).
-    if spec.property.is_none()
-        && matches!(spec.event, EventType::Set | EventType::Remove)
-        && spec.item == ItemKind::Relationship
-    {
+    // Label events exist only for nodes (see [`crate::spec::EventKind`]).
+    if spec.kind().is_none() {
         return Err(InstallError::Syntax(
             "SET/REMOVE on a relationship requires a property (relationship types are immutable)"
                 .into(),

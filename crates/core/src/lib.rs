@@ -50,7 +50,7 @@ pub mod session;
 pub mod spec;
 pub mod termination;
 
-pub use catalog::{DeltaSignature, InstalledTrigger, OrderPolicy, TriggerCatalog};
+pub use catalog::{InstalledTrigger, OrderPolicy, TriggerCatalog};
 // The durability layer, re-exported so downstream crates can open durable
 // sessions without a direct `pg-wal` dependency.
 pub use ddl::{
@@ -65,5 +65,7 @@ pub use pg_wal::{
 pub use read_session::ReadSession;
 pub use schema_guard::{EnforcementMode, SchemaGuard, SchemaViolation};
 pub use session::{EngineConfig, EngineStats, ExecResult, Session};
-pub use spec::{ActionTime, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec};
+pub use spec::{
+    ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,
+};
 pub use termination::{analyze, TerminationReport};

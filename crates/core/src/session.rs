@@ -21,8 +21,7 @@
 //!    autonomous transaction; failures are recorded but do not affect the
 //!    committed transaction.
 
-use crate::binding::{affected_items, seed_rows, Affected};
-use crate::catalog::{DeltaSignature, OrderPolicy, TriggerCatalog};
+use crate::catalog::{OrderPolicy, TriggerCatalog};
 use crate::ddl::{parse_index_ddl, parse_trigger_ddl, DdlStatement, IndexDdl};
 use crate::error::{InstallError, TriggerError};
 use crate::spec::{ActionTime, TriggerSpec};
@@ -30,13 +29,17 @@ use pg_cypher::{
     run_prepared, CypherError, Params, Prepared, Query, QueryOutput, Row, StatementCache,
     StatementClass, Target,
 };
-use pg_graph::{Graph, IndexDef, PreStateView, StatementMark, WritePolicy};
+use pg_graph::{Delta, Graph, IndexDef, ItemRef, PreStateView, StatementMark, WritePolicy};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Captured DETACHED activations: each entry is one activation unit's
 /// trigger (shared) and seed rows.
 type DetachedQueue = VecDeque<(Arc<TriggerSpec>, Vec<Row>)>;
+
+/// A trigger activated by a delta: its activation units (seed rows) and
+/// the NEW items they are about — see [`crate::binding::bind`].
+type Bound = (Arc<TriggerSpec>, Vec<Vec<Row>>, Vec<ItemRef>);
 
 use crate::schema_guard::SchemaGuard;
 
@@ -299,8 +302,9 @@ impl Session {
         self.stats = EngineStats::default();
     }
 
-    /// Failures of DETACHED triggers from the most recent commit (they do
-    /// not fail the transaction, per §4.2).
+    /// Failures of DETACHED triggers (they do not fail the transaction, per
+    /// §4.2). They persist until the next commit that *runs* DETACHED
+    /// activations, which replaces them with its own.
     pub fn detached_errors(&self) -> &[(String, TriggerError)] {
         &self.detached_errors
     }
@@ -575,42 +579,38 @@ impl Session {
         }
     }
 
+    /// The one bind step every action time goes through: ask the catalog
+    /// which triggers of `time` can match `delta` (the net effect of the ops
+    /// since `mark`) and — only if some do — unwind those ops into one
+    /// pre-state view and bind each candidate against it. Returns the
+    /// activated triggers in activation order; the rows are owned, so the
+    /// op-log borrow ends here, before any trigger statement runs.
+    fn bind(&self, time: ActionTime, mark: StatementMark, delta: &Delta) -> Vec<Bound> {
+        let matched = self.catalog.matching(time, delta);
+        if matched.is_empty() {
+            return Vec::new();
+        }
+        let pre = PreStateView::new(&self.graph, self.graph.ops_since(mark));
+        let mut bound = Vec::with_capacity(matched.len());
+        for spec in matched {
+            let (units, new_refs) = crate::binding::bind(&spec, delta, &pre, &self.graph);
+            if !units.is_empty() {
+                bound.push((spec, units, new_refs));
+            }
+        }
+        bound
+    }
+
     /// ONCOMMIT fixpoint + detached activation capture + store commit.
     fn commit_inner(&mut self, tx_mark: StatementMark) -> Result<DetachedQueue, TriggerError> {
-        let oncommit = self.catalog.scheduled_specs(ActionTime::OnCommit);
-
         let mut round_mark = tx_mark;
         let mut rounds = 0usize;
-        loop {
-            if self.graph.ops_since(round_mark).is_empty() {
-                break;
-            }
-            let delta = self.graph.delta_since(round_mark);
-            if delta.is_empty() || oncommit.is_empty() {
-                break;
-            }
-            // Event-keyed pre-filter: skip the round (and the PreStateView)
-            // when no ONCOMMIT trigger's event intersects the round delta.
-            let sig = DeltaSignature::of(&delta);
-            if !self.catalog.wants(ActionTime::OnCommit, &sig) {
-                break;
-            }
+        while self.catalog.armed(ActionTime::OnCommit)
+            && !self.graph.ops_since(round_mark).is_empty()
+        {
             // Activations for this round are bound against the round delta.
-            let mut activations: Vec<(Arc<TriggerSpec>, Vec<Row>, Affected)> = Vec::new();
-            {
-                let ops = self.graph.ops_since(round_mark);
-                let pre = PreStateView::new(&self.graph, ops);
-                for spec in &oncommit {
-                    if !sig.may_match(spec) {
-                        continue;
-                    }
-                    let affected = affected_items(spec, &delta, &pre, &self.graph);
-                    if !affected.is_empty() {
-                        let seeds = seed_rows(spec, &affected);
-                        activations.push((Arc::clone(spec), seeds, affected));
-                    }
-                }
-            }
+            let delta = self.graph.delta_since(round_mark);
+            let activations = self.bind(ActionTime::OnCommit, round_mark, &delta);
             if activations.is_empty() {
                 break;
             }
@@ -619,50 +619,34 @@ impl Session {
             if rounds > self.config.max_commit_rounds {
                 return Err(TriggerError::CommitFixpointDiverged { rounds });
             }
-            let next_mark = self.graph.mark();
+            round_mark = self.graph.mark();
             let mut fired_any = false;
-            for (spec, seeds, _aff) in activations {
-                for unit in activation_units(&spec, seeds) {
+            for (spec, units, _) in activations {
+                for unit in units {
                     fired_any |= self.activate(&spec, unit, 0)?;
                 }
             }
             if !fired_any {
                 break;
             }
-            round_mark = next_mark;
         }
 
-        // Capture DETACHED activations against the full transaction delta
-        // before the op log disappears with the commit.
-        let detached = self.catalog.scheduled_specs(ActionTime::Detached);
+        // One transaction delta serves both consumers of the net effect.
         let mut queue = VecDeque::new();
-        if !detached.is_empty() {
+        if self.catalog.armed(ActionTime::Detached) || self.schema.is_some() {
             let tx_delta = self.graph.delta_since(tx_mark);
-            let sig = DeltaSignature::of(&tx_delta);
-            if self.catalog.wants(ActionTime::Detached, &sig) {
-                let tx_ops = self.graph.ops_since(tx_mark);
-                let pre = PreStateView::new(&self.graph, tx_ops);
-                for spec in detached {
-                    if !sig.may_match(&spec) {
-                        continue;
-                    }
-                    let affected = affected_items(&spec, &tx_delta, &pre, &self.graph);
-                    if !affected.is_empty() {
-                        for unit in activation_units(&spec, seed_rows(&spec, &affected)) {
-                            queue.push_back((Arc::clone(&spec), unit));
-                        }
-                    }
-                }
+            // Capture DETACHED activations before the op log disappears
+            // with the commit.
+            for (spec, units, _) in self.bind(ActionTime::Detached, tx_mark, &tx_delta) {
+                queue.extend(units.into_iter().map(|unit| (Arc::clone(&spec), unit)));
             }
-        }
-
-        // Schema guard: the transaction's net effect must conform (§2
-        // PG-Schema + triggers-as-constraints). Violations roll back.
-        if let Some(guard) = &self.schema {
-            let tx_delta = self.graph.delta_since(tx_mark);
-            guard
-                .check(&self.graph, &tx_delta)
-                .map_err(TriggerError::Schema)?;
+            // Schema guard: the transaction's net effect must conform (§2
+            // PG-Schema + triggers-as-constraints). Violations roll back.
+            if let Some(guard) = &self.schema {
+                guard
+                    .check(&self.graph, &tx_delta)
+                    .map_err(TriggerError::Schema)?;
+            }
         }
 
         self.graph.commit()?;
@@ -747,13 +731,9 @@ impl Session {
         Ok(out)
     }
 
-    /// BEFORE + AFTER processing for the ops recorded since `mark`.
-    ///
-    /// Dispatch fast path: the statement delta is compressed into a
-    /// [`DeltaSignature`] once, and each phase is skipped wholesale —
-    /// before any op-log copy or `PreStateView` — when no enabled
-    /// trigger's event can intersect it; surviving triggers are shared via
-    /// `Arc`, never deep-cloned per statement.
+    /// BEFORE + AFTER processing for the ops recorded since `mark`. A
+    /// statement no trigger watches costs one delta normalisation and two
+    /// index walks; nothing else is built.
     fn fire_statement_triggers(
         &mut self,
         mark: StatementMark,
@@ -765,100 +745,66 @@ impl Session {
         if self.graph.ops_since(mark).is_empty() {
             return Ok(());
         }
-        let delta = self.graph.delta_since(mark);
-        if delta.is_empty() {
-            return Ok(());
-        }
-        let sig = DeltaSignature::of(&delta);
+        let mut delta = self.graph.delta_since(mark);
 
         // ---- BEFORE triggers -------------------------------------------
-        if self.catalog.wants(ActionTime::Before, &sig) {
-            let before = self.catalog.scheduled_matching(ActionTime::Before, &sig);
-            // One op-log copy for the whole phase (the copy is needed: the
-            // slice borrow cannot live across the statement executions
-            // below). The PreStateView stays per-spec — each BEFORE
-            // trigger's condition must observe the NEW-state conditioning
-            // applied by the triggers before it (§4.2 sequencing).
-            let ops = self.graph.ops_since(mark).to_vec();
-            for spec in before {
-                let (units, allowed) = {
-                    let pre = PreStateView::new(&self.graph, &ops);
-                    let affected = affected_items(&spec, &delta, &pre, &self.graph);
-                    if affected.is_empty() {
-                        continue;
-                    }
-                    let seeds = seed_rows(&spec, &affected);
-                    let allowed = affected.new_refs();
-                    // BEFORE conditions see the pre-statement state overlaid
-                    // with the proposed state of the NEW items (§4.2).
-                    let view = crate::overlay::NewStateOverlay::new(
-                        pre,
-                        &self.graph,
-                        allowed.iter().copied(),
-                    );
-                    let mut units = Vec::new();
-                    for unit in activation_units(&spec, seeds) {
-                        units.push(eval_condition(&view, &spec, unit, self.now_ms)?);
-                    }
-                    (units, allowed)
-                };
-                for surviving in units {
-                    if surviving.is_empty() {
-                        self.stats.suppressed += 1;
-                        continue;
-                    }
-                    // BEFORE statements may only condition the NEW items (§4.2).
-                    let prev = self.graph.set_write_policy(WritePolicy::ConditionNewOnly(
-                        allowed.iter().copied().collect(),
-                    ));
-                    let res = run_prepared(
-                        Target::Write(&mut self.graph),
-                        &spec.statement,
-                        surviving,
-                        &Params::new(),
-                        self.now_ms,
-                    );
-                    self.graph.set_write_policy(prev);
-                    res?;
-                    self.stats.fired += 1;
+        // The whole phase is bound up front, so every OLD is the state
+        // before the activating statement (§4.2) — not a state an earlier
+        // BEFORE trigger already conditioned.
+        let mut conditioned = false;
+        for (spec, units, allowed) in self.bind(ActionTime::Before, mark, &delta) {
+            // Conditions are evaluated in sequence: each observes the
+            // pre-statement state overlaid with the proposed state of its
+            // NEW items, including the conditioning applied by the BEFORE
+            // triggers before it — so the pre-state unwinds everything
+            // since `mark`, their statements included.
+            let surviving = if spec.condition.is_some() {
+                let pre = PreStateView::new(&self.graph, self.graph.ops_since(mark));
+                let view =
+                    crate::overlay::NewStateOverlay::new(pre, &self.graph, allowed.iter().copied());
+                let mut surviving = Vec::with_capacity(units.len());
+                for unit in units {
+                    surviving.push(eval_condition(&view, &spec, unit, self.now_ms)?);
                 }
-            }
-        }
-
-        // BEFORE triggers may have conditioned NEW properties; recompute the
-        // statement delta so AFTER triggers observe the final values.
-        let delta = self.graph.delta_since(mark);
-        let sig = DeltaSignature::of(&delta);
-
-        // ---- AFTER triggers (cascading) --------------------------------
-        if !self.catalog.wants(ActionTime::After, &sig) {
-            return Ok(());
-        }
-        let after = self.catalog.scheduled_matching(ActionTime::After, &sig);
-        if after.is_empty() {
-            return Ok(());
-        }
-        // All AFTER activations are bound against the activating
-        // statement's delta and pre-state (SQL3: the triggering statement
-        // determines the affected rows; sibling triggers' own effects
-        // activate triggers through their own cascade) — so one
-        // PreStateView serves every AFTER trigger of this statement.
-        let ops = self.graph.ops_since(mark).to_vec();
-        let mut activations: Vec<(Arc<TriggerSpec>, Vec<Vec<Row>>)> = Vec::new();
-        {
-            let pre = PreStateView::new(&self.graph, &ops);
-            for spec in after {
-                let affected = affected_items(&spec, &delta, &pre, &self.graph);
-                if affected.is_empty() {
+                surviving
+            } else {
+                units
+            };
+            for rows in surviving {
+                if rows.is_empty() {
+                    self.stats.suppressed += 1;
                     continue;
                 }
-                let units = activation_units(&spec, seed_rows(&spec, &affected));
-                activations.push((spec, units));
+                // BEFORE statements may only condition the NEW items (§4.2).
+                let prev = self.graph.set_write_policy(WritePolicy::ConditionNewOnly(
+                    allowed.iter().copied().collect(),
+                ));
+                let res = run_prepared(
+                    Target::Write(&mut self.graph),
+                    &spec.statement,
+                    rows,
+                    &Params::new(),
+                    self.now_ms,
+                );
+                self.graph.set_write_policy(prev);
+                res?;
+                self.stats.fired += 1;
+                conditioned = true;
             }
         }
-        for (spec, units) in activations {
-            // FOR EACH: one statement execution per affected item (SQL3
-            // row-trigger semantics); FOR ALL: one per statement.
+        if conditioned {
+            // AFTER triggers observe the conditioned NEW values.
+            delta = self.graph.delta_since(mark);
+        }
+
+        // ---- AFTER triggers (cascading) --------------------------------
+        // All AFTER activations are bound against the activating
+        // statement's delta and pre-state before the first one runs (SQL3:
+        // the triggering statement determines the affected rows; sibling
+        // triggers' own effects activate triggers through their own
+        // cascade). FOR EACH: one statement execution per affected item
+        // (SQL3 row-trigger semantics); FOR ALL: one per statement.
+        for (spec, units, _) in self.bind(ActionTime::After, mark, &delta) {
             for unit in units {
                 self.activate(&spec, unit, depth)?;
             }
@@ -913,16 +859,6 @@ impl Session {
 /// to the transition variables and any bindings established by the
 /// condition, as in the paper's `NewCriticalLineage` and
 /// `MoveToNearHospital` examples).
-/// Split seed rows into activation units: `FOR EACH` executes the
-/// condition and statement once per affected item; `FOR ALL` once per
-/// statement (paper §4.2 "Granularity").
-fn activation_units(spec: &TriggerSpec, seeds: Vec<Row>) -> Vec<Vec<Row>> {
-    match spec.granularity {
-        crate::spec::Granularity::Each => seeds.into_iter().map(|s| vec![s]).collect(),
-        crate::spec::Granularity::All => vec![seeds],
-    }
-}
-
 fn eval_condition(
     view: &dyn pg_graph::GraphView,
     spec: &TriggerSpec,

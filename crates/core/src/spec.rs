@@ -158,34 +158,108 @@ impl TriggerSpec {
     }
 }
 
+/// The paper's event matrix (§4.2/§5.1), written once:
+/// `{node, relationship} × {creation, deletion}` ∪
+/// `{label, node-property, relationship-property} × {set, removal}`.
+/// Everything between a statement's delta and an activation — dispatch,
+/// binding, the triggering graph, the APOC/Memgraph translations — is a
+/// function of these ten kinds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    NodeCreated,
+    NodeDeleted,
+    RelCreated,
+    RelDeleted,
+    LabelSet,
+    LabelRemoved,
+    NodePropSet,
+    NodePropRemoved,
+    RelPropSet,
+    RelPropRemoved,
+}
+
+impl EventKind {
+    /// Number of kinds (sizes per-kind tables indexed by `kind as usize`).
+    pub const COUNT: usize = 10;
+
+    /// The one interpretation of a DDL `(event, item, property?)` triple.
+    /// `None` exactly for `SET`/`REMOVE` on a relationship without a
+    /// property: relationship types are immutable, so that combination
+    /// monitors nothing. A property on a `CREATE`/`DELETE` trigger is
+    /// legal and ignored — such a trigger monitors its label.
+    pub fn of(event: EventType, item: ItemKind, on_property: bool) -> Option<EventKind> {
+        use {EventType::*, ItemKind::*};
+        Some(match (event, item, on_property) {
+            (Create, Node, _) => EventKind::NodeCreated,
+            (Delete, Node, _) => EventKind::NodeDeleted,
+            (Create, Relationship, _) => EventKind::RelCreated,
+            (Delete, Relationship, _) => EventKind::RelDeleted,
+            (Set, Node, false) => EventKind::LabelSet,
+            (Remove, Node, false) => EventKind::LabelRemoved,
+            (Set, Node, true) => EventKind::NodePropSet,
+            (Remove, Node, true) => EventKind::NodePropRemoved,
+            (Set, Relationship, true) => EventKind::RelPropSet,
+            (Remove, Relationship, true) => EventKind::RelPropRemoved,
+            (Set | Remove, Relationship, false) => return None,
+        })
+    }
+
+    /// Whether the kind monitors a property key (the other six monitor
+    /// the target label/type itself).
+    pub fn on_property(self) -> bool {
+        matches!(
+            self,
+            EventKind::NodePropSet
+                | EventKind::NodePropRemoved
+                | EventKind::RelPropSet
+                | EventKind::RelPropRemoved
+        )
+    }
+}
+
 impl TriggerSpec {
-    /// Regenerate complete, re-parseable Figure 1 DDL (condition and
-    /// statement unparsed from their ASTs). `parse_trigger_ddl(spec.to_ddl())`
-    /// yields an equivalent spec — the round-trip is tested.
-    pub fn to_ddl(&self) -> String {
-        let mut out = format!(
+    /// The event kind this trigger monitors (see [`EventKind::of`]).
+    pub fn kind(&self) -> Option<EventKind> {
+        EventKind::of(self.event, self.item, self.property.is_some())
+    }
+
+    /// The DDL up to and including the `FOR` clause — shared by
+    /// [`TriggerSpec::to_ddl`] and `Display`.
+    fn write_header(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "CREATE TRIGGER {} {} {}\nON '{}'",
             self.name,
             self.time.keyword(),
             self.event.keyword(),
             self.label
-        );
+        )?;
         if let Some(p) = &self.property {
-            out.push_str(&format!(".'{p}'"));
+            write!(out, ".'{p}'")?;
         }
-        out.push('\n');
+        writeln!(out)?;
         for (v, alias) in &self.referencing {
-            out.push_str(&format!("REFERENCING {} AS {alias}\n", v.keyword()));
+            writeln!(out, "REFERENCING {} AS {alias}", v.keyword())?;
         }
-        out.push_str(&format!(
-            "FOR {} {}\n",
+        writeln!(
+            out,
+            "FOR {} {}",
             self.granularity.keyword(),
             match (self.granularity, self.item) {
                 (Granularity::All, ItemKind::Node) => "NODES",
                 (Granularity::All, ItemKind::Relationship) => "RELATIONSHIPS",
                 (Granularity::Each, k) => k.keyword(),
             }
-        ));
+        )
+    }
+
+    /// Regenerate complete, re-parseable Figure 1 DDL (condition and
+    /// statement unparsed from their ASTs). `parse_trigger_ddl(spec.to_ddl())`
+    /// yields an equivalent spec — the round-trip is tested.
+    pub fn to_ddl(&self) -> String {
+        let mut out = String::new();
+        self.write_header(&mut out)
+            .expect("writing to a String cannot fail");
         if let Some(cond) = &self.condition {
             out.push_str(&format!(
                 "WHEN {}\n",
@@ -203,31 +277,7 @@ impl TriggerSpec {
 impl fmt::Display for TriggerSpec {
     /// Regenerates Figure 1-style DDL (used by the paper-artifact harness).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CREATE TRIGGER {} {} {}\nON '{}'",
-            self.name,
-            self.time.keyword(),
-            self.event.keyword(),
-            self.label
-        )?;
-        if let Some(p) = &self.property {
-            write!(f, ".'{p}'")?;
-        }
-        writeln!(f)?;
-        for (v, alias) in &self.referencing {
-            writeln!(f, "REFERENCING {} AS {alias}", v.keyword())?;
-        }
-        writeln!(
-            f,
-            "FOR {} {}",
-            self.granularity.keyword(),
-            match (self.granularity, self.item) {
-                (Granularity::All, ItemKind::Node) => "NODES",
-                (Granularity::All, ItemKind::Relationship) => "RELATIONSHIPS",
-                (Granularity::Each, k) => k.keyword(),
-            }
-        )?;
+        self.write_header(f)?;
         if self.condition.is_some() {
             writeln!(f, "WHEN <condition>")?;
         }

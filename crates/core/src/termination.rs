@@ -9,67 +9,221 @@
 //! terminate at run time, as the paper notes for bed-availability tests).
 
 use crate::catalog::TriggerCatalog;
-use crate::spec::{EventType, ItemKind, TriggerSpec};
-use pg_cypher::ast::{Clause, Expr, PathPattern, RemoveItem, SetItem};
+use crate::spec::{EventKind, EventType, ItemKind, TransitionVar, TriggerSpec};
+use pg_cypher::ast::{Clause, Expr, NodePattern, PathPattern, RemoveItem, SetItem};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// What part of an item an event touches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventObject {
-    /// The item itself (creation / deletion).
-    Item,
-    /// A label.
-    Label,
-    /// A property; `None` = statically unknown property.
-    Property(Option<String>),
-}
-
-/// A statically derived event pattern.
+/// A statically derived event pattern, in the engine's own vocabulary:
+/// what [`TriggerCatalog::matching`] keys on at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventPattern {
-    pub event: EventType,
-    pub item: ItemKind,
-    /// Target label; `None` = unknown/any label.
+    pub kind: EventKind,
+    /// Target label/type; `None` = statically unknown (any).
     pub label: Option<String>,
-    pub object: EventObject,
+    /// The property of a property event; `None` = statically unknown (any)
+    /// and always `None` for the six item/label kinds.
+    pub property: Option<String>,
 }
 
 impl EventPattern {
     /// Whether a generated event `g` may match a monitored event `m`.
     pub fn may_match(g: &EventPattern, m: &EventPattern) -> bool {
-        if g.event != m.event || g.item != m.item {
-            return false;
+        fn compatible(a: &Option<String>, b: &Option<String>) -> bool {
+            a.is_none() || b.is_none() || a == b
         }
-        match (&g.label, &m.label) {
-            (Some(a), Some(b)) if a != b => return false,
-            _ => {}
-        }
-        match (&g.object, &m.object) {
-            (EventObject::Item, EventObject::Item) => true,
-            (EventObject::Label, EventObject::Label) => true,
-            (EventObject::Property(a), EventObject::Property(b)) => match (a, b) {
-                (Some(x), Some(y)) => x == y,
-                _ => true, // unknown property may touch anything
-            },
-            _ => false,
-        }
+        g.kind == m.kind && compatible(&g.label, &m.label) && compatible(&g.property, &m.property)
     }
 }
 
-/// The monitored event of a trigger.
-pub fn monitored_event(spec: &TriggerSpec) -> EventPattern {
-    let object = match spec.event {
-        EventType::Create | EventType::Delete => EventObject::Item,
-        EventType::Set | EventType::Remove => match &spec.property {
-            Some(p) => EventObject::Property(Some(p.clone())),
-            None => EventObject::Label,
-        },
-    };
-    EventPattern {
-        event: spec.event,
-        item: spec.item,
+/// The monitored event of a trigger (`None` when it monitors nothing, see
+/// [`EventKind::of`]).
+pub fn monitored_event(spec: &TriggerSpec) -> Option<EventPattern> {
+    let kind = spec.kind()?;
+    Some(EventPattern {
+        kind,
         label: Some(spec.label.clone()),
-        object,
+        property: spec.property.clone().filter(|_| kind.on_property()),
+    })
+}
+
+/// Candidate labels (node variables) or types (relationship variables).
+type VarScope = BTreeMap<String, BTreeSet<String>>;
+
+/// The walk behind [`generated_events`]: what the patterns say about each
+/// variable, and the events derived so far.
+#[derive(Default)]
+struct Generated {
+    node_labels: VarScope,
+    /// Every relationship variable has an entry, possibly without types.
+    rel_types: VarScope,
+    out: Vec<EventPattern>,
+}
+
+fn nodes_of(p: &PathPattern) -> impl Iterator<Item = &NodePattern> {
+    std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n))
+}
+
+impl Generated {
+    /// Learn variable labels/types from the patterns binding them.
+    fn harvest(&mut self, clauses: &[Clause]) {
+        for c in clauses {
+            let patterns = match c {
+                Clause::Match { patterns, .. } | Clause::Create { patterns } => patterns.as_slice(),
+                Clause::Merge { pattern, .. } => std::slice::from_ref(pattern),
+                Clause::Foreach { body, .. } => {
+                    self.harvest(body);
+                    continue;
+                }
+                _ => continue,
+            };
+            for p in patterns {
+                for n in nodes_of(p) {
+                    if let Some(v) = &n.var {
+                        let known = self.node_labels.entry(v.clone()).or_default();
+                        known.extend(n.labels.iter().cloned());
+                    }
+                }
+                for (r, _) in &p.segments {
+                    if let Some(v) = &r.var {
+                        let known = self.rel_types.entry(v.clone()).or_default();
+                        known.extend(r.types.iter().cloned());
+                    }
+                }
+            }
+        }
+    }
+
+    fn push(&mut self, kind: EventKind, label: Option<String>, property: Option<&str>) {
+        let ep = EventPattern {
+            kind,
+            label,
+            property: property.map(str::to_string),
+        };
+        if !self.out.contains(&ep) {
+            self.out.push(ep);
+        }
+    }
+
+    /// What `target` is and the labels/types it may carry (`None` = any).
+    /// Anything but a known relationship variable counts as a node.
+    fn target(&self, target: &Expr) -> (ItemKind, Vec<Option<String>>) {
+        let var = match target {
+            Expr::Var(v) => Some(v),
+            _ => None,
+        };
+        let (item, known) = match var.and_then(|v| self.rel_types.get(v)) {
+            Some(types) => (ItemKind::Relationship, Some(types)),
+            None => (ItemKind::Node, var.and_then(|v| self.node_labels.get(v))),
+        };
+        let labels = match known {
+            Some(ls) if !ls.is_empty() => ls.iter().cloned().map(Some).collect(),
+            _ => vec![None],
+        };
+        (item, labels)
+    }
+
+    /// A property `event` on `target`; `key` `None` = statically unknown.
+    fn prop_event(&mut self, event: EventType, target: &Expr, key: Option<&str>) {
+        let (item, labels) = self.target(target);
+        if let Some(kind) = EventKind::of(event, item, true) {
+            for label in labels {
+                self.push(kind, label, key);
+            }
+        }
+    }
+
+    fn created(&mut self, p: &PathPattern) {
+        for (r, _) in &p.segments {
+            for t in &r.types {
+                self.push(EventKind::RelCreated, Some(t.clone()), None);
+            }
+        }
+        for n in nodes_of(p) {
+            // A node pattern with a bound var is a reuse, not a creation —
+            // but conservatively treat unbound ones as creations of each
+            // labelled kind.
+            if n.labels.is_empty() && n.var.is_none() {
+                self.push(EventKind::NodeCreated, None, None);
+            }
+            for l in &n.labels {
+                self.push(EventKind::NodeCreated, Some(l.clone()), None);
+            }
+        }
+    }
+
+    fn set_items(&mut self, items: &[SetItem]) {
+        for item in items {
+            match item {
+                SetItem::Prop { target, key, value } => {
+                    self.prop_event(EventType::Set, target, Some(key));
+                    // Assigning null removes the property.
+                    if !matches!(value, Expr::Literal(v) if !v.is_null()) {
+                        self.prop_event(EventType::Remove, target, Some(key));
+                    }
+                }
+                SetItem::Labels { labels, .. } => {
+                    for l in labels {
+                        self.push(EventKind::LabelSet, Some(l.clone()), None);
+                    }
+                }
+                // `=` drops the keys its map lacks, `+=` those it maps to
+                // null; which keys is not known statically.
+                SetItem::ReplaceProps { var, .. } | SetItem::MergeProps { var, .. } => {
+                    let target = Expr::Var(var.clone());
+                    self.prop_event(EventType::Set, &target, None);
+                    self.prop_event(EventType::Remove, &target, None);
+                }
+            }
+        }
+    }
+
+    fn walk(&mut self, clauses: &[Clause]) {
+        for c in clauses {
+            match c {
+                Clause::Create { patterns } => patterns.iter().for_each(|p| self.created(p)),
+                Clause::Merge {
+                    pattern,
+                    on_create,
+                    on_match,
+                } => {
+                    self.created(pattern);
+                    self.set_items(on_create);
+                    self.set_items(on_match);
+                }
+                Clause::Delete { detach, exprs } => {
+                    for e in exprs {
+                        let (item, labels) = self.target(e);
+                        if let Some(kind) = EventKind::of(EventType::Delete, item, false) {
+                            for label in labels {
+                                self.push(kind, label, None);
+                            }
+                        }
+                        // Detaching deletes whatever relationships the node
+                        // has; their types are not known statically.
+                        if *detach && item == ItemKind::Node {
+                            self.push(EventKind::RelDeleted, None, None);
+                        }
+                    }
+                }
+                Clause::Set { items } => self.set_items(items),
+                Clause::Remove { items } => {
+                    for item in items {
+                        match item {
+                            RemoveItem::Prop { target, key } => {
+                                self.prop_event(EventType::Remove, target, Some(key))
+                            }
+                            RemoveItem::Labels { labels, .. } => {
+                                for l in labels {
+                                    self.push(EventKind::LabelRemoved, Some(l.clone()), None);
+                                }
+                            }
+                        }
+                    }
+                }
+                Clause::Foreach { body, .. } => self.walk(body),
+                _ => {}
+            }
+        }
     }
 }
 
@@ -77,321 +231,22 @@ pub fn monitored_event(spec: &TriggerSpec) -> EventPattern {
 /// variables are inferred from the patterns binding them in the trigger's
 /// condition and statement; unknown variables yield wildcard labels.
 pub fn generated_events(spec: &TriggerSpec) -> Vec<EventPattern> {
-    // var -> candidate node labels / rel types inferred from patterns
-    let mut node_labels: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut rel_types: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut rel_vars: BTreeSet<String> = BTreeSet::new();
-
-    let mut all_clauses: Vec<&Clause> = Vec::new();
+    let mut gen = Generated::default();
     if let Some(cond) = &spec.condition {
-        all_clauses.extend(cond.query().clauses.iter());
+        gen.harvest(&cond.query().clauses);
     }
-    all_clauses.extend(spec.statement.query().clauses.iter());
-
-    fn harvest_pattern(
-        p: &PathPattern,
-        node_labels: &mut BTreeMap<String, BTreeSet<String>>,
-        rel_types: &mut BTreeMap<String, BTreeSet<String>>,
-        rel_vars: &mut BTreeSet<String>,
-    ) {
-        if let Some(v) = &p.start.var {
-            node_labels
-                .entry(v.clone())
-                .or_default()
-                .extend(p.start.labels.iter().cloned());
-        }
-        for (r, n) in &p.segments {
-            if let Some(v) = &r.var {
-                rel_vars.insert(v.clone());
-                rel_types
-                    .entry(v.clone())
-                    .or_default()
-                    .extend(r.types.iter().cloned());
-            }
-            if let Some(v) = &n.var {
-                node_labels
-                    .entry(v.clone())
-                    .or_default()
-                    .extend(n.labels.iter().cloned());
-            }
-        }
+    gen.harvest(&spec.statement.query().clauses);
+    // Transition variables carry the trigger's own target label/type.
+    for var in [TransitionVar::New, TransitionVar::Old] {
+        let scope = match spec.item {
+            ItemKind::Node => &mut gen.node_labels,
+            ItemKind::Relationship => &mut gen.rel_types,
+        };
+        let known = scope.entry(spec.var_name(var)).or_default();
+        known.insert(spec.label.clone());
     }
-
-    fn harvest_clauses<'a>(
-        clauses: impl Iterator<Item = &'a Clause>,
-        node_labels: &mut BTreeMap<String, BTreeSet<String>>,
-        rel_types: &mut BTreeMap<String, BTreeSet<String>>,
-        rel_vars: &mut BTreeSet<String>,
-    ) {
-        for c in clauses {
-            match c {
-                Clause::Match { patterns, .. } | Clause::Create { patterns } => {
-                    for p in patterns {
-                        harvest_pattern(p, node_labels, rel_types, rel_vars);
-                    }
-                }
-                Clause::Merge { pattern, .. } => {
-                    harvest_pattern(pattern, node_labels, rel_types, rel_vars)
-                }
-                Clause::Foreach { body, .. } => {
-                    harvest_clauses(body.iter(), node_labels, rel_types, rel_vars)
-                }
-                _ => {}
-            }
-        }
-    }
-    harvest_clauses(
-        all_clauses.iter().copied(),
-        &mut node_labels,
-        &mut rel_types,
-        &mut rel_vars,
-    );
-
-    // Transition variables carry the trigger's own target label.
-    for tv in ["NEW", "OLD", "NEWNODES", "OLDNODES"] {
-        let name = spec
-            .referencing
-            .iter()
-            .find(|(v, _)| v.keyword() == tv)
-            .map(|(_, a)| a.clone())
-            .unwrap_or_else(|| tv.to_string());
-        if spec.item == ItemKind::Node {
-            node_labels
-                .entry(name)
-                .or_default()
-                .insert(spec.label.clone());
-        }
-    }
-
-    let mut out: Vec<EventPattern> = Vec::new();
-    let push = |ep: EventPattern, out: &mut Vec<EventPattern>| {
-        if !out.contains(&ep) {
-            out.push(ep);
-        }
-    };
-
-    fn labels_of_expr(
-        e: &Expr,
-        node_labels: &BTreeMap<String, BTreeSet<String>>,
-    ) -> Vec<Option<String>> {
-        match e {
-            Expr::Var(v) => match node_labels.get(v) {
-                Some(ls) if !ls.is_empty() => ls.iter().cloned().map(Some).collect(),
-                _ => vec![None],
-            },
-            _ => vec![None],
-        }
-    }
-
-    fn walk(
-        clauses: &[Clause],
-        spec_item_hint: &BTreeMap<String, BTreeSet<String>>,
-        rel_types: &BTreeMap<String, BTreeSet<String>>,
-        rel_vars: &BTreeSet<String>,
-        push: &mut dyn FnMut(EventPattern),
-    ) {
-        for c in clauses {
-            match c {
-                Clause::Create { patterns } => {
-                    for p in patterns {
-                        let mut nodes = vec![&p.start];
-                        for (r, n) in &p.segments {
-                            nodes.push(n);
-                            for t in &r.types {
-                                push(EventPattern {
-                                    event: EventType::Create,
-                                    item: ItemKind::Relationship,
-                                    label: Some(t.clone()),
-                                    object: EventObject::Item,
-                                });
-                            }
-                        }
-                        for n in nodes {
-                            // A node pattern with a bound var is a reuse, not
-                            // a creation — but conservatively treat unbound
-                            // ones as creations of each labelled kind.
-                            if n.labels.is_empty() {
-                                if n.var.is_none() {
-                                    push(EventPattern {
-                                        event: EventType::Create,
-                                        item: ItemKind::Node,
-                                        label: None,
-                                        object: EventObject::Item,
-                                    });
-                                }
-                            } else {
-                                for l in &n.labels {
-                                    push(EventPattern {
-                                        event: EventType::Create,
-                                        item: ItemKind::Node,
-                                        label: Some(l.clone()),
-                                        object: EventObject::Item,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                Clause::Merge {
-                    pattern,
-                    on_create,
-                    on_match,
-                } => {
-                    walk(
-                        &[Clause::Create {
-                            patterns: vec![pattern.clone()],
-                        }],
-                        spec_item_hint,
-                        rel_types,
-                        rel_vars,
-                        push,
-                    );
-                    for items in [on_create, on_match] {
-                        walk(
-                            &[Clause::Set {
-                                items: items.clone(),
-                            }],
-                            spec_item_hint,
-                            rel_types,
-                            rel_vars,
-                            push,
-                        );
-                    }
-                }
-                Clause::Delete { exprs, .. } => {
-                    for e in exprs {
-                        if let Expr::Var(v) = e {
-                            if rel_vars.contains(v) {
-                                let types = rel_types.get(v).cloned().unwrap_or_default();
-                                if types.is_empty() {
-                                    push(EventPattern {
-                                        event: EventType::Delete,
-                                        item: ItemKind::Relationship,
-                                        label: None,
-                                        object: EventObject::Item,
-                                    });
-                                } else {
-                                    for t in types {
-                                        push(EventPattern {
-                                            event: EventType::Delete,
-                                            item: ItemKind::Relationship,
-                                            label: Some(t),
-                                            object: EventObject::Item,
-                                        });
-                                    }
-                                }
-                                continue;
-                            }
-                        }
-                        for label in labels_of_expr(e, spec_item_hint) {
-                            push(EventPattern {
-                                event: EventType::Delete,
-                                item: ItemKind::Node,
-                                label,
-                                object: EventObject::Item,
-                            });
-                        }
-                    }
-                }
-                Clause::Set { items } => {
-                    for item in items {
-                        match item {
-                            SetItem::Prop { target, key, .. } => {
-                                let is_rel = matches!(target, Expr::Var(v) if rel_vars.contains(v));
-                                let labels = if is_rel {
-                                    match target {
-                                        Expr::Var(v) => rel_types
-                                            .get(v)
-                                            .map(|ts| {
-                                                ts.iter().cloned().map(Some).collect::<Vec<_>>()
-                                            })
-                                            .filter(|v| !v.is_empty())
-                                            .unwrap_or_else(|| vec![None]),
-                                        _ => vec![None],
-                                    }
-                                } else {
-                                    labels_of_expr(target, spec_item_hint)
-                                };
-                                for label in labels {
-                                    push(EventPattern {
-                                        event: EventType::Set,
-                                        item: if is_rel {
-                                            ItemKind::Relationship
-                                        } else {
-                                            ItemKind::Node
-                                        },
-                                        label,
-                                        object: EventObject::Property(Some(key.clone())),
-                                    });
-                                }
-                            }
-                            SetItem::Labels { labels, .. } => {
-                                for l in labels {
-                                    push(EventPattern {
-                                        event: EventType::Set,
-                                        item: ItemKind::Node,
-                                        label: Some(l.clone()),
-                                        object: EventObject::Label,
-                                    });
-                                }
-                            }
-                            SetItem::ReplaceProps { var, .. } | SetItem::MergeProps { var, .. } => {
-                                for label in labels_of_expr(&Expr::Var(var.clone()), spec_item_hint)
-                                {
-                                    push(EventPattern {
-                                        event: EventType::Set,
-                                        item: ItemKind::Node,
-                                        label,
-                                        object: EventObject::Property(None),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                Clause::Remove { items } => {
-                    for item in items {
-                        match item {
-                            RemoveItem::Prop { target, key } => {
-                                for label in labels_of_expr(target, spec_item_hint) {
-                                    push(EventPattern {
-                                        event: EventType::Remove,
-                                        item: ItemKind::Node,
-                                        label,
-                                        object: EventObject::Property(Some(key.clone())),
-                                    });
-                                }
-                            }
-                            RemoveItem::Labels { labels, .. } => {
-                                for l in labels {
-                                    push(EventPattern {
-                                        event: EventType::Remove,
-                                        item: ItemKind::Node,
-                                        label: Some(l.clone()),
-                                        object: EventObject::Label,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                }
-                Clause::Foreach { body, .. } => {
-                    walk(body, spec_item_hint, rel_types, rel_vars, push)
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let mut push_fn = |ep: EventPattern| push(ep, &mut out);
-    walk(
-        &spec.statement.query().clauses,
-        &node_labels,
-        &rel_types,
-        &rel_vars,
-        &mut push_fn,
-    );
-    out
+    gen.walk(&spec.statement.query().clauses);
+    gen.out
 }
 
 /// The triggering graph and its analysis result.
@@ -415,7 +270,7 @@ impl TerminationReport {
 /// Build the triggering graph for a catalog and detect cycles.
 pub fn analyze(catalog: &TriggerCatalog) -> TerminationReport {
     let specs: Vec<&TriggerSpec> = catalog.all().map(|t| t.spec.as_ref()).collect();
-    let monitored: Vec<EventPattern> = specs.iter().map(|s| monitored_event(s)).collect();
+    let monitored: Vec<Option<EventPattern>> = specs.iter().map(|s| monitored_event(s)).collect();
     let generated: Vec<Vec<EventPattern>> = specs.iter().map(|s| generated_events(s)).collect();
 
     let mut edges = Vec::new();
@@ -423,6 +278,7 @@ pub fn analyze(catalog: &TriggerCatalog) -> TerminationReport {
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, gen) in generated.iter().enumerate() {
         for (j, mon) in monitored.iter().enumerate() {
+            let Some(mon) = mon else { continue };
             if gen.iter().any(|g| EventPattern::may_match(g, mon)) {
                 edges.push((specs[i].name.clone(), specs[j].name.clone()));
                 adj[i].push(j);
@@ -560,6 +416,60 @@ mod tests {
     }
 
     #[test]
+    fn detach_delete_closes_a_cycle_through_relationship_deletion() {
+        // The engine fires this pair until the Y nodes run out: detaching
+        // deletes relationships of a statically unknown type.
+        let c = catalog_of(&[
+            "CREATE TRIGGER a AFTER CREATE ON 'X' FOR EACH NODE
+             BEGIN MATCH (y:Y) DETACH DELETE y END",
+            "CREATE TRIGGER b AFTER DELETE ON 'R' FOR EACH RELATIONSHIP BEGIN CREATE (:X) END",
+        ]);
+        let report = analyze(&c);
+        assert!(report.edges.contains(&("a".into(), "b".into())));
+        assert_eq!(report.cyclic_triggers, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn relationship_property_removal_closes_a_cycle() {
+        let c = catalog_of(&[
+            "CREATE TRIGGER a AFTER CREATE ON 'X' FOR EACH NODE
+             BEGIN MATCH ()-[r:R]->() REMOVE r.w END",
+            "CREATE TRIGGER b AFTER REMOVE ON 'R'.'w' FOR EACH RELATIONSHIP
+             BEGIN CREATE (:X) END",
+        ]);
+        let report = analyze(&c);
+        assert!(report.edges.contains(&("a".into(), "b".into())));
+        assert_eq!(report.cyclic_triggers, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn map_and_null_assignments_generate_removals_on_the_right_item() {
+        let s = spec(
+            "CREATE TRIGGER t AFTER CREATE ON 'P' FOR EACH NODE
+             BEGIN MATCH (q:Q)-[r:R]->() SET r += {w: 1} SET q = {} SET q.k = null SET q.j = 1 END",
+        );
+        let gen = generated_events(&s);
+        let has = |kind, label: &str, property: Option<&str>| {
+            gen.contains(&EventPattern {
+                kind,
+                label: Some(label.into()),
+                property: property.map(str::to_string),
+            })
+        };
+        assert!(has(EventKind::RelPropSet, "R", None));
+        assert!(has(EventKind::RelPropRemoved, "R", None));
+        assert!(has(EventKind::NodePropSet, "Q", None));
+        assert!(has(EventKind::NodePropRemoved, "Q", None));
+        assert!(has(EventKind::NodePropRemoved, "Q", Some("k")));
+        assert!(has(EventKind::NodePropSet, "Q", Some("j")));
+        // a non-null literal cannot remove
+        assert!(!has(EventKind::NodePropRemoved, "Q", Some("j")));
+        assert!(!gen
+            .iter()
+            .any(|g| g.kind == EventKind::NodePropSet && g.label.as_deref() == Some("R")));
+    }
+
+    #[test]
     fn generated_events_for_paper_trigger() {
         let s = spec(
             "CREATE TRIGGER NewCriticalMutation AFTER CREATE ON 'Mutation' FOR EACH NODE
@@ -568,12 +478,11 @@ mod tests {
         );
         let gen = generated_events(&s);
         assert!(gen.contains(&EventPattern {
-            event: EventType::Create,
-            item: ItemKind::Node,
+            kind: EventKind::NodeCreated,
             label: Some("Alert".into()),
-            object: EventObject::Item,
+            property: None,
         }));
-        let mon = monitored_event(&s);
+        let mon = monitored_event(&s).unwrap();
         assert_eq!(mon.label.as_deref(), Some("Mutation"));
     }
 }

@@ -3,7 +3,7 @@
 //! invisible to trigger semantics.
 
 use pg_graph::GraphView;
-use pg_triggers::{ActionTime, DeltaSignature, Session};
+use pg_triggers::{ActionTime, Session};
 
 fn count(s: &mut Session, label: &str) -> i64 {
     s.run(&format!("MATCH (n:{label}) RETURN count(*) AS n"))
@@ -29,7 +29,7 @@ fn irrelevant_trigger_neither_fires_nor_evaluates() {
     assert_eq!(count(&mut s, "Fired"), 0);
     assert_eq!(s.stats().fired, 0);
     assert_eq!(s.stats().suppressed, 0);
-    // catalog-level: the dispatch filter rejects the trigger for a :B delta
+    // catalog-level: the dispatch index rejects the trigger for a :B delta
     let delta = {
         let g = s.graph();
         let mut d = pg_graph::Delta::default();
@@ -38,12 +38,7 @@ fn irrelevant_trigger_neither_fires_nor_evaluates() {
         d.created_nodes.push(rec);
         d
     };
-    let sig = DeltaSignature::of(&delta);
-    assert!(!s.catalog().wants(ActionTime::After, &sig));
-    assert!(s
-        .catalog()
-        .scheduled_matching(ActionTime::After, &sig)
-        .is_empty());
+    assert!(s.catalog().matching(ActionTime::After, &delta).is_empty());
 
     // the matching statement still fires (condition truthy)
     s.run("CREATE (:A {x: 1})").unwrap();
@@ -87,7 +82,7 @@ fn prefilter_respects_property_events_and_labels() {
     .unwrap();
     s.run("CREATE (:Hospital {n: 1}), (:Ward {n: 2})").unwrap();
     // same key on a different label: pre-filter passes (key matches) but
-    // affected_items rejects via the precise label check — no fire
+    // binding rejects via the precise label check — no fire
     s.run("MATCH (w:Ward) SET w.occupancy = 0.5").unwrap();
     assert_eq!(count(&mut s, "Alert"), 0);
     // different key on the right label: pre-filter rejects outright
@@ -101,7 +96,7 @@ fn prefilter_respects_property_events_and_labels() {
 #[test]
 fn create_trigger_with_property_still_gates_on_label() {
     // A property on a CREATE/DELETE trigger is legal DDL and ignored by
-    // affected_items — the pre-filter must gate such triggers on their
+    // binding — the pre-filter must gate such triggers on their
     // label, not on the (never-matching) property key.
     let mut s = Session::new();
     s.install(

@@ -112,6 +112,56 @@ fn before_condition_sees_pre_statement_state() {
 }
 
 #[test]
+fn later_before_trigger_old_is_the_pre_statement_state() {
+    // §4.2: OLD is the state before the activating statement — not a state
+    // an earlier BEFORE trigger of the same statement already conditioned.
+    let mut s = Session::new();
+    s.install(
+        "CREATE TRIGGER t1 BEFORE SET ON 'L'.'p' FOR EACH NODE
+         BEGIN SET NEW.q = 7 END",
+    )
+    .unwrap();
+    s.install(
+        "CREATE TRIGGER t2 BEFORE SET ON 'L'.'p' FOR EACH NODE
+         BEGIN SET NEW.oldq = coalesce(OLD.q, -1) END",
+    )
+    .unwrap();
+    s.run("CREATE (:L {p: 1})").unwrap();
+    s.run("MATCH (n:L) SET n.p = 2").unwrap();
+    let out = s
+        .run("MATCH (n:L) RETURN n.p AS p, n.q AS q, n.oldq AS oldq")
+        .unwrap();
+    assert_eq!(
+        out.rows,
+        vec![vec![Value::Int(2), Value::Int(7), Value::Int(-1)]]
+    );
+}
+
+#[test]
+fn later_before_condition_sees_earlier_conditioning_of_new() {
+    // Sequencing is unchanged: t2's condition is considered after t1's
+    // statement ran, so it reads the q that t1 put on NEW.
+    let mut s = Session::new();
+    s.install(
+        "CREATE TRIGGER t1 BEFORE SET ON 'L'.'p' FOR EACH NODE
+         BEGIN SET NEW.q = 7 END",
+    )
+    .unwrap();
+    s.install(
+        "CREATE TRIGGER t2 BEFORE SET ON 'L'.'p' FOR EACH NODE
+         WHEN NEW.q = 7
+         BEGIN SET NEW.saw_q = true END",
+    )
+    .unwrap();
+    s.run("CREATE (:L {p: 1})").unwrap();
+    s.run("MATCH (n:L) SET n.p = 2").unwrap();
+    let out = s.run("MATCH (n:L) RETURN n.saw_q AS a").unwrap();
+    assert_eq!(out.rows, vec![vec![Value::Bool(true)]]);
+    assert_eq!(s.stats().fired, 2);
+    assert_eq!(s.stats().suppressed, 0);
+}
+
+#[test]
 fn oncommit_runs_on_cumulative_tx_delta() {
     let mut s = Session::new();
     s.install(

@@ -21,6 +21,7 @@
 
 use crate::ids::{NodeId, RelId};
 use crate::op::Op;
+use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,6 +80,57 @@ pub struct Delta {
     pub removed_rel_props: Vec<PropRemove<RelId>>,
 }
 
+/// `(item, key) → (initial value, final value)` over a slice; `None` = absent.
+type PropStates<Id> = BTreeMap<(Id, String), (Option<Value>, Option<Value>)>;
+
+/// Record one property op: the first op on a key fixes its initial value,
+/// every op its final one.
+fn note_prop<Id: Ord>(
+    states: &mut PropStates<Id>,
+    id: Id,
+    key: &str,
+    old: Option<Value>,
+    new: Option<Value>,
+) {
+    states.entry((id, key.to_string())).or_insert((old, None)).1 = new;
+}
+
+/// The net assignments and removals of a slice's property states.
+fn net_props<Id>(states: PropStates<Id>) -> (Vec<PropAssign<Id>>, Vec<PropRemove<Id>>) {
+    let (mut assigned, mut removed) = (Vec::new(), Vec::new());
+    for ((target, key), (initial, fin)) in states {
+        match (initial, fin) {
+            (init, Some(new)) => assigned.push(PropAssign {
+                target,
+                key,
+                old: init.unwrap_or(Value::Null),
+                new,
+            }),
+            (Some(old), None) => removed.push(PropRemove { target, key, old }),
+            (None, None) => {}
+        }
+    }
+    (assigned, removed)
+}
+
+/// `assigned` plus the initial properties of the created items as
+/// assignments from `Null`.
+fn with_initial_props<'a, Id: Copy>(
+    assigned: &[PropAssign<Id>],
+    created: impl Iterator<Item = (Id, &'a PropertyMap)>,
+) -> Vec<PropAssign<Id>> {
+    let mut out = assigned.to_vec();
+    for (target, props) in created {
+        out.extend(props.iter().map(|(k, v)| PropAssign {
+            target,
+            key: k.clone(),
+            old: Value::Null,
+            new: v.clone(),
+        }));
+    }
+    out
+}
+
 impl Delta {
     /// `true` when the slice had no net effect.
     pub fn is_empty(&self) -> bool {
@@ -92,20 +144,6 @@ impl Delta {
             && self.assigned_rel_props.is_empty()
             && self.removed_node_props.is_empty()
             && self.removed_rel_props.is_empty()
-    }
-
-    /// Total number of events in the delta.
-    pub fn event_count(&self) -> usize {
-        self.created_nodes.len()
-            + self.deleted_nodes.len()
-            + self.created_rels.len()
-            + self.deleted_rels.len()
-            + self.assigned_labels.len()
-            + self.removed_labels.len()
-            + self.assigned_node_props.len()
-            + self.assigned_rel_props.len()
-            + self.removed_node_props.len()
-            + self.removed_rel_props.len()
     }
 
     /// Label assignments **including** the labels of created nodes. This is
@@ -127,159 +165,15 @@ impl Delta {
     /// Node property assignments including the initial properties of created
     /// nodes (APOC view; `old` is `Null` for those).
     pub fn raw_assigned_node_props(&self) -> Vec<PropAssign<NodeId>> {
-        let mut out = self.assigned_node_props.clone();
-        for n in &self.created_nodes {
-            for (k, v) in n.props.iter() {
-                out.push(PropAssign {
-                    target: n.id,
-                    key: k.clone(),
-                    old: Value::Null,
-                    new: v.clone(),
-                });
-            }
-        }
-        out
+        let created = self.created_nodes.iter().map(|n| (n.id, &n.props));
+        with_initial_props(&self.assigned_node_props, created)
     }
 
     /// Relationship property assignments including initial properties of
     /// created relationships (APOC view).
     pub fn raw_assigned_rel_props(&self) -> Vec<PropAssign<RelId>> {
-        let mut out = self.assigned_rel_props.clone();
-        for r in &self.created_rels {
-            for (k, v) in r.props.iter() {
-                out.push(PropAssign {
-                    target: r.id,
-                    key: k.clone(),
-                    old: Value::Null,
-                    new: v.clone(),
-                });
-            }
-        }
-        out
-    }
-
-    /// Merge another delta into this one by simple concatenation followed by
-    /// re-normalization of create/delete pairs across the two. Used to build
-    /// transaction-level deltas from successive statement deltas.
-    pub fn absorb(&mut self, later: Delta) {
-        // A node/rel created in `self` and deleted in `later` vanishes.
-        let deleted_now: BTreeSet<NodeId> = later.deleted_nodes.iter().map(|n| n.id).collect();
-        let created_before: BTreeSet<NodeId> = self.created_nodes.iter().map(|n| n.id).collect();
-        self.created_nodes.retain(|n| !deleted_now.contains(&n.id));
-        let rdeleted_now: BTreeSet<RelId> = later.deleted_rels.iter().map(|r| r.id).collect();
-        let rcreated_before: BTreeSet<RelId> = self.created_rels.iter().map(|r| r.id).collect();
-        self.created_rels.retain(|r| !rdeleted_now.contains(&r.id));
-
-        // Refresh the snapshot of nodes created earlier and modified later:
-        // label/property events on them fold into the creation record.
-        let mut created_map: BTreeMap<NodeId, usize> = self
-            .created_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
-        for ev in &later.assigned_labels {
-            if let Some(&i) = created_map.get(&ev.node) {
-                self.created_nodes[i].labels.insert(ev.label.clone());
-            }
-        }
-        for ev in &later.removed_labels {
-            if let Some(&i) = created_map.get(&ev.node) {
-                self.created_nodes[i].labels.remove(&ev.label);
-            }
-        }
-        for pa in &later.assigned_node_props {
-            if let Some(&i) = created_map.get(&pa.target) {
-                self.created_nodes[i]
-                    .props
-                    .set(pa.key.clone(), pa.new.clone());
-            }
-        }
-        for pr in &later.removed_node_props {
-            if let Some(&i) = created_map.get(&pr.target) {
-                self.created_nodes[i].props.remove(&pr.key);
-            }
-        }
-        created_map.clear();
-        let rcreated_map: BTreeMap<RelId, usize> = self
-            .created_rels
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.id, i))
-            .collect();
-        for pa in &later.assigned_rel_props {
-            if let Some(&i) = rcreated_map.get(&pa.target) {
-                self.created_rels[i]
-                    .props
-                    .set(pa.key.clone(), pa.new.clone());
-            }
-        }
-        for pr in &later.removed_rel_props {
-            if let Some(&i) = rcreated_map.get(&pr.target) {
-                self.created_rels[i].props.remove(&pr.key);
-            }
-        }
-
-        self.created_nodes.extend(
-            later
-                .created_nodes
-                .into_iter()
-                .filter(|n| !created_before.contains(&n.id)),
-        );
-        self.created_rels.extend(
-            later
-                .created_rels
-                .into_iter()
-                .filter(|r| !rcreated_before.contains(&r.id)),
-        );
-        self.deleted_nodes.extend(
-            later
-                .deleted_nodes
-                .into_iter()
-                .filter(|n| !created_before.contains(&n.id)),
-        );
-        self.deleted_rels.extend(
-            later
-                .deleted_rels
-                .into_iter()
-                .filter(|r| !rcreated_before.contains(&r.id)),
-        );
-        self.assigned_labels.extend(
-            later
-                .assigned_labels
-                .into_iter()
-                .filter(|e| !created_before.contains(&e.node)),
-        );
-        self.removed_labels.extend(
-            later
-                .removed_labels
-                .into_iter()
-                .filter(|e| !created_before.contains(&e.node)),
-        );
-        self.assigned_node_props.extend(
-            later
-                .assigned_node_props
-                .into_iter()
-                .filter(|e| !created_before.contains(&e.target)),
-        );
-        self.removed_node_props.extend(
-            later
-                .removed_node_props
-                .into_iter()
-                .filter(|e| !created_before.contains(&e.target)),
-        );
-        self.assigned_rel_props.extend(
-            later
-                .assigned_rel_props
-                .into_iter()
-                .filter(|e| !rcreated_before.contains(&e.target)),
-        );
-        self.removed_rel_props.extend(
-            later
-                .removed_rel_props
-                .into_iter()
-                .filter(|e| !rcreated_before.contains(&e.target)),
-        );
+        let created = self.created_rels.iter().map(|r| (r.id, &r.props));
+        with_initial_props(&self.assigned_rel_props, created)
     }
 
     /// Normalize an op-log slice into its net delta.
@@ -300,9 +194,8 @@ impl Delta {
 
         // (node, label) -> (was_present_initially, is_present_finally)
         let mut label_state: BTreeMap<(NodeId, String), (bool, bool)> = BTreeMap::new();
-        // (item, key) -> (initial_value, final_value); None = absent
-        let mut nprop: BTreeMap<(NodeId, String), (Option<Value>, Option<Value>)> = BTreeMap::new();
-        let mut rprop: BTreeMap<(RelId, String), (Option<Value>, Option<Value>)> = BTreeMap::new();
+        let mut nprop: PropStates<NodeId> = BTreeMap::new();
+        let mut rprop: PropStates<RelId> = BTreeMap::new();
 
         for op in ops {
             match op {
@@ -355,53 +248,34 @@ impl Delta {
                     new,
                 } => {
                     if !created_in_slice.contains(node) {
-                        let e = nprop
-                            .entry((*node, key.clone()))
-                            .or_insert((old.clone(), None));
-                        e.1 = Some(new.clone());
+                        note_prop(&mut nprop, *node, key, old.clone(), Some(new.clone()));
                     }
                 }
                 Op::RemoveNodeProp { node, key, old } => {
                     if !created_in_slice.contains(node) {
-                        let e = nprop
-                            .entry((*node, key.clone()))
-                            .or_insert((Some(old.clone()), None));
-                        e.1 = None;
+                        note_prop(&mut nprop, *node, key, Some(old.clone()), None);
                     }
                 }
                 Op::SetRelProp { rel, key, old, new } => {
                     if !rcreated_in_slice.contains(rel) {
-                        let e = rprop
-                            .entry((*rel, key.clone()))
-                            .or_insert((old.clone(), None));
-                        e.1 = Some(new.clone());
+                        note_prop(&mut rprop, *rel, key, old.clone(), Some(new.clone()));
                     }
                 }
                 Op::RemoveRelProp { rel, key, old } => {
                     if !rcreated_in_slice.contains(rel) {
-                        let e = rprop
-                            .entry((*rel, key.clone()))
-                            .or_insert((Some(old.clone()), None));
-                        e.1 = None;
+                        note_prop(&mut rprop, *rel, key, Some(old.clone()), None);
                     }
                 }
             }
         }
 
-        let mut delta = Delta::default();
-        for id in created_nodes {
-            if let Some(rec) = final_node(id) {
-                delta.created_nodes.push(rec);
-            }
-        }
-        delta.deleted_nodes = deleted_nodes;
-        for id in created_rels {
-            if let Some(rec) = final_rel(id) {
-                delta.created_rels.push(rec);
-            }
-        }
-        delta.deleted_rels = deleted_rels;
-
+        let mut delta = Delta {
+            created_nodes: created_nodes.into_iter().filter_map(final_node).collect(),
+            deleted_nodes,
+            created_rels: created_rels.into_iter().filter_map(final_rel).collect(),
+            deleted_rels,
+            ..Delta::default()
+        };
         for ((node, label), (was, is)) in label_state {
             match (was, is) {
                 (false, true) => delta.assigned_labels.push(LabelEvent { node, label }),
@@ -409,38 +283,8 @@ impl Delta {
                 _ => {}
             }
         }
-        for ((node, key), (initial, fin)) in nprop {
-            match (initial, fin) {
-                (init, Some(new)) => delta.assigned_node_props.push(PropAssign {
-                    target: node,
-                    key,
-                    old: init.unwrap_or(Value::Null),
-                    new,
-                }),
-                (Some(old), None) => delta.removed_node_props.push(PropRemove {
-                    target: node,
-                    key,
-                    old,
-                }),
-                (None, None) => {}
-            }
-        }
-        for ((rel, key), (initial, fin)) in rprop {
-            match (initial, fin) {
-                (init, Some(new)) => delta.assigned_rel_props.push(PropAssign {
-                    target: rel,
-                    key,
-                    old: init.unwrap_or(Value::Null),
-                    new,
-                }),
-                (Some(old), None) => delta.removed_rel_props.push(PropRemove {
-                    target: rel,
-                    key,
-                    old,
-                }),
-                (None, None) => {}
-            }
-        }
+        (delta.assigned_node_props, delta.removed_node_props) = net_props(nprop);
+        (delta.assigned_rel_props, delta.removed_rel_props) = net_props(rprop);
         delta
     }
 }
@@ -448,7 +292,6 @@ impl Delta {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::props::PropertyMap;
 
     fn node_rec(id: u64, labels: &[&str]) -> NodeRecord {
         let mut n = NodeRecord::new(NodeId(id));
@@ -612,53 +455,6 @@ mod tests {
         assert_eq!(d.raw_assigned_labels().len(), 1);
         assert_eq!(d.raw_assigned_node_props().len(), 1);
         assert_eq!(d.raw_assigned_node_props()[0].old, Value::Null);
-    }
-
-    #[test]
-    fn absorb_cancels_cross_delta_create_delete() {
-        let rec = node_rec(1, &["A"]);
-        let mut d1 = Delta::default();
-        d1.created_nodes.push(rec.clone());
-        let mut d2 = Delta::default();
-        d2.deleted_nodes.push(rec);
-        d1.absorb(d2);
-        assert!(d1.is_empty());
-    }
-
-    #[test]
-    fn absorb_folds_later_changes_into_created() {
-        let rec = node_rec(1, &["A"]);
-        let mut d1 = Delta::default();
-        d1.created_nodes.push(rec);
-        let mut d2 = Delta::default();
-        d2.assigned_labels.push(LabelEvent {
-            node: NodeId(1),
-            label: "B".into(),
-        });
-        d2.assigned_node_props.push(PropAssign {
-            target: NodeId(1),
-            key: "x".into(),
-            old: Value::Null,
-            new: Value::Int(7),
-        });
-        d1.absorb(d2);
-        assert_eq!(d1.created_nodes.len(), 1);
-        assert!(d1.created_nodes[0].has_label("B"));
-        assert_eq!(d1.created_nodes[0].props.get("x"), Some(&Value::Int(7)));
-        assert!(d1.assigned_labels.is_empty());
-        assert!(d1.assigned_node_props.is_empty());
-    }
-
-    #[test]
-    fn event_count_sums_all_categories() {
-        let mut d = Delta::default();
-        d.created_nodes.push(node_rec(1, &[]));
-        d.assigned_labels.push(LabelEvent {
-            node: NodeId(2),
-            label: "L".into(),
-        });
-        assert_eq!(d.event_count(), 2);
-        assert!(!d.is_empty());
     }
 
     #[test]

@@ -654,16 +654,6 @@ impl Graph {
         )
     }
 
-    /// Normalize an arbitrary op slice against the **current** state (used
-    /// for transaction-level deltas after commit).
-    pub fn delta_of_ops(&self, ops: &[Op]) -> Delta {
-        Delta::from_ops(
-            ops,
-            |id| self.state.nodes.get(&id).map(|r| (**r).clone()),
-            |id| self.state.rels.get(&id).map(|r| (**r).clone()),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Commit-epoch publication (single writer, N snapshot readers)
     // ------------------------------------------------------------------

@@ -10,7 +10,9 @@
 use crate::system::{CommitPhase, ObjectFilter, OpFilter};
 use pg_cypher::ast::Clause;
 use pg_cypher::{rename_vars, unparse_clause, unparse_expr, unparse_query, Expr};
-use pg_triggers::{ActionTime, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec};
+use pg_triggers::{
+    ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,
+};
 use std::collections::BTreeMap;
 
 /// A translated trigger: Memgraph `CREATE TRIGGER` DDL.
@@ -109,8 +111,8 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
     let mut renames = BTreeMap::new();
     let new_name = spec.var_name(TransitionVar::New);
     let old_name = spec.var_name(TransitionVar::Old);
-    let mut plan = match (spec.event, spec.item, &spec.property) {
-        (EventType::Create, ItemKind::Node, _) => {
+    let mut plan = match (spec.kind(), &spec.property) {
+        (Some(EventKind::NodeCreated), _) => {
             renames.insert(new_name, "newNode".to_string());
             Plan {
                 prefix: "UNWIND createdVertices AS newNode".into(),
@@ -120,7 +122,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Create, ItemKind::Relationship, _) => {
+        (Some(EventKind::RelCreated), _) => {
             renames.insert(new_name, "newEdge".to_string());
             Plan {
                 prefix: "UNWIND createdEdges AS newEdge".into(),
@@ -130,7 +132,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Delete, ItemKind::Node, _) => {
+        (Some(EventKind::NodeDeleted), _) => {
             renames.insert(old_name, "oldNode".to_string());
             Plan {
                 prefix: "UNWIND deletedVertices AS oldNode".into(),
@@ -144,7 +146,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Delete, ItemKind::Relationship, _) => {
+        (Some(EventKind::RelDeleted), _) => {
             renames.insert(old_name, "oldEdge".to_string());
             Plan {
                 prefix: "UNWIND deletedEdges AS oldEdge".into(),
@@ -154,7 +156,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Set, ItemKind::Node, None) => {
+        (Some(EventKind::LabelSet), _) => {
             renames.insert(new_name, "newNode".to_string());
             Plan {
                 prefix: format!(
@@ -168,7 +170,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Remove, ItemKind::Node, None) => {
+        (Some(EventKind::LabelRemoved), _) => {
             renames.insert(old_name, "oldNode".to_string());
             renames.insert(new_name, "oldNode".to_string());
             Plan {
@@ -183,7 +185,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Set, ItemKind::Node, Some(p)) => {
+        (Some(EventKind::NodePropSet), Some(p)) => {
             renames.insert(new_name, "newNode".to_string());
             renames.insert(old_name, "oldProps".to_string());
             Plan {
@@ -198,7 +200,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Remove, ItemKind::Node, Some(p)) => {
+        (Some(EventKind::NodePropRemoved), Some(p)) => {
             renames.insert(new_name, "newNode".to_string());
             renames.insert(old_name, "oldProps".to_string());
             Plan {
@@ -213,7 +215,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Set, ItemKind::Relationship, Some(p)) => {
+        (Some(EventKind::RelPropSet), Some(p)) => {
             renames.insert(new_name, "newEdge".to_string());
             renames.insert(old_name, "oldProps".to_string());
             Plan {
@@ -228,7 +230,7 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (EventType::Remove, ItemKind::Relationship, Some(p)) => {
+        (Some(EventKind::RelPropRemoved), Some(p)) => {
             renames.insert(new_name, "newEdge".to_string());
             renames.insert(old_name, "oldProps".to_string());
             Plan {
@@ -243,16 +245,17 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
                 renames,
             }
         }
-        (e, i, p) => {
+        (None, _) | (_, None) => {
             return Err(TranslateError::Unsupported(format!(
-                "event {e:?} on {i:?} with property {p:?}"
+                "event {:?} on {:?} with property {:?}",
+                spec.event, spec.item, spec.property
             )))
         }
     };
 
     // FOR ALL: collect into a list after the per-item check.
     if spec.granularity == Granularity::All {
-        if matches!(spec.event, EventType::Set | EventType::Remove) && spec.property.is_some() {
+        if spec.kind().is_some_and(EventKind::on_property) {
             return Err(TranslateError::Unsupported(
                 "FOR ALL with property events: predefined variables cannot deliver aligned \
                  OLD/NEW item sets"
