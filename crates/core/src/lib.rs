@@ -63,7 +63,7 @@ pub use pg_wal::{
     RecoveryError, RecoveryOptions, RecoveryReport, SyncPolicy, WalError, WalOptions,
 };
 pub use read_session::ReadSession;
-pub use schema_guard::{EnforcementMode, SchemaGuard, SchemaViolation};
+pub use schema_guard::{SchemaGuard, SchemaViolation};
 pub use session::{EngineConfig, EngineStats, ExecResult, Session};
 pub use spec::{
     ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,

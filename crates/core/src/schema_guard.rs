@@ -8,13 +8,37 @@
 //! subsume constraints" reading of active databases). A violation rolls the
 //! transaction back, exactly like a failing `ONCOMMIT` trigger.
 //!
-//! Validation cost is kept proportional to the transaction: only items the
-//! delta touched are re-checked individually; PG-Key uniqueness is checked
-//! via the key index maintained incrementally.
+//! The cost of a check is proportional to the transaction, not the graph.
+//! The graph type is compiled once, when the guard is built; a commit then
+//! applies the per-item rules of [`CompiledGraphType`] — the same functions
+//! [`pg_schema::validate_graph`] applies to every item — to the items the
+//! transaction delta can have invalidated, and to nothing else:
+//!
+//! * **nodes** — created, label-assigned/removed, property-assigned/removed
+//!   (typing, required / mistyped / undeclared properties);
+//! * **relationships** — created, property-assigned/removed, *and every
+//!   relationship incident to a label-changed node*: a relabel changes the
+//!   node's type, and with it the endpoint signature of edges the
+//!   transaction never touched;
+//! * **keys** — nodes created, relabelled, or with a key column written:
+//!   the other holders of the node's key are found by an equality probe on
+//!   the `KEY` index [`crate::Session::set_schema`] defines on `(declaring
+//!   label, key column)`, falling back to a scan of one label's extent when
+//!   that index has been dropped or the value is one an index cannot answer
+//!   for (absent, unkeyable). Key spaces are per resolved type: a `Patient`
+//!   and an `IcuPatient` may share an `ssn`, two `IcuPatient`s may not.
+//!
+//! The delta is the transaction's *net* effect, so intermediate states are
+//! never checked, items that no longer exist are skipped, and deletions need
+//! no check at all (a node cannot be deleted while relationships hold on to
+//! it, and rules constrain existing items only). Only violations involving
+//! those items are reported: a violation that pre-exists elsewhere in the
+//! graph does not block an unrelated commit. Violations are reported in
+//! node-id, then relationship-id order.
 
-use pg_graph::{Delta, Graph, NodeId};
-use pg_schema::{validate_graph, GraphType, Violation};
-use std::collections::BTreeSet;
+use pg_graph::{Delta, Direction, Graph, GraphView, NodeId, RelId};
+use pg_schema::{CompiledGraphType, GraphType, Violation};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A schema-violation commit failure.
@@ -33,116 +57,87 @@ impl fmt::Display for SchemaViolation {
     }
 }
 
-/// The enforcement mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnforcementMode {
-    /// Validate only the items touched by the transaction (fast path).
-    #[default]
-    Incremental,
-    /// Validate the whole graph on every commit (exhaustive; for tests).
-    Full,
-}
-
-/// The schema guard attached to a session.
+/// The schema guard attached to a session: a graph type and its compiled
+/// form.
 #[derive(Debug)]
 pub struct SchemaGuard {
-    pub graph_type: GraphType,
-    pub mode: EnforcementMode,
+    graph_type: GraphType,
+    compiled: CompiledGraphType,
 }
 
 impl SchemaGuard {
     pub fn new(graph_type: GraphType) -> Self {
         SchemaGuard {
+            compiled: CompiledGraphType::new(&graph_type),
             graph_type,
-            mode: EnforcementMode::Incremental,
         }
+    }
+
+    /// The graph type this guard enforces.
+    pub fn into_graph_type(self) -> GraphType {
+        self.graph_type
     }
 
     /// Check the transaction delta against the schema. Returns all
     /// violations attributable to the transaction.
     pub fn check(&self, graph: &Graph, delta: &Delta) -> Result<(), SchemaViolation> {
-        let violations = match self.mode {
-            EnforcementMode::Full => validate_graph(graph, &self.graph_type),
-            EnforcementMode::Incremental => {
-                // Touched nodes: created, label-changed, property-changed,
-                // plus endpoints of created rels (edge signatures).
-                let mut touched: BTreeSet<NodeId> = BTreeSet::new();
-                for n in &delta.created_nodes {
-                    touched.insert(n.id);
-                }
-                for ev in &delta.assigned_labels {
-                    touched.insert(ev.node);
-                }
-                for ev in &delta.removed_labels {
-                    touched.insert(ev.node);
-                }
-                for pa in &delta.assigned_node_props {
-                    touched.insert(pa.target);
-                }
-                for pr in &delta.removed_node_props {
-                    touched.insert(pr.target);
-                }
-                for r in &delta.created_rels {
-                    touched.insert(r.src);
-                    touched.insert(r.dst);
-                }
-                // Deletions can orphan nothing schema-wise in our model
-                // (edge types constrain existing edges only), so deleted
-                // items need no re-check.
-                if touched.is_empty()
-                    && delta.created_rels.is_empty()
-                    && delta.assigned_rel_props.is_empty()
-                    && delta.removed_rel_props.is_empty()
-                {
-                    return Ok(());
-                }
-                // Full validation is correct albeit not minimal; restrict
-                // the *report* to violations involving touched items so the
-                // error blames the transaction. (PG-Key duplicates always
-                // involve at least one touched node when introduced now.)
-                let all = validate_graph(graph, &self.graph_type);
-                let rel_touched: BTreeSet<pg_graph::RelId> = delta
-                    .created_rels
-                    .iter()
-                    .map(|r| r.id)
-                    .chain(delta.assigned_rel_props.iter().map(|p| p.target))
-                    .chain(delta.removed_rel_props.iter().map(|p| p.target))
-                    .collect();
-                all.into_iter()
-                    .filter(|v| violation_touches(v, &touched, &rel_touched))
-                    .collect()
+        let rules = &self.compiled;
+        let created = delta.created_nodes.iter().map(|n| n.id);
+        let relabelled: BTreeSet<NodeId> = (delta.assigned_labels.iter())
+            .chain(&delta.removed_labels)
+            .map(|ev| ev.node)
+            .collect();
+        let written = (delta.assigned_node_props.iter().map(|p| (p.target, &p.key)))
+            .chain(delta.removed_node_props.iter().map(|p| (p.target, &p.key)));
+
+        // A node's own rules read its labels and properties; its key is
+        // (type, key columns), so only a change to one of those can
+        // introduce a duplicate.
+        let mut nodes: BTreeSet<NodeId> = created.chain(relabelled.iter().copied()).collect();
+        let mut keyed = nodes.clone();
+        for (id, column) in written {
+            nodes.insert(id);
+            if graph
+                .node(id)
+                .is_some_and(|n| rules.is_key_column(n, column))
+            {
+                keyed.insert(id);
             }
-        };
+        }
+        // A relationship's rules read its own properties and the *types*
+        // of its endpoints.
+        let mut rels: BTreeSet<RelId> = (delta.created_rels.iter().map(|r| r.id))
+            .chain(delta.assigned_rel_props.iter().map(|p| p.target))
+            .chain(delta.removed_rel_props.iter().map(|p| p.target))
+            .collect();
+        for n in &relabelled {
+            rels.extend(graph.rels_of(*n, Direction::Both));
+        }
+
+        // The delta is a net effect: an id it names may be gone by now.
+        let mut by_node: BTreeMap<NodeId, Vec<Violation>> = BTreeMap::new();
+        for node in nodes.iter().filter_map(|id| graph.node(*id)) {
+            rules.check_node(node, by_node.entry(node.id).or_default());
+        }
+        for node in keyed.iter().filter_map(|id| graph.node(*id)) {
+            for (duplicate, violation) in rules.check_key(graph, node) {
+                // Two touched holders of one key report the same pair.
+                let at = by_node.entry(duplicate).or_default();
+                if !at.contains(&violation) {
+                    at.push(violation);
+                }
+            }
+        }
+        let mut violations: Vec<Violation> = by_node.into_values().flatten().collect();
+        for rel in rels.iter().filter_map(|id| graph.rel(*id)) {
+            rules.check_rel(graph, rel, &mut violations);
+        }
         if violations.is_empty() {
             Ok(())
         } else {
             Err(SchemaViolation { violations })
         }
     }
-}
-
-fn violation_touches(
-    v: &Violation,
-    nodes: &BTreeSet<NodeId>,
-    rels: &BTreeSet<pg_graph::RelId>,
-) -> bool {
-    match v {
-        Violation::UntypedNode { node, .. }
-        | Violation::AmbiguousNode { node, .. }
-        | Violation::MissingProp { node, .. }
-        | Violation::WrongPropType { node, .. }
-        | Violation::UndeclaredProp { node, .. } => nodes.contains(node),
-        Violation::DuplicateKey { nodes: (a, b), .. } => nodes.contains(a) || nodes.contains(b),
-        Violation::UntypedRel { rel, .. }
-        | Violation::BadEndpoints { rel, .. }
-        | Violation::RelMissingProp { rel, .. }
-        | Violation::RelWrongPropType { rel, .. } => rels.contains(rel),
-    }
-}
-
-/// Sanity helper shared by tests: whether a graph currently conforms.
-pub fn conforms(graph: &Graph, gt: &GraphType) -> bool {
-    validate_graph(graph, gt).is_empty()
 }
 
 #[cfg(test)]

@@ -247,8 +247,13 @@ impl Session {
 
     /// Attach a PG-Schema graph type; every subsequent commit validates the
     /// transaction's net effect and rolls back on violation (see
-    /// [`crate::schema_guard`]). Properties the schema declares `KEY` or
-    /// `INDEX` get a property index created on the spot (idempotent).
+    /// [`crate::schema_guard`]). Attaching does **not** validate the graph
+    /// as it stands: the guard blames a transaction only for violations on
+    /// items it touched, so whatever is already there stays until a
+    /// transaction touches it ([`pg_schema::validate_graph`] audits a whole
+    /// graph). Properties the schema declares `KEY` or `INDEX` get a
+    /// property index created on the spot (idempotent); the `KEY` indexes
+    /// are what the guard probes for key uniqueness.
     pub fn set_schema(&mut self, graph_type: pg_schema::GraphType) {
         for def in graph_type.index_defs() {
             self.graph.define_index(&def);
@@ -258,7 +263,7 @@ impl Session {
 
     /// Detach the schema guard, returning it.
     pub fn clear_schema(&mut self) -> Option<pg_schema::GraphType> {
-        self.schema.take().map(|g| g.graph_type)
+        self.schema.take().map(SchemaGuard::into_graph_type)
     }
 
     // ------------------------------------------------------------------

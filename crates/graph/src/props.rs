@@ -2,13 +2,17 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// An ordered `⟨property, value⟩` map. `NULL` is never stored: assigning
 /// `NULL` to a property removes it, following Cypher `SET` semantics.
+///
+/// Kept as a vector sorted by key: items carry a handful of properties, so
+/// a lookup is a short binary search, and a record pays for the entries it
+/// has rather than for a B-tree leaf sized for eleven.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PropertyMap {
-    entries: BTreeMap<String, Value>,
+    /// Sorted by key; keys are unique.
+    entries: Vec<(String, Value)>,
 }
 
 impl PropertyMap {
@@ -16,10 +20,15 @@ impl PropertyMap {
         Self::default()
     }
 
+    /// The position of `key`, or where it would be inserted.
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
     /// Get a property value (`None` when absent; callers usually map this to
     /// `Value::Null`).
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.get(key)
+        self.position(key).ok().map(|i| &self.entries[i].1)
     }
 
     /// Insert/overwrite a property, returning the previous value. Inserting
@@ -27,27 +36,34 @@ impl PropertyMap {
     pub fn set(&mut self, key: impl Into<String>, value: Value) -> Option<Value> {
         let key = key.into();
         if value.is_null() {
-            self.entries.remove(&key)
-        } else {
-            self.entries.insert(key, value)
+            return self.remove(&key);
+        }
+        match self.position(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
         }
     }
 
     /// Remove a property, returning its old value.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.entries.remove(key)
+        let i = self.position(key).ok()?;
+        Some(self.entries.remove(i).1)
     }
 
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.position(key).is_ok()
     }
 
     pub fn keys(&self) -> impl Iterator<Item = &String> {
-        self.entries.keys()
+        self.entries.iter().map(|(k, _)| k)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.entries.iter()
+    /// The entries in key order.
+    pub fn iter(&self) -> Iter<'_> {
+        self.into_iter()
     }
 
     pub fn len(&self) -> usize {
@@ -61,7 +77,7 @@ impl PropertyMap {
     /// Convert into a `Value::Map` (used to materialize `OLD` transition
     /// variables for deleted items, paper §4.2 "Transition Variables").
     pub fn to_value(&self) -> Value {
-        Value::Map(self.entries.clone())
+        Value::Map(self.entries.iter().cloned().collect())
     }
 }
 
@@ -75,11 +91,17 @@ impl FromIterator<(String, Value)> for PropertyMap {
     }
 }
 
+/// Borrowing iterator over a [`PropertyMap`], in key order.
+pub type Iter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (String, Value)>,
+    fn(&'a (String, Value)) -> (&'a String, &'a Value),
+>;
+
 impl<'a> IntoIterator for &'a PropertyMap {
     type Item = (&'a String, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, String, Value>;
+    type IntoIter = Iter<'a>;
     fn into_iter(self) -> Self::IntoIter {
-        self.entries.iter()
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 }
 

@@ -25,5 +25,7 @@ pub mod types;
 pub mod validate;
 
 pub use ddl::parse_graph_type;
-pub use types::{EdgeTypeDef, GraphType, NodeTypeDef, PropDef, PropType, SchemaError};
+pub use types::{
+    CompiledGraphType, EdgeTypeDef, GraphType, NodeTypeDef, PropDef, PropType, SchemaError,
+};
 pub use validate::{validate_graph, Violation};

@@ -270,16 +270,15 @@ impl GraphType {
         out
     }
 
-    /// The full property declarations of a node type including inherited
-    /// ones (own declarations shadow inherited declarations of the same
-    /// property name).
-    pub fn full_props(&self, type_name: &str) -> Vec<PropDef> {
-        let mut by_name: BTreeMap<String, PropDef> = BTreeMap::new();
+    /// The effective property declarations of a node type by name, each
+    /// with the type that declares it: own declarations shadow inherited
+    /// declarations of the same property name.
+    fn declared_props(&self, type_name: &str) -> BTreeMap<&str, (&NodeTypeDef, &PropDef)> {
         // collect supertype props first so own decls overwrite
-        fn collect(
-            gt: &GraphType,
+        fn collect<'a>(
+            gt: &'a GraphType,
             name: &str,
-            by_name: &mut BTreeMap<String, PropDef>,
+            by_name: &mut BTreeMap<&'a str, (&'a NodeTypeDef, &'a PropDef)>,
             depth: usize,
         ) {
             if depth > 64 {
@@ -290,12 +289,21 @@ impl GraphType {
                     collect(gt, s, by_name, depth + 1);
                 }
                 for p in &def.props {
-                    by_name.insert(p.name.clone(), p.clone());
+                    by_name.insert(&p.name, (def, p));
                 }
             }
         }
+        let mut by_name = BTreeMap::new();
         collect(self, type_name, &mut by_name, 0);
-        by_name.into_values().collect()
+        by_name
+    }
+
+    /// The full property declarations of a node type including inherited
+    /// ones (own declarations shadow inherited declarations of the same
+    /// property name), in property-name order.
+    pub fn full_props(&self, type_name: &str) -> Vec<PropDef> {
+        let declared = self.declared_props(type_name);
+        declared.into_values().map(|(_, p)| p.clone()).collect()
     }
 
     /// Whether a node type is open (own flag; openness is not inherited).
@@ -310,6 +318,120 @@ impl GraphType {
             .filter(|p| p.key)
             .map(|p| p.name)
             .collect()
+    }
+}
+
+/// One column of a node type's PG-Key.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyColumn {
+    pub(crate) name: String,
+    /// First own label of the type declaring the column — the `KEY` index
+    /// of [`GraphType::index_defs`] is on `(that label, name)`. `None` when
+    /// the declaring type has no own label, hence no index.
+    pub(crate) index_label: Option<String>,
+}
+
+/// A node type with everything inherited folded in.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledNodeType {
+    pub(crate) name: String,
+    /// Full label set (own + inherited): exactly the labels a node of
+    /// this type carries.
+    pub(crate) labels: BTreeSet<String>,
+    /// Effective property declarations, in property-name order.
+    pub(crate) props: Vec<PropDef>,
+    pub(crate) open: bool,
+    /// The PG-Key columns, in property-name order; empty = unkeyed.
+    pub(crate) keys: Vec<KeyColumn>,
+    /// `conforms_to[t]`: this type is node type `t` or inherits from it
+    /// (transitively) — the endpoint-subtyping test of edge signatures.
+    pub(crate) conforms_to: Vec<bool>,
+}
+
+/// An edge type with its endpoint types resolved to node-type indices
+/// (`None` = names no declared node type; accepts no endpoint).
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledEdgeType {
+    pub(crate) name: String,
+    pub(crate) src: Option<usize>,
+    pub(crate) dst: Option<usize>,
+    pub(crate) props: Vec<PropDef>,
+}
+
+/// A [`GraphType`] resolved once for validation: every question the rules
+/// of [`crate::validate`] ask per item — which type has this label set,
+/// what does it inherit, does it conform to that endpoint type, which edge
+/// types carry this label — is a lookup here instead of a walk of the
+/// inheritance hierarchy. Building it is O(types²); it is immutable and
+/// answers for the graph type it was compiled from.
+#[derive(Debug, Clone)]
+pub struct CompiledGraphType {
+    pub(crate) strict: bool,
+    pub(crate) node_types: Vec<CompiledNodeType>,
+    /// Full label set → the node types with exactly that set (one, unless
+    /// the graph type declares two types a node cannot tell apart).
+    pub(crate) by_labels: BTreeMap<BTreeSet<String>, Vec<usize>>,
+    /// Relationship label → the edge types carrying it, in declaration
+    /// order.
+    pub(crate) edges_by_label: BTreeMap<String, Vec<CompiledEdgeType>>,
+}
+
+impl CompiledGraphType {
+    /// Resolve `gt`. Total on unchecked graph types too (see
+    /// [`GraphType::check`]): a dangling type name resolves to nothing.
+    pub fn new(gt: &GraphType) -> Self {
+        // `GraphType::node_type` answers with the first type of a name.
+        let mut index: BTreeMap<&str, usize> = BTreeMap::new();
+        for (i, t) in gt.node_types.iter().enumerate() {
+            index.entry(&t.name).or_insert(i);
+        }
+        let mut by_labels: BTreeMap<BTreeSet<String>, Vec<usize>> = BTreeMap::new();
+        let mut node_types = Vec::with_capacity(gt.node_types.len());
+        for (i, t) in gt.node_types.iter().enumerate() {
+            let labels = gt.full_labels(&t.name);
+            by_labels.entry(labels.clone()).or_default().push(i);
+            let declared = gt.declared_props(&t.name);
+            let key_columns = declared.values().filter(|(_, p)| p.key);
+            let keys = key_columns.map(|(declarer, p)| KeyColumn {
+                name: p.name.clone(),
+                index_label: declarer.labels.first().cloned(),
+            });
+            let mut conforms_to = vec![false; gt.node_types.len()];
+            let mut stack = vec![i];
+            while let Some(n) = stack.pop() {
+                if !std::mem::replace(&mut conforms_to[n], true) {
+                    let supertypes = gt.node_types[n].supertypes.iter();
+                    stack.extend(supertypes.filter_map(|s| index.get(s.as_str())));
+                }
+            }
+            node_types.push(CompiledNodeType {
+                name: t.name.clone(),
+                labels,
+                keys: keys.collect(),
+                props: declared.into_values().map(|(_, p)| p.clone()).collect(),
+                open: t.open,
+                conforms_to,
+            });
+        }
+        let mut edges_by_label: BTreeMap<String, Vec<CompiledEdgeType>> = BTreeMap::new();
+        for e in &gt.edge_types {
+            let edge = CompiledEdgeType {
+                name: e.name.clone(),
+                src: index.get(e.src_type.as_str()).copied(),
+                dst: index.get(e.dst_type.as_str()).copied(),
+                props: e.props.clone(),
+            };
+            edges_by_label
+                .entry(e.label.clone())
+                .or_default()
+                .push(edge);
+        }
+        CompiledGraphType {
+            strict: gt.strict,
+            node_types,
+            by_labels,
+            edges_by_label,
+        }
     }
 }
 

@@ -1,7 +1,11 @@
 //! Graph validation against a [`GraphType`], including PG-Key uniqueness.
 
-use crate::types::{GraphType, PropType};
-use pg_graph::{Graph, GraphView, NodeId, RelId, Value};
+use crate::types::{CompiledGraphType, GraphType, KeyColumn, PropType};
+use pg_graph::{
+    CompositeTrailing, Graph, GraphView, IndexProbe, IndexScope, NodeId, NodeRecord, ProbeMode,
+    RelId, RelRecord, Value,
+};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -146,185 +150,232 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Resolve the unique node type whose **full** label set equals the node's
-/// labels. Returns all candidates (0, 1 or more).
-fn node_types_of(gt: &GraphType, labels: &BTreeSet<String>) -> Vec<String> {
-    gt.node_types
-        .iter()
-        .filter(|t| &gt.full_labels(&t.name) == labels)
-        .map(|t| t.name.clone())
-        .collect()
-}
+/// The per-item rules, each written once over the compiled graph type:
+/// [`validate_graph`] applies them to every item, the trigger engine's
+/// commit-time schema guard to the items a transaction touched.
+impl CompiledGraphType {
+    /// The node types whose **full** label set equals `labels` (0, 1 or
+    /// more; a node is typed when there is exactly one).
+    fn types_of(&self, labels: &BTreeSet<String>) -> &[usize] {
+        self.by_labels.get(labels).map_or(&[], Vec::as_slice)
+    }
 
-/// Validate an entire graph against a graph type. Returns all violations
-/// (empty = conformant).
-pub fn validate_graph(graph: &Graph, gt: &GraphType) -> Vec<Violation> {
-    let mut out = Vec::new();
-    // node typing map for edge validation
-    let mut type_of: BTreeMap<NodeId, String> = BTreeMap::new();
-    // key uniqueness: (type, key values) -> first node
-    let mut keys_seen: BTreeMap<(String, String), NodeId> = BTreeMap::new();
+    /// The unique node type of a label set, if any.
+    fn type_of(&self, labels: &BTreeSet<String>) -> Option<usize> {
+        match self.types_of(labels) {
+            [t] => Some(*t),
+            _ => None,
+        }
+    }
 
-    for id in graph.all_node_ids() {
-        let rec = graph.node(id).expect("listed node exists");
-        let candidates = node_types_of(gt, &rec.labels);
-        match candidates.len() {
-            0 => {
-                if gt.strict {
+    /// Check one node: typing, then — when it has exactly one type —
+    /// required, mistyped and (on a closed type) undeclared properties.
+    pub fn check_node(&self, node: &NodeRecord, out: &mut Vec<Violation>) {
+        let t = match self.types_of(&node.labels) {
+            [] => {
+                if self.strict {
                     out.push(Violation::UntypedNode {
-                        node: id,
-                        labels: rec.labels.iter().cloned().collect(),
+                        node: node.id,
+                        labels: node.labels.iter().cloned().collect(),
                     });
                 }
-                continue;
+                return;
             }
-            1 => {}
-            _ => {
+            [t] => &self.node_types[*t],
+            many => {
                 out.push(Violation::AmbiguousNode {
-                    node: id,
-                    types: candidates.clone(),
+                    node: node.id,
+                    types: many
+                        .iter()
+                        .map(|t| self.node_types[*t].name.clone())
+                        .collect(),
                 });
-                continue;
+                return;
+            }
+        };
+        for p in &t.props {
+            match node.props.get(&p.name) {
+                None if p.required => out.push(Violation::MissingProp {
+                    node: node.id,
+                    type_name: t.name.clone(),
+                    prop: p.name.clone(),
+                }),
+                Some(v) if !p.prop_type.accepts(v) => out.push(Violation::WrongPropType {
+                    node: node.id,
+                    prop: p.name.clone(),
+                    expected: p.prop_type.clone(),
+                    got: v.type_name(),
+                }),
+                _ => {}
             }
         }
-        let tname = &candidates[0];
-        type_of.insert(id, tname.clone());
-        let props = gt.full_props(tname);
-        let declared: BTreeSet<&str> = props.iter().map(|p| p.name.as_str()).collect();
-        for p in &props {
-            match rec.props.get(&p.name) {
-                None => {
-                    if p.required {
-                        out.push(Violation::MissingProp {
-                            node: id,
-                            type_name: tname.clone(),
-                            prop: p.name.clone(),
-                        });
-                    }
-                }
-                Some(v) => {
-                    if !p.prop_type.accepts(v) {
-                        out.push(Violation::WrongPropType {
-                            node: id,
-                            prop: p.name.clone(),
-                            expected: p.prop_type.clone(),
-                            got: v.type_name(),
-                        });
-                    }
-                }
-            }
-        }
-        if !gt.is_open(tname) {
-            for (k, _) in rec.props.iter() {
-                if !declared.contains(k.as_str()) {
-                    out.push(Violation::UndeclaredProp {
-                        node: id,
-                        type_name: tname.clone(),
-                        prop: k.clone(),
-                    });
-                }
-            }
-        }
-        // PG-Keys: uniqueness of the key tuple within the type.
-        let key_props = gt.key_props(tname);
-        if !key_props.is_empty() {
-            let key_vals: Vec<String> = key_props
-                .iter()
-                .map(|k| rec.props.get(k).cloned().unwrap_or(Value::Null).to_string())
-                .collect();
-            let composite = key_vals.join("\u{1}");
-            if let Some(&first) = keys_seen.get(&(tname.clone(), composite.clone())) {
-                out.push(Violation::DuplicateKey {
-                    type_name: tname.clone(),
-                    key: key_props.clone(),
-                    nodes: (first, id),
+        if !t.open {
+            let declared = |k: &String| t.props.binary_search_by(|p| p.name.cmp(k)).is_ok();
+            for k in node.props.keys().filter(|k| !declared(k)) {
+                out.push(Violation::UndeclaredProp {
+                    node: node.id,
+                    type_name: t.name.clone(),
+                    prop: k.clone(),
                 });
-            } else {
-                keys_seen.insert((tname.clone(), composite), id);
             }
         }
     }
 
-    for rid in graph.all_rel_ids() {
-        let rec = graph.rel(rid).expect("listed rel exists");
-        let candidates: Vec<_> = gt
-            .edge_types
-            .iter()
-            .filter(|e| e.label == rec.rel_type)
-            .collect();
-        if candidates.is_empty() {
-            if gt.strict {
-                out.push(Violation::UntypedRel {
-                    rel: rid,
-                    rel_type: rec.rel_type.clone(),
-                });
+    /// Check one relationship: its label names an edge type, some edge
+    /// type of that label accepts its endpoints (endpoint subtyping
+    /// allowed: the endpoint's type may inherit from the declared one),
+    /// and its properties conform to the first such edge type. Endpoint
+    /// types are resolved from the endpoints' current labels.
+    pub fn check_rel(&self, graph: &Graph, rel: &RelRecord, out: &mut Vec<Violation>) {
+        let candidates = match self.edges_by_label.get(&rel.rel_type) {
+            Some(edges) => edges,
+            None => {
+                if self.strict {
+                    out.push(Violation::UntypedRel {
+                        rel: rel.id,
+                        rel_type: rel.rel_type.clone(),
+                    });
+                }
+                return;
             }
-            continue;
-        }
-        // An edge conforms if at least one declared edge type with this
-        // label accepts its endpoints (endpoint subtyping allowed: the
-        // endpoint's type may inherit from the declared endpoint type).
-        let conforms = candidates.iter().any(|e| {
-            endpoint_ok(gt, type_of.get(&rec.src), &e.src_type)
-                && endpoint_ok(gt, type_of.get(&rec.dst), &e.dst_type)
-        });
-        if !conforms {
+        };
+        let endpoint = |id: NodeId| graph.node(id).and_then(|n| self.type_of(&n.labels));
+        let (src, dst) = (endpoint(rel.src), endpoint(rel.dst));
+        let accepts = |actual: Option<usize>, declared: Option<usize>| match (actual, declared) {
+            (Some(a), Some(d)) => self.node_types[a].conforms_to[d],
+            _ => false,
+        };
+        let matching = candidates
+            .iter()
+            .find(|e| accepts(src, e.src) && accepts(dst, e.dst));
+        let Some(e) = matching else {
             out.push(Violation::BadEndpoints {
-                rel: rid,
+                rel: rel.id,
                 edge_type: candidates[0].name.clone(),
             });
-            continue;
+            return;
+        };
+        for p in &e.props {
+            match rel.props.get(&p.name) {
+                None if p.required => out.push(Violation::RelMissingProp {
+                    rel: rel.id,
+                    edge_type: e.name.clone(),
+                    prop: p.name.clone(),
+                }),
+                Some(v) if !p.prop_type.accepts(v) => out.push(Violation::RelWrongPropType {
+                    rel: rel.id,
+                    prop: p.name.clone(),
+                    expected: p.prop_type.clone(),
+                    got: v.type_name(),
+                }),
+                _ => {}
+            }
         }
-        // Validate props against the first structurally matching edge type.
-        if let Some(e) = candidates.iter().find(|e| {
-            endpoint_ok(gt, type_of.get(&rec.src), &e.src_type)
-                && endpoint_ok(gt, type_of.get(&rec.dst), &e.dst_type)
-        }) {
-            for p in &e.props {
-                match rec.props.get(&p.name) {
-                    None if p.required => out.push(Violation::RelMissingProp {
-                        rel: rid,
-                        edge_type: e.name.clone(),
-                        prop: p.name.clone(),
-                    }),
-                    Some(v) if !p.prop_type.accepts(v) => out.push(Violation::RelWrongPropType {
-                        rel: rid,
-                        prop: p.name.clone(),
-                        expected: p.prop_type.clone(),
-                        got: v.type_name(),
-                    }),
-                    _ => {}
+    }
+
+    /// The PG-Key of a node: its (unique, keyed) type and the image of its
+    /// key-column values, absent ones as `NULL`. Two nodes hold the same
+    /// key when both parts are equal — key spaces are per resolved type,
+    /// and values are equal when they are the same value of the same type
+    /// (`1`, `1.0` and `'1'` are three keys).
+    fn key_of(&self, node: &NodeRecord) -> Option<(usize, Vec<String>)> {
+        let t = self.type_of(&node.labels)?;
+        let keys = &self.node_types[t].keys;
+        let image =
+            |k: &KeyColumn| format!("{:?}", node.props.get(&k.name).unwrap_or(&Value::Null));
+        (!keys.is_empty()).then(|| (t, keys.iter().map(image).collect()))
+    }
+
+    /// Of the nodes holding one key, `first` is the lowest id and every
+    /// other one a duplicate of it.
+    fn duplicate_key(&self, t: usize, first: NodeId, duplicate: NodeId) -> Violation {
+        let t = &self.node_types[t];
+        Violation::DuplicateKey {
+            type_name: t.name.clone(),
+            key: t.keys.iter().map(|k| k.name.clone()).collect(),
+            nodes: (first, duplicate),
+        }
+    }
+
+    /// Whether `column` is part of the PG-Key of `node`'s type.
+    pub fn is_key_column(&self, node: &NodeRecord, column: &str) -> bool {
+        let t = self.type_of(&node.labels);
+        t.is_some_and(|t| self.node_types[t].keys.iter().any(|k| k.name == column))
+    }
+
+    /// Check one node's key: the [`Violation::DuplicateKey`]s of
+    /// [`validate_graph`] that involve `node`, each paired with the
+    /// duplicate it is reported at.
+    ///
+    /// The other holders of the key are found by an equality probe on a
+    /// key column's `KEY` index (see [`GraphType::index_defs`]), filtered
+    /// by resolved type and the remaining columns. A column whose value
+    /// equals nothing under Cypher equality (absent, `NaN`) or whose index
+    /// does not answer (dropped, unkeyable value) is skipped; with no
+    /// column left, the extent of one of the type's labels is scanned.
+    pub fn check_key(&self, graph: &Graph, node: &NodeRecord) -> Vec<(NodeId, Violation)> {
+        let Some((t, key)) = self.key_of(node) else {
+            return Vec::new();
+        };
+        let nt = &self.node_types[t];
+        let probed = nt.keys.iter().find_map(|k| {
+            let value = node.props.get(&k.name).filter(|v| v.eq3(v) == Some(true))?;
+            let probe = IndexProbe {
+                columns: std::slice::from_ref(&k.name),
+                eq: std::slice::from_ref(value),
+                trailing: CompositeTrailing::None,
+            };
+            let scope = IndexScope::Label(k.index_label.as_deref()?);
+            graph.probe(scope, probe, ProbeMode::Ids)
+        });
+        let candidates: Vec<NodeId> = match (probed, nt.labels.first()) {
+            (Some(hits), _) => hits.into_ids(),
+            (None, Some(label)) => graph.nodes_with_label(label),
+            (None, None) => graph.all_node_ids(),
+        };
+        let same_key = |id: &NodeId| {
+            let peer = graph.node(*id).and_then(|n| self.key_of(n));
+            peer.is_some_and(|(peer_type, peer_key)| peer_type == t && peer_key == key)
+        };
+        let mut holders: Vec<NodeId> = candidates.into_iter().filter(same_key).collect();
+        holders.sort_unstable();
+        let Some((&first, duplicates)) = holders.split_first() else {
+            return Vec::new();
+        };
+        duplicates
+            .iter()
+            .filter(|&&d| first == node.id || d == node.id)
+            .map(|&d| (d, self.duplicate_key(t, first, d)))
+            .collect()
+    }
+}
+
+/// Validate an entire graph against a graph type: the per-item rules of
+/// [`CompiledGraphType`] applied to every node (ascending id), then every
+/// relationship (ascending id). Returns all violations (empty =
+/// conformant).
+pub fn validate_graph(graph: &Graph, gt: &GraphType) -> Vec<Violation> {
+    let compiled = CompiledGraphType::new(gt);
+    let mut out = Vec::new();
+    // key uniqueness: (type, key image) -> first node holding it
+    let mut first_with: BTreeMap<(usize, Vec<String>), NodeId> = BTreeMap::new();
+    for id in graph.all_node_ids() {
+        let node = graph.node(id).expect("listed node exists");
+        compiled.check_node(node, &mut out);
+        if let Some((t, key)) = compiled.key_of(node) {
+            match first_with.entry((t, key)) {
+                Entry::Occupied(first) => out.push(compiled.duplicate_key(t, *first.get(), id)),
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
                 }
             }
         }
     }
+    for id in graph.all_rel_ids() {
+        let rel = graph.rel(id).expect("listed rel exists");
+        compiled.check_rel(graph, rel, &mut out);
+    }
     out
-}
-
-/// An endpoint conforms when its resolved type is the declared type or a
-/// subtype of it.
-fn endpoint_ok(gt: &GraphType, actual: Option<&String>, declared: &str) -> bool {
-    let Some(actual) = actual else {
-        return false;
-    };
-    if actual == declared {
-        return true;
-    }
-    // walk actual's supertypes
-    let mut stack = vec![actual.clone()];
-    let mut seen = BTreeSet::new();
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t.clone()) {
-            continue;
-        }
-        if t == declared {
-            return true;
-        }
-        if let Some(def) = gt.node_type(&t) {
-            stack.extend(def.supertypes.iter().cloned());
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -454,6 +505,24 @@ mod tests {
         assert!(matches!(v[0], Violation::DuplicateKey { .. }));
         // keys inherited: Patient + HospitalizedPatient share the ssn space?
         // No — keys are per-type; subtypes have their own extent.
+    }
+
+    #[test]
+    fn keys_compare_values_not_their_printed_form() {
+        let gt =
+            parse_graph_type("CREATE GRAPH TYPE G STRICT { (TagType: Tag {id ANY KEY}) }").unwrap();
+        let mut g = Graph::new();
+        for id in [Value::Int(1), Value::str("1"), Value::Float(1.0)] {
+            g.create_node(["Tag"], props(&[("id", id)])).unwrap();
+        }
+        assert_eq!(validate_graph(&g, &gt), vec![]);
+        let twin = g.create_node(["Tag"], props(&[("id", Value::str("1"))]));
+        let v = validate_graph(&g, &gt);
+        assert!(
+            matches!(v.as_slice(), [Violation::DuplicateKey { nodes, .. }]
+                if *nodes == (NodeId(1), twin.unwrap())),
+            "{v:?}"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! graph type attached validates every commit; violations roll back like a
 //! failing ONCOMMIT trigger, and triggers + schema compose.
 
+use pg_graph::GraphView;
 use pg_triggers::{Session, TriggerError};
 
 fn schema_session() -> Session {
@@ -138,4 +139,114 @@ fn whole_scenario_stays_conformant_under_guard() {
     sc.session.set_schema(pg_covid::covid_graph_type());
     let report = sc.run().unwrap();
     assert!(report.total_alerts() > 0);
+}
+
+// ---------------------------------------------------------------------
+// A relabel changes a node's type, and with it the endpoint signature of
+// incident edges the transaction never touched.
+// ---------------------------------------------------------------------
+
+/// One hospitalized and one ICU patient treated at Sacco (Lombardy).
+fn ward_session() -> Session {
+    let mut s = schema_session();
+    s.run(
+        "CREATE (h:Hospital {name: 'Sacco', icuBeds: 20})-[:LocatedIn]->(:Region {name: 'Lombardy'}) \
+         CREATE (:Patient:HospitalizedPatient {ssn: 'S1', name: 'A', sex: 'F', id: 1, \
+                 prognosis: 'fair'})-[:TreatedAt]->(h) \
+         CREATE (:Patient:HospitalizedPatient:IcuPatient {ssn: 'S2', name: 'B', sex: 'M', id: 2, \
+                 prognosis: 'severe', admittedToICU: true})-[:TreatedAt]->(h)",
+    )
+    .unwrap();
+    assert_eq!(conformance(&s), vec![]);
+    s
+}
+
+fn conformance(s: &Session) -> Vec<pg_schema::Violation> {
+    pg_schema::validate_graph(s.graph(), &pg_covid::covid_graph_type())
+}
+
+/// Run a statement the guard must reject for endpoint signatures alone and
+/// roll back; returns the edge types blamed, in report order.
+fn rejected_endpoints(s: &mut Session, stmt: &str) -> Vec<String> {
+    let before = pg_wal::encode_snapshot(s.graph(), 0);
+    let err = s.run(stmt).unwrap_err();
+    let TriggerError::Schema(v) = &err else {
+        panic!("expected a schema violation, got {err}");
+    };
+    assert_eq!(pg_wal::encode_snapshot(s.graph(), 0), before, "{err}");
+    (v.violations.iter())
+        .map(|x| match x {
+            pg_schema::Violation::BadEndpoints { edge_type, .. } => edge_type.clone(),
+            other => panic!("unexpected violation {other}"),
+        })
+        .collect()
+}
+
+#[test]
+fn demoting_an_edge_source_rolls_back() {
+    // The node ends up a well-typed plain Patient; its TreatedAt edge,
+    // which the statement never touches, needs a HospitalizedPatient.
+    let mut s = ward_session();
+    let blamed = rejected_endpoints(
+        &mut s,
+        "MATCH (p:HospitalizedPatient {ssn: 'S1'}) \
+         REMOVE p:HospitalizedPatient REMOVE p.id REMOVE p.prognosis",
+    );
+    assert_eq!(blamed, ["TreatedAtType"]);
+}
+
+#[test]
+fn retyping_an_edge_destination_rolls_back() {
+    // The hospital becomes a well-typed Region while two TreatedAt edges
+    // still point at it and a LocatedIn edge leaves it
+    // (Region-[:LocatedIn]->Region matches neither LocatedIn edge type; the
+    // first declared one is named).
+    let mut s = ward_session();
+    let blamed = rejected_endpoints(
+        &mut s,
+        "MATCH (h:Hospital {name: 'Sacco'}) REMOVE h:Hospital SET h:Region REMOVE h.icuBeds",
+    );
+    assert_eq!(
+        blamed,
+        ["LabLocatedInType", "TreatedAtType", "TreatedAtType"]
+    );
+}
+
+#[test]
+fn relabel_keeping_incident_edges_valid_commits() {
+    // IcuPatient -> HospitalizedPatient: TreatedAt accepts the supertype.
+    let mut s = ward_session();
+    s.run("MATCH (p:IcuPatient {ssn: 'S2'}) REMOVE p:IcuPatient REMOVE p.admittedToICU")
+        .unwrap();
+    assert_eq!(conformance(&s), vec![]);
+    assert_eq!(s.graph().nodes_with_label("IcuPatient"), vec![]);
+}
+
+#[test]
+fn preexisting_violation_elsewhere_does_not_block_a_commit() {
+    // Loaded around the guard: an untyped node, and a TreatedAt edge from a
+    // plain Patient. Neither is the next transaction's doing.
+    let mut s = ward_session();
+    let g = s.graph_mut();
+    g.create_node(["Gremlin"], pg_graph::PropertyMap::new())
+        .unwrap();
+    let hospital = g.nodes_with_label("Hospital")[0];
+    let props = [("ssn", "S9"), ("name", "Z"), ("sex", "F")];
+    let props = props.map(|(k, v)| (k.to_string(), pg_graph::Value::str(v)));
+    let stray = g
+        .create_node(["Patient"], props.into_iter().collect())
+        .unwrap();
+    g.create_rel(stray, hospital, "TreatedAt", pg_graph::PropertyMap::new())
+        .unwrap();
+    assert_eq!(conformance(&s).len(), 2);
+
+    s.run("CREATE (:Region {name: 'Tuscany'})").unwrap();
+    s.run("MATCH (p:Patient {ssn: 'S1'}) SET p.prognosis = 'good'")
+        .unwrap();
+    assert_eq!(conformance(&s).len(), 2);
+    // ... but touching the stray edge's endpoint type is.
+    let err = s
+        .run("MATCH (p:Patient {ssn: 'S9'}) SET p:Gremlin")
+        .unwrap_err();
+    assert!(matches!(err, TriggerError::Schema(_)), "{err}");
 }
