@@ -167,12 +167,12 @@ pub fn bind(
             items
                 .into_iter()
                 .map(|(new, old)| {
-                    let mut row = Row::new();
+                    let mut row = Row::with_capacity(2);
                     if let Some(n) = new {
-                        row.set(new_name.clone(), n);
+                        row.set(&new_name, n);
                     }
                     if let Some(o) = old {
-                        row.set(old_name.clone(), o);
+                        row.set(&old_name, o);
                     }
                     vec![row]
                 })
@@ -184,7 +184,7 @@ pub fn bind(
                 ItemKind::Relationship => (TransitionVar::NewRels, TransitionVar::OldRels),
             };
             let (news, olds): (Vec<_>, Vec<_>) = items.into_iter().unzip();
-            let mut row = Row::new();
+            let mut row = Row::with_capacity(2);
             for (var, values) in [(new_var, news), (old_var, olds)] {
                 let values: Vec<Value> = values.into_iter().flatten().collect();
                 if !values.is_empty() {

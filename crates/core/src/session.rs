@@ -884,11 +884,7 @@ fn eval_condition(
         )?
         .bindings;
         for mut row in rows {
-            for (k, v) in seed.iter() {
-                if !row.contains(k) {
-                    row.set(k.clone(), v.clone());
-                }
-            }
+            row.merge_missing(&seed);
             out.push(row);
         }
     }

@@ -278,8 +278,10 @@ fn run_group(
     // position binds unconditionally, so after its stage the name is
     // live in every surviving state).
     let mut live: HashSet<String> = HashSet::new();
-    for s in seeds {
-        live.extend(s.names().cloned());
+    for name in seeds.iter().flat_map(Row::names) {
+        if !live.contains(name) {
+            live.insert(name.to_string());
+        }
     }
 
     // (seed index, in-progress match) — the batch the stages flow over.
@@ -315,7 +317,7 @@ fn run_group(
                 if !node_ok(ctx, &st.row, cand, &path.start, &mut nmemo)? {
                     continue;
                 }
-                let mut st2 = st.clone();
+                let mut st2 = st.fork(&[&path.start.var]);
                 if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
                     cur.push((*si, st2, cand));
                 }
@@ -350,7 +352,7 @@ fn run_group(
                     {
                         continue;
                     }
-                    let mut st2 = st.clone();
+                    let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
                     st2.used.push(*rid);
                     if st2.bind(rel_pat.var.as_ref(), Value::Rel(*rid))
                         && st2.bind(node_pat.var.as_ref(), Value::Node(*other))

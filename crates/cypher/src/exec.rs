@@ -442,8 +442,8 @@ impl<'a> Executor<'a> {
                 }
                 budget -= 1;
                 for seed in *seeds {
-                    let mut s2 = seed.clone();
-                    s2.set(spec.var.clone(), walked_value(plan.scope, raw));
+                    let mut s2 = seed.clone_with_room(1);
+                    s2.set(&spec.var, walked_value(plan.scope, raw));
                     out.extend(match_patterns_pushed(
                         &ctx,
                         &s2,
@@ -489,23 +489,22 @@ impl<'a> Executor<'a> {
                         .collect::<Result<_>>()?,
                 };
                 // What an unmatched OPTIONAL MATCH null-binds.
-                let vars: Cow<'_, [String]> = match (self.match_prep(clause), optional) {
-                    (Some(prep), _) => Cow::Borrowed(&prep.vars),
-                    (None, true) => Cow::Owned(pattern_vars(patterns)),
-                    (None, false) => Cow::Borrowed(&[]),
-                };
+                let nulls = optional.then(|| {
+                    let vars = match self.match_prep(clause) {
+                        Some(prep) => Cow::Borrowed(&prep.vars[..]),
+                        None => Cow::Owned(pattern_vars(patterns)),
+                    };
+                    Row::from_pairs(vars.iter().map(|v| (v, Value::Null)))
+                });
                 let mut out = Vec::new();
                 for (row, matches) in rows.iter().zip(per_seed) {
-                    if matches.is_empty() && *optional {
-                        let mut r2 = row.clone();
-                        for v in vars.iter() {
-                            if !r2.contains(v) {
-                                r2.set(v.clone(), Value::Null);
-                            }
+                    match &nulls {
+                        Some(nulls) if matches.is_empty() => {
+                            let mut r2 = row.clone();
+                            r2.merge_missing(nulls);
+                            out.push(r2);
                         }
-                        out.push(r2);
-                    } else {
-                        out.extend(matches);
+                        _ => out.extend(matches),
                     }
                 }
                 Ok(out)
@@ -524,20 +523,15 @@ impl<'a> Executor<'a> {
                 let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
                 let mut out = Vec::new();
                 for row in &rows {
-                    match eval(&ctx, row, expr)? {
-                        Value::Null => {}
-                        Value::List(items) => {
-                            for item in items {
-                                let mut r2 = row.clone();
-                                r2.set(alias.clone(), item);
-                                out.push(r2);
-                            }
-                        }
-                        single => {
-                            let mut r2 = row.clone();
-                            r2.set(alias.clone(), single);
-                            out.push(r2);
-                        }
+                    let items = match eval(&ctx, row, expr)? {
+                        Value::Null => continue,
+                        Value::List(items) => items,
+                        single => vec![single],
+                    };
+                    for item in items {
+                        let mut r2 = row.clone_with_room(1);
+                        r2.set(alias, item);
+                        out.push(r2);
                     }
                 }
                 Ok(out)
@@ -683,8 +677,8 @@ impl<'a> Executor<'a> {
                         single => vec![single],
                     };
                     for item in items {
-                        let mut inner = row.clone();
-                        inner.set(var.clone(), item);
+                        let mut inner = row.clone_with_room(1);
+                        inner.set(var, item);
                         let mut ignored = None;
                         self.run_clauses(body, vec![inner], &mut ignored)?;
                     }
@@ -851,7 +845,7 @@ impl<'a> Executor<'a> {
                 self.graph_mut("CREATE")?
                     .create_rel(src, dst, rel_pat.types[0].clone(), props)?;
             if let Some(v) = &rel_pat.var {
-                row.set(v.clone(), Value::Rel(rid));
+                row.set(v, Value::Rel(rid));
             }
             prev = next;
         }
@@ -879,7 +873,7 @@ impl<'a> Executor<'a> {
             .graph_mut("CREATE")?
             .create_node(np.labels.iter().cloned(), props)?;
         if let Some(v) = &np.var {
-            row.set(v.clone(), Value::Node(id));
+            row.set(v, Value::Node(id));
         }
         Ok(id)
     }
@@ -906,11 +900,18 @@ impl<'a> Executor<'a> {
         // Expand `*` into identity items over all bound names.
         let mut items: Vec<ProjItem> = Vec::new();
         if proj.star {
+            // Consecutive rows nearly always bind the same names: only a row
+            // whose names differ from its predecessor's is looked at.
             let mut names: Vec<String> = Vec::new();
+            let mut prev: Option<&Row> = None;
             for r in &rows {
+                if prev.is_some_and(|p| p.same_names(r)) {
+                    continue;
+                }
+                prev = Some(r);
                 for n in r.names() {
-                    if !names.contains(n) {
-                        names.push(n.clone());
+                    if !names.iter().any(|have| have == n) {
+                        names.push(n.to_string());
                     }
                 }
             }
@@ -932,9 +933,9 @@ impl<'a> Executor<'a> {
             let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
             let mut out = Vec::with_capacity(rows.len());
             for row in &rows {
-                let mut r2 = Row::new();
+                let mut r2 = Row::with_capacity(items.len());
                 for (item, col) in items.iter().zip(&columns) {
-                    r2.set(col.clone(), eval(&ctx, row, &item.expr)?);
+                    r2.set(col, eval(&ctx, row, &item.expr)?);
                 }
                 out.push(r2);
             }
@@ -1185,19 +1186,19 @@ impl<'a> Executor<'a> {
         let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
         let mut out = Vec::with_capacity(groups.len());
         for g in groups {
-            let mut env = g.rep.clone();
+            let mut env = g.rep.clone_with_room(g.accs.len());
             for (si, acc) in g.accs.into_iter().enumerate() {
                 env.set(format!("__agg{si}"), acc.finish());
             }
-            let mut r2 = Row::new();
+            let mut r2 = Row::with_capacity(kinds.len());
             let mut key_iter = g.key.into_iter();
             for (kind, col) in kinds.iter().zip(columns) {
                 match kind {
                     ItemKind::GroupKey(_) => {
-                        r2.set(col.clone(), key_iter.next().expect("group key"));
+                        r2.set(col, key_iter.next().expect("group key"));
                     }
                     ItemKind::Agg(rewritten) => {
-                        r2.set(col.clone(), eval(&ctx, &env, rewritten)?);
+                        r2.set(col, eval(&ctx, &env, rewritten)?);
                     }
                 }
             }

@@ -208,8 +208,8 @@ pub fn eval(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value> {
             };
             let mut out = Vec::new();
             for item in items {
-                let mut inner_row = row.clone();
-                inner_row.set(var.clone(), item.clone());
+                let mut inner_row = row.clone_with_room(1);
+                inner_row.set(var, item.clone());
                 if let Some(f) = filter {
                     if !eval(ctx, &inner_row, f)?.is_truthy() {
                         continue;

@@ -78,18 +78,74 @@ pub(crate) struct VarPredicates {
 
 pub(crate) type Pushdowns = HashMap<String, VarPredicates>;
 
-/// One in-progress match: the binding row plus relationships already used in
-/// this MATCH clause.
+/// How many traversed relationships a [`MatchState`] holds inline: no
+/// `MATCH` clause of the paper's §6 triggers walks more than three.
+const INLINE_RELS: usize = 4;
+
+/// The relationships already used in this MATCH clause, in traversal
+/// order: inline up to [`INLINE_RELS`], spilled to the heap beyond.
 #[derive(Debug, Clone)]
+pub(crate) enum UsedRels {
+    Inline { len: u8, ids: [RelId; INLINE_RELS] },
+    Spilled(Vec<RelId>),
+}
+
+impl UsedRels {
+    fn as_slice(&self) -> &[RelId] {
+        match self {
+            UsedRels::Inline { len, ids } => &ids[..usize::from(*len)],
+            UsedRels::Spilled(ids) => ids,
+        }
+    }
+
+    pub(crate) fn contains(&self, rid: &RelId) -> bool {
+        self.as_slice().contains(rid)
+    }
+
+    pub(crate) fn push(&mut self, rid: RelId) {
+        match self {
+            UsedRels::Inline { len, ids } if usize::from(*len) < INLINE_RELS => {
+                ids[usize::from(*len)] = rid;
+                *len += 1;
+            }
+            UsedRels::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_RELS);
+                spilled.extend_from_slice(ids);
+                spilled.push(rid);
+                *self = UsedRels::Spilled(spilled);
+            }
+            UsedRels::Spilled(ids) => ids.push(rid),
+        }
+    }
+}
+
+/// One in-progress match: the binding row plus relationships already used in
+/// this MATCH clause. Copied once per candidate per hop, so a copy is one
+/// allocation: the row's (see [`crate::row`]).
+#[derive(Debug)]
 pub(crate) struct MatchState {
     pub(crate) row: Row,
-    pub(crate) used: Vec<RelId>,
+    pub(crate) used: UsedRels,
 }
 
 impl MatchState {
     pub(crate) fn new(row: Row) -> MatchState {
-        let used = Vec::new();
+        let used = UsedRels::Inline {
+            len: 0,
+            ids: [RelId(0); INLINE_RELS],
+        };
         MatchState { row, used }
+    }
+
+    /// A copy whose row has room for the variables the positions `binds`
+    /// name, so the [`MatchState::bind`]s that follow never reallocate.
+    pub(crate) fn fork(&self, binds: &[&Option<String>]) -> MatchState {
+        MatchState {
+            row: self
+                .row
+                .clone_with_room(binds.iter().filter(|v| v.is_some()).count()),
+            used: self.used.clone(),
+        }
     }
 
     /// Bind the pattern variable `var` (if the position names one) to
@@ -102,7 +158,7 @@ impl MatchState {
         match self.row.get(v) {
             Some(bound) => bound.eq3(&value) == Some(true),
             None => {
-                self.row.set(v.clone(), value);
+                self.row.set(v, value);
                 true
             }
         }
@@ -483,7 +539,7 @@ fn match_path(
         if !node_matches(ctx, &st.row, cand, &path.start)? {
             continue;
         }
-        let mut st2 = st.clone();
+        let mut st2 = st.fork(&[&path.start.var]);
         if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
             extend_segments(ctx, path, 0, cand, st2, pushed, out)?;
         }
@@ -515,11 +571,11 @@ fn extend_segments(
             let depth = rels.len() as u32;
             if depth >= min && node_matches(ctx, &st.row, node, node_pat)? {
                 // Complete this segment here.
-                let mut st2 = st.clone();
-                st2.used.extend(rels.iter().copied());
+                let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
+                rels.iter().for_each(|&r| st2.used.push(r));
                 if let Some(v) = &rel_pat.var {
                     st2.row.set(
-                        v.clone(),
+                        v,
                         Value::List(rels.iter().map(|&r| Value::Rel(r)).collect()),
                     );
                 }
@@ -546,7 +602,7 @@ fn extend_segments(
         if st.used.contains(&rid) || !node_matches(ctx, &st.row, other, node_pat)? {
             continue;
         }
-        let mut st2 = st.clone();
+        let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
         st2.used.push(rid);
         if st2.bind(rel_pat.var.as_ref(), Value::Rel(rid))
             && st2.bind(node_pat.var.as_ref(), Value::Node(other))
@@ -992,6 +1048,30 @@ mod tests {
         );
         // paths: a-b-c, c-b-a (x/z symmetric)
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn rel_uniqueness_holds_past_the_inline_rels() {
+        // A ring of six: a walk that used all six relationships — more
+        // than a state holds inline — leaves none for a seventh hop; one
+        // that used five leaves exactly the one closing the ring.
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..6)
+            .map(|_| g.create_node(["N"], PropertyMap::new()).unwrap())
+            .collect();
+        for i in 0..6 {
+            g.create_rel(ids[i], ids[(i + 1) % 6], "NEXT", PropertyMap::new())
+                .unwrap();
+        }
+        let mut seed = Row::new();
+        seed.set("a", Value::Node(ids[0]));
+        let q = "MATCH (a)-[:NEXT*6]-(b)-[:NEXT]-(c) RETURN 1";
+        assert!(run_match(&g, q, seed.clone()).is_empty());
+        let rows = run_match(&g, "MATCH (a)-[:NEXT*5]-(b)-[:NEXT]-(c) RETURN 1", seed);
+        assert_eq!(rows.len(), 2); // clockwise and counter-clockwise
+        assert!(rows
+            .iter()
+            .all(|r| r.get("c") == Some(&Value::Node(ids[0]))));
     }
 
     #[test]
