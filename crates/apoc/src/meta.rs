@@ -14,130 +14,111 @@
 //!   labels under `__labels` and the relationship type under `__type`.
 
 use pg_cypher::Params;
-use pg_graph::{Delta, Value};
+use pg_graph::{Delta, LabelEvent, NodeId, RelId, Value};
 use std::collections::BTreeMap;
 
 /// Build the full APOC parameter set for a transaction delta.
 pub fn apoc_params(delta: &Delta) -> Params {
-    let mut p = Params::new();
-    p.insert(
-        "createdNodes".into(),
-        Value::List(
-            delta
-                .created_nodes
-                .iter()
-                .map(|n| Value::Node(n.id))
-                .collect(),
+    let label = |ev: &LabelEvent| (ev.label.clone(), Value::Node(ev.node));
+    let node = |id: NodeId| ("node", Value::Node(id));
+    let rel = |id: RelId| ("relationship", Value::Rel(id));
+    let (assigned_nodes, assigned_rels) = (
+        delta.raw_assigned_node_props(),
+        delta.raw_assigned_rel_props(),
+    );
+    let params = [
+        (
+            "createdNodes",
+            Value::list(delta.created_nodes.iter().map(|n| Value::Node(n.id))),
         ),
-    );
-    p.insert(
-        "createdRelationships".into(),
-        Value::List(
-            delta
-                .created_rels
-                .iter()
-                .map(|r| Value::Rel(r.id))
-                .collect(),
+        (
+            "createdRelationships",
+            Value::list(delta.created_rels.iter().map(|r| Value::Rel(r.id))),
         ),
-    );
-    p.insert(
-        "deletedNodes".into(),
-        Value::List(delta.deleted_nodes.iter().map(|n| n.to_value()).collect()),
-    );
-    p.insert(
-        "deletedRelationships".into(),
-        Value::List(delta.deleted_rels.iter().map(|r| r.to_value()).collect()),
-    );
-
-    // label -> list of nodes
-    let mut assigned_labels: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for ev in delta.raw_assigned_labels() {
-        assigned_labels
-            .entry(ev.label)
-            .or_default()
-            .push(Value::Node(ev.node));
-    }
-    p.insert(
-        "assignedLabels".into(),
-        Value::Map(
-            assigned_labels
-                .into_iter()
-                .map(|(k, v)| (k, Value::List(v)))
-                .collect(),
+        (
+            "deletedNodes",
+            Value::list(delta.deleted_nodes.iter().map(|n| n.to_value())),
         ),
-    );
-    let mut removed_labels: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for ev in &delta.removed_labels {
-        removed_labels
-            .entry(ev.label.clone())
-            .or_default()
-            .push(Value::Node(ev.node));
-    }
-    p.insert(
-        "removedLabels".into(),
-        Value::Map(
-            removed_labels
-                .into_iter()
-                .map(|(k, v)| (k, Value::List(v)))
-                .collect(),
+        (
+            "deletedRelationships",
+            Value::list(delta.deleted_rels.iter().map(|r| r.to_value())),
         ),
-    );
+        (
+            "assignedLabels",
+            grouped(delta.raw_assigned_labels().iter().map(label)),
+        ),
+        (
+            "removedLabels",
+            grouped(delta.removed_labels.iter().map(label)),
+        ),
+        (
+            "assignedNodeProperties",
+            grouped(
+                assigned_nodes
+                    .iter()
+                    .map(|pa| prop_event(node(pa.target), &pa.key, &pa.old, Some(&pa.new))),
+            ),
+        ),
+        (
+            "assignedRelProperties",
+            grouped(
+                assigned_rels
+                    .iter()
+                    .map(|pa| prop_event(rel(pa.target), &pa.key, &pa.old, Some(&pa.new))),
+            ),
+        ),
+        (
+            "removedNodeProperties",
+            grouped(
+                delta
+                    .removed_node_props
+                    .iter()
+                    .map(|pr| prop_event(node(pr.target), &pr.key, &pr.old, None)),
+            ),
+        ),
+        (
+            "removedRelProperties",
+            grouped(
+                delta
+                    .removed_rel_props
+                    .iter()
+                    .map(|pr| prop_event(rel(pr.target), &pr.key, &pr.old, None)),
+            ),
+        ),
+    ];
+    params
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+}
 
-    // property key -> list of {node|relationship, key, old[, new]}
-    let mut anp: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for pa in delta.raw_assigned_node_props() {
-        anp.entry(pa.key.clone()).or_default().push(Value::map([
-            ("node".to_string(), Value::Node(pa.target)),
-            ("key".to_string(), Value::Str(pa.key.clone())),
-            ("old".to_string(), pa.old.clone()),
-            ("new".to_string(), pa.new.clone()),
-        ]));
+/// `{key: [value, …]}` over `(key, value)` pairs, in pair order per key.
+fn grouped(pairs: impl Iterator<Item = (String, Value)>) -> Value {
+    let mut groups: BTreeMap<String, Vec<Value>> = BTreeMap::new();
+    for (key, value) in pairs {
+        groups.entry(key).or_default().push(value);
     }
-    p.insert(
-        "assignedNodeProperties".into(),
-        Value::Map(anp.into_iter().map(|(k, v)| (k, Value::List(v))).collect()),
-    );
+    Value::map(groups.into_iter().map(|(k, v)| (k, Value::List(v))))
+}
 
-    let mut arp: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for pa in delta.raw_assigned_rel_props() {
-        arp.entry(pa.key.clone()).or_default().push(Value::map([
-            ("relationship".to_string(), Value::Rel(pa.target)),
-            ("key".to_string(), Value::Str(pa.key.clone())),
-            ("old".to_string(), pa.old.clone()),
-            ("new".to_string(), pa.new.clone()),
-        ]));
-    }
-    p.insert(
-        "assignedRelProperties".into(),
-        Value::Map(arp.into_iter().map(|(k, v)| (k, Value::List(v))).collect()),
-    );
-
-    let mut rnp: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for pr in &delta.removed_node_props {
-        rnp.entry(pr.key.clone()).or_default().push(Value::map([
-            ("node".to_string(), Value::Node(pr.target)),
-            ("key".to_string(), Value::Str(pr.key.clone())),
-            ("old".to_string(), pr.old.clone()),
-        ]));
-    }
-    p.insert(
-        "removedNodeProperties".into(),
-        Value::Map(rnp.into_iter().map(|(k, v)| (k, Value::List(v))).collect()),
-    );
-
-    let mut rrp: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-    for pr in &delta.removed_rel_props {
-        rrp.entry(pr.key.clone()).or_default().push(Value::map([
-            ("relationship".to_string(), Value::Rel(pr.target)),
-            ("key".to_string(), Value::Str(pr.key.clone())),
-            ("old".to_string(), pr.old.clone()),
-        ]));
-    }
-    p.insert(
-        "removedRelProperties".into(),
-        Value::Map(rrp.into_iter().map(|(k, v)| (k, Value::List(v))).collect()),
-    );
-    p
+/// A property event `{node|relationship, key, old[, new]}`, keyed by its
+/// property.
+fn prop_event(
+    (field, item): (&str, Value),
+    key: &str,
+    old: &Value,
+    new: Option<&Value>,
+) -> (String, Value) {
+    let fields = [
+        (field, item),
+        ("key", Value::str(key)),
+        ("old", old.clone()),
+    ];
+    let fields = fields.into_iter().chain(new.map(|v| ("new", v.clone())));
+    (
+        key.to_string(),
+        Value::map(fields.map(|(k, v)| (k.to_string(), v))),
+    )
 }
 
 /// The names of all APOC transition parameters (Table 2).

@@ -187,60 +187,44 @@ impl ApocDb {
     /// back and `rollback`-phase triggers run.
     pub fn run_tx(&mut self, statements: &[&str]) -> Result<Vec<QueryOutput>, ApocError> {
         self.now_ms += 1000;
-        self.graph.begin().map_err(CypherError::from)?;
-        let tx_mark = self.graph.mark();
-        let mut outputs = Vec::new();
-        for src in statements {
-            match run_query(&mut self.graph, src, &Params::new(), self.now_ms) {
-                Ok(out) => outputs.push(out),
-                Err(e) => {
-                    let params = apoc_params(&self.graph.delta_since(tx_mark));
-                    let _ = self.graph.rollback();
-                    self.fire_phase(Phase::Rollback, &params)?;
-                    return Err(e.into());
-                }
+        let now = self.now_ms;
+        // Transition metadata of the whole transaction — of its part up to
+        // the failing statement, when one fails.
+        let mut params = Params::new();
+        let tx: Result<_, CypherError> = self.graph.transact(|g| {
+            let tx_mark = g.mark();
+            let mut outputs = Vec::new();
+            for src in statements {
+                let out = run_query(g, src, &Params::new(), now);
+                params = apoc_params(&g.delta_since(tx_mark));
+                outputs.push(out?);
             }
-        }
-
-        // Transition metadata of the whole transaction.
-        let params = apoc_params(&self.graph.delta_since(tx_mark));
-
-        // `before` phase: ALL installed before-triggers run once, in
-        // alphabetical order, regardless of the monitored type (§5.1). Their
-        // effects join the transaction but never re-activate triggers.
-        let before_names: Vec<String> = self
-            .triggers
-            .iter()
-            .filter(|(_, t)| t.phase == Phase::Before && !t.paused)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in before_names {
-            let stmt = self.triggers[&name].statement.clone();
-            match execute_apoc_statement(&mut self.graph, &stmt, &params, self.now_ms) {
-                Ok(n) => self.fired += n,
-                Err(e) => {
-                    // a failing before-trigger aborts the transaction
-                    let _ = self.graph.rollback();
-                    self.fire_phase(Phase::Rollback, &params)?;
-                    return Err(e.into());
-                }
+            // `before` phase: ALL installed before-triggers run once, in
+            // alphabetical order, regardless of the monitored type (§5.1).
+            // Their effects join the transaction but never re-activate
+            // triggers; a failing one aborts the transaction.
+            let before = self.triggers.values();
+            for t in before.filter(|t| t.phase == Phase::Before && !t.paused) {
+                self.fired += execute_apoc_statement(g, &t.statement, &params, now)?;
             }
-        }
-
-        self.graph.commit().map_err(CypherError::from)?;
+            Ok(outputs)
+        });
+        let outputs = match tx {
+            Ok(outputs) => outputs,
+            Err(e) => {
+                self.fire_phase(Phase::Rollback, &params)?;
+                return Err(e.into());
+            }
+        };
 
         // `after` phase: new transaction after the commit.
         self.fire_phase(Phase::After, &params)?;
 
         // `afterAsync`: queued; drained now or later depending on config.
-        let async_names: Vec<String> = self
-            .triggers
-            .iter()
-            .filter(|(_, t)| t.phase == Phase::AfterAsync && !t.paused)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in async_names {
-            self.async_queue.push_back((name, params.clone()));
+        for (name, t) in &self.triggers {
+            if t.phase == Phase::AfterAsync && !t.paused {
+                self.async_queue.push_back((name.clone(), params.clone()));
+            }
         }
         if self.auto_drain_async {
             self.drain_async()?;
@@ -254,24 +238,13 @@ impl ApocDb {
     pub fn drain_async(&mut self) -> Result<usize, ApocError> {
         let mut n = 0;
         while let Some((name, params)) = self.async_queue.pop_front() {
-            let Some(t) = self.triggers.get(&name) else {
+            let Some(t) = self.triggers.get(&name).filter(|t| !t.paused) else {
                 continue;
             };
-            if t.paused {
-                continue;
-            }
-            let stmt = t.statement.clone();
-            self.graph.begin().map_err(CypherError::from)?;
-            match execute_apoc_statement(&mut self.graph, &stmt, &params, self.now_ms) {
-                Ok(fired) => {
-                    self.fired += fired;
-                    self.graph.commit().map_err(CypherError::from)?;
-                }
-                Err(e) => {
-                    let _ = self.graph.rollback();
-                    return Err(e.into());
-                }
-            }
+            let now = self.now_ms;
+            self.fired += self
+                .graph
+                .transact(|g| execute_apoc_statement(g, &t.statement, &params, now))?;
             n += 1;
         }
         Ok(n)
@@ -282,25 +255,14 @@ impl ApocDb {
         self.async_queue.len()
     }
 
+    /// Run every active trigger of `phase`, each in a transaction of its own.
     fn fire_phase(&mut self, phase: Phase, params: &Params) -> Result<(), ApocError> {
-        let names: Vec<String> = self
-            .triggers
-            .iter()
-            .filter(|(_, t)| t.phase == phase && !t.paused)
-            .map(|(n, _)| n.clone())
-            .collect();
-        for name in names {
-            let stmt = self.triggers[&name].statement.clone();
-            self.graph.begin().map_err(CypherError::from)?;
-            match execute_apoc_statement(&mut self.graph, &stmt, params, self.now_ms) {
-                Ok(n) => {
-                    self.fired += n;
-                    self.graph.commit().map_err(CypherError::from)?;
-                }
-                Err(e) => {
-                    let _ = self.graph.rollback();
-                    return Err(e.into());
-                }
+        let now = self.now_ms;
+        for t in self.triggers.values() {
+            if t.phase == phase && !t.paused {
+                self.fired += self
+                    .graph
+                    .transact(|g| execute_apoc_statement(g, &t.statement, params, now))?;
             }
         }
         Ok(())
@@ -308,18 +270,10 @@ impl ApocDb {
 
     /// Read-only query helper (no trigger processing).
     pub fn query(&mut self, src: &str) -> Result<QueryOutput, ApocError> {
-        self.graph.begin().map_err(CypherError::from)?;
-        let res = run_query(&mut self.graph, src, &Params::new(), self.now_ms);
-        match res {
-            Ok(out) => {
-                self.graph.commit().map_err(CypherError::from)?;
-                Ok(out)
-            }
-            Err(e) => {
-                let _ = self.graph.rollback();
-                Err(e.into())
-            }
-        }
+        let now = self.now_ms;
+        self.graph
+            .transact(|g| run_query(g, src, &Params::new(), now))
+            .map_err(ApocError::from)
     }
 }
 

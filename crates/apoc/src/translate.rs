@@ -8,7 +8,9 @@
 //! (`cNodes` in the paper), inlines the condition query (when present) as a
 //! filtering pipeline, and wraps the condition predicate and the trigger
 //! statement in `apoc.do.when(<label-check AND condition>, '<statement>',
-//! '', {<operands>})`.
+//! '', {<operands>})`. Everything but the Table 2 vocabulary, the
+//! phase mapping and the `apoc.do.when` assembly is the lowering shared
+//! with the Memgraph translator ([`pg_triggers::lowering`]).
 //!
 //! Divergence from the paper's hand translation: for property events the
 //! paper destructures the ⟨node, property, old, new⟩ quadruple into scalar
@@ -20,12 +22,14 @@
 //! APOC limitation relative to native PG-Triggers.
 
 use crate::system::Phase;
-use pg_cypher::ast::{Clause, Expr, PathPattern, Query};
-use pg_cypher::{rename_vars, unparse_clause, unparse_expr, unparse_query};
-use pg_triggers::{
-    ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use pg_cypher::ast::visit::{self, Node};
+use pg_cypher::ast::{Clause, Expr, ProjItem, RemoveItem, SetItem};
+use pg_cypher::{unparse_expr, unparse_query};
+use pg_triggers::lowering::{lower, Vocabulary};
+use pg_triggers::{ActionTime, EventKind::*, TriggerSpec};
+use std::collections::BTreeSet;
+
+pub use pg_triggers::lowering::TranslateError;
 
 /// A translated trigger: the arguments of `apoc.trigger.install`.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,21 +41,52 @@ pub struct ApocInstall {
     pub warnings: Vec<String>,
 }
 
-/// Errors for trigger shapes APOC cannot express.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TranslateError {
-    Unsupported(String),
-}
-
-impl std::fmt::Display for TranslateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranslateError::Unsupported(msg) => write!(f, "untranslatable trigger: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TranslateError {}
+/// Paper Table 2: the parameters APOC passes each event kind's transition
+/// metadata in, and the item variable Figure 2 unwinds it to.
+const VOCABULARY: Vocabulary = Vocabulary {
+    metadata: "APOC metadata",
+    sources: [
+        (NodeCreated, "cNodes", "UNWIND $createdNodes AS cNodes"),
+        (NodeDeleted, "dNodes", "UNWIND $deletedNodes AS dNodes"),
+        (RelCreated, "cRels", "UNWIND $createdRelationships AS cRels"),
+        (RelDeleted, "dRels", "UNWIND $deletedRelationships AS dRels"),
+        (
+            LabelSet,
+            "cNodes",
+            "UNWIND $assignedLabels['{key}'] AS cNodes",
+        ),
+        (
+            LabelRemoved,
+            "cNodes",
+            "UNWIND $removedLabels['{key}'] AS cNodes",
+        ),
+        (
+            NodePropSet,
+            "node",
+            "UNWIND $assignedNodeProperties['{key}'] AS aProp \
+             WITH aProp.node AS node, {{key}: aProp.old} AS oldProps",
+        ),
+        (
+            NodePropRemoved,
+            "node",
+            "UNWIND $removedNodeProperties['{key}'] AS aProp \
+             WITH aProp.node AS node, {{key}: aProp.old} AS oldProps",
+        ),
+        (
+            RelPropSet,
+            "rel",
+            "UNWIND $assignedRelProperties['{key}'] AS aProp \
+             WITH aProp.relationship AS rel, {{key}: aProp.old} AS oldProps",
+        ),
+        (
+            RelPropRemoved,
+            "rel",
+            "UNWIND $removedRelProperties['{key}'] AS aProp \
+             WITH aProp.relationship AS rel, {{key}: aProp.old} AS oldProps",
+        ),
+    ],
+    node_label_check: |node, label| Expr::HasLabel(Box::new(node), vec![label.to_string()]),
+};
 
 /// Translate a PG-Trigger into an APOC trigger installation.
 pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
@@ -84,296 +119,36 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
         "APOC triggers do not cascade (trigger-generated changes never re-activate triggers)"
             .to_string(),
     );
+    let lowered = lower(spec, &VOCABULARY)?;
+    warnings.extend(lowered.warnings.iter().cloned());
 
-    // ------------------------------------------------------------------
-    // Event plan: UNWIND source, local variable names, label check.
-    // ------------------------------------------------------------------
-    struct Plan {
-        /// prefix clauses (text) binding the per-item variables
-        prefix: String,
-        /// the item variable visible to condition/statement
-        item_var: String,
-        /// per-item label/type check (before collection for FOR ALL)
-        label_check: Expr,
-        /// renames applied to condition + statement
-        renames: BTreeMap<String, String>,
+    // Operands: the names the statement or the check reference that the
+    // prefix or the condition pipeline binds.
+    let mut bound: BTreeSet<String> = lowered.binds.iter().cloned().collect();
+    if let Some(pipeline) = &lowered.pipeline {
+        bound_names(&pipeline.clauses, &mut bound);
     }
-
-    let var = |s: &str| Expr::Var(s.to_string());
-    let lit = |s: &str| Expr::Literal(pg_graph::Value::Str(s.to_string()));
-    let label = spec.label.clone();
-
-    let each_plan = |spec: &TriggerSpec| -> Result<Plan, TranslateError> {
-        let mut renames = BTreeMap::new();
-        let p = match (spec.kind(), &spec.property) {
-            (Some(EventKind::NodeCreated), _) => {
-                renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
-                Plan {
-                    prefix: "UNWIND $createdNodes AS cNodes".to_string(),
-                    item_var: "cNodes".to_string(),
-                    label_check: Expr::HasLabel(Box::new(var("cNodes")), vec![label.clone()]),
-                    renames,
-                }
-            }
-            (Some(EventKind::RelCreated), _) => {
-                renames.insert(spec.var_name(TransitionVar::New), "cRels".to_string());
-                Plan {
-                    prefix: "UNWIND $createdRelationships AS cRels".to_string(),
-                    item_var: "cRels".to_string(),
-                    label_check: Expr::Binary(
-                        pg_cypher::ast::BinOp::Eq,
-                        Box::new(Expr::Func {
-                            name: "type".into(),
-                            args: vec![var("cRels")],
-                            distinct: false,
-                        }),
-                        Box::new(lit(&label)),
-                    ),
-                    renames,
-                }
-            }
-            (Some(EventKind::NodeDeleted), _) => {
-                renames.insert(spec.var_name(TransitionVar::Old), "dNodes".to_string());
-                Plan {
-                    prefix: "UNWIND $deletedNodes AS dNodes".to_string(),
-                    item_var: "dNodes".to_string(),
-                    label_check: Expr::Binary(
-                        pg_cypher::ast::BinOp::In,
-                        Box::new(lit(&label)),
-                        Box::new(Expr::Prop(Box::new(var("dNodes")), "__labels".into())),
-                    ),
-                    renames,
-                }
-            }
-            (Some(EventKind::RelDeleted), _) => {
-                renames.insert(spec.var_name(TransitionVar::Old), "dRels".to_string());
-                Plan {
-                    prefix: "UNWIND $deletedRelationships AS dRels".to_string(),
-                    item_var: "dRels".to_string(),
-                    label_check: Expr::Binary(
-                        pg_cypher::ast::BinOp::Eq,
-                        Box::new(Expr::Prop(Box::new(var("dRels")), "__type".into())),
-                        Box::new(lit(&label)),
-                    ),
-                    renames,
-                }
-            }
-            (Some(EventKind::LabelSet), _) => {
-                renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
-                Plan {
-                    prefix: format!("UNWIND $assignedLabels['{label}'] AS cNodes"),
-                    item_var: "cNodes".to_string(),
-                    label_check: Expr::Literal(pg_graph::Value::Bool(true)),
-                    renames,
-                }
-            }
-            (Some(EventKind::LabelRemoved), _) => {
-                renames.insert(spec.var_name(TransitionVar::Old), "cNodes".to_string());
-                renames.insert(spec.var_name(TransitionVar::New), "cNodes".to_string());
-                Plan {
-                    prefix: format!("UNWIND $removedLabels['{label}'] AS cNodes"),
-                    item_var: "cNodes".to_string(),
-                    label_check: Expr::Literal(pg_graph::Value::Bool(true)),
-                    renames,
-                }
-            }
-            (Some(EventKind::NodePropSet), Some(p)) => {
-                renames.insert(spec.var_name(TransitionVar::New), "node".to_string());
-                renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
-                Plan {
-                    prefix: format!(
-                        "UNWIND $assignedNodeProperties['{p}'] AS aProp \
-                         WITH aProp.node AS node, {{{p}: aProp.old}} AS oldProps"
-                    ),
-                    item_var: "node".to_string(),
-                    label_check: Expr::HasLabel(Box::new(var("node")), vec![label.clone()]),
-                    renames,
-                }
-            }
-            (Some(EventKind::NodePropRemoved), Some(p)) => {
-                renames.insert(spec.var_name(TransitionVar::New), "node".to_string());
-                renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
-                Plan {
-                    prefix: format!(
-                        "UNWIND $removedNodeProperties['{p}'] AS aProp \
-                         WITH aProp.node AS node, {{{p}: aProp.old}} AS oldProps"
-                    ),
-                    item_var: "node".to_string(),
-                    label_check: Expr::HasLabel(Box::new(var("node")), vec![label.clone()]),
-                    renames,
-                }
-            }
-            (Some(EventKind::RelPropSet), Some(p)) => {
-                renames.insert(spec.var_name(TransitionVar::New), "rel".to_string());
-                renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
-                Plan {
-                    prefix: format!(
-                        "UNWIND $assignedRelProperties['{p}'] AS aProp \
-                         WITH aProp.relationship AS rel, {{{p}: aProp.old}} AS oldProps"
-                    ),
-                    item_var: "rel".to_string(),
-                    label_check: Expr::Binary(
-                        pg_cypher::ast::BinOp::Eq,
-                        Box::new(Expr::Func {
-                            name: "type".into(),
-                            args: vec![var("rel")],
-                            distinct: false,
-                        }),
-                        Box::new(lit(&label)),
-                    ),
-                    renames,
-                }
-            }
-            (Some(EventKind::RelPropRemoved), Some(p)) => {
-                renames.insert(spec.var_name(TransitionVar::New), "rel".to_string());
-                renames.insert(spec.var_name(TransitionVar::Old), "oldProps".to_string());
-                Plan {
-                    prefix: format!(
-                        "UNWIND $removedRelProperties['{p}'] AS aProp \
-                         WITH aProp.relationship AS rel, {{{p}: aProp.old}} AS oldProps"
-                    ),
-                    item_var: "rel".to_string(),
-                    label_check: Expr::Binary(
-                        pg_cypher::ast::BinOp::Eq,
-                        Box::new(Expr::Func {
-                            name: "type".into(),
-                            args: vec![var("rel")],
-                            distinct: false,
-                        }),
-                        Box::new(lit(&label)),
-                    ),
-                    renames,
-                }
-            }
-            (None, _) | (_, None) => {
-                return Err(TranslateError::Unsupported(format!(
-                    "event {:?} on {:?} with property {:?}",
-                    spec.event, spec.item, spec.property
-                )))
-            }
-        };
-        Ok(p)
-    };
-
-    let mut plan = each_plan(spec)?;
-
-    // FOR ALL: collect the affected items into a list after the per-item
-    // label filter; the set-level transition variable maps onto the list.
-    // (§5.1: "we cannot separate the two cases of granularity, because
-    // UNWIND returns, in any case, the entire set".)
-    if spec.granularity == Granularity::All {
-        let unit = plan.item_var.clone();
-        let list_var = format!("{unit}List");
-        plan.prefix = format!(
-            "{} WITH {unit} WHERE {} WITH collect({unit}) AS {list_var}",
-            plan.prefix,
-            unparse_expr(&plan.label_check),
-        );
-        plan.label_check = Expr::Binary(
-            pg_cypher::ast::BinOp::Gt,
-            Box::new(Expr::Func {
-                name: "size".into(),
-                args: vec![var(&list_var)],
-                distinct: false,
-            }),
-            Box::new(Expr::Literal(pg_graph::Value::Int(0))),
-        );
-        let (new_set, old_set) = match spec.item {
-            ItemKind::Node => (TransitionVar::NewNodes, TransitionVar::OldNodes),
-            ItemKind::Relationship => (TransitionVar::NewRels, TransitionVar::OldRels),
-        };
-        plan.renames.clear();
-        match spec.event {
-            EventType::Create | EventType::Set => {
-                plan.renames
-                    .insert(spec.var_name(new_set), list_var.clone());
-            }
-            EventType::Delete | EventType::Remove => {
-                plan.renames
-                    .insert(spec.var_name(old_set), list_var.clone());
-            }
-        }
-        if spec.kind().is_some_and(EventKind::on_property) {
-            return Err(TranslateError::Unsupported(
-                "FOR ALL with property events: APOC metadata cannot deliver aligned OLD/NEW item sets"
-                    .to_string(),
-            ));
-        }
-        plan.item_var = list_var;
+    let mut referenced = BTreeSet::new();
+    referenced_names(&lowered.statement.clauses, &mut referenced);
+    expr_names(&lowered.check, &mut referenced);
+    let mut args: Vec<&str> = bound
+        .intersection(&referenced)
+        .map(String::as_str)
+        .collect();
+    if args.is_empty() {
+        args.push(lowered.item());
     }
+    let args: Vec<String> = args.iter().map(|v| format!("{v}: {v}")).collect();
 
-    // ------------------------------------------------------------------
-    // Condition: a bare predicate goes into do.when; a pipeline becomes a
-    // filtering condition_query before it (Figure 2's `condition_query`).
-    // ------------------------------------------------------------------
-    let mut cond_expr = plan.label_check.clone();
-    let mut condition_pipeline = String::new();
-    if let Some(cond) = &spec.condition {
-        let renamed = rename_vars(cond.query(), &plan.renames);
-        match renamed.clauses.as_slice() {
-            [Clause::Where(pred)] => {
-                cond_expr = Expr::Binary(
-                    pg_cypher::ast::BinOp::And,
-                    Box::new(cond_expr),
-                    Box::new(pred.clone()),
-                );
-            }
-            clauses => {
-                condition_pipeline = clauses
-                    .iter()
-                    .map(unparse_clause)
-                    .collect::<Vec<_>>()
-                    .join(" ");
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Statement + operands.
-    // ------------------------------------------------------------------
-    let statement = rename_vars(spec.statement.query(), &plan.renames);
-    let stmt_text = unparse_query(&statement);
-
-    // Operands = variables the statement references that the prefix (or the
-    // condition pipeline) binds.
-    let mut bound: BTreeSet<String> = BTreeSet::new();
-    bound.insert(plan.item_var.clone());
-    for v in plan.renames.values() {
-        bound.insert(v.clone());
-    }
-    if let Some(cond) = &spec.condition {
-        collect_bound_vars(&rename_vars(cond.query(), &plan.renames), &mut bound);
-    }
-    let mut referenced: BTreeSet<String> = BTreeSet::new();
-    collect_var_refs(&statement, &mut referenced);
-    collect_expr_refs(&cond_expr, &mut referenced);
-    let args: Vec<String> = bound.intersection(&referenced).cloned().collect();
-    let args_text = if args.is_empty() {
-        format!("{{{}: {}}}", plan.item_var, plan.item_var)
-    } else {
-        format!(
-            "{{{}}}",
-            args.iter()
-                .map(|v| format!("{v}: {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
-    };
-
-    let escaped_stmt = stmt_text.replace('\\', "\\\\").replace('\'', "\\'");
+    let then = unparse_query(&lowered.statement)
+        .replace('\\', "\\\\")
+        .replace('\'', "\\'");
     let statement = format!(
-        "{prefix}{pipeline} CALL apoc.do.when({cond}, '{then}', '', {args}) YIELD value RETURN *",
-        prefix = plan.prefix,
-        pipeline = if condition_pipeline.is_empty() {
-            String::new()
-        } else {
-            format!(" {condition_pipeline}")
-        },
-        cond = unparse_expr(&cond_expr),
-        then = escaped_stmt,
-        args = args_text,
+        "{} CALL apoc.do.when({}, '{then}', '', {{{}}}) YIELD value RETURN *",
+        lowered.head,
+        unparse_expr(&lowered.check),
+        args.join(", "),
     );
-
     Ok(ApocInstall {
         name: spec.name.clone(),
         statement,
@@ -382,195 +157,106 @@ pub fn translate(spec: &TriggerSpec) -> Result<ApocInstall, TranslateError> {
     })
 }
 
-/// Variables bound by a query's clauses (approximate: pattern variables,
-/// UNWIND aliases, WITH/RETURN aliases).
-fn collect_bound_vars(q: &Query, out: &mut BTreeSet<String>) {
-    fn pattern_vars(p: &PathPattern, out: &mut BTreeSet<String>) {
-        if let Some(v) = &p.start.var {
-            out.insert(v.clone());
-        }
-        for (r, n) in &p.segments {
-            if let Some(v) = &r.var {
-                out.insert(v.clone());
-            }
-            if let Some(v) = &n.var {
-                out.insert(v.clone());
-            }
-        }
-    }
-    for c in &q.clauses {
-        match c {
-            Clause::Match { patterns, .. } | Clause::Create { patterns } => {
-                for p in patterns {
-                    pattern_vars(p, out);
+/// The names in scope after a pipeline's clauses, given those in scope
+/// before (`out`): the variables of `MATCH`, `CREATE` and `MERGE` patterns
+/// and `UNWIND` aliases join it; a `WITH`/`RETURN` replaces it by its
+/// columns, or with `*` adds them.
+fn bound_names(clauses: &[Clause], out: &mut BTreeSet<String>) {
+    visit::clauses(clauses, &mut |node: Node| match node {
+        Node::Clause(c) => {
+            match c {
+                Clause::Unwind { alias, .. } => {
+                    out.insert(alias.clone());
                 }
-            }
-            Clause::Merge { pattern, .. } => pattern_vars(pattern, out),
-            Clause::Unwind { alias, .. } => {
-                out.insert(alias.clone());
-            }
-            Clause::With(p) | Clause::Return(p) => {
-                for i in &p.items {
-                    out.insert(i.name());
+                Clause::With(p) | Clause::Return(p) => {
+                    if !p.star {
+                        out.clear();
+                    }
+                    out.extend(p.items.iter().map(ProjItem::name));
                 }
+                _ => {}
             }
-            _ => {}
+            matches!(
+                c,
+                Clause::Match { .. } | Clause::Create { .. } | Clause::Merge { .. }
+            )
         }
-    }
+        Node::Pattern(p) => {
+            out.extend(p.vars().cloned());
+            false
+        }
+        Node::Expr(_) => false,
+    });
 }
 
-/// All variable references in a query (expressions, pattern labels that may
-/// be transition-variable references, property maps).
-fn collect_var_refs(q: &Query, out: &mut BTreeSet<String>) {
-    fn from_pattern(p: &PathPattern, out: &mut BTreeSet<String>) {
-        for l in &p.start.labels {
-            out.insert(l.clone());
-        }
-        if let Some(v) = &p.start.var {
-            out.insert(v.clone());
-        }
-        for (_, e) in &p.start.props {
-            collect_expr_refs(e, out);
-        }
-        for (r, n) in &p.segments {
-            if let Some(v) = &r.var {
-                out.insert(v.clone());
-            }
-            for (_, e) in &r.props {
-                collect_expr_refs(e, out);
-            }
-            for l in &n.labels {
-                out.insert(l.clone());
-            }
-            if let Some(v) = &n.var {
-                out.insert(v.clone());
-            }
-            for (_, e) in &n.props {
-                collect_expr_refs(e, out);
-            }
-        }
-    }
-    for c in &q.clauses {
-        match c {
-            Clause::Match {
-                patterns,
-                where_clause,
-                ..
-            } => {
-                for p in patterns {
-                    from_pattern(p, out);
-                }
-                if let Some(w) = where_clause {
-                    collect_expr_refs(w, out);
-                }
-            }
-            Clause::Create { patterns } => {
-                for p in patterns {
-                    from_pattern(p, out);
-                }
-            }
-            Clause::Merge {
-                pattern,
+/// Names a statement references: variables, node-pattern labels (which may
+/// name a transition variable) and the variables `SET`/`REMOVE` items
+/// target. Aliases, loop variables and `SKIP`/`LIMIT` do not count.
+fn referenced_names(clauses: &[Clause], out: &mut BTreeSet<String>) {
+    let targets = |items: &[SetItem]| -> Vec<String> {
+        items
+            .iter()
+            .filter_map(|i| match i {
+                SetItem::Labels { var, .. }
+                | SetItem::ReplaceProps { var, .. }
+                | SetItem::MergeProps { var, .. } => Some(var.clone()),
+                SetItem::Prop { .. } => None,
+            })
+            .collect()
+    };
+    visit::clauses(clauses, &mut |node: Node| {
+        match node {
+            Node::Clause(Clause::Set { items }) => out.extend(targets(items)),
+            Node::Clause(Clause::Merge {
                 on_create,
                 on_match,
-            } => {
-                from_pattern(pattern, out);
-                for items in [on_create, on_match] {
-                    for i in items {
-                        match i {
-                            pg_cypher::ast::SetItem::Prop { target, value, .. } => {
-                                collect_expr_refs(target, out);
-                                collect_expr_refs(value, out);
-                            }
-                            pg_cypher::ast::SetItem::Labels { var, .. } => {
-                                out.insert(var.clone());
-                            }
-                            pg_cypher::ast::SetItem::ReplaceProps { var, value }
-                            | pg_cypher::ast::SetItem::MergeProps { var, value } => {
-                                out.insert(var.clone());
-                                collect_expr_refs(value, out);
-                            }
-                        }
-                    }
-                }
+                ..
+            }) => {
+                out.extend(targets(on_create));
+                out.extend(targets(on_match));
             }
-            Clause::Where(e) | Clause::Abort(e) => collect_expr_refs(e, out),
-            Clause::Unwind { expr, .. } => collect_expr_refs(expr, out),
-            Clause::With(p) | Clause::Return(p) => {
-                for i in &p.items {
-                    collect_expr_refs(&i.expr, out);
-                }
-                for (e, _) in &p.order_by {
-                    collect_expr_refs(e, out);
-                }
-                if let Some(w) = &p.where_clause {
-                    collect_expr_refs(w, out);
-                }
+            Node::Clause(Clause::Remove { items }) => {
+                out.extend(items.iter().filter_map(|i| match i {
+                    RemoveItem::Labels { var, .. } => Some(var.clone()),
+                    RemoveItem::Prop { .. } => None,
+                }))
             }
-            Clause::Set { items } => {
-                for i in items {
-                    match i {
-                        pg_cypher::ast::SetItem::Prop { target, value, .. } => {
-                            collect_expr_refs(target, out);
-                            collect_expr_refs(value, out);
-                        }
-                        pg_cypher::ast::SetItem::Labels { var, .. } => {
-                            out.insert(var.clone());
-                        }
-                        pg_cypher::ast::SetItem::ReplaceProps { var, value }
-                        | pg_cypher::ast::SetItem::MergeProps { var, value } => {
-                            out.insert(var.clone());
-                            collect_expr_refs(value, out);
-                        }
-                    }
-                }
+            Node::Clause(Clause::With(p) | Clause::Return(p)) => {
+                let keys = p.order_by.iter().map(|(e, _)| e);
+                let exprs = p.items.iter().map(|i| &i.expr).chain(keys);
+                exprs
+                    .chain(&p.where_clause)
+                    .for_each(|e| expr_names(e, out));
+                return false;
             }
-            Clause::Remove { items } => {
-                for i in items {
-                    match i {
-                        pg_cypher::ast::RemoveItem::Prop { target, .. } => {
-                            collect_expr_refs(target, out)
-                        }
-                        pg_cypher::ast::RemoveItem::Labels { var, .. } => {
-                            out.insert(var.clone());
-                        }
-                    }
-                }
+            Node::Clause(_) => {}
+            Node::Pattern(p) => {
+                out.extend(p.nodes().flat_map(|n| &n.labels).cloned());
+                out.extend(p.vars().cloned());
             }
-            Clause::Delete { exprs, .. } => {
-                for e in exprs {
-                    collect_expr_refs(e, out);
-                }
-            }
-            Clause::Foreach { list, body, .. } => {
-                collect_expr_refs(list, out);
-                collect_var_refs(
-                    &Query {
-                        clauses: body.clone(),
-                    },
-                    out,
-                );
+            Node::Expr(e) => {
+                expr_names(e, out);
+                return false;
             }
         }
-    }
+        true
+    });
 }
 
-fn collect_expr_refs(e: &Expr, out: &mut BTreeSet<String>) {
-    let mut v = Vec::new();
-    e.collect_vars(&mut v);
-    out.extend(v);
-    // EXISTS pattern labels may be transition references.
+/// An expression's free variables, plus the node labels of its patterns
+/// when it is an `EXISTS`.
+fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
+    let mut vars = Vec::new();
+    e.collect_vars(&mut vars);
+    out.extend(vars);
     if let Expr::ExistsSubquery(patterns, _) = e {
-        for p in patterns {
-            for l in &p.start.labels {
-                out.insert(l.clone());
-            }
-            for (_, n) in &p.segments {
-                for l in &n.labels {
-                    out.insert(l.clone());
-                }
-            }
-        }
+        out.extend(
+            patterns
+                .iter()
+                .flat_map(|p| p.nodes())
+                .flat_map(|n| &n.labels)
+                .cloned(),
+        );
     }
 }
 
@@ -692,7 +378,9 @@ mod tests {
             out.statement
         );
         assert!(
-            out.statement.contains("WITH count(p) AS n WHERE (n > 50)"),
+            // the projection carries the item list (the carry rule)
+            out.statement
+                .contains("WITH count(p) AS n, cNodesList WHERE (n > 50)"),
             "{}",
             out.statement
         );

@@ -24,6 +24,7 @@
 
 use crate::error::InstallError;
 use crate::spec::*;
+use pg_cypher::ast::visit::{self, Node};
 use pg_cypher::ast::{Clause, RemoveItem, SetItem};
 use pg_cypher::lexer::lex;
 use pg_cypher::token::{Token, TokenKind};
@@ -489,44 +490,51 @@ pub fn validate_spec(spec: &TriggerSpec) -> Result<(), InstallError> {
 }
 
 fn statement_mutates_label(clauses: &[Clause], label: &str) -> bool {
-    clauses.iter().any(|c| match c {
-        Clause::Set { items } => items.iter().any(|i| match i {
-            SetItem::Labels { labels, .. } => labels.iter().any(|l| l == label),
+    let names = |labels: &[String]| labels.iter().any(|l| l == label);
+    let sets = |items: &[SetItem]| {
+        items
+            .iter()
+            .any(|i| matches!(i, SetItem::Labels { labels, .. } if names(labels)))
+    };
+    let mut found = false;
+    visit::clauses(clauses, &mut |node: Node| {
+        let Node::Clause(c) = node else {
+            return false;
+        };
+        found |= match c {
+            Clause::Set { items } => sets(items),
+            Clause::Merge {
+                on_create,
+                on_match,
+                ..
+            } => sets(on_create) || sets(on_match),
+            Clause::Remove { items } => items
+                .iter()
+                .any(|i| matches!(i, RemoveItem::Labels { labels, .. } if names(labels))),
             _ => false,
-        }),
-        Clause::Remove { items } => items.iter().any(|i| match i {
-            RemoveItem::Labels { labels, .. } => labels.iter().any(|l| l == label),
-            _ => false,
-        }),
-        Clause::Merge {
-            on_create,
-            on_match,
-            ..
-        } => on_create.iter().chain(on_match.iter()).any(|i| match i {
-            SetItem::Labels { labels, .. } => labels.iter().any(|l| l == label),
-            _ => false,
-        }),
-        Clause::Foreach { body, .. } => statement_mutates_label(body, label),
-        _ => false,
-    })
+        };
+        !found
+    });
+    found
 }
 
+/// The first clause, in walk order, a `BEFORE` statement may not hold.
 fn first_strong_clause(clauses: &[Clause]) -> Option<&'static str> {
-    for c in clauses {
-        match c {
-            Clause::Create { .. } => return Some("CREATE"),
-            Clause::Merge { .. } => return Some("MERGE"),
-            Clause::Delete { .. } => return Some("DELETE"),
-            Clause::Remove { .. } => return Some("REMOVE"),
-            Clause::Foreach { body, .. } => {
-                if let Some(found) = first_strong_clause(body) {
-                    return Some(found);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    let mut found = None;
+    visit::clauses(clauses, &mut |node: Node| {
+        let Node::Clause(c) = node else {
+            return false;
+        };
+        found = found.or(match c {
+            Clause::Create { .. } => Some("CREATE"),
+            Clause::Merge { .. } => Some("MERGE"),
+            Clause::Delete { .. } => Some("DELETE"),
+            Clause::Remove { .. } => Some("REMOVE"),
+            _ => None,
+        });
+        found.is_none()
+    });
+    found
 }
 
 #[cfg(test)]

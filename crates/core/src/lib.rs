@@ -14,6 +14,8 @@
 //!   and the target-label protection rule.
 //! * **Termination analysis** — [`termination`] builds the Baralis–Ceri–
 //!   Widom triggering graph and reports cycles.
+//! * **Translation** — [`lowering`] is the one lowering behind §5's APOC
+//!   and Memgraph translations (`pg_apoc`, `pg_memgraph`).
 //!
 //! ```
 //! use pg_triggers::Session;
@@ -43,6 +45,7 @@ pub mod binding;
 pub mod catalog;
 pub mod ddl;
 pub mod error;
+pub mod lowering;
 pub mod overlay;
 pub mod read_session;
 pub mod schema_guard;

@@ -10,7 +10,8 @@
 
 use crate::catalog::TriggerCatalog;
 use crate::spec::{EventKind, EventType, ItemKind, TransitionVar, TriggerSpec};
-use pg_cypher::ast::{Clause, Expr, NodePattern, PathPattern, RemoveItem, SetItem};
+use pg_cypher::ast::visit::{self, Node};
+use pg_cypher::ast::{Clause, Expr, PathPattern, RemoveItem, SetItem};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A statically derived event pattern, in the engine's own vocabulary:
@@ -59,25 +60,14 @@ struct Generated {
     out: Vec<EventPattern>,
 }
 
-fn nodes_of(p: &PathPattern) -> impl Iterator<Item = &NodePattern> {
-    std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n))
-}
-
 impl Generated {
-    /// Learn variable labels/types from the patterns binding them.
+    /// Learn variable labels/types from the patterns `MATCH`, `CREATE`
+    /// and `MERGE` clauses bind (`EXISTS` patterns bind nothing).
     fn harvest(&mut self, clauses: &[Clause]) {
-        for c in clauses {
-            let patterns = match c {
-                Clause::Match { patterns, .. } | Clause::Create { patterns } => patterns.as_slice(),
-                Clause::Merge { pattern, .. } => std::slice::from_ref(pattern),
-                Clause::Foreach { body, .. } => {
-                    self.harvest(body);
-                    continue;
-                }
-                _ => continue,
-            };
-            for p in patterns {
-                for n in nodes_of(p) {
+        visit::clauses(clauses, &mut |node: Node| match node {
+            Node::Clause(_) => true,
+            Node::Pattern(p) => {
+                for n in p.nodes() {
                     if let Some(v) = &n.var {
                         let known = self.node_labels.entry(v.clone()).or_default();
                         known.extend(n.labels.iter().cloned());
@@ -89,8 +79,10 @@ impl Generated {
                         known.extend(r.types.iter().cloned());
                     }
                 }
+                false
             }
-        }
+            Node::Expr(_) => false,
+        });
     }
 
     fn push(&mut self, kind: EventKind, label: Option<String>, property: Option<&str>) {
@@ -138,7 +130,7 @@ impl Generated {
                 self.push(EventKind::RelCreated, Some(t.clone()), None);
             }
         }
-        for n in nodes_of(p) {
+        for n in p.nodes() {
             // A node pattern with a bound var is a reuse, not a creation —
             // but conservatively treat unbound ones as creations of each
             // labelled kind.
@@ -178,7 +170,10 @@ impl Generated {
     }
 
     fn walk(&mut self, clauses: &[Clause]) {
-        for c in clauses {
+        visit::clauses(clauses, &mut |node: Node| {
+            let Node::Clause(c) = node else {
+                return false;
+            };
             match c {
                 Clause::Create { patterns } => patterns.iter().for_each(|p| self.created(p)),
                 Clause::Merge {
@@ -220,10 +215,10 @@ impl Generated {
                         }
                     }
                 }
-                Clause::Foreach { body, .. } => self.walk(body),
                 _ => {}
             }
-        }
+            true
+        });
     }
 }
 

@@ -1,6 +1,9 @@
 //! Abstract syntax tree for the Cypher subset.
 
 use pg_graph::{Direction, Value};
+use visit::{Node, Visitor};
+
+pub mod visit;
 
 /// A query: a sequence of clauses executed as a pipeline over binding rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,18 +16,22 @@ impl Query {
     /// `FOREACH`). Used by the trigger engine to reject mutating conditions
     /// and to statically validate `BEFORE` trigger bodies.
     pub fn is_updating(&self) -> bool {
-        fn clause_updates(c: &Clause) -> bool {
-            match c {
-                Clause::Create { .. }
-                | Clause::Merge { .. }
-                | Clause::Delete { .. }
-                | Clause::Set { .. }
-                | Clause::Remove { .. } => true,
-                Clause::Foreach { body, .. } => body.iter().any(clause_updates),
-                _ => false,
+        let mut updating = false;
+        visit::clauses(&self.clauses, &mut |node: Node| match node {
+            Node::Clause(c) => {
+                updating |= matches!(
+                    c,
+                    Clause::Create { .. }
+                        | Clause::Merge { .. }
+                        | Clause::Delete { .. }
+                        | Clause::Set { .. }
+                        | Clause::Remove { .. }
+                );
+                !updating
             }
-        }
-        self.clauses.iter().any(clause_updates)
+            _ => false,
+        });
+        updating
     }
 }
 
@@ -141,6 +148,20 @@ pub struct PathPattern {
     pub segments: Vec<(RelPattern, NodePattern)>,
 }
 
+impl PathPattern {
+    /// The node patterns, start node first.
+    pub fn nodes(&self) -> impl Iterator<Item = &NodePattern> {
+        std::iter::once(&self.start).chain(self.segments.iter().map(|(_, n)| n))
+    }
+
+    /// The variables the pattern names, in order: the start node's, then
+    /// per segment the relationship's and the node's.
+    pub fn vars(&self) -> impl Iterator<Item = &String> {
+        let hops = self.segments.iter().flat_map(|(r, n)| [&r.var, &n.var]);
+        std::iter::once(&self.start.var).chain(hops).flatten()
+    }
+}
+
 /// `(var:Label1:Label2 {prop: expr, …})`
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodePattern {
@@ -233,134 +254,43 @@ impl Expr {
         }
     }
 
-    /// Collect variable references (free variables) into `out`.
+    /// Collect variable references (free variables) into `out`: every
+    /// `Var`, and the variables of `EXISTS` patterns, each pattern's after
+    /// its property values. A list comprehension's own variable is not
+    /// collected, its uses are.
     pub fn collect_vars(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Var(v) => out.push(v.clone()),
-            Expr::Prop(b, _) | Expr::HasLabel(b, _) | Expr::Unary(_, b) | Expr::IsNull(b, _) => {
-                b.collect_vars(out)
-            }
-            Expr::Binary(_, a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.collect_vars(out);
+        struct FreeVars<'o>(&'o mut Vec<String>);
+        impl Visitor for FreeVars<'_> {
+            fn enter(&mut self, node: Node<'_>) -> bool {
+                if let Node::Expr(Expr::Var(v)) = node {
+                    self.0.push(v.clone());
                 }
+                true
             }
-            Expr::ListLit(items) => {
-                for i in items {
-                    i.collect_vars(out);
+            fn leave(&mut self, node: Node<'_>) {
+                if let Node::Pattern(p) = node {
+                    self.0.extend(p.vars().cloned());
                 }
             }
-            Expr::MapLit(entries) => {
-                for (_, v) in entries {
-                    v.collect_vars(out);
-                }
-            }
-            Expr::Index(a, b) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
-            Expr::Slice(a, f, t) => {
-                a.collect_vars(out);
-                if let Some(f) = f {
-                    f.collect_vars(out);
-                }
-                if let Some(t) = t {
-                    t.collect_vars(out);
-                }
-            }
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                if let Some(o) = operand {
-                    o.collect_vars(out);
-                }
-                for (w, t) in whens {
-                    w.collect_vars(out);
-                    t.collect_vars(out);
-                }
-                if let Some(e) = else_ {
-                    e.collect_vars(out);
-                }
-            }
-            Expr::ExistsSubquery(patterns, where_) => {
-                for p in patterns {
-                    for (_, e) in p.start.props.iter().chain(
-                        p.segments
-                            .iter()
-                            .flat_map(|(r, n)| r.props.iter().chain(n.props.iter())),
-                    ) {
-                        e.collect_vars(out);
-                    }
-                    if let Some(v) = &p.start.var {
-                        out.push(v.clone());
-                    }
-                    for (r, n) in &p.segments {
-                        if let Some(v) = &r.var {
-                            out.push(v.clone());
-                        }
-                        if let Some(v) = &n.var {
-                            out.push(v.clone());
-                        }
-                    }
-                }
-                if let Some(w) = where_ {
-                    w.collect_vars(out);
-                }
-            }
-            Expr::ListComp {
-                list, filter, map, ..
-            } => {
-                list.collect_vars(out);
-                if let Some(f) = filter {
-                    f.collect_vars(out);
-                }
-                if let Some(m) = map {
-                    m.collect_vars(out);
-                }
-            }
-            Expr::Literal(_) | Expr::Param(_) | Expr::CountStar => {}
         }
+        visit::expr(self, &mut FreeVars(out));
     }
 
     /// Whether the expression contains an aggregate function call. Drives
-    /// grouping in `WITH`/`RETURN` projections.
+    /// grouping in `WITH`/`RETURN` projections. Aggregates inside `EXISTS`
+    /// or a list comprehension do not count.
     pub fn has_aggregate(&self) -> bool {
-        match self {
-            Expr::CountStar => true,
-            Expr::Func { name, args, .. } => {
-                crate::functions::is_aggregate(name) || args.iter().any(Expr::has_aggregate)
-            }
-            Expr::Prop(b, _) | Expr::HasLabel(b, _) | Expr::Unary(_, b) | Expr::IsNull(b, _) => {
-                b.has_aggregate()
-            }
-            Expr::Binary(_, a, b) => a.has_aggregate() || b.has_aggregate(),
-            Expr::ListLit(items) => items.iter().any(Expr::has_aggregate),
-            Expr::MapLit(entries) => entries.iter().any(|(_, v)| v.has_aggregate()),
-            Expr::Index(a, b) => a.has_aggregate() || b.has_aggregate(),
-            Expr::Slice(a, f, t) => {
-                a.has_aggregate()
-                    || f.as_ref().map(|e| e.has_aggregate()).unwrap_or(false)
-                    || t.as_ref().map(|e| e.has_aggregate()).unwrap_or(false)
-            }
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => {
-                operand.as_ref().map(|e| e.has_aggregate()).unwrap_or(false)
-                    || whens
-                        .iter()
-                        .any(|(w, t)| w.has_aggregate() || t.has_aggregate())
-                    || else_.as_ref().map(|e| e.has_aggregate()).unwrap_or(false)
-            }
-            _ => false,
-        }
+        let mut found = false;
+        visit::expr(self, &mut |node: Node| {
+            let Node::Expr(e) = node else { return false };
+            found |= match e {
+                Expr::CountStar => true,
+                Expr::Func { name, .. } => crate::functions::is_aggregate(name),
+                _ => false,
+            };
+            !found && !matches!(e, Expr::ExistsSubquery(..) | Expr::ListComp { .. })
+        });
+        found
     }
 }
 

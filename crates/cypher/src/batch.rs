@@ -165,7 +165,7 @@ fn group_est_rows(ctx: &EvalCtx<'_>, group: &[Row], planned: &mut [PhysicalPathP
     let rep = &group[0];
     let mut hints: HashMap<String, Vec<String>> = HashMap::new();
     for path in planned.iter().map(|plan| &plan.path) {
-        for np in std::iter::once(&path.start).chain(path.segments.iter().map(|(_, np)| np)) {
+        for np in path.nodes() {
             if let (Some(v), true) = (&np.var, np.labels.is_empty()) {
                 if let Some(Value::Node(id)) = rep.get(v) {
                     hints

@@ -47,6 +47,7 @@
 //!    differently than the sort path — the *multiset of order keys* is
 //!    always identical.
 
+use crate::ast::visit::{self, NodeMut};
 use crate::ast::*;
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
@@ -1040,78 +1041,36 @@ impl<'a> Executor<'a> {
             distinct: bool,
         }
         let mut specs: Vec<AggSpec> = Vec::new();
-        fn rewrite(e: &Expr, specs: &mut Vec<AggSpec>) -> Expr
-        where
-            AggSpec: Sized,
-        {
-            match e {
-                Expr::CountStar => {
-                    specs.push(AggSpec {
+        // The aggregate calls `has_aggregate` finds, in walk order.
+        let mut rewrite = |item: &Expr| {
+            let mut rewritten = item.clone();
+            visit::expr_mut(&mut rewritten, &mut |node: NodeMut| {
+                let NodeMut::Expr(e) = node else {
+                    return false;
+                };
+                let spec = match e {
+                    Expr::CountStar => AggSpec {
                         arg: None,
                         name: "count".into(),
                         distinct: false,
-                    });
-                    Expr::Var(format!("__agg{}", specs.len() - 1))
-                }
-                Expr::Func {
-                    name,
-                    args,
-                    distinct,
-                } if is_aggregate(name) => {
-                    specs.push(AggSpec {
+                    },
+                    Expr::Func {
+                        name,
+                        args,
+                        distinct,
+                    } if is_aggregate(name) => AggSpec {
                         arg: args.first().cloned(),
                         name: name.clone(),
                         distinct: *distinct,
-                    });
-                    Expr::Var(format!("__agg{}", specs.len() - 1))
-                }
-                Expr::Prop(b, k) => Expr::Prop(Box::new(rewrite(b, specs)), k.clone()),
-                Expr::HasLabel(b, ls) => Expr::HasLabel(Box::new(rewrite(b, specs)), ls.clone()),
-                Expr::Unary(op, b) => Expr::Unary(*op, Box::new(rewrite(b, specs))),
-                Expr::IsNull(b, neg) => Expr::IsNull(Box::new(rewrite(b, specs)), *neg),
-                Expr::Binary(op, a, b) => Expr::Binary(
-                    *op,
-                    Box::new(rewrite(a, specs)),
-                    Box::new(rewrite(b, specs)),
-                ),
-                Expr::Func {
-                    name,
-                    args,
-                    distinct,
-                } => Expr::Func {
-                    name: name.clone(),
-                    args: args.iter().map(|a| rewrite(a, specs)).collect(),
-                    distinct: *distinct,
-                },
-                Expr::ListLit(xs) => Expr::ListLit(xs.iter().map(|x| rewrite(x, specs)).collect()),
-                Expr::MapLit(es) => Expr::MapLit(
-                    es.iter()
-                        .map(|(k, v)| (k.clone(), rewrite(v, specs)))
-                        .collect(),
-                ),
-                Expr::Index(a, b) => {
-                    Expr::Index(Box::new(rewrite(a, specs)), Box::new(rewrite(b, specs)))
-                }
-                Expr::Slice(a, f, t) => Expr::Slice(
-                    Box::new(rewrite(a, specs)),
-                    f.as_ref().map(|x| Box::new(rewrite(x, specs))),
-                    t.as_ref().map(|x| Box::new(rewrite(x, specs))),
-                ),
-                Expr::Case {
-                    operand,
-                    whens,
-                    else_,
-                } => Expr::Case {
-                    operand: operand.as_ref().map(|o| Box::new(rewrite(o, specs))),
-                    whens: whens
-                        .iter()
-                        .map(|(w, t)| (rewrite(w, specs), rewrite(t, specs)))
-                        .collect(),
-                    else_: else_.as_ref().map(|e| Box::new(rewrite(e, specs))),
-                },
-                other => other.clone(),
-            }
-        }
+                    },
+                    _ => return !matches!(e, Expr::ExistsSubquery(..) | Expr::ListComp { .. }),
+                };
+                specs.push(spec);
+                *e = Expr::Var(format!("__agg{}", specs.len() - 1));
+                false
+            });
+            rewritten
+        };
 
         enum ItemKind {
             GroupKey(Expr),
@@ -1121,7 +1080,7 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|i| {
                 if i.expr.has_aggregate() {
-                    ItemKind::Agg(rewrite(&i.expr, &mut specs))
+                    ItemKind::Agg(rewrite(&i.expr))
                 } else {
                     ItemKind::GroupKey(i.expr.clone())
                 }

@@ -237,20 +237,11 @@ pub(crate) fn match_planned(
 /// The variable names a pattern list can bind (used by OPTIONAL MATCH to
 /// null-bind on failure).
 pub fn pattern_vars(patterns: &[PathPattern]) -> Vec<String> {
-    let mut out = Vec::new();
-    for p in patterns {
-        if let Some(v) = &p.start.var {
-            out.push(v.clone());
-        }
-        for (r, n) in &p.segments {
-            if let Some(v) = &r.var {
-                out.push(v.clone());
-            }
-            if let Some(v) = &n.var {
-                out.push(v.clone());
-            }
-        }
-    }
+    let mut out: Vec<String> = patterns
+        .iter()
+        .flat_map(PathPattern::vars)
+        .cloned()
+        .collect();
     out.sort();
     out.dedup();
     out

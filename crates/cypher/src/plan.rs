@@ -252,8 +252,7 @@ pub(crate) fn plan_topk_walk<'q>(
         })
     };
     for p in patterns {
-        let mut nodes = std::iter::once(&p.start).chain(p.segments.iter().map(|(_, n)| n));
-        if let Some(np) = nodes.find(|np| np.var.as_deref() == var) {
+        if let Some(np) = p.nodes().find(|np| np.var.as_deref() == var) {
             let shadowed = |label: &String| seeds.iter().any(|r| r.contains(label));
             let mut stored = np.labels.iter().filter(|l| !shadowed(l));
             return stored.find_map(|label| site(IndexScope::Label(label), &np.props));

@@ -11,6 +11,7 @@
 //! one each; the wire handler prepares a `RUN` text on its connection's
 //! cache and hands the same `Arc` to whichever session executes it.
 
+use crate::ast::visit::{self, Node};
 use crate::ast::{Clause, Query};
 use crate::error::Result;
 use crate::parser::{parse_query, strip_explain};
@@ -85,26 +86,6 @@ fn clause_key(clause: &Clause) -> usize {
     clause as *const Clause as usize
 }
 
-fn collect_matches(clauses: &[Clause], out: &mut Vec<(usize, MatchPrep)>) {
-    for clause in clauses {
-        match clause {
-            Clause::Match {
-                patterns,
-                where_clause,
-                ..
-            } => out.push((
-                clause_key(clause),
-                MatchPrep {
-                    pushed: extract_pushdowns(where_clause.as_ref()),
-                    vars: pattern_vars(patterns),
-                },
-            )),
-            Clause::Foreach { body, .. } => collect_matches(body, out),
-            _ => {}
-        }
-    }
-}
-
 impl Prepared {
     /// Classify and, for queries and `EXPLAIN`, parse `text`. DDL texts
     /// are only classified: their grammars live in the trigger layer.
@@ -127,7 +108,24 @@ impl Prepared {
         // back the parser's growth slack before the addresses are taken.
         query.clauses.shrink_to_fit();
         let mut matches = Vec::new();
-        collect_matches(&query.clauses, &mut matches);
+        visit::clauses(&query.clauses, &mut |node: Node| {
+            if let Node::Clause(
+                clause @ Clause::Match {
+                    patterns,
+                    where_clause,
+                    ..
+                },
+            ) = node
+            {
+                let prep = MatchPrep {
+                    pushed: extract_pushdowns(where_clause.as_ref()),
+                    vars: pattern_vars(patterns),
+                };
+                matches.push((clause_key(clause), prep));
+            }
+            // only clauses (`FOREACH` bodies) hold further `MATCH`es
+            matches!(node, Node::Clause(_))
+        });
         matches.shrink_to_fit();
         let is_ddl = matches!(class, StatementClass::TriggerDdl | StatementClass::IndexDdl);
         let is_updating = is_ddl || query.is_updating();

@@ -5,6 +5,7 @@
 //! statements into the target systems' trigger bodies, and by tests to check
 //! parse/unparse round-trips.
 
+use crate::ast::visit;
 use crate::ast::*;
 use pg_graph::{Direction, Value};
 use std::collections::BTreeMap;
@@ -12,11 +13,12 @@ use std::fmt::Write;
 
 /// Render a query as Cypher text.
 pub fn unparse_query(q: &Query) -> String {
-    q.clauses
-        .iter()
-        .map(unparse_clause)
-        .collect::<Vec<_>>()
-        .join(" ")
+    joined(&q.clauses, " ", unparse_clause)
+}
+
+/// `items` rendered by `f`, separated by `sep`.
+fn joined<T>(items: &[T], sep: &str, f: impl FnMut(&T) -> String) -> String {
+    items.iter().map(f).collect::<Vec<_>>().join(sep)
 }
 
 /// Render a single clause.
@@ -32,13 +34,7 @@ pub fn unparse_clause(c: &Clause) -> String {
                 s.push_str("OPTIONAL ");
             }
             s.push_str("MATCH ");
-            s.push_str(
-                &patterns
-                    .iter()
-                    .map(unparse_pattern)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
+            s.push_str(&joined(patterns, ", ", unparse_pattern));
             if let Some(w) = where_clause {
                 write!(s, " WHERE {}", unparse_expr(w)).unwrap();
             }
@@ -50,14 +46,9 @@ pub fn unparse_clause(c: &Clause) -> String {
         }
         Clause::With(p) => format!("WITH {}", unparse_projection(p)),
         Clause::Return(p) => format!("RETURN {}", unparse_projection(p)),
-        Clause::Create { patterns } => format!(
-            "CREATE {}",
-            patterns
-                .iter()
-                .map(unparse_pattern)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
+        Clause::Create { patterns } => {
+            format!("CREATE {}", joined(patterns, ", ", unparse_pattern))
+        }
         Clause::Merge {
             pattern,
             on_create,
@@ -75,41 +66,24 @@ pub fn unparse_clause(c: &Clause) -> String {
         Clause::Delete { detach, exprs } => format!(
             "{}DELETE {}",
             if *detach { "DETACH " } else { "" },
-            exprs
-                .iter()
-                .map(unparse_expr)
-                .collect::<Vec<_>>()
-                .join(", ")
+            joined(exprs, ", ", unparse_expr)
         ),
         Clause::Set { items } => format!("SET {}", unparse_set_items(items)),
         Clause::Remove { items } => format!(
             "REMOVE {}",
-            items
-                .iter()
-                .map(|i| match i {
-                    RemoveItem::Prop { target, key } => {
-                        format!("{}.{}", unparse_expr(target), ident(key))
-                    }
-                    RemoveItem::Labels { var, labels } => format!(
-                        "{}{}",
-                        ident(var),
-                        labels
-                            .iter()
-                            .map(|l| format!(":{}", ident(l)))
-                            .collect::<String>()
-                    ),
-                })
-                .collect::<Vec<_>>()
-                .join(", ")
+            joined(items, ", ", |i| match i {
+                RemoveItem::Prop { target, key } => {
+                    format!("{}.{}", unparse_expr(target), ident(key))
+                }
+                RemoveItem::Labels { var, labels } =>
+                    format!("{}{}", ident(var), label_list(labels)),
+            })
         ),
         Clause::Foreach { var, list, body } => format!(
             "FOREACH ({} IN {} | {})",
             ident(var),
             unparse_expr(list),
-            body.iter()
-                .map(unparse_clause)
-                .collect::<Vec<_>>()
-                .join(" ")
+            joined(body, " ", unparse_clause)
         ),
         Clause::Abort(e) => format!("ABORT {}", unparse_expr(e)),
     }
@@ -133,13 +107,9 @@ fn unparse_projection(p: &Projection) -> String {
     s.push_str(&items.join(", "));
     if !p.order_by.is_empty() {
         s.push_str(" ORDER BY ");
-        s.push_str(
-            &p.order_by
-                .iter()
-                .map(|(e, asc)| format!("{}{}", unparse_expr(e), if *asc { "" } else { " DESC" }))
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
+        s.push_str(&joined(&p.order_by, ", ", |(e, asc)| {
+            format!("{}{}", unparse_expr(e), if *asc { "" } else { " DESC" })
+        }));
     }
     if let Some(sk) = &p.skip {
         write!(s, " SKIP {}", unparse_expr(sk)).unwrap();
@@ -154,34 +124,28 @@ fn unparse_projection(p: &Projection) -> String {
 }
 
 fn unparse_set_items(items: &[SetItem]) -> String {
-    items
-        .iter()
-        .map(|i| match i {
-            SetItem::Prop { target, key, value } => {
-                format!(
-                    "{}.{} = {}",
-                    unparse_expr(target),
-                    ident(key),
-                    unparse_expr(value)
-                )
-            }
-            SetItem::Labels { var, labels } => format!(
-                "{}{}",
-                ident(var),
-                labels
-                    .iter()
-                    .map(|l| format!(":{}", ident(l)))
-                    .collect::<String>()
-            ),
-            SetItem::ReplaceProps { var, value } => {
-                format!("{} = {}", ident(var), unparse_expr(value))
-            }
-            SetItem::MergeProps { var, value } => {
-                format!("{} += {}", ident(var), unparse_expr(value))
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(", ")
+    joined(items, ", ", |i| match i {
+        SetItem::Prop { target, key, value } => {
+            format!(
+                "{}.{} = {}",
+                unparse_expr(target),
+                ident(key),
+                unparse_expr(value)
+            )
+        }
+        SetItem::Labels { var, labels } => format!("{}{}", ident(var), label_list(labels)),
+        SetItem::ReplaceProps { var, value } => {
+            format!("{} = {}", ident(var), unparse_expr(value))
+        }
+        SetItem::MergeProps { var, value } => {
+            format!("{} += {}", ident(var), unparse_expr(value))
+        }
+    })
+}
+
+/// `:L1:L2`
+fn label_list(labels: &[String]) -> String {
+    labels.iter().map(|l| format!(":{}", ident(l))).collect()
 }
 
 /// Render a path pattern.
@@ -215,16 +179,7 @@ fn unparse_rel_pattern(r: &RelPattern) -> String {
         inner.push_str(&ident(v));
     }
     if !r.types.is_empty() {
-        write!(
-            inner,
-            ":{}",
-            r.types
-                .iter()
-                .map(|t| ident(t))
-                .collect::<Vec<_>>()
-                .join("|")
-        )
-        .unwrap();
+        write!(inner, ":{}", joined(&r.types, "|", |t| ident(t))).unwrap();
     }
     if let Some((min, max)) = r.hops {
         match max {
@@ -255,11 +210,9 @@ fn unparse_rel_pattern(r: &RelPattern) -> String {
 }
 
 fn unparse_prop_map(props: &[(String, Expr)]) -> String {
-    props
-        .iter()
-        .map(|(k, v)| format!("{}: {}", ident(k), unparse_expr(v)))
-        .collect::<Vec<_>>()
-        .join(", ")
+    joined(props, ", ", |(k, v)| {
+        format!("{}: {}", ident(k), unparse_expr(v))
+    })
 }
 
 fn ident(name: &str) -> String {
@@ -281,14 +234,7 @@ fn unparse_value(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("'{}'", s.replace('\\', "\\\\").replace('\'', "\\'")),
         Value::Null => "null".to_string(),
-        Value::List(items) => format!(
-            "[{}]",
-            items
-                .iter()
-                .map(unparse_value)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
+        Value::List(items) => format!("[{}]", joined(items, ", ", unparse_value)),
         Value::Map(m) => format!(
             "{{{}}}",
             m.iter()
@@ -307,13 +253,7 @@ pub fn unparse_expr(e: &Expr) -> String {
         Expr::Param(p) => format!("${p}"),
         Expr::Var(v) => ident(v),
         Expr::Prop(b, k) => format!("{}.{}", unparse_expr(b), ident(k)),
-        Expr::HasLabel(b, ls) => format!(
-            "{}{}",
-            unparse_expr(b),
-            ls.iter()
-                .map(|l| format!(":{}", ident(l)))
-                .collect::<String>()
-        ),
+        Expr::HasLabel(b, ls) => format!("{}{}", unparse_expr(b), label_list(ls)),
         Expr::Unary(op, b) => match op {
             UnaryOp::Not => format!("NOT ({})", unparse_expr(b)),
             UnaryOp::Neg => format!("-({})", unparse_expr(b)),
@@ -350,17 +290,10 @@ pub fn unparse_expr(e: &Expr) -> String {
             "{}({}{})",
             name,
             if *distinct { "DISTINCT " } else { "" },
-            args.iter().map(unparse_expr).collect::<Vec<_>>().join(", ")
+            joined(args, ", ", unparse_expr)
         ),
         Expr::CountStar => "count(*)".to_string(),
-        Expr::ListLit(items) => format!(
-            "[{}]",
-            items
-                .iter()
-                .map(unparse_expr)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
+        Expr::ListLit(items) => format!("[{}]", joined(items, ", ", unparse_expr)),
         Expr::MapLit(entries) => format!("{{{}}}", unparse_prop_map(entries)),
         Expr::Index(b, i) => format!("{}[{}]", unparse_expr(b), unparse_expr(i)),
         Expr::Slice(b, f, t) => format!(
@@ -388,11 +321,7 @@ pub fn unparse_expr(e: &Expr) -> String {
             s
         }
         Expr::ExistsSubquery(patterns, where_) => {
-            let pats = patterns
-                .iter()
-                .map(unparse_pattern)
-                .collect::<Vec<_>>()
-                .join(", ");
+            let pats = joined(patterns, ", ", unparse_pattern);
             match where_ {
                 Some(w) => format!("EXISTS {{ MATCH {} WHERE {} }}", pats, unparse_expr(w)),
                 None => format!("EXISTS {{ MATCH {} }}", pats),
@@ -424,233 +353,17 @@ pub fn unparse_expr(e: &Expr) -> String {
 
 /// Rename free variables throughout a query (used by translators to map
 /// `NEW`/`OLD`/`NEWNODES` onto the target system's variable names, e.g.
-/// `cNodes` in the paper's Figure 2).
+/// `cNodes` in the paper's Figure 2): every name position — variables,
+/// aliases, `SET`/`REMOVE` targets and node-pattern labels (which may name
+/// a transition variable) — as the AST walk ([`visit`]) reaches them.
 pub fn rename_vars(q: &Query, renames: &BTreeMap<String, String>) -> Query {
-    Query {
-        clauses: q
-            .clauses
-            .iter()
-            .map(|c| rename_clause(c, renames))
-            .collect(),
-    }
-}
-
-fn rn(name: &str, renames: &BTreeMap<String, String>) -> String {
-    renames
-        .get(name)
-        .cloned()
-        .unwrap_or_else(|| name.to_string())
-}
-
-fn rename_clause(c: &Clause, m: &BTreeMap<String, String>) -> Clause {
-    match c {
-        Clause::Match {
-            optional,
-            patterns,
-            where_clause,
-        } => Clause::Match {
-            optional: *optional,
-            patterns: patterns.iter().map(|p| rename_pattern(p, m)).collect(),
-            where_clause: where_clause.as_ref().map(|e| rename_expr(e, m)),
-        },
-        Clause::Where(e) => Clause::Where(rename_expr(e, m)),
-        Clause::Unwind { expr, alias } => Clause::Unwind {
-            expr: rename_expr(expr, m),
-            alias: rn(alias, m),
-        },
-        Clause::With(p) => Clause::With(rename_projection(p, m)),
-        Clause::Return(p) => Clause::Return(rename_projection(p, m)),
-        Clause::Create { patterns } => Clause::Create {
-            patterns: patterns.iter().map(|p| rename_pattern(p, m)).collect(),
-        },
-        Clause::Merge {
-            pattern,
-            on_create,
-            on_match,
-        } => Clause::Merge {
-            pattern: rename_pattern(pattern, m),
-            on_create: on_create.iter().map(|i| rename_set_item(i, m)).collect(),
-            on_match: on_match.iter().map(|i| rename_set_item(i, m)).collect(),
-        },
-        Clause::Delete { detach, exprs } => Clause::Delete {
-            detach: *detach,
-            exprs: exprs.iter().map(|e| rename_expr(e, m)).collect(),
-        },
-        Clause::Set { items } => Clause::Set {
-            items: items.iter().map(|i| rename_set_item(i, m)).collect(),
-        },
-        Clause::Remove { items } => Clause::Remove {
-            items: items
-                .iter()
-                .map(|i| match i {
-                    RemoveItem::Prop { target, key } => RemoveItem::Prop {
-                        target: rename_expr(target, m),
-                        key: key.clone(),
-                    },
-                    RemoveItem::Labels { var, labels } => RemoveItem::Labels {
-                        var: rn(var, m),
-                        labels: labels.clone(),
-                    },
-                })
-                .collect(),
-        },
-        Clause::Foreach { var, list, body } => Clause::Foreach {
-            var: rn(var, m),
-            list: rename_expr(list, m),
-            body: body.iter().map(|c| rename_clause(c, m)).collect(),
-        },
-        Clause::Abort(e) => Clause::Abort(rename_expr(e, m)),
-    }
-}
-
-fn rename_projection(p: &Projection, m: &BTreeMap<String, String>) -> Projection {
-    Projection {
-        distinct: p.distinct,
-        items: p
-            .items
-            .iter()
-            .map(|i| ProjItem {
-                expr: rename_expr(&i.expr, m),
-                alias: i.alias.as_ref().map(|a| rn(a, m)),
-            })
-            .collect(),
-        star: p.star,
-        order_by: p
-            .order_by
-            .iter()
-            .map(|(e, asc)| (rename_expr(e, m), *asc))
-            .collect(),
-        skip: p.skip.as_ref().map(|e| rename_expr(e, m)),
-        limit: p.limit.as_ref().map(|e| rename_expr(e, m)),
-        where_clause: p.where_clause.as_ref().map(|e| rename_expr(e, m)),
-    }
-}
-
-fn rename_set_item(i: &SetItem, m: &BTreeMap<String, String>) -> SetItem {
-    match i {
-        SetItem::Prop { target, key, value } => SetItem::Prop {
-            target: rename_expr(target, m),
-            key: key.clone(),
-            value: rename_expr(value, m),
-        },
-        SetItem::Labels { var, labels } => SetItem::Labels {
-            var: rn(var, m),
-            labels: labels.clone(),
-        },
-        SetItem::ReplaceProps { var, value } => SetItem::ReplaceProps {
-            var: rn(var, m),
-            value: rename_expr(value, m),
-        },
-        SetItem::MergeProps { var, value } => SetItem::MergeProps {
-            var: rn(var, m),
-            value: rename_expr(value, m),
-        },
-    }
-}
-
-fn rename_pattern(p: &PathPattern, m: &BTreeMap<String, String>) -> PathPattern {
-    PathPattern {
-        start: rename_node_pattern(&p.start, m),
-        segments: p
-            .segments
-            .iter()
-            .map(|(r, n)| {
-                (
-                    RelPattern {
-                        var: r.var.as_ref().map(|v| rn(v, m)),
-                        types: r.types.clone(),
-                        props: r
-                            .props
-                            .iter()
-                            .map(|(k, e)| (k.clone(), rename_expr(e, m)))
-                            .collect(),
-                        direction: r.direction,
-                        hops: r.hops,
-                    },
-                    rename_node_pattern(n, m),
-                )
-            })
-            .collect(),
-    }
-}
-
-fn rename_node_pattern(n: &NodePattern, m: &BTreeMap<String, String>) -> NodePattern {
-    NodePattern {
-        var: n.var.as_ref().map(|v| rn(v, m)),
-        // Labels may be transition-variable references (e.g. `(pn:NEWNODES)`),
-        // so they participate in renaming too.
-        labels: n.labels.iter().map(|l| rn(l, m)).collect(),
-        props: n
-            .props
-            .iter()
-            .map(|(k, e)| (k.clone(), rename_expr(e, m)))
-            .collect(),
-    }
-}
-
-fn rename_expr(e: &Expr, m: &BTreeMap<String, String>) -> Expr {
-    match e {
-        Expr::Var(v) => Expr::Var(rn(v, m)),
-        Expr::Literal(_) | Expr::Param(_) | Expr::CountStar => e.clone(),
-        Expr::Prop(b, k) => Expr::Prop(Box::new(rename_expr(b, m)), k.clone()),
-        Expr::HasLabel(b, ls) => Expr::HasLabel(Box::new(rename_expr(b, m)), ls.clone()),
-        Expr::Unary(op, b) => Expr::Unary(*op, Box::new(rename_expr(b, m))),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(rename_expr(a, m)),
-            Box::new(rename_expr(b, m)),
-        ),
-        Expr::Func {
-            name,
-            args,
-            distinct,
-        } => Expr::Func {
-            name: name.clone(),
-            args: args.iter().map(|a| rename_expr(a, m)).collect(),
-            distinct: *distinct,
-        },
-        Expr::ListLit(items) => Expr::ListLit(items.iter().map(|i| rename_expr(i, m)).collect()),
-        Expr::MapLit(entries) => Expr::MapLit(
-            entries
-                .iter()
-                .map(|(k, v)| (k.clone(), rename_expr(v, m)))
-                .collect(),
-        ),
-        Expr::Index(a, b) => Expr::Index(Box::new(rename_expr(a, m)), Box::new(rename_expr(b, m))),
-        Expr::Slice(a, f, t) => Expr::Slice(
-            Box::new(rename_expr(a, m)),
-            f.as_ref().map(|x| Box::new(rename_expr(x, m))),
-            t.as_ref().map(|x| Box::new(rename_expr(x, m))),
-        ),
-        Expr::Case {
-            operand,
-            whens,
-            else_,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|o| Box::new(rename_expr(o, m))),
-            whens: whens
-                .iter()
-                .map(|(w, t)| (rename_expr(w, m), rename_expr(t, m)))
-                .collect(),
-            else_: else_.as_ref().map(|x| Box::new(rename_expr(x, m))),
-        },
-        Expr::ExistsSubquery(patterns, where_) => Expr::ExistsSubquery(
-            patterns.iter().map(|p| rename_pattern(p, m)).collect(),
-            where_.as_ref().map(|w| Box::new(rename_expr(w, m))),
-        ),
-        Expr::IsNull(b, n) => Expr::IsNull(Box::new(rename_expr(b, m)), *n),
-        Expr::ListComp {
-            var,
-            list,
-            filter,
-            map,
-        } => Expr::ListComp {
-            var: rn(var, m),
-            list: Box::new(rename_expr(list, m)),
-            filter: filter.as_ref().map(|f| Box::new(rename_expr(f, m))),
-            map: map.as_ref().map(|x| Box::new(rename_expr(x, m))),
-        },
-    }
+    let mut q = q.clone();
+    visit::names_mut(&mut q.clauses, |name| {
+        if let Some(to) = renames.get(name.as_str()) {
+            name.clone_from(to);
+        }
+    });
+    q
 }
 
 #[cfg(test)]

@@ -1,12 +1,19 @@
 //! Property-based tests for the parser/unparser pair: ASTs generated
 //! structurally must survive unparse → parse unchanged, and evaluation of
 //! generated arithmetic expressions must agree with a reference
-//! interpreter.
+//! interpreter. The second half holds the AST walk (`ast::visit`) to its
+//! algebra over generated clause-level queries: renaming is invertible and
+//! reaches every name, free variables commute with renaming, and
+//! `is_updating` / `has_aggregate` do not see names at all.
 
-use pg_cypher::ast::{BinOp, Expr};
-use pg_cypher::{parse_expression, parse_query, unparse_expr, unparse_query};
-use pg_graph::Value;
+use pg_cypher::ast::{
+    BinOp, Clause, Expr, NodePattern, PathPattern, ProjItem, Projection, Query, RelPattern,
+    RemoveItem, SetItem,
+};
+use pg_cypher::{parse_expression, parse_query, rename_vars, unparse_expr, unparse_query};
+use pg_graph::{Direction, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Generate small arithmetic/boolean expressions (no graph access).
 fn expr_strategy() -> impl Strategy<Value = Expr> {
@@ -103,5 +110,278 @@ proptest! {
             out.single().and_then(|v| v.as_i64()).unwrap_or(0) as usize,
             distinct.len()
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Clause-level queries for the walk's algebra. Variables come from
+// `VARS` (lowercase, one letter); labels, types, property keys and
+// functions from disjoint pools, so a renaming of `VARS` can be checked
+// on the unparsed text alone.
+// ---------------------------------------------------------------------
+
+const VARS: [&str; 5] = ["a", "b", "n", "m", "x"];
+
+fn pick(pool: &'static [&'static str]) -> BoxedStrategy<String> {
+    (0..pool.len())
+        .prop_map(move |i| pool[i].to_string())
+        .boxed()
+}
+
+fn var() -> BoxedStrategy<String> {
+    pick(&VARS)
+}
+
+fn opt<T: Clone + 'static>(s: BoxedStrategy<T>) -> BoxedStrategy<Option<T>> {
+    prop_oneof![Just(None), s.prop_map(Some)].boxed()
+}
+
+/// Non-recursive expressions: pattern property values and `LIMIT`s.
+fn atom() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        var().prop_map(Expr::Var),
+        (0i64..9).prop_map(|i| Expr::Literal(Value::Int(i))),
+        (var(), pick(&["k", "w", "name"])).prop_map(|(v, k)| Expr::Prop(Box::new(Expr::Var(v)), k)),
+    ]
+    .boxed()
+}
+
+fn node_pattern() -> BoxedStrategy<NodePattern> {
+    let props = prop::collection::vec((pick(&["k", "w"]), atom()), 0..2);
+    let labels = prop::collection::vec(pick(&["L", "Person", "Q"]), 0..3);
+    (opt(var()), labels, props)
+        .prop_map(|(var, labels, props)| NodePattern { var, labels, props })
+        .boxed()
+}
+
+fn path_pattern() -> BoxedStrategy<PathPattern> {
+    let direction = prop_oneof![
+        Just(Direction::Out),
+        Just(Direction::In),
+        Just(Direction::Both)
+    ];
+    let types = prop::collection::vec(pick(&["R", "T"]), 0..2);
+    let props = prop::collection::vec((pick(&["k", "w"]), atom()), 0..2);
+    let rel = (opt(var()), types, props, direction).prop_map(|(var, types, props, direction)| {
+        RelPattern {
+            var,
+            types,
+            props,
+            direction,
+            hops: None,
+        }
+    });
+    (
+        node_pattern(),
+        prop::collection::vec((rel, node_pattern()), 0..3),
+    )
+        .prop_map(|(start, segments)| PathPattern { start, segments })
+        .boxed()
+}
+
+/// Expressions with `EXISTS`, list comprehensions, label predicates,
+/// `CASE` and (aggregate and scalar) function calls.
+fn gen_expr() -> BoxedStrategy<Expr> {
+    let leaf = prop_oneof![atom(), atom(), Just(Expr::CountStar)];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        let boxed = |e: Expr| Some(Box::new(e));
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Binary(
+                BinOp::And,
+                Box::new(a),
+                Box::new(b)
+            )),
+            (
+                pick(&["size", "count", "collect", "toUpper"]),
+                inner.clone()
+            )
+                .prop_map(|(name, arg)| Expr::Func {
+                    name,
+                    args: vec![arg],
+                    distinct: false,
+                }),
+            (var(), inner.clone(), inner.clone(), inner.clone()).prop_map(
+                move |(var, list, filter, map)| Expr::ListComp {
+                    var,
+                    list: Box::new(list),
+                    filter: boxed(filter),
+                    map: boxed(map),
+                }
+            ),
+            (path_pattern(), opt(inner.clone()))
+                .prop_map(|(p, w)| Expr::ExistsSubquery(vec![p], w.map(Box::new))),
+            (inner.clone(), pick(&["L", "Q"]))
+                .prop_map(|(e, l)| Expr::HasLabel(Box::new(e), vec![l])),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(move |(c, t, e)| Expr::Case {
+                operand: boxed(c),
+                whens: vec![(t.clone(), t)],
+                else_: boxed(e),
+            }),
+            prop::collection::vec(inner, 0..3).prop_map(Expr::ListLit),
+        ]
+    })
+}
+
+fn projection() -> BoxedStrategy<Projection> {
+    let items = prop::collection::vec((gen_expr(), opt(var())), 1..3);
+    let order_by = prop::collection::vec((gen_expr(), any::<bool>()), 0..2);
+    let limit = opt((0i64..5).prop_map(|i| Expr::Literal(Value::Int(i))).boxed());
+    (any::<bool>(), items, order_by, limit, opt(gen_expr()))
+        .prop_map(
+            |(distinct, items, order_by, limit, where_clause)| Projection {
+                distinct,
+                items: items
+                    .into_iter()
+                    .map(|(expr, alias)| ProjItem { expr, alias })
+                    .collect(),
+                star: false,
+                order_by,
+                skip: None,
+                limit,
+                where_clause,
+            },
+        )
+        .boxed()
+}
+
+fn set_item() -> BoxedStrategy<SetItem> {
+    prop_oneof![
+        (var(), pick(&["k", "w"]), gen_expr()).prop_map(|(v, key, value)| SetItem::Prop {
+            target: Expr::Var(v),
+            key,
+            value,
+        }),
+        (var(), prop::collection::vec(pick(&["L", "Q"]), 1..3))
+            .prop_map(|(var, labels)| SetItem::Labels { var, labels }),
+        (var(), gen_expr()).prop_map(|(var, value)| SetItem::ReplaceProps { var, value }),
+        (var(), gen_expr()).prop_map(|(var, value)| SetItem::MergeProps { var, value }),
+    ]
+    .boxed()
+}
+
+fn remove_item() -> BoxedStrategy<RemoveItem> {
+    prop_oneof![
+        (var(), pick(&["k", "w"])).prop_map(|(v, key)| RemoveItem::Prop {
+            target: Expr::Var(v),
+            key,
+        }),
+        (var(), prop::collection::vec(pick(&["L", "Q"]), 1..3))
+            .prop_map(|(var, labels)| RemoveItem::Labels { var, labels }),
+    ]
+    .boxed()
+}
+
+/// Every clause kind but `FOREACH`.
+fn simple_clause() -> BoxedStrategy<Clause> {
+    let paths = || prop::collection::vec(path_pattern(), 1..3);
+    let set_items = |len| prop::collection::vec(set_item(), len);
+    prop_oneof![
+        (any::<bool>(), paths(), opt(gen_expr())).prop_map(|(optional, patterns, w)| {
+            Clause::Match {
+                optional,
+                patterns,
+                where_clause: w,
+            }
+        }),
+        (gen_expr(), var()).prop_map(|(expr, alias)| Clause::Unwind { expr, alias }),
+        projection().prop_map(Clause::With),
+        projection().prop_map(Clause::Return),
+        paths().prop_map(|patterns| Clause::Create { patterns }),
+        (path_pattern(), set_items(0..2), set_items(0..2)).prop_map(
+            |(pattern, on_create, on_match)| Clause::Merge {
+                pattern,
+                on_create,
+                on_match,
+            }
+        ),
+        set_items(1..3).prop_map(|items| Clause::Set { items }),
+        prop::collection::vec(remove_item(), 1..3).prop_map(|items| Clause::Remove { items }),
+        (
+            any::<bool>(),
+            prop::collection::vec(var().prop_map(Expr::Var), 1..3)
+        )
+            .prop_map(|(detach, exprs)| Clause::Delete { detach, exprs }),
+        gen_expr().prop_map(Clause::Where),
+    ]
+    .boxed()
+}
+
+fn gen_query() -> BoxedStrategy<Query> {
+    let foreach = (
+        var(),
+        gen_expr(),
+        prop::collection::vec(simple_clause(), 1..3),
+    )
+        .prop_map(|(var, list, body)| Clause::Foreach { var, list, body });
+    let clause = prop_oneof![simple_clause(), simple_clause(), foreach];
+    prop::collection::vec(clause, 1..5)
+        .prop_map(|clauses| Query { clauses })
+        .boxed()
+}
+
+/// The bijection `VARS` → fresh names, and its inverse.
+fn fresh_renaming() -> (BTreeMap<String, String>, BTreeMap<String, String>) {
+    let there: BTreeMap<String, String> = VARS
+        .iter()
+        .map(|v| (v.to_string(), format!("v_{v}")))
+        .collect();
+    let back = there.iter().map(|(k, v)| (v.clone(), k.clone())).collect();
+    (there, back)
+}
+
+fn renamed_expr(e: &Expr, renames: &BTreeMap<String, String>) -> Expr {
+    let q = rename_vars(
+        &Query {
+            clauses: vec![Clause::Where(e.clone())],
+        },
+        renames,
+    );
+    match q.clauses.into_iter().next() {
+        Some(Clause::Where(e)) => e,
+        other => panic!("renaming changed the clause: {other:?}"),
+    }
+}
+
+/// The identifier-like words of `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn renaming_by_a_bijection_inverts_and_reaches_every_name(q in gen_query()) {
+        let (there, back) = fresh_renaming();
+        let renamed = rename_vars(&q, &there);
+        prop_assert_eq!(rename_vars(&renamed, &back), q.clone());
+        // The unparser is an independent witness: no old name survives.
+        let text = unparse_query(&renamed);
+        let stale: Vec<&str> = words(&text).filter(|w| VARS.contains(w)).collect();
+        prop_assert!(stale.is_empty(), "{stale:?} survive in `{text}`");
+    }
+
+    #[test]
+    fn free_variables_commute_with_renaming(e in gen_expr()) {
+        let (there, _) = fresh_renaming();
+        let mut before = Vec::new();
+        e.collect_vars(&mut before);
+        let mut after = Vec::new();
+        renamed_expr(&e, &there).collect_vars(&mut after);
+        let mapped: Vec<String> = before.iter().map(|v| there[v].clone()).collect();
+        prop_assert_eq!(after, mapped, "{}", unparse_expr(&e));
+    }
+
+    #[test]
+    fn updating_and_aggregation_ignore_names(q in gen_query(), e in gen_expr()) {
+        let (there, _) = fresh_renaming();
+        let renamed = rename_vars(&q, &there);
+        prop_assert_eq!(q.is_updating(), renamed.is_updating());
+        prop_assert_eq!(e.has_aggregate(), renamed_expr(&e, &there).has_aggregate());
+        // and `is_updating` agrees with the updating keywords of the text
+        let text = unparse_query(&q);
+        let keyword = |w: &str| ["CREATE", "MERGE", "DELETE", "SET", "REMOVE"].contains(&w);
+        prop_assert_eq!(q.is_updating(), words(&text).any(keyword), "{}", text);
     }
 }

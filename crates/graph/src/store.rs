@@ -619,6 +619,27 @@ impl Graph {
         Ok(())
     }
 
+    /// Run `body` in a transaction of its own: begin, then commit when it
+    /// returns `Ok` or roll back when it returns `Err`. A failure to
+    /// begin or to commit is returned as the error.
+    pub fn transact<T, E: From<GraphError>>(
+        &mut self,
+        body: impl FnOnce(&mut Graph) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        self.begin()?;
+        match body(self) {
+            Ok(out) => {
+                self.commit()?;
+                Ok(out)
+            }
+            Err(e) => {
+                // the transaction begun above is active: rollback succeeds
+                let _ = self.rollback();
+                Err(e)
+            }
+        }
+    }
+
     /// Roll back to a statement mark, undoing only the ops after it. Used to
     /// abort a single statement (and its triggers) without losing earlier
     /// work in the transaction.
@@ -1933,6 +1954,27 @@ mod tests {
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.rel_count(), 0);
         assert!(g.nodes_with_label("A").is_empty());
+    }
+
+    #[test]
+    fn transact_commits_on_ok_and_rolls_back_on_err() {
+        let mut g = Graph::new();
+        let kept = g
+            .transact(|g| g.create_node(["A"], PropertyMap::new()))
+            .unwrap();
+        let failed: Result<()> = g.transact(|g| {
+            g.create_node(["B"], PropertyMap::new())?;
+            Err(GraphError::NoActiveTransaction)
+        });
+        assert_eq!(failed, Err(GraphError::NoActiveTransaction));
+        assert!(!g.in_tx());
+        assert!(g.node_exists(kept));
+        assert!(g.nodes_with_label("B").is_empty());
+        // a transaction already open is not the body's to end
+        g.begin().unwrap();
+        let nested: Result<()> = g.transact(|_| Ok(()));
+        assert_eq!(nested, Err(GraphError::TransactionActive));
+        assert!(g.in_tx());
     }
 
     #[test]

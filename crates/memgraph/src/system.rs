@@ -16,7 +16,9 @@
 use crate::vars::{memgraph_vars, EventClasses};
 use pg_cypher::lexer::lex;
 use pg_cypher::token::TokenKind;
-use pg_cypher::{parse_query_lenient, run_ast, run_query, CypherError, Params, Query, QueryOutput};
+use pg_cypher::{
+    parse_query_lenient, run_ast, run_query, CypherError, Params, Query, QueryOutput, Row,
+};
 use pg_graph::Graph;
 use std::collections::VecDeque;
 
@@ -171,7 +173,7 @@ pub fn parse_memgraph_trigger(src: &str) -> Result<MemgraphTrigger, MemgraphErro
 pub struct MemgraphDb {
     graph: Graph,
     triggers: Vec<MemgraphTrigger>,
-    after_queue: VecDeque<(String, pg_cypher::Row)>,
+    after_queue: VecDeque<(String, Row)>,
     now_ms: i64,
     /// Run AFTER COMMIT triggers immediately after each commit.
     pub auto_drain_after: bool,
@@ -231,81 +233,50 @@ impl MemgraphDb {
     }
 
     fn filter_matches(filter: &Option<(ObjectFilter, OpFilter)>, classes: &EventClasses) -> bool {
-        match filter {
-            None => classes.any(),
-            Some((obj, op)) => match (obj, op) {
-                (ObjectFilter::Vertex, OpFilter::Create) => classes.vertex_create,
-                (ObjectFilter::Vertex, OpFilter::Update) => classes.vertex_update,
-                (ObjectFilter::Vertex, OpFilter::Delete) => classes.vertex_delete,
-                (ObjectFilter::Edge, OpFilter::Create) => classes.edge_create,
-                (ObjectFilter::Edge, OpFilter::Update) => classes.edge_update,
-                (ObjectFilter::Edge, OpFilter::Delete) => classes.edge_delete,
-                (ObjectFilter::Any, OpFilter::Create) => {
-                    classes.vertex_create || classes.edge_create
-                }
-                (ObjectFilter::Any, OpFilter::Update) => {
-                    classes.vertex_update || classes.edge_update
-                }
-                (ObjectFilter::Any, OpFilter::Delete) => {
-                    classes.vertex_delete || classes.edge_delete
-                }
-            },
+        let Some((object, op)) = filter else {
+            return classes.any();
+        };
+        let (vertex, edge) = match op {
+            OpFilter::Create => (classes.vertex_create, classes.edge_create),
+            OpFilter::Update => (classes.vertex_update, classes.edge_update),
+            OpFilter::Delete => (classes.vertex_delete, classes.edge_delete),
+        };
+        match object {
+            ObjectFilter::Vertex => vertex,
+            ObjectFilter::Edge => edge,
+            ObjectFilter::Any => vertex || edge,
         }
     }
 
     /// Run one transaction with trigger processing.
     pub fn run_tx(&mut self, statements: &[&str]) -> Result<Vec<QueryOutput>, MemgraphError> {
         self.now_ms += 1000;
-        self.graph.begin().map_err(CypherError::from)?;
-        let tx_mark = self.graph.mark();
-        let mut outputs = Vec::new();
-        for src in statements {
-            match run_query(&mut self.graph, src, &Params::new(), self.now_ms) {
-                Ok(out) => outputs.push(out),
-                Err(e) => {
-                    let _ = self.graph.rollback();
-                    return Err(e.into());
+        let now = self.now_ms;
+        let (mut classes, mut vars) = (EventClasses::default(), Row::new());
+        let outputs = self.graph.transact(|g| -> Result<_, CypherError> {
+            let tx_mark = g.mark();
+            let outputs = statements
+                .iter()
+                .map(|src| run_query(g, src, &Params::new(), now))
+                .collect::<Result<Vec<_>, _>>()?;
+            let delta = g.delta_since(tx_mark);
+            (classes, vars) = (EventClasses::of(&delta), memgraph_vars(&delta));
+            // BEFORE COMMIT triggers run inside the transaction (the
+            // paper's ONCOMMIT), without cascading.
+            for t in &self.triggers {
+                if t.phase == CommitPhase::Before && Self::filter_matches(&t.filter, &classes) {
+                    run_ast(g, &t.statement, vec![vars.clone()], &Params::new(), now)?;
+                    self.fired += 1;
                 }
             }
-        }
-        let delta = self.graph.delta_since(tx_mark);
-        let classes = EventClasses::of(&delta);
-        let vars = memgraph_vars(&delta);
-
-        // BEFORE COMMIT triggers run inside the transaction (the paper's
-        // ONCOMMIT), without cascading.
-        let before: Vec<MemgraphTrigger> = self
-            .triggers
-            .iter()
-            .filter(|t| t.phase == CommitPhase::Before && Self::filter_matches(&t.filter, &classes))
-            .cloned()
-            .collect();
-        for t in before {
-            match run_ast(
-                &mut self.graph,
-                &t.statement,
-                vec![vars.clone()],
-                &Params::new(),
-                self.now_ms,
-            ) {
-                Ok(_) => self.fired += 1,
-                Err(e) => {
-                    let _ = self.graph.rollback();
-                    return Err(e.into());
-                }
-            }
-        }
-        self.graph.commit().map_err(CypherError::from)?;
+            Ok(outputs)
+        })?;
 
         // AFTER COMMIT triggers are queued (asynchronous in Memgraph).
-        let after: Vec<String> = self
-            .triggers
-            .iter()
-            .filter(|t| t.phase == CommitPhase::After && Self::filter_matches(&t.filter, &classes))
-            .map(|t| t.name.clone())
-            .collect();
-        for name in after {
-            self.after_queue.push_back((name, vars.clone()));
+        for t in &self.triggers {
+            if t.phase == CommitPhase::After && Self::filter_matches(&t.filter, &classes) {
+                self.after_queue.push_back((t.name.clone(), vars.clone()));
+            }
         }
         if self.auto_drain_after {
             self.drain_after()?;
@@ -318,26 +289,13 @@ impl MemgraphDb {
     pub fn drain_after(&mut self) -> Result<usize, MemgraphError> {
         let mut n = 0;
         while let Some((name, vars)) = self.after_queue.pop_front() {
-            let Some(t) = self.triggers.iter().find(|t| t.name == name).cloned() else {
+            let Some(t) = self.triggers.iter().find(|t| t.name == name) else {
                 continue;
             };
-            self.graph.begin().map_err(CypherError::from)?;
-            match run_ast(
-                &mut self.graph,
-                &t.statement,
-                vec![vars],
-                &Params::new(),
-                self.now_ms,
-            ) {
-                Ok(_) => {
-                    self.fired += 1;
-                    self.graph.commit().map_err(CypherError::from)?;
-                }
-                Err(e) => {
-                    let _ = self.graph.rollback();
-                    return Err(e.into());
-                }
-            }
+            let now = self.now_ms;
+            self.graph
+                .transact(|g| run_ast(g, &t.statement, vec![vars], &Params::new(), now))?;
+            self.fired += 1;
             n += 1;
         }
         Ok(n)
@@ -349,17 +307,10 @@ impl MemgraphDb {
 
     /// Query helper without trigger processing.
     pub fn query(&mut self, src: &str) -> Result<QueryOutput, MemgraphError> {
-        self.graph.begin().map_err(CypherError::from)?;
-        match run_query(&mut self.graph, src, &Params::new(), self.now_ms) {
-            Ok(out) => {
-                self.graph.commit().map_err(CypherError::from)?;
-                Ok(out)
-            }
-            Err(e) => {
-                let _ = self.graph.rollback();
-                Err(e.into())
-            }
-        }
+        let now = self.now_ms;
+        self.graph
+            .transact(|g| run_query(g, src, &Params::new(), now))
+            .map_err(MemgraphError::from)
     }
 }
 

@@ -5,15 +5,19 @@
 //! inline the condition query, express the condition with openCypher's
 //! `CASE` construct producing a `flag`, filter `WHERE flag IS NOT NULL`,
 //! then run the trigger statement. "Memgraph moves all the logic inside the
-//! openCypher statement."
+//! openCypher statement." Everything but the Table 4 vocabulary, the
+//! `ON` filter, the commit-phase mapping and the `CASE … AS flag`
+//! assembly is the lowering shared with the APOC translator
+//! ([`pg_triggers::lowering`]).
 
-use crate::system::{CommitPhase, ObjectFilter, OpFilter};
-use pg_cypher::ast::Clause;
-use pg_cypher::{rename_vars, unparse_clause, unparse_expr, unparse_query, Expr};
-use pg_triggers::{
-    ActionTime, EventKind, EventType, Granularity, ItemKind, TransitionVar, TriggerSpec,
-};
-use std::collections::BTreeMap;
+use crate::system::CommitPhase;
+use pg_cypher::ast::BinOp;
+use pg_cypher::{unparse_expr, unparse_query, Expr};
+use pg_graph::Value;
+use pg_triggers::lowering::{lower, Vocabulary};
+use pg_triggers::{ActionTime, EventKind::*, EventType, ItemKind, TriggerSpec};
+
+pub use pg_triggers::lowering::TranslateError;
 
 /// A translated trigger: Memgraph `CREATE TRIGGER` DDL.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,21 +29,64 @@ pub struct MemgraphInstall {
     pub warnings: Vec<String>,
 }
 
-/// Untranslatable trigger shapes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TranslateError {
-    Unsupported(String),
-}
-
-impl std::fmt::Display for TranslateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranslateError::Unsupported(m) => write!(f, "untranslatable trigger: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for TranslateError {}
+/// Paper Table 4: the predefined variable Memgraph delivers each event
+/// kind's changes in, and the item variable Figure 3 unwinds it to.
+const VOCABULARY: Vocabulary = Vocabulary {
+    metadata: "predefined variables",
+    sources: [
+        (NodeCreated, "newNode", "UNWIND createdVertices AS newNode"),
+        (NodeDeleted, "oldNode", "UNWIND deletedVertices AS oldNode"),
+        (RelCreated, "newEdge", "UNWIND createdEdges AS newEdge"),
+        (RelDeleted, "oldEdge", "UNWIND deletedEdges AS oldEdge"),
+        (
+            LabelSet,
+            "newNode",
+            "UNWIND setVertexLabels AS lblGroup \
+             WITH lblGroup WHERE lblGroup.label = '{key}' \
+             UNWIND lblGroup.vertices AS newNode",
+        ),
+        (
+            LabelRemoved,
+            "oldNode",
+            "UNWIND removedVertexLabels AS lblGroup \
+             WITH lblGroup WHERE lblGroup.label = '{key}' \
+             UNWIND lblGroup.vertices AS oldNode",
+        ),
+        (
+            NodePropSet,
+            "newNode",
+            "UNWIND setVertexProperties AS pe WITH pe WHERE pe.key = '{key}' \
+             WITH pe.vertex AS newNode, {{key}: pe.old_value} AS oldProps",
+        ),
+        (
+            NodePropRemoved,
+            "newNode",
+            "UNWIND removedVertexProperties AS pe WITH pe WHERE pe.key = '{key}' \
+             WITH pe.vertex AS newNode, {{key}: pe.old_value} AS oldProps",
+        ),
+        (
+            RelPropSet,
+            "newEdge",
+            "UNWIND setEdgeProperties AS pe WITH pe WHERE pe.key = '{key}' \
+             WITH pe.edge AS newEdge, {{key}: pe.old_value} AS oldProps",
+        ),
+        (
+            RelPropRemoved,
+            "newEdge",
+            "UNWIND removedEdgeProperties AS pe WITH pe WHERE pe.key = '{key}' \
+             WITH pe.edge AS newEdge, {{key}: pe.old_value} AS oldProps",
+        ),
+    ],
+    node_label_check: |node, label| {
+        let labels = Expr::Func {
+            name: "labels".into(),
+            args: vec![node],
+            distinct: false,
+        };
+        let label = Expr::Literal(Value::Str(label.to_string()));
+        Expr::Binary(BinOp::In, Box::new(label), Box::new(labels))
+    },
+};
 
 /// Translate a PG-Trigger into Memgraph trigger DDL.
 pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> {
@@ -64,303 +111,32 @@ pub fn translate(spec: &TriggerSpec) -> Result<MemgraphInstall, TranslateError> 
         }
     };
     warnings.push("Memgraph triggers do not cascade (identical to APOC, §5.2)".into());
+    let lowered = lower(spec, &VOCABULARY)?;
+    warnings.extend(lowered.warnings.iter().cloned());
 
-    let label = &spec.label;
-    let var = |s: &str| Expr::Var(s.to_string());
-    let lit = |s: &str| Expr::Literal(pg_graph::Value::Str(s.to_string()));
-
-    // Plan: prefix pipeline, item variable, per-item check, event filter.
-    struct Plan {
-        prefix: String,
-        item_var: String,
-        check: Expr,
-        filter: (ObjectFilter, OpFilter),
-        renames: BTreeMap<String, String>,
-    }
-
-    let in_labels = |v: &str, label: &str| {
-        Expr::Binary(
-            pg_cypher::ast::BinOp::In,
-            Box::new(lit(label)),
-            Box::new(Expr::Func {
-                name: "labels".into(),
-                args: vec![var(v)],
-                distinct: false,
-            }),
-        )
+    let object = match spec.item {
+        ItemKind::Node => "()",
+        ItemKind::Relationship => "-->",
     };
-    let eq_type = |v: &str, label: &str| {
-        Expr::Binary(
-            pg_cypher::ast::BinOp::Eq,
-            Box::new(Expr::Func {
-                name: "type".into(),
-                args: vec![var(v)],
-                distinct: false,
-            }),
-            Box::new(lit(label)),
-        )
+    let operation = match spec.event {
+        EventType::Create => "CREATE",
+        EventType::Delete => "DELETE",
+        EventType::Set | EventType::Remove => "UPDATE",
     };
-    let map_field_eq = |v: &str, field: &str, label: &str| {
-        Expr::Binary(
-            pg_cypher::ast::BinOp::Eq,
-            Box::new(Expr::Prop(Box::new(var(v)), field.to_string())),
-            Box::new(lit(label)),
-        )
-    };
-
-    let mut renames = BTreeMap::new();
-    let new_name = spec.var_name(TransitionVar::New);
-    let old_name = spec.var_name(TransitionVar::Old);
-    let mut plan = match (spec.kind(), &spec.property) {
-        (Some(EventKind::NodeCreated), _) => {
-            renames.insert(new_name, "newNode".to_string());
-            Plan {
-                prefix: "UNWIND createdVertices AS newNode".into(),
-                item_var: "newNode".into(),
-                check: in_labels("newNode", label),
-                filter: (ObjectFilter::Vertex, OpFilter::Create),
-                renames,
-            }
-        }
-        (Some(EventKind::RelCreated), _) => {
-            renames.insert(new_name, "newEdge".to_string());
-            Plan {
-                prefix: "UNWIND createdEdges AS newEdge".into(),
-                item_var: "newEdge".into(),
-                check: eq_type("newEdge", label),
-                filter: (ObjectFilter::Edge, OpFilter::Create),
-                renames,
-            }
-        }
-        (Some(EventKind::NodeDeleted), _) => {
-            renames.insert(old_name, "oldNode".to_string());
-            Plan {
-                prefix: "UNWIND deletedVertices AS oldNode".into(),
-                item_var: "oldNode".into(),
-                check: Expr::Binary(
-                    pg_cypher::ast::BinOp::In,
-                    Box::new(lit(label)),
-                    Box::new(Expr::Prop(Box::new(var("oldNode")), "__labels".into())),
-                ),
-                filter: (ObjectFilter::Vertex, OpFilter::Delete),
-                renames,
-            }
-        }
-        (Some(EventKind::RelDeleted), _) => {
-            renames.insert(old_name, "oldEdge".to_string());
-            Plan {
-                prefix: "UNWIND deletedEdges AS oldEdge".into(),
-                item_var: "oldEdge".into(),
-                check: map_field_eq("oldEdge", "__type", label),
-                filter: (ObjectFilter::Edge, OpFilter::Delete),
-                renames,
-            }
-        }
-        (Some(EventKind::LabelSet), _) => {
-            renames.insert(new_name, "newNode".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND setVertexLabels AS lblGroup \
-                     WITH lblGroup WHERE lblGroup.label = '{label}' \
-                     UNWIND lblGroup.vertices AS newNode"
-                ),
-                item_var: "newNode".into(),
-                check: Expr::Literal(pg_graph::Value::Bool(true)),
-                filter: (ObjectFilter::Vertex, OpFilter::Update),
-                renames,
-            }
-        }
-        (Some(EventKind::LabelRemoved), _) => {
-            renames.insert(old_name, "oldNode".to_string());
-            renames.insert(new_name, "oldNode".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND removedVertexLabels AS lblGroup \
-                     WITH lblGroup WHERE lblGroup.label = '{label}' \
-                     UNWIND lblGroup.vertices AS oldNode"
-                ),
-                item_var: "oldNode".into(),
-                check: Expr::Literal(pg_graph::Value::Bool(true)),
-                filter: (ObjectFilter::Vertex, OpFilter::Update),
-                renames,
-            }
-        }
-        (Some(EventKind::NodePropSet), Some(p)) => {
-            renames.insert(new_name, "newNode".to_string());
-            renames.insert(old_name, "oldProps".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND setVertexProperties AS pe \
-                     WITH pe WHERE pe.key = '{p}' \
-                     WITH pe.vertex AS newNode, {{{p}: pe.old_value}} AS oldProps"
-                ),
-                item_var: "newNode".into(),
-                check: in_labels("newNode", label),
-                filter: (ObjectFilter::Vertex, OpFilter::Update),
-                renames,
-            }
-        }
-        (Some(EventKind::NodePropRemoved), Some(p)) => {
-            renames.insert(new_name, "newNode".to_string());
-            renames.insert(old_name, "oldProps".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND removedVertexProperties AS pe \
-                     WITH pe WHERE pe.key = '{p}' \
-                     WITH pe.vertex AS newNode, {{{p}: pe.old_value}} AS oldProps"
-                ),
-                item_var: "newNode".into(),
-                check: in_labels("newNode", label),
-                filter: (ObjectFilter::Vertex, OpFilter::Update),
-                renames,
-            }
-        }
-        (Some(EventKind::RelPropSet), Some(p)) => {
-            renames.insert(new_name, "newEdge".to_string());
-            renames.insert(old_name, "oldProps".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND setEdgeProperties AS pe \
-                     WITH pe WHERE pe.key = '{p}' \
-                     WITH pe.edge AS newEdge, {{{p}: pe.old_value}} AS oldProps"
-                ),
-                item_var: "newEdge".into(),
-                check: eq_type("newEdge", label),
-                filter: (ObjectFilter::Edge, OpFilter::Update),
-                renames,
-            }
-        }
-        (Some(EventKind::RelPropRemoved), Some(p)) => {
-            renames.insert(new_name, "newEdge".to_string());
-            renames.insert(old_name, "oldProps".to_string());
-            Plan {
-                prefix: format!(
-                    "UNWIND removedEdgeProperties AS pe \
-                     WITH pe WHERE pe.key = '{p}' \
-                     WITH pe.edge AS newEdge, {{{p}: pe.old_value}} AS oldProps"
-                ),
-                item_var: "newEdge".into(),
-                check: eq_type("newEdge", label),
-                filter: (ObjectFilter::Edge, OpFilter::Update),
-                renames,
-            }
-        }
-        (None, _) | (_, None) => {
-            return Err(TranslateError::Unsupported(format!(
-                "event {:?} on {:?} with property {:?}",
-                spec.event, spec.item, spec.property
-            )))
-        }
-    };
-
-    // FOR ALL: collect into a list after the per-item check.
-    if spec.granularity == Granularity::All {
-        if spec.kind().is_some_and(EventKind::on_property) {
-            return Err(TranslateError::Unsupported(
-                "FOR ALL with property events: predefined variables cannot deliver aligned \
-                 OLD/NEW item sets"
-                    .into(),
-            ));
-        }
-        let unit = plan.item_var.clone();
-        let list_var = format!("{unit}List");
-        plan.prefix = format!(
-            "{} WITH {unit} WHERE {} WITH collect({unit}) AS {list_var}",
-            plan.prefix,
-            unparse_expr(&plan.check),
-        );
-        plan.check = Expr::Binary(
-            pg_cypher::ast::BinOp::Gt,
-            Box::new(Expr::Func {
-                name: "size".into(),
-                args: vec![var(&list_var)],
-                distinct: false,
-            }),
-            Box::new(Expr::Literal(pg_graph::Value::Int(0))),
-        );
-        let (new_set, old_set) = match spec.item {
-            ItemKind::Node => (TransitionVar::NewNodes, TransitionVar::OldNodes),
-            ItemKind::Relationship => (TransitionVar::NewRels, TransitionVar::OldRels),
-        };
-        plan.renames.clear();
-        match spec.event {
-            EventType::Create | EventType::Set => {
-                plan.renames
-                    .insert(spec.var_name(new_set), list_var.clone());
-            }
-            EventType::Delete | EventType::Remove => {
-                plan.renames
-                    .insert(spec.var_name(old_set), list_var.clone());
-            }
-        }
-        plan.item_var = list_var;
-    }
-
-    // Condition: bare predicate → CASE flag (Figure 3); pipeline →
-    // condition_query before the flag computation.
-    let mut check = plan.check.clone();
-    let mut pipeline = String::new();
-    if let Some(cond) = &spec.condition {
-        let renamed = rename_vars(cond.query(), &plan.renames);
-        match renamed.clauses.as_slice() {
-            [Clause::Where(pred)] => {
-                check = Expr::Binary(
-                    pg_cypher::ast::BinOp::And,
-                    Box::new(check),
-                    Box::new(pred.clone()),
-                );
-            }
-            clauses => {
-                pipeline = clauses
-                    .iter()
-                    .map(unparse_clause)
-                    .collect::<Vec<_>>()
-                    .join(" ");
-            }
-        }
-    }
-
-    // Figure 3: WITH CASE WHEN <check> THEN <item> END AS flag, <carried>…
-    // WHERE flag IS NOT NULL, then the statement.
-    let statement = rename_vars(spec.statement.query(), &plan.renames);
-    let stmt_text = unparse_query(&statement);
-    // Variables the statement needs carried through the WITH (the item plus
-    // condition bindings). We conservatively carry `*`.
-    let exec = format!(
-        "{prefix}{pipe} WITH *, CASE WHEN {check} THEN {item} END AS flag \
-         WHERE flag IS NOT NULL {stmt}",
-        prefix = plan.prefix,
-        pipe = if pipeline.is_empty() {
-            String::new()
-        } else {
-            format!(" {pipeline}")
-        },
-        check = unparse_expr(&check),
-        item = plan.item_var,
-        stmt = stmt_text,
-    );
-
-    let on_clause = {
-        let (obj, op) = plan.filter;
-        let obj_s = match obj {
-            ObjectFilter::Vertex => "() ",
-            ObjectFilter::Edge => "--> ",
-            ObjectFilter::Any => "",
-        };
-        let op_s = match op {
-            OpFilter::Create => "CREATE",
-            OpFilter::Update => "UPDATE",
-            OpFilter::Delete => "DELETE",
-        };
-        format!("ON {obj_s}{op_s}")
-    };
-    let phase_s = match phase {
+    let commit = match phase {
         CommitPhase::Before => "BEFORE COMMIT",
         CommitPhase::After => "AFTER COMMIT",
     };
+    // Figure 3: WITH CASE WHEN <check> THEN <item> END AS flag … WHERE flag
+    // IS NOT NULL, then the statement; `*` carries what the statement needs.
     let ddl = format!(
-        "CREATE TRIGGER {name} {on_clause} {phase_s} EXECUTE {exec}",
-        name = spec.name,
+        "CREATE TRIGGER {} ON {object} {operation} {commit} EXECUTE {} \
+         WITH *, CASE WHEN {} THEN {} END AS flag WHERE flag IS NOT NULL {}",
+        spec.name,
+        lowered.head,
+        unparse_expr(&lowered.check),
+        lowered.item(),
+        unparse_query(&lowered.statement),
     );
     Ok(MemgraphInstall {
         name: spec.name.clone(),

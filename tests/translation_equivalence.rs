@@ -18,6 +18,12 @@ fn spec(ddl: &str) -> TriggerSpec {
 /// Run `setup` then `event` on all three engines with the given trigger;
 /// return the number of `Probe` nodes each produced.
 fn run_three_ways(ddl: &str, setup: &[&str], event: &str) -> (i64, i64, i64) {
+    run_three_ways_counting(ddl, setup, event, "MATCH (p:Probe) RETURN count(*) AS n")
+}
+
+/// [`run_three_ways`], returning what `count` (a one-integer query) says
+/// on each engine afterwards.
+fn run_three_ways_counting(ddl: &str, setup: &[&str], event: &str, count: &str) -> (i64, i64, i64) {
     let t = spec(ddl);
 
     // native
@@ -28,7 +34,7 @@ fn run_three_ways(ddl: &str, setup: &[&str], event: &str) -> (i64, i64, i64) {
     }
     native.run(event).unwrap();
     let n_native = native
-        .run("MATCH (p:Probe) RETURN count(*) AS n")
+        .run(count)
         .unwrap()
         .single()
         .and_then(|v| v.as_i64())
@@ -49,7 +55,7 @@ fn run_three_ways(ddl: &str, setup: &[&str], event: &str) -> (i64, i64, i64) {
     }
     apoc.run_tx(&[event]).unwrap();
     let n_apoc = apoc
-        .query("MATCH (p:Probe) RETURN count(*) AS n")
+        .query(count)
         .unwrap()
         .single()
         .and_then(|v| v.as_i64())
@@ -64,7 +70,7 @@ fn run_three_ways(ddl: &str, setup: &[&str], event: &str) -> (i64, i64, i64) {
     }
     mg.run_tx(&[event]).unwrap();
     let n_mg = mg
-        .query("MATCH (p:Probe) RETURN count(*) AS n")
+        .query(count)
         .unwrap()
         .single()
         .and_then(|v| v.as_i64())
@@ -276,4 +282,59 @@ fn oncommit_maps_to_before_phase_equivalent() {
         "CREATE (:P), (:P)",
     );
     assert_eq!((n, a, m), (1, 1, 1));
+}
+
+// A condition pipeline that projects (`WITH count(…) AS k`) must keep the
+// affected item in scope: the translations carry the names the event
+// prefix binds through every such `WITH`, grouping per item under FOR EACH
+// and into one group under FOR ALL — the native semantics.
+
+#[test]
+fn projecting_condition_pipeline_per_item_equivalent() {
+    let (n, a, m) = run_three_ways(
+        "CREATE TRIGGER t AFTER CREATE ON 'P' FOR EACH NODE
+         WHEN MATCH (q:Q) WITH count(q) AS k WHERE k > 0
+         BEGIN CREATE (:Probe {k: k}) END",
+        &["CREATE (:Q)"],
+        "CREATE (:P), (:P)",
+    );
+    assert_eq!((n, a, m), (2, 2, 2));
+}
+
+#[test]
+fn projecting_condition_pipeline_per_set_equivalent() {
+    let (n, a, m) = run_three_ways(
+        "CREATE TRIGGER t AFTER CREATE ON 'P' FOR ALL NODES
+         WHEN MATCH (q:Q) WITH count(q) AS k WHERE k > 0
+         BEGIN CREATE (:Probe {k: k}) END",
+        &["CREATE (:Q)"],
+        "CREATE (:P), (:P)",
+    );
+    assert_eq!((n, a, m), (1, 1, 1));
+}
+
+/// The §6.2 triggers whose conditions are projecting pipelines, with
+/// their conditions true: Sacco (Lombardy) has no free ICU bed when a new
+/// ICU patient is admitted there; Meyer, connected to it, has ten.
+#[test]
+fn paper_pipeline_triggers_fire_in_both_emulators() {
+    use pg_covid::triggers::{ICU_PATIENT_INCREASE, ICU_PATIENT_MOVE, MOVE_TO_NEAR_HOSPITAL};
+    let setup = [
+        "CREATE (s:Hospital {name: 'Sacco', icuBeds: 0})-[:LocatedIn]->(:Region {name: 'Lombardy'}),
+                (s)-[:ConnectedTo {distance: 5}]->(:Hospital {name: 'Meyer', icuBeds: 10})",
+    ];
+    let admit = "MATCH (h:Hospital {name: 'Sacco'})
+                 CREATE (:HospitalizedPatient:IcuPatient {ssn: 1})-[:TreatedAt]->(h)";
+    let alerts = "MATCH (a:Alert) RETURN count(*) AS n";
+    let at_meyer =
+        "MATCH (:IcuPatient)-[:TreatedAt]-(:Hospital {name: 'Meyer'}) RETURN count(*) AS n";
+    for (ddl, count) in [
+        (ICU_PATIENT_INCREASE, alerts),
+        (ICU_PATIENT_MOVE, at_meyer),
+        (MOVE_TO_NEAR_HOSPITAL, at_meyer),
+    ] {
+        let name = spec(ddl).name;
+        let (n, a, m) = run_three_ways_counting(ddl, &setup, admit, count);
+        assert_eq!((n, a, m), (1, 1, 1), "{name}");
+    }
 }
