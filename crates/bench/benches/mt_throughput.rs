@@ -169,7 +169,7 @@ fn main() {
     } else {
         (100_000, 6_000, 7, Duration::from_millis(1500), 8)
     };
-    let cores = pg_cypher::hardware_parallelism();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let (exclusive, publishing) = writer_stmts_per_s(preload, statements, TX_BATCH, repeats);
     let degradation_pct = (1.0 - publishing / exclusive) * 100.0;

@@ -1,20 +1,12 @@
 //! Fixed per-statement overhead: work that depends on neither the data
 //! nor the parameters must not be paid per statement (or per `MATCH`).
 //!
-//! Four statements whose match work is near zero — the three
-//! `wire_point_read` texts of `BENCHMARK.json` and the §6 ICU admission
-//! statement — run on an in-process session, against two **relative**
-//! bars (no absolute time, so they hold on any machine):
-//!
-//! 1. *Process-invariant work.* Default-configured execution stays
-//!    within [`CEILING_BAR`]× of the same statement under
-//!    `Executor::with_thread_limit(1)`, which never consults the
-//!    environment or the machine. When every `MATCH` resolved the thread
-//!    ceiling through the standard library's parallelism probe (a cgroup
-//!    re-read on Linux, ~11 µs) this ratio was ≈ 7 on the point lookup.
-//! 2. *Text-invariant work.* Running a text the session has prepared
-//!    before (a statement-cache hit) is cheaper than preparing it again
-//!    and running it.
+//! The three `wire_point_read` texts of `BENCHMARK.json`, whose match
+//! work is near zero, run on an in-process session against a
+//! **relative** bar (no absolute time, so it holds on any machine):
+//! *text-invariant work* — running a text the session has prepared
+//! before (a statement-cache hit) is cheaper than preparing it again and
+//! running it.
 //!
 //! Quick mode for CI: `cargo bench --bench stmt_overhead -- --test`.
 
@@ -28,9 +20,6 @@ const POINT_LOOKUP: &str = "MATCH (p:Patient {ssn: $ssn}) RETURN p.severity AS s
 const NEIGHBOUR: &str =
     "MATCH (p:Patient {ssn: $ssn})-[:TreatedAt]->(h:Hospital) RETURN h.name AS hospital";
 const INDEXED_COUNT: &str = "MATCH (p:Patient {name: $name}) RETURN count(*) AS n";
-
-/// Default-configured over `with_thread_limit(1)`, at most.
-const CEILING_BAR: f64 = 1.5;
 
 fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
@@ -82,29 +71,12 @@ fn best_us(batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn read(s: &Session, query: &Query, params: &Params, limit: Option<usize>) -> usize {
-    let mut exec = Executor::new(Target::Read(s.graph()), params, 0);
-    if let Some(n) = limit {
-        exec = exec.with_thread_limit(n);
-    }
-    exec.run(query, Vec::new()).expect("read").rows.len()
-}
-
-/// The admission statement through the executor, inside a transaction
-/// that is rolled back so every batch meets the same store.
-fn admit_us(s: &mut Session, admission: &Query, limit: Option<usize>, iters: usize) -> f64 {
-    let params = Params::new();
-    let g = s.graph_mut();
-    g.begin().expect("begin");
-    let us = best_us(1, iters, || {
-        let mut exec = Executor::new(Target::Write(&mut *g), &params, 0);
-        if let Some(n) = limit {
-            exec = exec.with_thread_limit(n);
-        }
-        black_box(exec.run(admission, Vec::new()).expect("admission"));
-    });
-    g.rollback().expect("rollback");
-    us
+fn read(s: &Session, query: &Query, params: &Params) -> usize {
+    Executor::new(Target::Read(s.graph()), params, 0)
+        .run(query, Vec::new())
+        .expect("read")
+        .rows
+        .len()
 }
 
 /// One bar: `measured` may be at most `bar` × `reference`.
@@ -142,21 +114,7 @@ fn main() {
         ("indexed_count", INDEXED_COUNT, &name),
     ] {
         let query = parse_query(text).expect(text);
-        assert_eq!(read(&s, &query, params, None), 1, "{text}");
-        let default_us = best_us(batches, iters, || {
-            black_box(read(&s, &query, params, None));
-        });
-        let serial_us = best_us(batches, iters, || {
-            black_box(read(&s, &query, params, Some(1)));
-        });
-        bars.check(
-            label,
-            "default_vs_limit1",
-            default_us,
-            serial_us,
-            CEILING_BAR,
-        );
-
+        assert_eq!(read(&s, &query, params), 1, "{text}");
         let hit_us = best_us(batches, iters, || {
             black_box(s.run_with_params(text, params).expect("cached read"));
         });
@@ -166,23 +124,6 @@ fn main() {
         });
         bars.check(label, "cache_hit_vs_prepare_and_run", hit_us, again_us, 1.0);
     }
-
-    // The §6 admission statement itself: one MATCH, one CREATE. (What its
-    // triggers cost is the cascade benches' business.)
-    let admission = parse_query(&pg_covid::wire::icu_admission(1, "Sacco", 5)).expect("admission");
-    let best = |s: &mut Session, limit| {
-        (0..batches)
-            .map(|_| admit_us(s, &admission, limit, iters))
-            .fold(f64::INFINITY, f64::min)
-    };
-    let (default_us, serial_us) = (best(&mut s, None), best(&mut s, Some(1)));
-    bars.check(
-        "admission",
-        "default_vs_limit1",
-        default_us,
-        serial_us,
-        CEILING_BAR,
-    );
 
     assert!(
         bars.0.is_empty(),

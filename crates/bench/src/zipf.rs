@@ -1,10 +1,9 @@
 //! Shared Zipf-skewed follower-graph fixture.
 //!
 //! Used by the `join_planning` bench (batched-vs-reference executor and
-//! estimate accuracy) and the `parallel_exec` bench (morsel-driven
-//! scaling), so both measure the same workload shape: FOLLOWS targets
-//! funnel into a few hub users, and hub users also author Zipf-many
-//! `WROTE_Z` posts (skew-correlated second hop).
+//! estimate accuracy) and the benchmark's `engine_analytic_join`
+//! workload: FOLLOWS targets funnel into a few hub users, and hub users
+//! also author Zipf-many `WROTE_Z` posts (skew-correlated second hop).
 
 use pg_graph::{Graph, NodeId, PropertyMap, Value};
 

@@ -400,7 +400,7 @@ impl Session {
                 .run_statement(stmt, seeds, params)
                 .map(ExecResult::Query),
             StatementClass::Explain => {
-                pg_cypher::explain_prepared(&self.graph, stmt, params, self.now_ms, None)
+                pg_cypher::explain_prepared(&self.graph, stmt, params, self.now_ms)
                     .map(ExecResult::Explain)
                     .map_err(TriggerError::Cypher)
             }

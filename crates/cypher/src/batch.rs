@@ -48,44 +48,25 @@ use crate::pattern::{
     hop_candidates, match_planned, node_matches, node_reads, plan_patterns, rel_reads, seed_reads,
     start_candidates, MatchState, Pushdowns,
 };
-use crate::physical::{plan_parallelism, ParallelPlan, PhysicalPathPlan, MORSEL_SIZE};
+use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
 use pg_graph::{NodeId, Value};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The executor's parallelism knobs (see
-/// [`crate::exec::Executor::with_thread_limit`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ParallelCfg {
-    /// Worker-degree ceiling, `None` = the process-wide one, which
-    /// [`plan_parallelism`] resolves only for a group past its cost gate;
-    /// clamps scheduling width only, never the morselize decision.
-    pub threads: Option<usize>,
-    /// Estimated-join-output-rows floor for morselization — normally
-    /// [`crate::physical::PARALLEL_ROW_THRESHOLD`], overridable so tests
-    /// can force the parallel path on small fixtures.
-    pub threshold: f64,
-}
 
 /// Match `patterns` for every seed row, returning the matches **per
 /// seed** (the caller owns `OPTIONAL MATCH` null-binding, which is a
 /// per-seed decision). Row-for-row identical to calling
 /// [`crate::pattern::match_patterns`] on each seed; batches only where
-/// sharing is sound, and morselizes a batch across worker threads when
-/// the cost model says the join output is large enough
-/// ([`plan_parallelism`]). `pushed` is
-/// [`crate::pattern::extract_pushdowns`] of `where_clause`.
+/// sharing is sound. `pushed` is [`crate::pattern::extract_pushdowns`] of
+/// `where_clause`.
 pub(crate) fn match_patterns_batch(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
     patterns: &[PathPattern],
     where_clause: Option<&Expr>,
     pushed: &Pushdowns,
-    par: &ParallelCfg,
 ) -> Result<Vec<Vec<Row>>> {
-    let mut plans: Vec<Vec<PhysicalPathPlan>> = seeds
+    let plans: Vec<Vec<PhysicalPathPlan>> = seeds
         .iter()
         .map(|s| plan_patterns(ctx, s, patterns, pushed))
         .collect();
@@ -101,12 +82,12 @@ pub(crate) fn match_patterns_batch(
         while j < seeds.len() && same_paths(&plans[j], &plans[i]) {
             j += 1;
         }
-        let group = &seeds[i..j];
+        let (group, group_plans) = (&seeds[i..j], &plans[i..j]);
         let var_length = plans[i]
             .iter()
             .any(|p| p.path.segments.iter().any(|(r, _)| r.hops.is_some()));
         if group.len() == 1 || var_length {
-            for (seed, planned) in group.iter().zip(&plans[i..j]) {
+            for (seed, planned) in group.iter().zip(group_plans) {
                 out.push(match_planned(
                     ctx,
                     seed,
@@ -117,149 +98,9 @@ pub(crate) fn match_patterns_batch(
                 )?);
             }
         } else {
-            let est = group_est_rows(ctx, group, &mut plans[i]);
-            // Pin only once the cost gate passes — pinning is cheap but
-            // not free, and most groups are small.
-            let snap = (est >= par.threshold)
-                .then(|| ctx.view.parallel_snapshot())
-                .flatten();
-            let decision = plan_parallelism(
-                group.len(),
-                var_length,
-                est,
-                snap.is_some(),
-                par.threads,
-                par.threshold,
-            );
-            let plans = &plans[i..j];
-            match decision {
-                ParallelPlan::Parallel { degree, .. } => {
-                    out.extend(run_group_morselized(
-                        ctx,
-                        group,
-                        plans,
-                        where_clause,
-                        pushed,
-                        degree,
-                        &snap.expect("Parallel decision implies a pinned view"),
-                    )?);
-                }
-                ParallelPlan::Serial(_) => {
-                    out.extend(run_group(ctx, group, plans, where_clause, pushed)?);
-                }
-            }
+            out.extend(run_group(ctx, group, group_plans, where_clause, pushed)?);
         }
         i = j;
-    }
-    Ok(out)
-}
-
-/// Estimated join-output rows of one path-equal group: the group size
-/// times the product of each planned path's estimate, taken from the plan
-/// of the group's representative (first) seed row. Unlabeled source
-/// positions whose variable the representative row binds to a concrete
-/// node borrow that node's stored labels for the fanout lookup — at
-/// runtime the binding is real, so the hint is exact where `EXPLAIN`'s
-/// plan-time `Null` representative can only guess.
-fn group_est_rows(ctx: &EvalCtx<'_>, group: &[Row], planned: &mut [PhysicalPathPlan]) -> f64 {
-    let rep = &group[0];
-    let mut hints: HashMap<String, Vec<String>> = HashMap::new();
-    for path in planned.iter().map(|plan| &plan.path) {
-        for np in path.nodes() {
-            if let (Some(v), true) = (&np.var, np.labels.is_empty()) {
-                if let Some(Value::Node(id)) = rep.get(v) {
-                    hints
-                        .entry(v.clone())
-                        .or_insert_with(|| ctx.view.node_labels(*id));
-                }
-            }
-        }
-    }
-    let mut est = group.len() as f64;
-    for plan in planned {
-        plan.apply_hints(ctx, &hints);
-        est *= plan.est_rows();
-    }
-    est
-}
-
-/// One morsel's result slot: `None` until a worker claims and finishes
-/// the morsel at that ordinal.
-type MorselSlot = Mutex<Option<Result<Vec<Vec<Row>>>>>;
-
-/// Morsel-driven execution of one plan-equal group: split the seeds into
-/// [`MORSEL_SIZE`] chunks, drain the chunks through a shared claim
-/// counter with `degree` scoped workers against a pinned snapshot, and
-/// concatenate the per-morsel outputs in morsel order.
-///
-/// **Determinism.** [`run_group`]'s output for a seed depends only on
-/// the seed row and the pinned state, never on which other seeds share
-/// its batch (memo gates only *reuse* results that per-row evaluation
-/// would reproduce). So per-morsel outputs concatenated in morsel
-/// ordinal order equal the serial group output row-for-row — and since
-/// the chunk boundaries don't depend on `degree`, every thread count
-/// produces byte-identical rows *and* identical index-probe totals.
-/// `degree == 1` skips the snapshot and runs the same morsels inline on
-/// the caller's context.
-///
-/// **Errors.** Workers always drain the whole queue; the merge returns
-/// the error of the lowest-ordinal failed morsel — the same error the
-/// serial path would have hit first.
-#[allow(clippy::too_many_arguments)]
-fn run_group_morselized(
-    ctx: &EvalCtx<'_>,
-    seeds: &[Row],
-    plans: &[Vec<PhysicalPathPlan>],
-    where_clause: Option<&Expr>,
-    pushed: &Pushdowns,
-    degree: usize,
-    snap: &pg_graph::Snapshot,
-) -> Result<Vec<Vec<Row>>> {
-    let morsels: Vec<(&[Row], &[Vec<PhysicalPathPlan>])> = seeds
-        .chunks(MORSEL_SIZE)
-        .zip(plans.chunks(MORSEL_SIZE))
-        .collect();
-    if degree <= 1 {
-        let mut out = Vec::with_capacity(seeds.len());
-        for (m, planned) in &morsels {
-            out.extend(run_group(ctx, m, planned, where_clause, pushed)?);
-        }
-        return Ok(out);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<MorselSlot> = morsels.iter().map(|_| Mutex::new(None)).collect();
-    // Workers share only `Sync` state: the pinned snapshot, the claim
-    // counter, the morsel list, and the result slots. (`ctx` itself
-    // holds a non-`Sync` `&dyn GraphView` and stays on this thread.)
-    let (params, now_ms) = (ctx.params, ctx.now_ms);
-    {
-        let (next, slots, morsels) = (&next, &slots, &morsels);
-        std::thread::scope(|scope| {
-            for _ in 0..degree {
-                scope.spawn(move || {
-                    let wctx = EvalCtx::new(snap, params, now_ms);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((morsel, planned)) = morsels.get(i) else {
-                            break;
-                        };
-                        let r = run_group(&wctx, morsel, planned, where_clause, pushed);
-                        *slots[i].lock().expect("morsel slot poisoned") = Some(r);
-                    }
-                });
-            }
-        });
-    }
-    // The workers counted probes on the snapshot's own counters; fold
-    // them back so totals match a serial run of the same morsels.
-    ctx.view.absorb_probes(snap.index_probes());
-    let mut out = Vec::with_capacity(seeds.len());
-    for slot in slots {
-        let result = slot
-            .into_inner()
-            .expect("morsel slot poisoned")
-            .expect("scope joined every worker, every morsel was claimed");
-        out.extend(result?);
     }
     Ok(out)
 }

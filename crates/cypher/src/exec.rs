@@ -61,7 +61,6 @@ use crate::row::{Params, QueryOutput, Row};
 use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::sync::OnceLock;
 
 /// Compare two keyed rows by the `ORDER BY` spec, breaking full ties by
 /// input index — the total order a stable sort + truncate would produce.
@@ -191,59 +190,12 @@ pub enum MatchMode {
     Reference,
 }
 
-/// Resolve the worker-thread ceiling for morsel-driven execution:
-/// an explicit [`Executor::with_thread_limit`] wins, then the
-/// `PG_THREADS` environment variable, then the machine's available
-/// parallelism; always at least 1. Pure so the precedence is testable
-/// without mutating the process environment.
-pub(crate) fn resolve_thread_limit(
-    explicit: Option<usize>,
-    env: Option<usize>,
-    hardware: usize,
-) -> usize {
-    explicit.or(env).unwrap_or(hardware).max(1)
-}
-
-/// The machine's available parallelism, probed once per process: on
-/// Linux the probe re-reads the cgroup files (~11 µs), and the answer is
-/// not expected to change under a running server. The one place in the
-/// workspace allowed to ask the standard library (see `clippy.toml`).
-pub fn hardware_parallelism() -> usize {
-    static PROBE: OnceLock<usize> = OnceLock::new();
-    #[allow(clippy::disallowed_methods)]
-    *PROBE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// The thread ceiling behind `explicit`: that value, or for `None` the
-/// process-wide one — `PG_THREADS` (when set to a positive integer;
-/// read on every call, so it can change under a running process) or
-/// [`hardware_parallelism`]. Called only by a parallelism decision whose
-/// cost gate has already passed, never per statement.
-pub(crate) fn thread_limit(explicit: Option<usize>) -> usize {
-    if explicit.is_some() {
-        return resolve_thread_limit(explicit, None, 1);
-    }
-    let env = std::env::var("PG_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    resolve_thread_limit(None, env, hardware_parallelism())
-}
-
 /// Executes a parsed query over a target.
 pub struct Executor<'a> {
     target: Target<'a>,
     params: &'a Params,
     now_ms: i64,
     match_mode: MatchMode,
-    /// Worker-degree ceiling for morsel-driven `MATCH` execution;
-    /// `None` = the process-wide one (see [`thread_limit`]).
-    thread_limit: Option<usize>,
-    /// Estimated-rows floor for morselization; `None` = the documented
-    /// [`crate::physical::PARALLEL_ROW_THRESHOLD`]. Test knob: row order
-    /// and probe totals are identical either way, so lowering it merely
-    /// forces the parallel machinery onto small fixtures.
-    parallel_threshold: Option<f64>,
     /// The statement being run, when it was prepared: its `MATCH`
     /// clauses skip the text-invariant part of planning.
     prepared: Option<&'a Prepared>,
@@ -256,8 +208,6 @@ impl<'a> Executor<'a> {
             params,
             now_ms,
             match_mode: MatchMode::default(),
-            thread_limit: None,
-            parallel_threshold: None,
             prepared: None,
         }
     }
@@ -267,30 +217,6 @@ impl<'a> Executor<'a> {
     pub fn with_match_mode(mut self, mode: MatchMode) -> Self {
         self.match_mode = mode;
         self
-    }
-
-    /// Cap the worker degree of morsel-driven `MATCH` execution
-    /// (overrides `PG_THREADS` and the machine's parallelism; clamped to
-    /// at least 1). Results are byte-identical for every limit.
-    pub fn with_thread_limit(mut self, threads: usize) -> Self {
-        self.thread_limit = Some(threads.max(1));
-        self
-    }
-
-    /// Override the estimated-rows floor for morselization (test knob).
-    pub fn with_parallel_threshold(mut self, threshold: f64) -> Self {
-        self.parallel_threshold = Some(threshold);
-        self
-    }
-
-    /// The parallelism knobs handed to the batch matcher.
-    fn parallel_cfg(&self) -> crate::batch::ParallelCfg {
-        crate::batch::ParallelCfg {
-            threads: self.thread_limit,
-            threshold: self
-                .parallel_threshold
-                .unwrap_or(crate::physical::PARALLEL_ROW_THRESHOLD),
-        }
     }
 
     fn view(&self) -> &dyn GraphView {
@@ -482,7 +408,6 @@ impl<'a> Executor<'a> {
                         patterns,
                         where_clause.as_ref(),
                         &self.pushdowns(clause, where_clause.as_ref()),
-                        &self.parallel_cfg(),
                     )?,
                     MatchMode::Reference => rows
                         .iter()
@@ -1189,21 +1114,4 @@ fn collect_delete_targets(
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::resolve_thread_limit;
-
-    #[test]
-    fn thread_limit_precedence() {
-        // explicit beats env beats hardware
-        assert_eq!(resolve_thread_limit(Some(3), Some(7), 16), 3);
-        assert_eq!(resolve_thread_limit(None, Some(7), 16), 7);
-        assert_eq!(resolve_thread_limit(None, None, 16), 16);
-        // never below 1, whatever the inputs claim
-        assert_eq!(resolve_thread_limit(Some(0), None, 16), 1);
-        assert_eq!(resolve_thread_limit(None, Some(0), 16), 1);
-        assert_eq!(resolve_thread_limit(None, None, 0), 1);
-    }
 }

@@ -7,21 +7,19 @@
 //! fanout and running join-output estimate, and a `TopK` line appears
 //! when the fusion decision the executor runs (`plan::plan_topk_walk`)
 //! finds an ordered index walk for the `MATCH` + projection pair —
-//! otherwise the pair renders unfused (`Serial`/`Parallel`, `Project`,
-//! `Sort`, `Page`). Two declines remain run-time only and are not
-//! rendered: the index refusing an ordered walk over lossy values, and
-//! a walk exhausting its candidate budget; both fall back to the heap
-//! sort with identical results. For read-only queries the query is also
-//! executed once so the report closes with `actual rows` next to the
-//! estimate — the estimated-vs-actual gap is what the `join_planning`
-//! bench tracks.
+//! otherwise the pair renders unfused (`Project`, `Sort`, `Page`). Two
+//! declines remain run-time only and are not rendered: the index refusing
+//! an ordered walk over lossy values, and a walk exhausting its candidate
+//! budget; both fall back to the heap sort with identical results. For
+//! read-only queries the query is also executed once so the report closes
+//! with `actual rows` next to the estimate — the estimated-vs-actual gap
+//! is what the `join_planning` bench tracks.
 
 use crate::ast::{PathPattern, Query};
 use crate::error::Result;
 use crate::expr::EvalCtx;
 use crate::parser::parse_query;
-use crate::physical::ParallelPlan;
-use crate::plan::{lower_query_with, LogicalOp};
+use crate::plan::{lower_query, LogicalOp};
 use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
@@ -58,18 +56,12 @@ fn fmt_hop(path: &PathPattern, segment: usize) -> String {
 
 /// Render the physical plan of `query`. When `executed` is given, the
 /// query has been run and the report compares estimated to actual rows.
-///
-/// `threads` is the worker ceiling fed into the parallelism decision
-/// (`None` = the process-wide one) — callers that pin a plan in a golden
-/// test pass a fixed count so the report does not depend on the machine
-/// running the test.
 pub fn render_plan(
     ctx: &EvalCtx<'_>,
     query: &Query,
     executed: Option<&QueryOutput>,
-    threads: Option<usize>,
 ) -> Result<String> {
-    let (plan, phys) = lower_query_with(ctx, query, threads)?;
+    let (plan, phys) = lower_query(ctx, query)?;
     let mut out = String::new();
     out.push_str("Plan\n");
     let mut pi = 0usize;
@@ -143,22 +135,6 @@ pub fn render_plan(
             LogicalOp::Update { what } => {
                 let _ = writeln!(out, "  Update <{what}>");
             }
-            LogicalOp::Parallelism { plan } => match plan {
-                ParallelPlan::Parallel {
-                    degree,
-                    morsels,
-                    est_rows,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "  Parallel degree={degree} morsels={morsels} est={} rows",
-                        fmt_est(*est_rows)
-                    );
-                }
-                ParallelPlan::Serial(decline) => {
-                    let _ = writeln!(out, "  Serial ({})", decline.rule());
-                }
-            },
         }
     }
     if !phys.is_empty() {
@@ -190,31 +166,17 @@ pub fn explain_query(
     params: &Params,
     now_ms: i64,
 ) -> Result<String> {
-    explain_query_with(view, src, params, now_ms, None)
-}
-
-/// [`explain_query`] with an explicit thread ceiling for the parallelism
-/// decision. Golden tests pass a fixed count so the rendered `Parallel`
-/// / `Serial` line is identical on every machine.
-pub fn explain_query_with(
-    view: &dyn GraphView,
-    src: &str,
-    params: &Params,
-    now_ms: i64,
-    threads: Option<usize>,
-) -> Result<String> {
     let stmt = Prepared::from(parse_query(src)?);
-    explain_prepared(view, &stmt, params, now_ms, threads)
+    explain_prepared(view, &stmt, params, now_ms)
 }
 
 /// Explain the query of a prepared statement (of an `EXPLAIN` statement:
-/// the inner one) under `params`; see [`explain_query_with`].
+/// the inner one) under `params`; see [`explain_query`].
 pub fn explain_prepared(
     view: &dyn GraphView,
     stmt: &Prepared,
     params: &Params,
     now_ms: i64,
-    threads: Option<usize>,
 ) -> Result<String> {
     let executed = if stmt.is_updating() {
         None
@@ -229,5 +191,5 @@ pub fn explain_prepared(
         )?)
     };
     let ctx = EvalCtx::new(view, params, now_ms);
-    render_plan(&ctx, stmt.query(), executed.as_ref(), threads)
+    render_plan(&ctx, stmt.query(), executed.as_ref())
 }

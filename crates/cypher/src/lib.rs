@@ -44,13 +44,10 @@ pub mod unparse;
 
 pub use ast::{Clause, Expr, Query};
 pub use error::{CypherError, Result};
-pub use exec::{hardware_parallelism, Executor, MatchMode, Target};
-pub use explain::{explain_prepared, explain_query, explain_query_with};
+pub use exec::{Executor, MatchMode, Target};
+pub use explain::{explain_prepared, explain_query};
 pub use parser::{parse_expression, parse_query, parse_query_lenient};
-pub use physical::{
-    plan_parallelism, ParallelDecline, ParallelPlan, MORSEL_SIZE, PARALLEL_ROW_THRESHOLD,
-};
-pub use plan::{lower_query, lower_query_with, LogicalOp, LogicalPlan, TopKSpec};
+pub use plan::{lower_query, LogicalOp, LogicalPlan, TopKSpec};
 pub use prepared::{Prepared, StatementCache, StatementClass, STATEMENT_CACHE_CAPACITY};
 pub use row::{Params, QueryOutput, Row};
 pub use unparse::{rename_vars, unparse_clause, unparse_expr, unparse_query};

@@ -6,12 +6,17 @@
 //!   block punctuation used in the PG-Triggers paper's example statements
 //!   (`THEN`, nested `BEGIN … END`) by treating `THEN`/`BEGIN` as clause
 //!   separators and `END` as a terminator.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: every bracket, parenthesis,
+//! operand chain link and `FOREACH` body opens one level, and a text that
+//! opens more fails with a parse error instead of recursing — so no query
+//! text can exhaust the stack of the parser or of the walks over its AST.
 
 use crate::ast::*;
 use crate::error::{CypherError, Result};
 use crate::lexer::lex;
 use crate::token::{Token, TokenKind};
-use pg_graph::{Direction, Value};
+use pg_graph::{Direction, Value, MAX_NESTING};
 
 /// Parse a query string into an AST.
 pub fn parse_query(src: &str) -> Result<Query> {
@@ -60,6 +65,8 @@ pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     lenient: bool,
+    /// Nesting levels open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -68,7 +75,28 @@ impl Parser {
             tokens,
             pos: 0,
             lenient,
+            depth: 0,
         }
+    }
+
+    /// Open one more nesting level, failing past [`MAX_NESTING`].
+    fn deeper(&mut self) -> Result<()> {
+        if self.depth > MAX_NESTING {
+            return Err(CypherError::parse(
+                self.peek_pos(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.deeper()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> &TokenKind {
@@ -291,29 +319,7 @@ impl Parser {
                 let var = self.expect_name()?;
                 self.expect(TokenKind::In)?;
                 let list = self.parse_expr()?;
-                let body = if self.eat(&TokenKind::Pipe) {
-                    let body = self.parse_clauses()?;
-                    self.expect(TokenKind::RParen)?;
-                    body
-                } else {
-                    // Paper style: FOREACH (p IN pn) BEGIN … END
-                    self.expect(TokenKind::RParen)?;
-                    if matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case("begin"))
-                    {
-                        self.bump();
-                        let mut body = Vec::new();
-                        while self.peek() != &TokenKind::End && self.peek() != &TokenKind::Eof {
-                            body.push(self.parse_clause()?);
-                        }
-                        self.expect(TokenKind::End)?;
-                        body
-                    } else {
-                        return Err(CypherError::parse(
-                            self.peek_pos(),
-                            "expected '|' or BEGIN in FOREACH",
-                        ));
-                    }
-                };
+                let body = self.nested(Self::parse_foreach_body)?;
                 Ok(Clause::Foreach { var, list, body })
             }
             TokenKind::Where => {
@@ -329,6 +335,30 @@ impl Parser {
                 format!("expected a clause, found {other}"),
             )),
         }
+    }
+
+    /// After `FOREACH (v IN list`: `| clauses )`, or the paper's
+    /// `) BEGIN clauses END`.
+    fn parse_foreach_body(&mut self) -> Result<Vec<Clause>> {
+        if self.eat(&TokenKind::Pipe) {
+            let body = self.parse_clauses()?;
+            self.expect(TokenKind::RParen)?;
+            return Ok(body);
+        }
+        self.expect(TokenKind::RParen)?;
+        if !matches!(self.peek(), TokenKind::Ident(s) if s.eq_ignore_ascii_case("begin")) {
+            return Err(CypherError::parse(
+                self.peek_pos(),
+                "expected '|' or BEGIN in FOREACH",
+            ));
+        }
+        self.bump();
+        let mut body = Vec::new();
+        while self.peek() != &TokenKind::End && self.peek() != &TokenKind::Eof {
+            body.push(self.parse_clause()?);
+        }
+        self.expect(TokenKind::End)?;
+        Ok(body)
     }
 
     fn parse_match(&mut self, optional: bool) -> Result<Clause> {
@@ -644,39 +674,43 @@ impl Parser {
     // ------------------------------------------------------------------
 
     pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
+    }
+
+    /// One left-associative precedence level, `next (op next)*`: each
+    /// link nests the chain built so far one level deeper.
+    fn parse_chain(
+        &mut self,
+        ops: &[(TokenKind, BinOp)],
+        next: fn(&mut Self) -> Result<Expr>,
+    ) -> Result<Expr> {
+        let depth = self.depth;
+        let mut lhs = next(self)?;
+        while let Some(&(_, op)) = ops.iter().find(|(t, _)| t == self.peek()) {
+            self.bump();
+            self.deeper()?;
+            let rhs = next(self)?;
+            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+        }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_xor()?;
-        while self.eat(&TokenKind::Or) {
-            let rhs = self.parse_xor()?;
-            lhs = Expr::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_chain(&[(TokenKind::Or, BinOp::Or)], Self::parse_xor)
     }
 
     fn parse_xor(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and()?;
-        while self.eat(&TokenKind::Xor) {
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinOp::Xor, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_chain(&[(TokenKind::Xor, BinOp::Xor)], Self::parse_and)
     }
 
     fn parse_and(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_not()?;
-        while self.eat(&TokenKind::And) {
-            let rhs = self.parse_not()?;
-            lhs = Expr::Binary(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.parse_chain(&[(TokenKind::And, BinOp::And)], Self::parse_not)
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Not) {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             Ok(Expr::Unary(UnaryOp::Not, Box::new(inner)))
         } else {
             self.parse_comparison()
@@ -727,41 +761,27 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        let ops = [
+            (TokenKind::Plus, BinOp::Add),
+            (TokenKind::Minus, BinOp::Sub),
+        ];
+        self.parse_chain(&ops, Self::parse_multiplicative)
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_power()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_power()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        let ops = [
+            (TokenKind::Star, BinOp::Mul),
+            (TokenKind::Slash, BinOp::Div),
+            (TokenKind::Percent, BinOp::Mod),
+        ];
+        self.parse_chain(&ops, Self::parse_power)
     }
 
     fn parse_power(&mut self) -> Result<Expr> {
         let lhs = self.parse_unary()?;
         if self.eat(&TokenKind::Caret) {
             // right-associative
-            let rhs = self.parse_power()?;
+            let rhs = self.nested(Self::parse_power)?;
             return Ok(Expr::Binary(BinOp::Pow, Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -769,26 +789,31 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Unary(UnaryOp::Neg, Box::new(inner)));
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_postfix()
     }
 
+    /// An atom and its `.key` / `[i]` / `[a..b]` / `:Label` suffixes; each
+    /// suffix nests the expression one level deeper.
     fn parse_postfix(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.parse_atom()?;
         loop {
             match self.peek() {
                 TokenKind::Dot => {
                     self.bump();
+                    self.deeper()?;
                     let key = self.expect_name()?;
                     e = Expr::Prop(Box::new(e), key);
                 }
                 TokenKind::LBracket => {
                     self.bump();
+                    self.deeper()?;
                     // index or slice
                     if self.eat(&TokenKind::DotDot) {
                         let to = if self.peek() != &TokenKind::RBracket {
@@ -830,11 +855,13 @@ impl Parser {
                     if labels.is_empty() {
                         break;
                     }
+                    self.deeper()?;
                     e = Expr::HasLabel(Box::new(e), labels);
                 }
                 _ => break,
             }
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -997,7 +1024,7 @@ impl Parser {
         }
         if self.peek() == &TokenKind::LParen {
             // Ambiguous: pattern `(n)-[…]-(…)` vs function arg `(n.prop)`.
-            let save = self.pos;
+            let (save, depth) = (self.pos, self.depth);
             if let Ok(pattern) = self.parse_path_pattern() {
                 if !pattern.segments.is_empty() {
                     let mut patterns = vec![pattern];
@@ -1007,7 +1034,7 @@ impl Parser {
                     return Ok(Expr::ExistsSubquery(patterns, None));
                 }
             }
-            self.pos = save;
+            (self.pos, self.depth) = (save, depth);
             self.bump(); // consume '('
             let arg = self.parse_expr()?;
             self.expect(TokenKind::RParen)?;
@@ -1396,6 +1423,54 @@ mod tests {
                 assert_eq!(p.items.len(), 1);
             }
             _ => panic!(),
+        }
+    }
+
+    /// Parse `src` on a 2 MiB thread — what a spawned thread (a server
+    /// connection) gets — and report whether it parsed.
+    fn parses_on_small_stack(src: String) -> std::result::Result<(), CypherError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse_query(&src).map(drop))
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_connection_sized_stack() {
+        let wrap = |open: &str, close: &str, depth: usize| {
+            format!("RETURN {}1{} AS x", open.repeat(depth), close.repeat(depth))
+        };
+        let chain = |op: &str, depth: usize| format!("RETURN 1{} AS x", op.repeat(depth));
+        let prefix = |op: &str, depth: usize| format!("RETURN {}true AS x", op.repeat(depth));
+        let foreach = |depth: usize| {
+            let open = "FOREACH (x IN [1] | ".repeat(depth);
+            format!("{open}CREATE (){}", ")".repeat(depth))
+        };
+        let shapes: [&dyn Fn(usize) -> String; 7] = [
+            &|d| wrap("[", "]", d),
+            &|d| wrap("(", ")", d),
+            &|d| wrap("{k: ", "}", d),
+            &|d| chain(" + 1", d),
+            &|d| chain(".k", d),
+            &|d| prefix("NOT ", d),
+            &|d| foreach(d),
+        ];
+        for shape in shapes {
+            let at_bound = shape(MAX_NESTING);
+            assert_eq!(
+                parses_on_small_stack(at_bound.clone()),
+                Ok(()),
+                "{at_bound}"
+            );
+            for depth in [MAX_NESTING + 1, 10_000] {
+                let err = parses_on_small_stack(shape(depth)).unwrap_err();
+                assert!(
+                    matches!(&err, CypherError::Parse { msg, .. } if msg.contains("nesting")),
+                    "depth {depth}: {err}"
+                );
+            }
         }
     }
 }

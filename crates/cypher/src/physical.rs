@@ -546,141 +546,19 @@ pub(crate) fn choose_seed(
 }
 
 // ---------------------------------------------------------------------
-// Intra-query parallelism decision (morsel-driven execution)
-// ---------------------------------------------------------------------
-
-/// Seeds per morsel. Each morsel is one `run_group` call: large enough
-/// that the per-morsel overhead (recomputing the shared seed-candidate
-/// vector, a fresh memo table) amortizes, small enough that a skewed
-/// group still splits into many work units for the queue to balance.
-pub const MORSEL_SIZE: usize = 64;
-
-/// Minimum **estimated join-output rows** of a plan-equal seed group
-/// before it morselizes. Below this, thread spawn + snapshot pinning +
-/// per-morsel re-derivation costs more than the matching itself; the
-/// estimate comes from the same degree-statistics fanout model the join
-/// planner uses, so the decision is inspectable via `EXPLAIN`.
-pub const PARALLEL_ROW_THRESHOLD: f64 = 4096.0;
-
-/// Why a `MATCH` runs serially — the documented decline catalog of the
-/// morsel-driven executor, rendered by `EXPLAIN`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelDecline {
-    /// A variable-length segment is in the plan: its DFS interleaves
-    /// depths, so the group already falls back to the reference matcher
-    /// per seed and has no batch to split.
-    VarLength,
-    /// A single seed row — no seed axis to partition along.
-    SingletonSeed,
-    /// Estimated join-output rows below [`PARALLEL_ROW_THRESHOLD`].
-    BelowThreshold,
-    /// The view cannot pin a `Send + Sync` state (overlay views:
-    /// pre-state reconstruction, trigger condition evaluation).
-    NoParallelView,
-}
-
-impl ParallelDecline {
-    /// Stable kebab-case rule name, for `EXPLAIN` and logs.
-    pub fn rule(&self) -> &'static str {
-        match self {
-            ParallelDecline::VarLength => "var-length",
-            ParallelDecline::SingletonSeed => "singleton-seed",
-            ParallelDecline::BelowThreshold => "below-threshold",
-            ParallelDecline::NoParallelView => "no-parallel-view",
-        }
-    }
-}
-
-impl fmt::Display for ParallelDecline {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.rule())
-    }
-}
-
-/// The parallelism decision for one plan-equal seed group (or, in
-/// `EXPLAIN`, for a whole `MATCH` clause planned from estimates).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParallelPlan {
-    /// Morselize: split the group into `morsels` seed chunks of
-    /// [`MORSEL_SIZE`] and drain them through a shared work queue with
-    /// `degree` workers. `degree == 1` still morselizes (same chunk
-    /// boundaries, run inline on the caller's thread), so row order
-    /// *and* index-probe totals are identical for every thread count.
-    Parallel {
-        degree: usize,
-        morsels: usize,
-        est_rows: f64,
-    },
-    /// Run the group through the ordinary serial batch path.
-    Serial(ParallelDecline),
-}
-
-/// Decide whether a plan-equal seed group morselizes.
-///
-/// The morselize-or-not half of the decision is **thread-count
-/// independent** — it looks only at the group shape and the cost
-/// estimate — so the set of morsel boundaries (and therefore the result
-/// rows, their order, and the index-probe totals) cannot vary with
-/// `PG_THREADS` or the machine. `threads` (`None` = the process-wide
-/// ceiling: `PG_THREADS`, else the machine's parallelism) only clamps the
-/// worker `degree`, which affects scheduling alone, and is resolved only
-/// here, after every decline rule has passed — a serial decision reads
-/// neither the environment nor the machine. The degree also never
-/// exceeds the morsel count (idle workers are pure overhead) or the
-/// cost-derived width `est_rows / PARALLEL_ROW_THRESHOLD` (one
-/// threshold's worth of estimated output per worker).
-pub fn plan_parallelism(
-    group_len: usize,
-    var_length: bool,
-    est_rows: f64,
-    pinnable: bool,
-    threads: Option<usize>,
-    threshold: f64,
-) -> ParallelPlan {
-    if var_length {
-        return ParallelPlan::Serial(ParallelDecline::VarLength);
-    }
-    if group_len <= 1 {
-        return ParallelPlan::Serial(ParallelDecline::SingletonSeed);
-    }
-    // NaN estimates fall through to the decline: only a comparison that
-    // positively says "at or above the threshold" proceeds.
-    let at_or_above = matches!(
-        est_rows.partial_cmp(&threshold),
-        Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-    );
-    if !at_or_above {
-        return ParallelPlan::Serial(ParallelDecline::BelowThreshold);
-    }
-    if !pinnable {
-        return ParallelPlan::Serial(ParallelDecline::NoParallelView);
-    }
-    let morsels = group_len.div_ceil(MORSEL_SIZE);
-    let cost_width = (est_rows / threshold) as usize;
-    let degree = cost_width
-        .clamp(1, crate::exec::thread_limit(threads))
-        .min(morsels);
-    ParallelPlan::Parallel {
-        degree,
-        morsels,
-        est_rows,
-    }
-}
-
-// ---------------------------------------------------------------------
 // Join-output cardinality from degree statistics
 // ---------------------------------------------------------------------
 
 /// Expected output rows **per input row** of the hop `rp`, walked in
 /// direction `dir` out of `src` — the only fanout estimate: the join-order
-/// planner costs anchors with it, `EXPLAIN` and the batch matcher's group
-/// estimate read the result. It is the average degree `edges / |label|`
-/// from the per-(label, rel-type, direction) degree statistics, minimized
-/// over the source's labels (all labels must hold) and summed over the
-/// hop's types (any type matches). Both numerator and denominator are
-/// exact at every instant (pg-graph maintains them through every mutation
-/// and undo path), so a whole-extent expansion estimate is exact; filtered
-/// sources inherit only the seed estimate's error.
+/// planner costs anchors with it and `EXPLAIN` reads the result. It is
+/// the average degree `edges / |label|` from the per-(label, rel-type,
+/// direction) degree statistics, minimized over the source's labels (all
+/// labels must hold) and summed over the hop's types (any type matches).
+/// Both numerator and denominator are exact at every instant (pg-graph
+/// maintains them through every mutation and undo path), so a
+/// whole-extent expansion estimate is exact; filtered sources inherit
+/// only the seed estimate's error.
 ///
 /// Labels bound in `row` or by an earlier join path (`bound`) are
 /// transition variables, not stored labels, and contribute no statistic;
@@ -794,8 +672,7 @@ impl PhysicalPathPlan {
     }
 
     /// Re-estimate the hops that leave an unlabeled variable under the
-    /// labels `hints` records for it (its binder's declared labels, or the
-    /// stored labels of the node a seed row binds it to). Join ordering
+    /// labels `hints` records for it (its binder's declared labels). Join ordering
     /// never sees hints; they refine only the estimates reported
     /// afterwards.
     pub(crate) fn apply_hints(&mut self, ctx: &EvalCtx<'_>, hints: &HashMap<String, Vec<String>>) {

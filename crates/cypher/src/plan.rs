@@ -312,11 +312,6 @@ pub enum LogicalOp {
     Unwind { alias: String },
     /// An updating or otherwise opaque clause, carried through verbatim.
     Update { what: &'static str },
-    /// The morsel-driven parallelism decision for the preceding `MATCH`
-    /// clause (see [`crate::physical::plan_parallelism`]), planned from
-    /// the running row estimate. Fused top-k matches emit none — the
-    /// ordered index walk replaces batch enumeration entirely.
-    Parallelism { plan: crate::physical::ParallelPlan },
 }
 
 /// A whole query lowered to logical operators.
@@ -414,27 +409,9 @@ pub fn lower_query(
     ctx: &EvalCtx<'_>,
     query: &Query,
 ) -> Result<(LogicalPlan, Vec<PhysicalPathPlan>)> {
-    lower_query_with(ctx, query, None)
-}
-
-/// [`lower_query`] with an explicit worker-thread ceiling (`None` = the
-/// process-wide one), so plan renderings (and their golden tests) are
-/// machine-independent. The ceiling affects only the degree printed on
-/// `Parallelism` lines — never the morselize-or-not half of the decision.
-pub fn lower_query_with(
-    ctx: &EvalCtx<'_>,
-    query: &Query,
-    threads: Option<usize>,
-) -> Result<(LogicalPlan, Vec<PhysicalPathPlan>)> {
     let mut plan = LogicalPlan::default();
     let mut seeds_out: Vec<PhysicalPathPlan> = Vec::new();
     let clauses = &query.clauses;
-    // Running row estimate flowing between clauses — the plan-time proxy
-    // for the seed-group size the runtime decision will see. MATCH
-    // multiplies it by the clause's join-output estimate; an aggregation
-    // collapses it; a fused top-k caps it at its `keep`.
-    let mut est_in = 1.0f64;
-    let pinnable = ctx.view.parallel_snapshot().is_some();
     // Representative seed row: earlier clauses' bindings, as Null.
     let mut bound = Row::new();
     let bind_patterns = |bound: &mut Row, patterns: &[PathPattern]| {
@@ -479,40 +456,16 @@ pub fn lower_query_with(
                     &hints,
                     &mut plan,
                 );
-                let clause_est: f64 = planned.iter().map(|p| p.est_rows()).product();
-                let est_rows = est_in * clause_est;
                 seeds_out.extend(planned);
                 bind_patterns(&mut bound, patterns);
                 if let Some((p, spec)) = fused {
-                    est_in = est_rows.min(spec.keep as f64);
                     lower_projection(p, Some(&spec), &mut plan);
                     rebind_projection(&mut bound, p);
                     i += 2;
                     continue;
                 }
-                // The same decision the batch matcher makes at runtime,
-                // from plan-time estimates: incoming rows stand in for
-                // the seed-group size, the join-output estimate feeds
-                // the cost gate.
-                let var_length = patterns
-                    .iter()
-                    .any(|p| p.segments.iter().any(|(r, _)| r.hops.is_some()));
-                plan.ops.push(LogicalOp::Parallelism {
-                    plan: crate::physical::plan_parallelism(
-                        est_in.round() as usize,
-                        var_length,
-                        est_rows,
-                        pinnable,
-                        threads,
-                        crate::physical::PARALLEL_ROW_THRESHOLD,
-                    ),
-                });
-                est_in = est_rows;
             }
             Clause::With(p) | Clause::Return(p) => {
-                if p.items.iter().any(|it| it.expr.has_aggregate()) {
-                    est_in = 1.0;
-                }
                 lower_projection(p, None, &mut plan);
                 rebind_projection(&mut bound, p);
                 // A projection ends the old variables' scope: drop hints

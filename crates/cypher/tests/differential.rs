@@ -30,12 +30,6 @@
 //! identical including order** — the batched stage-wise (BFS) leaf order
 //! is specified to equal the reference DFS leaf order.
 //!
-//! A fourth mode is the **parallel executor twin**: morsel-driven
-//! execution is forced on (estimated-rows threshold 0) and the same
-//! panels run at worker-thread ceilings 1, 2 and 8 — every run must
-//! reproduce the reference rows in reference order, so results are
-//! thread-count invariant by construction.
-//!
 //! Top-k queries project exactly their order keys, so sorted-row-multiset
 //! equality is the right oracle even at tie cut-offs (tied rows carry
 //! identical key tuples).
@@ -418,38 +412,6 @@ fn rows_under_mode(view: &dyn GraphView, q: &str, mode: MatchMode) -> Vec<Vec<Va
         .rows
 }
 
-/// Run `q` read-only through the batched executor with morselization
-/// forced on (threshold 0) and a fixed worker-thread ceiling, preserving
-/// row order.
-fn rows_parallel(view: &dyn GraphView, q: &str, threads: usize) -> Vec<Vec<Value>> {
-    let query = parse_query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
-    let params = Params::new();
-    Executor::new(Target::Read(view), &params, 0)
-        .with_match_mode(MatchMode::Batched)
-        .with_thread_limit(threads)
-        .with_parallel_threshold(0.0)
-        .run(&query, Vec::new())
-        .unwrap_or_else(|e| panic!("{q}: {e}"))
-        .rows
-}
-
-/// Parallel executor twin: morselized execution at every thread count
-/// must reproduce the reference DFS rows **in order** — the same oracle
-/// the serial batched executor answers to, plus thread-count invariance.
-fn check_parallel_twin(g: &Graph, panel: &[String], step: usize) {
-    for q in panel {
-        let reference = rows_under_mode(g, q, MatchMode::Reference);
-        for threads in [1usize, 2, 8] {
-            let parallel = rows_parallel(g, q, threads);
-            assert_eq!(
-                parallel, reference,
-                "morselized ({threads} threads) / reference divergence \
-                 after step {step} for {q}"
-            );
-        }
-    }
-}
-
 fn check_exec_twin(g: &Graph, panel: &[String], step: usize) {
     for q in panel {
         let batched = rows_under_mode(g, q, MatchMode::Batched);
@@ -623,25 +585,6 @@ proptest! {
             s.apply(&Step::Commit);
         }
         check_exec_twin(&s.g, &panel, steps.len());
-    }
-
-    #[test]
-    fn morselized_executor_agrees_with_reference_at_every_thread_count(
-        steps in proptest::collection::vec(step_strategy(), 1..40),
-        single in proptest::collection::vec(query_strategy(), 1..4),
-        multi in proptest::collection::vec(multi_seed_query_strategy(), 2..5),
-    ) {
-        let mut panel = single;
-        panel.extend(multi);
-        let mut s = Script::default();
-        for (i, step) in steps.iter().enumerate() {
-            s.apply(step);
-            check_parallel_twin(&s.g, &panel, i);
-        }
-        if s.g.in_tx() {
-            s.apply(&Step::Commit);
-        }
-        check_parallel_twin(&s.g, &panel, steps.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! stable strings. Any planner change that shifts an access-path choice
 //! or an estimate shows up here as a readable diff.
 
-use pg_cypher::{explain_query_with, Params};
+use pg_cypher::{explain_query, Params};
 use pg_graph::{Graph, GraphView, IndexDef, PropertyMap, Value};
 
 fn props(entries: &[(&str, Value)]) -> PropertyMap {
@@ -55,12 +55,9 @@ fn fixture() -> Graph {
     g
 }
 
-/// Explain with a pinned thread ceiling of 4 so the rendered
-/// `Parallel` / `Serial` decision lines do not depend on the machine
-/// running the test (or on `PG_THREADS`).
 fn explain(src: &str) -> String {
     let g = fixture();
-    explain_query_with(&g, src, &Params::new(), 0, Some(4)).unwrap_or_else(|e| panic!("{src}: {e}"))
+    explain_query(&g, src, &Params::new(), 0).unwrap_or_else(|e| panic!("{src}: {e}"))
 }
 
 #[test]
@@ -70,7 +67,6 @@ fn index_eq_seed() {
         "Plan\n\
          \x20 Seed (p) access=IndexEq(Person.age) est=1 rows\n\
          \x20 Filter (p.age = 23)\n\
-         \x20 Serial (singleton-seed)\n\
          \x20 Project [p]\n\
          estimated match rows: 1\n\
          actual rows: 1\n"
@@ -86,7 +82,6 @@ fn expand_uses_degree_fanout() {
         "Plan\n\
          \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
          \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
-         \x20 Serial (singleton-seed)\n\
          \x20 Project [p, c]\n\
          estimated match rows: 16\n\
          actual rows: 16\n"
@@ -112,8 +107,8 @@ fn fused_topk_plan() {
 
 /// `TopK` is rendered from the executor's own fusion decision: the same
 /// `ORDER BY … LIMIT 1` shape fuses over the indexed `Person.age` and
-/// lowers unfused (parallelism line, `Sort`, `Page`) over the unindexed
-/// `City.pop` — where execution does no ordered probe and heap-sorts.
+/// lowers unfused (`Sort`, `Page`) over the unindexed `City.pop` — where
+/// execution does no ordered probe and heap-sorts.
 #[test]
 fn topk_renders_only_where_a_walk_runs() {
     assert_eq!(
@@ -129,7 +124,6 @@ fn topk_renders_only_where_a_walk_runs() {
         explain("MATCH (c:City) RETURN c ORDER BY c.pop LIMIT 1"),
         "Plan\n\
          \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
-         \x20 Serial (singleton-seed)\n\
          \x20 Project [c]\n\
          \x20 Sort keys=1 asc\n\
          \x20 Page (SKIP/LIMIT)\n\
@@ -159,62 +153,22 @@ fn updating_query_not_executed() {
     );
 }
 
+/// A second `MATCH` re-using a bound variable seeds from it, and its hop
+/// borrows the fanout of the label the first `MATCH` declared (`c:City`).
 #[test]
-fn second_match_declines_below_threshold() {
-    // The second MATCH sees the first one's estimated 16 seed rows, so
-    // it is not a singleton group — but 16 × fanout is nowhere near the
-    // 4096-row threshold, so the planner declines with the cheaper rule.
-    let out = explain(
-        "MATCH (p:Person)-[:LIVES_IN]->(c:City) \
-         MATCH (c)<-[:LIVES_IN]-(q:Person) RETURN count(q) AS n",
-    );
-    println!("{out}");
-    assert!(
-        out.contains("  Serial (below-threshold)\n"),
-        "expected below-threshold decline, got:\n{out}"
-    );
-}
-
-/// A fixture big enough to clear the 4096-row threshold: 128 User
-/// nodes, each following exactly 8 others (1024 FOLLOWS edges). The
-/// second MATCH's estimated join output is 1024 × 8 = 8192 rows.
-#[test]
-fn parallel_decision_renders_degree_and_morsels() {
-    let mut g = Graph::new();
-    let users: Vec<_> = (0..128i64)
-        .map(|i| {
-            g.create_node(["User"], props(&[("id", Value::Int(i))]))
-                .unwrap()
-        })
-        .collect();
-    for (i, &u) in users.iter().enumerate() {
-        for j in 1..=8 {
-            g.create_rel(u, users[(i + j * 13) % 128], "FOLLOWS", PropertyMap::new())
-                .unwrap();
-        }
-    }
-    let out = explain_query_with(
-        &g,
-        "MATCH (a:User)-[:FOLLOWS]->(b:User) \
-         MATCH (b)-[:FOLLOWS]->(c:User) RETURN count(c) AS n",
-        &Params::new(),
-        0,
-        Some(4),
-    )
-    .unwrap();
-    // degree = est / threshold = 8192 / 4096 = 2 (the cost-width clamp
-    // engages before the 4-thread ceiling); morsels = 1024 seeds / 64.
+fn second_match_seeds_from_the_bound_variable() {
     assert_eq!(
-        out,
+        explain(
+            "MATCH (p:Person)-[:LIVES_IN]->(c:City) \
+             MATCH (c)<-[:LIVES_IN]-(q:Person) RETURN count(q) AS n"
+        ),
         "Plan\n\
-         \x20 Seed (a) access=LabelScan(User) est=128 rows\n\
-         \x20 Expand -[:FOLLOWS]->(b:User) fanout=8.00 est=1024 rows\n\
-         \x20 Serial (singleton-seed)\n\
-         \x20 Seed (b) access=BoundVar(b) est=1 rows\n\
-         \x20 Expand -[:FOLLOWS]->(c:User) fanout=8.00 est=8 rows\n\
-         \x20 Parallel degree=2 morsels=16 est=8192 rows\n\
+         \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
+         \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
+         \x20 Seed (c) access=BoundVar(c) est=1 rows\n\
+         \x20 Expand <-[:LIVES_IN]-(q:Person) fanout=4.00 est=4 rows\n\
          \x20 Aggregate [n]\n\
-         estimated match rows: 8192\n\
+         estimated match rows: 64\n\
          actual rows: 1\n"
     );
 }
@@ -229,7 +183,6 @@ fn aggregate_and_sort() {
         "Plan\n\
          \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
          \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
-         \x20 Serial (singleton-seed)\n\
          \x20 Aggregate [c, n]\n\
          \x20 Sort keys=1 desc\n\
          estimated match rows: 16\n\
@@ -255,15 +208,13 @@ fn relationship_index_seeds_the_anchor() {
             .unwrap();
     }
     g.define_index(&IndexDef::rel("TreatedAt", &["w"]));
-    let explain =
-        |src: &str| explain_query_with(&g, src, &Params::new(), 0, Some(4)).expect("explains");
+    let explain = |src: &str| explain_query(&g, src, &Params::new(), 0).expect("explains");
     assert_eq!(
         explain("MATCH (p:Patient)-[t:TreatedAt]->(h:Hospital) WHERE t.w = 5 RETURN h"),
         "Plan\n\
          \x20 Seed (p) access=RelIndexEq(TreatedAt.w) est=1 rows\n\
          \x20 Expand -[:TreatedAt]->(h:Hospital) fanout=1.00 est=1 rows\n\
          \x20 Filter (t.w = 5)\n\
-         \x20 Serial (singleton-seed)\n\
          \x20 Project [h]\n\
          estimated match rows: 1\n\
          actual rows: 1\n"
@@ -285,12 +236,11 @@ fn small_type_extent_seeds_the_anchor() {
     let people = g.nodes_with_label("Person");
     g.create_rel(people[0], people[1], "KNOWS", PropertyMap::new())
         .unwrap();
-    let out = explain_query_with(
+    let out = explain_query(
         &g,
         "MATCH (a:Person)-[:KNOWS]->(b:Person) RETURN a",
         &Params::new(),
         0,
-        Some(4),
     )
     .unwrap();
     assert!(

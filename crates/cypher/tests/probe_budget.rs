@@ -148,25 +148,21 @@ fn bound_seed_probes(g: &Graph, n: i64, second: &str) -> [(u64, u64); 2] {
 fn bound_seeds_plan_once_each() {
     // The first MATCH costs one range count and one lookup whatever N is;
     // the second is planned exactly once per seed row and materializes
-    // nothing (its anchor is the bound `p`). The batch matcher adds one
-    // degree lookup per *group* for its parallelism estimate (the bound
-    // `p` borrows its node's stored labels), never one per seed.
+    // nothing (its anchor is the bound `p`). Both matchers probe alike.
     let g = fixture();
 
     // `(p)-[:TreatedAt]->(h)`: no position carries a stored label, so
     // per-seed planning asks no statistic at all — counting is flat in N.
-    // Parent: the same 2 + 1 / 1 + 1.
     let unlabeled = "MATCH (p)-[:TreatedAt]->(h)";
-    assert_eq!(bound_seed_probes(&g, 10, unlabeled), [(2, 1), (1, 1)]);
-    assert_eq!(bound_seed_probes(&g, 100, unlabeled), [(2, 1), (1, 1)]);
+    assert_eq!(bound_seed_probes(&g, 10, unlabeled), [(1, 1), (1, 1)]);
+    assert_eq!(bound_seed_probes(&g, 100, unlabeled), [(1, 1), (1, 1)]);
 
     // `(p)-[:TreatedAt]->(h:Hospital)`: costing the `h` anchor needs the
     // Hospital-side degree statistic — one lookup per seed row, so
-    // counting is 1 + N (+ 1 per group when batched). Parent: the same
-    // (only singleton groups were planned twice).
+    // counting is 1 + N.
     let labeled = "MATCH (p)-[:TreatedAt]->(h:Hospital)";
-    assert_eq!(bound_seed_probes(&g, 10, labeled), [(12, 1), (11, 1)]);
-    assert_eq!(bound_seed_probes(&g, 100, labeled), [(102, 1), (101, 1)]);
+    assert_eq!(bound_seed_probes(&g, 10, labeled), [(11, 1), (11, 1)]);
+    assert_eq!(bound_seed_probes(&g, 100, labeled), [(101, 1), (101, 1)]);
 }
 
 #[test]

@@ -20,15 +20,16 @@
 //!   sets iterate in their `BTreeMap`/`BTreeSet` order, so encoding is
 //!   deterministic: equal values encode to equal bytes).
 //!
-//! Decoding is strict: unknown tags, short input, and invalid UTF-8 all
-//! surface as a typed [`CodecError`] (never a panic), because the WAL
-//! reader must treat arbitrary torn or corrupt bytes as data.
+//! Decoding is strict: unknown tags, short input, invalid UTF-8 and lists
+//! or maps nested deeper than [`MAX_NESTING`] all surface as a typed
+//! [`CodecError`] (never a panic or a stack overflow), because the WAL
+//! reader and the wire server must treat arbitrary bytes as data.
 
 use crate::ids::{NodeId, RelId};
 use crate::op::Op;
 use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
-use crate::value::Value;
+use crate::value::{Value, MAX_NESTING};
 use std::fmt;
 
 /// Decoding failure. Carries enough context to report *what* failed to
@@ -41,6 +42,8 @@ pub enum CodecError {
     BadTag { what: &'static str, tag: u8 },
     /// A string field was not valid UTF-8.
     BadUtf8 { what: &'static str },
+    /// Lists and maps nested deeper than [`MAX_NESTING`].
+    TooDeep,
 }
 
 impl fmt::Display for CodecError {
@@ -51,6 +54,9 @@ impl fmt::Display for CodecError {
             }
             CodecError::BadTag { what, tag } => write!(f, "invalid tag byte {tag} for {what}"),
             CodecError::BadUtf8 { what } => write!(f, "invalid UTF-8 in {what}"),
+            CodecError::TooDeep => {
+                write!(f, "lists/maps nested deeper than {MAX_NESTING} levels")
+            }
         }
     }
 }
@@ -215,7 +221,15 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 }
 
 pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    decode_within(r, MAX_NESTING)
+}
+
+/// [`decode_value`] with `levels` more lists/maps allowed to open.
+fn decode_within(r: &mut Reader<'_>, levels: usize) -> Result<Value, CodecError> {
     let tag = r.u8("value tag")?;
+    if matches!(tag, V_LIST | V_MAP) && levels == 0 {
+        return Err(CodecError::TooDeep);
+    }
     Ok(match tag {
         V_NULL => Value::Null,
         V_BOOL => Value::Bool(r.u8("bool")? != 0),
@@ -228,7 +242,7 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
             let n = r.u32("list length")?;
             let mut items = Vec::with_capacity((n as usize).min(1 << 16));
             for _ in 0..n {
-                items.push(decode_value(r)?);
+                items.push(decode_within(r, levels - 1)?);
             }
             Value::List(items)
         }
@@ -237,7 +251,7 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
             let mut m = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = r.string("map key")?;
-                let v = decode_value(r)?;
+                let v = decode_within(r, levels - 1)?;
                 m.insert(k, v);
             }
             Value::Map(m)
@@ -622,6 +636,37 @@ mod tests {
                 tag: 99
             })
         );
+    }
+
+    /// `depth` one-element lists around an int, encoded without building
+    /// the value (dropping a deep `Value` recurses too).
+    fn nested_list_bytes(depth: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for _ in 0..depth {
+            put_u8(&mut buf, V_LIST);
+            put_u32(&mut buf, 1);
+        }
+        put_u8(&mut buf, V_INT);
+        put_i64(&mut buf, 1);
+        buf
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_connection_sized_stack() {
+        // 2 MiB is what a spawned thread (a server connection) gets.
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let decode = |depth| decode_value(&mut Reader::new(&nested_list_bytes(depth)));
+                let at_bound = decode(MAX_NESTING).map(|v| v.is_storable());
+                (at_bound, decode(MAX_NESTING + 1), decode(100_000))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(decoded.0, Ok(true));
+        assert_eq!(decoded.1, Err(CodecError::TooDeep));
+        assert_eq!(decoded.2, Err(CodecError::TooDeep));
     }
 
     #[test]

@@ -23,8 +23,9 @@ pub enum GraphError {
         op: &'static str,
         item: Option<ItemRef>,
     },
-    /// Attempt to store a non-storable value (a node/relationship reference)
-    /// as a property.
+    /// Attempt to store a non-storable value (a node/relationship
+    /// reference, or lists/maps nested deeper than
+    /// [`crate::value::MAX_NESTING`]) as a property.
     NotStorable {
         key: String,
         type_name: &'static str,

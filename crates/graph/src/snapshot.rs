@@ -108,19 +108,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Pin a view of `state` as it is *right now*, with fresh counters.
-    /// Backs [`crate::GraphView::parallel_snapshot`]: unlike
-    /// [`GraphHandle::snapshot`] this does not go through the publisher
-    /// slot, so mid-transaction it exposes in-flight state — exactly
-    /// what morsel workers must see to reproduce serial execution.
-    pub(crate) fn pin_current(epoch: u64, state: &Arc<StoreState>) -> Snapshot {
-        Snapshot {
-            epoch,
-            state: Arc::clone(state),
-            probes: Arc::new(ProbeCounters::default()),
-        }
-    }
-
     /// The committed epoch this snapshot is pinned to.
     pub fn epoch(&self) -> u64 {
         self.epoch

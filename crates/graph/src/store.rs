@@ -80,21 +80,6 @@ impl ProbeCounters {
         self.ordered.store(0, AtomicOrdering::Relaxed);
         self.composite.store(0, AtomicOrdering::Relaxed);
     }
-
-    /// Fold a finished worker's probe totals into these counters. Used
-    /// when a parallel execution pins its own [`Snapshot`] (own counter
-    /// set) and merges the work back at the end, so probe accounting is
-    /// identical whether a query ran serially or morselized.
-    pub(crate) fn add(&self, probes: IndexProbes) {
-        self.materializing
-            .fetch_add(probes.materializing, AtomicOrdering::Relaxed);
-        self.counting
-            .fetch_add(probes.counting, AtomicOrdering::Relaxed);
-        self.ordered
-            .fetch_add(probes.ordered, AtomicOrdering::Relaxed);
-        self.composite
-            .fetch_add(probes.composite, AtomicOrdering::Relaxed);
-    }
 }
 
 /// Controls which mutations the store accepts. The PG-Trigger engine uses
@@ -1795,18 +1780,6 @@ macro_rules! impl_graph_view_via_state {
                     (Some(e), Direction::In) => e[DEG_IN].edges,
                     (Some(e), Direction::Both) => e[DEG_OUT].edges + e[DEG_IN].edges,
                 })
-            }
-
-            fn parallel_snapshot(&self) -> Option<Snapshot> {
-                // Pin the state this view reads *right now* — on the live
-                // graph that includes in-flight transaction mutations,
-                // which is deliberate: morsel workers must see the same
-                // rows the serial executor over `self` would.
-                Some(Snapshot::pin_current(self.epoch, &self.state))
-            }
-
-            fn absorb_probes(&self, probes: IndexProbes) {
-                self.probes.add(probes);
             }
         }
     };

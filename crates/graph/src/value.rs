@@ -34,6 +34,15 @@ impl Direction {
     }
 }
 
+/// How deeply lists and maps may nest in one value, and how deeply one
+/// Cypher expression may nest. Safety code, not a knob: everything that
+/// walks a value or an expression recurses, so the codec
+/// ([`crate::codec::decode_value`]), the store ([`Value::is_storable`])
+/// and the query parser refuse deeper input with a typed error instead of
+/// exhausting the stack of the thread that reads it. At 64 a parse at
+/// the bound fits a 2 MiB thread stack even in an unoptimised build.
+pub const MAX_NESTING: usize = 64;
+
 /// A graph value.
 ///
 /// `Node` and `Rel` variants let query bindings and transition variables
@@ -80,12 +89,18 @@ impl Value {
 
     /// Whether the value may be stored as a property. Graph items (`Node`,
     /// `Rel`) and maps containing them are query-time-only values, as in
-    /// Neo4j.
+    /// Neo4j; lists and maps nested deeper than [`MAX_NESTING`] would not
+    /// decode again from the WAL.
     pub fn is_storable(&self) -> bool {
+        self.storable_within(MAX_NESTING)
+    }
+
+    /// [`Value::is_storable`] with `levels` more lists/maps allowed to open.
+    fn storable_within(&self, levels: usize) -> bool {
         match self {
             Value::Node(_) | Value::Rel(_) => false,
-            Value::List(items) => items.iter().all(Value::is_storable),
-            Value::Map(m) => m.values().all(Value::is_storable),
+            Value::List(items) => levels > 0 && items.iter().all(|v| v.storable_within(levels - 1)),
+            Value::Map(m) => levels > 0 && m.values().all(|v| v.storable_within(levels - 1)),
             _ => true,
         }
     }
@@ -539,6 +554,9 @@ mod tests {
         assert!(Value::list([Value::str("x")]).is_storable());
         assert!(!Value::Node(NodeId(1)).is_storable());
         assert!(!Value::list([Value::Rel(RelId(1))]).is_storable());
+        let nested = |depth| (0..depth).fold(Value::Int(1), |v, _| Value::list([v]));
+        assert!(nested(MAX_NESTING).is_storable());
+        assert!(!nested(MAX_NESTING + 1).is_storable());
     }
 
     #[test]

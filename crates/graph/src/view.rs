@@ -248,31 +248,6 @@ pub trait GraphView {
     fn degree_edge_count(&self, _label: &str, _rel_type: &str, _dir: Direction) -> Option<usize> {
         None
     }
-
-    // ------------------------------------------------------------------
-    // Intra-query parallelism (morsel-driven execution). The live graph
-    // and snapshots can pin an immutable `Send + Sync` view of their
-    // current state for worker threads; overlay views (pre-state
-    // reconstruction, trigger condition evaluation) keep the defaults
-    // and thereby *decline* parallel execution.
-    // ------------------------------------------------------------------
-
-    /// Pin an immutable, shareable view of exactly the state this view
-    /// reads, with a fresh (zeroed) probe-counter set. `None` = this
-    /// view cannot be pinned (overlay views) and queries over it must
-    /// run serially. Mid-transaction on the live graph this pins the
-    /// *current* in-flight state — unlike [`crate::Graph::snapshot`],
-    /// which serves the last commit boundary — because workers must see
-    /// the same rows the serial executor would.
-    fn parallel_snapshot(&self) -> Option<crate::snapshot::Snapshot> {
-        None
-    }
-
-    /// Fold probe totals observed by a worker (on a
-    /// [`GraphView::parallel_snapshot`] view) back into this view's own
-    /// counters, keeping probe accounting identical between serial and
-    /// morselized execution. Views that cannot be pinned ignore this.
-    fn absorb_probes(&self, _probes: crate::store::IndexProbes) {}
 }
 
 /// Correct a base-graph probe answer for the items an op slice touched:

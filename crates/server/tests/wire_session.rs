@@ -1,7 +1,7 @@
 //! Single-connection protocol semantics over a real socket: handshake
 //! discipline, chunked streaming with backpressure, DISCARD, the
-//! failed-state FAILURE → IGNORED → RESET cycle, parameters, and
-//! EXPLAIN/DDL results.
+//! failed-state FAILURE → IGNORED → RESET cycle, parameters,
+//! EXPLAIN/DDL results, and deeply nested input.
 
 use pg_graph::Value;
 use pg_server::{Client, ClientError, Server, ServerHandle};
@@ -309,5 +309,78 @@ fn reads_report_monotonic_epochs() {
         last = epoch;
     }
     client.goodbye().ok();
+    handle.shutdown();
+}
+
+/// One small frame must not abort the server. A `RUN` whose parameter is
+/// a one-element list nested 10,000 deep (50 KB) and a 1,000-level
+/// `RETURN [[…1…]]` (2 KB of text) each used to overflow a connection
+/// thread's stack and take the whole process down; now the first closes
+/// its connection and the second fails the statement, and every other
+/// client is still served.
+#[test]
+fn deeply_nested_input_fails_typed_and_the_server_keeps_serving() {
+    use pg_graph::codec;
+    use pg_server::protocol::{self, Request, Response};
+    use std::io::Write;
+    let (handle, addr) = spawn_empty();
+
+    // Raw connection: HELLO, then the deep RUN. The list is encoded by
+    // hand — building the `Value` would recurse on this thread too.
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut hello = Vec::new();
+    protocol::encode_request(
+        &Request::Hello {
+            agent: "test/1".into(),
+        },
+        &mut hello,
+    );
+    protocol::write_frame(&mut stream, &hello).unwrap();
+    let frame = protocol::read_frame(&mut reader).unwrap();
+    assert!(matches!(
+        protocol::decode_response(&frame).unwrap(),
+        Response::Success { .. }
+    ));
+    let mut leaf = Vec::new();
+    codec::encode_value(&Value::Int(1), &mut leaf);
+    let mut list_of_one = Vec::new();
+    codec::encode_value(&Value::list([Value::Int(1)]), &mut list_of_one);
+    let list_header = &list_of_one[..list_of_one.len() - leaf.len()];
+    let mut run = Vec::new();
+    codec::put_u8(&mut run, protocol::TAG_RUN);
+    codec::put_str(&mut run, "RETURN $p AS p");
+    codec::put_u32(&mut run, 1);
+    codec::put_str(&mut run, "p");
+    run.extend(list_header.repeat(10_000));
+    run.extend(&leaf);
+    assert!(run.len() > 50_000);
+    protocol::write_frame(&mut stream, &run).unwrap();
+    stream.flush().unwrap();
+    // An undecodable frame ends the connection, not the process.
+    assert!(protocol::read_frame(&mut reader).is_err());
+
+    // The deep text is a statement error on a healthy session.
+    let mut client = Client::connect(&addr).unwrap();
+    let deep = format!("RETURN {}1{} AS x", "[".repeat(1_000), "]".repeat(1_000));
+    match client.run_all(&deep, &[]) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, "Statement.Error");
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("expected FAILURE, got {other:?}"),
+    }
+    client.reset().unwrap();
+    assert_eq!(
+        client.run_all("RETURN 1 AS one", &[]).unwrap().single_i64(),
+        Some(1)
+    );
+
+    // A second client never noticed.
+    let mut second = Client::connect(&addr).unwrap();
+    let out = second.run_all("RETURN 1 AS one", &[]).unwrap();
+    assert_eq!(out.single_i64(), Some(1));
+    client.goodbye().ok();
+    second.goodbye().ok();
     handle.shutdown();
 }
