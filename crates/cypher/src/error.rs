@@ -1,6 +1,6 @@
 //! Error types for the query layer.
 
-use pg_graph::GraphError;
+use pg_graph::{GraphError, MAX_NESTING};
 use std::fmt;
 
 /// Errors from lexing, parsing, or executing a query.
@@ -23,6 +23,9 @@ pub enum CypherError {
     Arithmetic(String),
     /// Unknown function.
     UnknownFunction(String),
+    /// A list or map built at run time would nest deeper than
+    /// [`pg_graph::MAX_NESTING`] levels.
+    TooDeep,
     /// An underlying store error (constraint violations, write-policy
     /// rejections, …).
     Store(GraphError),
@@ -59,6 +62,9 @@ impl fmt::Display for CypherError {
             CypherError::Aborted(msg) => write!(f, "aborted: {msg}"),
             CypherError::Arithmetic(msg) => write!(f, "arithmetic error: {msg}"),
             CypherError::UnknownFunction(name) => write!(f, "unknown function '{name}'"),
+            CypherError::TooDeep => {
+                write!(f, "lists/maps nested deeper than {MAX_NESTING} levels")
+            }
             CypherError::Store(e) => write!(f, "store error: {e}"),
         }
     }

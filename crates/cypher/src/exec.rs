@@ -1,5 +1,31 @@
 //! Clause-pipeline execution, including updating clauses and projections.
 //!
+//! ## The pipeline
+//!
+//! [`Executor::run`] pushes rows through a query's clauses in chunks of at
+//! most [`CHUNK_ROWS`] rows. Every clause is one of three kinds:
+//!
+//! * **streaming** — `MATCH`, `OPTIONAL MATCH`, `WHERE`, `UNWIND`, and a
+//!   `WITH`/`RETURN` without aggregation, `ORDER BY` or `DISTINCT`: each
+//!   chunk passes straight on (a `MATCH` hands its matches on as the
+//!   matcher produces them, see [`crate::batch`]); a `LIMIT` that is
+//!   satisfied stops its upstream;
+//! * **folding sinks** — a `WITH`/`RETURN` that aggregates, sorts or
+//!   de-duplicates keeps only its own state (the groups, the top-k heap,
+//!   the sorted or distinct rows) and hands its result on once its input
+//!   is exhausted;
+//! * **barriers** — `CREATE`, `MERGE`, `SET`, `REMOVE`, `DELETE`,
+//!   `FOREACH`, `ABORT` and a `MATCH` the top-k fusion below may serve
+//!   collect their whole input and run once it is exhausted.
+//!
+//! Clauses finish in order, so a barrier runs after every clause before it
+//! has seen all of its rows and before any clause after it sees one: the
+//! semantics are clause-at-a-time, and rows arrive everywhere in the order
+//! the clause-at-a-time executor produced them. A run of more than
+//! `STREAM_DEPTH` streaming clauses collects at every `STREAM_DEPTH`-th, so
+//! the push — one stack frame per streaming clause — stays shallow however
+//! many clauses a query text holds.
+//!
 //! ## Top-k (`ORDER BY … LIMIT k`) execution — planner v3
 //!
 //! Two optimizations make the paper's §6.2.3 relocation shape
@@ -55,12 +81,44 @@ use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{
     extract_pushdowns, match_patterns, match_patterns_pushed, pattern_vars, Pushdowns,
 };
-use crate::plan::{plan_topk_projection, plan_topk_walk};
+use crate::plan::{plan_topk_projection, plan_topk_walk, topk_shaped};
 use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
 use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::ControlFlow;
+
+/// Rows per chunk handed from one clause to the next, and partial matches
+/// per stage buffer of the batched matcher: what bounds the rows a
+/// streaming query holds in flight. Sized so a chunk amortises the per-call
+/// work of a stage; not a knob.
+pub const CHUNK_ROWS: usize = 1024;
+
+/// Consecutive streaming clauses one chunk passes through as nested calls
+/// before the next one collects its input instead (see the module docs):
+/// each is a stack frame of the push, and a query text is not bounded in
+/// clauses.
+const STREAM_DEPTH: usize = 32;
+
+/// Whether a clause wants more rows: `Break` once its `LIMIT` is satisfied.
+pub(crate) type Flow = ControlFlow<()>;
+
+/// Where a clause hands its output chunks.
+type Emit<'e> = dyn FnMut(Vec<Row>) -> Result<Flow> + 'e;
+
+/// Hand on each of `seeds` with the `OPTIONAL MATCH` variables it lacks
+/// bound to null.
+fn null_bind(seeds: &[Row], nulls: &Row, chunk: &mut Chunker<'_, '_>) -> Result<Flow> {
+    for seed in seeds {
+        let mut r2 = seed.clone();
+        r2.merge_missing(nulls);
+        if chunk.push(r2)?.is_break() {
+            return Ok(Flow::Break(()));
+        }
+    }
+    Ok(Flow::Continue(()))
+}
 
 /// Compare two keyed rows by the `ORDER BY` spec, breaking full ties by
 /// input index — the total order a stable sort + truncate would produce.
@@ -176,8 +234,8 @@ pub enum Target<'a> {
 }
 
 /// How `MATCH` drives the pattern matcher. [`MatchMode::Batched`] (the
-/// default) flows all seed rows through the stage-wise executor of
-/// [`crate::batch`], sharing seed-candidate vectors and memoizing hop
+/// default) flows each chunk of seed rows through the stage-wise executor
+/// of [`crate::batch`], sharing seed-candidate vectors and memoizing hop
 /// expansions where the liveness analysis allows;
 /// [`MatchMode::Reference`] recurses one seed row at a time — kept as the
 /// differential-testing oracle. Both produce identical rows in identical
@@ -189,6 +247,103 @@ pub enum MatchMode {
     Batched,
     Reference,
 }
+
+/// One clause of a running pipeline and what it holds between chunks.
+enum Stage<'q> {
+    /// `MATCH`, `OPTIONAL MATCH`, `WHERE` or `UNWIND`: each chunk passes
+    /// straight on.
+    Stream(&'q Clause),
+    /// `WITH` or `RETURN`.
+    Project(Projector<'q>),
+    /// A barrier: the input collected so far. `fuse` is the projection
+    /// after a `MATCH` the top-k fusion may serve.
+    Collect {
+        clause: &'q Clause,
+        input: Vec<Row>,
+        fuse: Option<&'q Projection>,
+    },
+}
+
+impl Stage<'_> {
+    /// Whether a pushed chunk goes on through this stage in the same call.
+    fn streams(&self) -> bool {
+        match self {
+            Stage::Stream(_) => true,
+            Stage::Project(p) => matches!(p.fold, Fold::Stream(_)),
+            Stage::Collect { .. } => false,
+        }
+    }
+}
+
+/// Whether `clause` can pass each chunk straight on: `MATCH`, `WHERE`,
+/// `UNWIND`.
+fn streamable(clause: &Clause) -> bool {
+    matches!(
+        clause,
+        Clause::Match { .. } | Clause::Where(_) | Clause::Unwind { .. }
+    )
+}
+
+/// Append `rows` to `dst`, reusing `rows`' allocation when `dst` is empty.
+fn append(dst: &mut Vec<Row>, rows: Vec<Row>) {
+    if dst.is_empty() {
+        *dst = rows;
+    } else {
+        dst.extend(rows);
+    }
+}
+
+/// Hand `rows` to `f` in chunks of at most [`CHUNK_ROWS`], until it breaks.
+fn in_chunks(rows: Vec<Row>, mut f: impl FnMut(Vec<Row>) -> Result<Flow>) -> Result<Flow> {
+    if rows.len() <= CHUNK_ROWS {
+        return f(rows);
+    }
+    let mut rows = rows.into_iter();
+    loop {
+        let chunk: Vec<Row> = rows.by_ref().take(CHUNK_ROWS).collect();
+        if chunk.is_empty() {
+            return Ok(Flow::Continue(()));
+        }
+        if f(chunk)?.is_break() {
+            return Ok(Flow::Break(()));
+        }
+    }
+}
+
+/// Rows on their way to the next clause, handed on every [`CHUNK_ROWS`].
+struct Chunker<'e, 'f> {
+    buf: Vec<Row>,
+    emit: &'e mut Emit<'f>,
+}
+
+impl<'e, 'f> Chunker<'e, 'f> {
+    fn new(emit: &'e mut Emit<'f>) -> Self {
+        Chunker {
+            buf: Vec::new(),
+            emit,
+        }
+    }
+
+    fn push(&mut self, row: Row) -> Result<Flow> {
+        self.buf.push(row);
+        if self.buf.len() < CHUNK_ROWS {
+            return Ok(Flow::Continue(()));
+        }
+        (self.emit)(std::mem::take(&mut self.buf))
+    }
+
+    fn finish(self) -> Result<Flow> {
+        if self.buf.is_empty() {
+            return Ok(Flow::Continue(()));
+        }
+        (self.emit)(self.buf)
+    }
+}
+
+/// What a clause list leaves behind besides its final rows: the columns of
+/// its last `RETURN`, with that `RETURN`'s rows when later clauses moved
+/// past them (otherwise they are the final rows).
+type Returned = Option<(Vec<String>, Option<Vec<Row>>)>;
 
 /// Executes a parsed query over a target.
 pub struct Executor<'a> {
@@ -226,6 +381,10 @@ impl<'a> Executor<'a> {
         }
     }
 
+    fn ctx(&self) -> EvalCtx<'_> {
+        EvalCtx::new(self.view(), self.params, self.now_ms)
+    }
+
     fn graph_mut(&mut self, what: &'static str) -> Result<&mut Graph> {
         match &mut self.target {
             Target::Write(g) => Ok(g),
@@ -258,75 +417,242 @@ impl<'a> Executor<'a> {
     /// Run the query from the given seed rows (an empty seed list means one
     /// empty row, i.e. a fresh pipeline).
     pub fn run(&mut self, query: &Query, seeds: Vec<Row>) -> Result<QueryOutput> {
-        let mut rows = if seeds.is_empty() {
+        let seeds = if seeds.is_empty() {
             vec![Row::new()]
         } else {
             seeds
         };
-        let mut output: Option<(Vec<String>, Vec<Row>)> = None;
-        rows = self.run_clauses(&query.clauses, rows, &mut output)?;
+        let (bindings, returned) = self.run_clauses(&query.clauses, seeds)?;
         let mut qo = QueryOutput {
-            bindings: rows,
+            bindings,
             ..QueryOutput::default()
         };
-        if let Some((columns, out_rows)) = output {
-            qo.rows = out_rows
+        if let Some((columns, teed)) = returned {
+            let values = |r: &Row| -> Vec<Value> {
+                let value = |c: &String| r.get(c).cloned().unwrap_or(Value::Null);
+                columns.iter().map(value).collect()
+            };
+            qo.rows = teed
+                .as_ref()
+                .unwrap_or(&qo.bindings)
                 .iter()
-                .map(|r| {
-                    columns
-                        .iter()
-                        .map(|c| r.get(c).cloned().unwrap_or(Value::Null))
-                        .collect()
-                })
+                .map(values)
                 .collect();
             qo.columns = columns;
         }
         Ok(qo)
     }
 
-    fn run_clauses(
+    /// Run `clauses` as one pipeline over `rows`: the final rows, and what
+    /// the last `RETURN` returned.
+    fn run_clauses(&mut self, clauses: &[Clause], rows: Vec<Row>) -> Result<(Vec<Row>, Returned)> {
+        let last_return = clauses.iter().rposition(|c| matches!(c, Clause::Return(_)));
+        let mut stages: Vec<Stage<'_>> = Vec::with_capacity(clauses.len());
+        let mut depth = 0;
+        for (i, clause) in clauses.iter().enumerate() {
+            let deep = depth == STREAM_DEPTH;
+            let fuse = match (clause, clauses.get(i + 1)) {
+                (
+                    Clause::Match {
+                        optional: false, ..
+                    },
+                    Some(Clause::With(p) | Clause::Return(p)),
+                ) if topk_shaped(p) => Some(p),
+                _ => None,
+            };
+            let stage = match clause {
+                Clause::With(p) => Stage::Project(Projector::new(p, true, deep, false)),
+                Clause::Return(p) => {
+                    let tee = Some(i) == last_return && i + 1 < clauses.len();
+                    Stage::Project(Projector::new(p, false, deep || tee, tee))
+                }
+                _ if streamable(clause) && fuse.is_none() && !deep => Stage::Stream(clause),
+                _ => Stage::Collect {
+                    clause,
+                    input: Vec::new(),
+                    fuse,
+                },
+            };
+            depth = if stage.streams() { depth + 1 } else { 0 };
+            stages.push(stage);
+        }
+
+        // A break only says that no more input is wanted: there is none.
+        let mut out = Vec::new();
+        let _ = in_chunks(rows, |chunk| self.push(&mut stages, &mut out, chunk))?;
+        for i in 0..stages.len() {
+            let (stage, rest) = stages[i..].split_first_mut().expect("i < len");
+            let _ = self.finish(stage, rest, &mut out)?;
+        }
+        let returned = last_return.map(|i| match &mut stages[i] {
+            Stage::Project(p) => (std::mem::take(&mut p.shape.columns), p.tee.take()),
+            _ => unreachable!("a RETURN projects"),
+        });
+        Ok((out, returned))
+    }
+
+    /// Push one chunk into `stages[0]`; past the last stage rows land in
+    /// `out`.
+    fn push(&self, stages: &mut [Stage<'_>], out: &mut Vec<Row>, rows: Vec<Row>) -> Result<Flow> {
+        if rows.is_empty() {
+            return Ok(Flow::Continue(()));
+        }
+        let Some((stage, rest)) = stages.split_first_mut() else {
+            append(out, rows);
+            return Ok(Flow::Continue(()));
+        };
+        let mut next = |chunk: Vec<Row>| self.push(rest, out, chunk);
+        match stage {
+            Stage::Stream(clause) => self.stream(clause, rows, &mut next),
+            Stage::Project(p) => p.push(&self.ctx(), rows, &mut next),
+            Stage::Collect { input, .. } => {
+                append(input, rows);
+                Ok(Flow::Continue(()))
+            }
+        }
+    }
+
+    /// End of input for `stage`: a sink hands on its result, a barrier runs
+    /// and hands on its output, both into `rest`.
+    fn finish(
         &mut self,
-        clauses: &[Clause],
-        mut rows: Vec<Row>,
-        output: &mut Option<(Vec<String>, Vec<Row>)>,
-    ) -> Result<Vec<Row>> {
-        let mut i = 0;
-        while i < clauses.len() {
-            // Fuse MATCH + WITH/RETURN `ORDER BY var.key LIMIT k` into an
-            // ordered index walk with early exit (see module docs).
-            if let Clause::Match {
-                optional: false,
-                patterns,
-                where_clause,
-            } = &clauses[i]
-            {
-                let next_proj = match clauses.get(i + 1) {
-                    Some(Clause::With(p)) => Some((p, false)),
-                    Some(Clause::Return(p)) => Some((p, true)),
-                    _ => None,
-                };
-                if let Some((proj, is_return)) = next_proj {
-                    if let Some(matched) = self.try_indexed_topk(
-                        &clauses[i],
-                        patterns,
-                        where_clause.as_ref(),
-                        proj,
-                        &rows,
-                    )? {
-                        let (cols, out) = self.project(proj, matched, !is_return)?;
-                        if is_return {
-                            *output = Some((cols, out.clone()));
-                        }
-                        rows = out;
-                        i += 2;
-                        continue;
-                    }
+        stage: &mut Stage<'_>,
+        rest: &mut [Stage<'_>],
+        out: &mut Vec<Row>,
+    ) -> Result<Flow> {
+        let rows = match stage {
+            Stage::Stream(_) => return Ok(Flow::Continue(())),
+            Stage::Project(p) => p.finish(&self.ctx())?,
+            Stage::Collect {
+                clause,
+                input,
+                fuse,
+            } => {
+                let input = std::mem::take(input);
+                if !streamable(clause) {
+                    self.run_barrier(clause, input)?
+                } else if let Some(matched) = match fuse {
+                    Some(proj) => self.try_indexed_topk(clause, proj, &input)?,
+                    None => None,
+                } {
+                    matched
+                } else {
+                    let clause = *clause;
+                    return in_chunks(input, |chunk| {
+                        self.stream(clause, chunk, &mut |rows| self.push(rest, out, rows))
+                    });
                 }
             }
-            rows = self.exec_clause(&clauses[i], rows, output)?;
-            i += 1;
+        };
+        in_chunks(rows, |chunk| self.push(rest, out, chunk))
+    }
+
+    /// Pass one chunk through a streaming `MATCH`, `WHERE` or `UNWIND`.
+    fn stream(&self, clause: &Clause, mut rows: Vec<Row>, emit: &mut Emit<'_>) -> Result<Flow> {
+        let ctx = self.ctx();
+        match clause {
+            Clause::Match { .. } => self.stream_match(&ctx, clause, rows, emit),
+            Clause::Where(pred) => {
+                let mut kept = 0;
+                for i in 0..rows.len() {
+                    if eval(&ctx, &rows[i], pred)?.is_truthy() {
+                        rows.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+                rows.truncate(kept);
+                emit(rows)
+            }
+            Clause::Unwind { expr, alias } => {
+                let mut chunk = Chunker::new(emit);
+                for row in &rows {
+                    let items = match eval(&ctx, row, expr)? {
+                        Value::Null => continue,
+                        Value::List(items) => items,
+                        single => vec![single],
+                    };
+                    for item in items {
+                        let mut r2 = row.clone_with_room(1);
+                        r2.set(alias, item);
+                        if chunk.push(r2)?.is_break() {
+                            return Ok(Flow::Break(()));
+                        }
+                    }
+                }
+                chunk.finish()
+            }
+            _ => unreachable!("only MATCH, WHERE and UNWIND stream"),
         }
-        Ok(rows)
+    }
+
+    /// A `MATCH` over one chunk of seed rows, handing matches on as the
+    /// matcher produces them. An `OPTIONAL MATCH` seed that matched
+    /// nothing is null-bound in its place: matches arrive in seed order,
+    /// so every seed before the one a match belongs to is settled.
+    fn stream_match(
+        &self,
+        ctx: &EvalCtx<'_>,
+        clause: &Clause,
+        rows: Vec<Row>,
+        emit: &mut Emit<'_>,
+    ) -> Result<Flow> {
+        let Clause::Match {
+            optional,
+            patterns,
+            where_clause,
+        } = clause
+        else {
+            unreachable!("a MATCH streams through here");
+        };
+        let where_clause = where_clause.as_ref();
+        let nulls = optional.then(|| {
+            let vars = match self.match_prep(clause) {
+                Some(prep) => Cow::Borrowed(&prep.vars[..]),
+                None => Cow::Owned(pattern_vars(patterns)),
+            };
+            Row::from_pairs(vars.iter().map(|v| (v, Value::Null)))
+        });
+        let mut chunk = Chunker::new(emit);
+        // Seeds before `settled` have had their matches or their null row.
+        let mut settled = 0;
+        let mut on_match = |si: usize, row: Row| -> Result<Flow> {
+            if let Some(nulls) = &nulls {
+                if null_bind(&rows[settled.min(si)..si], nulls, &mut chunk)?.is_break() {
+                    return Ok(Flow::Break(()));
+                }
+                settled = si + 1;
+            }
+            chunk.push(row)
+        };
+        let flow = match self.match_mode {
+            MatchMode::Batched => crate::batch::match_patterns_batch(
+                ctx,
+                &rows,
+                patterns,
+                where_clause,
+                &self.pushdowns(clause, where_clause),
+                &mut on_match,
+            )?,
+            MatchMode::Reference => 'seeds: {
+                for (si, seed) in rows.iter().enumerate() {
+                    for row in match_patterns(ctx, seed, patterns, where_clause, None)? {
+                        if on_match(si, row)?.is_break() {
+                            break 'seeds Flow::Break(());
+                        }
+                    }
+                }
+                Flow::Continue(())
+            }
+        };
+        if flow.is_break() {
+            return Ok(flow);
+        }
+        if let Some(nulls) = &nulls {
+            if null_bind(&rows[settled..], nulls, &mut chunk)?.is_break() {
+                return Ok(Flow::Break(()));
+            }
+        }
+        chunk.finish()
     }
 
     /// Execute a fused index-served top-k `MATCH` — the walk
@@ -336,16 +662,23 @@ impl<'a> Executor<'a> {
     /// rows (a superset of the final top-k, in order-key order) or `None`
     /// when fusion declined — no walk planned, the index refuses an
     /// ordered walk (lossy values), or the candidate budget ran dry — and
-    /// the caller must run the clauses separately.
+    /// the caller must run the `MATCH` unfused.
     fn try_indexed_topk(
         &self,
         clause: &Clause,
-        patterns: &[PathPattern],
-        where_clause: Option<&Expr>,
         proj: &Projection,
         seeds: &[Row],
     ) -> Result<Option<Vec<Row>>> {
-        let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
+        let Clause::Match {
+            patterns,
+            where_clause,
+            ..
+        } = clause
+        else {
+            return Ok(None);
+        };
+        let where_clause = where_clause.as_ref();
+        let ctx = self.ctx();
         let Some(spec) = plan_topk_projection(&ctx, proj, seeds)? else {
             return Ok(None);
         };
@@ -388,89 +721,9 @@ impl<'a> Executor<'a> {
         Ok(Some(out))
     }
 
-    fn exec_clause(
-        &mut self,
-        clause: &Clause,
-        rows: Vec<Row>,
-        output: &mut Option<(Vec<String>, Vec<Row>)>,
-    ) -> Result<Vec<Row>> {
+    /// Run an updating clause over its whole input.
+    fn run_barrier(&mut self, clause: &Clause, rows: Vec<Row>) -> Result<Vec<Row>> {
         match clause {
-            Clause::Match {
-                optional,
-                patterns,
-                where_clause,
-            } => {
-                let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                let per_seed: Vec<Vec<Row>> = match self.match_mode {
-                    MatchMode::Batched => crate::batch::match_patterns_batch(
-                        &ctx,
-                        &rows,
-                        patterns,
-                        where_clause.as_ref(),
-                        &self.pushdowns(clause, where_clause.as_ref()),
-                    )?,
-                    MatchMode::Reference => rows
-                        .iter()
-                        .map(|row| match_patterns(&ctx, row, patterns, where_clause.as_ref(), None))
-                        .collect::<Result<_>>()?,
-                };
-                // What an unmatched OPTIONAL MATCH null-binds.
-                let nulls = optional.then(|| {
-                    let vars = match self.match_prep(clause) {
-                        Some(prep) => Cow::Borrowed(&prep.vars[..]),
-                        None => Cow::Owned(pattern_vars(patterns)),
-                    };
-                    Row::from_pairs(vars.iter().map(|v| (v, Value::Null)))
-                });
-                let mut out = Vec::new();
-                for (row, matches) in rows.iter().zip(per_seed) {
-                    match &nulls {
-                        Some(nulls) if matches.is_empty() => {
-                            let mut r2 = row.clone();
-                            r2.merge_missing(nulls);
-                            out.push(r2);
-                        }
-                        _ => out.extend(matches),
-                    }
-                }
-                Ok(out)
-            }
-            Clause::Where(pred) => {
-                let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                let mut out = Vec::new();
-                for row in rows {
-                    if eval(&ctx, &row, pred)?.is_truthy() {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Clause::Unwind { expr, alias } => {
-                let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                let mut out = Vec::new();
-                for row in &rows {
-                    let items = match eval(&ctx, row, expr)? {
-                        Value::Null => continue,
-                        Value::List(items) => items,
-                        single => vec![single],
-                    };
-                    for item in items {
-                        let mut r2 = row.clone_with_room(1);
-                        r2.set(alias, item);
-                        out.push(r2);
-                    }
-                }
-                Ok(out)
-            }
-            Clause::With(proj) => {
-                let (_cols, out) = self.project(proj, rows, true)?;
-                Ok(out)
-            }
-            Clause::Return(proj) => {
-                let (cols, out) = self.project(proj, rows, false)?;
-                *output = Some((cols, out.clone()));
-                Ok(out)
-            }
             Clause::Create { patterns } => {
                 let mut out = Vec::new();
                 for mut row in rows {
@@ -489,7 +742,7 @@ impl<'a> Executor<'a> {
                 let mut out = Vec::new();
                 for row in rows {
                     let matches = {
-                        let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
+                        let ctx = self.ctx();
                         match_patterns(&ctx, &row, std::slice::from_ref(pattern), None, None)?
                     };
                     if matches.is_empty() {
@@ -515,10 +768,7 @@ impl<'a> Executor<'a> {
                     for item in items {
                         match item {
                             RemoveItem::Prop { target, key } => {
-                                let tv = {
-                                    let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                                    eval(&ctx, row, target)?
-                                };
+                                let tv = eval(&self.ctx(), row, target)?;
                                 match tv {
                                     Value::Node(n) => {
                                         self.graph_mut("REMOVE")?.remove_node_prop(n, key)?;
@@ -567,7 +817,7 @@ impl<'a> Executor<'a> {
                 let mut nodes = Vec::new();
                 let mut rels = Vec::new();
                 {
-                    let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
+                    let ctx = self.ctx();
                     for row in &rows {
                         for e in exprs {
                             collect_delete_targets(eval(&ctx, row, e)?, &mut nodes, &mut rels)?;
@@ -593,11 +843,7 @@ impl<'a> Executor<'a> {
             }
             Clause::Foreach { var, list, body } => {
                 for row in &rows {
-                    let lv = {
-                        let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                        eval(&ctx, row, list)?
-                    };
-                    let items = match lv {
+                    let items = match eval(&self.ctx(), row, list)? {
                         Value::Null => continue,
                         Value::List(items) => items,
                         single => vec![single],
@@ -605,16 +851,14 @@ impl<'a> Executor<'a> {
                     for item in items {
                         let mut inner = row.clone_with_room(1);
                         inner.set(var, item);
-                        let mut ignored = None;
-                        self.run_clauses(body, vec![inner], &mut ignored)?;
+                        self.run_clauses(body, vec![inner])?;
                     }
                 }
                 Ok(rows)
             }
             Clause::Abort(msg_expr) => {
                 if let Some(first) = rows.first() {
-                    let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                    let msg = match eval(&ctx, first, msg_expr)? {
+                    let msg = match eval(&self.ctx(), first, msg_expr)? {
                         Value::Str(s) => s,
                         other => other.to_string(),
                     };
@@ -622,6 +866,11 @@ impl<'a> Executor<'a> {
                 }
                 Ok(rows)
             }
+            Clause::Match { .. }
+            | Clause::Where(_)
+            | Clause::Unwind { .. }
+            | Clause::With(_)
+            | Clause::Return(_) => unreachable!("not an updating clause"),
         }
     }
 
@@ -812,159 +1061,311 @@ impl<'a> Executor<'a> {
         }
         Ok(pm)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Projection (WITH / RETURN) with grouping & aggregation
-    // ------------------------------------------------------------------
+/// A `WITH` or `RETURN` in the pipeline: streams, or folds its input into
+/// the state its shape needs (see [`Fold`]).
+struct Projector<'q> {
+    shape: Shape<'q>,
+    /// `SKIP` and `LIMIT`, evaluated at the first chunk or at the end.
+    page: Option<(usize, Option<usize>)>,
+    fold: Fold<'q>,
+    /// A copy of the result, for a `RETURN` that later clauses move past.
+    tee: Option<Vec<Row>>,
+}
 
-    fn project(
-        &mut self,
-        proj: &Projection,
-        rows: Vec<Row>,
-        allow_where: bool,
-    ) -> Result<(Vec<String>, Vec<Row>)> {
-        // Expand `*` into identity items over all bound names.
-        let mut items: Vec<ProjItem> = Vec::new();
-        if proj.star {
-            // Consecutive rows nearly always bind the same names: only a row
-            // whose names differ from its predecessor's is looked at.
-            let mut names: Vec<String> = Vec::new();
-            let mut prev: Option<&Row> = None;
-            for r in &rows {
-                if prev.is_some_and(|p| p.same_names(r)) {
-                    continue;
-                }
-                prev = Some(r);
-                for n in r.names() {
-                    if !names.iter().any(|have| have == n) {
-                        names.push(n.to_string());
-                    }
-                }
-            }
-            names.sort();
-            for n in names {
-                items.push(ProjItem {
-                    expr: Expr::Var(n.clone()),
-                    alias: Some(n),
-                });
-            }
-        }
-        items.extend(proj.items.iter().cloned());
-        let columns: Vec<String> = items.iter().map(|i| i.name()).collect();
+/// What one row projects to.
+struct Shape<'q> {
+    proj: &'q Projection,
+    /// The `WHERE` of a `WITH` (a `RETURN` has none).
+    filter: Option<&'q Expr>,
+    /// The projected items and their column names; for `*`, settled when
+    /// the input is complete.
+    items: Cow<'q, [ProjItem]>,
+    columns: Vec<String>,
+}
 
-        let has_agg = items.iter().any(|i| i.expr.has_aggregate());
-        let mut projected: Vec<Row> = if has_agg {
-            self.project_grouped(&items, &columns, &rows)?
+/// What a projection holds between chunks.
+enum Fold<'q> {
+    /// No aggregation, `ORDER BY`, `DISTINCT` or `*`: rows pass straight
+    /// on; the count is of rows past the filter, against `SKIP`/`LIMIT`.
+    Stream(usize),
+    /// `ORDER BY … LIMIT`: the bounded heap, and how many rows went in
+    /// (the tiebreaking input index).
+    TopK(TopKRows<'q>, usize),
+    /// `DISTINCT` or a full sort: the projected rows so far (distinct, past
+    /// the filter). Also a streaming shape that must collect.
+    Rows(Vec<Row>),
+    /// Aggregation: the groups so far.
+    Groups(Grouper),
+    /// `*`: the input rows — the columns are the names bound in any row.
+    Star(Vec<Row>),
+}
+
+impl<'q> Projector<'q> {
+    /// `collect`: hand nothing on before the input is complete.
+    fn new(proj: &'q Projection, allow_where: bool, collect: bool, tee: bool) -> Self {
+        let items = Cow::Borrowed(&proj.items[..]);
+        let fold = if proj.star {
+            Fold::Star(Vec::new())
+        } else if proj.items.iter().any(|i| i.expr.has_aggregate()) {
+            Fold::Groups(Grouper::new(&items))
+        } else if !proj.distinct && !proj.order_by.is_empty() && proj.limit.is_some() {
+            Fold::TopK(TopKRows::new(&proj.order_by, 0), 0)
+        } else if proj.distinct || !proj.order_by.is_empty() || collect {
+            Fold::Rows(Vec::new())
         } else {
-            let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-            let mut out = Vec::with_capacity(rows.len());
-            for row in &rows {
-                let mut r2 = Row::with_capacity(items.len());
-                for (item, col) in items.iter().zip(&columns) {
-                    r2.set(col, eval(&ctx, row, &item.expr)?);
-                }
-                out.push(r2);
-            }
-            out
+            Fold::Stream(0)
         };
-
-        if proj.distinct {
-            let mut seen: Vec<Row> = Vec::new();
-            for r in projected {
-                if !seen.contains(&r) {
-                    seen.push(r);
-                }
-            }
-            projected = seen;
+        Projector {
+            shape: Shape {
+                proj,
+                filter: proj.where_clause.as_ref().filter(|_| allow_where),
+                columns: items.iter().map(ProjItem::name).collect(),
+                items,
+            },
+            page: None,
+            fold,
+            tee: tee.then(Vec::new),
         }
+    }
 
-        if allow_where {
-            if let Some(pred) = &proj.where_clause {
-                let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-                let mut kept = Vec::new();
-                for r in projected {
-                    if eval(&ctx, &r, pred)?.is_truthy() {
-                        kept.push(r);
-                    }
-                }
-                projected = kept;
-            }
+    /// `SKIP` and `LIMIT`, evaluated once; sizes the top-k heap.
+    fn page(&mut self, ctx: &EvalCtx<'_>) -> Result<(usize, Option<usize>)> {
+        if let Some(page) = self.page {
+            return Ok(page);
         }
-
-        let skip = match &proj.skip {
-            Some(e) => self.eval_const_int(e)? as usize,
-            None => 0,
+        let proj = self.shape.proj;
+        let int = |e: &Option<Expr>| -> Result<Option<usize>> {
+            e.as_ref()
+                .map(|e| Ok(crate::plan::eval_const_int(ctx, e)? as usize))
+                .transpose()
         };
-        let limit = match &proj.limit {
-            Some(e) => Some(self.eval_const_int(e)? as usize),
-            None => None,
-        };
+        let skip = int(&proj.skip)?.unwrap_or(0);
+        let limit = int(&proj.limit)?;
+        if let (Fold::TopK(top, _), Some(l)) = (&mut self.fold, limit) {
+            *top = TopKRows::new(&proj.order_by, skip.saturating_add(l));
+        }
+        self.page = Some((skip, limit));
+        Ok((skip, limit))
+    }
 
-        if !proj.order_by.is_empty() {
-            let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-            if let Some(l) = limit {
-                // Bounded top-k: keep only the best SKIP + LIMIT rows
-                // (O(n log k)); the input index as final tiebreaker makes
-                // this identical to the stable full sort it replaces.
-                let mut top = TopKRows::new(&proj.order_by, skip.saturating_add(l));
-                for (idx, r) in projected.into_iter().enumerate() {
-                    let mut keys = Vec::with_capacity(proj.order_by.len());
-                    for (e, _) in &proj.order_by {
-                        keys.push(eval(&ctx, &r, e)?);
+    fn push(&mut self, ctx: &EvalCtx<'_>, rows: Vec<Row>, emit: &mut Emit<'_>) -> Result<Flow> {
+        let (skip, limit) = self.page(ctx)?;
+        let shape = &self.shape;
+        match &mut self.fold {
+            Fold::Stream(passed) => {
+                let done = |passed: usize| limit.is_some_and(|l| passed >= skip.saturating_add(l));
+                let mut out = Vec::with_capacity(rows.len());
+                for row in &rows {
+                    if done(*passed) {
+                        break;
                     }
-                    top.push((keys, idx, r));
-                }
-                projected = top.into_sorted_rows();
-            } else {
-                let mut keyed: Vec<(Vec<Value>, Row)> = Vec::with_capacity(projected.len());
-                for r in projected {
-                    let mut keys = Vec::with_capacity(proj.order_by.len());
-                    for (e, _) in &proj.order_by {
-                        keys.push(eval(&ctx, &r, e)?);
-                    }
-                    keyed.push((keys, r));
-                }
-                keyed.sort_by(|(ka, _), (kb, _)| {
-                    for (i, (_, asc)) in proj.order_by.iter().enumerate() {
-                        let ord = ka[i].cmp_order(&kb[i]);
-                        let ord = if *asc { ord } else { ord.reverse() };
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
+                    let r2 = shape.project(ctx, row)?;
+                    if shape.passes(ctx, &r2)? {
+                        *passed += 1;
+                        if *passed > skip {
+                            out.push(r2);
                         }
                     }
-                    std::cmp::Ordering::Equal
-                });
-                projected = keyed.into_iter().map(|(_, r)| r).collect();
+                }
+                let flow = emit(out)?;
+                if done(*passed) {
+                    return Ok(Flow::Break(()));
+                }
+                return Ok(flow);
+            }
+            Fold::TopK(top, n) => {
+                for row in &rows {
+                    let r2 = shape.project(ctx, row)?;
+                    if shape.passes(ctx, &r2)? {
+                        top.push((shape.keys(ctx, &r2)?, *n, r2));
+                        *n += 1;
+                    }
+                }
+            }
+            Fold::Rows(kept) => {
+                for row in &rows {
+                    let r2 = shape.project(ctx, row)?;
+                    if !(shape.proj.distinct && kept.contains(&r2)) && shape.passes(ctx, &r2)? {
+                        kept.push(r2);
+                    }
+                }
+            }
+            Fold::Groups(groups) => {
+                for row in rows {
+                    groups.push(ctx, row)?;
+                }
+            }
+            Fold::Star(input) => append(input, rows),
+        }
+        Ok(Flow::Continue(()))
+    }
+
+    /// End of input: the rows a folding projection hands on (none for a
+    /// streaming one, which handed them on already).
+    fn finish(&mut self, ctx: &EvalCtx<'_>) -> Result<Vec<Row>> {
+        let (skip, limit) = self.page(ctx)?;
+        let keep = limit.map(|l| skip.saturating_add(l));
+        let shape = &mut self.shape;
+        let rows = match std::mem::replace(&mut self.fold, Fold::Stream(0)) {
+            Fold::Stream(_) => return Ok(Vec::new()),
+            Fold::TopK(top, _) => top.into_sorted_rows(),
+            Fold::Rows(rows) => shape.order(ctx, rows, keep)?,
+            Fold::Groups(groups) => {
+                let rows = groups.finish(ctx, &shape.columns)?;
+                shape.settle(ctx, rows, keep)?
+            }
+            Fold::Star(input) => {
+                let items = star_items(&input, &shape.proj.items);
+                shape.columns = items.iter().map(ProjItem::name).collect();
+                shape.items = Cow::Owned(items);
+                let rows = if shape.items.iter().any(|i| i.expr.has_aggregate()) {
+                    let mut groups = Grouper::new(&shape.items);
+                    for row in input {
+                        groups.push(ctx, row)?;
+                    }
+                    groups.finish(ctx, &shape.columns)?
+                } else {
+                    let project = |r: &Row| shape.project(ctx, r);
+                    input.iter().map(project).collect::<Result<_>>()?
+                };
+                shape.settle(ctx, rows, keep)?
+            }
+        };
+        let mut rows = rows;
+        if let Some(keep) = keep {
+            rows.truncate(keep);
+        }
+        rows.drain(..skip.min(rows.len()));
+        if let Some(tee) = &mut self.tee {
+            tee.clone_from(&rows);
+        }
+        Ok(rows)
+    }
+}
+
+impl Shape<'_> {
+    /// The projection of one input row.
+    fn project(&self, ctx: &EvalCtx<'_>, row: &Row) -> Result<Row> {
+        let mut r2 = Row::with_capacity(self.items.len());
+        for (item, col) in self.items.iter().zip(&self.columns) {
+            r2.set(col, eval(ctx, row, &item.expr)?);
+        }
+        Ok(r2)
+    }
+
+    /// Whether a projected row passes the `WITH … WHERE`.
+    fn passes(&self, ctx: &EvalCtx<'_>, row: &Row) -> Result<bool> {
+        match self.filter {
+            Some(pred) => Ok(eval(ctx, row, pred)?.is_truthy()),
+            None => Ok(true),
+        }
+    }
+
+    /// The `ORDER BY` keys of a projected row.
+    fn keys(&self, ctx: &EvalCtx<'_>, row: &Row) -> Result<Vec<Value>> {
+        let order_by = &self.proj.order_by;
+        let mut keys = Vec::with_capacity(order_by.len());
+        for (e, _) in order_by {
+            keys.push(eval(ctx, row, e)?);
+        }
+        Ok(keys)
+    }
+
+    /// `DISTINCT`, the filter and the order, over complete projected rows.
+    fn settle(&self, ctx: &EvalCtx<'_>, rows: Vec<Row>, keep: Option<usize>) -> Result<Vec<Row>> {
+        let mut kept: Vec<Row> = Vec::with_capacity(rows.len());
+        for r in rows {
+            if !(self.proj.distinct && kept.contains(&r)) && self.passes(ctx, &r)? {
+                kept.push(r);
             }
         }
-
-        let mut projected: Vec<Row> = projected.into_iter().skip(skip).collect();
-        if let Some(l) = limit {
-            projected.truncate(l);
-        }
-
-        Ok((columns, projected))
+        self.order(ctx, kept, keep)
     }
 
-    fn eval_const_int(&self, e: &Expr) -> Result<i64> {
-        let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-        crate::plan::eval_const_int(&ctx, e)
-    }
-
-    fn project_grouped(
-        &mut self,
-        items: &[ProjItem],
-        columns: &[String],
-        rows: &[Row],
-    ) -> Result<Vec<Row>> {
-        // Split items into group keys and aggregate-bearing expressions; the
-        // latter get their aggregate subexpressions replaced by placeholder
-        // variables resolved per group.
-        struct AggSpec {
-            arg: Option<Expr>, // None = count(*)
-            name: String,
-            distinct: bool,
+    /// Sort by the `ORDER BY` keys, keeping only the best `keep` rows when
+    /// given (bounded top-k: the input index as final tiebreaker makes it
+    /// the stable full sort, truncated).
+    fn order(&self, ctx: &EvalCtx<'_>, rows: Vec<Row>, keep: Option<usize>) -> Result<Vec<Row>> {
+        let order_by = &self.proj.order_by;
+        if order_by.is_empty() {
+            return Ok(rows);
         }
+        if let Some(keep) = keep {
+            let mut top = TopKRows::new(order_by, keep);
+            for (idx, r) in rows.into_iter().enumerate() {
+                top.push((self.keys(ctx, &r)?, idx, r));
+            }
+            return Ok(top.into_sorted_rows());
+        }
+        let mut keyed: Vec<(Vec<Value>, usize, Row)> = Vec::with_capacity(rows.len());
+        for (idx, r) in rows.into_iter().enumerate() {
+            keyed.push((self.keys(ctx, &r)?, idx, r));
+        }
+        keyed.sort_by(|a, b| order_cmp(order_by, a, b));
+        Ok(keyed.into_iter().map(|(_, _, r)| r).collect())
+    }
+}
+
+/// `*` expanded into identity items over every name bound in some row,
+/// sorted, followed by the explicit `items`.
+fn star_items(rows: &[Row], items: &[ProjItem]) -> Vec<ProjItem> {
+    // Consecutive rows nearly always bind the same names: only a row whose
+    // names differ from its predecessor's is looked at.
+    let mut names: Vec<String> = Vec::new();
+    let mut prev: Option<&Row> = None;
+    for r in rows {
+        if prev.is_some_and(|p| p.same_names(r)) {
+            continue;
+        }
+        prev = Some(r);
+        for n in r.names() {
+            if !names.iter().any(|have| have == n) {
+                names.push(n.to_string());
+            }
+        }
+    }
+    names.sort();
+    let star = names.into_iter().map(|n| ProjItem {
+        expr: Expr::Var(n.clone()),
+        alias: Some(n),
+    });
+    star.chain(items.iter().cloned()).collect()
+}
+
+/// One aggregate call of a projection.
+struct AggSpec {
+    /// `None` = `count(*)`.
+    arg: Option<Expr>,
+    name: String,
+    distinct: bool,
+}
+
+/// A projected item: a grouping key, or an expression over aggregates
+/// whose calls are rewritten to the placeholders `__agg0`, `__agg1`, ….
+enum ItemKind {
+    GroupKey(Expr),
+    Agg(Expr),
+}
+
+/// One group: its key values, one accumulator per aggregate call, and its
+/// first input row (what a rewritten item reads besides the placeholders).
+struct Group {
+    key: Vec<Value>,
+    accs: Vec<Accumulator>,
+    rep: Row,
+}
+
+/// Grouping and aggregation, folded one input row at a time.
+struct Grouper {
+    specs: Vec<AggSpec>,
+    kinds: Vec<ItemKind>,
+    groups: Vec<Group>,
+}
+
+impl Grouper {
+    fn new(items: &[ProjItem]) -> Self {
         let mut specs: Vec<AggSpec> = Vec::new();
         // The aggregate calls `has_aggregate` finds, in walk order.
         let mut rewrite = |item: &Expr| {
@@ -996,12 +1397,7 @@ impl<'a> Executor<'a> {
             });
             rewritten
         };
-
-        enum ItemKind {
-            GroupKey(Expr),
-            Agg(Expr), // rewritten with placeholders
-        }
-        let kinds: Vec<ItemKind> = items
+        let kinds = items
             .iter()
             .map(|i| {
                 if i.expr.has_aggregate() {
@@ -1011,78 +1407,79 @@ impl<'a> Executor<'a> {
                 }
             })
             .collect();
-
-        // Group rows by evaluated group-key tuples.
-        struct Group {
-            key: Vec<Value>,
-            accs: Vec<Accumulator>,
-            rep: Row,
+        Grouper {
+            specs,
+            kinds,
+            groups: Vec::new(),
         }
-        let mut groups: Vec<Group> = Vec::new();
-        {
-            let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-            for row in rows {
-                let mut key = Vec::new();
-                for k in &kinds {
-                    if let ItemKind::GroupKey(e) = k {
-                        key.push(eval(&ctx, row, e)?);
-                    }
-                }
-                let group = match groups.iter_mut().find(|g| g.key == key) {
-                    Some(g) => g,
-                    None => {
-                        let accs = specs
-                            .iter()
-                            .map(|s| Accumulator::new(&s.name, s.distinct).expect("aggregate"))
-                            .collect();
-                        groups.push(Group {
-                            key,
-                            accs,
-                            rep: row.clone(),
-                        });
-                        groups.last_mut().unwrap()
-                    }
-                };
-                for (si, spec) in specs.iter().enumerate() {
-                    let v = match &spec.arg {
-                        None => Value::Int(1), // count(*): count every row
-                        Some(arg) => eval(&ctx, row, arg)?,
-                    };
-                    group.accs[si].push(v)?;
-                }
+    }
+
+    fn accumulators(&self) -> Vec<Accumulator> {
+        let new = |s: &AggSpec| Accumulator::new(&s.name, s.distinct).expect("aggregate");
+        self.specs.iter().map(new).collect()
+    }
+
+    /// Fold one input row into its group.
+    fn push(&mut self, ctx: &EvalCtx<'_>, row: Row) -> Result<()> {
+        let mut key = Vec::new();
+        for k in &self.kinds {
+            if let ItemKind::GroupKey(e) = k {
+                key.push(eval(ctx, &row, e)?);
             }
-            // Aggregation over the empty input with no group keys yields a
-            // single group (so `RETURN count(*)` on no rows is 0).
-            let no_group_keys = kinds.iter().all(|k| matches!(k, ItemKind::Agg(_)));
-            if groups.is_empty() && no_group_keys {
-                groups.push(Group {
-                    key: Vec::new(),
-                    accs: specs
-                        .iter()
-                        .map(|s| Accumulator::new(&s.name, s.distinct).expect("aggregate"))
-                        .collect(),
+        }
+        let (gi, fresh) = match self.groups.iter().position(|g| g.key == key) {
+            Some(gi) => (gi, false),
+            None => {
+                let accs = self.accumulators();
+                self.groups.push(Group {
+                    key,
+                    accs,
                     rep: Row::new(),
                 });
+                (self.groups.len() - 1, true)
             }
+        };
+        let group = &mut self.groups[gi];
+        for (acc, spec) in group.accs.iter_mut().zip(&self.specs) {
+            let v = match &spec.arg {
+                None => Value::Int(1), // count(*): count every row
+                Some(arg) => eval(ctx, &row, arg)?,
+            };
+            acc.push(v)?;
         }
+        if fresh {
+            group.rep = row;
+        }
+        Ok(())
+    }
 
-        // Materialize one output row per group.
-        let ctx = EvalCtx::new(self.view(), self.params, self.now_ms);
-        let mut out = Vec::with_capacity(groups.len());
-        for g in groups {
+    /// One output row per group.
+    fn finish(mut self, ctx: &EvalCtx<'_>, columns: &[String]) -> Result<Vec<Row>> {
+        // Aggregation over the empty input with no group keys yields a
+        // single group (so `RETURN count(*)` on no rows is 0).
+        let no_group_keys = self.kinds.iter().all(|k| matches!(k, ItemKind::Agg(_)));
+        if self.groups.is_empty() && no_group_keys {
+            self.groups.push(Group {
+                key: Vec::new(),
+                accs: self.accumulators(),
+                rep: Row::new(),
+            });
+        }
+        let mut out = Vec::with_capacity(self.groups.len());
+        for g in self.groups {
             let mut env = g.rep.clone_with_room(g.accs.len());
             for (si, acc) in g.accs.into_iter().enumerate() {
                 env.set(format!("__agg{si}"), acc.finish());
             }
-            let mut r2 = Row::with_capacity(kinds.len());
+            let mut r2 = Row::with_capacity(self.kinds.len());
             let mut key_iter = g.key.into_iter();
-            for (kind, col) in kinds.iter().zip(columns) {
+            for (kind, col) in self.kinds.iter().zip(columns) {
                 match kind {
                     ItemKind::GroupKey(_) => {
                         r2.set(col, key_iter.next().expect("group key"));
                     }
                     ItemKind::Agg(rewritten) => {
-                        r2.set(col, eval(&ctx, &env, rewritten)?);
+                        r2.set(col, eval(ctx, &env, rewritten)?);
                     }
                 }
             }

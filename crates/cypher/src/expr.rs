@@ -5,7 +5,7 @@ use crate::error::{CypherError, Result};
 use crate::functions;
 use crate::pattern;
 use crate::row::{Params, Row};
-use pg_graph::{GraphView, Value};
+use pg_graph::{GraphView, Value, MAX_NESTING};
 
 /// Evaluation context: a read view plus parameters and the statement clock.
 pub struct EvalCtx<'a> {
@@ -86,14 +86,14 @@ pub fn eval(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value> {
         Expr::ListLit(items) => {
             let mut out = Vec::with_capacity(items.len());
             for i in items {
-                out.push(eval(ctx, row, i)?);
+                out.push(element(eval(ctx, row, i)?)?);
             }
             Ok(Value::List(out))
         }
         Expr::MapLit(entries) => {
             let mut m = std::collections::BTreeMap::new();
             for (k, v) in entries {
-                m.insert(k.clone(), eval(ctx, row, v)?);
+                m.insert(k.clone(), element(eval(ctx, row, v)?)?);
             }
             Ok(Value::Map(m))
         }
@@ -216,12 +216,25 @@ pub fn eval(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value> {
                     }
                 }
                 match map {
-                    Some(m) => out.push(eval(ctx, &inner_row, m)?),
+                    Some(m) => out.push(element(eval(ctx, &inner_row, m)?)?),
                     None => out.push(item),
                 }
             }
             Ok(Value::List(out))
         }
+    }
+}
+
+/// Fail with [`CypherError::TooDeep`] unless `item` can be an element of a
+/// list or map: one level less than [`MAX_NESTING`]. Every value the engine
+/// builds passes through here or comes from a bounded source (the parser,
+/// the codec, the store), so checking the new element bounds the result,
+/// and the check itself recurses at most `MAX_NESTING` levels.
+pub(crate) fn element(item: Value) -> Result<Value> {
+    if item.nests_within(MAX_NESTING - 1) {
+        Ok(item)
+    } else {
+        Err(CypherError::TooDeep)
     }
 }
 
@@ -302,7 +315,11 @@ fn eval_binary(ctx: &EvalCtx<'_>, row: &Row, op: BinOp, lhs: &Expr, rhs: &Expr) 
     }
 
     let l = eval(ctx, row, lhs)?;
-    let r = eval(ctx, row, rhs)?;
+    let mut r = eval(ctx, row, rhs)?;
+    if let (BinOp::Add, Value::List(_), Value::Map(_)) = (op, &l, &r) {
+        // `list + map` appends the map as one more element.
+        r = element(r)?;
+    }
     match op {
         BinOp::Add => l.add(&r).ok_or_else(|| arith("+", &l, &r)),
         BinOp::Sub => l.sub(&r).ok_or_else(|| arith("-", &l, &r)),

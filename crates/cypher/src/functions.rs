@@ -422,6 +422,7 @@ impl Accumulator {
                 }
             }
             Accumulator::Collect { items, distinct } => {
+                let v = crate::expr::element(v)?;
                 if !*distinct || !items.contains(&v) {
                     items.push(v);
                 }

@@ -59,6 +59,16 @@ pub(crate) fn eval_const_int(ctx: &EvalCtx<'_>, e: &Expr) -> Result<i64> {
         .ok_or_else(|| CypherError::type_err("SKIP/LIMIT must be a non-negative integer"))
 }
 
+/// Whether a projection has the shape a top-k fusion can serve: `ORDER BY`
+/// and `LIMIT`, no `DISTINCT`, no post-`WITH` `WHERE`, no aggregate.
+pub(crate) fn topk_shaped(proj: &Projection) -> bool {
+    !proj.order_by.is_empty()
+        && proj.limit.is_some()
+        && !proj.distinct
+        && proj.where_clause.is_none()
+        && !proj.items.iter().any(|it| it.expr.has_aggregate())
+}
+
 /// Analyze the projection side of a potential top-k fusion; `None` =
 /// fusion declined (shape, aggregation, or aliasing rules — the full
 /// decline catalog lives in the [`crate::exec`] module docs).
@@ -67,12 +77,7 @@ pub(crate) fn plan_topk_projection(
     proj: &Projection,
     seeds: &[Row],
 ) -> Result<Option<TopKSpec>> {
-    if proj.order_by.is_empty()
-        || proj.limit.is_none()
-        || proj.distinct
-        || proj.where_clause.is_some()
-        || proj.items.iter().any(|it| it.expr.has_aggregate())
-    {
+    if !topk_shaped(proj) {
         return Ok(None);
     }
     let skip = match &proj.skip {

@@ -1,7 +1,11 @@
 //! End-to-end query execution tests for the Cypher subset.
 
-use pg_cypher::{parse_query, run_ast, run_query, run_read_only, CypherError, Params, Row};
-use pg_graph::{Graph, GraphView, Value};
+use pg_cypher::exec::CHUNK_ROWS;
+use pg_cypher::{
+    parse_query, run_ast, run_query, run_read_only, CypherError, Executor, MatchMode, Params, Row,
+    Target,
+};
+use pg_graph::{Graph, GraphView, Value, MAX_NESTING};
 
 fn g() -> Graph {
     Graph::new()
@@ -467,4 +471,162 @@ fn merge_relationship_pattern() {
     // merging again is a no-op
     run(&mut graph, "MATCH (a:A), (b:B) MERGE (a)-[:LINK]->(b)");
     assert_eq!(graph.rel_count(), 1);
+}
+
+// ---------------------------------------------------------------------
+// The streaming pipeline keeps clause-at-a-time semantics. Every case
+// below runs more rows than one chunk, so a clause that streamed where it
+// must not would see a partial input.
+// ---------------------------------------------------------------------
+
+/// More rows than one chunk, and not a multiple of it.
+const OVER_A_CHUNK: usize = CHUNK_ROWS + 37;
+
+/// `src`'s rows under both match modes, which must agree.
+fn rows_both_modes(graph: &Graph, src: &str) -> Vec<Vec<Value>> {
+    let query = parse_query(src).unwrap();
+    let params = Params::new();
+    let [batched, reference] = [MatchMode::Batched, MatchMode::Reference].map(|mode| {
+        Executor::new(Target::Read(graph), &params, 0)
+            .with_match_mode(mode)
+            .run(&query, Vec::new())
+            .unwrap_or_else(|e| panic!("{src}: {e}"))
+            .rows
+    });
+    assert_eq!(batched, reference, "{src}");
+    batched
+}
+
+#[test]
+fn match_then_create_doubles_and_does_not_loop() {
+    let mut graph = g();
+    run(
+        &mut graph,
+        &format!("UNWIND range(1, {OVER_A_CHUNK}) AS i CREATE (:A {{i: i}})"),
+    );
+    run(&mut graph, "MATCH (n:A) CREATE (:A)");
+    let out = run(&mut graph, "MATCH (n:A) RETURN count(*) AS n");
+    assert_eq!(out.single(), Some(&Value::Int(2 * OVER_A_CHUNK as i64)));
+}
+
+#[test]
+fn match_after_set_sees_the_new_values() {
+    let mut graph = g();
+    run(
+        &mut graph,
+        &format!("UNWIND range(1, {OVER_A_CHUNK}) AS i CREATE (:P {{v: 1}})"),
+    );
+    // A `LIMIT` right after the `SET` would stop a streaming `SET` after
+    // its first chunk; the barrier sets every row before anything reads.
+    let out = run(
+        &mut graph,
+        "MATCH (p:P) SET p.v = 2 WITH p LIMIT 1 MATCH (q:P {v: 1}) RETURN count(q) AS n",
+    );
+    assert_eq!(out.single(), Some(&Value::Int(0)));
+    let out = run(
+        &mut graph,
+        "MATCH (p:P) SET p.v = p.v + 1 WITH p MATCH (p) RETURN sum(p.v) AS s",
+    );
+    assert_eq!(out.single(), Some(&Value::Int(3 * OVER_A_CHUNK as i64)));
+}
+
+#[test]
+fn optional_match_null_binds_across_a_chunk_boundary() {
+    let mut graph = g();
+    // Seed `i` has `i % 3` matches: none, one, or two.
+    run(
+        &mut graph,
+        &format!(
+            "UNWIND range(0, {}) AS i CREATE (s:S {{i: i}}) \
+             FOREACH (k IN range(1, i % 3) | CREATE (s)-[:R]->(:T {{k: k}}))",
+            OVER_A_CHUNK - 1
+        ),
+    );
+    let rows = rows_both_modes(
+        &graph,
+        "MATCH (s:S) OPTIONAL MATCH (s)-[:R]->(t:T) RETURN s.i AS i, t.k AS k",
+    );
+    let mut want = Vec::new();
+    for i in 0..OVER_A_CHUNK as i64 {
+        match i % 3 {
+            0 => want.push(vec![Value::Int(i), Value::Null]),
+            n => want.extend((1..=n).map(|k| vec![Value::Int(i), Value::Int(k)])),
+        }
+    }
+    // In seed order, the null rows in their seeds' places.
+    assert_eq!(rows, want);
+}
+
+#[test]
+fn a_plain_limit_returns_the_rows_of_the_unlimited_query() {
+    let mut graph = g();
+    run(
+        &mut graph,
+        &format!("UNWIND range(1, {OVER_A_CHUNK}) AS i CREATE (:A {{i: i}})-[:R]->(:B {{i: i}})"),
+    );
+    for (full, skip, limit) in [
+        ("MATCH (a:A)-[:R]->(b) RETURN b.i AS i", 0, 5),
+        ("MATCH (a:A)-[:R]->(b) RETURN b.i AS i", 3, 4),
+        ("MATCH (a:A)-[:R]->(b) RETURN b.i AS i", CHUNK_ROWS - 2, 5),
+        (
+            "MATCH (a:A) WITH a WHERE a.i % 2 = 0 RETURN a.i AS i",
+            CHUNK_ROWS / 2 - 1,
+            3,
+        ),
+        (
+            "UNWIND range(1, 3000) AS x WITH x WHERE x % 7 = 0 RETURN x AS i",
+            0,
+            5,
+        ),
+    ] {
+        let all = rows_both_modes(&graph, full);
+        let limited = rows_both_modes(&graph, &format!("{full} SKIP {skip} LIMIT {limit}"));
+        assert_eq!(
+            limited,
+            all[skip..skip + limit],
+            "{full} SKIP {skip} LIMIT {limit}"
+        );
+    }
+}
+
+#[test]
+fn a_value_built_at_run_time_is_bounded_on_a_connection_sized_stack() {
+    /// `WITH 1 AS a` and then `steps` times `step`, run on the stack a
+    /// server connection thread gets.
+    fn build(step: &'static str, steps: usize) -> Result<Value, CypherError> {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let src = format!("WITH 1 AS a{} RETURN a IS NULL AS n", step.repeat(steps));
+                let mut graph = Graph::new();
+                run_query(&mut graph, &src, &Params::new(), 0).map(|out| out.rows[0][0].clone())
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+    // Each step nests `a` one level deeper.
+    for step in [
+        " WITH [a] AS a",
+        " WITH {k: a} AS a",
+        " WITH [x IN [1] | a] AS a",
+        " WITH collect(a) AS a",
+    ] {
+        assert_eq!(build(step, MAX_NESTING), Ok(Value::Bool(false)), "{step}");
+        assert_eq!(
+            build(step, MAX_NESTING + 1),
+            Err(CypherError::TooDeep),
+            "{step}"
+        );
+    }
+    // `list + map` appends the map: two levels per step.
+    assert_eq!(
+        build(" WITH [] + {k: a} AS a", MAX_NESTING / 2),
+        Ok(Value::Bool(false))
+    );
+    assert_eq!(
+        build(" WITH [] + {k: a} AS a", MAX_NESTING / 2 + 1),
+        Err(CypherError::TooDeep)
+    );
+    assert_eq!(build(" WITH [a] AS a", 100_000), Err(CypherError::TooDeep));
 }

@@ -10,9 +10,12 @@
 //! `Vec<RelId>` per match state every copy cost a tree node, a `String`
 //! per name and the vector; this file fails there.
 //!
-//! The counter is per thread (the test harness runs tests in parallel) and
-//! counts `alloc` and `realloc` calls, not bytes.
+//! The counters are per thread (the test harness runs tests in parallel):
+//! one counts `alloc` and `realloc` calls, the other live bytes and their
+//! high-water mark, so a streaming query's peak can be held flat in its
+//! fan-out.
 
+use pg_cypher::exec::CHUNK_ROWS;
 use pg_cypher::{parse_query, Executor, MatchMode, Params, Row, Target};
 use pg_graph::{Graph, NodeId, PropertyMap, RelId, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,31 +23,47 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated and has not freed (signed: a thread
+    /// may free what another allocated), and their high-water mark.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn bump() {
+/// One `alloc`/`realloc` call that changed the live bytes by `delta`.
+fn bump(delta: i64) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+fn grow(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` with no destructor, so touching it allocates nothing.
+// upholds the `GlobalAlloc` contract; the counters are const-initialised
+// thread-local `Cell`s with no destructor, so touching them allocates
+// nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System`; the rest is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +77,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// The most bytes `f` held live on this thread at once, above what was
+/// live when it started, and its result.
+fn peak_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (PEAK.with(Cell::get) - before, out)
 }
 
 /// Six scalar bindings: short names, transition variables, and one name
@@ -147,5 +175,108 @@ fn two_hop_match_is_one_allocation_per_output_row() {
         let (four, rows4) = two_hop_allocations(mode, 4);
         assert_eq!((rows3, rows4), (18, 24));
         assert_eq!(four - three, 6 + rel_types, "{mode:?}: {three} -> {four}");
+    }
+}
+
+/// `users` users who all follow one another and wrote `posts` posts each.
+fn follower_clique(users: usize, posts: usize) -> Graph {
+    let mut g = Graph::new();
+    let ids: Vec<NodeId> = (0..users)
+        .map(|_| g.create_node(["User"], PropertyMap::new()).unwrap())
+        .collect();
+    for &u in &ids {
+        for &h in ids.iter().filter(|&&h| h != u) {
+            g.create_rel(u, h, "FOLLOWS", PropertyMap::new()).unwrap();
+        }
+        for _ in 0..posts {
+            let p = g.create_node(["Post"], PropertyMap::new()).unwrap();
+            g.create_rel(u, p, "WROTE", PropertyMap::new()).unwrap();
+        }
+    }
+    g.rebuild_stats();
+    g
+}
+
+/// Peak live bytes of the two-hop join count under `mode`, and the count.
+fn two_hop_count_peak(mode: MatchMode, posts: usize) -> (i64, Value) {
+    let g = follower_clique(8, posts);
+    let query =
+        parse_query("MATCH (u:User) MATCH (u)-[:FOLLOWS]->(h)-[:WROTE]->(p) RETURN count(*) AS n")
+            .unwrap();
+    let params = Params::new();
+    let (peak, out) = peak_bytes(|| {
+        Executor::new(Target::Read(&g), &params, 0)
+            .with_match_mode(mode)
+            .run(&query, Vec::new())
+            .unwrap()
+    });
+    (peak, out.rows[0][0].clone())
+}
+
+/// Streaming holds a bounded number of matches in flight: the two-hop
+/// join's peak live bytes at 50× the posts per user (2,800 output rows,
+/// almost three chunks) exceed its peak at 1× (56 rows) by at most one
+/// chunk's worth — [`CHUNK_ROWS`] matches, each a three-binding row's heap
+/// plus 128 bytes of bookkeeping (the row and match-state headers in the
+/// matcher's stage buffer, the row's slot in the outgoing chunk). Holding
+/// every row, as a clause-at-a-time executor does, grows 2–3× past that.
+#[test]
+fn two_hop_count_peak_is_flat_in_the_fan_out() {
+    let row = Row::from_pairs([
+        ("h", Value::Node(NodeId(1))),
+        ("p", Value::Node(NodeId(2))),
+        ("u", Value::Node(NodeId(3))),
+    ]);
+    let (row_heap, _) = peak_bytes(|| row.clone());
+    let chunk = CHUNK_ROWS as i64 * (row_heap + 128);
+    for mode in [MatchMode::Reference, MatchMode::Batched] {
+        let (small, n1) = two_hop_count_peak(mode, 1);
+        let (large, n50) = two_hop_count_peak(mode, 50);
+        assert_eq!((n1, n50), (Value::Int(56), Value::Int(2_800)));
+        assert!(
+            large - small <= chunk,
+            "{mode:?}: peak {small} B at 1x, {large} B at 50x; one chunk is {chunk} B"
+        );
+    }
+}
+
+/// A one-row input — a trigger body over its transition variable, a point
+/// read — allocates no more through the streaming pipeline than it did
+/// through the clause-at-a-time executor, whose counts are the ceilings.
+#[test]
+fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
+    let mut g = Graph::new();
+    for i in 0..20 {
+        let mut props = PropertyMap::new();
+        props.set("id".to_string(), Value::Int(i));
+        g.create_node(["User"], props).unwrap();
+    }
+    let params = Params::new();
+    for (src, ceiling) in [
+        ("RETURN 1 AS x", 11),
+        ("MATCH (u:User {id: 3}) RETURN u.id AS id", 39),
+        ("MATCH (u:User {id: 3}) RETURN count(*) AS n", 47),
+        ("MATCH (n:NEWNODES) RETURN n AS n", 30),
+        (
+            "MATCH (n:NEWNODES) WITH n WHERE n.id > 0 RETURN n.id AS id",
+            39,
+        ),
+        (
+            "MATCH (u:User) WHERE u.id < 5 WITH u ORDER BY u.id DESC LIMIT 3 RETURN u.id AS id",
+            115,
+        ),
+        ("UNWIND [1, 2] AS x RETURN x AS x", 21),
+        ("MATCH (n:NEWNODES) CREATE (:Alert {x: n.id})", 34),
+        ("MATCH (n:NEWNODES) SET n.v = 1", 22),
+    ] {
+        let query = parse_query(src).unwrap();
+        let seed = Row::from_pairs([("NEWNODES", Value::List(vec![Value::Node(NodeId(2))]))]);
+        let (n, out) = counted(|| {
+            Executor::new(Target::Write(&mut g), &params, 0)
+                .run(&query, vec![seed])
+                .unwrap()
+        });
+        drop(out);
+        assert!(n <= ceiling, "{src}: {n} allocations, ceiling {ceiling}");
     }
 }

@@ -95,6 +95,16 @@ impl Value {
         self.storable_within(MAX_NESTING)
     }
 
+    /// Whether lists and maps open at most `levels` deep in this value.
+    /// Recurses no deeper than `levels + 1`, however deep the value is.
+    pub fn nests_within(&self, levels: usize) -> bool {
+        match self {
+            Value::List(items) => levels > 0 && items.iter().all(|v| v.nests_within(levels - 1)),
+            Value::Map(m) => levels > 0 && m.values().all(|v| v.nests_within(levels - 1)),
+            _ => true,
+        }
+    }
+
     /// [`Value::is_storable`] with `levels` more lists/maps allowed to open.
     fn storable_within(&self, levels: usize) -> bool {
         match self {
