@@ -2,29 +2,24 @@
 //!
 //! ## The pipeline
 //!
-//! [`Executor::run`] pushes rows through a query's clauses in chunks of at
-//! most [`CHUNK_ROWS`] rows. Every clause is one of three kinds:
-//!
-//! * **streaming** — `MATCH`, `OPTIONAL MATCH`, `WHERE`, `UNWIND`, and a
-//!   `WITH`/`RETURN` without aggregation, `ORDER BY` or `DISTINCT`: each
-//!   chunk passes straight on (a `MATCH` hands its matches on as the
-//!   matcher produces them, see [`crate::batch`]); a `LIMIT` that is
-//!   satisfied stops its upstream;
-//! * **folding sinks** — a `WITH`/`RETURN` that aggregates, sorts or
-//!   de-duplicates keeps only its own state (the groups, the top-k heap,
-//!   the sorted or distinct rows) and hands its result on once its input
-//!   is exhausted;
-//! * **barriers** — `CREATE`, `MERGE`, `SET`, `REMOVE`, `DELETE`,
-//!   `FOREACH`, `ABORT` and a `MATCH` the top-k fusion below may serve
-//!   collect their whole input and run once it is exhausted.
+//! [`Executor::run`] builds one stage per [`Step`] of the query's clause
+//! plan — `plan::steps` decides which clauses stream, fold or collect —
+//! and pushes rows through them in chunks of at most [`CHUNK_ROWS`] rows.
+//! A streaming clause passes each chunk straight on (a `MATCH` hands its
+//! matches on as the matcher produces them, see [`crate::batch`]), and a
+//! satisfied `LIMIT` stops its upstream. A folding `WITH`/`RETURN` keeps
+//! only its own state (the groups, the top-k heap, the sorted or distinct
+//! rows); an updating clause, and a `MATCH` the top-k fusion below may
+//! serve, collects its whole input. Both run once their input is
+//! exhausted.
 //!
 //! Clauses finish in order, so a barrier runs after every clause before it
 //! has seen all of its rows and before any clause after it sees one: the
 //! semantics are clause-at-a-time, and rows arrive everywhere in the order
-//! the clause-at-a-time executor produced them. A run of more than
-//! `STREAM_DEPTH` streaming clauses collects at every `STREAM_DEPTH`-th, so
-//! the push — one stack frame per streaming clause — stays shallow however
-//! many clauses a query text holds.
+//! the clause-at-a-time executor produced them. A long run of streaming
+//! clauses collects at regular collect points, so the push — one stack
+//! frame per streaming clause — stays shallow however many clauses a query
+//! text holds.
 //!
 //! ## Top-k (`ORDER BY … LIMIT k`) execution — planner v3
 //!
@@ -81,7 +76,9 @@ use crate::functions::{is_aggregate, Accumulator};
 use crate::pattern::{
     extract_pushdowns, match_patterns, match_patterns_pushed, pattern_vars, Pushdowns,
 };
-use crate::plan::{plan_topk_projection, plan_topk_walk, topk_shaped};
+use crate::plan::{
+    plan_topk_projection, plan_topk_walk, steps, FoldKind, ProjStep, Step, StepKind,
+};
 use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
 use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
@@ -94,12 +91,6 @@ use std::ops::ControlFlow;
 /// streaming query holds in flight. Sized so a chunk amortises the per-call
 /// work of a stage; not a knob.
 pub const CHUNK_ROWS: usize = 1024;
-
-/// Consecutive streaming clauses one chunk passes through as nested calls
-/// before the next one collects its input instead (see the module docs):
-/// each is a stack frame of the push, and a query text is not bounded in
-/// clauses.
-const STREAM_DEPTH: usize = 32;
 
 /// Whether a clause wants more rows: `Break` once its `LIMIT` is satisfied.
 pub(crate) type Flow = ControlFlow<()>;
@@ -248,40 +239,21 @@ pub enum MatchMode {
     Reference,
 }
 
-/// One clause of a running pipeline and what it holds between chunks.
+/// One step of a running pipeline and what it holds between chunks.
 enum Stage<'q> {
-    /// `MATCH`, `OPTIONAL MATCH`, `WHERE` or `UNWIND`: each chunk passes
-    /// straight on.
-    Stream(&'q Clause),
-    /// `WITH` or `RETURN`.
     Project(Projector<'q>),
-    /// A barrier: the input collected so far. `fuse` is the projection
-    /// after a `MATCH` the top-k fusion may serve.
-    Collect {
-        clause: &'q Clause,
-        input: Vec<Row>,
-        fuse: Option<&'q Projection>,
-    },
+    /// Any other step, and the input it collected so far (none when it
+    /// streams).
+    Clause(Step<'q>, Vec<Row>),
 }
 
-impl Stage<'_> {
-    /// Whether a pushed chunk goes on through this stage in the same call.
-    fn streams(&self) -> bool {
-        match self {
-            Stage::Stream(_) => true,
-            Stage::Project(p) => matches!(p.fold, Fold::Stream(_)),
-            Stage::Collect { .. } => false,
+impl<'q> Stage<'q> {
+    fn new(step: Step<'q>) -> Self {
+        match step.kind {
+            StepKind::Project(p) => Stage::Project(Projector::new(p)),
+            _ => Stage::Clause(step, Vec::new()),
         }
     }
-}
-
-/// Whether `clause` can pass each chunk straight on: `MATCH`, `WHERE`,
-/// `UNWIND`.
-fn streamable(clause: &Clause) -> bool {
-    matches!(
-        clause,
-        Clause::Match { .. } | Clause::Where(_) | Clause::Unwind { .. }
-    )
 }
 
 /// Append `rows` to `dst`, reusing `rows`' allocation when `dst` is empty.
@@ -446,37 +418,7 @@ impl<'a> Executor<'a> {
     /// Run `clauses` as one pipeline over `rows`: the final rows, and what
     /// the last `RETURN` returned.
     fn run_clauses(&mut self, clauses: &[Clause], rows: Vec<Row>) -> Result<(Vec<Row>, Returned)> {
-        let last_return = clauses.iter().rposition(|c| matches!(c, Clause::Return(_)));
-        let mut stages: Vec<Stage<'_>> = Vec::with_capacity(clauses.len());
-        let mut depth = 0;
-        for (i, clause) in clauses.iter().enumerate() {
-            let deep = depth == STREAM_DEPTH;
-            let fuse = match (clause, clauses.get(i + 1)) {
-                (
-                    Clause::Match {
-                        optional: false, ..
-                    },
-                    Some(Clause::With(p) | Clause::Return(p)),
-                ) if topk_shaped(p) => Some(p),
-                _ => None,
-            };
-            let stage = match clause {
-                Clause::With(p) => Stage::Project(Projector::new(p, true, deep, false)),
-                Clause::Return(p) => {
-                    let tee = Some(i) == last_return && i + 1 < clauses.len();
-                    Stage::Project(Projector::new(p, false, deep || tee, tee))
-                }
-                _ if streamable(clause) && fuse.is_none() && !deep => Stage::Stream(clause),
-                _ => Stage::Collect {
-                    clause,
-                    input: Vec::new(),
-                    fuse,
-                },
-            };
-            depth = if stage.streams() { depth + 1 } else { 0 };
-            stages.push(stage);
-        }
-
+        let mut stages: Vec<Stage<'_>> = steps(clauses).map(Stage::new).collect();
         // A break only says that no more input is wanted: there is none.
         let mut out = Vec::new();
         let _ = in_chunks(rows, |chunk| self.push(&mut stages, &mut out, chunk))?;
@@ -484,9 +426,11 @@ impl<'a> Executor<'a> {
             let (stage, rest) = stages[i..].split_first_mut().expect("i < len");
             let _ = self.finish(stage, rest, &mut out)?;
         }
-        let returned = last_return.map(|i| match &mut stages[i] {
-            Stage::Project(p) => (std::mem::take(&mut p.shape.columns), p.tee.take()),
-            _ => unreachable!("a RETURN projects"),
+        let returned = stages.iter_mut().find_map(|stage| match stage {
+            Stage::Project(p) if p.step.returned => {
+                Some((std::mem::take(&mut p.shape.columns), p.tee.take()))
+            }
+            _ => None,
         });
         Ok((out, returned))
     }
@@ -503,9 +447,11 @@ impl<'a> Executor<'a> {
         };
         let mut next = |chunk: Vec<Row>| self.push(rest, out, chunk);
         match stage {
-            Stage::Stream(clause) => self.stream(clause, rows, &mut next),
             Stage::Project(p) => p.push(&self.ctx(), rows, &mut next),
-            Stage::Collect { input, .. } => {
+            Stage::Clause(step, _) if matches!(step.kind, StepKind::Stream) => {
+                self.stream(step.clause, rows, &mut next)
+            }
+            Stage::Clause(_, input) => {
                 append(input, rows);
                 Ok(Flow::Continue(()))
             }
@@ -521,26 +467,21 @@ impl<'a> Executor<'a> {
         out: &mut Vec<Row>,
     ) -> Result<Flow> {
         let rows = match stage {
-            Stage::Stream(_) => return Ok(Flow::Continue(())),
             Stage::Project(p) => p.finish(&self.ctx())?,
-            Stage::Collect {
-                clause,
-                input,
-                fuse,
-            } => {
+            Stage::Clause(step, input) => {
                 let input = std::mem::take(input);
-                if !streamable(clause) {
-                    self.run_barrier(clause, input)?
-                } else if let Some(matched) = match fuse {
-                    Some(proj) => self.try_indexed_topk(clause, proj, &input)?,
-                    None => None,
-                } {
-                    matched
-                } else {
-                    let clause = *clause;
-                    return in_chunks(input, |chunk| {
-                        self.stream(clause, chunk, &mut |rows| self.push(rest, out, rows))
-                    });
+                match step.kind {
+                    StepKind::Stream => return Ok(Flow::Continue(())),
+                    StepKind::Barrier => self.run_barrier(step.clause, input)?,
+                    _ => match self.try_indexed_topk(step, &input)? {
+                        Some(matched) => matched,
+                        None => {
+                            let clause = step.clause;
+                            return in_chunks(input, |chunk| {
+                                self.stream(clause, chunk, &mut |rows| self.push(rest, out, rows))
+                            });
+                        }
+                    },
                 }
             }
         };
@@ -660,15 +601,13 @@ impl<'a> Executor<'a> {
     /// and re-match the full pattern under the walk's seeds, each walk
     /// stopping at its own `spec.keep` rows. Returns the matched binding
     /// rows (a superset of the final top-k, in order-key order) or `None`
-    /// when fusion declined — no walk planned, the index refuses an
-    /// ordered walk (lossy values), or the candidate budget ran dry — and
-    /// the caller must run the `MATCH` unfused.
-    fn try_indexed_topk(
-        &self,
-        clause: &Clause,
-        proj: &Projection,
-        seeds: &[Row],
-    ) -> Result<Option<Vec<Row>>> {
+    /// when fusion declined — not a fusion candidate, no walk planned, the
+    /// index refuses an ordered walk (lossy values), or the candidate
+    /// budget ran dry — and the caller must run the `MATCH` unfused.
+    fn try_indexed_topk(&self, step: &Step<'_>, seeds: &[Row]) -> Result<Option<Vec<Row>>> {
+        let (clause, StepKind::Collect { fuse: Some(proj) }) = (step.clause, step.kind) else {
+            return Ok(None);
+        };
         let Clause::Match {
             patterns,
             where_clause,
@@ -866,11 +805,7 @@ impl<'a> Executor<'a> {
                 }
                 Ok(rows)
             }
-            Clause::Match { .. }
-            | Clause::Where(_)
-            | Clause::Unwind { .. }
-            | Clause::With(_)
-            | Clause::Return(_) => unreachable!("not an updating clause"),
+            _ => unreachable!("not an updating clause"),
         }
     }
 
@@ -1069,6 +1004,7 @@ struct Projector<'q> {
     shape: Shape<'q>,
     /// `SKIP` and `LIMIT`, evaluated at the first chunk or at the end.
     page: Option<(usize, Option<usize>)>,
+    step: ProjStep<'q>,
     fold: Fold<'q>,
     /// A copy of the result, for a `RETURN` that later clauses move past.
     tee: Option<Vec<Row>>,
@@ -1085,48 +1021,52 @@ struct Shape<'q> {
     columns: Vec<String>,
 }
 
-/// What a projection holds between chunks.
+/// What a projection holds between chunks: the state of its
+/// [`FoldKind`], or a `*` projection's input.
 enum Fold<'q> {
-    /// No aggregation, `ORDER BY`, `DISTINCT` or `*`: rows pass straight
-    /// on; the count is of rows past the filter, against `SKIP`/`LIMIT`.
+    /// The count of rows past the filter, against `SKIP`/`LIMIT`.
     Stream(usize),
-    /// `ORDER BY … LIMIT`: the bounded heap, and how many rows went in
-    /// (the tiebreaking input index).
+    /// The bounded heap, and how many rows went in (the tiebreaking input
+    /// index).
     TopK(TopKRows<'q>, usize),
-    /// `DISTINCT` or a full sort: the projected rows so far (distinct, past
-    /// the filter). Also a streaming shape that must collect.
+    /// The projected rows so far (distinct, past the filter).
     Rows(Vec<Row>),
-    /// Aggregation: the groups so far.
     Groups(Grouper),
-    /// `*`: the input rows — the columns are the names bound in any row.
+    /// `*`: the input rows, until their names are known.
     Star(Vec<Row>),
 }
 
+impl<'q> Fold<'q> {
+    fn new(kind: FoldKind, shape: &Shape<'q>) -> Self {
+        match kind {
+            FoldKind::Stream => Fold::Stream(0),
+            FoldKind::TopK => Fold::TopK(TopKRows::new(&shape.proj.order_by, 0), 0),
+            FoldKind::Rows => Fold::Rows(Vec::new()),
+            FoldKind::Groups => Fold::Groups(Grouper::new(&shape.items)),
+        }
+    }
+}
+
 impl<'q> Projector<'q> {
-    /// `collect`: hand nothing on before the input is complete.
-    fn new(proj: &'q Projection, allow_where: bool, collect: bool, tee: bool) -> Self {
+    fn new(step: ProjStep<'q>) -> Self {
+        let proj = step.proj;
         let items = Cow::Borrowed(&proj.items[..]);
-        let fold = if proj.star {
-            Fold::Star(Vec::new())
-        } else if proj.items.iter().any(|i| i.expr.has_aggregate()) {
-            Fold::Groups(Grouper::new(&items))
-        } else if !proj.distinct && !proj.order_by.is_empty() && proj.limit.is_some() {
-            Fold::TopK(TopKRows::new(&proj.order_by, 0), 0)
-        } else if proj.distinct || !proj.order_by.is_empty() || collect {
-            Fold::Rows(Vec::new())
-        } else {
-            Fold::Stream(0)
+        let shape = Shape {
+            proj,
+            filter: step.filter,
+            columns: items.iter().map(ProjItem::name).collect(),
+            items,
         };
         Projector {
-            shape: Shape {
-                proj,
-                filter: proj.where_clause.as_ref().filter(|_| allow_where),
-                columns: items.iter().map(ProjItem::name).collect(),
-                items,
+            fold: if proj.star {
+                Fold::Star(Vec::new())
+            } else {
+                Fold::new(step.fold, &shape)
             },
+            shape,
             page: None,
-            fold,
-            tee: tee.then(Vec::new),
+            step,
+            tee: step.tee.then(Vec::new),
         }
     }
 
@@ -1205,10 +1145,20 @@ impl<'q> Projector<'q> {
     /// End of input: the rows a folding projection hands on (none for a
     /// streaming one, which handed them on already).
     fn finish(&mut self, ctx: &EvalCtx<'_>) -> Result<Vec<Row>> {
+        if let Fold::Star(input) = &mut self.fold {
+            // The names are known now: fold the input as any projection.
+            let input = std::mem::take(input);
+            let items = star_items(&input, &self.shape.proj.items);
+            self.shape.columns = items.iter().map(ProjItem::name).collect();
+            self.shape.items = Cow::Owned(items);
+            self.fold = Fold::new(self.step.fold, &self.shape);
+            self.page = None; // sizes the fresh top-k heap
+            let _ = self.push(ctx, input, &mut |_| unreachable!("a `*` fold collects"))?;
+        }
         let (skip, limit) = self.page(ctx)?;
         let keep = limit.map(|l| skip.saturating_add(l));
-        let shape = &mut self.shape;
-        let rows = match std::mem::replace(&mut self.fold, Fold::Stream(0)) {
+        let shape = &self.shape;
+        let mut rows = match std::mem::replace(&mut self.fold, Fold::Stream(0)) {
             Fold::Stream(_) => return Ok(Vec::new()),
             Fold::TopK(top, _) => top.into_sorted_rows(),
             Fold::Rows(rows) => shape.order(ctx, rows, keep)?,
@@ -1216,24 +1166,8 @@ impl<'q> Projector<'q> {
                 let rows = groups.finish(ctx, &shape.columns)?;
                 shape.settle(ctx, rows, keep)?
             }
-            Fold::Star(input) => {
-                let items = star_items(&input, &shape.proj.items);
-                shape.columns = items.iter().map(ProjItem::name).collect();
-                shape.items = Cow::Owned(items);
-                let rows = if shape.items.iter().any(|i| i.expr.has_aggregate()) {
-                    let mut groups = Grouper::new(&shape.items);
-                    for row in input {
-                        groups.push(ctx, row)?;
-                    }
-                    groups.finish(ctx, &shape.columns)?
-                } else {
-                    let project = |r: &Row| shape.project(ctx, r);
-                    input.iter().map(project).collect::<Result<_>>()?
-                };
-                shape.settle(ctx, rows, keep)?
-            }
+            Fold::Star(_) => unreachable!("settled above"),
         };
-        let mut rows = rows;
         if let Some(keep) = keep {
             rows.truncate(keep);
         }

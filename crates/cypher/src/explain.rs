@@ -1,10 +1,12 @@
 //! `EXPLAIN` — render a query's physical plan (planner v4).
 //!
-//! The report only formats [`crate::plan::lower_query`]'s output; no
+//! The report prints the steps the executor runs, one or more lines per
+//! step, from [`crate::plan::lower_query`]'s output; no clause kind,
 //! access path or estimate is worked out here. `Seed` lines print the
 //! [`crate::physical::NodeAccess`] of a planned path — the value the
 //! matchers materialize — `Expand` lines its per-hop degree-statistics
-//! fanout and running join-output estimate, and a `TopK` line appears
+//! fanout and running join-output estimate, a projection prints its fold
+//! (`Project` or `Aggregate`) and its `WHERE`, and a `TopK` line appears
 //! when the fusion decision the executor runs (`plan::plan_topk_walk`)
 //! finds an ordered index walk for the `MATCH` + projection pair —
 //! otherwise the pair renders unfused (`Project`, `Sort`, `Page`). Two
@@ -15,11 +17,11 @@
 //! with `actual rows` next to the estimate — the estimated-vs-actual gap
 //! is what the `join_planning` bench tracks.
 
-use crate::ast::{PathPattern, Query};
+use crate::ast::{Clause, PathPattern, ProjItem, Query};
 use crate::error::Result;
 use crate::expr::EvalCtx;
 use crate::parser::parse_query;
-use crate::plan::{lower_query, LogicalOp};
+use crate::plan::{clause_name, lower_query, FoldKind, ProjStep, StepKind, TopKSpec};
 use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
@@ -61,80 +63,49 @@ pub fn render_plan(
     query: &Query,
     executed: Option<&QueryOutput>,
 ) -> Result<String> {
-    let (plan, phys) = lower_query(ctx, query)?;
-    let mut out = String::new();
-    out.push_str("Plan\n");
-    let mut pi = 0usize;
-    for op in &plan.ops {
-        match op {
-            LogicalOp::Seed { optional, .. } => {
-                let p = &phys[pi];
-                pi += 1;
-                let opt = if *optional { "OptionalSeed" } else { "Seed" };
-                let _ = writeln!(
-                    out,
-                    "  {opt} ({}) access={} est={} rows",
-                    p.path.start.var.as_deref().unwrap_or("_"),
-                    p.seed,
-                    p.seed_est
-                );
+    let (steps, phys) = lower_query(ctx, query)?;
+    let mut out = String::from("Plan\n");
+    let mut paths = phys.iter();
+    for step in &steps {
+        match (&step.kind, step.clause) {
+            (StepKind::Project(p), _) => render_projection(&mut out, p, step.topk.as_ref()),
+            (StepKind::Barrier, clause) => {
+                let _ = writeln!(out, "  Update <{}>", clause_name(clause));
             }
-            LogicalOp::Expand { pattern, segment } => {
-                // `pi` has already advanced past this path's Seed.
-                let h = &phys[pi - 1].hops[*segment];
-                let fanout = match h.fanout {
-                    Some(f) => format!("{f:.2}"),
-                    None => "?".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "  Expand {} fanout={fanout} est={} rows",
-                    fmt_hop(pattern, *segment),
-                    fmt_est(h.est_rows)
-                );
+            (
+                _,
+                Clause::Match {
+                    optional,
+                    where_clause,
+                    ..
+                },
+            ) => {
+                let seed = if *optional { "OptionalSeed" } else { "Seed" };
+                for p in paths.by_ref().take(step.paths) {
+                    let var = p.path.start.var.as_deref().unwrap_or("_");
+                    let (access, est) = (&p.seed, p.seed_est);
+                    let _ = writeln!(out, "  {seed} ({var}) access={access} est={est} rows");
+                    for (segment, h) in p.hops.iter().enumerate() {
+                        let fanout = h.fanout.map_or("?".to_string(), |f| format!("{f:.2}"));
+                        let _ = writeln!(
+                            out,
+                            "  Expand {} fanout={fanout} est={} rows",
+                            fmt_hop(&p.path, segment),
+                            fmt_est(h.est_rows)
+                        );
+                    }
+                }
+                if let Some(predicate) = where_clause {
+                    let _ = writeln!(out, "  Filter {}", unparse_expr(predicate));
+                }
             }
-            LogicalOp::Filter { predicate } => {
+            (_, Clause::Where(predicate)) => {
                 let _ = writeln!(out, "  Filter {}", unparse_expr(predicate));
             }
-            LogicalOp::Project { distinct, columns } => {
-                let d = if *distinct {
-                    "Project DISTINCT"
-                } else {
-                    "Project"
-                };
-                let cols = if columns.is_empty() {
-                    "*".to_string()
-                } else {
-                    columns.join(", ")
-                };
-                let _ = writeln!(out, "  {d} [{cols}]");
-            }
-            LogicalOp::Aggregate { columns } => {
-                let _ = writeln!(out, "  Aggregate [{}]", columns.join(", "));
-            }
-            LogicalOp::Sort { keys, descending } => {
-                let dir = if *descending { "desc" } else { "asc" };
-                let _ = writeln!(out, "  Sort keys={keys} {dir}");
-            }
-            LogicalOp::TopK { spec } => {
-                let dir = if spec.descending { "desc" } else { "asc" };
-                let _ = writeln!(
-                    out,
-                    "  TopK {}.{} {dir} keep={}",
-                    spec.var,
-                    spec.keys.join("."),
-                    spec.keep
-                );
-            }
-            LogicalOp::Page => {
-                let _ = writeln!(out, "  Page (SKIP/LIMIT)");
-            }
-            LogicalOp::Unwind { alias } => {
+            (_, Clause::Unwind { alias, .. }) => {
                 let _ = writeln!(out, "  Unwind AS {alias}");
             }
-            LogicalOp::Update { what } => {
-                let _ = writeln!(out, "  Update <{what}>");
-            }
+            _ => unreachable!("only MATCH, WHERE and UNWIND stream or collect"),
         }
     }
     if !phys.is_empty() {
@@ -155,6 +126,39 @@ pub fn render_plan(
         }
     }
     Ok(out)
+}
+
+/// A `WITH`/`RETURN` step: its fold, its `WHERE`, then its order — the
+/// ordered walk it is fused into, else the sort and the page.
+fn render_projection(out: &mut String, step: &ProjStep<'_>, topk: Option<&TopKSpec>) {
+    let proj = step.proj;
+    let op = if step.fold == FoldKind::Groups {
+        "Aggregate"
+    } else {
+        "Project"
+    };
+    let distinct = if proj.distinct { " DISTINCT" } else { "" };
+    let mut cols: Vec<String> = proj.items.iter().map(ProjItem::name).collect();
+    if proj.star {
+        cols.insert(0, "*".to_string());
+    }
+    let _ = writeln!(out, "  {op}{distinct} [{}]", cols.join(", "));
+    if let Some(predicate) = step.filter {
+        let _ = writeln!(out, "  Filter {}", unparse_expr(predicate));
+    }
+    if let Some(spec) = topk {
+        let dir = if spec.descending { "desc" } else { "asc" };
+        let (var, keys, keep) = (&spec.var, spec.keys.join("."), spec.keep);
+        let _ = writeln!(out, "  TopK {var}.{keys} {dir} keep={keep}");
+        return;
+    }
+    if let Some((_, asc)) = proj.order_by.first() {
+        let dir = if *asc { "asc" } else { "desc" };
+        let _ = writeln!(out, "  Sort keys={} {dir}", proj.order_by.len());
+    }
+    if proj.skip.is_some() || proj.limit.is_some() {
+        let _ = writeln!(out, "  Page (SKIP/LIMIT)");
+    }
 }
 
 /// Parse and explain `src` against a read-only view. Read-only queries

@@ -47,7 +47,7 @@ pub use error::{CypherError, Result};
 pub use exec::{Executor, MatchMode, Target};
 pub use explain::{explain_prepared, explain_query};
 pub use parser::{parse_expression, parse_query, parse_query_lenient};
-pub use plan::{lower_query, LogicalOp, LogicalPlan, TopKSpec};
+pub use plan::{lower_query, Step, TopKSpec};
 pub use prepared::{Prepared, StatementCache, StatementClass, STATEMENT_CACHE_CAPACITY};
 pub use row::{Params, QueryOutput, Row};
 pub use unparse::{rename_vars, unparse_clause, unparse_expr, unparse_query};

@@ -1,14 +1,18 @@
-//! Logical plans as data (planner v4).
+//! The clause plan (planner v4).
 //!
-//! The logical layer sits between the AST and the physical access-path
-//! decisions of [`crate::physical`]: a query's clauses are lowered to a
-//! flat list of [`LogicalOp`]s — `Seed`, `Expand`, `Filter`, `Project`,
-//! `Sort`, `TopK`, `Aggregate`, … . A `MATCH` lowers through the very
-//! `plan_patterns` call the matchers make ([`crate::pattern`]), and the
-//! [`PhysicalPathPlan`]s it returns are the values they materialize, so
-//! the `Seed`/`Expand` lines `EXPLAIN` prints are the matcher's plan by
-//! construction. The clause loop around them (what each projection
-//! lowers to) still mirrors `exec::run_clauses` by convention.
+//! `steps` turns a query's clauses into one [`Step`] each, and it is the
+//! only place that decides how a clause runs: streaming (a `MATCH`,
+//! `WHERE` or `UNWIND`, or a `WITH`/`RETURN` without aggregation,
+//! `ORDER BY`, `DISTINCT` or `*`), collecting its input first, projecting
+//! with a fold (a bounded top-k heap, sorted or distinct rows, groups; a
+//! `*` holds its input until the names are known) or as an updating
+//! barrier; which `MATCH` + projection pairs are top-k fusion candidates;
+//! and where a run of streaming clauses collects. [`crate::exec`] builds
+//! its pipeline stages from that list, and `EXPLAIN` prints it:
+//! [`lower_query`] annotates each `MATCH` step with the
+//! [`PhysicalPathPlan`]s of the very `plan_patterns` call the matchers
+//! make ([`crate::pattern`]), so the `Seed`/`Expand` lines are the
+//! matcher's plan by construction.
 //!
 //! This module is also the home of the **top-k fusion decision**:
 //! [`TopKSpec`] and `plan_topk_projection` (the projection-side decline
@@ -22,7 +26,7 @@
 use crate::ast::{Clause, Expr, PathPattern, Projection, Query};
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
-use crate::pattern::{extract_pushdowns, pattern_vars, plan_patterns, Pushdowns};
+use crate::pattern::{extract_pushdowns, plan_patterns, Pushdowns};
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
 use pg_graph::{IndexScope, Value};
@@ -61,7 +65,7 @@ pub(crate) fn eval_const_int(ctx: &EvalCtx<'_>, e: &Expr) -> Result<i64> {
 
 /// Whether a projection has the shape a top-k fusion can serve: `ORDER BY`
 /// and `LIMIT`, no `DISTINCT`, no post-`WITH` `WHERE`, no aggregate.
-pub(crate) fn topk_shaped(proj: &Projection) -> bool {
+fn topk_shaped(proj: &Projection) -> bool {
     !proj.order_by.is_empty()
         && proj.limit.is_some()
         && !proj.distinct
@@ -277,128 +281,145 @@ pub(crate) fn plan_topk_walk<'q>(
 }
 
 // ---------------------------------------------------------------------
-// Logical plan IR
+// The clause plan
 // ---------------------------------------------------------------------
 
-/// One operator of a logical plan. A `MATCH` clause lowers to one
-/// [`LogicalOp::Seed`] plus a chain of [`LogicalOp::Expand`]s per planned
-/// (re-rooted, join-ordered) path, followed by a [`LogicalOp::Filter`]
-/// for the residual `WHERE`; projections lower to
-/// `Aggregate`/`Project`/`Sort`/`TopK`/`Page` as their shape dictates.
-#[derive(Debug, Clone)]
-pub enum LogicalOp {
-    /// Enumerate candidates for one planned path's anchor position.
-    Seed {
-        optional: bool,
-        pattern: PathPattern,
-    },
-    /// Expand one hop (`pattern.segments[segment]`) from the rows of the
-    /// previous operator.
-    Expand {
-        pattern: PathPattern,
-        segment: usize,
-    },
-    /// Residual predicate evaluation (the full `WHERE`).
-    Filter { predicate: Expr },
-    /// Row projection (`WITH` / `RETURN`), possibly distinct.
-    Project {
-        distinct: bool,
-        columns: Vec<String>,
-    },
-    /// Grouped aggregation (`count`/`sum`/…).
-    Aggregate { columns: Vec<String> },
-    /// Full or bounded (`LIMIT`-capped heap) sort by the `ORDER BY` keys.
-    Sort { keys: usize, descending: bool },
-    /// An index-served fused top-k walk replacing Seed/Expand enumeration.
-    TopK { spec: TopKSpec },
-    /// `SKIP` / `LIMIT` application.
-    Page,
-    /// `UNWIND`.
-    Unwind { alias: String },
-    /// An updating or otherwise opaque clause, carried through verbatim.
-    Update { what: &'static str },
+/// Consecutive streaming clauses one chunk passes through as nested calls
+/// before the next one collects its input instead: each is a stack frame
+/// of the executor's push, and a query text is not bounded in clauses.
+const STREAM_DEPTH: usize = 32;
+
+/// One clause of a query, as the executor runs it and `EXPLAIN` prints it.
+#[derive(Debug)]
+pub struct Step<'q> {
+    pub(crate) clause: &'q Clause,
+    pub(crate) kind: StepKind<'q>,
+    /// Set by [`lower_query`] only: how many of the planned paths it
+    /// returns are this `MATCH`'s,
+    pub(crate) paths: usize,
+    /// and the walk of a projection fused with the `MATCH` before it.
+    pub(crate) topk: Option<TopKSpec>,
 }
 
-/// A whole query lowered to logical operators.
-#[derive(Debug, Clone, Default)]
-pub struct LogicalPlan {
-    pub ops: Vec<LogicalOp>,
+/// How a clause takes its input.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepKind<'q> {
+    /// `MATCH`, `OPTIONAL MATCH`, `WHERE` or `UNWIND`: each chunk passes
+    /// straight on.
+    Stream,
+    /// One of those that collects its whole input first and then streams
+    /// it on: every `STREAM_DEPTH`-th clause of a streaming run, and a
+    /// `MATCH` the top-k fusion may serve together with the projection
+    /// `fuse` after it (the fusion decides from all seed rows).
+    Collect { fuse: Option<&'q Projection> },
+    /// `WITH` or `RETURN`.
+    Project(ProjStep<'q>),
+    /// An updating clause: collects its whole input and runs once.
+    Barrier,
 }
 
-/// Lower one `MATCH` clause: plan it from `seed` (the representative seed
-/// row — execution plans per seed row, which can only refine the order),
-/// then emit `Seed`/`Expand` per planned path and a trailing `Filter`.
-/// Returns the planned paths — the values a matcher would run — with
-/// `label_hints` applied to their estimates.
-pub(crate) fn lower_match(
-    ctx: &EvalCtx<'_>,
-    seed: &Row,
-    optional: bool,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    label_hints: &HashMap<String, Vec<String>>,
-    plan: &mut LogicalPlan,
-) -> Vec<PhysicalPathPlan> {
-    let pushed = extract_pushdowns(where_clause);
-    let mut planned = plan_patterns(ctx, seed, patterns, &pushed);
-    for path in &mut planned {
-        path.apply_hints(ctx, label_hints);
-        plan.ops.push(LogicalOp::Seed {
-            optional,
-            pattern: path.path.clone(),
-        });
-        for seg in 0..path.path.segments.len() {
-            plan.ops.push(LogicalOp::Expand {
-                pattern: path.path.clone(),
-                segment: seg,
-            });
+/// A `WITH` or `RETURN` step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProjStep<'q> {
+    pub(crate) proj: &'q Projection,
+    pub(crate) fold: FoldKind,
+    /// The `WHERE` of a `WITH`, over the projected rows.
+    pub(crate) filter: Option<&'q Expr>,
+    /// The query's last `RETURN`: its columns are the result's,
+    pub(crate) returned: bool,
+    /// and so are its rows when later clauses move past them.
+    pub(crate) tee: bool,
+}
+
+/// What a projection folds its input into. A `*` projection holds its
+/// input first — its columns are the names bound in any row — and then
+/// folds it as its kind says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FoldKind {
+    /// No aggregation, `ORDER BY`, `DISTINCT` or `*`, and no collect
+    /// point: rows pass straight on.
+    Stream,
+    /// `ORDER BY … LIMIT`: a bounded heap.
+    TopK,
+    /// `DISTINCT`, a full sort, `*` or a collect point: the projected rows.
+    Rows,
+    /// Aggregation: the groups.
+    Groups,
+}
+
+impl FoldKind {
+    /// `collect`: hand nothing on before the input is complete.
+    fn of(proj: &Projection, collect: bool) -> FoldKind {
+        let sorted = !proj.order_by.is_empty();
+        if proj.items.iter().any(|it| it.expr.has_aggregate()) {
+            FoldKind::Groups
+        } else if sorted && proj.limit.is_some() && !proj.distinct {
+            FoldKind::TopK
+        } else if sorted || proj.distinct || proj.star || collect {
+            FoldKind::Rows
+        } else {
+            FoldKind::Stream
         }
     }
-    if let Some(w) = where_clause {
-        plan.ops.push(LogicalOp::Filter {
-            predicate: w.clone(),
-        });
-    }
-    planned
 }
 
-/// Lower a projection (`WITH` / `RETURN`); `fused` carries the top-k spec
-/// when the preceding `MATCH` was fused into an ordered index walk.
-pub(crate) fn lower_projection(
-    proj: &Projection,
-    fused: Option<&TopKSpec>,
-    plan: &mut LogicalPlan,
-) {
-    let columns: Vec<String> = proj.items.iter().map(|it| it.name()).collect();
-    if proj.items.iter().any(|it| it.expr.has_aggregate()) {
-        plan.ops.push(LogicalOp::Aggregate { columns });
-    } else {
-        plan.ops.push(LogicalOp::Project {
-            distinct: proj.distinct,
-            columns,
-        });
-    }
-    if let Some(spec) = fused {
-        plan.ops.push(LogicalOp::TopK { spec: spec.clone() });
-        return;
-    }
-    if !proj.order_by.is_empty() {
-        plan.ops.push(LogicalOp::Sort {
-            keys: proj.order_by.len(),
-            descending: proj.order_by.first().is_some_and(|(_, asc)| !*asc),
-        });
-    }
-    if proj.skip.is_some() || proj.limit.is_some() {
-        plan.ops.push(LogicalOp::Page);
-    }
+/// The plan of `clauses`, one [`Step`] per clause: the one place that
+/// decides each clause's kind, each projection's fold, the top-k fusion
+/// candidates and the collect points.
+pub(crate) fn steps(clauses: &[Clause]) -> impl Iterator<Item = Step<'_>> {
+    let last_return = clauses.iter().rposition(|c| matches!(c, Clause::Return(_)));
+    let mut depth = 0;
+    clauses.iter().enumerate().map(move |(i, clause)| {
+        let collect = depth == STREAM_DEPTH;
+        let next = clauses.get(i + 1);
+        let fuse = match (clause, next) {
+            (
+                Clause::Match {
+                    optional: false, ..
+                },
+                Some(Clause::With(p) | Clause::Return(p)),
+            ) if topk_shaped(p) => Some(p),
+            _ => None,
+        };
+        let kind = match clause {
+            Clause::With(proj) | Clause::Return(proj) => {
+                let with = matches!(clause, Clause::With(_));
+                let returned = Some(i) == last_return;
+                let tee = returned && next.is_some();
+                StepKind::Project(ProjStep {
+                    proj,
+                    fold: FoldKind::of(proj, collect || tee),
+                    filter: proj.where_clause.as_ref().filter(|_| with),
+                    returned,
+                    tee,
+                })
+            }
+            Clause::Match { .. } | Clause::Where(_) | Clause::Unwind { .. } => {
+                if collect || fuse.is_some() {
+                    StepKind::Collect { fuse }
+                } else {
+                    StepKind::Stream
+                }
+            }
+            _ => StepKind::Barrier,
+        };
+        depth = match kind {
+            StepKind::Stream => depth + 1,
+            StepKind::Project(p) if p.fold == FoldKind::Stream => depth + 1,
+            _ => 0,
+        };
+        Step {
+            clause,
+            kind,
+            paths: 0,
+            topk: None,
+        }
+    })
 }
 
-/// Lower a whole query to its logical plan. Mirrors the executor's clause
-/// loop — the `MATCH` + `WITH`/`RETURN` top-k fusion is the executor's own
-/// decision (`plan_topk_projection`, `plan_topk_walk`), a pair without a
-/// walk lowers exactly like the unfused clauses — so `EXPLAIN` prints
-/// what `run_clauses` will do. Also returns, aligned with the `Seed` ops
-/// in order, each planned path (seed access and join-output estimates).
+/// The steps of `query` annotated for `EXPLAIN`, and the planned paths
+/// of its `MATCH` steps in order. A fusion candidate's projection carries
+/// the walk the executor's own top-k decision finds.
 ///
 /// Later clauses are planned from a **representative bound row**: every
 /// variable an earlier clause binds is present, bound to `Null`. That is
@@ -410,121 +431,64 @@ pub(crate) fn lower_projection(
 /// (with real values) finds rows. The annotation documents the access
 /// path; the row estimate for correlated cross-clause predicates is a
 /// lower bound.
-pub fn lower_query(
+pub fn lower_query<'q>(
     ctx: &EvalCtx<'_>,
-    query: &Query,
-) -> Result<(LogicalPlan, Vec<PhysicalPathPlan>)> {
-    let mut plan = LogicalPlan::default();
-    let mut seeds_out: Vec<PhysicalPathPlan> = Vec::new();
-    let clauses = &query.clauses;
+    query: &'q Query,
+) -> Result<(Vec<Step<'q>>, Vec<PhysicalPathPlan>)> {
+    let mut steps: Vec<Step<'q>> = steps(&query.clauses).collect();
+    let mut planned = Vec::new();
     // Representative seed row: earlier clauses' bindings, as Null.
     let mut bound = Row::new();
-    let bind_patterns = |bound: &mut Row, patterns: &[PathPattern]| {
-        for v in pattern_vars(patterns) {
-            if !bound.contains(&v) {
-                bound.set(v, Value::Null);
-            }
-        }
-    };
     // Labels each pattern variable was declared with, for fanout lookups
     // at unlabeled re-use sites (`MATCH (u:User) MATCH (u)-[:F]->…`).
     let mut hints: HashMap<String, Vec<String>> = HashMap::new();
-    let mut i = 0;
-    while i < clauses.len() {
-        match &clauses[i] {
-            Clause::Match {
-                optional,
-                patterns,
-                where_clause,
-            } => {
-                // The fusion decision the executor makes, over the
-                // representative row: projection shape, then the walk.
-                let reps = std::slice::from_ref(&bound);
-                let fused = match clauses.get(i + 1) {
-                    Some(Clause::With(p) | Clause::Return(p)) if !optional => {
-                        plan_topk_projection(ctx, p, reps)?
-                            .filter(|spec| {
-                                let pushed = extract_pushdowns(where_clause.as_ref());
-                                plan_topk_walk(ctx, patterns, &pushed, spec, reps).is_some()
-                            })
-                            .map(|spec| (p, spec))
-                    }
-                    _ => None,
-                };
-                note_hints(&mut hints, patterns);
-                let planned = lower_match(
-                    ctx,
-                    &bound,
-                    *optional,
-                    patterns,
-                    where_clause.as_ref(),
-                    &hints,
-                    &mut plan,
-                );
-                seeds_out.extend(planned);
-                bind_patterns(&mut bound, patterns);
-                if let Some((p, spec)) = fused {
-                    lower_projection(p, Some(&spec), &mut plan);
-                    rebind_projection(&mut bound, p);
-                    i += 2;
-                    continue;
-                }
-            }
-            Clause::With(p) | Clause::Return(p) => {
-                lower_projection(p, None, &mut plan);
-                rebind_projection(&mut bound, p);
-                // A projection ends the old variables' scope: drop hints
-                // for names a later clause may re-introduce fresh.
-                hints.retain(|k, _| bound.contains(k));
-            }
-            Clause::Where(pred) => plan.ops.push(LogicalOp::Filter {
-                predicate: pred.clone(),
-            }),
-            Clause::Unwind { alias, .. } => {
-                plan.ops.push(LogicalOp::Unwind {
-                    alias: alias.clone(),
-                });
-                if !bound.contains(alias) {
-                    bound.set(alias.clone(), Value::Null);
-                }
-            }
-            other => {
-                plan.ops.push(LogicalOp::Update {
-                    what: clause_name(other),
-                });
-                match other {
-                    Clause::Create { patterns } => {
-                        note_hints(&mut hints, patterns);
-                        bind_patterns(&mut bound, patterns);
-                    }
-                    Clause::Merge { pattern, .. } => {
-                        note_hints(&mut hints, std::slice::from_ref(pattern));
-                        bind_patterns(&mut bound, std::slice::from_ref(pattern));
-                    }
-                    _ => {}
-                }
-            }
+    for i in 0..steps.len() {
+        if let StepKind::Project(p) = steps[i].kind {
+            rebind_projection(&mut bound, p.proj);
+            // A projection ends the old variables' scope: drop hints
+            // for names a later clause may re-introduce fresh.
+            hints.retain(|k, _| bound.contains(k));
+            continue;
         }
-        i += 1;
+        let patterns = match steps[i].clause {
+            Clause::Match { patterns, .. } | Clause::Create { patterns } => &patterns[..],
+            Clause::Merge { pattern, .. } => std::slice::from_ref(pattern),
+            Clause::Unwind { alias, .. } => {
+                bound.set(alias, Value::Null);
+                continue;
+            }
+            _ => continue,
+        };
+        note_hints(&mut hints, patterns);
+        if let Clause::Match { where_clause, .. } = steps[i].clause {
+            let pushed = extract_pushdowns(where_clause.as_ref());
+            if let StepKind::Collect { fuse: Some(proj) } = steps[i].kind {
+                let reps = std::slice::from_ref(&bound);
+                let walks =
+                    |spec: &TopKSpec| plan_topk_walk(ctx, patterns, &pushed, spec, reps).is_some();
+                steps[i + 1].topk = plan_topk_projection(ctx, proj, reps)?.filter(walks);
+            }
+            let mut paths = plan_patterns(ctx, &bound, patterns, &pushed);
+            for path in &mut paths {
+                path.apply_hints(ctx, &hints);
+            }
+            steps[i].paths = paths.len();
+            planned.extend(paths);
+        }
+        for v in patterns.iter().flat_map(PathPattern::vars) {
+            bound.set(v, Value::Null);
+        }
     }
-    Ok((plan, seeds_out))
+    Ok((steps, planned))
 }
 
 /// Record the labels each node variable is declared with, so a later
 /// unlabeled re-use site can still look up degree statistics. First
 /// declaration wins (that is the clause that bound the variable).
 fn note_hints(hints: &mut HashMap<String, Vec<String>>, patterns: &[PathPattern]) {
-    let mut note = |np: &crate::ast::NodePattern| {
-        if let Some(v) = &np.var {
-            if !np.labels.is_empty() && !hints.contains_key(v) {
-                hints.insert(v.clone(), np.labels.clone());
-            }
-        }
-    };
-    for p in patterns {
-        note(&p.start);
-        for (_, np) in &p.segments {
-            note(np);
+    for np in patterns.iter().flat_map(PathPattern::nodes) {
+        if let (Some(v), false) = (&np.var, np.labels.is_empty()) {
+            hints.entry(v.clone()).or_insert_with(|| np.labels.clone());
         }
     }
 }
@@ -532,24 +496,17 @@ fn note_hints(hints: &mut HashMap<String, Vec<String>>, patterns: &[PathPattern]
 /// After a `WITH`/`RETURN`, only the projected names survive (`*` keeps
 /// everything already bound alongside the explicit items).
 fn rebind_projection(bound: &mut Row, proj: &Projection) {
-    let mut next = if proj.star { bound.clone() } else { Row::new() };
-    for it in &proj.items {
-        let name = it.name();
-        if !next.contains(&name) {
-            next.set(name, Value::Null);
-        }
+    if !proj.star {
+        *bound = Row::new();
     }
-    *bound = next;
+    for it in &proj.items {
+        bound.set(it.name(), Value::Null);
+    }
 }
 
-/// A short, stable name for an opaque clause.
-fn clause_name(c: &Clause) -> &'static str {
+/// A short, stable name for an updating clause.
+pub(crate) fn clause_name(c: &Clause) -> &'static str {
     match c {
-        Clause::Match { .. } => "Match",
-        Clause::Where(_) => "Where",
-        Clause::Unwind { .. } => "Unwind",
-        Clause::With(_) => "With",
-        Clause::Return(_) => "Return",
         Clause::Create { .. } => "Create",
         Clause::Merge { .. } => "Merge",
         Clause::Delete { detach: true, .. } => "DetachDelete",
@@ -558,5 +515,6 @@ fn clause_name(c: &Clause) -> &'static str {
         Clause::Remove { .. } => "Remove",
         Clause::Foreach { .. } => "Foreach",
         Clause::Abort(_) => "Abort",
+        _ => unreachable!("only an updating clause is a barrier"),
     }
 }

@@ -190,6 +190,64 @@ fn aggregate_and_sort() {
     );
 }
 
+/// A `WITH … WHERE` filters the projected rows: the plan prints it after
+/// the projection that produces them.
+#[test]
+fn with_where_prints_its_filter() {
+    assert_eq!(
+        explain("MATCH (p:Person) WITH p WHERE p.age > 22 RETURN p"),
+        "Plan\n\
+         \x20 Seed (p) access=LabelScan(Person) est=8 rows\n\
+         \x20 Project [p]\n\
+         \x20 Filter (p.age > 22)\n\
+         \x20 Project [p]\n\
+         estimated match rows: 8\n\
+         actual rows: 5\n"
+    );
+}
+
+#[test]
+fn having_style_filter_follows_the_aggregate() {
+    assert_eq!(
+        explain(
+            "MATCH (p:Person) WITH p.team AS t, count(*) AS c WHERE c > 1 \
+             RETURN t ORDER BY t"
+        ),
+        "Plan\n\
+         \x20 Seed (p) access=LabelScan(Person) est=8 rows\n\
+         \x20 Aggregate [t, c]\n\
+         \x20 Filter (c > 1)\n\
+         \x20 Project [t]\n\
+         \x20 Sort keys=1 asc\n\
+         estimated match rows: 8\n\
+         actual rows: 2\n"
+    );
+}
+
+#[test]
+fn star_projection_keeps_its_star() {
+    assert_eq!(
+        explain("MATCH (p:Person) RETURN *, p.age AS a"),
+        "Plan\n\
+         \x20 Seed (p) access=LabelScan(Person) est=8 rows\n\
+         \x20 Project [*, a]\n\
+         estimated match rows: 8\n\
+         actual rows: 8\n"
+    );
+}
+
+#[test]
+fn distinct_aggregate_says_distinct() {
+    assert_eq!(
+        explain("MATCH (p:Person) RETURN DISTINCT count(DISTINCT p.team) AS t"),
+        "Plan\n\
+         \x20 Seed (p) access=LabelScan(Person) est=8 rows\n\
+         \x20 Aggregate DISTINCT [t]\n\
+         estimated match rows: 8\n\
+         actual rows: 1\n"
+    );
+}
+
 /// 200 Patient, 10 Hospital, 200 TreatedAt (patient *i* → hospital
 /// *i mod 10*, `w = i`) with a relationship index on `TreatedAt(w)`: the
 /// pushed `t.w = 5` makes the relationship the cheapest way into the

@@ -8,7 +8,7 @@
 //! walk is constructed, the probe counters additionally prove no ordered
 //! walk ran.
 
-use pg_cypher::{run_query, Params, QueryOutput};
+use pg_cypher::{explain_query, run_query, Params, QueryOutput};
 use pg_graph::{Graph, IndexDef, PropertyMap, Value};
 
 fn props(entries: &[(&str, Value)]) -> PropertyMap {
@@ -22,8 +22,28 @@ fn cols(cs: &[&str]) -> Vec<String> {
     cs.iter().map(|c| c.to_string()).collect()
 }
 
+/// Run `src`, holding `EXPLAIN` to the run: the plan prints a `TopK` line
+/// exactly when the run made an ordered probe. The two declines only a
+/// run can make still probe (the index refuses the walk, or the walk runs
+/// out of budget): there `TopK` is printed and the heap path serves the
+/// rows, which `decline_lossy_values` and `decline_walk_budget_bail`
+/// assert.
 fn run(graph: &mut Graph, src: &str) -> QueryOutput {
-    run_query(graph, src, &Params::new(), 0).unwrap_or_else(|e| panic!("{src}: {e}"))
+    let topk = explains_topk(graph, src);
+    graph.reset_index_probes();
+    let out = run_query(graph, src, &Params::new(), 0).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let walked = graph.index_probes().ordered >= 1;
+    assert_eq!(
+        topk, walked,
+        "{src}: TopK printed = {topk}, walked = {walked}"
+    );
+    out
+}
+
+/// Whether `EXPLAIN` prints a fused top-k walk for `src`.
+fn explains_topk(graph: &Graph, src: &str) -> bool {
+    let plan = explain_query(graph, src, &Params::new(), 0).unwrap();
+    plan.contains("\n  TopK ")
 }
 
 fn assert_same(plain: &mut Graph, indexed: &mut Graph, q: &str) {
@@ -258,6 +278,14 @@ fn decline_lossy_values() {
     assert_same(&mut plain, &mut indexed, q);
     let out = run(&mut indexed, q);
     assert_eq!(out.rows, vec![vec![Value::Int((1 << 53) + 1)]]);
+    // That order mixes directions, so it declines before any walk. In one
+    // direction the refusal is decided at run time: the plan still fuses,
+    // the heap path answers.
+    let q = "MATCH (i:Item) WITH i ORDER BY i.a DESC, i.b DESC LIMIT 1 RETURN i.b AS b";
+    assert_same(&mut plain, &mut indexed, q);
+    assert!(explains_topk(&indexed, q));
+    let out = run(&mut indexed, q);
+    assert_eq!(out.rows, vec![vec![Value::Int((1 << 53) + 1)]]);
 }
 
 #[test]
@@ -338,6 +366,8 @@ fn decline_walk_budget_bail() {
     assert_same(&mut plain, &mut indexed, &q);
     let out = run(&mut indexed, &q);
     assert_eq!(out.rows, vec![vec![Value::Int(n - 1)]]);
+    // Decided at run time: the plan still fuses, the heap path answers.
+    assert!(explains_topk(&indexed, &q));
 }
 
 #[test]
