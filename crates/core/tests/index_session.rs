@@ -1,13 +1,17 @@
 //! `CREATE INDEX` DDL through the session, and index consistency when the
 //! engine aborts work: statement rollback inside an explicit transaction
-//! and a trigger cascade cut off by `RecursionLimit`.
+//! and a trigger cascade cut off by `RecursionLimit`. The DDL parsers
+//! (index and trigger) are also fed hostile text and must return a value
+//! or a typed error, never panic.
 
 use pg_graph::{
     CompositeTrailing, GraphView, IndexDef, IndexProbe, IndexScope, NodeId, ProbeMode, Value,
 };
 use pg_triggers::{
-    parse_index_ddl, EngineConfig, ExecResult, IndexDdl, InstallError, Session, TriggerError,
+    parse_index_ddl, parse_trigger_ddl, EngineConfig, ExecResult, IndexDdl, InstallError, Session,
+    TriggerError,
 };
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn count(s: &mut Session, label: &str) -> i64 {
@@ -355,4 +359,85 @@ fn indexed_condition_still_fires_triggers_exactly() {
     assert_eq!(count(&mut s, "Alert"), 0);
     s.run("CREATE (:Admission {hospital: 'H7'})").unwrap();
     assert_eq!(count(&mut s, "Alert"), 1);
+}
+
+/// Valid DDL the mutations start from: index definitions in every
+/// spelling, and trigger definitions of the paper's shapes (every action
+/// time, granularity, event kind, a condition pipeline, `REFERENCING`).
+const VALID_DDL: [&str; 8] = [
+    "CREATE INDEX ON :Patient(status, severity)",
+    "DROP INDEX ON -[:TreatedAt(since, ward)]-;",
+    "CREATE INDEX ON 'Lineage'(name)",
+    "CREATE TRIGGER NewCriticalMutation AFTER CREATE ON 'Mutation' FOR EACH NODE \
+     WHEN EXISTS (NEW)-[:Risk]-(:CriticalEffect) \
+     BEGIN CREATE (:Alert {time: DATETIME(), desc: 'New critical mutation', mutation: NEW.name}) END",
+    "CREATE TRIGGER NewCriticalLineage AFTER CREATE ON 'BelongsTo' FOR EACH RELATIONSHIP \
+     WHEN MATCH (s:Sequence)-[NEW]-(l:Lineage) \
+     WHERE EXISTS { MATCH (:CriticalEffect)-[:Risk]-(:Mutation)-[:FoundIn]-(s) } \
+     BEGIN CREATE (:Alert {lineage: l.name}) END",
+    "CREATE TRIGGER WhoDesignationChange AFTER SET ON 'Lineage'.'whoDesignation' FOR EACH NODE \
+     WHEN OLD.whoDesignation <> NEW.whoDesignation BEGIN CREATE (:Alert) END",
+    "CREATE TRIGGER IcuPatientsOverThreshold AFTER CREATE ON 'IcuPatient' FOR ALL NODES \
+     WHEN MATCH (p:IcuPatient)-[:TreatedAt]-(:Hospital {name: 'Sacco'}) \
+     WITH COUNT(DISTINCT p) AS icuPat WHERE icuPat > 50 \
+     BEGIN CREATE (:Alert {n: icuPat}) END",
+    "CREATE TRIGGER Audit ONCOMMIT DELETE ON 'Patient' REFERENCING OLDNODES AS gone \
+     FOR ALL NODES BEGIN UNWIND gone AS g CREATE (:Log {id: g.id}) END",
+];
+
+/// Words and symbols of both DDLs and the lexer's edge cases.
+const DDL_SOUP: [&str; 28] = [
+    "CREATE", "DROP", "INDEX", "TRIGGER", "ON", "AFTER", "BEFORE", "ONCOMMIT", "DETACHED", "SET",
+    "FOR", "EACH", "ALL", "NODE", "NODES", "WHEN", "BEGIN", "END", "'L'", ".", ":", "(", ")", "-[",
+    "]-", ",", "'", "é",
+];
+
+/// `text` with its `at`-th space-separated token written twice.
+fn with_token_duplicated(text: &str, at: usize) -> String {
+    let tokens: Vec<&str> = text.split(' ').collect();
+    let at = at % tokens.len();
+    let mut out: Vec<&str> = tokens[..=at].to_vec();
+    out.extend(&tokens[at..]);
+    out.join(" ")
+}
+
+/// Both DDL parsers on `text`: each returns a value or an error whose
+/// message renders.
+fn parse_ddl(text: &str) {
+    if let Err(e) = parse_index_ddl(text) {
+        let _ = e.to_string();
+    }
+    if let Err(e) = parse_trigger_ddl(text) {
+        let _ = e.to_string();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn ddl_parsers_never_panic_on_arbitrary_text(text in "[ -~é\n]{0,48}") {
+        parse_ddl(&text);
+    }
+
+    #[test]
+    fn ddl_parsers_never_panic_on_token_soup(picks in proptest::collection::vec(0usize..28, 0..32)) {
+        let words: Vec<&str> = picks.iter().map(|&i| DDL_SOUP[i]).collect();
+        parse_ddl(&words.join(" "));
+        parse_ddl(&words.concat());
+    }
+
+    #[test]
+    fn ddl_parsers_never_panic_on_mutated_valid_ddl(pick in 0usize..8, at in 0usize..64) {
+        let valid = VALID_DDL[pick];
+        if let (Err(index), Err(trigger)) = (parse_index_ddl(valid), parse_trigger_ddl(valid)) {
+            return Err(TestCaseError::fail(format!("`{valid}`: {index}; {trigger}")));
+        }
+        for text in [valid.to_string(), with_token_duplicated(valid, at)] {
+            for (cut, _) in text.char_indices() {
+                parse_ddl(&text[..cut]);
+            }
+            parse_ddl(&text);
+        }
+    }
 }

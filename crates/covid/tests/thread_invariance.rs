@@ -1,10 +1,14 @@
 //! Batched-vs-reference twin over the §6 COVID scenario.
 //!
-//! A `MATCH` runs the batched stage-wise matcher on the caller's thread;
-//! the reference DFS is kept as its oracle. This file checks the two
-//! agree — every row, order included — on the paper's own workload: a
-//! panel of multi-seed pipelines and ordered projections over the
-//! finished scenario graph, so a batching bug shows up as a row diff.
+//! A `MATCH` runs the one stage pipeline on the caller's thread, either
+//! grouping the seed rows that share a plan (`MatchMode::Batched`, which
+//! shares seed candidates and memoizes hops) or running every seed as its
+//! own group, which shares nothing (`MatchMode::Reference`). This file
+//! checks the two agree — every row, order included — on the paper's own
+//! workload: a panel of multi-seed pipelines and ordered projections over
+//! the finished scenario graph, so a sharing bug shows up as a row diff.
+//! What a match is, independent of the planner, is
+//! `crates/cypher/tests/match_oracle.rs`'s business.
 
 use pg_covid::{GeneratorConfig, Scenario, ScenarioConfig};
 use pg_cypher::{parse_query, Executor, MatchMode, Params, Target};

@@ -1,68 +1,60 @@
-//! Batch-at-a-time pattern matching (planner v4).
+//! The pattern matcher: a streaming stage pipeline (planner v4).
 //!
-//! The reference executor ([`crate::pattern::match_patterns`]) recurses
-//! one seed row at a time: each seed plans its join order, materializes
-//! its seeds and walks its own DFS. This module plans each seed the same
-//! way — once per chunk of at most [`CHUNK_ROWS`] seed rows the executor
-//! hands it, with the same `plan_patterns` — and then runs **operator
-//! stages over candidate batches**: all seed rows whose planned paths
-//! agree (a *group*) advance together through one `Seed` stage and one
-//! `Expand` stage per segment, so stage-level work can be shared across
-//! the whole group:
+//! Every `MATCH`, `OPTIONAL MATCH`, `EXISTS`, `MERGE` and fused top-k
+//! re-match runs here. Each seed row is planned by `plan_patterns` and
+//! then flows through **operator stages**: one seed stage per planned
+//! path, one expand stage per segment, then the residual `WHERE`. Seed
+//! rows whose planned paths agree (a *group*) advance together, so a stage
+//! can share work across the group:
 //!
-//! * the **seed candidate vector** is computed once per batch when the
-//!   path's access decision cannot observe any binding a seed row carries
-//!   (no transition variables, no pushed operand referencing a bound
-//!   variable);
-//! * **hop expansions are memoized per source node** within a stage when
-//!   the relationship pattern is seed-independent — the common star-join
-//!   shape where many intermediate rows fan into the same hub re-uses one
-//!   adjacency scan (plus its index-vs-adjacency serve decision) instead
-//!   of recomputing it per row;
-//! * **target-node pattern checks are memoized per node** under the same
-//!   kind of gate — a hub's label/prop conformance is decided once per
-//!   stage, not once per incoming row.
+//! * the **seed candidate vector** is computed once when the path's access
+//!   decision cannot observe a binding any seed row carries;
+//! * **hop expansions are memoized per source node** when the relationship
+//!   pattern is seed-independent — a star join whose rows fan into one hub
+//!   scans (and decides index-vs-adjacency for) the hub once per stage;
+//! * **target-node checks are memoized per node** under the same kind of
+//!   gate.
 //!
-//! Sharing is gated on a **liveness analysis**: a stage input is shared
-//! only if none of the variables the stage's planning consults (pattern
-//! variables, transition-variable labels, free variables of inline props
-//! and pushed-down operands) is bound in *any* batched row at that stage.
-//! The live set is computed statically — a name is bound in some row at a
-//! stage iff it is bound in some *seed* row or it is a pattern variable
-//! of an already-traversed position — so the gates cost O(pattern), not
-//! O(batch), per stage. An operand referencing a variable bound in no row
-//! fails evaluation identically for every row, so the per-row fallbacks
-//! also agree.
+//! Sharing is gated on a **liveness analysis**: a stage shares only if
+//! none of the names its decision reads (pattern variables,
+//! transition-variable labels, free variables of inline props and pushed
+//! operands) is bound in *any* row of the group at that stage. The live set
+//! is static — the seed rows' names plus every pattern variable already
+//! traversed — so a gate costs O(pattern), not O(group). An operand that
+//! reads a name bound in no row fails evaluation identically for every
+//! row, so the per-row fallbacks agree too. A group of one —
+//! every trigger condition, `EXISTS`, `MERGE`, and every seed under
+//! [`MatchMode::Reference`] — shares nothing and builds no live set or memo.
 //!
-//! **Streaming.** The stages do not hand whole batches on: a stage passes
-//! its output to the next every [`CHUNK_ROWS`] partial matches, and that
-//! slice is drained through every later stage — down to the executor's
-//! callback — before the stage continues. No stage holds a whole fan-out:
-//! a hub join holds at most one chunk per stage, and stops as soon as the
-//! callback breaks (a satisfied `LIMIT`). The seed candidate vector and
-//! the memo tables live for the whole group, so sharing is what it was.
+//! **Streaming.** A stage hands its output on every [`CHUNK_ROWS`] partial
+//! matches, and that slice is drained through every later stage before the
+//! stage continues; the last stage hands each match straight to the
+//! `WHERE` and the caller's callback. So a hub join holds at most one chunk
+//! per stage, and everything stops as soon as the callback breaks (a
+//! satisfied `LIMIT`, an `EXISTS` with its first match, a top-k walk with
+//! its rows).
 //!
-//! **Equivalence to the reference executor** (exercised by the
-//! differential fuzzer's executor-twin panel): stages process rows in
-//! order, append candidates in enumeration order, and drain each slice
-//! before producing the next, so the leaf order equals the reference DFS
-//! leaf order — both are the lexicographic order of per-level candidate
-//! indices. Variable-length segments do not batch (their DFS interleaves
-//! depths); a plan group containing one hands each seed's plan to the
-//! reference matcher, as does a singleton group (nothing to share), and
-//! emits that seed's matches in turn.
+//! **Order.** Stages process rows in order and drain each slice before
+//! producing the next, so matches arrive in seed order and, per seed, in
+//! the lexicographic order of per-level candidate indices: a depth-first
+//! walk's order. A variable-length segment is one stage whose depth-first
+//! frontier emits its completions in pop order. Sharing never reorders:
+//! [`MatchMode::Batched`] and [`MatchMode::Reference`] agree row for row,
+//! which the executor twin in `tests/differential.rs` checks.
 
 use crate::ast::{Expr, NodePattern, PathPattern, RelPattern};
 use crate::error::Result;
-use crate::exec::{Flow, CHUNK_ROWS};
+use crate::exec::{Flow, MatchMode, CHUNK_ROWS};
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{
-    hop_candidates, match_planned, node_matches, node_reads, plan_patterns, rel_reads, seed_reads,
+    hop_candidates, node_matches, node_reads, plan_patterns, rel_reads, seed_reads,
     start_candidates, MatchState, Pushdowns,
 };
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
 use pg_graph::{NodeId, RelId, Value};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// Where finished matches go: the index of the seed row a match extends,
@@ -71,62 +63,62 @@ pub(crate) type Emit<'e> = dyn FnMut(usize, Row) -> Result<Flow> + 'e;
 
 /// Match `patterns` for every seed row, handing each match to `emit` with
 /// its seed's index (the caller owns `OPTIONAL MATCH` null-binding, which
-/// is a per-seed decision) until `emit` breaks. Row-for-row and in order
-/// identical to calling [`crate::pattern::match_patterns`] on each seed;
-/// batches only where sharing is sound. `pushed` is
-/// [`crate::pattern::extract_pushdowns`] of `where_clause`. The executor
-/// passes at most [`CHUNK_ROWS`] seeds, so their plans are one chunk's.
+/// is a per-seed decision) until `emit` breaks. Matches arrive in seed
+/// order; under [`MatchMode::Batched`] consecutive seeds with the same
+/// planned paths form one group, under [`MatchMode::Reference`] every seed
+/// is its own. `pushed` is [`crate::pattern::extract_pushdowns`] of
+/// `where_clause`. The executor passes at most [`CHUNK_ROWS`] seeds, so
+/// their plans are one chunk's.
 pub(crate) fn match_patterns_batch(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
     patterns: &[PathPattern],
     where_clause: Option<&Expr>,
     pushed: &Pushdowns,
+    mode: MatchMode,
     emit: &mut Emit<'_>,
 ) -> Result<Flow> {
-    let plans: Vec<Vec<PhysicalPathPlan>> = seeds
-        .iter()
-        .map(|s| plan_patterns(ctx, s, patterns, pushed))
-        .collect();
+    let plan = |seed| plan_patterns(ctx, seed, patterns, pushed);
+    let group = |base, plans| Group {
+        ctx,
+        base,
+        plans,
+        where_clause,
+        pushed,
+    };
+    if let [seed] = seeds {
+        // One seed: a trigger condition, `EXISTS`, `MERGE`, a re-match.
+        return group(0, &[plan(seed)]).run(seeds, emit);
+    }
+    let plans: Vec<Vec<PhysicalPathPlan>> = seeds.iter().map(plan).collect();
     // Seeds batch together when their planned *paths* agree; each keeps
     // its own seed accesses, which may carry values of its own row.
     let same_paths = |a: &[PhysicalPathPlan], b: &[PhysicalPathPlan]| {
-        a.iter().map(|p| &p.path).eq(b.iter().map(|p| &p.path))
+        let same = |(p, q): (&PhysicalPathPlan, &PhysicalPathPlan)| {
+            (&p.path, p.reversed) == (&q.path, q.reversed)
+        };
+        a.len() == b.len() && a.iter().zip(b).all(same)
     };
     let mut i = 0;
     while i < seeds.len() {
         let mut j = i + 1;
-        while j < seeds.len() && same_paths(&plans[j], &plans[i]) {
+        while mode == MatchMode::Batched && j < seeds.len() && same_paths(&plans[j], &plans[i]) {
             j += 1;
         }
-        let var_length = plans[i]
-            .iter()
-            .any(|p| p.path.segments.iter().any(|(r, _)| r.hops.is_some()));
-        if j - i == 1 || var_length {
-            for (si, planned) in (i..j).zip(&plans[i..j]) {
-                let rows = match_planned(ctx, &seeds[si], planned, where_clause, pushed, None)?;
-                for row in rows {
-                    if emit(si, row)?.is_break() {
-                        return Ok(Flow::Break(()));
-                    }
-                }
-            }
-        } else {
-            let group = Group {
-                ctx,
-                base: i,
-                plans: &plans[i..j],
-                where_clause,
-                pushed,
-            };
-            if group.run(&seeds[i..j], emit)?.is_break() {
-                return Ok(Flow::Break(()));
-            }
+        if group(i, &plans[i..j]).run(&seeds[i..j], emit)?.is_break() {
+            return Ok(Flow::Break(()));
         }
         i = j;
     }
     Ok(Flow::Continue(()))
 }
+
+/// The most relationships a variable-length segment without an upper
+/// bound (`*`, `*2..`) walks. A trail is relationship-unique, so it cannot
+/// be longer than the relationships it may traverse; the cap bounds the
+/// frontier on a graph larger than that, and no `MATCH` of the paper's §6
+/// triggers comes near it.
+const VAR_LENGTH_MAX_HOPS: u32 = 64;
 
 /// A batch of seed rows whose plans (`plans[i]` is seed `base + i`'s) share
 /// one planned path list.
@@ -175,38 +167,30 @@ impl Group<'_, '_> {
     /// Stage-wise execution: one seed stage and one expand stage per
     /// segment for each planned path, then the residual `WHERE`.
     fn run(&self, seeds: &[Row], emit: &mut Emit<'_>) -> Result<Flow> {
-        // The static live set: names bound in any seed row, extended with
-        // every pattern variable as its position is traversed (an unbound
-        // position binds unconditionally, so after its stage the name is
-        // live in every surviving state). Each stage's gates are decided
-        // from the set as it stands before the stage.
-        let mut live: HashSet<String> = HashSet::new();
-        for name in seeds.iter().flat_map(Row::names) {
-            if !live.contains(name) {
-                live.insert(name.to_string());
+        // Each stage's gates are decided from the live set as it stands
+        // before the stage: an unbound position binds unconditionally, so
+        // after its stage its name is live in every surviving state.
+        let mut live: Option<HashSet<String>> = (seeds.len() > 1).then(|| {
+            let mut live = HashSet::new();
+            for name in seeds.iter().flat_map(Row::names) {
+                if !live.contains(name) {
+                    live.insert(name.to_string());
+                }
             }
-        }
-        let mut stages = Vec::new();
+            live
+        });
+        let (mut stages, pushed) = (Vec::new(), self.pushed);
         for (pi, plan) in self.plans[0].iter().enumerate() {
             let path = &plan.path;
-            let share = start_shareable(path, self.pushed, &live);
-            stages.push(Stage::new(
-                pi,
-                None,
-                share,
-                node_shareable(&path.start, &live),
-            ));
-            live.extend(path.start.var.clone());
+            let share = shareable(&live, || seed_reads(path, pushed));
+            let nodes = shareable(&live, || node_reads(&path.start));
+            stages.push(Stage::new(pi, None, share, nodes));
+            extend_live(&mut live, [&path.start.var]);
             for (k, (rel_pat, node_pat)) in path.segments.iter().enumerate() {
-                let memoize = hop_shareable(rel_pat, self.pushed, &live);
-                stages.push(Stage::new(
-                    pi,
-                    Some(k),
-                    memoize,
-                    node_shareable(node_pat, &live),
-                ));
-                live.extend(rel_pat.var.clone());
-                live.extend(node_pat.var.clone());
+                let share = shareable(&live, || rel_reads(rel_pat, pushed));
+                let nodes = shareable(&live, || node_reads(node_pat));
+                stages.push(Stage::new(pi, Some(k), share, nodes));
+                extend_live(&mut live, [&rel_pat.var, &node_pat.var]);
             }
         }
         let states = seeds.iter().enumerate();
@@ -215,10 +199,7 @@ impl Group<'_, '_> {
     }
 
     /// Run `input` through `stages[0]`, handing its output on to the rest
-    /// every [`CHUNK_ROWS`] states so no stage holds a whole fan-out. Each
-    /// stage processes its input in order and every slice is drained before
-    /// the next is produced, so leaves arrive in the lexicographic order of
-    /// per-level candidate indices — the reference DFS order. Leaves
+    /// every [`CHUNK_ROWS`] states so no stage holds a whole fan-out. Leaves
     /// `input` empty, its buffer kept for the caller's next slice.
     fn drain(
         &self,
@@ -228,14 +209,12 @@ impl Group<'_, '_> {
     ) -> Result<Flow> {
         let ctx = self.ctx;
         let Some((stage, rest)) = stages.split_first_mut() else {
-            // ---- Filter stage: the residual WHERE ----
-            for (si, st, _) in input.drain(..) {
-                if let Some(w) = self.where_clause {
-                    if !eval(ctx, &st.row, w)?.is_truthy() {
-                        continue;
-                    }
-                }
-                if emit(self.base + si, st.row)?.is_break() {
+            // An empty pattern list: every seed is a match.
+            for partial in input.drain(..) {
+                if self
+                    .hand_on(&mut [], &mut Vec::new(), partial, emit)?
+                    .is_break()
+                {
                     return Ok(Flow::Break(()));
                 }
             }
@@ -265,28 +244,25 @@ impl Group<'_, '_> {
                         }
                         let mut st2 = st.fork(&[&path.start.var]);
                         if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
-                            out.push((si, st2, cand));
-                            if self.flush_full(rest, &mut out, emit)?.is_break() {
+                            let partial = (si, st2, cand);
+                            if self.hand_on(rest, &mut out, partial, emit)?.is_break() {
                                 return Ok(Flow::Break(()));
                             }
                         }
                     }
                 }
+                // ---- Expand stage: a variable-length segment ----
+                Some(k) if path.segments[k].0.hops.is_some() => {
+                    let flow = self.expand_var_length(stage, rest, (si, st, at), &mut out, emit)?;
+                    if flow.is_break() {
+                        return Ok(Flow::Break(()));
+                    }
+                }
                 // ---- Expand stage: one hop of the path ----
                 Some(k) => {
                     let (rel_pat, node_pat) = &path.segments[k];
-                    if stage.share && !stage.memo.contains_key(&at) {
-                        let c = hop_candidates(ctx, &st.row, at, rel_pat, self.pushed)?;
-                        stage.memo.insert(at, c);
-                    }
-                    let owned;
-                    let cands: &[(RelId, NodeId)] = if stage.share {
-                        &stage.memo[&at]
-                    } else {
-                        owned = hop_candidates(ctx, &st.row, at, rel_pat, self.pushed)?;
-                        &owned
-                    };
-                    for (rid, other) in cands {
+                    let memo = stage.share.then_some(&mut stage.memo);
+                    for (rid, other) in self.hops(memo, &st.row, at, rel_pat)?.iter() {
                         if st.used.contains(rid)
                             || !node_ok(ctx, &st.row, *other, node_pat, &mut stage.nmemo)?
                         {
@@ -297,8 +273,8 @@ impl Group<'_, '_> {
                         if st2.bind(rel_pat.var.as_ref(), Value::Rel(*rid))
                             && st2.bind(node_pat.var.as_ref(), Value::Node(*other))
                         {
-                            out.push((si, st2, *other));
-                            if self.flush_full(rest, &mut out, emit)?.is_break() {
+                            let partial = (si, st2, *other);
+                            if self.hand_on(rest, &mut out, partial, emit)?.is_break() {
                                 return Ok(Flow::Break(()));
                             }
                         }
@@ -312,22 +288,105 @@ impl Group<'_, '_> {
         self.drain(rest, &mut out, emit)
     }
 
-    /// Drain `out` through `rest` once it holds a chunk.
-    fn flush_full(
+    /// A variable-length segment from one state: a depth-first frontier of
+    /// relationship-unique trails from `at`, each of length in the
+    /// segment's bounds (at most [`VAR_LENGTH_MAX_HOPS`] when unbounded)
+    /// that ends on a matching node completing the segment — in pop order,
+    /// handed on like any stage output. The trail binds the relationship
+    /// variable as a list, in the text's order, through
+    /// [`MatchState::bind`], so a variable bound earlier must equal it.
+    fn expand_var_length(
         &self,
+        stage: &mut Stage,
         rest: &mut [Stage],
+        (si, st, at): Partial,
         out: &mut Vec<Partial>,
         emit: &mut Emit<'_>,
     ) -> Result<Flow> {
-        if out.len() < CHUNK_ROWS {
-            return Ok(Flow::Continue(()));
+        let plan = &self.plans[0][stage.path];
+        let (rel_pat, node_pat) = &plan.path.segments[stage.seg.expect("an expand stage")];
+        let (min, max) = rel_pat.hops.expect("a variable-length segment");
+        let max = max.unwrap_or(VAR_LENGTH_MAX_HOPS);
+        let mut frontier: Vec<(NodeId, Vec<RelId>)> = vec![(at, Vec::new())];
+        while let Some((node, rels)) = frontier.pop() {
+            let depth = rels.len() as u32;
+            if depth >= min && node_ok(self.ctx, &st.row, node, node_pat, &mut stage.nmemo)? {
+                let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
+                rels.iter().for_each(|&r| st2.used.push(r));
+                let trail = || {
+                    let mut trail: Vec<Value> = rels.iter().map(|&r| Value::Rel(r)).collect();
+                    if plan.reversed {
+                        trail.reverse();
+                    }
+                    Value::List(trail)
+                };
+                let var = rel_pat.var.as_ref();
+                if var.is_none_or(|v| st2.bind(Some(v), trail()))
+                    && st2.bind(node_pat.var.as_ref(), Value::Node(node))
+                    && self.hand_on(rest, out, (si, st2, node), emit)?.is_break()
+                {
+                    return Ok(Flow::Break(()));
+                }
+            }
+            if depth < max {
+                let memo = stage.share.then_some(&mut stage.memo);
+                for (rid, other) in self.hops(memo, &st.row, node, rel_pat)?.iter() {
+                    if !rels.contains(rid) && !st.used.contains(rid) {
+                        let mut rels2 = rels.clone();
+                        rels2.push(*rid);
+                        frontier.push((*other, rels2));
+                    }
+                }
+            }
         }
-        self.drain(rest, out, emit)
+        Ok(Flow::Continue(()))
+    }
+
+    /// [`hop_candidates`] from `at`, memoized per source node when the
+    /// stage shares them.
+    fn hops<'m>(
+        &self,
+        memo: Option<&'m mut HashMap<NodeId, Vec<(RelId, NodeId)>>>,
+        row: &Row,
+        at: NodeId,
+        rel_pat: &RelPattern,
+    ) -> Result<Cow<'m, [(RelId, NodeId)]>> {
+        let hop = || hop_candidates(self.ctx, row, at, rel_pat, self.pushed);
+        Ok(match memo.map(|memo| memo.entry(at)) {
+            None => Cow::Owned(hop()?),
+            Some(Entry::Occupied(e)) => Cow::Borrowed(e.into_mut()),
+            Some(Entry::Vacant(e)) => Cow::Borrowed(e.insert(hop()?)),
+        })
+    }
+
+    /// Hand one output of a stage on: into `out`, drained through `rest`
+    /// once it holds a chunk — or, when no stage follows, as a complete
+    /// match through the residual `WHERE` to the callback.
+    fn hand_on(
+        &self,
+        rest: &mut [Stage],
+        out: &mut Vec<Partial>,
+        (si, st, at): Partial,
+        emit: &mut Emit<'_>,
+    ) -> Result<Flow> {
+        if !rest.is_empty() {
+            out.push((si, st, at));
+            if out.len() < CHUNK_ROWS {
+                return Ok(Flow::Continue(()));
+            }
+            return self.drain(rest, out, emit);
+        }
+        if let Some(w) = self.where_clause {
+            if !eval(self.ctx, &st.row, w)?.is_truthy() {
+                return Ok(Flow::Continue(()));
+            }
+        }
+        emit(self.base + si, st.row)
     }
 }
 
 /// [`node_matches`], decided once per node when the stage carries a memo
-/// (the check is row-independent there, see [`node_shareable`]).
+/// (the check is row-independent there, see [`shareable`]).
 fn node_ok(
     ctx: &EvalCtx<'_>,
     row: &Row,
@@ -346,30 +405,18 @@ fn node_ok(
     Ok(ok)
 }
 
-/// Whether none of `names` is bound in any batched row.
-fn none_live(names: &[String], live: &HashSet<String>) -> bool {
-    names.iter().all(|n| !live.contains(n))
+/// Whether what a stage decides from the names `reads` returns (a seed
+/// access, a hop expansion or a node check) is row-independent across the
+/// group: none of them is live. A group of one (no live set) shares
+/// nothing.
+fn shareable(live: &Option<HashSet<String>>, reads: impl FnOnce() -> Vec<String>) -> bool {
+    live.as_ref()
+        .is_some_and(|live| live.is_empty() || reads().iter().all(|n| !live.contains(n)))
 }
 
-/// Whether [`start_candidates`] is row-independent for this batch: none
-/// of the names choosing the seed reads is live in any batched row.
-fn start_shareable(path: &PathPattern, pushed: &Pushdowns, live: &HashSet<String>) -> bool {
-    live.is_empty() || none_live(&seed_reads(path, pushed), live)
-}
-
-/// Whether [`hop_candidates`] depends only on the source node for this
-/// batch: the relationship variable is unbound everywhere (no pre-bound
-/// rel fast path) and no inline prop or pushdown operand reads a live
-/// variable.
-fn hop_shareable(rel_pat: &RelPattern, pushed: &Pushdowns, live: &HashSet<String>) -> bool {
-    live.is_empty() || none_live(&rel_reads(rel_pat, pushed), live)
-}
-
-/// Whether [`node_matches`] depends only on the candidate node for this
-/// batch: no label doubles as a live transition variable and no inline
-/// prop expression reads a live variable. (The pattern's own `var` is
-/// irrelevant — `node_matches` never consults it; the bound-variable
-/// equality check stays per state, outside the memo.)
-fn node_shareable(np: &NodePattern, live: &HashSet<String>) -> bool {
-    live.is_empty() || none_live(&node_reads(np), live)
+/// Add the pattern variables a stage binds to the live set, if any.
+fn extend_live<const N: usize>(live: &mut Option<HashSet<String>>, vars: [&Option<String>; N]) {
+    if let Some(live) = live {
+        live.extend(vars.into_iter().flatten().cloned());
+    }
 }

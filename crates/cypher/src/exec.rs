@@ -70,12 +70,11 @@
 
 use crate::ast::visit::{self, NodeMut};
 use crate::ast::*;
+use crate::batch::match_patterns_batch;
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
 use crate::functions::{is_aggregate, Accumulator};
-use crate::pattern::{
-    extract_pushdowns, match_patterns, match_patterns_pushed, pattern_vars, Pushdowns,
-};
+use crate::pattern::{extract_pushdowns, match_patterns, pattern_vars, Pushdowns};
 use crate::plan::{
     plan_topk_projection, plan_topk_walk, steps, FoldKind, ProjStep, Step, StepKind,
 };
@@ -87,7 +86,7 @@ use std::cmp::Ordering;
 use std::ops::ControlFlow;
 
 /// Rows per chunk handed from one clause to the next, and partial matches
-/// per stage buffer of the batched matcher: what bounds the rows a
+/// per stage buffer of the matcher: what bounds the rows a
 /// streaming query holds in flight. Sized so a chunk amortises the per-call
 /// work of a stage; not a knob.
 pub const CHUNK_ROWS: usize = 1024;
@@ -224,14 +223,15 @@ pub enum Target<'a> {
     Read(&'a dyn GraphView),
 }
 
-/// How `MATCH` drives the pattern matcher. [`MatchMode::Batched`] (the
-/// default) flows each chunk of seed rows through the stage-wise executor
-/// of [`crate::batch`], sharing seed-candidate vectors and memoizing hop
-/// expansions where the liveness analysis allows;
-/// [`MatchMode::Reference`] recurses one seed row at a time — kept as the
-/// differential-testing oracle. Both produce identical rows in identical
-/// order. `MERGE` and `EXISTS` always use the reference path (single-seed
-/// / existence-capped — batching has nothing to share).
+/// How `MATCH` groups its seed rows in the one matcher, the stage pipeline
+/// of [`crate::batch`]. [`MatchMode::Batched`] (the default) runs
+/// consecutive seeds with the same planned paths as one group, sharing
+/// seed-candidate vectors and memoizing hop expansions where the liveness
+/// analysis allows; [`MatchMode::Reference`] runs every seed as its own
+/// group, which shares nothing — the executor twin that checks the
+/// sharing. Both produce identical rows in identical order. `MERGE`,
+/// `EXISTS` and the top-k re-match run one seed at a time, where the two
+/// agree by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchMode {
     #[default]
@@ -565,26 +565,15 @@ impl<'a> Executor<'a> {
             }
             chunk.push(row)
         };
-        let flow = match self.match_mode {
-            MatchMode::Batched => crate::batch::match_patterns_batch(
-                ctx,
-                &rows,
-                patterns,
-                where_clause,
-                &self.pushdowns(clause, where_clause),
-                &mut on_match,
-            )?,
-            MatchMode::Reference => 'seeds: {
-                for (si, seed) in rows.iter().enumerate() {
-                    for row in match_patterns(ctx, seed, patterns, where_clause, None)? {
-                        if on_match(si, row)?.is_break() {
-                            break 'seeds Flow::Break(());
-                        }
-                    }
-                }
-                Flow::Continue(())
-            }
-        };
+        let flow = match_patterns_batch(
+            ctx,
+            &rows,
+            patterns,
+            where_clause,
+            &self.pushdowns(clause, where_clause),
+            self.match_mode,
+            &mut on_match,
+        )?;
         if flow.is_break() {
             return Ok(flow);
         }
@@ -643,14 +632,28 @@ impl<'a> Executor<'a> {
                 for seed in *seeds {
                     let mut s2 = seed.clone_with_room(1);
                     s2.set(&spec.var, walked_value(plan.scope, raw));
-                    out.extend(match_patterns_pushed(
+                    // Every row of one walked item carries the same order
+                    // keys, so the walk's first `keep` rows are its top.
+                    let mut take = |_: usize, row: Row| -> Result<Flow> {
+                        out.push(row);
+                        Ok(match out.len() - produced >= spec.keep {
+                            true => Flow::Break(()),
+                            false => Flow::Continue(()),
+                        })
+                    };
+                    let (s2, mode) = (std::slice::from_ref(&s2), MatchMode::Batched);
+                    let matched = match_patterns_batch(
                         &ctx,
-                        &s2,
+                        s2,
                         patterns,
                         where_clause,
                         &pushed,
-                        None,
-                    )?);
+                        mode,
+                        &mut take,
+                    )?;
+                    if matched.is_break() {
+                        break;
+                    }
                 }
                 if out.len() - produced >= spec.keep {
                     break;
@@ -682,7 +685,7 @@ impl<'a> Executor<'a> {
                 for row in rows {
                     let matches = {
                         let ctx = self.ctx();
-                        match_patterns(&ctx, &row, std::slice::from_ref(pattern), None, None)?
+                        match_patterns(&ctx, &row, std::slice::from_ref(pattern), None)?
                     };
                     if matches.is_empty() {
                         let mut r2 = row.clone();

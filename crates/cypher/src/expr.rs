@@ -1,7 +1,9 @@
 //! Expression evaluation (read-only; mutations live in `exec`).
 
 use crate::ast::{BinOp, Expr, UnaryOp};
+use crate::batch::match_patterns_batch;
 use crate::error::{CypherError, Result};
+use crate::exec::{Flow, MatchMode};
 use crate::functions;
 use crate::pattern;
 use crate::row::{Params, Row};
@@ -181,8 +183,16 @@ pub fn eval(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value> {
             }
         }
         Expr::ExistsSubquery(patterns, where_) => {
-            let matches = pattern::match_patterns(ctx, row, patterns, where_.as_deref(), Some(1))?;
-            Ok(Value::Bool(!matches.is_empty()))
+            // The matcher stops at the first match.
+            let (where_, mut found) = (where_.as_deref(), false);
+            let pushed = pattern::extract_pushdowns(where_);
+            let mut first = |_: usize, _: Row| -> Result<Flow> {
+                found = true;
+                Ok(Flow::Break(()))
+            };
+            let (seeds, mode) = (std::slice::from_ref(row), MatchMode::Batched);
+            let _ = match_patterns_batch(ctx, seeds, patterns, where_, &pushed, mode, &mut first)?;
+            Ok(Value::Bool(found))
         }
         Expr::IsNull(inner, negated) => {
             let v = eval(ctx, row, inner)?;

@@ -1,8 +1,8 @@
-//! Graph pattern matching and the cost-based candidate planner (v2).
+//! Pattern-matching primitives and the cost-based candidate planner (v2).
 //!
-//! Backtracking join over path patterns with Cypher's relationship-
-//! uniqueness semantics (a relationship may be traversed at most once per
-//! `MATCH` clause).
+//! A join over path patterns with Cypher's relationship-uniqueness
+//! semantics (a relationship may be traversed at most once per `MATCH`
+//! clause), run by the stage pipeline of [`crate::batch`].
 //!
 //! **Transition-variable candidates** (PG-Triggers §6.2): a label position
 //! whose name is bound in the current row to a node, a relationship, or a
@@ -36,9 +36,10 @@
 //!
 //! **The planned path is what runs.** `plan_patterns` returns one
 //! [`PhysicalPathPlan`] per re-rooted path, carrying the seed access its
-//! anchor was costed with (see [`crate::physical`]); the DFS here and the
-//! stage-wise [`crate::batch`] both seed a path by materializing that
-//! value (`start_candidates`).
+//! anchor was costed with (see [`crate::physical`]); the one matcher, the
+//! stage pipeline of [`crate::batch`], seeds a path by materializing that
+//! value (`start_candidates`) and expands it hop by hop with
+//! `hop_candidates` and `node_matches` from here.
 //!
 //! Planning itself is **count-only** (v3): all cost estimates go through
 //! [`pg_graph::ProbeMode::Count`] probes (exact equality counts,
@@ -50,7 +51,9 @@
 //! (`physical::Sargs`).
 
 use crate::ast::{BinOp, Expr, NodePattern, PathPattern, RelPattern};
+use crate::batch::match_patterns_batch;
 use crate::error::{CypherError, Result};
+use crate::exec::{Flow, MatchMode};
 use crate::expr::{eval, EvalCtx};
 use crate::physical::{
     choose_node_access, choose_rel_seed, choose_seed, hop_fanout, NodeAccess, PhysicalPathPlan,
@@ -165,72 +168,24 @@ impl MatchState {
     }
 }
 
-/// Match a list of path patterns (as one joint MATCH clause) against the
-/// view, starting from `seed`. Returns the extended binding rows, at most
-/// `limit` of them when given: enumeration always runs to completion and
-/// the result is truncated afterwards (`EXISTS` asks for one row but does
-/// not yet stop early — ROADMAP item 2).
+/// Every match of a list of path patterns (as one joint MATCH clause)
+/// against the view, starting from `seed`: the rows [`crate::batch`]'s
+/// stage pipeline hands on.
 pub fn match_patterns(
     ctx: &EvalCtx<'_>,
     seed: &Row,
     patterns: &[PathPattern],
     where_clause: Option<&Expr>,
-    limit: Option<usize>,
 ) -> Result<Vec<Row>> {
     let pushed = extract_pushdowns(where_clause);
-    match_patterns_pushed(ctx, seed, patterns, where_clause, &pushed, limit)
-}
-
-/// [`match_patterns`] given the [`extract_pushdowns`] of `where_clause`
-/// (a prepared statement holds them per `MATCH` clause).
-pub(crate) fn match_patterns_pushed(
-    ctx: &EvalCtx<'_>,
-    seed: &Row,
-    patterns: &[PathPattern],
-    where_clause: Option<&Expr>,
-    pushed: &Pushdowns,
-    limit: Option<usize>,
-) -> Result<Vec<Row>> {
-    let planned = plan_patterns(ctx, seed, patterns, pushed);
-    match_planned(ctx, seed, &planned, where_clause, pushed, limit)
-}
-
-/// Run the plan [`plan_patterns`] made for `seed` — the reference matcher:
-/// one depth-first walk per planned path, each seeded by materializing the
-/// plan's access.
-pub(crate) fn match_planned(
-    ctx: &EvalCtx<'_>,
-    seed: &Row,
-    planned: &[PhysicalPathPlan],
-    where_clause: Option<&Expr>,
-    pushed: &Pushdowns,
-    limit: Option<usize>,
-) -> Result<Vec<Row>> {
-    let mut states = vec![MatchState::new(seed.clone())];
-    for plan in planned {
-        let mut next = Vec::new();
-        for st in &states {
-            match_path(ctx, plan, st, pushed, &mut next)?;
-        }
-        states = next;
-        if states.is_empty() {
-            return Ok(Vec::new());
-        }
-    }
     let mut rows = Vec::new();
-    for st in states {
-        if let Some(w) = where_clause {
-            if !eval(ctx, &st.row, w)?.is_truthy() {
-                continue;
-            }
-        }
-        rows.push(st.row);
-        if let Some(l) = limit {
-            if rows.len() >= l {
-                break;
-            }
-        }
-    }
+    let mut take = |_: usize, row: Row| -> Result<Flow> {
+        rows.push(row);
+        Ok(Flow::Continue(()))
+    };
+    let (seeds, mode) = (std::slice::from_ref(seed), MatchMode::Batched);
+    // `take` never breaks.
+    let _ = match_patterns_batch(ctx, seeds, patterns, where_clause, &pushed, mode, &mut take)?;
     Ok(rows)
 }
 
@@ -442,7 +397,9 @@ pub(crate) fn plan_patterns(
             PhysicalPathPlan::new(half, joined, false, fanouts().skip(split))
         });
         let prefix = fanouts().take(split);
-        out.push(PhysicalPathPlan::new(first, anchor.seed, deferred, prefix));
+        let mut first = PhysicalPathPlan::new(first, anchor.seed, deferred, prefix);
+        first.reversed = anchor.pos > 0;
+        out.push(first);
         out.extend(second);
         if !remaining.is_empty() {
             bound.extend(pattern_vars(std::slice::from_ref(path)));
@@ -518,128 +475,29 @@ pub(crate) fn start_candidates(
     choose_seed(node, first_rel).0.candidates(ctx, row, path)
 }
 
-fn match_path(
-    ctx: &EvalCtx<'_>,
-    plan: &PhysicalPathPlan,
-    st: &MatchState,
-    pushed: &Pushdowns,
-    out: &mut Vec<MatchState>,
-) -> Result<()> {
-    let path = &plan.path;
-    for cand in start_candidates(ctx, &st.row, plan, pushed)? {
-        if !node_matches(ctx, &st.row, cand, &path.start)? {
-            continue;
-        }
-        let mut st2 = st.fork(&[&path.start.var]);
-        if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
-            extend_segments(ctx, path, 0, cand, st2, pushed, out)?;
-        }
-    }
-    Ok(())
-}
-
-fn extend_segments(
-    ctx: &EvalCtx<'_>,
-    path: &PathPattern,
-    seg_idx: usize,
-    current: NodeId,
-    st: MatchState,
-    pushed: &Pushdowns,
-    out: &mut Vec<MatchState>,
-) -> Result<()> {
-    if seg_idx == path.segments.len() {
-        out.push(st);
-        return Ok(());
-    }
-    let (rel_pat, node_pat) = &path.segments[seg_idx];
-
-    if let Some((min, max)) = rel_pat.hops {
-        // Variable-length expansion: depth-first enumeration of all paths
-        // with length in [min, max], with per-path rel uniqueness.
-        let max = max.unwrap_or(64); // practical bound for unbounded patterns
-        let mut frontier: Vec<(NodeId, Vec<RelId>)> = vec![(current, Vec::new())];
-        while let Some((node, rels)) = frontier.pop() {
-            let depth = rels.len() as u32;
-            if depth >= min && node_matches(ctx, &st.row, node, node_pat)? {
-                // Complete this segment here.
-                let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
-                rels.iter().for_each(|&r| st2.used.push(r));
-                if let Some(v) = &rel_pat.var {
-                    st2.row.set(
-                        v,
-                        Value::List(rels.iter().map(|&r| Value::Rel(r)).collect()),
-                    );
-                }
-                if st2.bind(node_pat.var.as_ref(), Value::Node(node)) {
-                    extend_segments(ctx, path, seg_idx + 1, node, st2, pushed, out)?;
-                }
-            }
-            if depth < max {
-                for (rid, other) in hop_candidates(ctx, &st.row, node, rel_pat, pushed)? {
-                    if rels.contains(&rid) || st.used.contains(&rid) {
-                        continue;
-                    }
-                    let mut rels2 = rels.clone();
-                    rels2.push(rid);
-                    frontier.push((other, rels2));
-                }
-            }
-        }
-        return Ok(());
-    }
-
-    // Single-hop segment.
-    for (rid, other) in hop_candidates(ctx, &st.row, current, rel_pat, pushed)? {
-        if st.used.contains(&rid) || !node_matches(ctx, &st.row, other, node_pat)? {
-            continue;
-        }
-        let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
-        st2.used.push(rid);
-        if st2.bind(rel_pat.var.as_ref(), Value::Rel(rid))
-            && st2.bind(node_pat.var.as_ref(), Value::Node(other))
-        {
-            extend_segments(ctx, path, seg_idx + 1, other, st2, pushed, out)?;
-        }
-    }
-    Ok(())
-}
-
 /// Whether a concrete relationship satisfies the evaluated pushdowns
 /// (direct predicate evaluation — used to prune expansion early; the full
 /// `WHERE` is still evaluated on surviving rows).
 fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &Sargs) -> bool {
-    use std::cmp::Ordering;
-    for (key, want) in &pd.eqs {
-        let have = ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
-        if have.eq3(want) != Some(true) {
-            return false;
-        }
-    }
-    for (key, (lo, hi)) in &pd.intervals {
-        let have = ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
-        let lo_ok = match lo {
-            Bound::Unbounded => true,
-            Bound::Included(l) => {
-                matches!(have.cmp3(l), Some(Ordering::Greater | Ordering::Equal))
-            }
-            Bound::Excluded(l) => matches!(have.cmp3(l), Some(Ordering::Greater)),
-        };
-        let hi_ok = match hi {
-            Bound::Unbounded => true,
-            Bound::Included(h) => matches!(have.cmp3(h), Some(Ordering::Less | Ordering::Equal)),
-            Bound::Excluded(h) => matches!(have.cmp3(h), Some(Ordering::Less)),
-        };
-        if !lo_ok || !hi_ok {
-            return false;
-        }
-    }
-    for (key, prefix) in &pd.prefixes {
-        let have = ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
-        if !matches!(&have, Value::Str(s) if s.starts_with(prefix)) {
-            return false;
-        }
-    }
-    true
+    use std::cmp::Ordering::{Greater, Less};
+    let prop = |key: &str| ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
+    // `have` lies on `side` of bound `b` (`Greater`: above a lower bound).
+    let within = |have: &Value, b: &Bound<Value>, side| match b {
+        Bound::Unbounded => true,
+        Bound::Included(v) => have.cmp3(v).is_some_and(|o| o == side || o.is_eq()),
+        Bound::Excluded(v) => have.cmp3(v) == Some(side),
+    };
+    let in_interval = |(key, (lo, hi)): (&String, &(Bound<Value>, Bound<Value>))| {
+        let have = prop(key);
+        within(&have, lo, Greater) && within(&have, hi, Less)
+    };
+    let prefixed =
+        |(key, p): &(String, String)| matches!(prop(key), Value::Str(s) if s.starts_with(p));
+    pd.eqs
+        .iter()
+        .all(|(key, want)| prop(key).eq3(want) == Some(true))
+        && pd.intervals.iter().all(in_interval)
+        && pd.prefixes.iter().all(prefixed)
 }
 
 /// Enumerate (relationship, other-end) pairs from `node` that satisfy the
@@ -763,6 +621,9 @@ pub(crate) fn extract_pushdowns(where_clause: Option<&Expr>) -> Pushdowns {
         }
         None
     }
+    fn entry<'m>(map: &'m mut Pushdowns, var: &str) -> &'m mut VarPredicates {
+        map.entry(var.to_string()).or_default()
+    }
     let mut map: Pushdowns = HashMap::new();
     let Some(w) = where_clause else {
         return map;
@@ -773,39 +634,27 @@ pub(crate) fn extract_pushdowns(where_clause: Option<&Expr>) -> Pushdowns {
         let Expr::Binary(op, lhs, rhs) = c else {
             continue;
         };
-        match op {
-            BinOp::Eq => {
-                for (prop_side, value_side) in [(lhs, rhs), (rhs, lhs)] {
-                    if let Some((v, key)) = var_prop(prop_side) {
-                        map.entry(v.clone())
-                            .or_default()
-                            .eqs
-                            .push((key.clone(), value_side.as_ref().clone()));
+        let (lhs, rhs) = (lhs.as_ref(), rhs.as_ref());
+        match (op, var_prop(lhs), var_prop(rhs)) {
+            (BinOp::Eq, l, r) => {
+                for (prop, value) in [(l, rhs), (r, lhs)] {
+                    if let Some((v, key)) = prop {
+                        entry(&mut map, v).eqs.push((key.clone(), value.clone()));
                     }
                 }
             }
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                if let Some((v, key)) = var_prop(lhs) {
-                    map.entry(v.clone()).or_default().ranges.push((
-                        key.clone(),
-                        *op,
-                        rhs.as_ref().clone(),
-                    ));
-                } else if let Some((v, key)) = var_prop(rhs) {
-                    map.entry(v.clone()).or_default().ranges.push((
-                        key.clone(),
-                        flip(*op),
-                        lhs.as_ref().clone(),
-                    ));
-                }
+            (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, Some((v, key)), _) => {
+                entry(&mut map, v)
+                    .ranges
+                    .push((key.clone(), *op, rhs.clone()));
             }
-            BinOp::StartsWith => {
-                if let Some((v, key)) = var_prop(lhs) {
-                    map.entry(v.clone())
-                        .or_default()
-                        .prefixes
-                        .push((key.clone(), rhs.as_ref().clone()));
-                }
+            (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, None, Some((v, key))) => {
+                entry(&mut map, v)
+                    .ranges
+                    .push((key.clone(), flip(*op), lhs.clone()));
+            }
+            (BinOp::StartsWith, Some((v, key)), _) => {
+                entry(&mut map, v).prefixes.push((key.clone(), rhs.clone()));
             }
             _ => {}
         }
@@ -904,7 +753,7 @@ mod tests {
         let (pats, where_) = patterns_of(src);
         let params = Params::new();
         let ctx = EvalCtx::new(g, &params, 0);
-        match_patterns(&ctx, &seed, &pats, where_.as_ref(), None).unwrap()
+        match_patterns(&ctx, &seed, &pats, where_.as_ref()).unwrap()
     }
 
     /// Small CoV2K-flavoured fixture:

@@ -12,7 +12,7 @@
 //! place a relationship seed's is. The join-order planner
 //! ([`crate::pattern`]'s `plan_patterns`) costs anchors with them and keeps
 //! the winner in the [`PhysicalPathPlan`] it returns; `EXPLAIN` renders
-//! that value and both matchers materialize it (`NodeAccess::candidates`).
+//! that value and the matcher materializes it (`NodeAccess::candidates`).
 //!
 //! **Join-output cardinality** (planner v4): `hop_fanout` estimates
 //! the expected number of output rows per input row of a hop from the
@@ -343,7 +343,8 @@ impl NodeAccess {
     /// Materialize the access into the start candidates of `path` for one
     /// binding row: a superset of the nodes that can start a match (the
     /// matcher still checks the pattern and the `WHERE`), ascending by id
-    /// except `Transition`, which keeps the bound list's order.
+    /// except `Transition`, which keeps the bound list's order (each node
+    /// once).
     pub(crate) fn candidates(
         &self,
         ctx: &EvalCtx<'_>,
@@ -361,7 +362,16 @@ impl NodeAccess {
                     )))
                 }
             },
-            NodeAccess::Transition(l) => nodes_from_value(l, row.get(l).unwrap_or(&Value::Null))?,
+            NodeAccess::Transition(l) => {
+                let mut ids = nodes_from_value(l, row.get(l).unwrap_or(&Value::Null))?;
+                // A label restricts to a set: a node listed twice starts
+                // one match. The trigger engine's lists are ascending.
+                if !ids.windows(2).all(|w| w[0] < w[1]) {
+                    let mut seen = HashSet::new();
+                    ids.retain(|id| seen.insert(*id));
+                }
+                ids
+            }
             NodeAccess::Empty => Vec::new(),
             NodeAccess::Index { label, access } => access
                 .ids(ctx, IndexScope::Label(label))
@@ -629,6 +639,10 @@ pub struct PhysicalPathPlan {
     /// chooses again — through the same functions — against each row
     /// those paths produce.
     pub(crate) deferred: bool,
+    /// `path` walks the text's path backwards from an anchor past its
+    /// start (`reroot_path`'s reversed prefix), so a variable-length
+    /// segment binds its trail reversed, in the text's order.
+    pub(crate) reversed: bool,
 }
 
 impl PhysicalPathPlan {
@@ -648,6 +662,7 @@ impl PhysicalPathPlan {
             seed_est,
             hops: fanouts.map(hop).collect(),
             deferred,
+            reversed: false,
         };
         plan.accumulate();
         plan

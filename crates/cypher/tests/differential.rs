@@ -24,11 +24,15 @@
 //!
 //! A third mode is the **executor twin**: the same mutation scripts and
 //! query panels (extended with multi-`MATCH` pipelines that feed many
-//! seed rows into a second pattern — the shape the batched executor
-//! groups) run once under [`MatchMode::Batched`] and once under
-//! [`MatchMode::Reference`], and the outputs must be **row-for-row
-//! identical including order** — the batched stage-wise (BFS) leaf order
-//! is specified to equal the reference DFS leaf order.
+//! seed rows into a second pattern — the shape the matcher groups) run
+//! once under [`MatchMode::Batched`], where seeds that share a plan form
+//! one group that shares seed candidates and memoizes hops, and once
+//! under [`MatchMode::Reference`], where every seed is its own group and
+//! nothing is shared. Both run the one stage pipeline, so the outputs
+//! must be **row-for-row identical including order**: this checks the
+//! sharing logic. Both twins of this file share the planner and the hop
+//! expansion with what they check; `match_oracle.rs` holds the matcher to
+//! a brute-force enumerator that shares neither.
 //!
 //! Top-k queries project exactly their order keys, so sorted-row-multiset
 //! equality is the right oracle even at tie cut-offs (tied rows carry

@@ -155,6 +155,55 @@ fn var_length_with_rel_type_filter() {
     }
 }
 
+/// A variable-length relationship variable bound by an earlier clause is
+/// matched, not rebound: on the chain 0 → 1 → 2 the second `MATCH` keeps,
+/// for each trail `r` the first one bound, only that same trail.
+#[test]
+fn var_length_rel_variable_bound_earlier_must_match() {
+    let mut g = Graph::new();
+    run(
+        &mut g,
+        "CREATE (:N {i: 0})-[:NEXT]->(:N {i: 1})-[:NEXT]->(:N {i: 2})",
+    );
+    let out = run(
+        &mut g,
+        "MATCH (a:N {i: 0})-[r:NEXT*1..2]->(b) MATCH (a)-[r:NEXT*1..2]->(c) \
+         RETURN b.i AS b, c.i AS c ORDER BY b, c",
+    );
+    let pair = |b, c| vec![Value::Int(b), Value::Int(c)];
+    assert_eq!(out.rows, vec![pair(1, 1), pair(2, 2)]);
+}
+
+/// A variable-length relationship list is in the text's order even when
+/// the planner walks the path from its far end (the labelled `b`).
+#[test]
+fn var_length_list_follows_the_text_when_walked_backwards() {
+    let mut g = Graph::new();
+    run(
+        &mut g,
+        "CREATE (:N {i: 0})-[:NEXT {i: 0}]->(:N {i: 1})-[:NEXT {i: 1}]->(:End {i: 2})",
+    );
+    let out = run(
+        &mut g,
+        "MATCH (a)-[r:NEXT*2]->(b:End) RETURN [x IN r | x.i] AS order",
+    );
+    let order = Value::List(vec![Value::Int(0), Value::Int(1)]);
+    assert_eq!(out.rows, vec![vec![order]]);
+}
+
+/// A label bound to a list restricts the position to a set of nodes: a
+/// node the list names twice starts one match.
+#[test]
+fn a_node_listed_twice_in_a_label_list_matches_once() {
+    let mut g = Graph::new();
+    run(&mut g, "CREATE (:N {i: 0})");
+    let out = run(
+        &mut g,
+        "MATCH (n:N) WITH [n, n] AS T MATCH (m:T) RETURN count(*) AS c",
+    );
+    assert_eq!(out.single(), Some(&Value::Int(1)));
+}
+
 #[test]
 fn unwind_nested_lists_and_maps() {
     let mut g = Graph::new();

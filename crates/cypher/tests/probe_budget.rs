@@ -1,7 +1,7 @@
 //! Index-probe budgets per executed statement.
 //!
 //! A `MATCH` decides each pattern position's access path **once**, in the
-//! join-order planner, and both matchers materialise that decision — so
+//! join-order planner, and the matcher materialises that decision — so
 //! the number of probes a statement performs is a small constant of its
 //! shape, not a multiple of how many layers re-derive the choice. The
 //! budgets below are literals: `counting` covers count-only index probes,
@@ -74,7 +74,7 @@ fn run(g: &Graph, mode: MatchMode, src: &str) -> (QueryOutput, IndexProbes) {
     (out, g.index_probes())
 }
 
-/// Run `src` under both matchers and assert the same rows and exactly
+/// Run `src` under both match modes and assert the same rows and exactly
 /// `(counting, materializing)` probes under each.
 fn assert_budget(g: &Graph, src: &str, rows: usize, counting: u64, materializing: u64) {
     for mode in [MatchMode::Batched, MatchMode::Reference] {

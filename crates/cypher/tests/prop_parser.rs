@@ -4,7 +4,10 @@
 //! interpreter. The second half holds the AST walk (`ast::visit`) to its
 //! algebra over generated clause-level queries: renaming is invertible and
 //! reaches every name, free variables commute with renaming, and
-//! `is_updating` / `has_aggregate` do not see names at all.
+//! `is_updating` / `has_aggregate` do not see names at all. The last part
+//! feeds both text parsers hostile input — arbitrary text, token soup, and
+//! valid queries truncated at every character or with a token doubled —
+//! and holds them to returning a value or a typed error, never a panic.
 
 use pg_cypher::ast::{
     BinOp, Clause, Expr, NodePattern, PathPattern, ProjItem, Projection, Query, RelPattern,
@@ -383,5 +386,122 @@ proptest! {
         let text = unparse_query(&q);
         let keyword = |w: &str| ["CREATE", "MERGE", "DELETE", "SET", "REMOVE"].contains(&w);
         prop_assert_eq!(q.is_updating(), words(&text).any(keyword), "{}", text);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile input: whatever the text, the parsers return `Ok` or a typed
+// error and never panic.
+// ---------------------------------------------------------------------
+
+/// Valid texts the mutations start from: every clause kind, the paper's
+/// condition and action shapes, and the lexer's literal forms.
+const VALID_QUERIES: [&str; 9] = [
+    "MATCH (a:A {k: 1})-[r:R|S*1..3]->(b)<-[:T]-(c) WHERE a.k >= $p AND b.s STARTS WITH 'x' \
+     RETURN a.k AS k, count(DISTINCT b) AS n ORDER BY k DESC SKIP 1 LIMIT 5",
+    "MATCH (s:Sequence)-[NEW]-(l:Lineage) WHERE EXISTS { MATCH (:CriticalEffect)-[:Risk]-(:Mutation)-[:FoundIn]-(s) } RETURN l",
+    "MATCH (p:HospitalizedPatient:IcuPatient)-[:TreatedAt]-(:Hospital {name: 'Sacco'}) \
+     WITH count(DISTINCT p) AS icuPat WHERE icuPat > 50 RETURN icuPat",
+    "OPTIONAL MATCH (n) WITH n, [x IN range(0, 3) WHERE x % 2 = 0 | x * 1.5e1] AS xs UNWIND xs AS x RETURN *",
+    "MERGE (a:U {id: 1})-[:F]->(b:U {id: 2}) ON CREATE SET a.c = 1 ON MATCH SET a += {c: a.c + 1}, b:Seen",
+    "MATCH (n:NEWNODES) FOREACH (i IN [1, 2] | CREATE (:Alert {x: n.id, t: datetime(), s: \"q\\\"\"})) \
+     REMOVE n.tmp, n:Tmp DETACH DELETE n",
+    "MATCH (c:City) WITH c ORDER BY c.distance LIMIT 1 SET c.near = CASE WHEN c.x IS NULL THEN -1 ELSE c.x[0..2] END",
+    "UNWIND [{a: [1, null, true]}, `odd name`] AS m RETURN m.a[-1] <> 2 OR NOT exists(m.b) AS v",
+    "MATCH (n:NEWNODES) WHERE n.x > 1 ABORT 'too big: ' + toString(n.x)",
+];
+
+/// Tokens of the query language and the lexer's edge cases: unterminated
+/// strings, comments, non-ASCII, a huge integer, every bracket.
+const SOUP: [&str; 40] = [
+    "MATCH",
+    "OPTIONAL",
+    "WHERE",
+    "RETURN",
+    "WITH",
+    "UNWIND",
+    "AS",
+    "CREATE",
+    "MERGE",
+    "ON",
+    "SET",
+    "DELETE",
+    "EXISTS",
+    "CASE",
+    "WHEN",
+    "END",
+    "ORDER",
+    "BY",
+    "LIMIT",
+    "n",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    "-",
+    "->",
+    "<-",
+    ":",
+    "|",
+    "*",
+    "..",
+    ",",
+    ".",
+    "'",
+    "\"x",
+    "99999999999999999999",
+    "é→",
+    "//",
+];
+
+/// `text` with its `at`-th whitespace-separated token written twice.
+fn with_token_duplicated(text: &str, at: usize) -> String {
+    let tokens: Vec<&str> = text.split(' ').collect();
+    let at = at % tokens.len();
+    let mut out: Vec<&str> = tokens[..=at].to_vec();
+    out.extend(&tokens[at..]);
+    out.join(" ")
+}
+
+/// Both text parsers on `text`: each returns a value or an error whose
+/// message renders.
+fn parse_both(text: &str) {
+    if let Err(e) = parse_query(text) {
+        let _ = e.to_string();
+    }
+    if let Err(e) = parse_expression(text) {
+        let _ = e.to_string();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn parsers_never_panic_on_arbitrary_text(text in "[ -~é→\t\n]{0,48}") {
+        parse_both(&text);
+    }
+
+    #[test]
+    fn parsers_never_panic_on_token_soup(picks in prop::collection::vec(0usize..40, 0..40)) {
+        let text: Vec<&str> = picks.iter().map(|&i| SOUP[i]).collect();
+        parse_both(&text.join(" "));
+        parse_both(&text.concat());
+    }
+
+    #[test]
+    fn parsers_never_panic_on_mutated_valid_text(pick in 0usize..9, at in 0usize..64) {
+        let valid = VALID_QUERIES[pick];
+        if let Err(e) = parse_query(valid) {
+            return Err(TestCaseError::fail(format!("`{valid}`: {e}")));
+        }
+        for text in [valid.to_string(), with_token_duplicated(valid, at)] {
+            for (cut, _) in text.char_indices() {
+                parse_both(&text[..cut]);
+            }
+            parse_both(&text);
+        }
     }
 }

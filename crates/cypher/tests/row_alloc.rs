@@ -165,9 +165,9 @@ fn two_hop_allocations(mode: MatchMode, posts: usize) -> (u64, usize) {
 /// inside the capacity step it was already in. What is left is the six
 /// state copies that bind `p` — one allocation each, the copied row's
 /// vector — and one owned `String` per relationship whose type a hop
-/// checks (`GraphView::rel_type`): the reference matcher inspects nine
-/// more (one per `u`, one per `h` state), the batched one six (it expands
-/// each of the three `h` nodes once).
+/// checks (`GraphView::rel_type`): every seed its own group (`Reference`)
+/// inspects nine more (one per `u`, one per `h` state), one shared group
+/// (`Batched`) six (it expands each of the three `h` nodes once).
 #[test]
 fn two_hop_match_is_one_allocation_per_output_row() {
     for (mode, rel_types) in [(MatchMode::Reference, 9), (MatchMode::Batched, 6)] {
@@ -240,16 +240,78 @@ fn two_hop_count_peak_is_flat_in_the_fan_out() {
     }
 }
 
+/// One hub with ten neighbours, each of which has `fan` neighbours of its
+/// own: `(:Hub)-[:R]->(m)-[:R]->(x)` has 10 × `fan` matches.
+fn hub_with_fan_out(fan: usize) -> Graph {
+    let mut g = Graph::new();
+    let hub = g.create_node(["Hub"], PropertyMap::new()).unwrap();
+    for _ in 0..10 {
+        let m = g.create_node(["Mid"], PropertyMap::new()).unwrap();
+        g.create_rel(hub, m, "R", PropertyMap::new()).unwrap();
+        for _ in 0..fan {
+            let x = g.create_node(["Leaf"], PropertyMap::new()).unwrap();
+            g.create_rel(m, x, "R", PropertyMap::new()).unwrap();
+        }
+    }
+    g.rebuild_stats();
+    g
+}
+
+/// Peak live bytes of a two-hop `EXISTS` on [`hub_with_fan_out`], and the
+/// row count.
+fn exists_peak(fan: usize) -> (i64, usize) {
+    let g = hub_with_fan_out(fan);
+    let query =
+        parse_query("MATCH (h:Hub) WHERE EXISTS { (h)-[:R]->(m)-[:R]->(x) } RETURN h").unwrap();
+    let params = Params::new();
+    let (peak, out) = peak_bytes(|| {
+        Executor::new(Target::Read(&g), &params, 0)
+            .run(&query, Vec::new())
+            .unwrap()
+    });
+    (peak, out.rows.len())
+}
+
+/// `EXISTS` stops at its first match: its peak live bytes at 1,000
+/// second-hop relationships per neighbour exceed its peak at 10 by at most
+/// one chunk (measured as the two-hop count measures it). Enumerating
+/// every match before answering holds all 10,000 and grows ten times past
+/// that.
+#[test]
+fn exists_peak_is_flat_in_the_fan_out() {
+    let row = Row::from_pairs([
+        ("h", Value::Node(NodeId(1))),
+        ("m", Value::Node(NodeId(2))),
+        ("x", Value::Node(NodeId(3))),
+    ]);
+    let (row_heap, _) = peak_bytes(|| row.clone());
+    let chunk = CHUNK_ROWS as i64 * (row_heap + 128);
+    let (small, rows10) = exists_peak(10);
+    let (large, rows1000) = exists_peak(1_000);
+    assert_eq!((rows10, rows1000), (1, 1));
+    assert!(
+        large - small <= chunk,
+        "peak {small} B at 10, {large} B at 1,000; one chunk is {chunk} B"
+    );
+}
+
 /// A one-row input — a trigger body over its transition variable, a point
-/// read — allocates no more through the streaming pipeline than it did
-/// through the clause-at-a-time executor, whose counts are the ceilings.
+/// read, an `EXISTS` condition, a variable-length walk — allocates no more
+/// through the streaming pipeline than it did through the clause-at-a-time
+/// executor and the materialising matcher, whose counts are the ceilings.
 #[test]
 fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
     let mut g = Graph::new();
+    let mut users = Vec::new();
     for i in 0..20 {
         let mut props = PropertyMap::new();
         props.set("id".to_string(), Value::Int(i));
-        g.create_node(["User"], props).unwrap();
+        users.push(g.create_node(["User"], props).unwrap());
+    }
+    // The chain 1 -> 2 -> 3 -> 4 through the seed's node 2.
+    for pair in users[1..5].windows(2) {
+        g.create_rel(pair[0], pair[1], "R", PropertyMap::new())
+            .unwrap();
     }
     let params = Params::new();
     for (src, ceiling) in [
@@ -268,6 +330,8 @@ fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
         ("UNWIND [1, 2] AS x RETURN x AS x", 21),
         ("MATCH (n:NEWNODES) CREATE (:Alert {x: n.id})", 34),
         ("MATCH (n:NEWNODES) SET n.v = 1", 22),
+        ("MATCH (n:NEWNODES) WHERE EXISTS { (n)--() } RETURN n", 47),
+        ("MATCH (n:NEWNODES)-[:R*1..2]->(m) RETURN m.id AS id", 47),
     ] {
         let query = parse_query(src).unwrap();
         let seed = Row::from_pairs([("NEWNODES", Value::List(vec![Value::Node(NodeId(2))]))]);
