@@ -21,43 +21,23 @@
 
 use crate::spec::{EventKind, Granularity, ItemKind, TransitionVar, TriggerSpec};
 use pg_cypher::Row;
-use pg_graph::{Delta, GraphView, ItemRef, NodeId, RelId, Value};
+use pg_graph::{Delta, GraphView, ItemRef, NodeId, NodeRecord, RelId, Value};
 
 /// Materialize a node's state (from any view) as a map value.
 fn node_snapshot(view: &dyn GraphView, id: NodeId) -> Value {
-    let mut m = std::collections::BTreeMap::new();
-    for k in view.node_prop_keys(id) {
-        if let Some(v) = view.node_prop(id, &k) {
-            m.insert(k, v);
-        }
+    match view.node(id) {
+        Some(rec) => rec.to_value(),
+        None => NodeRecord::new(id).to_value(),
     }
-    let mut labels = view.node_labels(id);
-    labels.sort();
-    m.insert(
-        "__labels".to_string(),
-        Value::List(labels.into_iter().map(Value::Str).collect()),
-    );
-    m.insert("__id".to_string(), Value::Int(id.0 as i64));
-    Value::Map(m)
 }
 
-/// Materialize a relationship's state as a map value.
+/// Materialize a relationship's state as a map value (just its id when
+/// the view does not hold it).
 fn rel_snapshot(view: &dyn GraphView, id: RelId) -> Value {
-    let mut m = std::collections::BTreeMap::new();
-    for k in view.rel_prop_keys(id) {
-        if let Some(v) = view.rel_prop(id, &k) {
-            m.insert(k, v);
-        }
+    match view.rel(id) {
+        Some(rec) => rec.to_value(),
+        None => Value::map([("__id".to_string(), Value::Int(id.0 as i64))]),
     }
-    if let Some(t) = view.rel_type(id) {
-        m.insert("__type".to_string(), Value::Str(t));
-    }
-    if let Some((s, d)) = view.rel_endpoints(id) {
-        m.insert("__src".to_string(), Value::Int(s.0 as i64));
-        m.insert("__dst".to_string(), Value::Int(d.0 as i64));
-    }
-    m.insert("__id".to_string(), Value::Int(id.0 as i64));
-    Value::Map(m)
 }
 
 /// One trigger's activations for a delta: the seed rows of each activation
@@ -83,8 +63,10 @@ pub fn bind(
     let deleted = |old: Value| (None, Some(old));
     let node = |id: NodeId| (Some(Value::Node(id)), Some(node_snapshot(pre, id)));
     let rel = |id: RelId| (Some(Value::Rel(id)), Some(rel_snapshot(pre, id)));
-    let on_node = |id: NodeId, k: &str| Some(k) == key && post.node_has_label(id, label);
-    let on_rel = |id: RelId, k: &str| Some(k) == key && post.rel_type(id).as_deref() == Some(label);
+    let on_node =
+        |id: NodeId, k: &str| Some(k) == key && post.node(id).is_some_and(|n| n.has_label(label));
+    let on_rel =
+        |id: RelId, k: &str| Some(k) == key && post.rel(id).is_some_and(|r| r.rel_type == label);
     // (NEW reference, OLD snapshot) per affected item, in delta order.
     let items: Vec<(Option<Value>, Option<Value>)> = match spec.kind() {
         None => Vec::new(),
@@ -303,7 +285,12 @@ mod tests {
         }
         match rows[0].get("NEW") {
             Some(Value::Node(n)) => {
-                assert_eq!(g.node_prop(*n, "whoDesignation"), Some(Value::str("Delta")))
+                assert_eq!(
+                    g.node(*n)
+                        .and_then(|n| n.props.get("whoDesignation"))
+                        .cloned(),
+                    Some(Value::str("Delta"))
+                )
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -10,9 +10,10 @@
 //! variable does.
 
 use pg_graph::{
-    Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, PreStateView, ProbeMode, Probed,
-    RelId, Value,
+    Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, NodeRecord, PreStateView,
+    ProbeMode, Probed, RelId, RelRecord,
 };
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -52,83 +53,19 @@ impl<'g> NewStateOverlay<'g> {
 }
 
 impl GraphView for NewStateOverlay<'_> {
-    fn node_exists(&self, id: NodeId) -> bool {
+    fn node(&self, id: NodeId) -> Option<&NodeRecord> {
         if self.new_nodes.contains(&id) {
-            self.post.node_exists(id)
+            self.post.node(id)
         } else {
-            self.pre.node_exists(id)
+            self.pre.node(id)
         }
     }
 
-    fn rel_exists(&self, id: RelId) -> bool {
+    fn rel(&self, id: RelId) -> Option<&RelRecord> {
         if self.new_rels.contains(&id) {
-            self.post.rel_exists(id)
+            self.post.rel(id)
         } else {
-            self.pre.rel_exists(id)
-        }
-    }
-
-    fn node_labels(&self, id: NodeId) -> Vec<String> {
-        if self.new_nodes.contains(&id) {
-            self.post.node_labels(id)
-        } else {
-            self.pre.node_labels(id)
-        }
-    }
-
-    fn node_has_label(&self, id: NodeId, label: &str) -> bool {
-        if self.new_nodes.contains(&id) {
-            self.post.node_has_label(id, label)
-        } else {
-            self.pre.node_has_label(id, label)
-        }
-    }
-
-    fn node_prop(&self, id: NodeId, key: &str) -> Option<Value> {
-        if self.new_nodes.contains(&id) {
-            self.post.node_prop(id, key)
-        } else {
-            self.pre.node_prop(id, key)
-        }
-    }
-
-    fn node_prop_keys(&self, id: NodeId) -> Vec<String> {
-        if self.new_nodes.contains(&id) {
-            self.post.node_prop_keys(id)
-        } else {
-            self.pre.node_prop_keys(id)
-        }
-    }
-
-    fn rel_type(&self, id: RelId) -> Option<String> {
-        if self.new_rels.contains(&id) {
-            self.post.rel_type(id)
-        } else {
-            self.pre.rel_type(id)
-        }
-    }
-
-    fn rel_prop(&self, id: RelId, key: &str) -> Option<Value> {
-        if self.new_rels.contains(&id) {
-            self.post.rel_prop(id, key)
-        } else {
-            self.pre.rel_prop(id, key)
-        }
-    }
-
-    fn rel_prop_keys(&self, id: RelId) -> Vec<String> {
-        if self.new_rels.contains(&id) {
-            self.post.rel_prop_keys(id)
-        } else {
-            self.pre.rel_prop_keys(id)
-        }
-    }
-
-    fn rel_endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)> {
-        if self.new_rels.contains(&id) {
-            self.post.rel_endpoints(id)
-        } else {
-            self.pre.rel_endpoints(id)
+            self.pre.rel(id)
         }
     }
 
@@ -154,7 +91,7 @@ impl GraphView for NewStateOverlay<'_> {
         self.pre.all_rel_ids()
     }
 
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Vec<RelId> {
+    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
         self.pre.rels_of(node, dir)
     }
 
@@ -191,7 +128,7 @@ impl GraphView for NewStateOverlay<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_graph::{CompositeTrailing, ItemRef, PropertyMap};
+    use pg_graph::{CompositeTrailing, ItemRef, PropertyMap, Value};
     use std::ops::Bound;
 
     #[test]
@@ -216,13 +153,61 @@ mod tests {
         let pre = PreStateView::new(&g, &ops);
         let view = NewStateOverlay::new(pre, &g, [ItemRef::Node(fresh)]);
         // fresh visible through direct reference (post-state)
-        assert!(view.node_exists(fresh));
-        assert!(view.node_has_label(fresh, "P"));
+        assert!(view.node(fresh).is_some());
+        assert!(view.node(fresh).is_some_and(|n| n.has_label("P")));
         // old node reads pre-state value
-        assert_eq!(view.node_prop(old, "v"), Some(Value::Int(1)));
+        assert_eq!(
+            view.node(old).and_then(|n| n.props.get("v")).cloned(),
+            Some(Value::Int(1))
+        );
         // scans see only the pre-state
         assert_eq!(view.nodes_with_label("P"), vec![old]);
         assert_eq!(view.all_node_ids(), vec![old]);
+    }
+
+    /// The overlay lends the post-state record of a NEW item and the
+    /// pre-state record of every other item, untouched, updated or deleted.
+    #[test]
+    fn lends_post_state_for_new_items_and_pre_state_for_the_rest() {
+        let props = |v: i64| {
+            [("v".to_string(), Value::Int(v))]
+                .into_iter()
+                .collect::<PropertyMap>()
+        };
+        let mut g = Graph::new();
+        let untouched = g.create_node(["P"], props(1)).unwrap();
+        let updated = g.create_node(["P"], props(2)).unwrap();
+        let deleted = g.create_node(["P"], props(3)).unwrap();
+        let loop_rel = g.create_rel(updated, updated, "R", props(4)).unwrap();
+        g.begin().unwrap();
+        let mark = g.mark();
+        g.set_node_prop(updated, "v", Value::Int(20)).unwrap();
+        g.set_rel_prop(loop_rel, "v", Value::Int(40)).unwrap();
+        g.delete_node(deleted).unwrap();
+        let fresh = g.create_node(["P"], props(5)).unwrap();
+        let fresh_rel = g.create_rel(fresh, untouched, "R", props(6)).unwrap();
+        let ops = g.ops_since(mark).to_vec();
+        let new_items = [ItemRef::Node(fresh), ItemRef::Rel(fresh_rel)];
+        let view = NewStateOverlay::new(PreStateView::new(&g, &ops), &g, new_items);
+        let v = |rec: Option<&NodeRecord>| rec.and_then(|n| n.props.get("v")).cloned();
+        assert!(std::ptr::eq(
+            view.node(untouched).unwrap(),
+            g.node(untouched).unwrap()
+        ));
+        assert_eq!(v(view.node(updated)), Some(Value::Int(2)));
+        assert_eq!(v(view.node(deleted)), Some(Value::Int(3)));
+        assert_eq!(
+            view.rel(loop_rel).and_then(|r| r.props.get("v")),
+            Some(&Value::Int(4))
+        );
+        assert!(std::ptr::eq(
+            view.node(fresh).unwrap(),
+            g.node(fresh).unwrap()
+        ));
+        assert!(std::ptr::eq(
+            view.rel(fresh_rel).unwrap(),
+            g.rel(fresh_rel).unwrap()
+        ));
     }
 
     #[test]
@@ -303,8 +288,11 @@ mod tests {
         let pre = PreStateView::new(&g, &ops);
         let view = NewStateOverlay::new(pre, &g, [ItemRef::Rel(r)]);
         // direct reference sees the proposed relationship…
-        assert_eq!(view.rel_type(r), Some("R".to_string()));
-        assert_eq!(view.rel_endpoints(r), Some((a, b)));
+        assert_eq!(
+            view.rel(r).map(|r| r.rel_type.clone()),
+            Some("R".to_string())
+        );
+        assert_eq!(view.rel(r).map(|r| (r.src, r.dst)), Some((a, b)));
         // …but scans and adjacency see the pre-state
         assert!(view.rels_of(a, Direction::Out).is_empty());
         assert!(view.all_rel_ids().is_empty());

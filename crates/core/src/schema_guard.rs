@@ -111,7 +111,7 @@ impl SchemaGuard {
             .chain(delta.removed_rel_props.iter().map(|p| p.target))
             .collect();
         for n in &relabelled {
-            rels.extend(graph.rels_of(*n, Direction::Both));
+            rels.extend(graph.rels_of(*n, Direction::Both).iter());
         }
 
         // The delta is a net effect: an id it names may be gone by now.

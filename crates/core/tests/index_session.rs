@@ -40,8 +40,10 @@ fn assert_index_equals_scan(s: &Session, values: &[Value]) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, label)
-                        && g.node_prop(id, key)
+                    g.node(id).is_some_and(|n| n.has_label(label))
+                        && g.node(id)
+                            .and_then(|n| n.props.get(key))
+                            .cloned()
                             .is_some_and(|have| have.eq3(value) == Some(true))
                 })
                 .collect();

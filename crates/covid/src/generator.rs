@@ -325,8 +325,8 @@ pub fn generate(graph: &mut Graph, cfg: &GeneratorConfig) -> CovidDataset {
 
 fn name_of(graph: &Graph, id: NodeId) -> String {
     use pg_graph::GraphView;
-    match graph.node_prop(id, "name") {
-        Some(Value::Str(s)) => s,
+    match graph.node(id).and_then(|n| n.props.get("name")) {
+        Some(Value::Str(s)) => s.clone(),
         _ => String::new(),
     }
 }
@@ -369,7 +369,10 @@ mod tests {
             })
             .next()
             .unwrap();
-        assert_eq!(g.node_prop(region, "name"), Some(Value::str("Lombardy")));
+        assert_eq!(
+            g.node(region).and_then(|n| n.props.get("name")).cloned(),
+            Some(Value::str("Lombardy"))
+        );
     }
 
     #[test]
@@ -406,7 +409,7 @@ mod tests {
         let exact = g
             .nodes_with_label("Patient")
             .iter()
-            .filter(|&&id| matches!(g.node_prop(id, "severity"), Some(Value::Int(v)) if v < 50))
+            .filter(|&&id| matches!(g.node(id).and_then(|n| n.props.get("severity")), Some(Value::Int(v)) if *v < 50))
             .count();
         let est = g
             .count_nodes_in_prop_range(

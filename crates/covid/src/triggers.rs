@@ -190,7 +190,7 @@ pub const PAPER_INDEXES: [(IndexScope<'static>, &[&str]); 7] = [
 /// index serves `{status: 'icu'} … ORDER BY p.severity LIMIT k` as an
 /// equality-prefix-pinned ordered walk. In-process only:
 /// [`crate::wire::setup_statements`] has never installed these, and
-/// adding them there is a benchmark workload change (ROADMAP 5a).
+/// adding them there is a benchmark workload change (ROADMAP item 1a(v)).
 pub const PAPER_COMPOSITE_INDEXES: [(IndexScope<'static>, &[&str]); 1] =
     [(IndexScope::Label("Patient"), &["status", "severity"])];
 

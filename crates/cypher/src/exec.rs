@@ -768,12 +768,12 @@ impl<'a> Executor<'a> {
                 }
                 let g = self.graph_mut("DELETE")?;
                 for r in rels {
-                    if g.rel_exists(r) {
+                    if g.rel(r).is_some() {
                         g.delete_rel(r)?;
                     }
                 }
                 for n in nodes {
-                    if g.node_exists(n) {
+                    if g.node(n).is_some() {
                         if *detach {
                             g.detach_delete_node(n)?;
                         } else {
@@ -886,12 +886,17 @@ impl<'a> Executor<'a> {
                         match tv {
                             Value::Node(n) => {
                                 if replace {
-                                    let keys = self.view().node_prop_keys(n);
+                                    let stale: Vec<String> = self
+                                        .view()
+                                        .node(n)
+                                        .into_iter()
+                                        .flat_map(|rec| rec.props.keys())
+                                        .filter(|k| !map.contains_key(*k))
+                                        .cloned()
+                                        .collect();
                                     let g = self.graph_mut("SET")?;
-                                    for k in keys {
-                                        if !map.contains_key(&k) {
-                                            g.remove_node_prop(n, &k)?;
-                                        }
+                                    for k in stale {
+                                        g.remove_node_prop(n, &k)?;
                                     }
                                 }
                                 let g = self.graph_mut("SET")?;
@@ -901,12 +906,17 @@ impl<'a> Executor<'a> {
                             }
                             Value::Rel(r) => {
                                 if replace {
-                                    let keys = self.view().rel_prop_keys(r);
+                                    let stale: Vec<String> = self
+                                        .view()
+                                        .rel(r)
+                                        .into_iter()
+                                        .flat_map(|rec| rec.props.keys())
+                                        .filter(|k| !map.contains_key(*k))
+                                        .cloned()
+                                        .collect();
                                     let g = self.graph_mut("SET")?;
-                                    for k in keys {
-                                        if !map.contains_key(&k) {
-                                            g.remove_rel_prop(r, &k)?;
-                                        }
+                                    for k in stale {
+                                        g.remove_rel_prop(r, &k)?;
                                     }
                                 }
                                 let g = self.graph_mut("SET")?;

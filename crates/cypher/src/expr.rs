@@ -7,7 +7,7 @@ use crate::exec::{Flow, MatchMode};
 use crate::functions;
 use crate::pattern;
 use crate::row::{Params, Row};
-use pg_graph::{GraphView, Value, MAX_NESTING};
+use pg_graph::{GraphView, PropertyMap, Value, MAX_NESTING};
 
 /// Evaluation context: a read view plus parameters and the statement clock.
 pub struct EvalCtx<'a> {
@@ -42,12 +42,15 @@ pub fn eval(ctx: &EvalCtx<'_>, row: &Row, expr: &Expr) -> Result<Value> {
         Expr::HasLabel(base, labels) => {
             let b = eval(ctx, row, base)?;
             match b {
-                Value::Node(n) => Ok(Value::Bool(
-                    labels.iter().all(|l| ctx.view.node_has_label(n, l)),
-                )),
+                Value::Node(n) => {
+                    let rec = ctx.view.node(n);
+                    Ok(Value::Bool(
+                        labels.iter().all(|l| rec.is_some_and(|r| r.has_label(l))),
+                    ))
+                }
                 Value::Rel(r) => {
-                    let t = ctx.view.rel_type(r);
-                    Ok(Value::Bool(labels.iter().all(|l| t.as_deref() == Some(l))))
+                    let t = ctx.view.rel(r).map(|r| r.rel_type.as_str());
+                    Ok(Value::Bool(labels.iter().all(|l| t == Some(l))))
                 }
                 Value::Null => Ok(Value::Null),
                 other => Err(CypherError::type_err(format!(
@@ -252,8 +255,8 @@ pub(crate) fn element(item: Value) -> Result<Value> {
 /// values are maps; paper §4.2 "Transition Variables").
 pub fn prop_of(ctx: &EvalCtx<'_>, base: &Value, key: &str) -> Result<Value> {
     match base {
-        Value::Node(n) => Ok(ctx.view.node_prop(*n, key).unwrap_or(Value::Null)),
-        Value::Rel(r) => Ok(ctx.view.rel_prop(*r, key).unwrap_or(Value::Null)),
+        Value::Node(n) => Ok(stored(ctx.view.node(*n).map(|n| &n.props), key)),
+        Value::Rel(r) => Ok(stored(ctx.view.rel(*r).map(|r| &r.props), key)),
         Value::Map(m) => Ok(m.get(key).cloned().unwrap_or(Value::Null)),
         Value::Null => Ok(Value::Null),
         other => Err(CypherError::type_err(format!(
@@ -261,6 +264,14 @@ pub fn prop_of(ctx: &EvalCtx<'_>, base: &Value, key: &str) -> Result<Value> {
             other.type_name()
         ))),
     }
+}
+
+/// The stored value of `key` (NULL when the item or the key is absent).
+fn stored(props: Option<&PropertyMap>, key: &str) -> Value {
+    props
+        .and_then(|p| p.get(key))
+        .cloned()
+        .unwrap_or(Value::Null)
 }
 
 /// Three-valued truth of a value: `Some(bool)` or `None` for NULL.

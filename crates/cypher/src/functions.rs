@@ -1,7 +1,18 @@
 //! Built-in scalar and aggregate functions.
 
 use crate::error::{CypherError, Result};
-use pg_graph::{GraphView, Value};
+use pg_graph::{GraphView, PropertyMap, Value};
+
+/// The property map of a node or relationship value (empty when the item
+/// does not exist in `view`); `None` for any other value.
+fn item_props<'v>(view: &'v dyn GraphView, v: &Value) -> Option<&'v PropertyMap> {
+    static NONE: PropertyMap = PropertyMap::new();
+    match v {
+        Value::Node(n) => Some(view.node(*n).map_or(&NONE, |n| &n.props)),
+        Value::Rel(r) => Some(view.rel(*r).map_or(&NONE, |r| &r.props)),
+        _ => None,
+    }
+}
 
 /// Whether `name` (lower-cased) is an aggregate function.
 pub fn is_aggregate(name: &str) -> bool {
@@ -24,11 +35,13 @@ pub fn eval_scalar(name: &str, args: &[Value], view: &dyn GraphView, now_ms: i64
             ))),
         },
         "labels" => match argn(0) {
-            Value::Node(n) => {
-                let mut ls = view.node_labels(*n);
-                ls.sort();
-                Ok(Value::List(ls.into_iter().map(Value::Str).collect()))
-            }
+            Value::Node(n) => Ok(Value::List(
+                view.node(*n)
+                    .into_iter()
+                    .flat_map(|n| &n.labels)
+                    .map(|l| Value::str(l.clone()))
+                    .collect(),
+            )),
             Value::Null => Ok(Value::Null),
             other => Err(CypherError::type_err(format!(
                 "labels() expects a node, got {}",
@@ -36,60 +49,44 @@ pub fn eval_scalar(name: &str, args: &[Value], view: &dyn GraphView, now_ms: i64
             ))),
         },
         "type" => match argn(0) {
-            Value::Rel(r) => Ok(view.rel_type(*r).map(Value::Str).unwrap_or(Value::Null)),
+            Value::Rel(r) => Ok(view
+                .rel(*r)
+                .map(|r| Value::str(r.rel_type.clone()))
+                .unwrap_or(Value::Null)),
             Value::Null => Ok(Value::Null),
             other => Err(CypherError::type_err(format!(
                 "type() expects a relationship, got {}",
                 other.type_name()
             ))),
         },
-        "keys" => match argn(0) {
-            Value::Node(n) => Ok(Value::List(
-                view.node_prop_keys(*n)
-                    .into_iter()
-                    .map(Value::Str)
-                    .collect(),
+        "keys" => match item_props(view, argn(0)) {
+            Some(props) => Ok(Value::List(
+                props.keys().map(|k| Value::str(k.clone())).collect(),
             )),
-            Value::Rel(r) => Ok(Value::List(
-                view.rel_prop_keys(*r).into_iter().map(Value::Str).collect(),
-            )),
-            Value::Map(m) => Ok(Value::List(m.keys().cloned().map(Value::Str).collect())),
-            Value::Null => Ok(Value::Null),
-            other => Err(CypherError::type_err(format!(
-                "keys() expects a node, relationship or map, got {}",
-                other.type_name()
-            ))),
+            None => match argn(0) {
+                Value::Map(m) => Ok(Value::List(m.keys().cloned().map(Value::Str).collect())),
+                Value::Null => Ok(Value::Null),
+                other => Err(CypherError::type_err(format!(
+                    "keys() expects a node, relationship or map, got {}",
+                    other.type_name()
+                ))),
+            },
         },
-        "properties" => match argn(0) {
-            Value::Node(n) => {
-                let mut m = std::collections::BTreeMap::new();
-                for k in view.node_prop_keys(*n) {
-                    if let Some(v) = view.node_prop(*n, &k) {
-                        m.insert(k, v);
-                    }
-                }
-                Ok(Value::Map(m))
-            }
-            Value::Rel(r) => {
-                let mut m = std::collections::BTreeMap::new();
-                for k in view.rel_prop_keys(*r) {
-                    if let Some(v) = view.rel_prop(*r, &k) {
-                        m.insert(k, v);
-                    }
-                }
-                Ok(Value::Map(m))
-            }
-            Value::Map(m) => Ok(Value::Map(m.clone())),
-            Value::Null => Ok(Value::Null),
-            other => Err(CypherError::type_err(format!(
-                "properties() expects a node or relationship, got {}",
-                other.type_name()
-            ))),
+        "properties" => match item_props(view, argn(0)) {
+            Some(props) => Ok(props.to_value()),
+            None => match argn(0) {
+                Value::Map(m) => Ok(Value::Map(m.clone())),
+                Value::Null => Ok(Value::Null),
+                other => Err(CypherError::type_err(format!(
+                    "properties() expects a node or relationship, got {}",
+                    other.type_name()
+                ))),
+            },
         },
         "startnode" => match argn(0) {
             Value::Rel(r) => Ok(view
-                .rel_endpoints(*r)
-                .map(|(s, _)| Value::Node(s))
+                .rel(*r)
+                .map(|r| Value::Node(r.src))
                 .unwrap_or(Value::Null)),
             Value::Null => Ok(Value::Null),
             other => Err(CypherError::type_err(format!(
@@ -99,8 +96,8 @@ pub fn eval_scalar(name: &str, args: &[Value], view: &dyn GraphView, now_ms: i64
         },
         "endnode" => match argn(0) {
             Value::Rel(r) => Ok(view
-                .rel_endpoints(*r)
-                .map(|(_, d)| Value::Node(d))
+                .rel(*r)
+                .map(|r| Value::Node(r.dst))
                 .unwrap_or(Value::Null)),
             Value::Null => Ok(Value::Null),
             other => Err(CypherError::type_err(format!(

@@ -60,7 +60,8 @@ use crate::physical::{
     Sargs,
 };
 use crate::row::Row;
-use pg_graph::{Direction, IndexScope, NodeId, RelId, Value};
+use pg_graph::{Direction, IndexScope, NodeId, PropertyMap, RelId, RelRecord, Value};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
@@ -478,9 +479,10 @@ pub(crate) fn start_candidates(
 /// Whether a concrete relationship satisfies the evaluated pushdowns
 /// (direct predicate evaluation — used to prune expansion early; the full
 /// `WHERE` is still evaluated on surviving rows).
-fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &Sargs) -> bool {
+fn rel_satisfies(rec: &RelRecord, pd: &Sargs) -> bool {
     use std::cmp::Ordering::{Greater, Less};
-    let prop = |key: &str| ctx.view.rel_prop(rid, key).unwrap_or(Value::Null);
+    let null = Value::Null;
+    let prop = |key: &str| rec.props.get(key).unwrap_or(&null);
     // `have` lies on `side` of bound `b` (`Greater`: above a lower bound).
     let within = |have: &Value, b: &Bound<Value>, side| match b {
         Bound::Unbounded => true,
@@ -489,7 +491,7 @@ fn rel_satisfies(ctx: &EvalCtx<'_>, rid: RelId, pd: &Sargs) -> bool {
     };
     let in_interval = |(key, (lo, hi)): (&String, &(Bound<Value>, Bound<Value>))| {
         let have = prop(key);
-        within(&have, lo, Greater) && within(&have, hi, Less)
+        within(have, lo, Greater) && within(have, hi, Less)
     };
     let prefixed =
         |(key, p): &(String, String)| matches!(prop(key), Value::Str(s) if s.starts_with(p));
@@ -529,9 +531,18 @@ pub(crate) fn hop_candidates(
     if pd.as_ref().is_some_and(|p| p.never) {
         return Ok(Vec::new());
     }
-    let mut cands = match prebound {
-        Some(rid) => vec![rid],
-        None => ctx.view.rels_of(node, rel_pat.direction),
+    // An undirected hop walks the out-list, then the in-list (`ins`).
+    let none: &[RelId] = &[];
+    let (mut cands, mut ins) = match (&prebound, rel_pat.direction) {
+        (Some(rid), _) => (
+            Cow::Borrowed(std::slice::from_ref(rid)),
+            Cow::Borrowed(none),
+        ),
+        (None, Direction::Both) => (
+            ctx.view.rels_of(node, Direction::Out),
+            ctx.view.rels_of(node, Direction::In),
+        ),
+        (None, dir) => (ctx.view.rels_of(node, dir), Cow::Borrowed(none)),
     };
     // Serve the hop from a relationship index when the pushed predicates
     // are estimated more selective than the node's adjacency; the
@@ -540,49 +551,63 @@ pub(crate) fn hop_candidates(
     // this per-hop path.)
     if let (Some(pd), [t]) = (&pd, &rel_pat.types[..]) {
         let scope = IndexScope::RelType(t);
+        let adjacent = cands.len() + ins.len();
         if let Some((access, est)) = pd.best_probe(ctx, scope) {
-            if est < cands.len() {
+            if est < adjacent {
                 if let Some(ids) = access.ids::<RelId>(ctx, scope) {
-                    if ids.len() < cands.len() {
-                        cands = ids;
+                    if ids.len() < adjacent {
+                        (cands, ins) = (Cow::Owned(ids), Cow::Borrowed(none));
                     }
                 }
             }
         }
     }
+    // A self-loop sits on both lists; it is kept from the out-list, and
+    // dropped from the in-list by the record the loop holds anyway.
+    let in_from = cands.len();
     let mut out = Vec::new();
-    for rid in cands {
-        let Some((s, d)) = ctx.view.rel_endpoints(rid) else {
+    for (i, &rid) in cands.iter().chain(ins.iter()).enumerate() {
+        let Some(rec) = ctx.view.rel(rid) else {
             continue;
         };
         let other = match rel_pat.direction {
-            Direction::Out | Direction::Both if s == node => d,
-            Direction::In | Direction::Both if d == node => s,
+            _ if i >= in_from && rec.src == rec.dst => continue,
+            Direction::Out | Direction::Both if rec.src == node => rec.dst,
+            Direction::In | Direction::Both if rec.dst == node => rec.src,
             _ => continue,
         };
         if let Some(pd) = &pd {
-            if !rel_satisfies(ctx, rid, pd) {
+            if !rel_satisfies(rec, pd) {
                 continue;
             }
         }
-        if rel_matches(ctx, row, rid, rel_pat)? {
+        if rel_matches(ctx, row, rec, rel_pat)? {
             out.push((rid, other));
         }
     }
     Ok(out)
 }
 
-fn rel_matches(ctx: &EvalCtx<'_>, row: &Row, rid: RelId, pat: &RelPattern) -> Result<bool> {
-    if !pat.types.is_empty() {
-        let t = ctx.view.rel_type(rid);
-        if !pat.types.iter().any(|want| t.as_deref() == Some(want)) {
-            return Ok(false);
-        }
+fn rel_matches(ctx: &EvalCtx<'_>, row: &Row, rec: &RelRecord, pat: &RelPattern) -> Result<bool> {
+    if !pat.types.is_empty() && !pat.types.contains(&rec.rel_type) {
+        return Ok(false);
     }
-    for (k, e) in &pat.props {
+    props_match(ctx, row, &rec.props, &pat.props)
+}
+
+/// Whether every `{key: expr}` of a pattern equals the stored property.
+fn props_match(
+    ctx: &EvalCtx<'_>,
+    row: &Row,
+    props: &PropertyMap,
+    want: &[(String, Expr)],
+) -> Result<bool> {
+    for (k, e) in want {
         let want = eval(ctx, row, e)?;
-        let have = ctx.view.rel_prop(rid, k).unwrap_or(Value::Null);
-        if have.eq3(&want) != Some(true) {
+        if props
+            .get(k)
+            .is_none_or(|have| have.eq3(&want) != Some(true))
+        {
             return Ok(false);
         }
     }
@@ -700,6 +725,10 @@ pub(crate) fn node_matches(
     node: NodeId,
     np: &NodePattern,
 ) -> Result<bool> {
+    if np.labels.is_empty() && np.props.is_empty() {
+        return Ok(true);
+    }
+    let rec = ctx.view.node(node);
     for l in &np.labels {
         if let Some(v) = row.get(l) {
             // transition-variable label: membership test
@@ -707,18 +736,12 @@ pub(crate) fn node_matches(
             if !members.contains(&node) {
                 return Ok(false);
             }
-        } else if !ctx.view.node_has_label(node, l) {
+        } else if !rec.is_some_and(|r| r.has_label(l)) {
             return Ok(false);
         }
     }
-    for (k, e) in &np.props {
-        let want = eval(ctx, row, e)?;
-        let have = ctx.view.node_prop(node, k).unwrap_or(Value::Null);
-        if have.eq3(&want) != Some(true) {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    let no_props = PropertyMap::new();
+    props_match(ctx, row, rec.map_or(&no_props, |r| &r.props), &np.props)
 }
 
 #[cfg(test)]

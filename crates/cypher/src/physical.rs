@@ -381,9 +381,10 @@ impl NodeAccess {
                 // the rest (`(:A:B)` must not scan every `A` when `B` is
                 // far more selective).
                 let mut ids = ctx.view.nodes_with_label(&labels[0]);
-                for l in &labels[1..] {
-                    ids.retain(|id| ctx.view.node_has_label(*id, l));
-                }
+                ids.retain(|id| {
+                    let rec = ctx.view.node(*id);
+                    rec.is_some_and(|r| labels[1..].iter().all(|l| r.has_label(l)))
+                });
                 ids
             }
             NodeAccess::AllNodes => ctx.view.all_node_ids(),
@@ -409,7 +410,11 @@ impl NodeAccess {
 fn endpoints(ctx: &EvalCtx<'_>, path: &PathPattern, rels: Vec<RelId>) -> Vec<NodeId> {
     let dir = path.segments.first().map(|(rp, _)| rp.direction);
     let mut out: Vec<NodeId> = Vec::with_capacity(rels.len());
-    for (s, d) in rels.into_iter().filter_map(|r| ctx.view.rel_endpoints(r)) {
+    for (s, d) in rels
+        .into_iter()
+        .filter_map(|r| ctx.view.rel(r))
+        .map(|r| (r.src, r.dst))
+    {
         match dir {
             Some(Direction::Out) => out.push(s),
             Some(Direction::In) => out.push(d),

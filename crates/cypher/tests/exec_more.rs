@@ -1,8 +1,8 @@
 //! Additional evaluator coverage: interactions between clauses, edge cases
 //! of aggregation, OPTIONAL MATCH, MERGE, FOREACH nesting, and functions.
 
-use pg_cypher::{run_query, CypherError, Params};
-use pg_graph::{Graph, Value};
+use pg_cypher::{parse_query, run_query, CypherError, Executor, Params, Target};
+use pg_graph::{Graph, GraphView, PreStateView, Value};
 
 fn run(g: &mut Graph, src: &str) -> pg_cypher::QueryOutput {
     run_query(g, src, &Params::new(), 0).unwrap_or_else(|e| panic!("{src}: {e}"))
@@ -332,4 +332,40 @@ fn skip_limit_expressions() {
     );
     assert_eq!(out.rows.len(), 4);
     assert_eq!(out.rows[0], vec![Value::Int(4)]);
+}
+
+/// A self-loop is on both adjacency lists of its node, yet an undirected
+/// hop matches it exactly once — on the live graph, on a snapshot, and on a
+/// pre-state view (which builds its own lists from the base graph).
+#[test]
+fn undirected_hop_matches_a_self_loop_once() {
+    let mut g = Graph::new();
+    run(
+        &mut g,
+        "CREATE (a:A {name: 'a'}), (b:B {name: 'b'}), \
+         (a)-[:R {k: 1}]->(a), (a)-[:R {k: 2}]->(b), (b)-[:R {k: 3}]->(a)",
+    );
+    let query = parse_query("MATCH (x:A)-[r]-(y) RETURN r.k AS k, y.name AS y").unwrap();
+    let rows = |view: &dyn GraphView| {
+        let params = Params::new();
+        let out = Executor::new(Target::Read(view), &params, 0)
+            .run(&query, Vec::new())
+            .unwrap();
+        let mut rows = out.rows;
+        rows.sort_by(|a, b| a[0].cmp_order(&b[0]));
+        rows
+    };
+    let want = vec![
+        vec![Value::Int(1), Value::str("a")],
+        vec![Value::Int(2), Value::str("b")],
+        vec![Value::Int(3), Value::str("b")],
+    ];
+    assert_eq!(rows(&g), want, "graph");
+    assert_eq!(rows(&g.snapshot()), want, "snapshot");
+    g.begin().unwrap();
+    let mark = g.mark();
+    run(&mut g, "MATCH (x:A)-[r:R {k: 1}]-() DELETE r");
+    let ops = g.ops_since(mark).to_vec();
+    assert_eq!(rows(&g).len(), 2, "the loop is gone from the live graph");
+    assert_eq!(rows(&PreStateView::new(&g, &ops)), want, "pre-state");
 }

@@ -217,7 +217,10 @@ struct Oracle<'g> {
 impl<'g> Oracle<'g> {
     fn new(g: &'g Graph, params: &'g Params) -> Oracle<'g> {
         let rels = g.all_rel_ids().into_iter().map(|r| {
-            let (s, d) = g.rel_endpoints(r).expect("a live relationship");
+            let (s, d) = g
+                .rel(r)
+                .map(|r| (r.src, r.dst))
+                .expect("a live relationship");
             (r, s, d)
         });
         Oracle {
@@ -394,14 +397,11 @@ impl<'g> Oracle<'g> {
             Direction::Both => (d == at).then_some(s)?,
         };
         let view = self.ctx.view;
-        let typed = rel.types.is_empty()
-            || rel
-                .types
-                .iter()
-                .any(|t| view.rel_type(r).as_ref() == Some(t));
+        let rec = view.rel(r).expect("a live relationship");
+        let typed = rel.types.is_empty() || rel.types.contains(&rec.rel_type);
         let props = rel.props.iter().all(|(k, e)| {
             let want = eval(&self.ctx, row, e).unwrap();
-            view.rel_prop(r, k).unwrap_or(Value::Null).eq3(&want) == Some(true)
+            rec.props.get(k).unwrap_or(&Value::Null).eq3(&want) == Some(true)
         });
         (typed && props && !used.contains(&r)).then_some(end)
     }
@@ -413,11 +413,16 @@ impl<'g> Oracle<'g> {
         let labelled = np.labels.iter().all(|l| match row.get(l) {
             Some(Value::List(items)) => items.contains(&Value::Node(n)),
             Some(other) => panic!("label {l} bound to {other:?}"),
-            None => view.node_has_label(n, l),
+            None => view.node(n).is_some_and(|n| n.has_label(l)),
         });
         let props = np.props.iter().all(|(k, e)| {
             let want = eval(&self.ctx, row, e).unwrap();
-            view.node_prop(n, k).unwrap_or(Value::Null).eq3(&want) == Some(true)
+            view.node(n)
+                .and_then(|n| n.props.get(k))
+                .cloned()
+                .unwrap_or(Value::Null)
+                .eq3(&want)
+                == Some(true)
         });
         if !(labelled && props) {
             return None;

@@ -299,7 +299,7 @@ fn check_stats(g: &Graph) {
         let mut buckets: BTreeMap<i64, usize> = BTreeMap::new();
         let mut brute_total = 0usize;
         for id in g.nodes_with_label(label) {
-            if let Some(Value::Int(v)) = g.node_prop(id, key) {
+            if let Some(Value::Int(v)) = g.node(id).and_then(|n| n.props.get(key)).cloned() {
                 *buckets.entry(v).or_insert(0) += 1;
                 brute_total += 1;
             }
@@ -353,11 +353,11 @@ fn check_composite_stats(g: &Graph) {
         };
         let mut vectors: BTreeMap<(Option<i64>, Option<i64>), usize> = BTreeMap::new();
         for id in g.nodes_with_label(label) {
-            let k = match g.node_prop(id, "k") {
+            let k = match g.node(id).and_then(|n| n.props.get("k")).cloned() {
                 Some(Value::Int(v)) => Some(v),
                 _ => None,
             };
-            let m = match g.node_prop(id, "m") {
+            let m = match g.node(id).and_then(|n| n.props.get("m")).cloned() {
                 Some(Value::Int(v)) => Some(v),
                 _ => None,
             };

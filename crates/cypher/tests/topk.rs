@@ -251,7 +251,7 @@ fn heap_path_equals_full_sort_with_ties() {
     );
     let full = run(&mut g, "MATCH (t:T) WITH t ORDER BY t.k RETURN t.i AS i");
     assert_eq!(limited.rows, full.rows[..7].to_vec());
-    assert!(g.node_exists(ids[0]));
+    assert!(g.node(ids[0]).is_some());
 }
 
 #[test]

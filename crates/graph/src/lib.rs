@@ -35,6 +35,7 @@ pub mod codec;
 pub mod composite;
 pub mod delta;
 pub mod error;
+pub mod idmap;
 pub mod ids;
 pub mod op;
 pub mod pmap;

@@ -22,10 +22,12 @@
 //! rebuilding the same store from the same op sequence yields the same
 //! shape, which keeps test failures reproducible.
 //!
-//! The API mirrors the `BTreeMap`/`BTreeSet` subset the store and the
+//! The API mirrors the `BTreeMap`/`BTreeSet` subset the extents and the
 //! index layers actually use: `get`/`get_mut`/`insert`/`remove`, ordered
 //! iteration, and bounded forward/reverse range walks ([`PMap::range`],
-//! [`PMap::range_rev`]) for the ordered-index access paths.
+//! [`PMap::range_rev`]) for the ordered-index access paths. Records and
+//! adjacency, which are read by dense id and never by range, live in
+//! [`crate::idmap::IdMap`] instead.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -143,18 +145,6 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             Ordering::Less => Self::get_mut_rec(&mut node.left, key),
             Ordering::Greater => Self::get_mut_rec(&mut node.right, key),
         }
-    }
-
-    /// Mutable access to `key`, inserting `V::default()` first when
-    /// absent (the `entry(key).or_default()` idiom).
-    pub fn get_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        if !self.contains_key(&key) {
-            self.insert(key.clone(), V::default());
-        }
-        self.get_mut(&key).expect("just inserted")
     }
 
     /// Insert, returning the previous value of `key` (if any). An

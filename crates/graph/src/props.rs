@@ -16,8 +16,10 @@ pub struct PropertyMap {
 }
 
 impl PropertyMap {
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        PropertyMap {
+            entries: Vec::new(),
+        }
     }
 
     /// The position of `key`, or where it would be inserted.

@@ -25,8 +25,6 @@
 //! snapshot read and a later write (readers are isolated, not
 //! serializable).
 
-use crate::ids::{NodeId, RelId};
-use crate::record::{NodeRecord, RelRecord};
 use crate::store::{IndexProbes, ProbeCounters, StoreState};
 use std::sync::{Arc, Mutex};
 
@@ -111,16 +109,6 @@ impl Snapshot {
     /// The committed epoch this snapshot is pinned to.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Direct record access (same surface as [`crate::Graph::node`]).
-    pub fn node(&self, id: NodeId) -> Option<&NodeRecord> {
-        self.state.nodes.get(&id).map(|r| &**r)
-    }
-
-    /// Direct record access (same surface as [`crate::Graph::rel`]).
-    pub fn rel(&self, id: RelId) -> Option<&RelRecord> {
-        self.state.rels.get(&id).map(|r| &**r)
     }
 
     pub fn node_count(&self) -> usize {

@@ -4,15 +4,17 @@
 use crate::composite::{CompositeIndex, CompositeTrailing, IndexProbe, IndexStats};
 use crate::delta::Delta;
 use crate::error::{GraphError, Result};
+use crate::idmap::IdMap;
 use crate::ids::{ItemRef, NodeId, RelId};
 use crate::op::Op;
-use crate::pmap::{PMap, TailSet};
+use crate::pmap::TailSet;
 use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
 use crate::snapshot::{GraphHandle, Publisher, Snapshot};
 use crate::stats::{degree_bucket, DegreeHistogram};
 use crate::value::{Direction, Value};
 use crate::view::{GraphView, IndexDef, IndexOn, IndexScope, ProbeMode, Probed};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::iter::once;
 use std::ops::Bound;
@@ -110,18 +112,20 @@ struct TxState {
 
 /// The versioned storage of a [`Graph`]: extents, adjacency, and every
 /// index, all held in persistent (structurally shared) maps so a `clone`
-/// is shallow — O(#labels + #index definitions) pointer copies. This is
+/// is shallow — O(#labels + #index definitions) pointer copies. Records
+/// and adjacency are keyed by dense id in [`IdMap`] radix tries; the
+/// ordered treaps of [`crate::pmap`] hold only extents and index keys. This is
 /// the unit of commit-epoch publication: everything a snapshot reader
 /// needs lives here, while transaction state, id allocators, write policy,
 /// and probe counters stay on [`Graph`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StoreState {
-    /// Node records, ordered by id (also serves `all_node_ids`).
-    pub(crate) nodes: PMap<NodeId, Arc<NodeRecord>>,
-    /// Relationship records, ordered by id (also serves `all_rel_ids`).
-    pub(crate) rels: PMap<RelId, Arc<RelRecord>>,
-    out_adj: PMap<NodeId, Vec<RelId>>,
-    in_adj: PMap<NodeId, Vec<RelId>>,
+    /// Node records by id (ascending iteration also serves `all_node_ids`).
+    pub(crate) nodes: IdMap<NodeId, Arc<NodeRecord>>,
+    /// Relationship records by id (also serves `all_rel_ids`).
+    pub(crate) rels: IdMap<RelId, Arc<RelRecord>>,
+    out_adj: IdMap<NodeId, Vec<RelId>>,
+    in_adj: IdMap<NodeId, Vec<RelId>>,
     label_index: HashMap<Arc<str>, TailSet<NodeId>>,
     type_index: HashMap<Arc<str>, TailSet<RelId>>,
     /// Node property indexes (`CREATE INDEX ON :Label(k1, …)`; a single
@@ -210,7 +214,7 @@ impl StoreState {
         );
         // Adjacency entries are created on demand by `raw_insert_rel`; a
         // missing entry reads as empty everywhere, and skipping the eager
-        // insert saves two treap path-copies per node under publication.
+        // insert saves two trie path-copies per node under publication.
         self.nodes.insert(record.id, Arc::new(record));
     }
 
@@ -1100,14 +1104,6 @@ impl Graph {
     // Direct reads (record access)
     // ------------------------------------------------------------------
 
-    pub fn node(&self, id: NodeId) -> Option<&NodeRecord> {
-        self.state.nodes.get(&id).map(|r| &**r)
-    }
-
-    pub fn rel(&self, id: RelId) -> Option<&RelRecord> {
-        self.state.rels.get(&id).map(|r| &**r)
-    }
-
     pub fn node_count(&self) -> usize {
         self.state.nodes.len()
     }
@@ -1563,6 +1559,11 @@ fn run_probe<Id: Ord + Copy + Into<u64>>(
     })
 }
 
+/// `node`'s list in one adjacency map (empty when it has none).
+fn adjacency(adj: &IdMap<NodeId, Vec<RelId>>, node: NodeId) -> &[RelId] {
+    adj.get(&node).map_or(&[], Vec::as_slice)
+}
+
 /// Implements [`GraphView`] for a store-backed type carrying a `state`
 /// field (a [`StoreState`], possibly behind `Arc`) and a `probes` field
 /// ([`ProbeCounters`], possibly behind `Arc`). The live [`Graph`] and the
@@ -1571,66 +1572,12 @@ fn run_probe<Id: Ord + Copy + Into<u64>>(
 macro_rules! impl_graph_view_via_state {
     ($ty:ty) => {
         impl GraphView for $ty {
-            fn node_exists(&self, id: NodeId) -> bool {
-                self.state.nodes.contains_key(&id)
+            fn node(&self, id: NodeId) -> Option<&NodeRecord> {
+                self.state.nodes.get(&id).map(|r| &**r)
             }
 
-            fn rel_exists(&self, id: RelId) -> bool {
-                self.state.rels.contains_key(&id)
-            }
-
-            fn node_labels(&self, id: NodeId) -> Vec<String> {
-                self.state
-                    .nodes
-                    .get(&id)
-                    .map(|n| n.labels.iter().cloned().collect())
-                    .unwrap_or_default()
-            }
-
-            fn node_has_label(&self, id: NodeId, label: &str) -> bool {
-                self.state
-                    .nodes
-                    .get(&id)
-                    .map(|n| n.has_label(label))
-                    .unwrap_or(false)
-            }
-
-            fn node_prop(&self, id: NodeId, key: &str) -> Option<Value> {
-                self.state
-                    .nodes
-                    .get(&id)
-                    .and_then(|n| n.props.get(key).cloned())
-            }
-
-            fn node_prop_keys(&self, id: NodeId) -> Vec<String> {
-                self.state
-                    .nodes
-                    .get(&id)
-                    .map(|n| n.props.keys().cloned().collect())
-                    .unwrap_or_default()
-            }
-
-            fn rel_type(&self, id: RelId) -> Option<String> {
-                self.state.rels.get(&id).map(|r| r.rel_type.clone())
-            }
-
-            fn rel_prop(&self, id: RelId, key: &str) -> Option<Value> {
-                self.state
-                    .rels
-                    .get(&id)
-                    .and_then(|r| r.props.get(key).cloned())
-            }
-
-            fn rel_prop_keys(&self, id: RelId) -> Vec<String> {
-                self.state
-                    .rels
-                    .get(&id)
-                    .map(|r| r.props.keys().cloned().collect())
-                    .unwrap_or_default()
-            }
-
-            fn rel_endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)> {
-                self.state.rels.get(&id).map(|r| (r.src, r.dst))
+            fn rel(&self, id: RelId) -> Option<&RelRecord> {
+                self.state.rels.get(&id).map(|r| &**r)
             }
 
             fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
@@ -1642,37 +1589,29 @@ macro_rules! impl_graph_view_via_state {
             }
 
             fn all_node_ids(&self) -> Vec<NodeId> {
-                self.state.nodes.keys().copied().collect()
+                self.state.nodes.keys().collect()
             }
 
             fn all_rel_ids(&self) -> Vec<RelId> {
-                self.state.rels.keys().copied().collect()
+                self.state.rels.keys().collect()
             }
 
-            fn rels_of(&self, node: NodeId, dir: Direction) -> Vec<RelId> {
-                let mut out: Vec<RelId> = Vec::new();
-                if matches!(dir, Direction::Out | Direction::Both) {
-                    if let Some(adj) = self.state.out_adj.get(&node) {
-                        out.extend(adj.iter().copied());
+            fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
+                let list = |adj| adjacency(adj, node);
+                match dir {
+                    Direction::Out => Cow::Borrowed(list(&self.state.out_adj)),
+                    Direction::In => Cow::Borrowed(list(&self.state.in_adj)),
+                    // A relationship is on both lists of the same node only
+                    // when it is a self-loop; keep it from the out-list.
+                    Direction::Both => {
+                        let ins = list(&self.state.in_adj).iter().copied().filter(|r| {
+                            self.state.rels.get(r).is_none_or(|rec| rec.src != rec.dst)
+                        });
+                        let mut out = list(&self.state.out_adj).to_vec();
+                        out.extend(ins);
+                        Cow::Owned(out)
                     }
                 }
-                if matches!(dir, Direction::In | Direction::Both) {
-                    if let Some(adj) = self.state.in_adj.get(&node) {
-                        if matches!(dir, Direction::Both) {
-                            // A relationship appears in both adjacency lists
-                            // of the same node only when it is a self-loop;
-                            // skip those here (already collected from the
-                            // out-list) instead of scanning `out` for every
-                            // in-edge.
-                            out.extend(adj.iter().copied().filter(|r| {
-                                self.state.rels.get(r).is_none_or(|rec| rec.src != rec.dst)
-                            }));
-                        } else {
-                            out.extend(adj.iter().copied());
-                        }
-                    }
-                }
-                out
             }
 
             fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
@@ -1805,9 +1744,12 @@ mod tests {
         let n = g
             .create_node(["Mutation"], props(&[("name", Value::str("D614G"))]))
             .unwrap();
-        assert!(g.node_exists(n));
-        assert!(g.node_has_label(n, "Mutation"));
-        assert_eq!(g.node_prop(n, "name"), Some(Value::str("D614G")));
+        assert!(g.node(n).is_some());
+        assert!(g.node(n).is_some_and(|n| n.has_label("Mutation")));
+        assert_eq!(
+            g.node(n).and_then(|n| n.props.get("name")).cloned(),
+            Some(Value::str("D614G"))
+        );
         assert_eq!(g.nodes_with_label("Mutation"), vec![n]);
         assert_eq!(g.node_count(), 1);
     }
@@ -1822,8 +1764,11 @@ mod tests {
         assert_eq!(g.rels_of(a, Direction::In), Vec::<RelId>::new());
         assert_eq!(g.rels_of(b, Direction::In), vec![r]);
         assert_eq!(g.rels_of(a, Direction::Both), vec![r]);
-        assert_eq!(g.rel_endpoints(r), Some((a, b)));
-        assert_eq!(g.rel_type(r), Some("KNOWS".to_string()));
+        assert_eq!(g.rel(r).map(|r| (r.src, r.dst)), Some((a, b)));
+        assert_eq!(
+            g.rel(r).map(|r| r.rel_type.clone()),
+            Some("KNOWS".to_string())
+        );
     }
 
     #[test]
@@ -1844,7 +1789,7 @@ mod tests {
         g.create_rel(a, b, "R", PropertyMap::new()).unwrap();
         assert_eq!(g.delete_node(a), Err(GraphError::HasRelationships(a)));
         g.detach_delete_node(a).unwrap();
-        assert!(!g.node_exists(a));
+        assert!(g.node(a).is_none());
         assert_eq!(g.rel_count(), 0);
     }
 
@@ -1877,7 +1822,7 @@ mod tests {
             .create_node(["A"], props(&[("x", Value::Int(1))]))
             .unwrap();
         g.set_node_prop(n, "x", Value::Null).unwrap();
-        assert_eq!(g.node_prop(n, "x"), None);
+        assert_eq!(g.node(n).and_then(|n| n.props.get("x")).cloned(), None);
     }
 
     #[test]
@@ -1920,10 +1865,13 @@ mod tests {
         g.set_label(keep, "Extra").unwrap();
         g.remove_node_prop(keep, "x").unwrap();
         g.rollback().unwrap();
-        assert!(!g.node_exists(n));
-        assert!(!g.rel_exists(r));
-        assert_eq!(g.node_prop(keep, "x"), Some(Value::Int(1)));
-        assert!(!g.node_has_label(keep, "Extra"));
+        assert!(g.node(n).is_none());
+        assert!(g.rel(r).is_none());
+        assert_eq!(
+            g.node(keep).and_then(|n| n.props.get("x")).cloned(),
+            Some(Value::Int(1))
+        );
+        assert!(!g.node(keep).is_some_and(|n| n.has_label("Extra")));
         assert_eq!(g.node_count(), 1);
         assert_eq!(g.rel_count(), 0);
         assert!(g.nodes_with_label("A").is_empty());
@@ -1941,7 +1889,7 @@ mod tests {
         });
         assert_eq!(failed, Err(GraphError::NoActiveTransaction));
         assert!(!g.in_tx());
-        assert!(g.node_exists(kept));
+        assert!(g.node(kept).is_some());
         assert!(g.nodes_with_label("B").is_empty());
         // a transaction already open is not the body's to end
         g.begin().unwrap();
@@ -1962,12 +1910,18 @@ mod tests {
             .unwrap();
         g.begin().unwrap();
         g.detach_delete_node(a).unwrap();
-        assert!(!g.node_exists(a));
+        assert!(g.node(a).is_none());
         g.rollback().unwrap();
-        assert!(g.node_exists(a));
-        assert!(g.rel_exists(r));
-        assert_eq!(g.node_prop(a, "k"), Some(Value::Int(5)));
-        assert_eq!(g.rel_prop(r, "w"), Some(Value::Int(3)));
+        assert!(g.node(a).is_some());
+        assert!(g.rel(r).is_some());
+        assert_eq!(
+            g.node(a).and_then(|n| n.props.get("k")).cloned(),
+            Some(Value::Int(5))
+        );
+        assert_eq!(
+            g.rel(r).and_then(|r| r.props.get("w")).cloned(),
+            Some(Value::Int(3))
+        );
         assert_eq!(g.rels_of(a, Direction::Out), vec![r]);
         assert_eq!(g.nodes_with_label("A"), vec![a]);
     }
@@ -1980,11 +1934,11 @@ mod tests {
         let mark = g.mark();
         let n2 = g.create_node(["B"], PropertyMap::new()).unwrap();
         g.rollback_to(mark).unwrap();
-        assert!(g.node_exists(n1));
-        assert!(!g.node_exists(n2));
+        assert!(g.node(n1).is_some());
+        assert!(g.node(n2).is_none());
         // tx still active; committing keeps n1
         g.commit().unwrap();
-        assert!(g.node_exists(n1));
+        assert!(g.node(n1).is_some());
     }
 
     #[test]
@@ -2055,7 +2009,7 @@ mod tests {
         }
         let self_loop = g.create_rel(hub, hub, "SELF", PropertyMap::new()).unwrap();
         expected.push(self_loop);
-        let mut got = g.rels_of(hub, Direction::Both);
+        let mut got = g.rels_of(hub, Direction::Both).into_owned();
         assert_eq!(got.len(), 501, "self-loop counted exactly once");
         got.sort();
         expected.sort();
@@ -2143,7 +2097,9 @@ mod tests {
             .all_node_ids()
             .into_iter()
             .filter(|&id| {
-                g.node_prop(id, "k")
+                g.node(id)
+                    .and_then(|n| n.props.get("k"))
+                    .cloned()
                     .is_some_and(|v| v.eq3(&Value::Float(bound as f64)) == Some(true))
             })
             .collect();

@@ -13,6 +13,7 @@ use crate::op::Op;
 use crate::record::{NodeRecord, RelRecord};
 use crate::store::Graph;
 use crate::value::{Direction, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -128,31 +129,31 @@ impl Probed {
 }
 
 /// Read-only access to a graph state.
+///
+/// Item reads are two lenders, [`GraphView::node`] and [`GraphView::rel`]:
+/// a caller fetches a record once and reads its labels, type, endpoints
+/// and properties from the borrow, so no read copies a record field.
 pub trait GraphView {
-    fn node_exists(&self, id: NodeId) -> bool;
-    fn rel_exists(&self, id: RelId) -> bool;
-    fn node_labels(&self, id: NodeId) -> Vec<String>;
-    fn node_has_label(&self, id: NodeId, label: &str) -> bool;
-    /// A property value (cloned); `None` when the node or key is absent.
-    fn node_prop(&self, id: NodeId, key: &str) -> Option<Value>;
-    fn node_prop_keys(&self, id: NodeId) -> Vec<String>;
-    fn rel_type(&self, id: RelId) -> Option<String>;
-    fn rel_prop(&self, id: RelId, key: &str) -> Option<Value>;
-    fn rel_prop_keys(&self, id: RelId) -> Vec<String>;
-    fn rel_endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)>;
+    /// The node record `id` as this view sees it; `None` when the node
+    /// does not exist here.
+    fn node(&self, id: NodeId) -> Option<&NodeRecord>;
+    /// The relationship record `id` as this view sees it.
+    fn rel(&self, id: RelId) -> Option<&RelRecord>;
     /// Nodes currently carrying `label` (index-backed on the live graph).
     fn nodes_with_label(&self, label: &str) -> Vec<NodeId>;
     fn all_node_ids(&self) -> Vec<NodeId>;
     fn all_rel_ids(&self) -> Vec<RelId>;
-    /// Relationships incident to `node` in the given direction.
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Vec<RelId>;
+    /// Relationships incident to `node` in the given direction (a
+    /// self-loop once under `Both`). The store lends its `Out`/`In`
+    /// adjacency lists; overlay views build theirs.
+    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]>;
 
     /// Relationships of the given type. The default filters the full
     /// relationship extent; the live graph answers from the type index.
     fn rels_with_type(&self, rel_type: &str) -> Vec<RelId> {
         self.all_rel_ids()
             .into_iter()
-            .filter(|r| self.rel_type(*r).as_deref() == Some(rel_type))
+            .filter(|r| self.rel(*r).is_some_and(|rec| rec.rel_type == rel_type))
             .collect()
     }
 
@@ -380,75 +381,24 @@ impl<'g> PreStateView<'g> {
         }
         PreStateView { base, nodes, rels }
     }
-
-    fn node_rec(&self, id: NodeId) -> Option<NodeRecord> {
-        match self.nodes.get(&id) {
-            Some(overlay) => overlay.clone(),
-            None => self.base.node(id).cloned(),
-        }
-    }
-
-    fn rel_rec(&self, id: RelId) -> Option<RelRecord> {
-        match self.rels.get(&id) {
-            Some(overlay) => overlay.clone(),
-            None => self.base.rel(id).cloned(),
-        }
-    }
 }
 
 impl GraphView for PreStateView<'_> {
-    fn node_exists(&self, id: NodeId) -> bool {
+    // Touched items lend their pre-state record from the overlay, the
+    // rest read through to the base graph.
+
+    fn node(&self, id: NodeId) -> Option<&NodeRecord> {
         match self.nodes.get(&id) {
-            Some(overlay) => overlay.is_some(),
-            None => self.base.node_exists(id),
+            Some(overlay) => overlay.as_ref(),
+            None => self.base.node(id),
         }
     }
 
-    fn rel_exists(&self, id: RelId) -> bool {
+    fn rel(&self, id: RelId) -> Option<&RelRecord> {
         match self.rels.get(&id) {
-            Some(overlay) => overlay.is_some(),
-            None => self.base.rel_exists(id),
+            Some(overlay) => overlay.as_ref(),
+            None => self.base.rel(id),
         }
-    }
-
-    fn node_labels(&self, id: NodeId) -> Vec<String> {
-        self.node_rec(id)
-            .map(|n| n.labels.into_iter().collect())
-            .unwrap_or_default()
-    }
-
-    fn node_has_label(&self, id: NodeId, label: &str) -> bool {
-        self.node_rec(id)
-            .map(|n| n.has_label(label))
-            .unwrap_or(false)
-    }
-
-    fn node_prop(&self, id: NodeId, key: &str) -> Option<Value> {
-        self.node_rec(id).and_then(|n| n.props.get(key).cloned())
-    }
-
-    fn node_prop_keys(&self, id: NodeId) -> Vec<String> {
-        self.node_rec(id)
-            .map(|n| n.props.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    fn rel_type(&self, id: RelId) -> Option<String> {
-        self.rel_rec(id).map(|r| r.rel_type)
-    }
-
-    fn rel_prop(&self, id: RelId, key: &str) -> Option<Value> {
-        self.rel_rec(id).and_then(|r| r.props.get(key).cloned())
-    }
-
-    fn rel_prop_keys(&self, id: RelId) -> Vec<String> {
-        self.rel_rec(id)
-            .map(|r| r.props.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    fn rel_endpoints(&self, id: RelId) -> Option<(NodeId, NodeId)> {
-        self.rel_rec(id).map(|r| (r.src, r.dst))
     }
 
     fn nodes_with_label(&self, label: &str) -> Vec<NodeId> {
@@ -475,7 +425,7 @@ impl GraphView for PreStateView<'_> {
         // and sorting the whole extent.
         let mut n = self.base.label_cardinality(label);
         for (id, overlay) in &self.nodes {
-            let base_has = self.base.node_has_label(*id, label);
+            let base_has = self.base.node(*id).is_some_and(|n| n.has_label(label));
             let pre_has = overlay
                 .as_ref()
                 .map(|r| r.has_label(label))
@@ -503,7 +453,7 @@ impl GraphView for PreStateView<'_> {
             .collect();
         for (id, overlay) in &self.rels {
             if let Some(rec) = overlay {
-                if rec.rel_type == rel_type && !self.base.rel_exists(*id) {
+                if rec.rel_type == rel_type && self.base.rel(*id).is_none() {
                     out.push(*id);
                 }
             }
@@ -538,7 +488,7 @@ impl GraphView for PreStateView<'_> {
     fn node_count_estimate(&self) -> usize {
         let mut n = self.base.node_count_estimate();
         for (id, overlay) in &self.nodes {
-            match (self.base.node_exists(*id), overlay.is_some()) {
+            match (self.base.node(*id).is_some(), overlay.is_some()) {
                 (true, false) => n -= 1,
                 (false, true) => n += 1,
                 _ => {}
@@ -551,7 +501,7 @@ impl GraphView for PreStateView<'_> {
         // O(touched) correction of the base count (planning hot path).
         let mut n = self.base.rel_count_estimate();
         for (id, overlay) in &self.rels {
-            match (self.base.rel_exists(*id), overlay.is_some()) {
+            match (self.base.rel(*id).is_some(), overlay.is_some()) {
                 (true, false) => n -= 1,
                 (false, true) => n += 1,
                 _ => {}
@@ -607,7 +557,7 @@ impl GraphView for PreStateView<'_> {
             })
             .collect();
         for (id, overlay) in &self.nodes {
-            if overlay.is_some() && !self.base.node_exists(*id) {
+            if overlay.is_some() && self.base.node(*id).is_none() {
                 out.push(*id);
             }
         }
@@ -627,7 +577,7 @@ impl GraphView for PreStateView<'_> {
             })
             .collect();
         for (id, overlay) in &self.rels {
-            if overlay.is_some() && !self.base.rel_exists(*id) {
+            if overlay.is_some() && self.base.rel(*id).is_none() {
                 out.push(*id);
             }
         }
@@ -636,13 +586,14 @@ impl GraphView for PreStateView<'_> {
         out
     }
 
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Vec<RelId> {
+    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
         // Base adjacency minus rels that did not exist before, plus restored
         // (deleted-in-slice) rels incident to `node`.
         let mut out: Vec<RelId> = self
             .base
             .rels_of(node, dir)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|id| match self.rels.get(id) {
                 Some(overlay) => overlay.is_some(),
                 None => true,
@@ -650,7 +601,7 @@ impl GraphView for PreStateView<'_> {
             .collect();
         for (id, overlay) in &self.rels {
             if let Some(rec) = overlay {
-                if self.base.rel_exists(*id) {
+                if self.base.rel(*id).is_some() {
                     continue; // already covered by base adjacency
                 }
                 let incident = match dir {
@@ -665,7 +616,7 @@ impl GraphView for PreStateView<'_> {
         }
         out.sort();
         out.dedup();
-        out
+        Cow::Owned(out)
     }
 }
 
@@ -722,10 +673,13 @@ mod tests {
                 g.detach_delete_node(*n).unwrap();
             },
         );
-        assert!(!g.node_exists(n));
+        assert!(g.node(n).is_none());
         let pre = PreStateView::new(&g, &ops);
-        assert!(pre.node_exists(n));
-        assert_eq!(pre.node_prop(n, "x"), Some(Value::Int(1)));
+        assert!(pre.node(n).is_some());
+        assert_eq!(
+            pre.node(n).and_then(|n| n.props.get("x")).cloned(),
+            Some(Value::Int(1))
+        );
         assert_eq!(pre.nodes_with_label("A"), vec![n]);
     }
 
@@ -742,12 +696,23 @@ mod tests {
                 g.remove_node_prop(*n, "x").unwrap();
             },
         );
-        assert_eq!(g.node_prop(n, "x"), None);
-        assert_eq!(g.node_prop(n, "y"), Some(Value::Int(9)));
+        assert_eq!(g.node(n).and_then(|n| n.props.get("x")).cloned(), None);
+        assert_eq!(
+            g.node(n).and_then(|n| n.props.get("y")).cloned(),
+            Some(Value::Int(9))
+        );
         let pre = PreStateView::new(&g, &ops);
-        assert_eq!(pre.node_prop(n, "x"), Some(Value::Int(1)));
-        assert_eq!(pre.node_prop(n, "y"), None);
-        assert_eq!(pre.node_prop_keys(n), vec!["x".to_string()]);
+        assert_eq!(
+            pre.node(n).and_then(|n| n.props.get("x")).cloned(),
+            Some(Value::Int(1))
+        );
+        assert_eq!(pre.node(n).and_then(|n| n.props.get("y")).cloned(), None);
+        assert_eq!(
+            pre.node(n)
+                .map(|n| n.props.keys().cloned().collect::<Vec<_>>())
+                .unwrap_or_default(),
+            vec!["x".to_string()]
+        );
     }
 
     #[test]
@@ -759,10 +724,13 @@ mod tests {
                 g.remove_label(*n, "A").unwrap();
             },
         );
-        assert!(g.node_has_label(n, "B") && !g.node_has_label(n, "A"));
+        assert!(
+            g.node(n).is_some_and(|n| n.has_label("B"))
+                && !g.node(n).is_some_and(|n| n.has_label("A"))
+        );
         let pre = PreStateView::new(&g, &ops);
-        assert!(pre.node_has_label(n, "A"));
-        assert!(!pre.node_has_label(n, "B"));
+        assert!(pre.node(n).is_some_and(|n| n.has_label("A")));
+        assert!(!pre.node(n).is_some_and(|n| n.has_label("B")));
         assert_eq!(pre.nodes_with_label("A"), vec![n]);
         assert!(pre.nodes_with_label("B").is_empty());
     }
@@ -880,9 +848,68 @@ mod tests {
         assert_eq!(pre.rels_of(a, Direction::Out), vec![old_r]);
         assert_eq!(pre.rels_of(a, Direction::In), Vec::<RelId>::new());
         assert_eq!(pre.rels_of(b, Direction::In), vec![old_r]);
-        assert_eq!(pre.rel_endpoints(old_r), Some((a, b)));
-        assert_eq!(pre.rel_type(old_r), Some("R".to_string()));
+        assert_eq!(pre.rel(old_r).map(|r| (r.src, r.dst)), Some((a, b)));
+        assert_eq!(
+            pre.rel(old_r).map(|r| r.rel_type.clone()),
+            Some("R".to_string())
+        );
         assert_eq!(pre.all_rel_ids(), vec![old_r]);
+    }
+
+    /// The pre-state lends one record per item the slice did not create:
+    /// an untouched item's record is the base graph's own (a borrow, not a
+    /// copy), an updated or deleted item's is the overlay's record as it
+    /// was before the slice, and a created item has none.
+    #[test]
+    fn lends_pre_state_records() {
+        let (g, ops, (untouched, updated, deleted, r_updated)) = run(
+            |g| {
+                let untouched = g
+                    .create_node(["A"], props(&[("v", Value::Int(1))]))
+                    .unwrap();
+                let updated = g
+                    .create_node(["A"], props(&[("v", Value::Int(2))]))
+                    .unwrap();
+                let deleted = g
+                    .create_node(["A"], props(&[("v", Value::Int(3))]))
+                    .unwrap();
+                let w = props(&[("w", Value::Int(1))]);
+                let r_updated = g.create_rel(untouched, updated, "R", w).unwrap();
+                g.create_rel(updated, deleted, "R", PropertyMap::new())
+                    .unwrap();
+                (untouched, updated, deleted, r_updated)
+            },
+            |g, &(_, updated, deleted, r_updated)| {
+                g.set_node_prop(updated, "v", Value::Int(20)).unwrap();
+                g.set_label(updated, "B").unwrap();
+                g.set_rel_prop(r_updated, "w", Value::Int(10)).unwrap();
+                g.detach_delete_node(deleted).unwrap();
+                g.create_node(["A"], PropertyMap::new()).unwrap();
+            },
+        );
+        let created = NodeId(3);
+        let pre = PreStateView::new(&g, &ops);
+        let lent = pre.node(untouched).unwrap();
+        assert!(std::ptr::eq(lent, g.node(untouched).unwrap()));
+        let was = |id: NodeId, v: i64| NodeRecord {
+            id,
+            labels: ["A".to_string()].into_iter().collect(),
+            props: props(&[("v", Value::Int(v))]),
+        };
+        assert_eq!(pre.node(updated), Some(&was(updated, 2)));
+        assert_eq!(
+            g.node(updated).unwrap().props.get("v"),
+            Some(&Value::Int(20))
+        );
+        assert_eq!(pre.node(deleted), Some(&was(deleted, 3)));
+        assert!(g.node(deleted).is_none());
+        assert!(g.node(created).is_some() && pre.node(created).is_none());
+        let rel = pre.rel(r_updated).unwrap();
+        assert_eq!(rel.props.get("w"), Some(&Value::Int(1)));
+        assert_eq!(
+            (rel.src, rel.dst, rel.rel_type.as_str()),
+            (untouched, updated, "R")
+        );
     }
 
     #[test]
@@ -898,9 +925,15 @@ mod tests {
                 g.set_rel_prop(*r, "w", Value::Int(5)).unwrap();
             },
         );
-        assert_eq!(g.rel_prop(r, "w"), Some(Value::Int(5)));
+        assert_eq!(
+            g.rel(r).and_then(|r| r.props.get("w")).cloned(),
+            Some(Value::Int(5))
+        );
         let pre = PreStateView::new(&g, &ops);
-        assert_eq!(pre.rel_prop(r, "w"), Some(Value::Int(1)));
+        assert_eq!(
+            pre.rel(r).and_then(|r| r.props.get("w")).cloned(),
+            Some(Value::Int(1))
+        );
     }
 
     #[test]
@@ -915,8 +948,11 @@ mod tests {
             },
         );
         let pre = PreStateView::new(&g, &ops);
-        assert!(pre.node_exists(a));
-        assert_eq!(pre.node_prop(a, "p"), Some(Value::Int(7)));
+        assert!(pre.node(a).is_some());
+        assert_eq!(
+            pre.node(a).and_then(|n| n.props.get("p")).cloned(),
+            Some(Value::Int(7))
+        );
         assert_eq!(pre.nodes_with_label("Stable"), vec![a]);
         assert_eq!(pre.all_node_ids(), vec![a]);
     }

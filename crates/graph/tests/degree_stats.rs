@@ -148,8 +148,8 @@ fn brute_force(g: &Graph, label: &str, ty: &str, dir: Direction) -> (usize, Degr
     for id in g.nodes_with_label(label) {
         let d = g
             .rels_of(id, dir)
-            .into_iter()
-            .filter(|r| g.rel_type(*r).as_deref() == Some(ty))
+            .iter()
+            .filter(|r| g.rel(**r).is_some_and(|r| r.rel_type == ty))
             .count();
         edges += d;
         if d > 0 {
@@ -315,8 +315,8 @@ fn whole_extent_expansion_matches_edge_count() {
         .into_iter()
         .map(|n| {
             g.rels_of(n, Direction::Out)
-                .into_iter()
-                .filter(|r| g.rel_type(*r).as_deref() == Some("R"))
+                .iter()
+                .filter(|r| g.rel(**r).is_some_and(|r| r.rel_type == "R"))
                 .count()
         })
         .sum();

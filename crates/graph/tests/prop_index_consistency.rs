@@ -303,8 +303,10 @@ fn check_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, label)
-                        && g.node_prop(id, key)
+                    g.node(id).is_some_and(|n| n.has_label(label))
+                        && g.node(id)
+                            .and_then(|n| n.props.get(key))
+                            .cloned()
                             .is_some_and(|have| have.eq3(value) == Some(true))
                 })
                 .collect();
@@ -348,8 +350,10 @@ fn check_index_vs_scan(g: &Graph) {
                     .iter()
                     .copied()
                     .filter(|&id| {
-                        g.node_has_label(id, label)
-                            && g.node_prop(id, key)
+                        g.node(id).is_some_and(|n| n.has_label(label))
+                            && g.node(id)
+                                .and_then(|n| n.props.get(key))
+                                .cloned()
                                 .is_some_and(|have| in_range3(&have, &lo, &hi))
                     })
                     .collect();
@@ -371,10 +375,13 @@ fn check_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.node_has_label(id, label)
-                        && g.node_prop(id, key).is_some_and(
-                            |have| matches!(&have, Value::Str(s) if s.starts_with(prefix)),
-                        )
+                    g.node(id).is_some_and(|n| n.has_label(label))
+                        && g.node(id)
+                            .and_then(|n| n.props.get(key))
+                            .cloned()
+                            .is_some_and(
+                                |have| matches!(&have, Value::Str(s) if s.starts_with(prefix)),
+                            )
                 })
                 .collect();
             assert_eq!(

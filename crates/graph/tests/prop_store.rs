@@ -147,19 +147,19 @@ fn check_indexes(g: &Graph) {
         let via_scan: BTreeSet<NodeId> = g
             .all_node_ids()
             .into_iter()
-            .filter(|&id| g.node_has_label(id, &label))
+            .filter(|&id| g.node(id).is_some_and(|n| n.has_label(&label)))
             .collect();
         assert_eq!(via_index, via_scan, "label index diverged for {label}");
     }
     // adjacency consistent with endpoints
     for rid in g.all_rel_ids() {
-        let (s, d) = g.rel_endpoints(rid).unwrap();
+        let (s, d) = g.rel(rid).map(|r| (r.src, r.dst)).unwrap();
         assert!(g.rels_of(s, Direction::Out).contains(&rid));
         assert!(g.rels_of(d, Direction::In).contains(&rid));
     }
     for nid in g.all_node_ids() {
-        for rid in g.rels_of(nid, Direction::Both) {
-            let (s, d) = g.rel_endpoints(rid).unwrap();
+        for &rid in g.rels_of(nid, Direction::Both).iter() {
+            let (s, d) = g.rel(rid).map(|r| (r.src, r.dst)).unwrap();
             assert!(s == nid || d == nid, "adjacency lists phantom rel");
         }
     }
@@ -286,24 +286,15 @@ proptest! {
         prop_assert_eq!(view.all_node_ids(), reference.all_node_ids());
         prop_assert_eq!(view.all_rel_ids(), reference.all_rel_ids());
         for id in reference.all_node_ids() {
-            let mut want = reference.node_labels(id);
-            want.sort();
-            let mut got = view.node_labels(id);
-            got.sort();
-            prop_assert_eq!(got, want);
-            for key in reference.node_prop_keys(id) {
-                prop_assert_eq!(view.node_prop(id, &key), reference.node_prop(id, &key));
-            }
-            prop_assert_eq!(view.node_prop_keys(id), reference.node_prop_keys(id));
-            let mut want_r = reference.rels_of(id, Direction::Both);
+            prop_assert_eq!(view.node(id), reference.node(id));
+            let mut want_r = reference.rels_of(id, Direction::Both).into_owned();
             want_r.sort();
-            let mut got_r = view.rels_of(id, Direction::Both);
+            let mut got_r = view.rels_of(id, Direction::Both).into_owned();
             got_r.sort();
             prop_assert_eq!(got_r, want_r);
         }
         for id in reference.all_rel_ids() {
-            prop_assert_eq!(view.rel_type(id), reference.rel_type(id));
-            prop_assert_eq!(view.rel_endpoints(id), reference.rel_endpoints(id));
+            prop_assert_eq!(view.rel(id), reference.rel(id));
         }
     }
 
@@ -323,31 +314,31 @@ proptest! {
 
         // Created nodes exist with exactly the recorded final state.
         for rec in &delta.created_nodes {
-            prop_assert!(g.node_exists(rec.id));
+            prop_assert!(g.node(rec.id).is_some());
             prop_assert_eq!(g.node(rec.id).unwrap(), rec);
         }
         // Deleted nodes are gone.
         for rec in &delta.deleted_nodes {
-            prop_assert!(!g.node_exists(rec.id));
+            prop_assert!(g.node(rec.id).is_none());
         }
         // Net label assignments hold in the post-state, on pre-existing nodes.
         for ev in &delta.assigned_labels {
             prop_assert!(!created.contains(&ev.node));
-            prop_assert!(g.node_has_label(ev.node, &ev.label));
+            prop_assert!(g.node(ev.node).is_some_and(|n| n.has_label(&ev.label)));
         }
         for ev in &delta.removed_labels {
-            prop_assert!(!g.node_has_label(ev.node, &ev.label));
+            prop_assert!(!g.node(ev.node).is_some_and(|n| n.has_label(&ev.label)));
         }
         // Assigned props carry the true old (pre-state) and new (post-state) values.
         let ops = g.ops_since(mark).to_vec();
         let pre_view = PreStateView::new(&g, &ops);
         for pa in &delta.assigned_node_props {
-            prop_assert_eq!(g.node_prop(pa.target, &pa.key).unwrap_or(Value::Null), pa.new.clone());
-            prop_assert_eq!(pre_view.node_prop(pa.target, &pa.key).unwrap_or(Value::Null), pa.old.clone());
+            prop_assert_eq!(g.node(pa.target).and_then(|n| n.props.get(&pa.key)).unwrap_or(&Value::Null), &pa.new);
+            prop_assert_eq!(pre_view.node(pa.target).and_then(|n| n.props.get(&pa.key)).unwrap_or(&Value::Null), &pa.old);
         }
         for pr in &delta.removed_node_props {
-            prop_assert_eq!(g.node_prop(pr.target, &pr.key), None);
-            prop_assert_eq!(pre_view.node_prop(pr.target, &pr.key), Some(pr.old.clone()));
+            prop_assert_eq!(g.node(pr.target).and_then(|n| n.props.get(&pr.key)), None);
+            prop_assert_eq!(pre_view.node(pr.target).and_then(|n| n.props.get(&pr.key)), Some(&pr.old));
         }
     }
 }

@@ -268,9 +268,12 @@ fn check_rel_index_vs_scan(g: &Graph) {
                 .iter()
                 .copied()
                 .filter(|&id| {
-                    g.rel_type(id).as_deref() == Some(ty)
-                        && g.rel_prop(id, key)
-                            .is_some_and(|have| have.eq3(value) == Some(true))
+                    g.rel(id).is_some_and(|r| {
+                        r.rel_type == ty
+                            && r.props
+                                .get(key)
+                                .is_some_and(|have| have.eq3(value) == Some(true))
+                    })
                 })
                 .collect();
             assert_eq!(
@@ -289,9 +292,12 @@ fn check_rel_index_vs_scan(g: &Graph) {
                     .iter()
                     .copied()
                     .filter(|&id| {
-                        g.rel_type(id).as_deref() == Some(ty)
-                            && g.rel_prop(id, key)
-                                .is_some_and(|have| in_range3(&have, &lo, &hi))
+                        g.rel(id).is_some_and(|r| {
+                            r.rel_type == ty
+                                && r.props
+                                    .get(key)
+                                    .is_some_and(|have| in_range3(have, &lo, &hi))
+                        })
                     })
                     .collect();
                 assert_eq!(

@@ -158,7 +158,10 @@ fn snapshots_serve_index_probes_and_ordered_walks() {
         .collect();
     assert_eq!(walk.len(), 4);
     for id in &walk {
-        assert_eq!(snap.node_prop(*id, "v"), Some(Value::Int(4)));
+        assert_eq!(
+            snap.node(*id).and_then(|n| n.props.get("v")).cloned(),
+            Some(Value::Int(4))
+        );
     }
 
     // Composite probe against the pinned composite index.

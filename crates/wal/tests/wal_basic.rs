@@ -127,7 +127,8 @@ fn snapshot_preserves_index_definitions_and_answers() {
         .all_node_ids()
         .into_iter()
         .filter(|&id| {
-            graph.node_has_label(id, "All") && graph.node_prop(id, "w") == Some(Value::Int(7))
+            graph.node(id).is_some_and(|n| n.has_label("All"))
+                && graph.node(id).and_then(|n| n.props.get("w")).cloned() == Some(Value::Int(7))
         })
         .collect();
     assert_eq!(via_index, via_scan);

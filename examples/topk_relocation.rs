@@ -52,7 +52,10 @@ fn build_session(cfg: &GeneratorConfig, connections: usize, indexed: bool) -> Se
             let hit = g
                 .nodes_with_label("Hospital")
                 .into_iter()
-                .find(|id| g.node_prop(*id, "name") == Some(Value::str("Sacco")))
+                .find(|id| {
+                    g.node(*id).and_then(|n| n.props.get("name")).cloned()
+                        == Some(Value::str("Sacco"))
+                })
                 .expect("generator creates Sacco");
             // keep the demo's overflow threshold small and deterministic
             g.set_node_prop(hit, "icuBeds", Value::Int(4)).unwrap();

@@ -184,8 +184,17 @@ fn observed_events(delta: &Delta, g: &Graph) -> Vec<EventPattern> {
             property: property.map(str::to_string),
         }))
     };
-    let labels_of = |n: NodeId| g.node_labels(n);
-    let type_of = |r: RelId| g.rel_type(r).into_iter().collect::<Vec<_>>();
+    let labels_of = |n: NodeId| {
+        g.node(n)
+            .map(|n| n.labels.iter().cloned().collect::<Vec<_>>())
+            .unwrap_or_default()
+    };
+    let type_of = |r: RelId| {
+        g.rel(r)
+            .map(|r| r.rel_type.clone())
+            .into_iter()
+            .collect::<Vec<_>>()
+    };
     for n in &delta.created_nodes {
         see(
             EventKind::NodeCreated,

@@ -24,7 +24,7 @@ fn umbrella_reexports_resolve_and_work() {
         .unwrap();
     {
         use suite::pg_graph::GraphView;
-        assert!(graph.node_exists(node));
+        assert!(graph.node(node).is_some());
     }
     let out = suite::pg_cypher::run_query(
         &mut graph,
