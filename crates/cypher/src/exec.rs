@@ -8,10 +8,12 @@
 //! A streaming clause passes each chunk straight on (a `MATCH` hands its
 //! matches on as the matcher produces them, see [`crate::batch`]), and a
 //! satisfied `LIMIT` stops its upstream. A folding `WITH`/`RETURN` keeps
-//! only its own state (the groups, the top-k heap, the sorted or distinct
-//! rows); an updating clause, and a `MATCH` the top-k fusion below may
-//! serve, collects its whole input. Both run once their input is
-//! exhausted.
+//! only its own state (the groups, which `DISTINCT` is too, the top-k heap
+//! or the sorted rows); an updating clause, and a `MATCH` the top-k fusion
+//! below may serve, collects its whole input. Both run once their input is
+//! exhausted. Groups, `DISTINCT`, `count`/`collect(DISTINCT …)` and
+//! `ORDER BY` all key by [`OrderKey`], so one value order
+//! ([`Value::cmp_order`]) decides what ties and what sorts first.
 //!
 //! Clauses finish in order, so a barrier runs after every clause before it
 //! has seen all of its rows and before any clause after it sees one: the
@@ -28,9 +30,9 @@
 //!
 //! 1. **Bounded top-k selection.** A projection with `ORDER BY` *and* a
 //!    constant `LIMIT` keeps only the best `SKIP + LIMIT` rows in a
-//!    bounded heap (O(n log k)) instead of sorting every row. The input
-//!    index is the final tiebreaker, so the result is identical to the
-//!    stable full sort it replaces.
+//!    bounded `BinaryHeap` (O(n log k)) instead of sorting every row. The
+//!    input index is the final tiebreaker of the one row order both use,
+//!    so the result is identical to the stable full sort it replaces.
 //! 2. **Index-served top-k.** A non-optional `MATCH` directly followed by
 //!    `WITH`/`RETURN … ORDER BY var.k1 [, var.k2, …] LIMIT k`, where `var`
 //!    is a node or single-hop relationship variable of the pattern, is
@@ -80,9 +82,12 @@ use crate::plan::{
 };
 use crate::prepared::{MatchPrep, Prepared};
 use crate::row::{Params, QueryOutput, Row};
-use pg_graph::{Direction, Graph, GraphView, IndexScope, NodeId, PropertyMap, RelId, Value};
+use pg_graph::{
+    Direction, Graph, GraphView, IndexScope, NodeId, OrderKey, PropertyMap, RelId, Value,
+};
 use std::borrow::Cow;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::ControlFlow;
 
 /// Rows per chunk handed from one clause to the next, and partial matches
@@ -110,93 +115,69 @@ fn null_bind(seeds: &[Row], nulls: &Row, chunk: &mut Chunker<'_, '_>) -> Result<
     Ok(Flow::Continue(()))
 }
 
-/// Compare two keyed rows by the `ORDER BY` spec, breaking full ties by
-/// input index — the total order a stable sort + truncate would produce.
-fn order_cmp(
-    order_by: &[(Expr, bool)],
-    a: &(Vec<Value>, usize, Row),
-    b: &(Vec<Value>, usize, Row),
-) -> Ordering {
-    for (i, (_, asc)) in order_by.iter().enumerate() {
-        let ord = a.0[i].cmp_order(&b.0[i]);
-        let ord = if *asc { ord } else { ord.reverse() };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    a.1.cmp(&b.1)
+/// One `ORDER BY` key: [`Value::cmp_order`], ascending or descending.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum SortKey {
+    Asc(OrderKey),
+    Desc(Reverse<OrderKey>),
 }
 
-/// Bounded top-k selection: keeps the `keep` smallest keyed rows under
-/// [`order_cmp`] in a max-heap (worst kept row at the root), O(n log k).
-struct TopKRows<'o> {
-    order_by: &'o [(Expr, bool)],
+/// A projected row with its `ORDER BY` keys and input index, ordered by
+/// the keys and then the index: the order a stable sort produces.
+struct Keyed {
+    keys: Vec<SortKey>,
+    idx: usize,
+    row: Row,
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&self.keys, self.idx).cmp(&(&other.keys, other.idx))
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Keyed {}
+
+/// Bounded top-k selection: the `keep` smallest [`Keyed`] rows, the worst
+/// kept row at the root of a max-heap, O(n log k).
+struct TopKRows {
     keep: usize,
-    heap: Vec<(Vec<Value>, usize, Row)>,
+    heap: BinaryHeap<Keyed>,
 }
 
-impl<'o> TopKRows<'o> {
-    fn new(order_by: &'o [(Expr, bool)], keep: usize) -> Self {
+impl TopKRows {
+    fn new(keep: usize) -> Self {
         TopKRows {
-            order_by,
             keep,
-            heap: Vec::with_capacity(keep.min(1024)),
+            heap: BinaryHeap::with_capacity(keep.min(1024)),
         }
     }
 
-    fn push(&mut self, item: (Vec<Value>, usize, Row)) {
-        if self.keep == 0 {
-            return;
-        }
+    fn push(&mut self, item: Keyed) {
         if self.heap.len() < self.keep {
             self.heap.push(item);
-            self.sift_up(self.heap.len() - 1);
-        } else if order_cmp(self.order_by, &item, &self.heap[0]) == Ordering::Less {
-            self.heap[0] = item;
-            self.sift_down(0);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if order_cmp(self.order_by, &self.heap[i], &self.heap[parent]) == Ordering::Greater {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if item < *worst {
+                *worst = item;
             }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut m = i;
-            if l < self.heap.len()
-                && order_cmp(self.order_by, &self.heap[l], &self.heap[m]) == Ordering::Greater
-            {
-                m = l;
-            }
-            if r < self.heap.len()
-                && order_cmp(self.order_by, &self.heap[r], &self.heap[m]) == Ordering::Greater
-            {
-                m = r;
-            }
-            if m == i {
-                break;
-            }
-            self.heap.swap(i, m);
-            i = m;
         }
     }
 
     fn into_sorted_rows(self) -> Vec<Row> {
-        let TopKRows {
-            order_by, mut heap, ..
-        } = self;
-        heap.sort_unstable_by(|a, b| order_cmp(order_by, a, b));
-        heap.into_iter().map(|(_, _, r)| r).collect()
+        let sorted = self.heap.into_sorted_vec();
+        sorted.into_iter().map(|k| k.row).collect()
     }
 }
 
@@ -1018,7 +999,7 @@ struct Projector<'q> {
     /// `SKIP` and `LIMIT`, evaluated at the first chunk or at the end.
     page: Option<(usize, Option<usize>)>,
     step: ProjStep<'q>,
-    fold: Fold<'q>,
+    fold: Fold,
     /// A copy of the result, for a `RETURN` that later clauses move past.
     tee: Option<Vec<Row>>,
 }
@@ -1036,24 +1017,24 @@ struct Shape<'q> {
 
 /// What a projection holds between chunks: the state of its
 /// [`FoldKind`], or a `*` projection's input.
-enum Fold<'q> {
+enum Fold {
     /// The count of rows past the filter, against `SKIP`/`LIMIT`.
     Stream(usize),
     /// The bounded heap, and how many rows went in (the tiebreaking input
     /// index).
-    TopK(TopKRows<'q>, usize),
-    /// The projected rows so far (distinct, past the filter).
+    TopK(TopKRows, usize),
+    /// The projected rows so far, past the filter.
     Rows(Vec<Row>),
     Groups(Grouper),
     /// `*`: the input rows, until their names are known.
     Star(Vec<Row>),
 }
 
-impl<'q> Fold<'q> {
-    fn new(kind: FoldKind, shape: &Shape<'q>) -> Self {
+impl Fold {
+    fn new(kind: FoldKind, shape: &Shape<'_>) -> Self {
         match kind {
             FoldKind::Stream => Fold::Stream(0),
-            FoldKind::TopK => Fold::TopK(TopKRows::new(&shape.proj.order_by, 0), 0),
+            FoldKind::TopK => Fold::TopK(TopKRows::new(0), 0),
             FoldKind::Rows => Fold::Rows(Vec::new()),
             FoldKind::Groups => Fold::Groups(Grouper::new(&shape.items)),
         }
@@ -1097,7 +1078,7 @@ impl<'q> Projector<'q> {
         let skip = int(&proj.skip)?.unwrap_or(0);
         let limit = int(&proj.limit)?;
         if let (Fold::TopK(top, _), Some(l)) = (&mut self.fold, limit) {
-            *top = TopKRows::new(&proj.order_by, skip.saturating_add(l));
+            *top = TopKRows::new(skip.saturating_add(l));
         }
         self.page = Some((skip, limit));
         Ok((skip, limit))
@@ -1132,7 +1113,7 @@ impl<'q> Projector<'q> {
                 for row in &rows {
                     let r2 = shape.project(ctx, row)?;
                     if shape.passes(ctx, &r2)? {
-                        top.push((shape.keys(ctx, &r2)?, *n, r2));
+                        top.push(shape.keyed(ctx, r2, *n)?);
                         *n += 1;
                     }
                 }
@@ -1140,7 +1121,7 @@ impl<'q> Projector<'q> {
             Fold::Rows(kept) => {
                 for row in &rows {
                     let r2 = shape.project(ctx, row)?;
-                    if !(shape.proj.distinct && kept.contains(&r2)) && shape.passes(ctx, &r2)? {
+                    if shape.passes(ctx, &r2)? {
                         kept.push(r2);
                     }
                 }
@@ -1210,21 +1191,26 @@ impl Shape<'_> {
         }
     }
 
-    /// The `ORDER BY` keys of a projected row.
-    fn keys(&self, ctx: &EvalCtx<'_>, row: &Row) -> Result<Vec<Value>> {
-        let order_by = &self.proj.order_by;
-        let mut keys = Vec::with_capacity(order_by.len());
-        for (e, _) in order_by {
-            keys.push(eval(ctx, row, e)?);
+    /// A projected row with its `ORDER BY` keys and input index `idx`.
+    fn keyed(&self, ctx: &EvalCtx<'_>, row: Row, idx: usize) -> Result<Keyed> {
+        let mut keys = Vec::with_capacity(self.proj.order_by.len());
+        for (e, asc) in &self.proj.order_by {
+            let key = OrderKey(eval(ctx, &row, e)?);
+            keys.push(if *asc {
+                SortKey::Asc(key)
+            } else {
+                SortKey::Desc(Reverse(key))
+            });
         }
-        Ok(keys)
+        Ok(Keyed { keys, idx, row })
     }
 
-    /// `DISTINCT`, the filter and the order, over complete projected rows.
+    /// The filter and the order, over complete projected rows (grouped
+    /// rows are distinct by construction).
     fn settle(&self, ctx: &EvalCtx<'_>, rows: Vec<Row>, keep: Option<usize>) -> Result<Vec<Row>> {
         let mut kept: Vec<Row> = Vec::with_capacity(rows.len());
         for r in rows {
-            if !(self.proj.distinct && kept.contains(&r)) && self.passes(ctx, &r)? {
+            if self.passes(ctx, &r)? {
                 kept.push(r);
             }
         }
@@ -1235,23 +1221,23 @@ impl Shape<'_> {
     /// given (bounded top-k: the input index as final tiebreaker makes it
     /// the stable full sort, truncated).
     fn order(&self, ctx: &EvalCtx<'_>, rows: Vec<Row>, keep: Option<usize>) -> Result<Vec<Row>> {
-        let order_by = &self.proj.order_by;
-        if order_by.is_empty() {
+        if self.proj.order_by.is_empty() {
             return Ok(rows);
         }
+        let keyed = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| self.keyed(ctx, r, i));
         if let Some(keep) = keep {
-            let mut top = TopKRows::new(order_by, keep);
-            for (idx, r) in rows.into_iter().enumerate() {
-                top.push((self.keys(ctx, &r)?, idx, r));
+            let mut top = TopKRows::new(keep);
+            for k in keyed {
+                top.push(k?);
             }
             return Ok(top.into_sorted_rows());
         }
-        let mut keyed: Vec<(Vec<Value>, usize, Row)> = Vec::with_capacity(rows.len());
-        for (idx, r) in rows.into_iter().enumerate() {
-            keyed.push((self.keys(ctx, &r)?, idx, r));
-        }
-        keyed.sort_by(|a, b| order_cmp(order_by, a, b));
-        Ok(keyed.into_iter().map(|(_, _, r)| r).collect())
+        let mut keyed = keyed.collect::<Result<Vec<Keyed>>>()?;
+        keyed.sort_unstable();
+        Ok(keyed.into_iter().map(|k| k.row).collect())
     }
 }
 
@@ -1296,19 +1282,25 @@ enum ItemKind {
     Agg(Expr),
 }
 
-/// One group: its key values, one accumulator per aggregate call, and its
-/// first input row (what a rewritten item reads besides the placeholders).
+/// One group: its key values (moved in from the index at the end), one
+/// accumulator per aggregate call, and its first input row (what a
+/// rewritten item reads besides the placeholders).
 struct Group {
-    key: Vec<Value>,
+    key: Vec<OrderKey>,
     accs: Vec<Accumulator>,
     rep: Row,
 }
 
-/// Grouping and aggregation, folded one input row at a time.
+/// Grouping and aggregation, folded one input row at a time; `DISTINCT`
+/// is grouping by every item.
 struct Grouper {
     specs: Vec<AggSpec>,
     kinds: Vec<ItemKind>,
+    /// The groups in first-seen order,
     groups: Vec<Group>,
+    /// and each one's place there by its key values, tied by
+    /// [`Value::cmp_order`]. Empty when no item is a key.
+    index: BTreeMap<Vec<OrderKey>, usize>,
 }
 
 impl Grouper {
@@ -1358,12 +1350,18 @@ impl Grouper {
             specs,
             kinds,
             groups: Vec::new(),
+            index: BTreeMap::new(),
         }
     }
 
-    fn accumulators(&self) -> Vec<Accumulator> {
+    /// A group no row was folded into yet.
+    fn group(&self) -> Group {
         let new = |s: &AggSpec| Accumulator::new(&s.name, s.distinct).expect("aggregate");
-        self.specs.iter().map(new).collect()
+        Group {
+            key: Vec::new(),
+            accs: self.specs.iter().map(new).collect(),
+            rep: Row::new(),
+        }
     }
 
     /// Fold one input row into its group.
@@ -1371,21 +1369,20 @@ impl Grouper {
         let mut key = Vec::new();
         for k in &self.kinds {
             if let ItemKind::GroupKey(e) = k {
-                key.push(eval(ctx, &row, e)?);
+                key.push(OrderKey(eval(ctx, &row, e)?));
             }
         }
-        let (gi, fresh) = match self.groups.iter().position(|g| g.key == key) {
-            Some(gi) => (gi, false),
-            None => {
-                let accs = self.accumulators();
-                self.groups.push(Group {
-                    key,
-                    accs,
-                    rep: Row::new(),
-                });
-                (self.groups.len() - 1, true)
-            }
+        let fresh = self.groups.len();
+        // Without keys every row is the one group's.
+        let gi = if key.is_empty() {
+            0
+        } else {
+            *self.index.entry(key).or_insert(fresh)
         };
+        if gi == fresh {
+            let group = self.group();
+            self.groups.push(group);
+        }
         let group = &mut self.groups[gi];
         for (acc, spec) in group.accs.iter_mut().zip(&self.specs) {
             let v = match &spec.arg {
@@ -1394,7 +1391,8 @@ impl Grouper {
             };
             acc.push(v)?;
         }
-        if fresh {
+        // Only aggregate items read the row; a `DISTINCT` keeps none.
+        if gi == fresh && !self.specs.is_empty() {
             group.rep = row;
         }
         Ok(())
@@ -1406,11 +1404,10 @@ impl Grouper {
         // single group (so `RETURN count(*)` on no rows is 0).
         let no_group_keys = self.kinds.iter().all(|k| matches!(k, ItemKind::Agg(_)));
         if self.groups.is_empty() && no_group_keys {
-            self.groups.push(Group {
-                key: Vec::new(),
-                accs: self.accumulators(),
-                rep: Row::new(),
-            });
+            self.groups.push(self.group());
+        }
+        for (key, gi) in std::mem::take(&mut self.index) {
+            self.groups[gi].key = key;
         }
         let mut out = Vec::with_capacity(self.groups.len());
         for g in self.groups {
@@ -1423,7 +1420,7 @@ impl Grouper {
             for (kind, col) in self.kinds.iter().zip(columns) {
                 match kind {
                     ItemKind::GroupKey(_) => {
-                        r2.set(col, key_iter.next().expect("group key"));
+                        r2.set(col, key_iter.next().expect("group key").0);
                     }
                     ItemKind::Agg(rewritten) => {
                         r2.set(col, eval(ctx, &env, rewritten)?);

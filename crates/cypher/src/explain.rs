@@ -21,7 +21,7 @@ use crate::ast::{Clause, PathPattern, ProjItem, Query};
 use crate::error::Result;
 use crate::expr::EvalCtx;
 use crate::parser::parse_query;
-use crate::plan::{clause_name, lower_query, FoldKind, ProjStep, StepKind, TopKSpec};
+use crate::plan::{clause_name, lower_query, ProjStep, StepKind, TopKSpec};
 use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
@@ -132,7 +132,7 @@ pub fn render_plan(
 /// ordered walk it is fused into, else the sort and the page.
 fn render_projection(out: &mut String, step: &ProjStep<'_>, topk: Option<&TopKSpec>) {
     let proj = step.proj;
-    let op = if step.fold == FoldKind::Groups {
+    let op = if proj.items.iter().any(|it| it.expr.has_aggregate()) {
         "Aggregate"
     } else {
         "Project"

@@ -1,7 +1,8 @@
 //! Built-in scalar and aggregate functions.
 
 use crate::error::{CypherError, Result};
-use pg_graph::{GraphView, PropertyMap, Value};
+use pg_graph::{GraphView, OrderKey, PropertyMap, Value};
+use std::collections::BTreeSet;
 
 /// The property map of a node or relationship value (empty when the item
 /// does not exist in `view`); `None` for any other value.
@@ -327,10 +328,10 @@ pub fn eval_scalar(name: &str, args: &[Value], view: &dyn GraphView, now_ms: i64
 /// Accumulator for aggregate functions.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
+    /// `seen` is `Some` for `count(DISTINCT …)`.
     Count {
         n: i64,
-        distinct: bool,
-        seen: Vec<Value>,
+        seen: Option<BTreeSet<OrderKey>>,
     },
     Sum {
         acc: Value,
@@ -345,28 +346,26 @@ pub enum Accumulator {
     Max {
         acc: Option<Value>,
     },
+    /// `seen` is `Some` for `collect(DISTINCT …)`.
     Collect {
         items: Vec<Value>,
-        distinct: bool,
+        seen: Option<BTreeSet<OrderKey>>,
     },
 }
 
 impl Accumulator {
     /// A fresh accumulator for the given aggregate function name.
     pub fn new(name: &str, distinct: bool) -> Option<Accumulator> {
+        let seen = distinct.then(BTreeSet::new);
         Some(match name {
-            "count" => Accumulator::Count {
-                n: 0,
-                distinct,
-                seen: Vec::new(),
-            },
+            "count" => Accumulator::Count { n: 0, seen },
             "sum" => Accumulator::Sum { acc: Value::Int(0) },
             "avg" => Accumulator::Avg { sum: 0.0, n: 0 },
             "min" => Accumulator::Min { acc: None },
             "max" => Accumulator::Max { acc: None },
             "collect" => Accumulator::Collect {
                 items: Vec::new(),
-                distinct,
+                seen,
             },
             _ => return None,
         })
@@ -378,13 +377,8 @@ impl Accumulator {
             return Ok(());
         }
         match self {
-            Accumulator::Count { n, distinct, seen } => {
-                if *distinct {
-                    if !seen.contains(&v) {
-                        seen.push(v);
-                        *n += 1;
-                    }
-                } else {
+            Accumulator::Count { n, seen } => {
+                if seen.as_mut().is_none_or(|s| s.insert(OrderKey(v))) {
                     *n += 1;
                 }
             }
@@ -401,26 +395,18 @@ impl Accumulator {
                 *n += 1;
             }
             Accumulator::Min { acc } => {
-                let better = match acc {
-                    Some(cur) => v.cmp_order(cur) == std::cmp::Ordering::Less,
-                    None => true,
-                };
-                if better {
+                if acc.as_ref().is_none_or(|cur| v.cmp_order(cur).is_lt()) {
                     *acc = Some(v);
                 }
             }
             Accumulator::Max { acc } => {
-                let better = match acc {
-                    Some(cur) => v.cmp_order(cur) == std::cmp::Ordering::Greater,
-                    None => true,
-                };
-                if better {
+                if acc.as_ref().is_none_or(|cur| v.cmp_order(cur).is_gt()) {
                     *acc = Some(v);
                 }
             }
-            Accumulator::Collect { items, distinct } => {
+            Accumulator::Collect { items, seen } => {
                 let v = crate::expr::element(v)?;
-                if !*distinct || !items.contains(&v) {
+                if seen.as_mut().is_none_or(|s| s.insert(OrderKey(v.clone()))) {
                     items.push(v);
                 }
             }

@@ -4,12 +4,12 @@
 //! only place that decides how a clause runs: streaming (a `MATCH`,
 //! `WHERE` or `UNWIND`, or a `WITH`/`RETURN` without aggregation,
 //! `ORDER BY`, `DISTINCT` or `*`), collecting its input first, projecting
-//! with a fold (a bounded top-k heap, sorted or distinct rows, groups; a
-//! `*` holds its input until the names are known) or as an updating
-//! barrier; which `MATCH` + projection pairs are top-k fusion candidates;
-//! and where a run of streaming clauses collects. [`crate::exec`] builds
-//! its pipeline stages from that list, and `EXPLAIN` prints it:
-//! [`lower_query`] annotates each `MATCH` step with the
+//! with a fold (a bounded top-k heap, sorted rows, groups, which
+//! `DISTINCT` is too; a `*` holds its input until the names are known) or
+//! as an updating barrier; which `MATCH` + projection pairs are top-k
+//! fusion candidates; and where a run of streaming clauses collects.
+//! [`crate::exec`] builds its pipeline stages from that list, and `EXPLAIN`
+//! prints it: [`lower_query`] annotates each `MATCH` step with the
 //! [`PhysicalPathPlan`]s of the very `plan_patterns` call the matchers
 //! make ([`crate::pattern`]), so the `Seed`/`Expand` lines are the
 //! matcher's plan by construction.
@@ -341,9 +341,10 @@ pub(crate) enum FoldKind {
     Stream,
     /// `ORDER BY … LIMIT`: a bounded heap.
     TopK,
-    /// `DISTINCT`, a full sort, `*` or a collect point: the projected rows.
+    /// A full sort, `*` or a collect point: the projected rows.
     Rows,
-    /// Aggregation: the groups.
+    /// Aggregation or `DISTINCT` (grouping by every item): the groups,
+    /// keyed by [`pg_graph::OrderKey`].
     Groups,
 }
 
@@ -351,11 +352,11 @@ impl FoldKind {
     /// `collect`: hand nothing on before the input is complete.
     fn of(proj: &Projection, collect: bool) -> FoldKind {
         let sorted = !proj.order_by.is_empty();
-        if proj.items.iter().any(|it| it.expr.has_aggregate()) {
+        if proj.distinct || proj.items.iter().any(|it| it.expr.has_aggregate()) {
             FoldKind::Groups
-        } else if sorted && proj.limit.is_some() && !proj.distinct {
+        } else if sorted && proj.limit.is_some() {
             FoldKind::TopK
-        } else if sorted || proj.distinct || proj.star || collect {
+        } else if sorted || proj.star || collect {
             FoldKind::Rows
         } else {
             FoldKind::Stream

@@ -369,3 +369,92 @@ fn undirected_hop_matches_a_self_loop_once() {
     assert_eq!(rows(&g).len(), 2, "the loop is gone from the live graph");
     assert_eq!(rows(&PreStateView::new(&g, &ops)), want, "pre-state");
 }
+
+/// One value order decides sorting, `min`/`max`, grouping and every
+/// `DISTINCT`: numbers compare by exact value, `NaN` sorts after every
+/// number and ties only itself, and two values are one group exactly when
+/// `ORDER BY` ties them. (`NaN` is checked with `is_nan`, since `Value`'s
+/// `==` never holds for it.)
+#[test]
+fn one_value_order_sorts_and_groups() {
+    let mut g = Graph::new();
+    let col = |src: &str, g: &mut Graph| -> Vec<Value> {
+        run(g, src)
+            .rows
+            .into_iter()
+            .map(|mut r| r.remove(0))
+            .collect()
+    };
+    let one = |src: &str, g: &mut Graph| -> Vec<Value> {
+        let rows = run(g, src).rows;
+        assert_eq!(rows.len(), 1, "{src}: {rows:?}");
+        rows.into_iter().next().unwrap()
+    };
+    let is_nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+
+    // ORDER BY: NaN after every number.
+    let got = col(
+        "UNWIND [3.0, 0.0/0.0, 1.0, 2.0, 0.5] AS x RETURN x ORDER BY x",
+        &mut g,
+    );
+    assert_eq!(got[..4], [0.5, 1.0, 2.0, 3.0].map(Value::Float), "{got:?}");
+    assert!(is_nan(&got[4]), "{got:?}");
+    // min/max: NaN first in the list does not stick.
+    let got = one(
+        "UNWIND [0.0/0.0, 3.0, 1.0, 2.0, 0.5] AS x RETURN min(x), max(x)",
+        &mut g,
+    );
+    assert_eq!(got[0], Value::Float(0.5), "{got:?}");
+    assert!(is_nan(&got[1]), "{got:?}");
+    // Int/Float by exact value beyond 2^53; the tie keeps input order.
+    let got = col(
+        "UNWIND [9007199254740993, 9007199254740992.0, 9007199254740992] AS x RETURN x ORDER BY x",
+        &mut g,
+    );
+    let two53 = 1i64 << 53;
+    let want = [
+        Value::Float(two53 as f64),
+        Value::Int(two53),
+        Value::Int(two53 + 1),
+    ];
+    assert_eq!(got, want);
+
+    // 1 and 1.0 are one group; the first-seen value stands for it.
+    let ints = "UNWIND [1, toFloat(1)] AS x";
+    let got = col(&format!("{ints} RETURN DISTINCT x"), &mut g);
+    assert_eq!(got, [Value::Int(1)]);
+    let got = one(&format!("{ints} RETURN count(DISTINCT x)"), &mut g);
+    assert_eq!(got, [Value::Int(1)]);
+    let got = one(&format!("{ints} RETURN collect(DISTINCT x)"), &mut g);
+    assert_eq!(got, [Value::list([Value::Int(1)])]);
+    let got = one(&format!("{ints} RETURN x, count(*)"), &mut g);
+    assert_eq!(got, [Value::Int(1), Value::Int(2)]);
+    for nested in ["[[1], [1.0]]", "[{a: 1}, {a: 1.0}]"] {
+        let src = format!("UNWIND {nested} AS x RETURN count(DISTINCT x)");
+        assert_eq!(one(&src, &mut g), [Value::Int(1)], "{src}");
+    }
+
+    // Two NaNs are one value.
+    let nans = "UNWIND [0.0/0.0, 0.0/0.0] AS x";
+    let got = one(&format!("{nans} RETURN count(DISTINCT x)"), &mut g);
+    assert_eq!(got, [Value::Int(1)]);
+    let got = col(&format!("{nans} RETURN DISTINCT x"), &mut g);
+    assert!(got.len() == 1 && is_nan(&got[0]), "{got:?}");
+    let got = one(&format!("{nans} RETURN x, count(*)"), &mut g);
+    assert!(is_nan(&got[0]) && got[1] == Value::Int(2), "{got:?}");
+
+    // WITH DISTINCT filters the deduplicated row, whose value is the
+    // first-seen `1`.
+    let src = format!("{ints} WITH DISTINCT x WHERE toString(x) = '1.0' RETURN x");
+    assert!(run(&mut g, &src).rows.is_empty(), "{src}");
+
+    // Beyond ±2^53 the equivalence stays exact (hence transitive), though
+    // `=` calls these two equal; and 0.0 ties -0.0.
+    for (list, n) in [
+        ("[9007199254740993, 9007199254740992.0]", 2),
+        ("[0.0, -0.0]", 1),
+    ] {
+        let src = format!("UNWIND {list} AS x RETURN count(DISTINCT x)");
+        assert_eq!(one(&src, &mut g), [Value::Int(n)], "{src}");
+    }
+}

@@ -89,31 +89,146 @@ proptest! {
     }
 
     #[test]
-    fn comparison_chains_respect_total_order(xs in prop::collection::vec(-50i64..50, 1..8)) {
-        // ORDER BY over UNWIND must sort ascending
-        let list = xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(", ");
-        let src = format!("UNWIND [{list}] AS x RETURN x ORDER BY x");
-        let mut g = pg_graph::Graph::new();
-        let out = pg_cypher::run_query(&mut g, &src, &pg_cypher::Params::new(), 0).unwrap();
-        let got: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        let mut want = xs.clone();
+    fn comparison_chains_respect_total_order(xs in prop::collection::vec(mixed_value(), 1..8)) {
+        // ORDER BY over UNWIND: a permutation of the input, ascending in
+        // the one value order.
+        let got = column(&format!("UNWIND {} AS x RETURN x ORDER BY x", list_lit(&xs)));
+        let mut want: Vec<String> = xs.iter().map(|v| format!("{v:?}")).collect();
+        let mut have: Vec<String> = got.iter().map(|v| format!("{v:?}")).collect();
         want.sort();
-        prop_assert_eq!(got, want);
+        have.sort();
+        prop_assert_eq!(have, want, "not a permutation: {:?}", got);
+        for (i, a) in got.iter().enumerate() {
+            for b in &got[i + 1..] {
+                prop_assert!(a.cmp_order(b).is_le(), "{:?} before {:?} in {:?}", a, b, got);
+            }
+        }
     }
 
     #[test]
-    fn distinct_collect_matches_set_semantics(xs in prop::collection::vec(0i64..10, 0..20)) {
-        let list = xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(", ");
-        let src = format!("UNWIND [{list}] AS x RETURN count(DISTINCT x) AS n");
-        let mut g = pg_graph::Graph::new();
-        let out = pg_cypher::run_query(&mut g, &src, &pg_cypher::Params::new(), 0).unwrap();
-        let distinct: std::collections::BTreeSet<i64> = xs.iter().copied().collect();
-        // count(DISTINCT …) over an empty UNWIND yields 0
-        prop_assert_eq!(
-            out.single().and_then(|v| v.as_i64()).unwrap_or(0) as usize,
-            distinct.len()
-        );
+    fn distinct_collect_matches_set_semantics(xs in prop::collection::vec(mixed_value(), 0..20)) {
+        // Every deduplication equals the linear twin, in the same order.
+        let unwind = format!("UNWIND {} AS x", list_lit(&xs));
+        let non_null: Vec<Value> = xs.iter().filter(|v| !v.is_null()).cloned().collect();
+        let (all, present) = (first_seen(&xs), first_seen(&non_null));
+        let keys = |groups: &[(Value, i64)]| debug(groups.iter().map(|(v, _)| v.clone()));
+        let got = column(&format!("{unwind} RETURN DISTINCT x"));
+        prop_assert_eq!(debug(got), keys(&all));
+        let got = column(&format!("{unwind} RETURN count(DISTINCT x) AS n"));
+        prop_assert_eq!(got, vec![Value::Int(present.len() as i64)]);
+        let got = column(&format!("{unwind} RETURN collect(DISTINCT x) AS c"));
+        prop_assert_eq!(debug(got), debug([Value::list(present.iter().map(|g| g.0.clone()))]));
+        let out = pg_cypher::run_query(
+            &mut pg_graph::Graph::new(),
+            &format!("{unwind} RETURN x, count(*) AS n"),
+            &pg_cypher::Params::new(),
+            0,
+        )
+        .unwrap();
+        let groups = out.rows.into_iter().map(|r| (r[0].clone(), r[1].as_i64().unwrap()));
+        prop_assert_eq!(format!("{:?}", groups.collect::<Vec<_>>()), format!("{all:?}"));
     }
+}
+
+/// Mixed literals where a partial or lossy value order shows: integers
+/// beside the floats they round to (±(2⁵³ ± 1), `i64::MIN`/`MAX`),
+/// integral and fractional floats, signed zero, infinities and `NaN`,
+/// strings, booleans and `null`; and one-level lists and maps of these.
+fn mixed_value() -> BoxedStrategy<Value> {
+    let two53 = 1i64 << 53;
+    let ints = [
+        two53 - 1,
+        two53,
+        two53 + 1,
+        -two53 - 1,
+        -two53 + 1,
+        i64::MIN,
+        i64::MAX,
+    ];
+    let floats = [
+        0.0,
+        -0.0,
+        two53 as f64,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    // 2⁵³ + 1 and 2⁵³ both round to 2⁵³.0: three values a lossy order
+    // ties pairwise but not transitively, drawn often.
+    let near = [
+        Value::Int(two53),
+        Value::Int(two53 + 1),
+        Value::Float(two53 as f64),
+    ];
+    let near = (0..near.len()).prop_map(move |i| near[i].clone()).boxed();
+    let scalar = prop_oneof![
+        near.clone(),
+        near,
+        (-2i64..3).prop_map(Value::Int),
+        (0..ints.len()).prop_map(move |i| Value::Int(ints[i])),
+        (-6i64..7).prop_map(|q| Value::Float(q as f64 / 2.0)),
+        (0..floats.len()).prop_map(move |i| Value::Float(floats[i])),
+        "[ab]{0,1}".prop_map(Value::Str),
+        any::<bool>().prop_map(Value::Bool),
+        Just(Value::Null),
+    ]
+    .boxed();
+    prop_oneof![
+        scalar.clone(),
+        scalar.clone(),
+        prop::collection::vec(scalar.clone(), 0..3).prop_map(Value::List),
+        prop::collection::vec(("[ab]", scalar), 0..3).prop_map(Value::map),
+    ]
+    .boxed()
+}
+
+/// A Cypher expression that evaluates to `v`.
+fn lit(v: &Value) -> String {
+    match v {
+        Value::Int(i64::MIN) => "(-9223372036854775807 - 1)".to_string(),
+        Value::Float(f) if f.is_nan() => "0.0/0.0".to_string(),
+        Value::Float(f) if f.is_infinite() => format!("{}1.0/0.0", if *f < 0.0 { "-" } else { "" }),
+        Value::Float(f) => format!("{f:?}"),
+        Value::Str(s) => format!("'{s}'"),
+        Value::List(items) => list_lit(items),
+        Value::Map(m) => {
+            let entries: Vec<String> = m.iter().map(|(k, v)| format!("{k}: {}", lit(v))).collect();
+            format!("{{{}}}", entries.join(", "))
+        }
+        other => other.to_string(),
+    }
+}
+
+fn list_lit(items: &[Value]) -> String {
+    format!("[{}]", items.iter().map(lit).collect::<Vec<_>>().join(", "))
+}
+
+/// The first column of a query's rows.
+fn column(src: &str) -> Vec<Value> {
+    let mut g = pg_graph::Graph::new();
+    let out = pg_cypher::run_query(&mut g, src, &pg_cypher::Params::new(), 0)
+        .unwrap_or_else(|e| panic!("{src}: {e}"));
+    out.rows.into_iter().map(|mut r| r.remove(0)).collect()
+}
+
+/// Values compared by their `Debug` text: `NaN` equals itself and `-0.0`
+/// differs from `0.0`, so first-seen representatives are checked exactly.
+fn debug(vs: impl IntoIterator<Item = Value>) -> Vec<String> {
+    vs.into_iter().map(|v| format!("{v:?}")).collect()
+}
+
+/// The linear twin of every deduplication: first-seen groups under
+/// `cmp_order(..).is_eq()`, with their sizes — the shape of the scans the
+/// ordered keys replaced.
+fn first_seen(xs: &[Value]) -> Vec<(Value, i64)> {
+    let mut groups: Vec<(Value, i64)> = Vec::new();
+    for x in xs {
+        match groups.iter_mut().find(|(g, _)| g.cmp_order(x).is_eq()) {
+            Some((_, n)) => *n += 1,
+            None => groups.push((x.clone(), 1)),
+        }
+    }
+    groups
 }
 
 // ---------------------------------------------------------------------

@@ -333,6 +333,11 @@ fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
         ("MATCH (n:NEWNODES) SET n.v = 1", 20),
         ("MATCH (n:NEWNODES) WHERE EXISTS { (n)--() } RETURN n", 42),
         ("MATCH (n:NEWNODES)-[:R*1..2]->(m) RETURN m.id AS id", 42),
+        // The §6 condition shape: one keyed group with a DISTINCT count.
+        (
+            "MATCH (n:NEWNODES)-[:R]-(m) RETURN n AS n, count(DISTINCT m) AS c",
+            57,
+        ),
     ] {
         let query = parse_query(src).unwrap();
         let seed = Row::from_pairs([("NEWNODES", Value::List(vec![Value::Node(NodeId(2))]))]);

@@ -24,11 +24,12 @@
 //! and whole-extent ordered walks complete: an entry covers the label's
 //! full extent at every width.
 //!
-//! Segments order by [`Value::cmp_order`]'s family rank (strings <
-//! booleans < numerics < dates < datetimes), numerics interleaved, with
-//! `Missing` sorting after every value — exactly `ORDER BY`'s NULL-last
-//! rank. One ordered map therefore serves both the range walks (bounds stay
-//! inside one family, where `cmp3` and `cmp_order` agree) and the ordered
+//! Segments order as their keys do — [`IndexKey`]'s order is
+//! [`Value::cmp_order`]'s (strings < booleans < numerics < dates <
+//! datetimes, numerics interleaved) — with `Missing` sorting after every
+//! value, exactly `ORDER BY`'s NULL-last rank. One ordered map therefore
+//! serves the range walks (bounds stay inside one family, where `cmp3` and
+//! `cmp_order` agree), the histogram (one in-order walk) and the ordered
 //! walks (whole-key order *is* the `ORDER BY k1, k2, …` order, ascending
 //! or — reversed, with `Missing` leading, matching NULL-first — descending).
 //!
@@ -75,34 +76,11 @@ pub enum CompositeSeg {
     Hi,
 }
 
-/// `cmp_order` family rank of an [`IndexKey`]: strings < booleans <
-/// numerics < dates < datetimes.
-fn order_rank(k: &IndexKey) -> u8 {
-    match k {
-        IndexKey::Str(_) => 0,
-        IndexKey::Bool(_) => 1,
-        IndexKey::Int(_) | IndexKey::FloatBits(_) => 2,
-        IndexKey::Date(_) => 3,
-        IndexKey::DateTime(_) => 4,
-    }
-}
-
-/// Smallest key of a `cmp_order` family rank (inclusive frontier).
-fn rank_min(rank: u8) -> IndexKey {
-    match rank {
-        0 => IndexKey::Str(String::new()),
-        1 => IndexKey::Bool(false),
-        2 => IndexKey::FloatBits(f64::NEG_INFINITY.to_bits()),
-        3 => IndexKey::Date(i64::MIN),
-        _ => IndexKey::DateTime(i64::MIN),
-    }
-}
-
-/// The exclusive upper frontier of a family rank as a segment: the next
+/// The exclusive upper frontier of a family as a segment: the next
 /// family's smallest key, or `Missing` above the last family.
-fn rank_sup(rank: u8) -> CompositeSeg {
-    if rank < 4 {
-        CompositeSeg::Key(rank_min(rank + 1))
+fn family_sup(fam: u8) -> CompositeSeg {
+    if fam < 4 {
+        CompositeSeg::Key(family_min(fam + 1))
     } else {
         CompositeSeg::Missing
     }
@@ -112,7 +90,7 @@ impl Ord for CompositeSeg {
     fn cmp(&self, other: &Self) -> Ordering {
         use CompositeSeg::*;
         match (self, other) {
-            (Key(a), Key(b)) => order_rank(a).cmp(&order_rank(b)).then_with(|| a.cmp(b)),
+            (Key(a), Key(b)) => a.cmp(b),
             (Key(_), _) => Ordering::Less,
             (_, Key(_)) => Ordering::Greater,
             (Missing, Missing) | (Hi, Hi) => Ordering::Equal,
@@ -354,26 +332,18 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
         }
     }
 
-    /// Rebuild the leading-column histogram from the live key space. The
-    /// map orders families by `cmp_order` rank while the histogram
-    /// compares bounds in [`IndexKey`] order; within a family the two
-    /// agree, so the families are walked in `IndexKey` order, coalescing
-    /// the adjacent vectors that share a leading key.
+    /// Rebuild the leading-column histogram from the live key space: the
+    /// map is in [`IndexKey`] order, so one walk coalesces the adjacent
+    /// vectors that share a leading key.
     fn rebuild_hist(&mut self) {
-        // booleans, numerics, strings, dates, datetimes — as `order_rank`s
-        const RANKS_IN_KEY_ORDER: [u8; 5] = [1, 2, 0, 3, 4];
         let mut by_leading: Vec<(&IndexKey, usize)> = Vec::new();
-        for rank in RANKS_IN_KEY_ORDER {
-            let lo = Bound::Included(vec![CompositeSeg::Key(rank_min(rank))]);
-            let hi = Bound::Excluded(vec![rank_sup(rank)]);
-            for (segs, set) in self.map.range(lo, hi) {
-                let Some(CompositeSeg::Key(ik)) = segs.first() else {
-                    continue;
-                };
-                match by_leading.last_mut() {
-                    Some((last, n)) if *last == ik => *n += set.len(),
-                    _ => by_leading.push((ik, set.len())),
-                }
+        for (segs, set) in self.map.iter() {
+            let Some(CompositeSeg::Key(ik)) = segs.first() else {
+                break; // `Missing` sorts after every key
+            };
+            match by_leading.last_mut() {
+                Some((last, n)) if *last == ik => *n += set.len(),
+                _ => by_leading.push((ik, set.len())),
             }
         }
         self.hist
@@ -418,7 +388,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
                 let mut lo = prefix.clone();
                 lo.push(CompositeSeg::Key(IndexKey::Str(p.to_string())));
                 let mut hi = prefix;
-                hi.push(rank_sup(0)); // end of the string family
+                hi.push(family_sup(0)); // end of the string family
                 ProbeQuery::Walk {
                     lo: Bound::Included(lo),
                     hi: Bound::Excluded(hi),
@@ -451,15 +421,15 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
                 };
                 let fam = match (&lo_k, &hi_k) {
                     (Bound::Included(k) | Bound::Excluded(k), Bound::Unbounded)
-                    | (Bound::Unbounded, Bound::Included(k) | Bound::Excluded(k)) => order_rank(k),
+                    | (Bound::Unbounded, Bound::Included(k) | Bound::Excluded(k)) => k.family(),
                     (
                         Bound::Included(a) | Bound::Excluded(a),
                         Bound::Included(b) | Bound::Excluded(b),
                     ) => {
-                        if order_rank(a) != order_rank(b) {
+                        if a.family() != b.family() {
                             return ProbeQuery::Empty;
                         }
-                        order_rank(a)
+                        a.family()
                     }
                     (Bound::Unbounded, Bound::Unbounded) => return ProbeQuery::Refused,
                 };
@@ -476,7 +446,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
                         let mut v = prefix.clone();
                         v.push(CompositeSeg::Key(match lo_k {
                             Bound::Included(k) => k,
-                            _ => rank_min(fam),
+                            _ => family_min(fam),
                         }));
                         Bound::Included(v)
                     }
@@ -492,7 +462,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
                 let hi = match hi_k {
                     Bound::Unbounded => {
                         let mut v = prefix;
-                        v.push(rank_sup(fam));
+                        v.push(family_sup(fam));
                         Bound::Excluded(v)
                     }
                     Bound::Included(k) => {
@@ -603,7 +573,7 @@ impl<Id: Ord + Copy> CompositeEntries<Id> {
             _ => return None,
         };
         let lo = match lo {
-            Bound::Unbounded => family_min(fam),
+            Bound::Unbounded => Bound::Included(family_min(fam)),
             b => b,
         };
         let hi = match hi {

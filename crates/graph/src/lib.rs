@@ -59,5 +59,5 @@ pub use record::{NodeRecord, RelRecord};
 pub use snapshot::{GraphHandle, Snapshot};
 pub use stats::{degree_bucket, DegreeHistogram, Histogram, DEGREE_BUCKETS};
 pub use store::{CommitSink, Graph, IndexProbes, StatementMark, WritePolicy};
-pub use value::{Direction, Value, MAX_NESTING};
+pub use value::{Direction, OrderKey, Value, MAX_NESTING};
 pub use view::{GraphView, IndexDef, IndexOn, IndexScope, PreStateView, ProbeMode, Probed};

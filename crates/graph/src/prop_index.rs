@@ -21,12 +21,14 @@
 //!
 //! ## Range semantics
 //!
-//! [`IndexKey`] carries a hand-written [`Ord`] that sorts the two numeric
-//! variants **numerically interleaved** (`Int(1) < FloatBits(1.5) <
-//! Int(2)`), so one ordered walk answers `<`/`<=`/`>`/`>=` pushdowns in
-//! O(log n + k). Non-numeric families (booleans, strings, dates,
-//! datetimes) occupy disjoint, contiguous key regions matching
-//! [`Value::cmp3`]'s refusal to compare across types.
+//! [`IndexKey`] carries a hand-written [`Ord`] that is [`Value::cmp_order`]
+//! on keys: families rank as that order ranks types (strings < booleans <
+//! numerics < dates < datetimes), and the two numeric variants sort
+//! **numerically interleaved** (`Int(1) < FloatBits(1.5) < Int(2)`), so one
+//! ordered walk answers `<`/`<=`/`>`/`>=` pushdowns in O(log n + k) and the
+//! key space is the `ORDER BY` order. Each family occupies a disjoint,
+//! contiguous key region, matching [`Value::cmp3`]'s refusal to compare
+//! across types.
 //!
 //! Range scans have one completeness hazard equality scans do not: a stored
 //! numeric *outside* ±2⁵³ is absent from the index yet **can** satisfy a
@@ -44,8 +46,8 @@ use std::ops::Bound;
 /// not be faithful to [`Value::eq3`].
 const SAFE_INT: i64 = 1 << 53;
 
-/// The canonical key an indexed property value maps to, totally ordered
-/// consistently with [`Value::cmp3`] within each comparable family.
+/// The canonical key an indexed property value maps to, ordered as
+/// [`Value::cmp_order`] orders the values it keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexKey {
     Bool(bool),
@@ -59,13 +61,14 @@ pub enum IndexKey {
 }
 
 impl IndexKey {
-    /// Family rank: booleans < numerics < strings < dates < datetimes.
-    /// `Int` and `FloatBits` share a rank — they interleave numerically.
+    /// Family rank, [`Value::cmp_order`]'s type rank: strings < booleans <
+    /// numerics < dates < datetimes. `Int` and `FloatBits` share a rank —
+    /// they interleave numerically.
     pub(crate) fn family(&self) -> u8 {
         match self {
-            IndexKey::Bool(_) => 0,
-            IndexKey::Int(_) | IndexKey::FloatBits(_) => 1,
-            IndexKey::Str(_) => 2,
+            IndexKey::Str(_) => 0,
+            IndexKey::Bool(_) => 1,
+            IndexKey::Int(_) | IndexKey::FloatBits(_) => 2,
             IndexKey::Date(_) => 3,
             IndexKey::DateTime(_) => 4,
         }
@@ -173,23 +176,23 @@ impl IndexKey {
 }
 
 /// Smallest key of a family (inclusive frontier).
-pub(crate) fn family_min(fam: u8) -> Bound<IndexKey> {
-    Bound::Included(match fam {
-        0 => IndexKey::Bool(false),
-        1 => IndexKey::FloatBits(f64::NEG_INFINITY.to_bits()),
-        2 => IndexKey::Str(String::new()),
+pub(crate) fn family_min(fam: u8) -> IndexKey {
+    match fam {
+        0 => IndexKey::Str(String::new()),
+        1 => IndexKey::Bool(false),
+        2 => IndexKey::FloatBits(f64::NEG_INFINITY.to_bits()),
         3 => IndexKey::Date(i64::MIN),
         _ => IndexKey::DateTime(i64::MIN),
-    })
+    }
 }
 
 /// Largest key of a family. Strings have no maximum, so the Str frontier is
-/// "everything below the smallest Date key".
+/// "everything below the smallest Bool key".
 pub(crate) fn family_max(fam: u8) -> Bound<IndexKey> {
     match fam {
-        0 => Bound::Included(IndexKey::Bool(true)),
-        1 => Bound::Included(IndexKey::FloatBits(f64::INFINITY.to_bits())),
-        2 => Bound::Excluded(IndexKey::Date(i64::MIN)),
+        0 => Bound::Excluded(IndexKey::Bool(false)),
+        1 => Bound::Included(IndexKey::Bool(true)),
+        2 => Bound::Included(IndexKey::FloatBits(f64::INFINITY.to_bits())),
         3 => Bound::Included(IndexKey::Date(i64::MAX)),
         _ => Bound::Included(IndexKey::DateTime(i64::MAX)),
     }
@@ -242,6 +245,8 @@ mod tests {
         // The BTreeMap key order must match numeric order across the
         // Int/FloatBits split, with -inf/+inf at the family frontier.
         let keys = [
+            IndexKey::Str(String::new()),
+            IndexKey::Str("a".into()),
             IndexKey::Bool(true),
             IndexKey::FloatBits(f64::NEG_INFINITY.to_bits()),
             IndexKey::FloatBits((-1.5f64).to_bits()),
@@ -252,8 +257,6 @@ mod tests {
             IndexKey::FloatBits(1.5f64.to_bits()),
             IndexKey::Int(2),
             IndexKey::FloatBits(f64::INFINITY.to_bits()),
-            IndexKey::Str(String::new()),
-            IndexKey::Str("a".into()),
             IndexKey::Date(i64::MIN),
             IndexKey::Date(3),
             IndexKey::DateTime(i64::MIN),

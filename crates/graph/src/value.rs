@@ -2,12 +2,14 @@
 //!
 //! Values follow Cypher/GQL conventions: `NULL` propagates through
 //! arithmetic and comparisons (three-valued logic), numeric types promote
-//! `Int → Float`, `+` concatenates strings and lists, and there is a *total*
-//! ordering (used by `ORDER BY` and aggregation) that ranks values first by
-//! type and then by content.
+//! `Int → Float`, `+` concatenates strings and lists, and there is one
+//! *total* ordering, [`Value::cmp_order`] (keyed by [`OrderKey`]), that
+//! ranks values first by type and then by content and decides sorting,
+//! `min`/`max`, grouping and `DISTINCT` alike.
 
 use crate::ids::{NodeId, RelId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -154,48 +156,33 @@ impl Value {
         }
     }
 
-    /// Total order over all values: by type rank, then content. Numbers of
-    /// both kinds compare numerically; `NULL` sorts last (as in Cypher's
-    /// `ORDER BY`).
+    /// The one total value order, and the one grouping equivalence: two
+    /// values are one group exactly when it ties them. By type rank, then
+    /// content: numbers by exact value (`1` ties `1.0`, `2⁵³ + 1` is above
+    /// `2⁵³.0`), `NaN` after every number and tied only with `NaN`, lists
+    /// and maps element-wise, `NULL` last (as in Cypher's `ORDER BY`).
     pub fn cmp_order(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            (Float(a), Float(b)) => a
+                .partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
             (DateTime(a), DateTime(b)) => a.cmp(b),
             (Node(a), Node(b)) => a.cmp(b),
             (Rel(a), Rel(b)) => a.cmp(b),
-            (List(a), List(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    match x.cmp_order(y) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Map(a), Map(b)) => {
-                let mut ka: Vec<_> = a.keys().collect();
-                let mut kb: Vec<_> = b.keys().collect();
-                ka.sort();
-                kb.sort();
-                match ka.cmp(&kb) {
-                    Ordering::Equal => {}
-                    ord => return ord,
-                }
-                for k in ka {
-                    match a[k].cmp_order(&b[k]) {
-                        Ordering::Equal => continue,
-                        ord => return ord,
-                    }
-                }
-                Ordering::Equal
-            }
+            (List(a), List(b)) => a.iter().map(OrderKey).cmp(b.iter().map(OrderKey)),
+            // `BTreeMap` keys come sorted: keys first, then the values in
+            // key order.
+            (Map(a), Map(b)) => a
+                .keys()
+                .cmp(b.keys())
+                .then_with(|| a.values().map(OrderKey).cmp(b.values().map(OrderKey))),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -363,6 +350,45 @@ impl Value {
     }
 }
 
+/// `i` against `f` by exact value, with no lossy `as f64`; `NaN` is
+/// above every integer.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return Ordering::Less;
+    }
+    // `as i128` is exact on the integral part of every float below 2¹²⁷
+    // in magnitude and saturates beyond it (infinities too), still past
+    // every i64.
+    let whole = i128::from(i).cmp(&(f.trunc() as i128));
+    whole.then_with(|| 0.0f64.partial_cmp(&f.fract()).expect("finite"))
+}
+
+/// A value (`V = Value`) or a borrowed one (`V = &Value`) ordered, and
+/// made equal, by [`Value::cmp_order`]: the key of the ordered sets and
+/// maps that group, deduplicate and sort values.
+#[derive(Debug, Clone)]
+pub struct OrderKey<V: Borrow<Value> = Value>(pub V);
+
+impl<V: Borrow<Value>> Ord for OrderKey<V> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.borrow().cmp_order(other.0.borrow())
+    }
+}
+
+impl<V: Borrow<Value>> PartialOrd for OrderKey<V> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<V: Borrow<Value>> PartialEq for OrderKey<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<V: Borrow<Value>> Eq for OrderKey<V> {}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -449,6 +475,7 @@ impl From<RelId> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn null_propagates_through_arithmetic() {
@@ -556,6 +583,83 @@ mod tests {
                 Value::Null,
             ]
         );
+    }
+
+    /// Scalars where a partial or lossy order breaks: `NaN`, signed zero,
+    /// infinities, and integers beside the floats they round to (±2⁵³,
+    /// `i64::MAX` → 2⁶³).
+    fn edge_scalars() -> Vec<Value> {
+        let two53 = 1i64 << 53;
+        let mut vs: Vec<Value> = [0, 1, -1, two53 - 1, two53, two53 + 1, -two53 - 1]
+            .into_iter()
+            .chain([i64::MIN, i64::MAX])
+            .map(Value::Int)
+            .collect();
+        let floats = [0.0, -0.0, 1.0, 0.5, -1.5, two53 as f64, -(two53 as f64)];
+        let more = [2f64.powi(63), -(2f64.powi(63)), f64::INFINITY];
+        let more = more.into_iter().chain([f64::NEG_INFINITY, f64::NAN]);
+        vs.extend(floats.into_iter().chain(more).map(Value::Float));
+        vs.extend([
+            Value::str("a"),
+            Value::Bool(true),
+            Value::Null,
+            Value::Date(1),
+        ]);
+        vs
+    }
+
+    fn order_value() -> BoxedStrategy<Value> {
+        let pool = edge_scalars();
+        let scalar = (0..pool.len()).prop_map(move |i| pool[i].clone()).boxed();
+        prop_oneof![
+            scalar.clone(),
+            scalar.clone(),
+            prop::collection::vec(scalar.clone(), 0..3).prop_map(Value::List),
+            prop::collection::vec(("[ab]", scalar), 0..3).prop_map(Value::map),
+        ]
+        .boxed()
+    }
+
+    /// `cmp_order` is a total order: reflexive (`NaN` too), antisymmetric
+    /// and transitive — checked exhaustively on the edge scalars, where a
+    /// `NaN` that ties everything or an `as f64` comparison breaks it.
+    #[test]
+    fn order_laws_hold_on_every_edge_triple() {
+        let vs = edge_scalars();
+        for a in &vs {
+            assert!(a.cmp_order(a).is_eq(), "{a:?}");
+            for b in &vs {
+                assert_eq!(a.cmp_order(b), b.cmp_order(a).reverse(), "{a:?} {b:?}");
+                for c in &vs {
+                    if a.cmp_order(b).is_le() && b.cmp_order(c).is_le() {
+                        assert!(a.cmp_order(c).is_le(), "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The same laws on every triple drawn from generated scalars,
+        /// lists and maps.
+        #[test]
+        fn order_laws_hold_on_generated_triples(
+            vs in prop::collection::vec(order_value(), 1..10),
+        ) {
+            for a in &vs {
+                prop_assert!(a.cmp_order(a).is_eq(), "{:?}", a);
+                for b in &vs {
+                    prop_assert_eq!(a.cmp_order(b), b.cmp_order(a).reverse());
+                    for c in &vs {
+                        if a.cmp_order(b).is_le() && b.cmp_order(c).is_le() {
+                            prop_assert!(a.cmp_order(c).is_le(), "{:?} <= {:?} <= {:?}", a, b, c);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
