@@ -3,7 +3,7 @@
 //! * [`schema`] — the PG-Schema of Figures 4–5 (node/edge types, the
 //!   `Patient → HospitalizedPatient → IcuPatient` hierarchy, the OPEN
 //!   `Alert` type);
-//! * [`triggers`] — the six §6.2 PG-Triggers in executable form;
+//! * [`triggers`] — the seven §6.2 PG-Triggers in executable form;
 //! * [`generator`] — a seeded synthetic CoV2K dataset generator (the
 //!   paper's real data derives from non-redistributable repositories; the
 //!   generator preserves schema shape and configurable cardinalities);

@@ -1,4 +1,4 @@
-//! The six PG-Triggers of the paper's §6.2, in executable form.
+//! The seven PG-Triggers of the paper's §6.2, in executable form.
 //!
 //! The paper's listings are near-executable Cypher with a few informal
 //! spots; the versions here are the faithful executable readings, with each
@@ -147,7 +147,7 @@ BEGIN
   END
 END";
 
-/// The six §6.2 triggers in paper order.
+/// The seven §6.2 triggers in paper order.
 pub const PAPER_TRIGGERS: [&str; 7] = [
     NEW_CRITICAL_MUTATION,
     NEW_CRITICAL_LINEAGE,

@@ -29,7 +29,8 @@
 //! **Streaming.** A stage hands its output on every [`CHUNK_ROWS`] partial
 //! matches, and that slice is drained through every later stage before the
 //! stage continues; the last stage hands each match straight to the
-//! `WHERE` and the caller's callback. So a hub join holds at most one chunk
+//! `WHERE` and the caller's `Sink`, or, when the sink folds it, each
+//! state's accepted candidates at once. So a hub join holds at most one chunk
 //! per stage, and everything stops as soon as the callback breaks (a
 //! satisfied `LIMIT`, an `EXISTS` with its first match, a top-k walk with
 //! its rows).
@@ -47,8 +48,8 @@ use crate::error::Result;
 use crate::exec::{Flow, MatchMode, CHUNK_ROWS};
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{
-    hop_candidates, node_matches, node_reads, plan_patterns, rel_reads, seed_reads,
-    start_candidates, MatchState, Pushdowns,
+    hop_candidates, node_reads, plan_patterns, rel_reads, seed_reads, start_candidates, MatchState,
+    NodeTest, Pushdowns,
 };
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
@@ -57,13 +58,40 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-/// Where finished matches go: the index of the seed row a match extends,
-/// and the match.
-pub(crate) type Emit<'e> = dyn FnMut(usize, Row) -> Result<Flow> + 'e;
+/// Where finished matches go.
+pub(crate) trait Sink {
+    /// One match, and the index of the seed row it extends.
+    fn row(&mut self, si: usize, row: Row) -> Result<Flow>;
 
-/// Match `patterns` for every seed row, handing each match to `emit` with
+    /// Whether [`Sink::fold`] takes the matches of a last single hop
+    /// binding `vars`, its relationship's and its node's. A fold skips the
+    /// `WHERE`, so only the sink of a `MATCH` without one may.
+    fn folds(&self, _vars: [Option<&String>; 2]) -> bool {
+        false
+    }
+
+    /// The matches of seed `si` extending `row` by each of `cands`, in
+    /// order (at least one), `vars` unbound in `row`.
+    fn fold(
+        &mut self,
+        _si: usize,
+        _row: &Row,
+        _vars: [Option<&String>; 2],
+        _cands: &[(RelId, NodeId)],
+    ) -> Result<Flow> {
+        unreachable!("a sink that folds nothing is handed no fold")
+    }
+}
+
+impl<F: FnMut(usize, Row) -> Result<Flow>> Sink for F {
+    fn row(&mut self, si: usize, row: Row) -> Result<Flow> {
+        self(si, row)
+    }
+}
+
+/// Match `patterns` for every seed row, handing each match to `sink` with
 /// its seed's index (the caller owns `OPTIONAL MATCH` null-binding, which
-/// is a per-seed decision) until `emit` breaks. Matches arrive in seed
+/// is a per-seed decision) until `sink` breaks. Matches arrive in seed
 /// order; under [`MatchMode::Batched`] consecutive seeds with the same
 /// planned paths form one group, under [`MatchMode::Reference`] every seed
 /// is its own. `pushed` is [`crate::pattern::extract_pushdowns`] of
@@ -76,7 +104,7 @@ pub(crate) fn match_patterns_batch(
     where_clause: Option<&Expr>,
     pushed: &Pushdowns,
     mode: MatchMode,
-    emit: &mut Emit<'_>,
+    sink: &mut dyn Sink,
 ) -> Result<Flow> {
     let plan = |seed| plan_patterns(ctx, seed, patterns, pushed);
     let group = |base, plans| Group {
@@ -88,7 +116,7 @@ pub(crate) fn match_patterns_batch(
     };
     if let [seed] = seeds {
         // One seed: a trigger condition, `EXISTS`, `MERGE`, a re-match.
-        return group(0, &[plan(seed)]).run(seeds, emit);
+        return group(0, &[plan(seed)]).run(seeds, sink);
     }
     let plans: Vec<Vec<PhysicalPathPlan>> = seeds.iter().map(plan).collect();
     // Seeds batch together when their planned *paths* agree; each keeps
@@ -105,7 +133,7 @@ pub(crate) fn match_patterns_batch(
         while mode == MatchMode::Batched && j < seeds.len() && same_paths(&plans[j], &plans[i]) {
             j += 1;
         }
-        if group(i, &plans[i..j]).run(&seeds[i..j], emit)?.is_break() {
+        if group(i, &plans[i..j]).run(&seeds[i..j], sink)?.is_break() {
             return Ok(Flow::Break(()));
         }
         i = j;
@@ -166,7 +194,7 @@ impl Stage {
 impl Group<'_, '_> {
     /// Stage-wise execution: one seed stage and one expand stage per
     /// segment for each planned path, then the residual `WHERE`.
-    fn run(&self, seeds: &[Row], emit: &mut Emit<'_>) -> Result<Flow> {
+    fn run(&self, seeds: &[Row], sink: &mut dyn Sink) -> Result<Flow> {
         // Each stage's gates are decided from the live set as it stands
         // before the stage: an unbound position binds unconditionally, so
         // after its stage its name is live in every surviving state.
@@ -195,7 +223,7 @@ impl Group<'_, '_> {
         }
         let states = seeds.iter().enumerate();
         let states = states.map(|(si, s)| (si, MatchState::new(s.clone()), NodeId(0)));
-        self.drain(&mut stages, &mut states.collect(), emit)
+        self.drain(&mut stages, &mut states.collect(), sink)
     }
 
     /// Run `input` through `stages[0]`, handing its output on to the rest
@@ -205,14 +233,14 @@ impl Group<'_, '_> {
         &self,
         stages: &mut [Stage],
         input: &mut Vec<Partial>,
-        emit: &mut Emit<'_>,
+        sink: &mut dyn Sink,
     ) -> Result<Flow> {
         let ctx = self.ctx;
         let Some((stage, rest)) = stages.split_first_mut() else {
             // An empty pattern list: every seed is a match.
             for partial in input.drain(..) {
                 if self
-                    .hand_on(&mut [], &mut Vec::new(), partial, emit)?
+                    .hand_on(&mut [], &mut Vec::new(), partial, sink)?
                     .is_break()
                 {
                     return Ok(Flow::Break(()));
@@ -222,6 +250,7 @@ impl Group<'_, '_> {
         };
         let path = &self.plans[0][stage.path].path;
         let mut out: Vec<Partial> = Vec::new();
+        let mut folded: Vec<(RelId, NodeId)> = Vec::new();
         for (si, st, at) in input.drain(..) {
             match stage.seg {
                 // ---- Seed stage: each state materializes its seed's plan ----
@@ -238,14 +267,15 @@ impl Group<'_, '_> {
                             &owned
                         }
                     };
+                    let test = NodeTest::new(&st.row, &path.start);
                     for &cand in cands {
-                        if !node_ok(ctx, &st.row, cand, &path.start, &mut stage.nmemo)? {
+                        if !node_ok(ctx, &st.row, cand, &test, &mut stage.nmemo)? {
                             continue;
                         }
                         let mut st2 = st.fork(&[&path.start.var]);
                         if st2.bind(path.start.var.as_ref(), Value::Node(cand)) {
                             let partial = (si, st2, cand);
-                            if self.hand_on(rest, &mut out, partial, emit)?.is_break() {
+                            if self.hand_on(rest, &mut out, partial, sink)?.is_break() {
                                 return Ok(Flow::Break(()));
                             }
                         }
@@ -253,7 +283,7 @@ impl Group<'_, '_> {
                 }
                 // ---- Expand stage: a variable-length segment ----
                 Some(k) if path.segments[k].0.hops.is_some() => {
-                    let flow = self.expand_var_length(stage, rest, (si, st, at), &mut out, emit)?;
+                    let flow = self.expand_var_length(stage, rest, (si, st, at), &mut out, sink)?;
                     if flow.is_break() {
                         return Ok(Flow::Break(()));
                     }
@@ -261,11 +291,21 @@ impl Group<'_, '_> {
                 // ---- Expand stage: one hop of the path ----
                 Some(k) => {
                     let (rel_pat, node_pat) = &path.segments[k];
+                    let vars = [rel_pat.var.as_ref(), node_pat.var.as_ref()];
+                    let bound = |v: &String| st.row.contains(v);
+                    let fold = rest.is_empty()
+                        && last_hop_folds(&path.segments[k], bound, |vs| sink.folds(vs));
+                    folded.clear();
+                    let test = NodeTest::new(&st.row, node_pat);
                     let memo = stage.share.then_some(&mut stage.memo);
                     for (rid, other) in self.hops(memo, &st.row, at, rel_pat)?.iter() {
                         if st.used.contains(rid)
-                            || !node_ok(ctx, &st.row, *other, node_pat, &mut stage.nmemo)?
+                            || !node_ok(ctx, &st.row, *other, &test, &mut stage.nmemo)?
                         {
+                            continue;
+                        }
+                        if fold {
+                            folded.push((*rid, *other));
                             continue;
                         }
                         let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
@@ -274,10 +314,18 @@ impl Group<'_, '_> {
                             && st2.bind(node_pat.var.as_ref(), Value::Node(*other))
                         {
                             let partial = (si, st2, *other);
-                            if self.hand_on(rest, &mut out, partial, emit)?.is_break() {
+                            if self.hand_on(rest, &mut out, partial, sink)?.is_break() {
                                 return Ok(Flow::Break(()));
                             }
                         }
+                    }
+                    if fold
+                        && !folded.is_empty()
+                        && sink
+                            .fold(self.base + si, &st.row, vars, &folded)?
+                            .is_break()
+                    {
+                        return Ok(Flow::Break(()));
                     }
                 }
             }
@@ -285,7 +333,7 @@ impl Group<'_, '_> {
         if out.is_empty() {
             return Ok(Flow::Continue(()));
         }
-        self.drain(rest, &mut out, emit)
+        self.drain(rest, &mut out, sink)
     }
 
     /// A variable-length segment from one state: a depth-first frontier of
@@ -301,16 +349,17 @@ impl Group<'_, '_> {
         rest: &mut [Stage],
         (si, st, at): Partial,
         out: &mut Vec<Partial>,
-        emit: &mut Emit<'_>,
+        sink: &mut dyn Sink,
     ) -> Result<Flow> {
         let plan = &self.plans[0][stage.path];
         let (rel_pat, node_pat) = &plan.path.segments[stage.seg.expect("an expand stage")];
         let (min, max) = rel_pat.hops.expect("a variable-length segment");
         let max = max.unwrap_or(VAR_LENGTH_MAX_HOPS);
+        let test = NodeTest::new(&st.row, node_pat);
         let mut frontier: Vec<(NodeId, Vec<RelId>)> = vec![(at, Vec::new())];
         while let Some((node, rels)) = frontier.pop() {
             let depth = rels.len() as u32;
-            if depth >= min && node_ok(self.ctx, &st.row, node, node_pat, &mut stage.nmemo)? {
+            if depth >= min && node_ok(self.ctx, &st.row, node, &test, &mut stage.nmemo)? {
                 let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
                 rels.iter().for_each(|&r| st2.used.push(r));
                 let trail = || {
@@ -323,7 +372,7 @@ impl Group<'_, '_> {
                 let var = rel_pat.var.as_ref();
                 if var.is_none_or(|v| st2.bind(Some(v), trail()))
                     && st2.bind(node_pat.var.as_ref(), Value::Node(node))
-                    && self.hand_on(rest, out, (si, st2, node), emit)?.is_break()
+                    && self.hand_on(rest, out, (si, st2, node), sink)?.is_break()
                 {
                     return Ok(Flow::Break(()));
                 }
@@ -367,40 +416,52 @@ impl Group<'_, '_> {
         rest: &mut [Stage],
         out: &mut Vec<Partial>,
         (si, st, at): Partial,
-        emit: &mut Emit<'_>,
+        sink: &mut dyn Sink,
     ) -> Result<Flow> {
         if !rest.is_empty() {
             out.push((si, st, at));
             if out.len() < CHUNK_ROWS {
                 return Ok(Flow::Continue(()));
             }
-            return self.drain(rest, out, emit);
+            return self.drain(rest, out, sink);
         }
         if let Some(w) = self.where_clause {
             if !eval(self.ctx, &st.row, w)?.is_truthy() {
                 return Ok(Flow::Continue(()));
             }
         }
-        emit(self.base + si, st.row)
+        sink.row(self.base + si, st.row)
     }
 }
 
-/// [`node_matches`], decided once per node when the stage carries a memo
-/// (the check is row-independent there, see [`shareable`]).
+/// Whether a `MATCH`'s last hop `seg` hands the sink each state's
+/// candidates at once: one hop, no variable `bound` (binding one would test
+/// equality), and the sink `folds` it. The executor and `EXPLAIN` ask it.
+pub(crate) fn last_hop_folds(
+    (rel_pat, node_pat): &(RelPattern, NodePattern),
+    bound: impl Fn(&String) -> bool,
+    folds: impl FnOnce([Option<&String>; 2]) -> bool,
+) -> bool {
+    let vars = [rel_pat.var.as_ref(), node_pat.var.as_ref()];
+    rel_pat.hops.is_none() && !vars.into_iter().flatten().any(bound) && folds(vars)
+}
+
+/// [`NodeTest::matches`], decided once per node when the stage carries a
+/// memo (the check is row-independent there, see [`shareable`]).
 fn node_ok(
     ctx: &EvalCtx<'_>,
     row: &Row,
     node: NodeId,
-    np: &NodePattern,
+    test: &NodeTest<'_>,
     memo: &mut Option<HashMap<NodeId, bool>>,
 ) -> Result<bool> {
     let Some(memo) = memo else {
-        return node_matches(ctx, row, node, np);
+        return test.matches(ctx, row, node);
     };
     if let Some(&ok) = memo.get(&node) {
         return Ok(ok);
     }
-    let ok = node_matches(ctx, row, node, np)?;
+    let ok = test.matches(ctx, row, node)?;
     memo.insert(node, ok);
     Ok(ok)
 }

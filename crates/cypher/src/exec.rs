@@ -13,7 +13,10 @@
 //! below may serve, collects its whole input. Both run once their input is
 //! exhausted. Groups, `DISTINCT`, `count`/`collect(DISTINCT …)` and
 //! `ORDER BY` all key by [`OrderKey`], so one value order
-//! ([`Value::cmp_order`]) decides what ties and what sorts first.
+//! ([`Value::cmp_order`]) decides what ties and what sorts first. A
+//! `MATCH` whose step `folds` hands the groups after it its last hop once
+//! per state (`Grouper::fold`; `docs/planner.md`, *Folded last hop*);
+//! [`MatchMode::Reference`] never folds.
 //!
 //! Clauses finish in order, so a barrier runs after every clause before it
 //! has seen all of its rows and before any clause after it sees one: the
@@ -72,7 +75,7 @@
 
 use crate::ast::visit::{self, NodeMut};
 use crate::ast::*;
-use crate::batch::match_patterns_batch;
+use crate::batch::{match_patterns_batch, Sink};
 use crate::error::{CypherError, Result};
 use crate::expr::{eval, EvalCtx};
 use crate::functions::{is_aggregate, Accumulator};
@@ -101,19 +104,6 @@ pub(crate) type Flow = ControlFlow<()>;
 
 /// Where a clause hands its output chunks.
 type Emit<'e> = dyn FnMut(Vec<Row>) -> Result<Flow> + 'e;
-
-/// Hand on each of `seeds` with the `OPTIONAL MATCH` variables it lacks
-/// bound to null.
-fn null_bind(seeds: &[Row], nulls: &Row, chunk: &mut Chunker<'_, '_>) -> Result<Flow> {
-    for seed in seeds {
-        let mut r2 = seed.clone();
-        r2.merge_missing(nulls);
-        if chunk.push(r2)?.is_break() {
-            return Ok(Flow::Break(()));
-        }
-    }
-    Ok(Flow::Continue(()))
-}
 
 /// One `ORDER BY` key: [`Value::cmp_order`], ascending or descending.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -293,6 +283,83 @@ impl<'e, 'f> Chunker<'e, 'f> {
     }
 }
 
+/// Where a `MATCH` hands its matches: the next clause's chunks, or the
+/// groups of the projection after it (see [`Step::folds`]).
+enum Out<'e, 'f> {
+    Rows(Chunker<'e, 'f>),
+    Groups(&'e mut Projector<'f>),
+}
+
+impl Out<'_, '_> {
+    fn push(&mut self, ctx: &EvalCtx<'_>, row: Row) -> Result<Flow> {
+        match self {
+            Out::Rows(chunk) => chunk.push(row),
+            Out::Groups(p) => p.groups(ctx)?.push(ctx, row).map(|()| Flow::Continue(())),
+        }
+    }
+}
+
+/// A `MATCH`'s matches on their way to [`Out`]. Matches arrive in seed
+/// order, so an `OPTIONAL MATCH` seed that matched nothing is null-bound
+/// in its place once a later seed's match arrives.
+struct MatchOut<'r, 'e, 'f> {
+    ctx: &'r EvalCtx<'r>,
+    seeds: &'r [Row],
+    /// The `OPTIONAL MATCH` variables, bound to null.
+    nulls: Option<Row>,
+    /// Seeds before `settled` have had their matches or their null row.
+    settled: usize,
+    out: Out<'e, 'f>,
+}
+
+impl MatchOut<'_, '_, '_> {
+    /// Hand on the seeds before `si` that matched nothing; `si` is settled.
+    fn settle(&mut self, si: usize) -> Result<Flow> {
+        let Some(nulls) = &self.nulls else {
+            return Ok(Flow::Continue(()));
+        };
+        for seed in &self.seeds[self.settled.min(si)..si] {
+            let mut r2 = seed.clone();
+            r2.merge_missing(nulls);
+            if self.out.push(self.ctx, r2)?.is_break() {
+                return Ok(Flow::Break(()));
+            }
+        }
+        self.settled = si + 1;
+        Ok(Flow::Continue(()))
+    }
+}
+
+impl Sink for MatchOut<'_, '_, '_> {
+    fn row(&mut self, si: usize, row: Row) -> Result<Flow> {
+        if self.settle(si)?.is_break() {
+            return Ok(Flow::Break(()));
+        }
+        self.out.push(self.ctx, row)
+    }
+
+    fn folds(&self, vars: [Option<&String>; 2]) -> bool {
+        let Out::Groups(p) = &self.out else {
+            return false;
+        };
+        matches!(&p.fold, Fold::Groups(groups) if groups.folds(vars))
+    }
+
+    fn fold(
+        &mut self,
+        si: usize,
+        row: &Row,
+        vars: [Option<&String>; 2],
+        cands: &[(RelId, NodeId)],
+    ) -> Result<Flow> {
+        let flow = self.settle(si)?;
+        if let (Flow::Continue(()), Out::Groups(p)) = (flow, &mut self.out) {
+            p.groups(self.ctx)?.fold(self.ctx, row, vars, cands)?;
+        }
+        Ok(flow)
+    }
+}
+
 /// What a clause list leaves behind besides its final rows: the columns of
 /// its last `RETURN`, with that `RETURN`'s rows when later clauses moved
 /// past them (otherwise they are the final rows).
@@ -430,7 +497,15 @@ impl<'a> Executor<'a> {
         match stage {
             Stage::Project(p) => p.push(&self.ctx(), rows, &mut next),
             Stage::Clause(step, _) if matches!(step.kind, StepKind::Stream) => {
-                self.stream(step.clause, rows, &mut next)
+                // A folding `MATCH` feeds the groups after it directly.
+                match rest.first_mut() {
+                    Some(Stage::Project(p))
+                        if step.folds && self.match_mode == MatchMode::Batched =>
+                    {
+                        self.stream_match(&self.ctx(), step.clause, rows, Out::Groups(p))
+                    }
+                    _ => self.stream(step.clause, rows, &mut |chunk| self.push(rest, out, chunk)),
+                }
             }
             Stage::Clause(_, input) => {
                 append(input, rows);
@@ -473,7 +548,9 @@ impl<'a> Executor<'a> {
     fn stream(&self, clause: &Clause, mut rows: Vec<Row>, emit: &mut Emit<'_>) -> Result<Flow> {
         let ctx = self.ctx();
         match clause {
-            Clause::Match { .. } => self.stream_match(&ctx, clause, rows, emit),
+            Clause::Match { .. } => {
+                self.stream_match(&ctx, clause, rows, Out::Rows(Chunker::new(emit)))
+            }
             Clause::Where(pred) => {
                 let mut kept = 0;
                 for i in 0..rows.len() {
@@ -507,16 +584,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// A `MATCH` over one chunk of seed rows, handing matches on as the
-    /// matcher produces them. An `OPTIONAL MATCH` seed that matched
-    /// nothing is null-bound in its place: matches arrive in seed order,
-    /// so every seed before the one a match belongs to is settled.
+    /// A `MATCH` over one chunk of seed rows, handing matches to `out` as
+    /// the matcher produces them.
     fn stream_match(
         &self,
         ctx: &EvalCtx<'_>,
         clause: &Clause,
         rows: Vec<Row>,
-        emit: &mut Emit<'_>,
+        out: Out<'_, '_>,
     ) -> Result<Flow> {
         let Clause::Match {
             optional,
@@ -534,17 +609,12 @@ impl<'a> Executor<'a> {
             };
             Row::from_pairs(vars.iter().map(|v| (v, Value::Null)))
         });
-        let mut chunk = Chunker::new(emit);
-        // Seeds before `settled` have had their matches or their null row.
-        let mut settled = 0;
-        let mut on_match = |si: usize, row: Row| -> Result<Flow> {
-            if let Some(nulls) = &nulls {
-                if null_bind(&rows[settled.min(si)..si], nulls, &mut chunk)?.is_break() {
-                    return Ok(Flow::Break(()));
-                }
-                settled = si + 1;
-            }
-            chunk.push(row)
+        let mut sink = MatchOut {
+            ctx,
+            seeds: &rows,
+            nulls,
+            settled: 0,
+            out,
         };
         let flow = match_patterns_batch(
             ctx,
@@ -553,17 +623,15 @@ impl<'a> Executor<'a> {
             where_clause,
             &self.pushdowns(clause, where_clause),
             self.match_mode,
-            &mut on_match,
+            &mut sink,
         )?;
-        if flow.is_break() {
-            return Ok(flow);
+        if flow.is_break() || sink.settle(rows.len())?.is_break() {
+            return Ok(Flow::Break(()));
         }
-        if let Some(nulls) = &nulls {
-            if null_bind(&rows[settled..], nulls, &mut chunk)?.is_break() {
-                return Ok(Flow::Break(()));
-            }
+        match sink.out {
+            Out::Rows(chunk) => chunk.finish(),
+            Out::Groups(_) => Ok(Flow::Continue(())),
         }
-        chunk.finish()
     }
 
     /// Execute a fused index-served top-k `MATCH` — the walk
@@ -1084,6 +1152,15 @@ impl<'q> Projector<'q> {
         Ok((skip, limit))
     }
 
+    /// The groups a `MATCH` folds into, after `SKIP`/`LIMIT` as in `push`.
+    fn groups(&mut self, ctx: &EvalCtx<'_>) -> Result<&mut Grouper> {
+        self.page(ctx)?;
+        match &mut self.fold {
+            Fold::Groups(groups) => Ok(groups),
+            _ => unreachable!("a MATCH folds only into groups"),
+        }
+    }
+
     fn push(&mut self, ctx: &EvalCtx<'_>, rows: Vec<Row>, emit: &mut Emit<'_>) -> Result<Flow> {
         let (skip, limit) = self.page(ctx)?;
         let shape = &self.shape;
@@ -1293,7 +1370,7 @@ struct Group {
 
 /// Grouping and aggregation, folded one input row at a time; `DISTINCT`
 /// is grouping by every item.
-struct Grouper {
+pub(crate) struct Grouper {
     specs: Vec<AggSpec>,
     kinds: Vec<ItemKind>,
     /// The groups in first-seen order,
@@ -1301,10 +1378,12 @@ struct Grouper {
     /// and each one's place there by its key values, tied by
     /// [`Value::cmp_order`]. Empty when no item is a key.
     index: BTreeMap<Vec<OrderKey>, usize>,
+    /// What keys and non-bare arguments read of a row (see `folds`).
+    reads: Vec<String>,
 }
 
 impl Grouper {
-    fn new(items: &[ProjItem]) -> Self {
+    pub(crate) fn new(items: &[ProjItem]) -> Self {
         let mut specs: Vec<AggSpec> = Vec::new();
         // The aggregate calls `has_aggregate` finds, in walk order.
         let mut rewrite = |item: &Expr| {
@@ -1336,22 +1415,46 @@ impl Grouper {
             });
             rewritten
         };
+        let mut reads = Vec::new();
+        // Free variables, and pattern labels (a row may bind them).
+        let mut read = |e: &Expr| {
+            e.collect_vars(&mut reads);
+            visit::expr(e, &mut |node: visit::Node| {
+                if let visit::Node::Pattern(p) = node {
+                    reads.extend(p.nodes().flat_map(|n| n.labels.iter().cloned()));
+                }
+                true
+            });
+        };
         let kinds = items
             .iter()
             .map(|i| {
                 if i.expr.has_aggregate() {
                     ItemKind::Agg(rewrite(&i.expr))
                 } else {
+                    read(&i.expr);
                     ItemKind::GroupKey(i.expr.clone())
                 }
             })
             .collect();
+        let args = specs.iter().filter_map(|s| s.arg.as_ref());
+        args.filter(|a| !matches!(a, Expr::Var(_)))
+            .for_each(&mut read);
         Grouper {
             specs,
             kinds,
             groups: Vec::new(),
             index: BTreeMap::new(),
+            reads,
         }
+    }
+
+    /// Whether [`Grouper::fold`] may stand for the rows of a last hop that
+    /// binds `vars`: two names (binding the second would test equality),
+    /// and neither read by a key or by an argument other than itself.
+    pub(crate) fn folds(&self, vars: [Option<&String>; 2]) -> bool {
+        vars[0].is_none_or(|r| vars[1] != Some(r))
+            && !vars.into_iter().flatten().any(|v| self.reads.contains(v))
     }
 
     /// A group no row was folded into yet.
@@ -1364,12 +1467,12 @@ impl Grouper {
         }
     }
 
-    /// Fold one input row into its group.
-    fn push(&mut self, ctx: &EvalCtx<'_>, row: Row) -> Result<()> {
+    /// The group `row` belongs to, created if new, and whether it is.
+    fn group_of(&mut self, ctx: &EvalCtx<'_>, row: &Row) -> Result<(usize, bool)> {
         let mut key = Vec::new();
         for k in &self.kinds {
             if let ItemKind::GroupKey(e) = k {
-                key.push(OrderKey(eval(ctx, &row, e)?));
+                key.push(OrderKey(eval(ctx, row, e)?));
             }
         }
         let fresh = self.groups.len();
@@ -1383,6 +1486,12 @@ impl Grouper {
             let group = self.group();
             self.groups.push(group);
         }
+        Ok((gi, gi == fresh))
+    }
+
+    /// Fold one input row into its group.
+    fn push(&mut self, ctx: &EvalCtx<'_>, row: Row) -> Result<()> {
+        let (gi, fresh) = self.group_of(ctx, &row)?;
         let group = &mut self.groups[gi];
         for (acc, spec) in group.accs.iter_mut().zip(&self.specs) {
             let v = match &spec.arg {
@@ -1392,8 +1501,46 @@ impl Grouper {
             acc.push(v)?;
         }
         // Only aggregate items read the row; a `DISTINCT` keeps none.
-        if gi == fresh && !self.specs.is_empty() {
+        if fresh && !self.specs.is_empty() {
             group.rep = row;
+        }
+        Ok(())
+    }
+
+    /// Fold the rows extending `row` by each of `cands` (the relationship
+    /// bound to `vars[0]`, the node to `vars[1]`) as [`Grouper::push`]
+    /// would: a bare `vars` argument takes each candidate, any other the
+    /// state's value once per candidate. Arguments fold one by one, not
+    /// row by row, with the same first error: what an accumulator takes
+    /// once it takes every time.
+    fn fold(
+        &mut self,
+        ctx: &EvalCtx<'_>,
+        row: &Row,
+        vars: [Option<&String>; 2],
+        cands: &[(RelId, NodeId)],
+    ) -> Result<()> {
+        let (gi, fresh) = self.group_of(ctx, row)?;
+        let group = &mut self.groups[gi];
+        let rels = cands.iter().map(|c| Value::Rel(c.0));
+        let nodes = cands.iter().map(|c| Value::Node(c.1));
+        for (acc, spec) in group.accs.iter_mut().zip(&self.specs) {
+            match &spec.arg {
+                Some(Expr::Var(v)) if vars[0] == Some(v) => acc.push_all(rels.clone())?,
+                Some(Expr::Var(v)) if vars[1] == Some(v) => acc.push_all(nodes.clone())?,
+                None => acc.push_n(Value::Int(1), cands.len())?,
+                Some(arg) => acc.push_n(eval(ctx, row, arg)?, cands.len())?,
+            }
+        }
+        if fresh && !self.specs.is_empty() {
+            let mut rep = row.clone_with_room(2);
+            let (rid, nid) = cands[0];
+            for (var, item) in vars.into_iter().zip([Value::Rel(rid), Value::Node(nid)]) {
+                if let Some(var) = var {
+                    rep.set(var, item);
+                }
+            }
+            group.rep = rep;
         }
         Ok(())
     }

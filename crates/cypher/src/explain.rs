@@ -21,7 +21,7 @@ use crate::ast::{Clause, PathPattern, ProjItem, Query};
 use crate::error::Result;
 use crate::expr::EvalCtx;
 use crate::parser::parse_query;
-use crate::plan::{clause_name, lower_query, ProjStep, StepKind, TopKSpec};
+use crate::plan::{clause_name, lower_query, ProjStep, Step, StepKind};
 use crate::prepared::Prepared;
 use crate::row::{Params, QueryOutput};
 use crate::unparse::unparse_expr;
@@ -68,7 +68,7 @@ pub fn render_plan(
     let mut paths = phys.iter();
     for step in &steps {
         match (&step.kind, step.clause) {
-            (StepKind::Project(p), _) => render_projection(&mut out, p, step.topk.as_ref()),
+            (StepKind::Project(p), _) => render_projection(&mut out, p, step),
             (StepKind::Barrier, clause) => {
                 let _ = writeln!(out, "  Update <{}>", clause_name(clause));
             }
@@ -128,9 +128,10 @@ pub fn render_plan(
     Ok(out)
 }
 
-/// A `WITH`/`RETURN` step: its fold, its `WHERE`, then its order — the
-/// ordered walk it is fused into, else the sort and the page.
-fn render_projection(out: &mut String, step: &ProjStep<'_>, topk: Option<&TopKSpec>) {
+/// A `WITH`/`RETURN` step: its fold (and the last hop folded into it),
+/// its `WHERE`, then its order — the ordered walk it is fused into, else
+/// the sort and the page.
+fn render_projection(out: &mut String, step: &ProjStep<'_>, annotated: &Step<'_>) {
     let proj = step.proj;
     let op = if proj.items.iter().any(|it| it.expr.has_aggregate()) {
         "Aggregate"
@@ -142,11 +143,15 @@ fn render_projection(out: &mut String, step: &ProjStep<'_>, topk: Option<&TopKSp
     if proj.star {
         cols.insert(0, "*".to_string());
     }
-    let _ = writeln!(out, "  {op}{distinct} [{}]", cols.join(", "));
+    let folds = match &annotated.folded {
+        Some(var) => format!(" folds ({var})"),
+        None => String::new(),
+    };
+    let _ = writeln!(out, "  {op}{distinct} [{}]{folds}", cols.join(", "));
     if let Some(predicate) = step.filter {
         let _ = writeln!(out, "  Filter {}", unparse_expr(predicate));
     }
-    if let Some(spec) = topk {
+    if let Some(spec) = &annotated.topk {
         let dir = if spec.descending { "desc" } else { "asc" };
         let (var, keys, keep) = (&spec.var, spec.keys.join("."), spec.keep);
         let _ = writeln!(out, "  TopK {var}.{keys} {dir} keep={keep}");

@@ -414,6 +414,39 @@ impl Accumulator {
         Ok(())
     }
 
+    /// Fold `v` as `times` input values, as that many
+    /// [`Accumulator::push`]es would: once where repeating changes nothing.
+    pub(crate) fn push_n(&mut self, v: Value, times: usize) -> Result<()> {
+        let once = match self {
+            Accumulator::Count { n, seen: None } if !v.is_null() => {
+                *n += times as i64;
+                return Ok(());
+            }
+            Accumulator::Sum { .. } | Accumulator::Avg { .. } => false,
+            Accumulator::Collect { seen, .. } => seen.is_some(),
+            _ => true,
+        };
+        let times = if once { times.min(1) } else { times };
+        (0..times).try_for_each(|_| self.push(v.clone()))
+    }
+
+    /// Fold `values` in order. A `DISTINCT` count that has seen nothing
+    /// bulk-builds its set; a later batch inserts one by one, so no batch
+    /// rebuilds what earlier ones built.
+    pub(crate) fn push_all(&mut self, mut values: impl Iterator<Item = Value>) -> Result<()> {
+        match self {
+            Accumulator::Count {
+                n,
+                seen: Some(seen),
+            } if seen.is_empty() => {
+                *seen = values.filter(|v| !v.is_null()).map(OrderKey).collect();
+                *n = seen.len() as i64;
+                Ok(())
+            }
+            _ => values.try_for_each(|v| self.push(v)),
+        }
+    }
+
     /// The final aggregate value.
     pub fn finish(self) -> Value {
         match self {

@@ -39,7 +39,7 @@
 //! anchor was costed with (see [`crate::physical`]); the one matcher, the
 //! stage pipeline of [`crate::batch`], seeds a path by materializing that
 //! value (`start_candidates`) and expands it hop by hop with
-//! `hop_candidates` and `node_matches` from here.
+//! `hop_candidates` and `NodeTest` from here.
 //!
 //! Planning itself is **count-only** (v3): all cost estimates go through
 //! [`pg_graph::ProbeMode::Count`] probes (exact equality counts,
@@ -421,7 +421,7 @@ fn pushed_expr_vars(var: Option<&String>, pushed: &Pushdowns, out: &mut Vec<Stri
     }
 }
 
-/// The names whose bindings [`node_matches`] reads for `np`: its labels
+/// The names whose bindings a [`NodeTest`] reads for `np`: its labels
 /// (transition-variable check) and the free variables of its inline props.
 pub(crate) fn node_reads(np: &NodePattern) -> Vec<String> {
     let mut names = np.labels.clone();
@@ -690,13 +690,20 @@ pub(crate) fn extract_pushdowns(where_clause: Option<&Expr>) -> Pushdowns {
 /// The node(s) a transition-variable label (or a bound variable used as
 /// one) restricts a position to, in the bound list's order.
 pub(crate) fn nodes_from_value(name: &str, v: &Value) -> Result<Vec<NodeId>> {
+    let mut out = Vec::new();
+    for_members(name, v, |n| out.push(n))?;
+    Ok(out)
+}
+
+/// Hand `f` each node of [`nodes_from_value`], failing on a value that
+/// cannot restrict a position whatever nodes it holds.
+fn for_members(name: &str, v: &Value, mut f: impl FnMut(NodeId)) -> Result<()> {
     match v {
-        Value::Node(n) => Ok(vec![*n]),
+        Value::Node(n) => f(*n),
         Value::List(items) => {
-            let mut out = Vec::with_capacity(items.len());
             for i in items {
                 match i {
-                    Value::Node(n) => out.push(*n),
+                    Value::Node(n) => f(*n),
                     Value::Null => {}
                     other => {
                         return Err(CypherError::type_err(format!(
@@ -706,42 +713,56 @@ pub(crate) fn nodes_from_value(name: &str, v: &Value) -> Result<Vec<NodeId>> {
                     }
                 }
             }
-            Ok(out)
         }
-        Value::Null => Ok(Vec::new()),
-        other => Err(CypherError::type_err(format!(
-            "label position '{name}' is bound to {}, expected node(s)",
-            other.type_name()
-        ))),
+        Value::Null => {}
+        other => {
+            return Err(CypherError::type_err(format!(
+                "label position '{name}' is bound to {}, expected node(s)",
+                other.type_name()
+            )))
+        }
     }
+    Ok(())
 }
 
-/// Check labels and property predicates of a node pattern against a concrete
-/// node. Labels bound in the row act as candidate restrictions (checked via
-/// membership), not stored labels.
-pub(crate) fn node_matches(
-    ctx: &EvalCtx<'_>,
-    row: &Row,
-    node: NodeId,
-    np: &NodePattern,
-) -> Result<bool> {
-    if np.labels.is_empty() && np.props.is_empty() {
-        return Ok(true);
+/// A node pattern's label and property checks as one row sees them.
+/// Whether the row binds any of the labels (transition variables: a
+/// membership test) is decided once; when it binds none, every label is a
+/// stored label and none is looked up in the row.
+pub(crate) struct NodeTest<'p> {
+    np: &'p NodePattern,
+    row_labels: bool,
+}
+
+impl<'p> NodeTest<'p> {
+    pub(crate) fn new(row: &Row, np: &'p NodePattern) -> NodeTest<'p> {
+        let row_labels = np.labels.iter().any(|l| row.contains(l));
+        NodeTest { np, row_labels }
     }
-    let rec = ctx.view.node(node);
-    for l in &np.labels {
-        if let Some(v) = row.get(l) {
-            // transition-variable label: membership test
-            let members = nodes_from_value(l, v)?;
-            if !members.contains(&node) {
+
+    /// Whether `node` passes, `row` being the row the test was made for.
+    pub(crate) fn matches(&self, ctx: &EvalCtx<'_>, row: &Row, node: NodeId) -> Result<bool> {
+        let np = self.np;
+        if np.labels.is_empty() && np.props.is_empty() {
+            return Ok(true);
+        }
+        let rec = ctx.view.node(node);
+        for l in &np.labels {
+            let pass = match self.row_labels.then(|| row.get(l)).flatten() {
+                Some(v) => {
+                    let mut member = false;
+                    for_members(l, v, |n| member |= n == node)?;
+                    member
+                }
+                None => rec.is_some_and(|r| r.has_label(l)),
+            };
+            if !pass {
                 return Ok(false);
             }
-        } else if !rec.is_some_and(|r| r.has_label(l)) {
-            return Ok(false);
         }
+        let no_props = PropertyMap::new();
+        props_match(ctx, row, rec.map_or(&no_props, |r| &r.props), &np.props)
     }
-    let no_props = PropertyMap::new();
-    props_match(ctx, row, rec.map_or(&no_props, |r| &r.props), &np.props)
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! refuses an ordered walk over lossy values, the candidate budget).
 
 use crate::ast::{Clause, Expr, PathPattern, Projection, Query};
+use crate::batch::last_hop_folds;
 use crate::error::{CypherError, Result};
+use crate::exec::Grouper;
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{extract_pushdowns, plan_patterns, Pushdowns};
 use crate::physical::PhysicalPathPlan;
@@ -294,11 +296,17 @@ const STREAM_DEPTH: usize = 32;
 pub struct Step<'q> {
     pub(crate) clause: &'q Clause,
     pub(crate) kind: StepKind<'q>,
+    /// A streaming `MATCH` without `WHERE` before a groups fold (not `*`):
+    /// the matcher may hand the groups its last hop once per state.
+    pub(crate) folds: bool,
     /// Set by [`lower_query`] only: how many of the planned paths it
     /// returns are this `MATCH`'s,
     pub(crate) paths: usize,
-    /// and the walk of a projection fused with the `MATCH` before it.
+    /// the walk of a projection fused with the `MATCH` before it,
     pub(crate) topk: Option<TopKSpec>,
+    /// and the node of the last hop that `MATCH` folds into this
+    /// projection as its representative plan runs (`_` when anonymous).
+    pub(crate) folded: Option<String>,
 }
 
 /// How a clause takes its input.
@@ -404,6 +412,16 @@ pub(crate) fn steps(clauses: &[Clause]) -> impl Iterator<Item = Step<'_>> {
             }
             _ => StepKind::Barrier,
         };
+        let groups = |p: &Projection| !p.star && FoldKind::of(p, false) == FoldKind::Groups;
+        let folds = matches!(kind, StepKind::Stream)
+            && matches!(
+                clause,
+                Clause::Match {
+                    where_clause: None,
+                    ..
+                }
+            )
+            && matches!(next, Some(Clause::With(p) | Clause::Return(p)) if groups(p));
         depth = match kind {
             StepKind::Stream => depth + 1,
             StepKind::Project(p) if p.fold == FoldKind::Stream => depth + 1,
@@ -412,8 +430,10 @@ pub(crate) fn steps(clauses: &[Clause]) -> impl Iterator<Item = Step<'_>> {
         Step {
             clause,
             kind,
+            folds,
             paths: 0,
             topk: None,
+            folded: None,
         }
     })
 }
@@ -473,6 +493,9 @@ pub fn lower_query<'q>(
             for path in &mut paths {
                 path.apply_hints(ctx, &hints);
             }
+            if let Some(StepKind::Project(p)) = steps[i].folds.then(|| steps[i + 1].kind) {
+                steps[i + 1].folded = folded_var(&paths, &bound, p.proj);
+            }
             steps[i].paths = paths.len();
             planned.extend(paths);
         }
@@ -481,6 +504,17 @@ pub fn lower_query<'q>(
         }
     }
     Ok((steps, planned))
+}
+
+/// The node of the last hop a folding `MATCH` (planned as `paths` from
+/// `bound`) hands `proj`'s groups by [`last_hop_folds`]; a second position
+/// naming a variable binds it before the last stage.
+fn folded_var(paths: &[PhysicalPathPlan], bound: &Row, proj: &Projection) -> Option<String> {
+    let seg = paths.last()?.path.segments.last()?;
+    let positions = || paths.iter().flat_map(|p| p.path.vars());
+    let bound = |v: &String| bound.contains(v) || positions().filter(|p| *p == v).count() > 1;
+    last_hop_folds(seg, bound, |vars| Grouper::new(&proj.items).folds(vars))
+        .then(|| seg.1.var.clone().unwrap_or_else(|| "_".into()))
 }
 
 /// Record the labels each node variable is declared with, so a later

@@ -30,7 +30,9 @@
 //! under [`MatchMode::Reference`], where every seed is its own group and
 //! nothing is shared. Both run the one stage pipeline, so the outputs
 //! must be **row-for-row identical including order**: this checks the
-//! sharing logic. Both twins of this file share the planner and the hop
+//! sharing logic, and, through grouping projections right after a
+//! `MATCH`, the batched run's folding of the last hop into the groups
+//! (the reference run never folds). Both twins of this file share the planner and the hop
 //! expansion with what they check; `match_oracle.rs` holds the matcher to
 //! a brute-force enumerator that shares neither.
 //!
@@ -228,6 +230,41 @@ fn multi_seed_query_strategy() -> impl Strategy<Value = String> {
                 .to_string()
         ),
     ]
+}
+
+/// The multi-seed panel's grouping projections right after a `MATCH`
+/// whose last stage is one hop: [`MatchMode::Batched`] folds the hop into the groups once per
+/// state, [`MatchMode::Reference`] never folds, and the two must agree row
+/// for row — group order, `collect` order and every aggregate. The panel
+/// covers `count(*)`, a bare hop variable, seed-side arguments pushed once
+/// (`DISTINCT`, `min`, `max`) or once per candidate (`sum`, `avg`,
+/// `collect`), `OPTIONAL MATCH` seeds with empty expansions, multi-edges
+/// and self-loops (undirected hops), relationship uniqueness within the
+/// `MATCH`, and the declines: an argument that reads the hop, a hop whose
+/// variables the seed binds, a self-loop back to a bound node and a
+/// variable-length last segment.
+fn grouped_last_hop_query_strategy() -> impl Strategy<Value = String> {
+    let queries = [
+        "MATCH (x:A) MATCH (x)-[r:R]-(y) RETURN x.k AS a, count(*) AS b",
+        "MATCH (x) MATCH (x)-[r:R]->(y:B) \
+         RETURN x AS a, count(y) AS b, count(DISTINCT y) AS c",
+        "MATCH (x:A) OPTIONAL MATCH (x)<-[r:R]-(y) \
+         WITH x, count(DISTINCT y) AS c, count(r) AS n RETURN x.k AS a, c AS b, n AS d",
+        "MATCH (x) OPTIONAL MATCH (x)-[:R]->(y:A) \
+         RETURN x.k AS a, collect(DISTINCT x) AS b, collect(y) AS c",
+        "MATCH (p)-[r:R]->(q) MATCH (q)-[r2:R]-(z) \
+         RETURN q AS a, sum(p.k) AS b, min(p.m) AS c, avg(r.w) AS d, max(q.s) AS e, \
+         collect(p.k) AS f",
+        "MATCH (x:B) MATCH (x)-[r:R]-(y)-[r2:R]-(z) \
+         RETURN y AS a, count(*) AS b, collect(r2) AS c, count(DISTINCT x) AS d",
+        "MATCH (x:A) MATCH (x)-[:R]-(y) RETURN DISTINCT x.k AS a",
+        "MATCH (x) MATCH (x)-[r:R]->(y) \
+         RETURN count(*) AS a, count(DISTINCT y) AS b, sum(r.w) AS c",
+        "MATCH (x:A)-[r:R]->(y) MATCH (x)-[r]->(y) RETURN x.k AS a, count(*) AS b",
+        "MATCH (x:A) MATCH (x)-[:R]-(x) RETURN x.k AS a, count(*) AS b",
+        "MATCH (x:A) MATCH (x)-[:R*1..2]->(y) RETURN x.k AS a, count(DISTINCT y) AS b",
+    ];
+    (0..queries.len()).prop_map(move |i| queries[i].to_string())
 }
 
 /// Single-graph script driver. Step application is fully deterministic
@@ -577,9 +614,11 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..40),
         single in proptest::collection::vec(query_strategy(), 1..4),
         multi in proptest::collection::vec(multi_seed_query_strategy(), 2..5),
+        grouped in proptest::collection::vec(grouped_last_hop_query_strategy(), 3..6),
     ) {
         let mut panel = single;
         panel.extend(multi);
+        panel.extend(grouped);
         let mut s = Script::default();
         for (i, step) in steps.iter().enumerate() {
             s.apply(step);

@@ -1,7 +1,7 @@
 //! Additional evaluator coverage: interactions between clauses, edge cases
 //! of aggregation, OPTIONAL MATCH, MERGE, FOREACH nesting, and functions.
 
-use pg_cypher::{parse_query, run_query, CypherError, Executor, Params, Target};
+use pg_cypher::{parse_query, run_query, CypherError, Executor, MatchMode, Params, Target};
 use pg_graph::{Graph, GraphView, PreStateView, Value};
 
 fn run(g: &mut Graph, src: &str) -> pg_cypher::QueryOutput {
@@ -456,5 +456,107 @@ fn one_value_order_sorts_and_groups() {
     ] {
         let src = format!("UNWIND {list} AS x RETURN count(DISTINCT x)");
         assert_eq!(one(&src, &mut g), [Value::Int(n)], "{src}");
+    }
+}
+
+/// A grouping projection right after a `MATCH` takes the last hop once per
+/// state under `MatchMode::Batched` and one row per match under
+/// `MatchMode::Reference`; both give these answers. The graph has a
+/// multi-edge (`a` twice to `h`) and a self-loop on `h`; the declining
+/// shapes (a pre-bound last variable, a `WHERE` on the `MATCH`, a
+/// variable-length last segment, a key that reads the last variable) run
+/// as rows under both modes. `sum(a.name)` over strings concatenates
+/// (`Value::add`), pushed once per candidate; `sum` over nodes fails with
+/// the same error.
+#[test]
+fn last_hop_folds_into_the_groups_with_the_same_answers() {
+    let mut g = Graph::new();
+    run(
+        &mut g,
+        "CREATE (a:P {name: 'a'}), (b:P {name: 'b'}), (h:H {name: 'h'}), \
+         (a)-[:T {w: 1}]->(h), (a)-[:T {w: 2}]->(h), (b)-[:T {w: 3}]->(h), \
+         (h)-[:T {w: 4}]->(h)",
+    );
+    let (i, s) = (Value::Int, Value::str);
+    let cases = [
+        // multi-edges: three rows, two distinct patients
+        (
+            "MATCH (h:H) MATCH (h)<-[:T]-(p:P) \
+             RETURN h.name AS h, count(*) AS n, count(DISTINCT p) AS d",
+            vec![vec![s("h"), i(3), i(2)]],
+        ),
+        // the self-loop is one undirected match
+        (
+            "MATCH (h:H) MATCH (h)-[r:T]-(x) RETURN count(r) AS n, count(DISTINCT x) AS d",
+            vec![vec![i(4), i(3)]],
+        ),
+        // the representative row is the state plus the first candidate
+        (
+            "MATCH (h:H) MATCH (h)<-[:T]-(p:P) RETURN count(p) + size(p.name) AS x",
+            vec![vec![i(4)]],
+        ),
+        // an OPTIONAL MATCH seed with no candidates is its null row
+        (
+            "MATCH (p:P) OPTIONAL MATCH (p)<-[:T]-(x) \
+             RETURN p.name AS p, count(x) AS n, collect(DISTINCT p.name) AS c",
+            vec![
+                vec![s("a"), i(0), Value::list([s("a")])],
+                vec![s("b"), i(0), Value::list([s("b")])],
+            ],
+        ),
+        // ... and comes before a later seed's folded candidates
+        (
+            "MATCH (x) OPTIONAL MATCH (x)<-[:T]-(p:P) \
+             RETURN count(*) AS rows, count(p) AS n, collect(DISTINCT x.name) AS xs",
+            vec![vec![i(5), i(3), Value::list([s("a"), s("b"), s("h")])]],
+        ),
+        (
+            "MATCH (a:P) MATCH (a)-[:T]->(h:H) RETURN sum(a.name) AS s",
+            vec![vec![s("0aab")]],
+        ),
+        // declines: a pre-bound last variable
+        (
+            "MATCH (p:P)-[:T]->(h:H) MATCH (p)-[:T]->(h) \
+             RETURN p.name AS p, count(*) AS n",
+            vec![vec![s("a"), i(4)], vec![s("b"), i(1)]],
+        ),
+        // a WHERE on the MATCH
+        (
+            "MATCH (h:H) MATCH (h)<-[r:T]-(p) WHERE r.w > 1 \
+             RETURN count(*) AS n, sum(r.w) AS s",
+            vec![vec![i(3), i(9)]],
+        ),
+        // a variable-length last segment
+        (
+            "MATCH (p:P {name: 'a'}) MATCH (p)-[:T*1..2]->(y) \
+             RETURN count(*) AS n, count(DISTINCT y) AS d",
+            vec![vec![i(4), i(1)]],
+        ),
+        // a key that reads the last variable
+        (
+            "MATCH (h:H) MATCH (h)<-[:T]-(p) RETURN p.name AS p, count(*) AS n ORDER BY p",
+            vec![vec![s("a"), i(2)], vec![s("b"), i(1)], vec![s("h"), i(1)]],
+        ),
+    ];
+    let params = Params::new();
+    let under = |mode, src: &str| {
+        Executor::new(Target::Read(&g), &params, 0)
+            .with_match_mode(mode)
+            .run(&parse_query(src).unwrap(), Vec::new())
+    };
+    for (src, want) in cases {
+        for mode in [MatchMode::Batched, MatchMode::Reference] {
+            let got = under(mode, src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            assert_eq!(got.rows, want, "{mode:?}: {src}");
+        }
+    }
+    let src = "MATCH (h:H) MATCH (h)<-[:T]-(p:P) RETURN sum(p) AS s";
+    for mode in [MatchMode::Batched, MatchMode::Reference] {
+        let err = under(mode, src).unwrap_err();
+        assert_eq!(
+            err,
+            CypherError::Type("sum() over non-numeric values".into()),
+            "{mode:?}"
+        );
     }
 }

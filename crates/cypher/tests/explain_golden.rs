@@ -167,7 +167,7 @@ fn second_match_seeds_from_the_bound_variable() {
          \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
          \x20 Seed (c) access=BoundVar(c) est=1 rows\n\
          \x20 Expand <-[:LIVES_IN]-(q:Person) fanout=4.00 est=4 rows\n\
-         \x20 Aggregate [n]\n\
+         \x20 Aggregate [n] folds (q)\n\
          estimated match rows: 64\n\
          actual rows: 1\n"
     );
@@ -183,7 +183,7 @@ fn aggregate_and_sort() {
         "Plan\n\
          \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
          \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
-         \x20 Aggregate [c, n]\n\
+         \x20 Aggregate [c, n] folds (p)\n\
          \x20 Sort keys=1 desc\n\
          estimated match rows: 16\n\
          actual rows: 4\n"
@@ -304,5 +304,48 @@ fn small_type_extent_seeds_the_anchor() {
     assert!(
         out.starts_with("Plan\n  Seed (a) access=RelTypeScan(KNOWS) est=1 rows\n"),
         "{out}"
+    );
+}
+
+/// The shape of `IcuPatientMove`'s statement (§6.2.3): an `OPTIONAL MATCH`
+/// from a bound node straight into a grouping `WITH` that keeps the node
+/// and counts the far ends. The last hop folds into the groups, so the
+/// `Aggregate` line names its node; the `WITH … WHERE` follows.
+#[test]
+fn relocation_statement_folds_its_last_hop() {
+    assert_eq!(
+        explain(
+            "MATCH (c:City {pop: 2000}) \
+             MATCH (p:Person {team: 'red'})-[:LIVES_IN]-(:City {pop: 1000}) \
+             OPTIONAL MATCH (q:Person)-[:LIVES_IN]-(c) \
+             WITH collect(DISTINCT p) AS movers, count(DISTINCT q) AS here, c \
+             WHERE size(movers) + here <= 6 \
+             RETURN c.pop AS pop, size(movers) AS movers, here"
+        ),
+        "Plan\n\
+         \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
+         \x20 Seed (p) access=CompositeProbe(Person[team,score]) est=4 rows\n\
+         \x20 Expand -[:LIVES_IN]-(_:City) fanout=2.00 est=8 rows\n\
+         \x20 OptionalSeed (c) access=BoundVar(c) est=1 rows\n\
+         \x20 Expand -[:LIVES_IN]-(q:Person) fanout=4.00 est=4 rows\n\
+         \x20 Aggregate [movers, here, c] folds (q)\n\
+         \x20 Filter ((size(movers) + here) <= 6)\n\
+         \x20 Project [pop, movers, here]\n\
+         estimated match rows: 128\n\
+         actual rows: 1\n"
+    );
+}
+
+/// A query may end in its `MATCH`: there is no projection after it to
+/// fold into, and the plan still prints.
+#[test]
+fn query_ending_in_a_match_prints_its_plan() {
+    assert_eq!(
+        explain("MATCH (c:City)<-[:LIVES_IN]-(p:Person)"),
+        "Plan\n\
+         \x20 Seed (c) access=LabelScan(City) est=4 rows\n\
+         \x20 Expand <-[:LIVES_IN]-(p:Person) fanout=4.00 est=16 rows\n\
+         estimated match rows: 16\n\
+         actual rows: 16\n"
     );
 }

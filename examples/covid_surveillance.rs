@@ -1,4 +1,4 @@
-//! The paper's §6 running example end-to-end: CoV2K data, the six §6.2
+//! The paper's §6 running example end-to-end: CoV2K data, the seven §6.2
 //! triggers, and a pandemic-surveillance scenario with admission waves.
 //!
 //! ```text

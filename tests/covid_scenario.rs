@@ -1,4 +1,4 @@
-//! §6 end-to-end: the CoV2K schema, the six §6.2 triggers, and the
+//! §6 end-to-end: the CoV2K schema, the seven §6.2 triggers, and the
 //! pandemic scenario, checked across crates.
 
 use pg_covid::{GeneratorConfig, Scenario, ScenarioConfig};
