@@ -1,19 +1,24 @@
 //! The pattern matcher: a streaming stage pipeline (planner v4).
 //!
 //! Every `MATCH`, `OPTIONAL MATCH`, `EXISTS`, `MERGE` and fused top-k
-//! re-match runs here. Each seed row is planned by `plan_patterns` and
-//! then flows through **operator stages**: one seed stage per planned
-//! path, one expand stage per segment, then the residual `WHERE`. Seed
-//! rows whose planned paths agree (a *group*) advance together, so a stage
-//! can share work across the group:
+//! re-match runs here. A chunk of seed rows is planned by `plan_patterns`
+//! **once** when the seeds bind the same names and planning reads none of
+//! their values (`plan_reads`: labels, inline props and pushed operands
+//! over seed variables); otherwise each seed row is planned on its own.
+//! The rows then flow through **operator stages**: one seed stage per
+//! planned path, one expand stage per segment, then the residual `WHERE`.
+//! Seed rows whose planned paths agree (a *group*; a chunk planned once is
+//! one group) advance together, so a stage can share work across the
+//! group:
 //!
 //! * the **seed candidate vector** is computed once when the path's access
 //!   decision cannot observe a binding any seed row carries;
 //! * **hop expansions are memoized per source node** when the relationship
 //!   pattern is seed-independent — a star join whose rows fan into one hub
 //!   scans (and decides index-vs-adjacency for) the hub once per stage;
-//! * **target-node checks are memoized per node** under the same kind of
-//!   gate.
+//! * when the **node test** is seed-independent too, what is shared keeps
+//!   only the candidates that pass it, so a state that reuses a hub's
+//!   expansion checks relationship uniqueness and nothing else.
 //!
 //! Sharing is gated on a **liveness analysis**: a stage shares only if
 //! none of the names its decision reads (pattern variables,
@@ -24,7 +29,8 @@
 //! reads a name bound in no row fails evaluation identically for every
 //! row, so the per-row fallbacks agree too. A group of one —
 //! every trigger condition, `EXISTS`, `MERGE`, and every seed under
-//! [`MatchMode::Reference`] — shares nothing and builds no live set or memo.
+//! [`MatchMode::Reference`], which also plans every seed on its own —
+//! shares nothing and builds no live set or memo.
 //!
 //! **Streaming.** A stage hands its output on every [`CHUNK_ROWS`] partial
 //! matches, and that slice is drained through every later stage before the
@@ -48,15 +54,15 @@ use crate::error::Result;
 use crate::exec::{Flow, MatchMode, CHUNK_ROWS};
 use crate::expr::{eval, EvalCtx};
 use crate::pattern::{
-    hop_candidates, node_reads, plan_patterns, rel_reads, seed_reads, start_candidates, MatchState,
-    NodeTest, Pushdowns,
+    hop_candidates, node_reads, plan_patterns, plan_reads, rel_reads, seed_reads, start_candidates,
+    MatchState, NodeTest, Pushdowns,
 };
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
-use pg_graph::{NodeId, RelId, Value};
+use pg_graph::{IdHashMap, NodeId, RelId, Value};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Where finished matches go.
 pub(crate) trait Sink {
@@ -114,9 +120,13 @@ pub(crate) fn match_patterns_batch(
         where_clause,
         pushed,
     };
-    if let [seed] = seeds {
-        // One seed: a trigger condition, `EXISTS`, `MERGE`, a re-match.
-        return group(0, &[plan(seed)]).run(seeds, sink);
+    let Some(first) = seeds.first() else {
+        return Ok(Flow::Continue(()));
+    };
+    // One seed (a trigger condition, `EXISTS`, `MERGE`, a re-match), or
+    // seeds the planner cannot tell apart: one plan and one group.
+    if seeds.len() == 1 || mode == MatchMode::Batched && plans_once(seeds, patterns, pushed) {
+        return group(0, &[plan(first)]).run(seeds, sink);
     }
     let plans: Vec<Vec<PhysicalPathPlan>> = seeds.iter().map(plan).collect();
     // Seeds batch together when their planned *paths* agree; each keeps
@@ -141,6 +151,17 @@ pub(crate) fn match_patterns_batch(
     Ok(Flow::Continue(()))
 }
 
+/// Whether one plan serves every seed. Planning reads whether a name is
+/// bound, and the values of [`plan_reads`] only: seeds that bind the same
+/// names, none of those among them, plan alike.
+fn plans_once(seeds: &[Row], patterns: &[PathPattern], pushed: &Pushdowns) -> bool {
+    let first = &seeds[0];
+    seeds[1..].iter().all(|s| s.names().eq(first.names()))
+        && !plan_reads(patterns, pushed)
+            .iter()
+            .any(|n| first.contains(n))
+}
+
 /// The most relationships a variable-length segment without an upper
 /// bound (`*`, `*2..`) walks. A trail is relationship-unique, so it cannot
 /// be longer than the relationships it may traverse; the cap bounds the
@@ -148,8 +169,8 @@ pub(crate) fn match_patterns_batch(
 /// triggers comes near it.
 const VAR_LENGTH_MAX_HOPS: u32 = 64;
 
-/// A batch of seed rows whose plans (`plans[i]` is seed `base + i`'s) share
-/// one planned path list.
+/// A batch of seed rows whose plans share one planned path list:
+/// `plans[i]` is seed `base + i`'s, or the one plan serves every seed.
 struct Group<'g, 'c> {
     ctx: &'g EvalCtx<'c>,
     base: usize,
@@ -162,6 +183,9 @@ struct Group<'g, 'c> {
 /// node the path walk is at (meaningless before a path's first node).
 type Partial = (usize, MatchState, NodeId);
 
+/// One candidate of a hop: the relationship and the node it reaches.
+type Hop = (RelId, NodeId);
+
 /// One stage of a group: the seed access of planned path `path`
 /// (`seg: None`) or the expansion of its segment `seg`, with what it
 /// shares across the whole group.
@@ -171,27 +195,36 @@ struct Stage {
     /// Seed stage: the candidate vector is row-independent. Expand stage:
     /// hop expansions are memoized per source node.
     share: bool,
+    /// What is shared is also the node test's verdict: it holds only the
+    /// candidates that pass. Set when the test is row-independent too, on
+    /// a seed stage or a single hop (a variable-length memo holds every
+    /// hop of the walk); cleared when a hop's test fails to evaluate, so
+    /// the error surfaces only where the per-state test would raise it.
+    accept: bool,
     /// The shared seed candidates, computed from the first state to arrive.
     shared: Option<Vec<NodeId>>,
-    memo: HashMap<NodeId, Vec<(RelId, NodeId)>>,
-    /// Target-node checks, decided once per node when row-independent.
-    nmemo: Option<HashMap<NodeId, bool>>,
+    memo: IdHashMap<NodeId, Vec<Hop>>,
 }
 
 impl Stage {
-    fn new(path: usize, seg: Option<usize>, share: bool, node_shared: bool) -> Stage {
+    fn new(path: usize, seg: Option<usize>, share: bool, accept: bool) -> Stage {
         Stage {
             path,
             seg,
             share,
+            accept: share && accept,
             shared: None,
-            memo: HashMap::new(),
-            nmemo: node_shared.then(HashMap::new),
+            memo: IdHashMap::default(),
         }
     }
 }
 
 impl Group<'_, '_> {
+    /// The planned paths of the group's seed `si`.
+    fn plan(&self, si: usize) -> &[PhysicalPathPlan] {
+        self.plans.get(si).unwrap_or(&self.plans[0])
+    }
+
     /// Stage-wise execution: one seed stage and one expand stage per
     /// segment for each planned path, then the residual `WHERE`.
     fn run(&self, seeds: &[Row], sink: &mut dyn Sink) -> Result<Flow> {
@@ -216,7 +249,7 @@ impl Group<'_, '_> {
             extend_live(&mut live, [&path.start.var]);
             for (k, (rel_pat, node_pat)) in path.segments.iter().enumerate() {
                 let share = shareable(&live, || rel_reads(rel_pat, pushed));
-                let nodes = shareable(&live, || node_reads(node_pat));
+                let nodes = rel_pat.hops.is_none() && shareable(&live, || node_reads(node_pat));
                 stages.push(Stage::new(pi, Some(k), share, nodes));
                 extend_live(&mut live, [&rel_pat.var, &node_pat.var]);
             }
@@ -250,26 +283,31 @@ impl Group<'_, '_> {
         };
         let path = &self.plans[0][stage.path].path;
         let mut out: Vec<Partial> = Vec::new();
-        let mut folded: Vec<(RelId, NodeId)> = Vec::new();
+        let mut folded: Vec<Hop> = Vec::new();
         for (si, st, at) in input.drain(..) {
             match stage.seg {
                 // ---- Seed stage: each state materializes its seed's plan ----
                 None => {
-                    let plan = &self.plans[si][stage.path];
+                    let plan = &self.plan(si)[stage.path];
+                    let test = NodeTest::new(&st.row, &path.start);
+                    let seed = || start_candidates(ctx, &st.row, plan, self.pushed);
                     if stage.share && stage.shared.is_none() {
-                        stage.shared = Some(start_candidates(ctx, &st.row, plan, self.pushed)?);
+                        let mut cands = seed()?;
+                        if stage.accept {
+                            retain_accepted(ctx, &st.row, &test, &mut cands, |&n| n)?;
+                        }
+                        stage.shared = Some(cands);
                     }
                     let owned;
                     let cands: &[NodeId] = match &stage.shared {
                         Some(c) => c,
                         None => {
-                            owned = start_candidates(ctx, &st.row, plan, self.pushed)?;
+                            owned = seed()?;
                             &owned
                         }
                     };
-                    let test = NodeTest::new(&st.row, &path.start);
                     for &cand in cands {
-                        if !node_ok(ctx, &st.row, cand, &test, &mut stage.nmemo)? {
+                        if !stage.accept && !test.matches(ctx, &st.row, cand)? {
                             continue;
                         }
                         let mut st2 = st.fork(&[&path.start.var]);
@@ -297,10 +335,10 @@ impl Group<'_, '_> {
                         && last_hop_folds(&path.segments[k], bound, |vs| sink.folds(vs));
                     folded.clear();
                     let test = NodeTest::new(&st.row, node_pat);
-                    let memo = stage.share.then_some(&mut stage.memo);
-                    for (rid, other) in self.hops(memo, &st.row, at, rel_pat)?.iter() {
+                    let (hops, accepted) = self.hops(stage, &st.row, at, rel_pat, &test)?;
+                    for (rid, other) in hops.iter() {
                         if st.used.contains(rid)
-                            || !node_ok(ctx, &st.row, *other, &test, &mut stage.nmemo)?
+                            || !accepted && !test.matches(ctx, &st.row, *other)?
                         {
                             continue;
                         }
@@ -359,7 +397,7 @@ impl Group<'_, '_> {
         let mut frontier: Vec<(NodeId, Vec<RelId>)> = vec![(at, Vec::new())];
         while let Some((node, rels)) = frontier.pop() {
             let depth = rels.len() as u32;
-            if depth >= min && node_ok(self.ctx, &st.row, node, &test, &mut stage.nmemo)? {
+            if depth >= min && test.matches(self.ctx, &st.row, node)? {
                 let mut st2 = st.fork(&[&rel_pat.var, &node_pat.var]);
                 rels.iter().for_each(|&r| st2.used.push(r));
                 let trail = || {
@@ -378,8 +416,7 @@ impl Group<'_, '_> {
                 }
             }
             if depth < max {
-                let memo = stage.share.then_some(&mut stage.memo);
-                for (rid, other) in self.hops(memo, &st.row, node, rel_pat)?.iter() {
+                for (rid, other) in self.hops(stage, &st.row, node, rel_pat, &test)?.0.iter() {
                     if !rels.contains(rid) && !st.used.contains(rid) {
                         let mut rels2 = rels.clone();
                         rels2.push(*rid);
@@ -392,20 +429,33 @@ impl Group<'_, '_> {
     }
 
     /// [`hop_candidates`] from `at`, memoized per source node when the
-    /// stage shares them.
+    /// stage shares them, and whether they all passed `test` already (the
+    /// stage accepts).
     fn hops<'m>(
         &self,
-        memo: Option<&'m mut HashMap<NodeId, Vec<(RelId, NodeId)>>>,
+        stage: &'m mut Stage,
         row: &Row,
         at: NodeId,
         rel_pat: &RelPattern,
-    ) -> Result<Cow<'m, [(RelId, NodeId)]>> {
+        test: &NodeTest<'_>,
+    ) -> Result<(Cow<'m, [Hop]>, bool)> {
         let hop = || hop_candidates(self.ctx, row, at, rel_pat, self.pushed);
-        Ok(match memo.map(|memo| memo.entry(at)) {
-            None => Cow::Owned(hop()?),
-            Some(Entry::Occupied(e)) => Cow::Borrowed(e.into_mut()),
-            Some(Entry::Vacant(e)) => Cow::Borrowed(e.insert(hop()?)),
-        })
+        if !stage.share {
+            return Ok((Cow::Owned(hop()?), false));
+        }
+        let entry = match stage.memo.entry(at) {
+            Entry::Occupied(e) => return Ok((Cow::Borrowed(e.into_mut()), stage.accept)),
+            Entry::Vacant(e) => e,
+        };
+        let mut hops = hop()?;
+        if stage.accept && retain_accepted(self.ctx, row, test, &mut hops, |&(_, n)| n).is_err() {
+            // The state may have used every relationship whose test errors,
+            // so test per state from now on; that keeps the lists
+            // memoized so far whole, since each of them passed.
+            stage.accept = false;
+            hops = hop()?;
+        }
+        Ok((Cow::Borrowed(entry.insert(hops)), stage.accept))
     }
 
     /// Hand one output of a stage on: into `out`, drained through `rest`
@@ -446,24 +496,26 @@ pub(crate) fn last_hop_folds(
     rel_pat.hops.is_none() && !vars.into_iter().flatten().any(bound) && folds(vars)
 }
 
-/// [`NodeTest::matches`], decided once per node when the stage carries a
-/// memo (the check is row-independent there, see [`shareable`]).
-fn node_ok(
+/// Keep the candidates whose node passes `test`, or fail with the first
+/// error it raises. A row-independent test reads no binding of the
+/// candidate, so an error is raised by every candidate that gets as far
+/// as the failing check: none passes before it.
+fn retain_accepted<T>(
     ctx: &EvalCtx<'_>,
     row: &Row,
-    node: NodeId,
     test: &NodeTest<'_>,
-    memo: &mut Option<HashMap<NodeId, bool>>,
-) -> Result<bool> {
-    let Some(memo) = memo else {
-        return test.matches(ctx, row, node);
-    };
-    if let Some(&ok) = memo.get(&node) {
-        return Ok(ok);
-    }
-    let ok = test.matches(ctx, row, node)?;
-    memo.insert(node, ok);
-    Ok(ok)
+    cands: &mut Vec<T>,
+    node: impl Fn(&T) -> NodeId,
+) -> Result<()> {
+    let mut first = Ok(());
+    cands.retain(|c| {
+        first.is_ok()
+            && test.matches(ctx, row, node(c)).unwrap_or_else(|e| {
+                first = Err(e);
+                false
+            })
+    });
+    first
 }
 
 /// Whether what a stage decides from the names `reads` returns (a seed

@@ -12,7 +12,9 @@
 //! trigger engine binds `NEWNODES`/`NEW` in the seed row.
 //!
 //! **Planner v3** (`plan_patterns`): before matching, each `MATCH`'s
-//! pattern list is planned once per seed row —
+//! pattern list is planned — once for a chunk of seed rows that bind the
+//! same names and none whose value it reads (`plan_reads`), otherwise
+//! once per seed row —
 //!
 //! 1. `WHERE` conjuncts of shape `var.key = e`, `var.key </<=/>/>= e` and
 //!    `var.key STARTS WITH e` are pushed down into candidate selection,
@@ -440,6 +442,27 @@ pub(crate) fn rel_reads(rel_pat: &RelPattern, pushed: &Pushdowns) -> Vec<String>
         e.collect_vars(&mut names);
     }
     pushed_expr_vars(rel_pat.var.as_ref(), pushed, &mut names);
+    names
+}
+
+/// The names whose bound *values* planning a pattern list reads: at every
+/// position, its labels (a transition variable's list length is its
+/// estimate) and the free variables of its inline props and pushed
+/// operands. Of every other name it reads only whether it is bound.
+pub(crate) fn plan_reads(patterns: &[PathPattern], pushed: &Pushdowns) -> Vec<String> {
+    let mut names = Vec::new();
+    for path in patterns {
+        for np in std::iter::once(&path.start).chain(path.segments.iter().map(|(_, np)| np)) {
+            names.extend(node_reads(np));
+            pushed_expr_vars(np.var.as_ref(), pushed, &mut names);
+        }
+        for (rel_pat, _) in &path.segments {
+            for (_, e) in &rel_pat.props {
+                e.collect_vars(&mut names);
+            }
+            pushed_expr_vars(rel_pat.var.as_ref(), pushed, &mut names);
+        }
+    }
     names
 }
 

@@ -31,7 +31,8 @@ use crate::expr::{eval, EvalCtx};
 use crate::pattern::{nodes_from_value, Pushdowns};
 use crate::row::Row;
 use pg_graph::{
-    CompositeTrailing, Direction, IndexProbe, IndexScope, NodeId, ProbeMode, RelId, Value,
+    CompositeTrailing, Direction, IdHashSet, IndexProbe, IndexScope, NodeId, ProbeMode, RelId,
+    Value,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -367,7 +368,7 @@ impl NodeAccess {
                 // A label restricts to a set: a node listed twice starts
                 // one match. The trigger engine's lists are ascending.
                 if !ids.windows(2).all(|w| w[0] < w[1]) {
-                    let mut seen = HashSet::new();
+                    let mut seen = IdHashSet::default();
                     ids.retain(|id| seen.insert(*id));
                 }
                 ids

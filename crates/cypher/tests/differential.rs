@@ -32,7 +32,11 @@
 //! must be **row-for-row identical including order**: this checks the
 //! sharing logic, and, through grouping projections right after a
 //! `MATCH`, the batched run's folding of the last hop into the groups
-//! (the reference run never folds). Both twins of this file share the planner and the hop
+//! (the reference run never folds). The batched run also plans a chunk of
+//! seeds once and keeps only the candidates a shared hop's node test
+//! passed; fixed shapes run after every step check where both must
+//! decline — a position that reads a seed's value, and seed rows whose
+//! names differ (given to the executor directly). Both twins of this file share the planner and the hop
 //! expansion with what they check; `match_oracle.rs` holds the matcher to
 //! a brute-force enumerator that shares neither.
 //!
@@ -44,7 +48,7 @@
 //! proptest case count for long soak runs; the default stays fast enough
 //! for every PR.
 
-use pg_cypher::{parse_query, run_query, run_read_only, Executor, MatchMode, Params, Target};
+use pg_cypher::{parse_query, run_query, run_read_only, Executor, MatchMode, Params, Row, Target};
 use pg_graph::{Graph, GraphView, IndexDef, StatementMark, Value};
 use proptest::prelude::*;
 use std::collections::hash_map::Entry;
@@ -230,6 +234,52 @@ fn multi_seed_query_strategy() -> impl Strategy<Value = String> {
                 .to_string()
         ),
     ]
+}
+
+/// Multi-seed shapes the executor twin runs after every step: the second
+/// `MATCH` must be planned per seed row, or its shared hop must not keep
+/// only the candidates one row's node test passed, because a position
+/// reads a seed's value — an inline property over a seed variable (at the
+/// anchor, or at a hop's target reached from a shared source), a pushed
+/// `WHERE b.k = a.k`, and a transition label bound to lists of different
+/// lengths per seed (the plan's anchor moves with the length; the node
+/// test differs per row).
+const PER_SEED_QUERIES: [&str; 6] = [
+    "MATCH (x:A) MATCH (y:B {k: x.k}) RETURN x.k AS a, y.m AS b",
+    "MATCH (a:A) MATCH (b:B) WHERE b.k = a.k RETURN a.k AS a, b.m AS b",
+    "MATCH (x:A) MATCH (w:B)-[r:R]->(z {k: x.k}) RETURN x.k AS a, w.k AS b, r.w AS c",
+    "MATCH (x) MATCH (x)-[:R]-(m)-[:R]-(z {k: x.k}) RETURN x.k AS a, m.k AS b, z.m AS c",
+    "MATCH (x:A) OPTIONAL MATCH (x)-[:R]-(y) WITH x, collect(y) AS ys \
+     MATCH (z:ys)-[r:R]->(w:B) RETURN x.k AS a, z.k AS b, r.w AS c",
+    "MATCH (x) OPTIONAL MATCH (x)-[:R]-(y) WITH x, collect(y) AS ys \
+     MATCH (x)-[:R]-(m)-[:R]-(z:ys) RETURN x.k AS a, m.k AS b, z.k AS c",
+];
+
+/// Queries the executor twin also runs over [`mixed_seeds`]: seed rows
+/// whose name lists differ, so none of them may be planned from another's
+/// names. `T` is a transition label in the rows that bind it and a stored
+/// label (no node carries it) in the rest; the last query's shared second
+/// hop meets a node test that reads `T`.
+const MIXED_SEED_QUERIES: [&str; 3] = [
+    "MATCH (y:T)-[r:R]->(z:B) RETURN x AS a, y AS b, r.w AS c",
+    "MATCH (x)-[r:R]-(y:T) RETURN x AS a, r.w AS b, y AS c",
+    "MATCH (x)-[:R]-(m)-[:R]-(y:T) RETURN x AS a, m AS b, y AS c",
+];
+
+/// One seed row per node of `g`, binding `x` to it; the second half also
+/// binds `T` to a list of the first one, two or three nodes.
+fn mixed_seeds(g: &Graph) -> Vec<Row> {
+    let nodes = g.all_node_ids();
+    let node_list = |n: usize| Value::List(nodes[..n].iter().map(|&m| Value::Node(m)).collect());
+    (0..nodes.len())
+        .map(|i| {
+            let x = ("x", Value::Node(nodes[i]));
+            match i < nodes.len() / 2 {
+                true => Row::from_pairs([x]),
+                false => Row::from_pairs([x, ("T", node_list(1 + i % 3))]),
+            }
+        })
+        .collect()
 }
 
 /// The multi-seed panel's grouping projections right after a `MATCH`
@@ -465,6 +515,39 @@ fn check_exec_twin(g: &Graph, panel: &[String], step: usize) {
             g.indexes(),
         );
     }
+    for q in PER_SEED_QUERIES {
+        let batched = rows_under_mode(g, q, MatchMode::Batched);
+        let reference = rows_under_mode(g, q, MatchMode::Reference);
+        assert_eq!(
+            batched, reference,
+            "batched/reference divergence in a per-seed shape after step {step} for {q}",
+        );
+    }
+    let seeds = mixed_seeds(g);
+    for q in MIXED_SEED_QUERIES {
+        let batched = seeded_rows_under_mode(g, q, &seeds, MatchMode::Batched);
+        let reference = seeded_rows_under_mode(g, q, &seeds, MatchMode::Reference);
+        assert_eq!(
+            batched, reference,
+            "batched/reference divergence over mixed seeds after step {step} for {q}",
+        );
+    }
+}
+
+/// [`rows_under_mode`] with the statement's input rows given.
+fn seeded_rows_under_mode(
+    view: &dyn GraphView,
+    q: &str,
+    seeds: &[Row],
+    mode: MatchMode,
+) -> Vec<Vec<Value>> {
+    let query = parse_query(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+    let params = Params::new();
+    Executor::new(Target::Read(view), &params, 0)
+        .with_match_mode(mode)
+        .run(&query, seeds.to_vec())
+        .unwrap_or_else(|e| panic!("{q}: {e}"))
+        .rows
 }
 
 fn check_panel(t: &mut Twin, panel: &[String], step: usize) {

@@ -560,3 +560,31 @@ fn last_hop_folds_into_the_groups_with_the_same_answers() {
         );
     }
 }
+
+/// A shared hop keeps only the candidates its node test passed, and a
+/// test that fails to evaluate fails only where testing per row would:
+/// `nope` is bound nowhere, so testing `c` raises `UnboundVariable` — but
+/// from each `b`, the one relationship back to its `a` is already used, so
+/// per row nothing reaches the test. An unused relationship at each `b`
+/// makes both modes fail alike.
+#[test]
+fn shared_hop_test_errors_where_a_per_row_test_would() {
+    let mut g = Graph::new();
+    run(&mut g, "CREATE (:A)-[:R]->(:B), (:A)-[:R]->(:B)");
+    let src = "MATCH (a:A) MATCH (a)-[:R]->(b)-[:R]-(c {k: nope.k}) RETURN c";
+    let params = Params::new();
+    let under = |g: &Graph, mode| {
+        Executor::new(Target::Read(g), &params, 0)
+            .with_match_mode(mode)
+            .run(&parse_query(src).unwrap(), Vec::new())
+    };
+    for mode in [MatchMode::Batched, MatchMode::Reference] {
+        let out = under(&g, mode).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        assert!(out.rows.is_empty(), "{mode:?}");
+    }
+    run(&mut g, "MATCH (b:B) CREATE (b)-[:R]->(:C)");
+    for mode in [MatchMode::Batched, MatchMode::Reference] {
+        let err = under(&g, mode).unwrap_err();
+        assert_eq!(err, CypherError::UnboundVariable("nope".into()), "{mode:?}");
+    }
+}

@@ -145,24 +145,32 @@ fn bound_seed_probes(g: &Graph, n: i64, second: &str) -> [(u64, u64); 2] {
 }
 
 #[test]
-fn bound_seeds_plan_once_each() {
+fn bound_seeds_plan_once_per_chunk_batched_once_per_seed_under_reference() {
     // The first MATCH costs one range count and one lookup whatever N is;
-    // the second is planned exactly once per seed row and materializes
-    // nothing (its anchor is the bound `p`). Both matchers probe alike.
+    // the second materializes nothing (its anchor is the bound `p`). Under
+    // Batched it is planned once for the chunk of seed rows, since they
+    // bind the same names and planning reads none of their values; under
+    // Reference it is planned once per seed row.
     let g = fixture();
 
     // `(p)-[:TreatedAt]->(h)`: no position carries a stored label, so
-    // per-seed planning asks no statistic at all — counting is flat in N.
+    // planning asks no statistic at all — counting is flat in N.
     let unlabeled = "MATCH (p)-[:TreatedAt]->(h)";
     assert_eq!(bound_seed_probes(&g, 10, unlabeled), [(1, 1), (1, 1)]);
     assert_eq!(bound_seed_probes(&g, 100, unlabeled), [(1, 1), (1, 1)]);
 
     // `(p)-[:TreatedAt]->(h:Hospital)`: costing the `h` anchor needs the
-    // Hospital-side degree statistic — one lookup per seed row, so
-    // counting is 1 + N.
+    // Hospital-side degree statistic — one lookup per plan, so counting is
+    // 1 + 1 batched and 1 + N under Reference.
     let labeled = "MATCH (p)-[:TreatedAt]->(h:Hospital)";
-    assert_eq!(bound_seed_probes(&g, 10, labeled), [(11, 1), (11, 1)]);
-    assert_eq!(bound_seed_probes(&g, 100, labeled), [(101, 1), (101, 1)]);
+    assert_eq!(bound_seed_probes(&g, 10, labeled), [(2, 1), (11, 1)]);
+    assert_eq!(bound_seed_probes(&g, 100, labeled), [(2, 1), (101, 1)]);
+
+    // An inline property that reads the seed's value: each seed row plans
+    // on its own under both matchers, 1 + N.
+    let reads_seed = "MATCH (p {name: p.name})-[:TreatedAt]->(h:Hospital)";
+    assert_eq!(bound_seed_probes(&g, 10, reads_seed), [(11, 1), (11, 1)]);
+    assert_eq!(bound_seed_probes(&g, 100, reads_seed), [(101, 1), (101, 1)]);
 }
 
 #[test]

@@ -393,3 +393,68 @@ fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
         assert!(n <= ceiling, "{src}: {n} allocations, ceiling {ceiling}");
     }
 }
+
+/// `users` users in a `FOLLOWS` ring, each the author of one post.
+fn post_ring(users: usize) -> Graph {
+    let mut g = Graph::new();
+    let ids: Vec<NodeId> = (0..users)
+        .map(|_| g.create_node(["User"], PropertyMap::new()).unwrap())
+        .collect();
+    for (i, &u) in ids.iter().enumerate() {
+        g.create_rel(u, ids[(i + 1) % users], "FOLLOWS", PropertyMap::new())
+            .unwrap();
+        let p = g.create_node(["Post"], PropertyMap::new()).unwrap();
+        g.create_rel(u, p, "WROTE", PropertyMap::new()).unwrap();
+    }
+    g.rebuild_stats();
+    g
+}
+
+/// Allocations of `src` under `mode` over [`post_ring`]`(users)` (the
+/// graph built outside the count), and its output rows.
+fn ring_allocations(src: &str, mode: MatchMode, users: usize) -> (u64, usize) {
+    let g = post_ring(users);
+    let query = parse_query(src).unwrap();
+    let params = Params::new();
+    let (n, out) = counted(|| {
+        Executor::new(Target::Read(&g), &params, 0)
+            .with_match_mode(mode)
+            .run(&query, Vec::new())
+            .unwrap()
+    });
+    (n, out.bindings.len())
+}
+
+/// Planning allocates nothing per seed row: growing the first `MATCH`'s
+/// rows from 200 to 400 adds, per extra seed of the second `MATCH`, the
+/// pinned allocations below (rounded down: a vector crossing a capacity
+/// step adds a few once). [`MatchMode::Batched`] plans that `MATCH` once
+/// per chunk, so what is left is the seed's own copies, its candidate
+/// vectors and its output row: 6 for one hop, 8 for two. Planning it once
+/// per seed, as [`MatchMode::Reference`] still does, costs 25 and 37 (the
+/// batched matcher cost 22 and 33 that way).
+#[test]
+fn planning_allocates_nothing_per_seed() {
+    for (src, batched, reference) in [
+        ("MATCH (u:User) MATCH (u)-[:WROTE]->(p:Post)", 6, 25),
+        (
+            "MATCH (u:User) MATCH (u)-[:FOLLOWS]->(h:User)-[:WROTE]->(p:Post)",
+            8,
+            37,
+        ),
+    ] {
+        for (mode, per_seed) in [
+            (MatchMode::Batched, batched),
+            (MatchMode::Reference, reference),
+        ] {
+            let (small, rows200) = ring_allocations(src, mode, 200);
+            let (large, rows400) = ring_allocations(src, mode, 400);
+            assert_eq!((rows200, rows400), (200, 400));
+            assert_eq!(
+                (large - small) / 200,
+                per_seed,
+                "{mode:?}: {src}: {small} allocations at 200 seeds, {large} at 400"
+            );
+        }
+    }
+}

@@ -1,7 +1,9 @@
 //! Typed identifiers for graph items.
 
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node. Ids are assigned monotonically by the store and are
 /// never reused, so an id also acts as a creation-time stamp.
@@ -40,6 +42,34 @@ impl fmt::Display for ItemRef {
             ItemRef::Node(n) => write!(f, "{n}"),
             ItemRef::Rel(r) => write!(f, "{r}"),
         }
+    }
+}
+
+/// A hash map keyed by engine-assigned ids: [`IdHasher`] instead of
+/// SipHash. Ids are chosen by the store, never by a client, so resistance
+/// to adversarial keys buys nothing here.
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of engine-assigned ids; see [`IdHashMap`].
+pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+/// A multiplicative hash of an id: one rotate, one xor and one multiply
+/// per word. Dense ids keep distinct low bits (the multiplier is odd) and
+/// get mixed high bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -95,6 +125,19 @@ mod tests {
     fn ids_order_by_value() {
         assert!(NodeId(1) < NodeId(2));
         assert!(RelId(10) > RelId(9));
+    }
+
+    #[test]
+    fn id_hash_tables_key_by_value() {
+        let mut map: IdHashMap<NodeId, u64> = IdHashMap::default();
+        for i in 0..1_000 {
+            map.insert(NodeId(i), i * 2);
+        }
+        assert_eq!(map.len(), 1_000);
+        assert!((0..1_000).all(|i| map[&NodeId(i)] == i * 2));
+        let set: IdHashSet<RelId> = [RelId(3), RelId(3), RelId(u64::MAX)].into_iter().collect();
+        assert_eq!(set.len(), 2);
+        assert!(set.contains(&RelId(u64::MAX)) && !set.contains(&RelId(4)));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use codec::CodecError;
 pub use composite::{CompositeTrailing, IndexProbe, IndexStats};
 pub use delta::{Delta, LabelEvent, PropAssign, PropRemove};
 pub use error::{GraphError, Result};
-pub use ids::{ItemRef, NodeId, RelId};
+pub use ids::{IdHashMap, IdHashSet, ItemRef, NodeId, RelId};
 pub use op::Op;
 pub use props::PropertyMap;
 pub use record::{NodeRecord, RelRecord};

@@ -8,13 +8,12 @@
 //! §4.2 "Action Time").
 
 use crate::composite::{IndexProbe, IndexStats};
-use crate::ids::{NodeId, RelId};
+use crate::ids::{IdHashMap, NodeId, RelId};
 use crate::op::Op;
 use crate::record::{NodeRecord, RelRecord};
 use crate::store::Graph;
 use crate::value::{Direction, Value};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -259,7 +258,7 @@ pub trait GraphView {
 /// pre-state records that match.
 fn correct_probe<'r, Id, R: 'r>(
     base: Probed,
-    touched: &HashMap<Id, Option<R>>,
+    touched: &IdHashMap<Id, Option<R>>,
     base_rec: impl Fn(Id) -> Option<&'r R>,
     matches: impl Fn(&R) -> bool,
 ) -> Probed
@@ -298,9 +297,9 @@ where
 pub struct PreStateView<'g> {
     base: &'g Graph,
     /// Pre-state of touched nodes: `None` = did not exist before the slice.
-    nodes: HashMap<NodeId, Option<NodeRecord>>,
+    nodes: IdHashMap<NodeId, Option<NodeRecord>>,
     /// Pre-state of touched relationships.
-    rels: HashMap<RelId, Option<RelRecord>>,
+    rels: IdHashMap<RelId, Option<RelRecord>>,
 }
 
 impl<'g> PreStateView<'g> {
@@ -308,8 +307,8 @@ impl<'g> PreStateView<'g> {
     /// the exact op sequence that produced the current state of `base` from
     /// the desired pre-state).
     pub fn new(base: &'g Graph, ops: &[Op]) -> Self {
-        let mut nodes: HashMap<NodeId, Option<NodeRecord>> = HashMap::new();
-        let mut rels: HashMap<RelId, Option<RelRecord>> = HashMap::new();
+        let mut nodes: IdHashMap<NodeId, Option<NodeRecord>> = IdHashMap::default();
+        let mut rels: IdHashMap<RelId, Option<RelRecord>> = IdHashMap::default();
         // Seed with the *current* state of every touched item, then unwind.
         for op in ops {
             if let Some(nid) = op.node_id() {
