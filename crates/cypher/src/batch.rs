@@ -1,15 +1,14 @@
 //! The pattern matcher: a streaming stage pipeline (planner v4).
 //!
 //! Every `MATCH`, `OPTIONAL MATCH`, `EXISTS`, `MERGE` and fused top-k
-//! re-match runs here. A chunk of seed rows is planned by `plan_patterns`
-//! **once** when the seeds bind the same names and planning reads none of
-//! their values (`plan_reads`: labels, inline props and pushed operands
-//! over seed variables); otherwise each seed row is planned on its own.
-//! The rows then flow through **operator stages**: one seed stage per
-//! planned path, one expand stage per segment, then the residual `WHERE`.
-//! Seed rows whose planned paths agree (a *group*; a chunk planned once is
-//! one group) advance together, so a stage can share work across the
-//! group:
+//! re-match runs here. Planning reads whether a name is bound, and the
+//! values of `plan_reads` only (labels, inline props and pushed operands
+//! over seed variables), so a chunk of seed rows is planned by
+//! `plan_patterns` **once per run** of consecutive seeds that bind the
+//! same names and hold equal values for those. Each run is a *group* with
+//! one plan, and its rows flow through **operator stages** together: one
+//! seed stage per planned path, one expand stage per segment, then the
+//! residual `WHERE`. So a stage can share work across the group:
 //!
 //! * the **seed candidate vector** is computed once when the path's access
 //!   decision cannot observe a binding any seed row carries;
@@ -98,11 +97,12 @@ impl<F: FnMut(usize, Row) -> Result<Flow>> Sink for F {
 /// Match `patterns` for every seed row, handing each match to `sink` with
 /// its seed's index (the caller owns `OPTIONAL MATCH` null-binding, which
 /// is a per-seed decision) until `sink` breaks. Matches arrive in seed
-/// order; under [`MatchMode::Batched`] consecutive seeds with the same
-/// planned paths form one group, under [`MatchMode::Reference`] every seed
-/// is its own. `pushed` is [`crate::pattern::extract_pushdowns`] of
-/// `where_clause`. The executor passes at most [`CHUNK_ROWS`] seeds, so
-/// their plans are one chunk's.
+/// order. Planning reads whether a name is bound, and the values of
+/// [`plan_reads`] only, so under [`MatchMode::Batched`] a run of
+/// consecutive seeds that bind the same names and hold equal values for
+/// those is one group with one plan; under [`MatchMode::Reference`] every
+/// seed is its own. `pushed` is [`crate::pattern::extract_pushdowns`] of
+/// `where_clause`. The executor passes at most [`CHUNK_ROWS`] seeds.
 pub(crate) fn match_patterns_batch(
     ctx: &EvalCtx<'_>,
     seeds: &[Row],
@@ -112,54 +112,34 @@ pub(crate) fn match_patterns_batch(
     mode: MatchMode,
     sink: &mut dyn Sink,
 ) -> Result<Flow> {
-    let plan = |seed| plan_patterns(ctx, seed, patterns, pushed);
-    let group = |base, plans| Group {
-        ctx,
-        base,
-        plans,
-        where_clause,
-        pushed,
+    let batched = mode == MatchMode::Batched && seeds.len() > 1;
+    let reads = if batched {
+        plan_reads(patterns, pushed)
+    } else {
+        Vec::new()
     };
-    let Some(first) = seeds.first() else {
-        return Ok(Flow::Continue(()));
-    };
-    // One seed (a trigger condition, `EXISTS`, `MERGE`, a re-match), or
-    // seeds the planner cannot tell apart: one plan and one group.
-    if seeds.len() == 1 || mode == MatchMode::Batched && plans_once(seeds, patterns, pushed) {
-        return group(0, &[plan(first)]).run(seeds, sink);
-    }
-    let plans: Vec<Vec<PhysicalPathPlan>> = seeds.iter().map(plan).collect();
-    // Seeds batch together when their planned *paths* agree; each keeps
-    // its own seed accesses, which may carry values of its own row.
-    let same_paths = |a: &[PhysicalPathPlan], b: &[PhysicalPathPlan]| {
-        let same = |(p, q): (&PhysicalPathPlan, &PhysicalPathPlan)| {
-            (&p.path, p.reversed) == (&q.path, q.reversed)
-        };
-        a.len() == b.len() && a.iter().zip(b).all(same)
+    let plans_alike = |a: &Row, b: &Row| {
+        batched && a.names().eq(b.names()) && reads.iter().all(|n| a.get(n) == b.get(n))
     };
     let mut i = 0;
     while i < seeds.len() {
         let mut j = i + 1;
-        while mode == MatchMode::Batched && j < seeds.len() && same_paths(&plans[j], &plans[i]) {
+        while j < seeds.len() && plans_alike(&seeds[i], &seeds[j]) {
             j += 1;
         }
-        if group(i, &plans[i..j]).run(&seeds[i..j], sink)?.is_break() {
+        let group = Group {
+            ctx,
+            base: i,
+            plans: plan_patterns(ctx, &seeds[i], patterns, pushed),
+            where_clause,
+            pushed,
+        };
+        if group.run(&seeds[i..j], sink)?.is_break() {
             return Ok(Flow::Break(()));
         }
         i = j;
     }
     Ok(Flow::Continue(()))
-}
-
-/// Whether one plan serves every seed. Planning reads whether a name is
-/// bound, and the values of [`plan_reads`] only: seeds that bind the same
-/// names, none of those among them, plan alike.
-fn plans_once(seeds: &[Row], patterns: &[PathPattern], pushed: &Pushdowns) -> bool {
-    let first = &seeds[0];
-    seeds[1..].iter().all(|s| s.names().eq(first.names()))
-        && !plan_reads(patterns, pushed)
-            .iter()
-            .any(|n| first.contains(n))
 }
 
 /// The most relationships a variable-length segment without an upper
@@ -169,12 +149,12 @@ fn plans_once(seeds: &[Row], patterns: &[PathPattern], pushed: &Pushdowns) -> bo
 /// triggers comes near it.
 const VAR_LENGTH_MAX_HOPS: u32 = 64;
 
-/// A batch of seed rows whose plans share one planned path list:
-/// `plans[i]` is seed `base + i`'s, or the one plan serves every seed.
+/// A run of seed rows that plan alike, the first at `base` in the chunk,
+/// and their one plan.
 struct Group<'g, 'c> {
     ctx: &'g EvalCtx<'c>,
     base: usize,
-    plans: &'g [Vec<PhysicalPathPlan>],
+    plans: Vec<PhysicalPathPlan>,
     where_clause: Option<&'g Expr>,
     pushed: &'g Pushdowns,
 }
@@ -220,11 +200,6 @@ impl Stage {
 }
 
 impl Group<'_, '_> {
-    /// The planned paths of the group's seed `si`.
-    fn plan(&self, si: usize) -> &[PhysicalPathPlan] {
-        self.plans.get(si).unwrap_or(&self.plans[0])
-    }
-
     /// Stage-wise execution: one seed stage and one expand stage per
     /// segment for each planned path, then the residual `WHERE`.
     fn run(&self, seeds: &[Row], sink: &mut dyn Sink) -> Result<Flow> {
@@ -241,7 +216,7 @@ impl Group<'_, '_> {
             live
         });
         let (mut stages, pushed) = (Vec::new(), self.pushed);
-        for (pi, plan) in self.plans[0].iter().enumerate() {
+        for (pi, plan) in self.plans.iter().enumerate() {
             let path = &plan.path;
             let share = shareable(&live, || seed_reads(path, pushed));
             let nodes = shareable(&live, || node_reads(&path.start));
@@ -281,14 +256,14 @@ impl Group<'_, '_> {
             }
             return Ok(Flow::Continue(()));
         };
-        let path = &self.plans[0][stage.path].path;
+        let plan = &self.plans[stage.path];
+        let path = &plan.path;
         let mut out: Vec<Partial> = Vec::new();
         let mut folded: Vec<Hop> = Vec::new();
         for (si, st, at) in input.drain(..) {
             match stage.seg {
-                // ---- Seed stage: each state materializes its seed's plan ----
+                // ---- Seed stage: each state materializes the group's plan ----
                 None => {
-                    let plan = &self.plan(si)[stage.path];
                     let test = NodeTest::new(&st.row, &path.start);
                     let seed = || start_candidates(ctx, &st.row, plan, self.pushed);
                     if stage.share && stage.shared.is_none() {
@@ -389,7 +364,7 @@ impl Group<'_, '_> {
         out: &mut Vec<Partial>,
         sink: &mut dyn Sink,
     ) -> Result<Flow> {
-        let plan = &self.plans[0][stage.path];
+        let plan = &self.plans[stage.path];
         let (rel_pat, node_pat) = &plan.path.segments[stage.seg.expect("an expand stage")];
         let (min, max) = rel_pat.hops.expect("a variable-length segment");
         let max = max.unwrap_or(VAR_LENGTH_MAX_HOPS);

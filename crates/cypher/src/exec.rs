@@ -195,14 +195,16 @@ pub enum Target<'a> {
 }
 
 /// How `MATCH` groups its seed rows in the one matcher, the stage pipeline
-/// of [`crate::batch`]. [`MatchMode::Batched`] (the default) runs
-/// consecutive seeds with the same planned paths as one group, sharing
-/// seed-candidate vectors and memoizing hop expansions where the liveness
-/// analysis allows; [`MatchMode::Reference`] runs every seed as its own
-/// group, which shares nothing — the executor twin that checks the
-/// sharing. Both produce identical rows in identical order. `MERGE`,
-/// `EXISTS` and the top-k re-match run one seed at a time, where the two
-/// agree by construction.
+/// of [`crate::batch`]. [`MatchMode::Batched`] (the default) plans once
+/// for each run of consecutive seeds that bind the same names and hold
+/// equal values for every name planning reads, and runs the run as one
+/// group, sharing seed-candidate vectors and memoizing hop expansions
+/// where the liveness analysis allows; [`MatchMode::Reference`] plans
+/// every seed on its own and runs it as its own group, which shares
+/// nothing — the executor twin that checks the runs and the sharing. Both
+/// produce identical rows in identical order. `MERGE`, `EXISTS` and the
+/// top-k re-match run one seed at a time, where the two agree by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatchMode {
     #[default]

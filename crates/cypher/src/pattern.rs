@@ -12,9 +12,9 @@
 //! trigger engine binds `NEWNODES`/`NEW` in the seed row.
 //!
 //! **Planner v3** (`plan_patterns`): before matching, each `MATCH`'s
-//! pattern list is planned — once for a chunk of seed rows that bind the
-//! same names and none whose value it reads (`plan_reads`), otherwise
-//! once per seed row —
+//! pattern list is planned — once for each run of consecutive seed rows
+//! that bind the same names and hold equal values for those it reads
+//! (`plan_reads`) —
 //!
 //! 1. `WHERE` conjuncts of shape `var.key = e`, `var.key </<=/>/>= e` and
 //!    `var.key STARTS WITH e` are pushed down into candidate selection,

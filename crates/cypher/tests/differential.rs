@@ -32,13 +32,15 @@
 //! must be **row-for-row identical including order**: this checks the
 //! sharing logic, and, through grouping projections right after a
 //! `MATCH`, the batched run's folding of the last hop into the groups
-//! (the reference run never folds). The batched run also plans a chunk of
-//! seeds once and keeps only the candidates a shared hop's node test
-//! passed; fixed shapes run after every step check where both must
-//! decline — a position that reads a seed's value, and seed rows whose
-//! names differ (given to the executor directly). Both twins of this file share the planner and the hop
-//! expansion with what they check; `match_oracle.rs` holds the matcher to
-//! a brute-force enumerator that shares neither.
+//! (the reference run never folds). The batched run also plans once per
+//! run of seeds that agree on what planning reads, and keeps only the
+//! candidates a shared hop's node test passed; fixed shapes run after
+//! every step check where both must decline — a position that reads a
+//! seed's value, and seed rows whose names differ — and that each run of
+//! seeds holding equal values is planned from its own values (the last
+//! two given to the executor directly). Both twins of this file share the
+//! planner and the hop expansion with what they check; `match_oracle.rs`
+//! holds the matcher to a brute-force enumerator that shares neither.
 //!
 //! Top-k queries project exactly their order keys, so sorted-row-multiset
 //! equality is the right oracle even at tie cut-offs (tied rows carry
@@ -278,6 +280,40 @@ fn mixed_seeds(g: &Graph) -> Vec<Row> {
                 true => Row::from_pairs([x]),
                 false => Row::from_pairs([x, ("T", node_list(1 + i % 3))]),
             }
+        })
+        .collect()
+}
+
+/// The `:ys` shapes of [`PER_SEED_QUERIES`] over a seed-bound `T`, and two
+/// paths whose join order follows `T`'s length (the cheaper path runs
+/// outermost); the executor twin runs them and [`MIXED_SEED_QUERIES`]
+/// over [`equal_run_seeds`].
+const EQUAL_RUN_QUERIES: [&str; 3] = [
+    "MATCH (z:T)-[r:R]->(w:B) RETURN x AS a, z AS b, r.w AS c",
+    "MATCH (x)-[:R]-(m)-[:R]-(z:T) RETURN x AS a, m AS b, z AS c",
+    "MATCH (z:T), (w:B) RETURN x AS a, z AS b, w AS c",
+];
+
+/// One seed row per node of `g`, binding `x` to it and `T` to one of two
+/// node lists, in blocks of six whose lists run A A B A A A: consecutive
+/// seeds hold equal lists in runs of length 2, 1 and 3, and the list
+/// returns to an earlier one after B. A is the first node alone in even
+/// blocks and every node, newest first, in odd ones; B is the other. The
+/// long list may move the planned anchor off `T`, and enumerates matches
+/// from `T` in the opposite order to a label scan, so a run planned from
+/// another run's values emits its matches in another order.
+fn equal_run_seeds(g: &Graph) -> Vec<Row> {
+    let nodes = g.all_node_ids();
+    let short = Value::List(nodes.iter().take(1).map(|&m| Value::Node(m)).collect());
+    let long = Value::List(nodes.iter().rev().map(|&m| Value::Node(m)).collect());
+    (0..nodes.len())
+        .map(|i| {
+            // B's slot of an even block, or A's of an odd one.
+            let t = match (i % 6 == 2) == (i / 6 % 2 == 0) {
+                true => long.clone(),
+                false => short.clone(),
+            };
+            Row::from_pairs([("x", Value::Node(nodes[i])), ("T", t)])
         })
         .collect()
 }
@@ -530,6 +566,15 @@ fn check_exec_twin(g: &Graph, panel: &[String], step: usize) {
         assert_eq!(
             batched, reference,
             "batched/reference divergence over mixed seeds after step {step} for {q}",
+        );
+    }
+    let seeds = equal_run_seeds(g);
+    for q in MIXED_SEED_QUERIES.iter().chain(&EQUAL_RUN_QUERIES) {
+        let batched = seeded_rows_under_mode(g, q, &seeds, MatchMode::Batched);
+        let reference = seeded_rows_under_mode(g, q, &seeds, MatchMode::Reference);
+        assert_eq!(
+            batched, reference,
+            "batched/reference divergence over runs of equal seeds after step {step} for {q}",
         );
     }
 }

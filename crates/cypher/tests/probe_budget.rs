@@ -136,10 +136,15 @@ fn rel_index_seeded_join() {
 /// followed by `second`, which re-uses the bound `p` and returns `n` rows,
 /// under each matcher.
 fn bound_seed_probes(g: &Graph, n: i64, second: &str) -> [(u64, u64); 2] {
+    seed_probes(g, n, second, n)
+}
+
+/// [`bound_seed_probes`] for a `second` that returns `rows` rows.
+fn seed_probes(g: &Graph, n: i64, second: &str, rows: i64) -> [(u64, u64); 2] {
     let src = format!("MATCH (p:Patient) WHERE p.ssn < {n} {second} RETURN count(h) AS c");
     [MatchMode::Batched, MatchMode::Reference].map(|mode| {
         let (out, probes) = run(g, mode, &src);
-        assert_eq!(out.rows, vec![vec![Value::Int(n)]], "{mode:?}: {src}");
+        assert_eq!(out.rows, vec![vec![Value::Int(rows)]], "{mode:?}: {src}");
         (probes.counting, probes.materializing)
     })
 }
@@ -166,11 +171,20 @@ fn bound_seeds_plan_once_per_chunk_batched_once_per_seed_under_reference() {
     assert_eq!(bound_seed_probes(&g, 10, labeled), [(2, 1), (11, 1)]);
     assert_eq!(bound_seed_probes(&g, 100, labeled), [(2, 1), (101, 1)]);
 
-    // An inline property that reads the seed's value: each seed row plans
-    // on its own under both matchers, 1 + N.
+    // An inline property that reads the seed's value, which differs per
+    // row: each seed row is a run of its own under both matchers, 1 + N.
     let reads_seed = "MATCH (p {name: p.name})-[:TreatedAt]->(h:Hospital)";
     assert_eq!(bound_seed_probes(&g, 10, reads_seed), [(11, 1), (11, 1)]);
     assert_eq!(bound_seed_probes(&g, 100, reads_seed), [(101, 1), (101, 1)]);
+
+    // Every seed row binds `hn` to the same value, and the inline property
+    // reads it: the seeds agree on everything planning reads, so under
+    // Batched they are one run with one plan, 1 + 1, flat in N; under
+    // Reference 1 + N. Patients `3`, `13`, … are treated at `h3`: N / 10
+    // rows.
+    let equal = "WITH p, 'h3' AS hn MATCH (p)-[:TreatedAt]->(h:Hospital {name: hn})";
+    assert_eq!(seed_probes(&g, 10, equal, 1), [(2, 1), (11, 1)]);
+    assert_eq!(seed_probes(&g, 100, equal, 10), [(2, 1), (101, 1)]);
 }
 
 #[test]
