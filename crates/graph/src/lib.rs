@@ -57,7 +57,7 @@ pub use op::Op;
 pub use props::PropertyMap;
 pub use record::{NodeRecord, RelRecord};
 pub use snapshot::{GraphHandle, Snapshot};
-pub use stats::{degree_bucket, DegreeHistogram, Histogram, DEGREE_BUCKETS};
+pub use stats::Histogram;
 pub use store::{CommitSink, Graph, IndexProbes, StatementMark, WritePolicy};
 pub use value::{Direction, OrderKey, Value, MAX_NESTING};
 pub use view::{GraphView, IndexDef, IndexOn, IndexScope, PreStateView, ProbeMode, Probed};

@@ -69,17 +69,6 @@ impl RelRecord {
         m.insert("__dst".to_string(), Value::Int(self.dst.0 as i64));
         Value::Map(m)
     }
-
-    /// The endpoint opposite to `n`, if `n` is an endpoint.
-    pub fn other_end(&self, n: NodeId) -> Option<NodeId> {
-        if self.src == n {
-            Some(self.dst)
-        } else if self.dst == n {
-            Some(self.src)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -99,19 +88,5 @@ mod tests {
         } else {
             panic!("expected map");
         }
-    }
-
-    #[test]
-    fn rel_other_end() {
-        let r = RelRecord {
-            id: RelId(1),
-            rel_type: "Risk".to_string(),
-            src: NodeId(1),
-            dst: NodeId(2),
-            props: PropertyMap::new(),
-        };
-        assert_eq!(r.other_end(NodeId(1)), Some(NodeId(2)));
-        assert_eq!(r.other_end(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(r.other_end(NodeId(3)), None);
     }
 }

@@ -41,69 +41,6 @@ use std::ops::Bound;
 /// Number of buckets a rebuild aims for.
 const BUCKETS: usize = 32;
 
-/// Number of log2 buckets in a [`DegreeHistogram`].
-pub const DEGREE_BUCKETS: usize = 16;
-
-/// The bucket a per-node degree `d >= 1` falls into: `floor(log2 d)`,
-/// clamped to the last bucket. Bucket `i` covers degrees
-/// `[2^i, 2^(i+1))` — log2 spacing because join fanout matters on a
-/// multiplicative scale (a hub with 4096 neighbours and one with 6000
-/// cost the same plan decision, while 1 vs 64 does not).
-pub fn degree_bucket(d: usize) -> usize {
-    debug_assert!(d >= 1);
-    ((usize::BITS - 1 - d.max(1).leading_zeros()) as usize).min(DEGREE_BUCKETS - 1)
-}
-
-/// A log2-bucketed histogram over per-node degrees for one
-/// `(label, rel-type, direction)` population: `buckets[i]` counts nodes
-/// carrying the label whose degree in that type/direction lies in
-/// `[2^i, 2^(i+1))` (degree-0 nodes are not counted — subtract
-/// [`DegreeHistogram::total_nodes`] from the label cardinality to get
-/// them).
-///
-/// Maintenance contract (mirrors [`Histogram`]): bucket counts are
-/// adjusted **exactly** on label set/remove (the node's degree is known
-/// there), and left untouched on relationship create/delete, which only
-/// bump `drift` — moving a node between buckets would cost a degree
-/// recount per edge mutation. The histogram is rebuilt from the live
-/// adjacency once `drift` exceeds `max(16, edges/8)` (amortized O(1) per
-/// mutation), so at any moment the per-bucket node counts are within
-/// `drift` of exact. The companion per-entry `edges` counter (see
-/// `GraphView::degree_edge_count`) is **always exact** — average-degree
-/// join-output estimates carry no histogram error at all; only
-/// quantile/max-degree reads see the `drift` bound.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegreeHistogram {
-    /// Nodes per log2 degree bucket (see [`degree_bucket`]).
-    pub buckets: [usize; DEGREE_BUCKETS],
-    /// Mutations since the last rebuild (staleness bound on the buckets).
-    pub drift: usize,
-}
-
-impl DegreeHistogram {
-    /// Nodes with degree >= 1 attributed to the histogram.
-    pub fn total_nodes(&self) -> usize {
-        self.buckets.iter().sum()
-    }
-
-    /// An upper bound on the maximum per-node degree: the exclusive
-    /// ceiling of the highest non-empty bucket (0 when empty). Planning
-    /// uses this as a worst-case fanout cap on skewed distributions.
-    pub fn max_degree_bound(&self) -> usize {
-        self.buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| {
-                if i >= DEGREE_BUCKETS - 1 {
-                    usize::MAX
-                } else {
-                    1usize << (i + 1)
-                }
-            })
-            .unwrap_or(0)
-    }
-}
-
 /// An equi-depth histogram over one `(label, key)` index's key space.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
@@ -117,11 +54,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Whether the histogram has been built at least once.
-    pub fn is_built(&self) -> bool {
-        !self.bounds.is_empty()
-    }
-
     /// Mutations applied since the last rebuild.
     pub fn drift(&self) -> usize {
         self.drift
@@ -274,7 +206,6 @@ mod tests {
         let keys = keys_of(&vals);
         let mut h = Histogram::default();
         h.rebuild(&keys, 1000);
-        assert!(h.is_built());
         assert_eq!(h.counts.iter().sum::<usize>(), 1000);
         // whole-space estimate is exact
         let est = h

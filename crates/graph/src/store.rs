@@ -11,7 +11,6 @@ use crate::pmap::TailSet;
 use crate::props::PropertyMap;
 use crate::record::{NodeRecord, RelRecord};
 use crate::snapshot::{GraphHandle, Publisher, Snapshot};
-use crate::stats::{degree_bucket, DegreeHistogram};
 use crate::value::{Direction, Value};
 use crate::view::{GraphView, IndexDef, IndexOn, IndexScope, ProbeMode, Probed};
 use std::borrow::Cow;
@@ -137,30 +136,19 @@ pub(crate) struct StoreState {
     /// Relationship property indexes (`CREATE INDEX ON -[:TYPE(k1, …)]-`),
     /// maintained through the same paths.
     rel_index: CompositeIndex<RelId>,
-    /// Per-(label, rel-type, direction) degree statistics feeding join
-    /// *output* cardinality estimation: `degree_stats[label][type]` holds
-    /// `[out, in]` entries, each with an **exact** incidence (edge) count
-    /// and a drift-bounded [`DegreeHistogram`]. Maintained through every
-    /// mutation and undo path below — relationship create/delete adjusts
-    /// the edge counts of both endpoints' labels, label set/remove
-    /// transfers the node's per-type degrees in or out.
-    degree_stats: HashMap<Arc<str>, HashMap<Arc<str>, [DegreeEntry; 2]>>,
+    /// Degree statistics: the exact edge counts the planner reads through
+    /// [`GraphView::degree_edge_count`]. `degree_stats[label][type]` is
+    /// `[out, in]`, each the number of (node-with-label, incident-rel-of-
+    /// type) pairs in that direction. Maintained through every mutation
+    /// and undo path below — relationship create/delete adjusts the counts
+    /// of both endpoints' labels, label set/remove moves the node's
+    /// incident relationships in or out.
+    degree_stats: HashMap<Arc<str>, HashMap<Arc<str>, [usize; 2]>>,
 }
 
-/// One `(label, rel-type, direction)` degree-statistics entry.
-#[derive(Debug, Clone, Default)]
-struct DegreeEntry {
-    /// Exact count of (node-with-label, incident-rel-of-type) pairs in
-    /// this direction — the numerator of the average-degree estimate.
-    edges: usize,
-    /// Drift-bounded distribution of per-node degrees (see
-    /// [`DegreeHistogram`] for the maintenance contract).
-    hist: DegreeHistogram,
-}
-
-/// Direction index into a `[DegreeEntry; 2]` pair.
+/// Direction index into a `degree_stats` `[out, in]` pair.
 const DEG_OUT: usize = 0;
-/// Direction index into a `[DegreeEntry; 2]` pair.
+/// Direction index into a `degree_stats` `[out, in]` pair.
 const DEG_IN: usize = 1;
 
 /// Insert `id` into `map[key]`, allocating the `Arc<str>` key only on
@@ -177,24 +165,28 @@ fn extent_insert<Id: Ord + Copy>(map: &mut HashMap<Arc<str>, TailSet<Id>>, key: 
     }
 }
 
-/// The `[out, in]` degree-entry pair for `(label, rel_type)`, created on
-/// first sight. Same `Arc<str>`-on-first-sight discipline as
-/// [`extent_insert`]: the hot path (existing combo) allocates nothing.
-fn degree_entry<'m>(
-    map: &'m mut HashMap<Arc<str>, HashMap<Arc<str>, [DegreeEntry; 2]>>,
+/// Add `delta` (±1) to the `dir` edge count of `(label, rel_type)`,
+/// creating the `[out, in]` pair on first sight. Same
+/// `Arc<str>`-on-first-sight discipline as [`extent_insert`]: the hot path
+/// (existing combo) allocates nothing.
+fn degree_add(
+    map: &mut HashMap<Arc<str>, HashMap<Arc<str>, [usize; 2]>>,
     label: &str,
     rel_type: &str,
-) -> &'m mut [DegreeEntry; 2] {
+    dir: usize,
+    delta: isize,
+) {
     let by_type = if map.contains_key(label) {
         map.get_mut(label).expect("checked above")
     } else {
         map.entry(Arc::from(label)).or_default()
     };
-    if by_type.contains_key(rel_type) {
+    let pair = if by_type.contains_key(rel_type) {
         by_type.get_mut(rel_type).expect("checked above")
     } else {
         by_type.entry(Arc::from(rel_type)).or_default()
-    }
+    };
+    pair[dir] = pair[dir].saturating_add_signed(delta);
 }
 
 impl StoreState {
@@ -246,11 +238,8 @@ impl StoreState {
         );
         self.out_adj.get_or_default(record.src).push(record.id);
         self.in_adj.get_or_default(record.dst).push(record.id);
-        let (src, dst) = (record.src, record.dst);
-        let rel_type = record.rel_type.clone();
+        self.degree_note_rel(record.src, record.dst, &record.rel_type, 1);
         self.rels.insert(record.id, Arc::new(record));
-        // After the insert, so a triggered histogram rebuild sees the rel.
-        self.degree_note_rel(src, dst, &rel_type, true);
     }
 
     fn raw_remove_rel(&mut self, id: RelId) {
@@ -266,7 +255,7 @@ impl StoreState {
             if let Some(adj) = self.in_adj.get_mut(&rec.dst) {
                 adj.retain(|&r| r != id);
             }
-            self.degree_note_rel(rec.src, rec.dst, &rec.rel_type, false);
+            self.degree_note_rel(rec.src, rec.dst, &rec.rel_type, -1);
         }
     }
 
@@ -278,100 +267,37 @@ impl StoreState {
     // stay correct no matter how mutations and undos interleave.
     // ------------------------------------------------------------------
 
-    /// Record a relationship appearing (`add`) or disappearing between
-    /// `src` and `dst`: every label of `src` gains/loses an out-edge of
-    /// `rel_type`, every label of `dst` an in-edge. Self-loops touch both
-    /// directions of the same node, matching [`GraphView::rels_of`] on
-    /// `Out`/`In` (a `Both` estimate sums the two and counts a self-loop
-    /// twice; acceptable for a planning estimate).
-    fn degree_note_rel(&mut self, src: NodeId, dst: NodeId, rel_type: &str, add: bool) {
+    /// Record a relationship appearing (`delta` = 1) or disappearing
+    /// (`delta` = -1) between `src` and `dst`: every label of `src`
+    /// gains/loses an out-edge of `rel_type`, every label of `dst` an
+    /// in-edge. Self-loops touch both directions of the same node, matching
+    /// [`GraphView::rels_of`] on `Out`/`In` (a `Both` estimate sums the two
+    /// and counts a self-loop twice; acceptable for a planning estimate).
+    fn degree_note_rel(&mut self, src: NodeId, dst: NodeId, rel_type: &str, delta: isize) {
         for (node, dir) in [(src, DEG_OUT), (dst, DEG_IN)] {
-            let labels: Vec<String> = match self.nodes.get(&node) {
-                Some(rec) => rec.labels.iter().cloned().collect(),
-                None => continue,
+            let Some(rec) = self.nodes.get(&node) else {
+                continue;
             };
-            for label in labels {
-                let entry = degree_entry(&mut self.degree_stats, &label, rel_type);
-                let e = &mut entry[dir];
-                if add {
-                    e.edges += 1;
-                } else {
-                    e.edges = e.edges.saturating_sub(1);
-                }
-                e.hist.drift += 1;
-                let stale = e.hist.drift > 16.max(e.edges / 8);
-                if stale {
-                    self.rebuild_degree_hist(&label, rel_type, dir);
-                }
+            for label in &rec.labels {
+                degree_add(&mut self.degree_stats, label, rel_type, dir, delta);
             }
         }
     }
 
-    /// Transfer a node's per-(type, direction) degrees into (`add`) or out
-    /// of a label's entries when the label is set or removed. The node's
-    /// degrees are known exactly here (one adjacency scan), so both the
-    /// edge counts and the histogram buckets are adjusted exactly — label
-    /// churn adds no drift.
-    fn degree_note_label(&mut self, node: NodeId, label: &str, add: bool) {
-        let mut per: Vec<(String, usize, usize)> = Vec::new(); // (type, dir, degree)
+    /// Move a node's incident relationships into (`delta` = 1) or out of
+    /// (`delta` = -1) a label's edge counts when the label is set or
+    /// removed: each incident relationship adds `delta` to its
+    /// `(label, type)` entry in its direction.
+    fn degree_note_label(&mut self, node: NodeId, label: &str, delta: isize) {
         for (dir, adj) in [
             (DEG_OUT, self.out_adj.get(&node)),
             (DEG_IN, self.in_adj.get(&node)),
         ] {
-            let Some(rels) = adj else { continue };
-            let mut counts: HashMap<String, usize> = HashMap::new();
-            for rid in rels.iter() {
+            for rid in adj.into_iter().flatten() {
                 if let Some(rec) = self.rels.get(rid) {
-                    *counts.entry(rec.rel_type.clone()).or_default() += 1;
+                    degree_add(&mut self.degree_stats, label, &rec.rel_type, dir, delta);
                 }
             }
-            per.extend(counts.into_iter().map(|(t, d)| (t, dir, d)));
-        }
-        for (rel_type, dir, degree) in per {
-            let entry = degree_entry(&mut self.degree_stats, label, &rel_type);
-            let e = &mut entry[dir];
-            let b = degree_bucket(degree);
-            if add {
-                e.edges += degree;
-                e.hist.buckets[b] += 1;
-            } else {
-                e.edges = e.edges.saturating_sub(degree);
-                e.hist.buckets[b] = e.hist.buckets[b].saturating_sub(1);
-            }
-        }
-    }
-
-    /// Rebuild one `(label, rel-type, direction)` histogram from the live
-    /// adjacency (drift → 0). O(Σ degree over the label extent), amortized
-    /// over the `max(16, edges/8)` mutations that triggered it.
-    fn rebuild_degree_hist(&mut self, label: &str, rel_type: &str, dir: usize) {
-        let mut hist = DegreeHistogram::default();
-        if let Some(extent) = self.label_index.get(label) {
-            for id in extent.iter() {
-                let adj = match dir {
-                    DEG_OUT => self.out_adj.get(id),
-                    _ => self.in_adj.get(id),
-                };
-                let d = adj
-                    .map(|rels| {
-                        rels.iter()
-                            .filter(|r| {
-                                self.rels.get(r).is_some_and(|rec| rec.rel_type == rel_type)
-                            })
-                            .count()
-                    })
-                    .unwrap_or(0);
-                if d > 0 {
-                    hist.buckets[degree_bucket(d)] += 1;
-                }
-            }
-        }
-        if let Some(entry) = self
-            .degree_stats
-            .get_mut(label)
-            .and_then(|m| m.get_mut(rel_type))
-        {
-            entry[dir].hist = hist;
         }
     }
 
@@ -400,7 +326,7 @@ impl StoreState {
                     if let Some(ix) = self.label_index.get_mut(label.as_str()) {
                         ix.remove(node);
                     }
-                    self.degree_note_label(*node, label, false);
+                    self.degree_note_label(*node, label, -1);
                 }
                 Op::RemoveLabel { node, label } => {
                     if let Some(n) = self.nodes.get_mut(node) {
@@ -410,7 +336,7 @@ impl StoreState {
                             .index_item(once(label.as_str()), &n.props, *node, None);
                     }
                     extent_insert(&mut self.label_index, label, *node);
-                    self.degree_note_label(*node, label, true);
+                    self.degree_note_label(*node, label, 1);
                 }
                 Op::SetNodeProp { node, key, old, .. } => {
                     self.put_node_prop(*node, key, old.clone());
@@ -591,11 +517,6 @@ impl Graph {
         sink: Option<Box<dyn CommitSink>>,
     ) -> Option<Box<dyn CommitSink>> {
         std::mem::replace(&mut self.sink, sink)
-    }
-
-    /// Whether a durability hook is attached.
-    pub fn has_commit_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Roll back the active transaction, restoring the pre-transaction state.
@@ -796,10 +717,6 @@ impl Graph {
         std::mem::replace(&mut self.policy, policy)
     }
 
-    pub fn write_policy(&self) -> &WritePolicy {
-        &self.policy
-    }
-
     fn check_write(&self, op: &'static str, item: Option<ItemRef>) -> Result<()> {
         match &self.policy {
             WritePolicy::Unrestricted => Ok(()),
@@ -964,7 +881,7 @@ impl Graph {
         st.node_index
             .index_item(once(label.as_str()), &rec.props, node, None);
         extent_insert(&mut st.label_index, &label, node);
-        st.degree_note_label(node, &label, true);
+        st.degree_note_label(node, &label, 1);
         self.log(Op::SetLabel { node, label });
         Ok(true)
     }
@@ -990,7 +907,7 @@ impl Graph {
         if let Some(ix) = st.label_index.get_mut(label) {
             ix.remove(&node);
         }
-        st.degree_note_label(node, label, false);
+        st.degree_note_label(node, label, -1);
         self.log(Op::RemoveLabel {
             node,
             label: label.to_string(),
@@ -1138,15 +1055,6 @@ impl Graph {
         ts
     }
 
-    /// Relationships of a given type (index lookup).
-    pub fn rels_with_type(&self, rel_type: &str) -> Vec<RelId> {
-        self.state
-            .type_index
-            .get(rel_type)
-            .map(|ix| ix.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     // ------------------------------------------------------------------
     // Property indexes (DDL)
     // ------------------------------------------------------------------
@@ -1224,20 +1132,12 @@ impl Graph {
     /// property erode within the documented `2·depth + drift` bound; bulk
     /// loads (which bypass the amortized rebuild cadence badly) should
     /// call this once after loading so planning estimates start from a
-    /// fresh, zero-drift histogram.
+    /// fresh, zero-drift histogram. Degree statistics are exact edge
+    /// counts at every step and have nothing to rebuild.
     pub fn rebuild_stats(&mut self) {
         let st = self.state_mut();
         st.node_index.rebuild_stats();
         st.rel_index.rebuild_stats();
-        let combos: Vec<(String, String)> = st
-            .degree_stats
-            .iter()
-            .flat_map(|(l, by_type)| by_type.keys().map(move |t| (l.to_string(), t.to_string())))
-            .collect();
-        for (label, rel_type) in combos {
-            st.rebuild_degree_hist(&label, &rel_type, DEG_OUT);
-            st.rebuild_degree_hist(&label, &rel_type, DEG_IN);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1482,29 +1382,6 @@ impl Graph {
         Some((st.total, st.distinct))
     }
 
-    /// Log2-bucketed distribution of per-node degrees for the
-    /// `(label, rel_type, dir)` population (see [`DegreeHistogram`] for
-    /// the drift-bounded maintenance contract). `None` for `Both`.
-    pub fn degree_histogram(
-        &self,
-        label: &str,
-        rel_type: &str,
-        dir: Direction,
-    ) -> Option<DegreeHistogram> {
-        let i = match dir {
-            Direction::Out => DEG_OUT,
-            Direction::In => DEG_IN,
-            // Out+in histograms are per-node distributions over
-            // different populations; a merged view would not be.
-            Direction::Both => return None,
-        };
-        self.state
-            .degree_stats
-            .get(label)
-            .and_then(|m| m.get(rel_type))
-            .map(|e| e[i].hist.clone())
-    }
-
     // ------------------------------------------------------------------
     // Probe observability (debug counters)
     // ------------------------------------------------------------------
@@ -1715,9 +1592,9 @@ macro_rules! impl_graph_view_via_state {
                     .and_then(|m| m.get(rel_type));
                 Some(match (entry, dir) {
                     (None, _) => 0,
-                    (Some(e), Direction::Out) => e[DEG_OUT].edges,
-                    (Some(e), Direction::In) => e[DEG_IN].edges,
-                    (Some(e), Direction::Both) => e[DEG_OUT].edges + e[DEG_IN].edges,
+                    (Some(e), Direction::Out) => e[DEG_OUT],
+                    (Some(e), Direction::In) => e[DEG_IN],
+                    (Some(e), Direction::Both) => e[DEG_OUT] + e[DEG_IN],
                 })
             }
         }

@@ -147,51 +147,36 @@ pub trait GraphView {
     /// adjacency lists; overlay views build theirs.
     fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]>;
 
-    /// Relationships of the given type. The default filters the full
-    /// relationship extent; the live graph answers from the type index.
-    fn rels_with_type(&self, rel_type: &str) -> Vec<RelId> {
-        self.all_rel_ids()
-            .into_iter()
-            .filter(|r| self.rel(*r).is_some_and(|rec| rec.rel_type == rel_type))
-            .collect()
-    }
+    /// Relationships of the given type (the live graph answers from the
+    /// type index).
+    fn rels_with_type(&self, rel_type: &str) -> Vec<RelId>;
 
     /// Cardinality of a label extent — a planning estimate; must be exact
-    /// enough that `0` means the extent is empty. The default materializes
-    /// the extent; the live graph answers in O(1) and the overlay views in
-    /// O(touched items).
-    fn label_cardinality(&self, label: &str) -> usize {
-        self.nodes_with_label(label).len()
-    }
+    /// enough that `0` means the extent is empty. The live graph answers in
+    /// O(1) and the overlay views in O(touched items).
+    fn label_cardinality(&self, label: &str) -> usize;
 
     /// Cardinality of a relationship-type extent (planning estimate, same
     /// contract as [`GraphView::label_cardinality`]).
-    fn rel_type_cardinality(&self, rel_type: &str) -> usize {
-        self.rels_with_type(rel_type).len()
-    }
+    fn rel_type_cardinality(&self, rel_type: &str) -> usize;
 
     /// Total node count (planning estimate for full-scan costs).
-    fn node_count_estimate(&self) -> usize {
-        self.all_node_ids().len()
-    }
+    fn node_count_estimate(&self) -> usize;
 
     /// Total relationship count (planning estimate, symmetric with
     /// [`GraphView::node_count_estimate`]).
-    fn rel_count_estimate(&self) -> usize {
-        self.all_rel_ids().len()
-    }
+    fn rel_count_estimate(&self) -> usize;
 
     // ------------------------------------------------------------------
     // Property indexes. One definition is `(scope, [c1, c2, …])`; a
-    // single-key index is the width-1 case. Defaults: a view without
-    // indexes (every caller falls back to scans and sorts).
+    // single-key index is the width-1 case. The walk and statistics
+    // defaults are a view without them (callers fall back to sorts and
+    // access-path-only costing).
     // ------------------------------------------------------------------
 
     /// The column lists indexed under `scope` (planner discovery; DDL is
     /// not transactional, so overlay views delegate to their base graph).
-    fn index_defs(&self, _scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
-        Vec::new()
-    }
+    fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>>;
 
     /// Probe the index `(scope, probe.columns)`: items whose leading
     /// columns equal `probe.eq` and whose next column satisfies
@@ -200,12 +185,10 @@ pub trait GraphView {
     /// [`crate::composite`]) and the caller falls back to a scan.
     fn probe(
         &self,
-        _scope: IndexScope<'_>,
-        _probe: IndexProbe<'_>,
-        _mode: ProbeMode,
-    ) -> Option<Probed> {
-        None
-    }
+        scope: IndexScope<'_>,
+        probe: IndexProbe<'_>,
+        mode: ProbeMode,
+    ) -> Option<Probed>;
 
     /// Walk the items of `scope` in `ORDER BY c_{j+1}, c_{j+2}, …` order
     /// over the columns after the `pins.len()` leading ones, which are

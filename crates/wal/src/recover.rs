@@ -5,8 +5,8 @@
 //!
 //! 1. **Snapshot first.** The latest durable snapshot (if any) is decoded
 //!    into a fresh graph — index definitions before records, so every
-//!    index and degree statistic is rebuilt through the normal
-//!    index-maintaining insert paths.
+//!    index entry and degree edge count is rebuilt through the normal
+//!    index-maintaining insert paths (neither is serialized).
 //! 2. **Replay forward.** WAL frames with `seq > snapshot.seq` are
 //!    applied in order through [`Graph::apply_committed_ops`] — the same
 //!    code rollback uses, run in the forward direction. Frames at or
@@ -25,10 +25,10 @@
 //!    replay never enters trigger dispatch, so a trigger that already
 //!    fired before the crash fires zero additional times during
 //!    recovery.
-//! 6. **Fresh statistics.** Replay maintains index entries exactly but
-//!    histograms accumulate drift; [`Graph::rebuild_stats`] runs last so
-//!    planning estimates (and `EXPLAIN` output) match a never-crashed
-//!    twin.
+//! 6. **Fresh statistics.** Replay maintains index entries and degree
+//!    edge counts exactly, but index histograms accumulate drift;
+//!    [`Graph::rebuild_stats`] runs last so planning estimates (and
+//!    `EXPLAIN` output) match a never-crashed twin.
 
 use crate::errors::RecoveryError;
 use crate::log::{scan_wal, TailState, WAL_FILE};
