@@ -10,7 +10,7 @@
 //! variable does.
 
 use pg_graph::{
-    Direction, Graph, GraphView, IndexProbe, IndexScope, NodeId, NodeRecord, PreStateView,
+    Direction, Graph, GraphView, Hop, IndexProbe, IndexScope, NodeId, NodeRecord, PreStateView,
     ProbeMode, Probed, RelId, RelRecord,
 };
 use std::borrow::Cow;
@@ -91,8 +91,8 @@ impl GraphView for NewStateOverlay<'_> {
         self.pre.all_rel_ids()
     }
 
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
-        self.pre.rels_of(node, dir)
+    fn hops(&self, node: NodeId, dir: Direction, rel_type: Option<&str>) -> Cow<'_, [Hop]> {
+        self.pre.hops(node, dir, rel_type)
     }
 
     fn rels_with_type(&self, rel_type: &str) -> Vec<RelId> {
@@ -294,7 +294,8 @@ mod tests {
         );
         assert_eq!(view.rel(r).map(|r| (r.src, r.dst)), Some((a, b)));
         // …but scans and adjacency see the pre-state
-        assert!(view.rels_of(a, Direction::Out).is_empty());
+        assert!(view.hops(a, Direction::Out, None).is_empty());
+        assert!(view.hops(a, Direction::Out, Some("R")).is_empty());
         assert!(view.all_rel_ids().is_empty());
     }
 }

@@ -111,7 +111,9 @@ impl SchemaGuard {
             .chain(delta.removed_rel_props.iter().map(|p| p.target))
             .collect();
         for n in &relabelled {
-            rels.extend(graph.rels_of(*n, Direction::Both).iter());
+            for dir in [Direction::Out, Direction::In] {
+                rels.extend(graph.hops(*n, dir, None).iter().map(|&(rid, _)| rid));
+            }
         }
 
         // The delta is a net effect: an id it names may be gone by now.

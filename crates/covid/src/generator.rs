@@ -360,15 +360,8 @@ mod tests {
         assert_eq!(name_of(&g, ds.hospitals[ds.meyer]), "Meyer");
         // Sacco is in Lombardy
         let sacco = ds.hospitals[ds.sacco];
-        let rels = g.rels_of(sacco, pg_graph::Direction::Out);
-        let region = rels
-            .iter()
-            .filter_map(|&r| {
-                let rec = g.rel(r)?;
-                (rec.rel_type == "LocatedIn").then_some(rec.dst)
-            })
-            .next()
-            .unwrap();
+        let located = g.hops(sacco, pg_graph::Direction::Out, Some("LocatedIn"));
+        let region = located.first().unwrap().1;
         assert_eq!(
             g.node(region).and_then(|n| n.props.get("name")).cloned(),
             Some(Value::str("Lombardy"))

@@ -58,7 +58,7 @@ use crate::pattern::{
 };
 use crate::physical::PhysicalPathPlan;
 use crate::row::Row;
-use pg_graph::{IdHashMap, NodeId, RelId, Value};
+use pg_graph::{Hop, IdHashMap, NodeId, RelId, Value};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
@@ -163,9 +163,6 @@ struct Group<'g, 'c> {
 /// node the path walk is at (meaningless before a path's first node).
 type Partial = (usize, MatchState, NodeId);
 
-/// One candidate of a hop: the relationship and the node it reaches.
-type Hop = (RelId, NodeId);
-
 /// One stage of a group: the seed access of planned path `path`
 /// (`seg: None`) or the expansion of its segment `seg`, with what it
 /// shares across the whole group.
@@ -181,25 +178,30 @@ struct Stage {
     /// hop of the walk); cleared when a hop's test fails to evaluate, so
     /// the error surfaces only where the per-state test would raise it.
     accept: bool,
+    /// Expand stage: no relationship an earlier segment of the `MATCH`
+    /// binds can be among this hop's candidates, so relationship
+    /// uniqueness rejects none of them ([`types_disjoint`]).
+    fresh: bool,
     /// The shared seed candidates, computed from the first state to arrive.
     shared: Option<Vec<NodeId>>,
     memo: IdHashMap<NodeId, Vec<Hop>>,
 }
 
 impl Stage {
-    fn new(path: usize, seg: Option<usize>, share: bool, accept: bool) -> Stage {
+    fn new(path: usize, seg: Option<usize>, share: bool, accept: bool, fresh: bool) -> Stage {
         Stage {
             path,
             seg,
             share,
             accept: share && accept,
+            fresh,
             shared: None,
             memo: IdHashMap::default(),
         }
     }
 }
 
-impl Group<'_, '_> {
+impl<'c> Group<'_, 'c> {
     /// Stage-wise execution: one seed stage and one expand stage per
     /// segment for each planned path, then the residual `WHERE`.
     fn run(&self, seeds: &[Row], sink: &mut dyn Sink) -> Result<Flow> {
@@ -220,12 +222,13 @@ impl Group<'_, '_> {
             let path = &plan.path;
             let share = shareable(&live, || seed_reads(path, pushed));
             let nodes = shareable(&live, || node_reads(&path.start));
-            stages.push(Stage::new(pi, None, share, nodes));
+            stages.push(Stage::new(pi, None, share, nodes, false));
             extend_live(&mut live, [&path.start.var]);
             for (k, (rel_pat, node_pat)) in path.segments.iter().enumerate() {
                 let share = shareable(&live, || rel_reads(rel_pat, pushed));
                 let nodes = rel_pat.hops.is_none() && shareable(&live, || node_reads(node_pat));
-                stages.push(Stage::new(pi, Some(k), share, nodes));
+                let fresh = types_disjoint(&self.plans, pi, k);
+                stages.push(Stage::new(pi, Some(k), share, nodes, fresh));
                 extend_live(&mut live, [&rel_pat.var, &node_pat.var]);
             }
         }
@@ -310,7 +313,19 @@ impl Group<'_, '_> {
                         && last_hop_folds(&path.segments[k], bound, |vs| sink.folds(vs));
                     folded.clear();
                     let test = NodeTest::new(&st.row, node_pat);
+                    let fresh = stage.fresh;
                     let (hops, accepted) = self.hops(stage, &st.row, at, rel_pat, &test)?;
+                    // Every shared candidate passed the node test and none
+                    // can be a relationship the state used: the fold takes
+                    // the memoized list as it is.
+                    if fold && accepted && fresh {
+                        if !hops.is_empty()
+                            && sink.fold(self.base + si, &st.row, vars, &hops)?.is_break()
+                        {
+                            return Ok(Flow::Break(()));
+                        }
+                        continue;
+                    }
                     for (rid, other) in hops.iter() {
                         if st.used.contains(rid)
                             || !accepted && !test.matches(ctx, &st.row, *other)?
@@ -413,22 +428,25 @@ impl Group<'_, '_> {
         at: NodeId,
         rel_pat: &RelPattern,
         test: &NodeTest<'_>,
-    ) -> Result<(Cow<'m, [Hop]>, bool)> {
+    ) -> Result<(Cow<'m, [Hop]>, bool)>
+    where
+        'c: 'm,
+    {
         let hop = || hop_candidates(self.ctx, row, at, rel_pat, self.pushed);
         if !stage.share {
-            return Ok((Cow::Owned(hop()?), false));
+            return Ok((hop()?, false));
         }
         let entry = match stage.memo.entry(at) {
             Entry::Occupied(e) => return Ok((Cow::Borrowed(e.into_mut()), stage.accept)),
             Entry::Vacant(e) => e,
         };
-        let mut hops = hop()?;
+        let mut hops = hop()?.into_owned();
         if stage.accept && retain_accepted(self.ctx, row, test, &mut hops, |&(_, n)| n).is_err() {
             // The state may have used every relationship whose test errors,
             // so test per state from now on; that keeps the lists
             // memoized so far whole, since each of them passed.
             stage.accept = false;
-            hops = hop()?;
+            hops = hop()?.into_owned();
         }
         Ok((Cow::Borrowed(entry.insert(hops)), stage.accept))
     }
@@ -469,6 +487,23 @@ pub(crate) fn last_hop_folds(
 ) -> bool {
     let vars = [rel_pat.var.as_ref(), node_pat.var.as_ref()];
     rel_pat.hops.is_none() && !vars.into_iter().flatten().any(bound) && folds(vars)
+}
+
+/// Whether segment `k` of plan `pi` can take no relationship an earlier
+/// segment of the `MATCH` (in stage order) binds: there is none, or every
+/// one is typed with types disjoint from the segment's own, which it has.
+/// Each bound relationship has one of its segment's types, so
+/// relationship uniqueness can then reject none of the segment's
+/// candidates.
+fn types_disjoint(plans: &[PhysicalPathPlan], pi: usize, k: usize) -> bool {
+    let types = &plans[pi].path.segments[k].0.types;
+    let mut earlier = (plans[..pi].iter().flat_map(|p| &p.path.segments))
+        .chain(&plans[pi].path.segments[..k])
+        .map(|(rel_pat, _)| &rel_pat.types)
+        .peekable();
+    earlier.peek().is_none()
+        || !types.is_empty()
+            && earlier.all(|e| !e.is_empty() && e.iter().all(|t| !types.contains(t)))
 }
 
 /// Keep the candidates whose node passes `test`, or fail with the first

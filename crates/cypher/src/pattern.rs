@@ -62,7 +62,7 @@ use crate::physical::{
     Sargs,
 };
 use crate::row::Row;
-use pg_graph::{Direction, IndexScope, NodeId, PropertyMap, RelId, RelRecord, Value};
+use pg_graph::{Direction, Hop, IndexScope, NodeId, PropertyMap, RelId, RelRecord, Value};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -528,19 +528,27 @@ fn rel_satisfies(rec: &RelRecord, pd: &Sargs) -> bool {
 /// Enumerate (relationship, other-end) pairs from `node` that satisfy the
 /// relationship pattern (direction, types, properties, pre-bound rel var).
 ///
+/// A hop reads only the runs of its types in the node's adjacency
+/// ([`pg_graph::GraphView::hops`]; the whole list when untyped), whose
+/// entries carry the other end: it opens a relationship record only to
+/// test inline properties or pushed predicates, or to check a pre-bound
+/// relationship. One directed list with nothing to test is handed on as
+/// the view lent it. An undirected hop reads the out-lists, then the
+/// in-lists without the self-loops the out-lists already hold.
+///
 /// Pushed-down range/prefix/equality predicates on the relationship
 /// variable prune the expansion here (planner v3): when the best index
 /// probe they allow is **estimated** (count probe) more selective than
-/// the adjacency list, the hop enumerates the probe's ids instead of the
-/// adjacency list; either way every candidate is pre-filtered against the
+/// the node's run of that type, the hop enumerates the probe's ids
+/// instead; either way every candidate is pre-filtered against the
 /// evaluated predicates rather than post-filtered by the final `WHERE`.
-pub(crate) fn hop_candidates(
-    ctx: &EvalCtx<'_>,
+pub(crate) fn hop_candidates<'v>(
+    ctx: &EvalCtx<'v>,
     row: &Row,
     node: NodeId,
     rel_pat: &RelPattern,
     pushed: &Pushdowns,
-) -> Result<Vec<(RelId, NodeId)>> {
+) -> Result<Cow<'v, [Hop]>> {
     // A pre-bound relationship variable fixes the candidate.
     let prebound = match rel_pat.var.as_ref().and_then(|v| row.get(v)) {
         Some(Value::Rel(rid)) => Some(*rid),
@@ -552,57 +560,101 @@ pub(crate) fn hop_candidates(
         .then(|| Sargs::eval(ctx, row, rel_pat.var.as_ref(), &[], pushed))
         .filter(|pd| !pd.is_empty());
     if pd.as_ref().is_some_and(|p| p.never) {
-        return Ok(Vec::new());
+        return Ok(Cow::Borrowed(&[]));
     }
-    // An undirected hop walks the out-list, then the in-list (`ins`).
-    let none: &[RelId] = &[];
-    let (mut cands, mut ins) = match (&prebound, rel_pat.direction) {
-        (Some(rid), _) => (
-            Cow::Borrowed(std::slice::from_ref(rid)),
-            Cow::Borrowed(none),
-        ),
-        (None, Direction::Both) => (
-            ctx.view.rels_of(node, Direction::Out),
-            ctx.view.rels_of(node, Direction::In),
-        ),
-        (None, dir) => (ctx.view.rels_of(node, dir), Cow::Borrowed(none)),
+    if let Some(rid) = prebound {
+        return hops_by_record(ctx, row, node, rel_pat, None, &[rid]).map(Cow::Owned);
+    }
+    let dirs: &[Direction] = match rel_pat.direction {
+        Direction::Both => &[Direction::Out, Direction::In],
+        Direction::Out => &[Direction::Out],
+        Direction::In => &[Direction::In],
     };
+    let view = ctx.view;
     // Serve the hop from a relationship index when the pushed predicates
-    // are estimated more selective than the node's adjacency; the
-    // endpoint checks below restore the incidence constraint. (No
-    // definitions — the overwhelmingly common case — costs nothing on
-    // this per-hop path.)
+    // are estimated more selective than the node's run of the type; the
+    // endpoint checks of `hops_by_record` restore the incidence
+    // constraint. (No definitions — the overwhelmingly common case —
+    // costs nothing on this per-hop path.)
     if let (Some(pd), [t]) = (&pd, &rel_pat.types[..]) {
         let scope = IndexScope::RelType(t);
-        let adjacent = cands.len() + ins.len();
         if let Some((access, est)) = pd.best_probe(ctx, scope) {
+            let adjacent: usize = dirs
+                .iter()
+                .map(|&d| view.hops(node, d, Some(t)).len())
+                .sum();
             if est < adjacent {
                 if let Some(ids) = access.ids::<RelId>(ctx, scope) {
                     if ids.len() < adjacent {
-                        (cands, ins) = (Cow::Owned(ids), Cow::Borrowed(none));
+                        let pd = Some(pd);
+                        return hops_by_record(ctx, row, node, rel_pat, pd, &ids).map(Cow::Owned);
                     }
                 }
             }
         }
     }
-    // A self-loop sits on both lists; it is kept from the out-list, and
-    // dropped from the in-list by the record the loop holds anyway.
-    let in_from = cands.len();
+    // Without properties to test, a candidate needs no record.
+    let direct = pd.is_none() && rel_pat.props.is_empty();
+    let types = &rel_pat.types;
+    if direct && dirs.len() == 1 && types.len() <= 1 {
+        return Ok(view.hops(node, dirs[0], types.first().map(String::as_str)));
+    }
+    // Each direction's lists: the run of every type named once, or the
+    // whole list when the hop is untyped.
+    let distinct = types
+        .iter()
+        .enumerate()
+        .filter(|&(i, t)| !types[..i].contains(t));
     let mut out = Vec::new();
-    for (i, &rid) in cands.iter().chain(ins.iter()).enumerate() {
+    for &dir in dirs {
+        let whole = types.is_empty().then(|| view.hops(node, dir, None));
+        let runs = distinct.clone().map(|(_, t)| view.hops(node, dir, Some(t)));
+        for list in whole.into_iter().chain(runs) {
+            for &(rid, other) in list.iter() {
+                // A self-loop is on both lists: it is taken from the out-list.
+                if dir == Direction::In && dirs.len() == 2 && other == node {
+                    continue;
+                }
+                if !direct {
+                    let Some(rec) = view.rel(rid) else {
+                        continue;
+                    };
+                    if pd.as_ref().is_some_and(|pd| !rel_satisfies(rec, pd))
+                        || !props_match(ctx, row, &rec.props, &rel_pat.props)?
+                    {
+                        continue;
+                    }
+                }
+                out.push((rid, other));
+            }
+        }
+    }
+    Ok(Cow::Owned(out))
+}
+
+/// The candidates among `ids` a hop from `node` can take, read from their
+/// records: incident in the hop's direction (a self-loop once), of its
+/// types, satisfying `pd` and the inline properties.
+fn hops_by_record(
+    ctx: &EvalCtx<'_>,
+    row: &Row,
+    node: NodeId,
+    rel_pat: &RelPattern,
+    pd: Option<&Sargs>,
+    ids: &[RelId],
+) -> Result<Vec<Hop>> {
+    let mut out = Vec::new();
+    for &rid in ids {
         let Some(rec) = ctx.view.rel(rid) else {
             continue;
         };
         let other = match rel_pat.direction {
-            _ if i >= in_from && rec.src == rec.dst => continue,
             Direction::Out | Direction::Both if rec.src == node => rec.dst,
             Direction::In | Direction::Both if rec.dst == node => rec.src,
             _ => continue,
         };
-        if let Some(pd) = &pd {
-            if !rel_satisfies(rec, pd) {
-                continue;
-            }
+        if pd.is_some_and(|pd| !rel_satisfies(rec, pd)) {
+            continue;
         }
         if rel_matches(ctx, row, rec, rel_pat)? {
             out.push((rid, other));

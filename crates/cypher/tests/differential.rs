@@ -59,6 +59,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 const STRINGS: [&str; 5] = ["al", "alpha", "bet", "beta", "gamma"];
 const TAGS: [&str; 2] = ["t0", "t1"];
+const REL_TYPES: [&str; 2] = ["R", "S"];
 
 fn props(entries: Vec<(&str, Value)>) -> pg_graph::PropertyMap {
     entries
@@ -80,6 +81,8 @@ enum Step {
         b: usize,
         w: i64,
         tag: u8,
+        /// Picks the type from [`REL_TYPES`], so a node can carry two.
+        ty: u8,
     },
     DetachDelete {
         pick: usize,
@@ -128,12 +131,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     prop_oneof![
         create_node.clone(),
         create_node,
-        (0usize..16, 0usize..16, -5i64..5, 0u8..2).prop_map(|(a, b, w, tag)| Step::CreateRel {
-            a,
-            b,
-            w,
-            tag
-        }),
+        (0usize..16, 0usize..16, -5i64..5, 0u8..2, 0u8..2)
+            .prop_map(|(a, b, w, tag, ty)| { Step::CreateRel { a, b, w, tag, ty } }),
         (0usize..16).prop_map(|pick| Step::DetachDelete { pick }),
         set_prop.clone(),
         set_prop,
@@ -349,6 +348,13 @@ fn grouped_last_hop_query_strategy() -> impl Strategy<Value = String> {
         "MATCH (x:A)-[r:R]->(y) MATCH (x)-[r]->(y) RETURN x.k AS a, count(*) AS b",
         "MATCH (x:A) MATCH (x)-[:R]-(x) RETURN x.k AS a, count(*) AS b",
         "MATCH (x:A) MATCH (x)-[:R*1..2]->(y) RETURN x.k AS a, count(DISTINCT y) AS b",
+        // Every earlier segment is typed apart from the last hop's type:
+        // the fold takes the shared candidates without looking again.
+        "MATCH (x) MATCH (x)-[:R]->(y)-[:S]->(z) RETURN count(*) AS a, count(DISTINCT z) AS b",
+        // An earlier segment may bind an `S`: the fold checks each one.
+        "MATCH (x) MATCH (x)-[:R|S]-(y)-[:S]-(z) RETURN count(*) AS a, count(DISTINCT z) AS b",
+        "MATCH (x) MATCH (x)--(y)-[:S]-(z) RETURN count(*) AS a, count(DISTINCT z) AS b",
+        "MATCH (x) MATCH (x)-[:S*1..2]->(y)-[:S]->(z) RETURN count(*) AS a, count(DISTINCT z) AS b",
     ];
     (0..queries.len()).prop_map(move |i| queries[i].to_string())
 }
@@ -397,14 +403,14 @@ impl Script {
                 }
                 g.create_node([label], props(entries)).unwrap();
             }
-            Step::CreateRel { a, b, w, tag } => {
+            Step::CreateRel { a, b, w, tag, ty } => {
                 if !nodes.is_empty() {
                     let (a, b) = (nodes[a % nodes.len()], nodes[b % nodes.len()]);
                     let tag = TAGS[*tag as usize % TAGS.len()];
                     g.create_rel(
                         a,
                         b,
-                        "R",
+                        REL_TYPES[*ty as usize % REL_TYPES.len()],
                         props(vec![("w", Value::Int(*w)), ("tag", Value::str(tag))]),
                     )
                     .unwrap();

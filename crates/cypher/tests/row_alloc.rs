@@ -341,7 +341,7 @@ fn folded_last_hop_allocates_per_state_not_per_match() {
 /// A one-row input — a trigger body over its transition variable, a point
 /// read, an `EXISTS` condition, a variable-length walk — allocates no more
 /// than its pinned ceiling: the count measured with borrowed record and
-/// adjacency reads (`GraphView::node`/`rel`/`rels_of`). Ceilings only ever
+/// adjacency reads (`GraphView::node`/`rel`/`hops`). Ceilings only ever
 /// move down.
 #[test]
 fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
@@ -356,6 +356,10 @@ fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
     for pair in users[1..5].windows(2) {
         g.create_rel(pair[0], pair[1], "R", PropertyMap::new())
             .unwrap();
+    }
+    // Node 2 also has a second type, after its `R`s.
+    for &u in &users[10..12] {
+        g.create_rel(users[2], u, "S", PropertyMap::new()).unwrap();
     }
     let params = Params::new();
     for (src, ceiling) in [
@@ -375,7 +379,10 @@ fn one_row_statements_allocate_no_more_than_clause_at_a_time() {
         ("MATCH (n:NEWNODES) CREATE (:Alert {x: n.id})", 30),
         ("MATCH (n:NEWNODES) SET n.v = 1", 19),
         ("MATCH (n:NEWNODES) WHERE EXISTS { (n)--() } RETURN n", 41),
-        ("MATCH (n:NEWNODES)-[:R*1..2]->(m) RETURN m.id AS id", 41),
+        ("MATCH (n:NEWNODES)-[:R*1..2]->(m) RETURN m.id AS id", 39),
+        // A typed hop out of a node with two types is lent its run (38
+        // when the hop copied its candidates).
+        ("MATCH (n:NEWNODES)-[:S]->(m) RETURN m.id AS id", 37),
         // The §6 condition shape: one keyed group with a DISTINCT count.
         (
             "MATCH (n:NEWNODES)-[:R]-(m) RETURN n AS n, count(DISTINCT m) AS c",
@@ -431,16 +438,17 @@ fn ring_allocations(src: &str, mode: MatchMode, users: usize) -> (u64, usize) {
 /// step adds a few once). [`MatchMode::Batched`] plans that `MATCH` once
 /// per chunk, so what is left is the seed's own copies, its candidate
 /// vectors and its output row: 6 for one hop, 8 for two. Planning it once
-/// per seed, as [`MatchMode::Reference`] still does, costs 25 and 37 (the
-/// batched matcher cost 22 and 33 that way).
+/// per seed, as [`MatchMode::Reference`] still does, costs 24 and 35 (the
+/// batched matcher cost 22 and 33 that way); an unshared typed hop is lent
+/// its adjacency run, where it used to copy the candidates (25 and 37).
 #[test]
 fn planning_allocates_nothing_per_seed() {
     for (src, batched, reference) in [
-        ("MATCH (u:User) MATCH (u)-[:WROTE]->(p:Post)", 6, 25),
+        ("MATCH (u:User) MATCH (u)-[:WROTE]->(p:Post)", 6, 24),
         (
             "MATCH (u:User) MATCH (u)-[:FOLLOWS]->(h:User)-[:WROTE]->(p:Post)",
             8,
-            37,
+            35,
         ),
     ] {
         for (mode, per_seed) in [

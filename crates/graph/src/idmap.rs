@@ -186,18 +186,6 @@ impl<K: Copy + Into<u64>, V: Clone> IdMap<K, V> {
         self.slot_mut((*key).into()).as_mut()
     }
 
-    /// Mutable access to `key`, inserting `V::default()` first when absent
-    /// (the `entry(key).or_default()` idiom).
-    pub fn get_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        if !self.contains_key(&key) {
-            self.len += 1;
-        }
-        self.slot_mut(key.into()).get_or_insert_with(V::default)
-    }
-
     /// Insert, returning the previous value of `key` (if any).
     pub fn insert(&mut self, key: K, val: V) -> Option<V> {
         let old = self.slot_mut(key.into()).replace(val);
@@ -374,7 +362,6 @@ mod tests {
         Insert(u64, u64),
         Remove(u64),
         GetMut(u64, u64),
-        GetOrDefault(u64, u64),
         Clone,
     }
 
@@ -392,7 +379,6 @@ mod tests {
             (id_strategy(), 0u64..1000).prop_map(|(id, v)| Step::Insert(id, v)),
             id_strategy().prop_map(Step::Remove),
             (id_strategy(), 0u64..1000).prop_map(|(id, v)| Step::GetMut(id, v)),
-            (id_strategy(), 1u64..10).prop_map(|(id, d)| Step::GetOrDefault(id, d)),
             Just(Step::Clone),
         ]
     }
@@ -430,10 +416,6 @@ mod tests {
                         let got = map.get_mut(&id).map(|slot| std::mem::replace(slot, v));
                         let want = twin.get_mut(&id).map(|slot| std::mem::replace(slot, v));
                         prop_assert_eq!(got, want);
-                    }
-                    Step::GetOrDefault(id, d) => {
-                        *map.get_or_default(id) += d;
-                        *twin.entry(id).or_default() += d;
                     }
                     Step::Clone => versions.push((map.clone(), twin.clone())),
                 }

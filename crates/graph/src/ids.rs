@@ -15,6 +15,10 @@ pub struct NodeId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RelId(pub u64);
 
+/// One step along a node's adjacency: a relationship and the node at its
+/// other end ([`crate::GraphView::hops`]).
+pub type Hop = (RelId, NodeId);
+
 /// A reference to either kind of graph item. Used where an operation applies
 /// uniformly to nodes and relationships (e.g. the `BEFORE`-trigger write
 /// policy, which restricts writes to the *new* items of a statement).

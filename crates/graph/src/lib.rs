@@ -31,6 +31,7 @@
 //! layers a Cypher subset on top of the [`GraphView`] trait and the mutation
 //! API of [`Graph`].
 
+mod adjacency;
 pub mod codec;
 pub mod composite;
 pub mod delta;
@@ -52,7 +53,7 @@ pub use codec::CodecError;
 pub use composite::{CompositeTrailing, IndexProbe, IndexStats};
 pub use delta::{Delta, LabelEvent, PropAssign, PropRemove};
 pub use error::{GraphError, Result};
-pub use ids::{IdHashMap, IdHashSet, ItemRef, NodeId, RelId};
+pub use ids::{Hop, IdHashMap, IdHashSet, ItemRef, NodeId, RelId};
 pub use op::Op;
 pub use props::PropertyMap;
 pub use record::{NodeRecord, RelRecord};

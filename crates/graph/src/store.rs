@@ -1,11 +1,12 @@
 //! The graph store: storage, indexes, transactions, the mutation API, and
 //! commit-epoch publication for snapshot-isolated readers.
 
+use crate::adjacency::Adjacency;
 use crate::composite::{CompositeIndex, CompositeTrailing, IndexProbe, IndexStats};
 use crate::delta::Delta;
 use crate::error::{GraphError, Result};
 use crate::idmap::IdMap;
-use crate::ids::{ItemRef, NodeId, RelId};
+use crate::ids::{Hop, ItemRef, NodeId, RelId};
 use crate::op::Op;
 use crate::pmap::TailSet;
 use crate::props::PropertyMap;
@@ -123,8 +124,11 @@ pub(crate) struct StoreState {
     pub(crate) nodes: IdMap<NodeId, Arc<NodeRecord>>,
     /// Relationship records by id (also serves `all_rel_ids`).
     pub(crate) rels: IdMap<RelId, Arc<RelRecord>>,
-    out_adj: IdMap<NodeId, Vec<RelId>>,
-    in_adj: IdMap<NodeId, Vec<RelId>>,
+    /// Each node's outgoing relationships with their other ends, in runs
+    /// by type ([`Adjacency`]); a node without any has no entry.
+    out_adj: IdMap<NodeId, Adjacency>,
+    /// The same for incoming relationships (a self-loop is on both).
+    in_adj: IdMap<NodeId, Adjacency>,
     label_index: HashMap<Arc<str>, TailSet<NodeId>>,
     type_index: HashMap<Arc<str>, TailSet<RelId>>,
     /// Node property indexes (`CREATE INDEX ON :Label(k1, …)`; a single
@@ -236,8 +240,15 @@ impl StoreState {
             record.id,
             None,
         );
-        self.out_adj.get_or_default(record.src).push(record.id);
-        self.in_adj.get_or_default(record.dst).push(record.id);
+        let ty = record.rel_type.as_str();
+        // A node's first run of a type shares the type index's key.
+        let key = || Arc::clone(self.type_index.get_key_value(ty).expect("indexed above").0);
+        for (adj, node, other) in [
+            (&mut self.out_adj, record.src, record.dst),
+            (&mut self.in_adj, record.dst, record.src),
+        ] {
+            adjacency_push(adj, node, ty, (record.id, other), key);
+        }
         self.degree_note_rel(record.src, record.dst, &record.rel_type, 1);
         self.rels.insert(record.id, Arc::new(record));
     }
@@ -249,12 +260,8 @@ impl StoreState {
             }
             self.rel_index
                 .deindex_item(once(rec.rel_type.as_str()), &rec.props, id, None);
-            if let Some(adj) = self.out_adj.get_mut(&rec.src) {
-                adj.retain(|&r| r != id);
-            }
-            if let Some(adj) = self.in_adj.get_mut(&rec.dst) {
-                adj.retain(|&r| r != id);
-            }
+            adjacency_remove(&mut self.out_adj, rec.src, &rec.rel_type, id);
+            adjacency_remove(&mut self.in_adj, rec.dst, &rec.rel_type, id);
             self.degree_note_rel(rec.src, rec.dst, &rec.rel_type, -1);
         }
     }
@@ -271,8 +278,8 @@ impl StoreState {
     /// (`delta` = -1) between `src` and `dst`: every label of `src`
     /// gains/loses an out-edge of `rel_type`, every label of `dst` an
     /// in-edge. Self-loops touch both directions of the same node, matching
-    /// [`GraphView::rels_of`] on `Out`/`In` (a `Both` estimate sums the two
-    /// and counts a self-loop twice; acceptable for a planning estimate).
+    /// [`GraphView::hops`] (a `Both` estimate sums the two and counts a
+    /// self-loop twice; acceptable for a planning estimate).
     fn degree_note_rel(&mut self, src: NodeId, dst: NodeId, rel_type: &str, delta: isize) {
         for (node, dir) in [(src, DEG_OUT), (dst, DEG_IN)] {
             let Some(rec) = self.nodes.get(&node) else {
@@ -286,17 +293,17 @@ impl StoreState {
 
     /// Move a node's incident relationships into (`delta` = 1) or out of
     /// (`delta` = -1) a label's edge counts when the label is set or
-    /// removed: each incident relationship adds `delta` to its
-    /// `(label, type)` entry in its direction.
+    /// removed: each run of the node's adjacency adds `delta` times its
+    /// length to its `(label, type)` entry in its direction — O(types),
+    /// no record read.
     fn degree_note_label(&mut self, node: NodeId, label: &str, delta: isize) {
         for (dir, adj) in [
             (DEG_OUT, self.out_adj.get(&node)),
             (DEG_IN, self.in_adj.get(&node)),
         ] {
-            for rid in adj.into_iter().flatten() {
-                if let Some(rec) = self.rels.get(rid) {
-                    degree_add(&mut self.degree_stats, label, &rec.rel_type, dir, delta);
-                }
+            for (ty, run) in adj.into_iter().flat_map(Adjacency::runs) {
+                let n = delta * run.len() as isize;
+                degree_add(&mut self.degree_stats, label, ty, dir, n);
             }
         }
     }
@@ -777,9 +784,7 @@ impl Graph {
             .ok_or(GraphError::NodeNotFound(id))?
             .as_ref()
             .clone();
-        let degree = self.state.out_adj.get(&id).map(|v| v.len()).unwrap_or(0)
-            + self.state.in_adj.get(&id).map(|v| v.len()).unwrap_or(0);
-        if degree > 0 {
+        if self.state.out_adj.contains_key(&id) || self.state.in_adj.contains_key(&id) {
             return Err(GraphError::HasRelationships(id));
         }
         self.state_mut().raw_remove_node(id);
@@ -793,13 +798,11 @@ impl Graph {
         if !self.state.nodes.contains_key(&id) {
             return Err(GraphError::NodeNotFound(id));
         }
-        let mut attached: Vec<RelId> = Vec::new();
-        if let Some(out) = self.state.out_adj.get(&id) {
-            attached.extend(out.iter().copied());
-        }
-        if let Some(inc) = self.state.in_adj.get(&id) {
-            attached.extend(inc.iter().copied());
-        }
+        let mut attached: Vec<RelId> = [&self.state.out_adj, &self.state.in_adj]
+            .into_iter()
+            .filter_map(|adj| adj.get(&id))
+            .flat_map(|list| list.all().iter().map(|&(rid, _)| rid))
+            .collect();
         attached.sort();
         attached.dedup();
         for rid in attached {
@@ -1436,9 +1439,29 @@ fn run_probe<Id: Ord + Copy + Into<u64>>(
     })
 }
 
-/// `node`'s list in one adjacency map (empty when it has none).
-fn adjacency(adj: &IdMap<NodeId, Vec<RelId>>, node: NodeId) -> &[RelId] {
-    adj.get(&node).map_or(&[], Vec::as_slice)
+/// Add `hop` of type `ty` to `node`'s list in `adj`, creating the list on
+/// the node's first relationship in that direction.
+fn adjacency_push(
+    adj: &mut IdMap<NodeId, Adjacency>,
+    node: NodeId,
+    ty: &str,
+    hop: Hop,
+    key: impl FnOnce() -> Arc<str>,
+) {
+    match adj.get_mut(&node) {
+        Some(list) => list.push(ty, hop, key),
+        None => {
+            adj.insert(node, Adjacency::new(key(), hop));
+        }
+    }
+}
+
+/// Remove relationship `rid` of type `ty` from `node`'s list in `adj`,
+/// dropping the list when it empties: a missing list reads as empty.
+fn adjacency_remove(adj: &mut IdMap<NodeId, Adjacency>, node: NodeId, ty: &str, rid: RelId) {
+    if adj.get_mut(&node).is_some_and(|list| list.remove(ty, rid)) {
+        adj.remove(&node);
+    }
 }
 
 /// Implements [`GraphView`] for a store-backed type carrying a `state`
@@ -1473,22 +1496,16 @@ macro_rules! impl_graph_view_via_state {
                 self.state.rels.keys().collect()
             }
 
-            fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
-                let list = |adj| adjacency(adj, node);
-                match dir {
-                    Direction::Out => Cow::Borrowed(list(&self.state.out_adj)),
-                    Direction::In => Cow::Borrowed(list(&self.state.in_adj)),
-                    // A relationship is on both lists of the same node only
-                    // when it is a self-loop; keep it from the out-list.
-                    Direction::Both => {
-                        let ins = list(&self.state.in_adj).iter().copied().filter(|r| {
-                            self.state.rels.get(r).is_none_or(|rec| rec.src != rec.dst)
-                        });
-                        let mut out = list(&self.state.out_adj).to_vec();
-                        out.extend(ins);
-                        Cow::Owned(out)
-                    }
-                }
+            fn hops(&self, node: NodeId, dir: Direction, rel_type: Option<&str>) -> Cow<'_, [Hop]> {
+                let adj = match dir {
+                    Direction::Out => &self.state.out_adj,
+                    Direction::In => &self.state.in_adj,
+                    Direction::Both => panic!("`hops` reads one direction"),
+                };
+                Cow::Borrowed(adj.get(&node).map_or(&[], |list| match rel_type {
+                    Some(ty) => list.run(ty),
+                    None => list.all(),
+                }))
             }
 
             fn index_defs(&self, scope: IndexScope<'_>) -> Vec<Arc<[String]>> {
@@ -1637,10 +1654,11 @@ mod tests {
         let a = g.create_node(["A"], PropertyMap::new()).unwrap();
         let b = g.create_node(["B"], PropertyMap::new()).unwrap();
         let r = g.create_rel(a, b, "KNOWS", PropertyMap::new()).unwrap();
-        assert_eq!(g.rels_of(a, Direction::Out), vec![r]);
-        assert_eq!(g.rels_of(a, Direction::In), Vec::<RelId>::new());
-        assert_eq!(g.rels_of(b, Direction::In), vec![r]);
-        assert_eq!(g.rels_of(a, Direction::Both), vec![r]);
+        assert_eq!(g.hops(a, Direction::Out, None), vec![(r, b)]);
+        assert_eq!(g.hops(a, Direction::Out, Some("KNOWS")), vec![(r, b)]);
+        assert_eq!(g.hops(a, Direction::Out, Some("LIKES")), vec![]);
+        assert_eq!(g.hops(a, Direction::In, None), vec![]);
+        assert_eq!(g.hops(b, Direction::In, None), vec![(r, a)]);
         assert_eq!(g.rel(r).map(|r| (r.src, r.dst)), Some((a, b)));
         assert_eq!(
             g.rel(r).map(|r| r.rel_type.clone()),
@@ -1649,13 +1667,12 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_not_double_counted_in_both() {
+    fn self_loop_is_on_both_lists_with_itself_as_other_end() {
         let mut g = Graph::new();
         let a = g.create_node(["A"], PropertyMap::new()).unwrap();
         let r = g.create_rel(a, a, "SELF", PropertyMap::new()).unwrap();
-        assert_eq!(g.rels_of(a, Direction::Both), vec![r]);
-        assert_eq!(g.rels_of(a, Direction::Out), vec![r]);
-        assert_eq!(g.rels_of(a, Direction::In), vec![r]);
+        assert_eq!(g.hops(a, Direction::Out, None), vec![(r, a)]);
+        assert_eq!(g.hops(a, Direction::In, Some("SELF")), vec![(r, a)]);
     }
 
     #[test]
@@ -1799,7 +1816,7 @@ mod tests {
             g.rel(r).and_then(|r| r.props.get("w")).cloned(),
             Some(Value::Int(3))
         );
-        assert_eq!(g.rels_of(a, Direction::Out), vec![r]);
+        assert_eq!(g.hops(a, Direction::Out, None), vec![(r, b)]);
         assert_eq!(g.nodes_with_label("A"), vec![a]);
     }
 
@@ -1868,29 +1885,36 @@ mod tests {
     }
 
     #[test]
-    fn both_direction_dedups_only_self_loops_at_high_degree() {
-        // Regression: the old dedup scanned the whole out-list for every
-        // in-edge (O(deg²)) and would have hidden a non-self-loop rel that
-        // legitimately appears in both lists of *different* nodes.
+    fn a_typed_request_lends_its_run_at_high_degree() {
+        // Two interleaved types on a hub: each typed request returns its
+        // own run in insertion order, the untyped one both runs in
+        // first-seen type order, and every entry carries its other end.
         let mut g = Graph::new();
         let hub = g.create_node(["Hub"], PropertyMap::new()).unwrap();
-        let mut expected = Vec::new();
+        let (mut rs, mut ss) = (Vec::new(), Vec::new());
         for i in 0..500 {
             let other = g.create_node(["Leaf"], PropertyMap::new()).unwrap();
-            let r = if i % 2 == 0 {
-                g.create_rel(hub, other, "R", PropertyMap::new()).unwrap()
+            let (ty, run) = if i % 3 == 0 {
+                ("S", &mut ss)
             } else {
-                g.create_rel(other, hub, "R", PropertyMap::new()).unwrap()
+                ("R", &mut rs)
             };
-            expected.push(r);
+            run.push((
+                g.create_rel(hub, other, ty, PropertyMap::new()).unwrap(),
+                other,
+            ));
         }
-        let self_loop = g.create_rel(hub, hub, "SELF", PropertyMap::new()).unwrap();
-        expected.push(self_loop);
-        let mut got = g.rels_of(hub, Direction::Both).into_owned();
-        assert_eq!(got.len(), 501, "self-loop counted exactly once");
-        got.sort();
-        expected.sort();
-        assert_eq!(got, expected);
+        let self_loop = g.create_rel(hub, hub, "R", PropertyMap::new()).unwrap();
+        rs.push((self_loop, hub));
+        assert_eq!(g.hops(hub, Direction::Out, Some("R")), rs);
+        assert_eq!(g.hops(hub, Direction::Out, Some("S")), ss);
+        let both: Vec<Hop> = ss.iter().chain(&rs).copied().collect();
+        assert_eq!(g.hops(hub, Direction::Out, None), both);
+        assert_eq!(g.hops(hub, Direction::In, None), vec![(self_loop, hub)]);
+        assert!(matches!(
+            g.hops(hub, Direction::Out, Some("R")),
+            Cow::Borrowed(_)
+        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! §4.2 "Action Time").
 
 use crate::composite::{IndexProbe, IndexStats};
-use crate::ids::{IdHashMap, NodeId, RelId};
+use crate::ids::{Hop, IdHashMap, NodeId, RelId};
 use crate::op::Op;
 use crate::record::{NodeRecord, RelRecord};
 use crate::store::Graph;
@@ -142,10 +142,14 @@ pub trait GraphView {
     fn nodes_with_label(&self, label: &str) -> Vec<NodeId>;
     fn all_node_ids(&self) -> Vec<NodeId>;
     fn all_rel_ids(&self) -> Vec<RelId>;
-    /// Relationships incident to `node` in the given direction (a
-    /// self-loop once under `Both`). The store lends its `Out`/`In`
-    /// adjacency lists; overlay views build theirs.
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]>;
+    /// The relationships of `node` in direction `dir` (`Out` or `In`;
+    /// `Both` is two calls, and a caller drops a self-loop from the in-side
+    /// by `other == node`), each with its other end: of type `rel_type`,
+    /// or of every type when `None`. The store lends one run of its typed
+    /// adjacency (runs by type in first-seen order, each in insertion
+    /// order), or the whole list, without allocating or reading a record;
+    /// overlay views build theirs, sorted by id.
+    fn hops(&self, node: NodeId, dir: Direction, rel_type: Option<&str>) -> Cow<'_, [Hop]>;
 
     /// Relationships of the given type (the live graph answers from the
     /// type index).
@@ -568,36 +572,33 @@ impl GraphView for PreStateView<'_> {
         out
     }
 
-    fn rels_of(&self, node: NodeId, dir: Direction) -> Cow<'_, [RelId]> {
+    fn hops(&self, node: NodeId, dir: Direction, rel_type: Option<&str>) -> Cow<'_, [Hop]> {
         // Base adjacency minus rels that did not exist before, plus restored
-        // (deleted-in-slice) rels incident to `node`.
-        let mut out: Vec<RelId> = self
+        // (deleted-in-slice) rels of the type at `node` in `dir`.
+        let mut out: Vec<Hop> = self
             .base
-            .rels_of(node, dir)
+            .hops(node, dir, rel_type)
             .iter()
             .copied()
-            .filter(|id| match self.rels.get(id) {
+            .filter(|(id, _)| match self.rels.get(id) {
                 Some(overlay) => overlay.is_some(),
                 None => true,
             })
             .collect();
         for (id, overlay) in &self.rels {
             if let Some(rec) = overlay {
-                if self.base.rel(*id).is_some() {
-                    continue; // already covered by base adjacency
+                if self.base.rel(*id).is_some() || rel_type.is_some_and(|ty| ty != rec.rel_type) {
+                    continue; // already covered by base adjacency, or not asked for
                 }
-                let incident = match dir {
-                    Direction::Out => rec.src == node,
-                    Direction::In => rec.dst == node,
-                    Direction::Both => rec.src == node || rec.dst == node,
+                let other = match dir {
+                    Direction::Out if rec.src == node => rec.dst,
+                    Direction::In if rec.dst == node => rec.src,
+                    _ => continue,
                 };
-                if incident {
-                    out.push(*id);
-                }
+                out.push((*id, other));
             }
         }
         out.sort();
-        out.dedup();
         Cow::Owned(out)
     }
 }
@@ -827,9 +828,12 @@ mod tests {
             },
         );
         let pre = PreStateView::new(&g, &ops);
-        assert_eq!(pre.rels_of(a, Direction::Out), vec![old_r]);
-        assert_eq!(pre.rels_of(a, Direction::In), Vec::<RelId>::new());
-        assert_eq!(pre.rels_of(b, Direction::In), vec![old_r]);
+        assert_eq!(pre.hops(a, Direction::Out, None), vec![(old_r, b)]);
+        assert_eq!(pre.hops(a, Direction::Out, Some("R")), vec![(old_r, b)]);
+        assert_eq!(pre.hops(a, Direction::Out, Some("R2")), vec![]);
+        assert_eq!(pre.hops(a, Direction::In, None), vec![]);
+        assert_eq!(pre.hops(b, Direction::In, None), vec![(old_r, a)]);
+        assert_eq!(pre.hops(b, Direction::Out, None), vec![]);
         assert_eq!(pre.rel(old_r).map(|r| (r.src, r.dst)), Some((a, b)));
         assert_eq!(
             pre.rel(old_r).map(|r| r.rel_type.clone()),

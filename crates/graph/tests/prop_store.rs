@@ -3,15 +3,17 @@
 //! Invariants checked under random operation sequences:
 //! * rollback restores the exact pre-transaction state;
 //! * the label index always equals a full scan;
-//! * adjacency is consistent with relationship endpoints;
+//! * adjacency equals a brute-force list built from the relationship
+//!   records, per node, direction and type, on the graph and on a
+//!   published snapshot, and each type's entries form one run;
 //! * the pre-state view of a statement equals the actual pre-state —
-//!   records, adjacency, and every overlay-corrected index probe;
+//!   records, per-type adjacency, and every overlay-corrected index probe;
 //! * delta normalization is sound (created ∩ deleted = ∅, events never
 //!   reference items created later in the same slice).
 
 use pg_graph::{
-    CompositeTrailing, Direction, Graph, GraphView, IndexDef, IndexProbe, NodeId, PreStateView,
-    ProbeMode, PropertyMap, Value,
+    CompositeTrailing, Direction, Graph, GraphView, Hop, IndexDef, IndexProbe, NodeId,
+    PreStateView, ProbeMode, PropertyMap, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -151,16 +153,54 @@ fn check_indexes(g: &Graph) {
             .collect();
         assert_eq!(via_index, via_scan, "label index diverged for {label}");
     }
-    // adjacency consistent with endpoints
-    for rid in g.all_rel_ids() {
-        let (s, d) = g.rel(rid).map(|r| (r.src, r.dst)).unwrap();
-        assert!(g.rels_of(s, Direction::Out).contains(&rid));
-        assert!(g.rels_of(d, Direction::In).contains(&rid));
-    }
-    for nid in g.all_node_ids() {
-        for &rid in g.rels_of(nid, Direction::Both).iter() {
-            let (s, d) = g.rel(rid).map(|r| (r.src, r.dst)).unwrap();
-            assert!(s == nid || d == nid, "adjacency lists phantom rel");
+    check_adjacency(g);
+}
+
+/// The relationship types of the scripts, and `None` for an untyped hop.
+const HOP_TYPES: [Option<&str>; 4] = [None, Some("T0"), Some("T1"), Some("T2")];
+
+/// The hops of `node` in `dir` of type `ty` (any when `None`), built from
+/// the relationship records alone, sorted by relationship id.
+fn brute_force_hops(
+    view: &dyn GraphView,
+    node: NodeId,
+    dir: Direction,
+    ty: Option<&str>,
+) -> Vec<Hop> {
+    let rels = view.all_rel_ids().into_iter().filter_map(|r| view.rel(r));
+    rels.filter(|r| ty.is_none_or(|t| r.rel_type == t))
+        .filter_map(|r| match dir {
+            Direction::Out => (r.src == node).then_some((r.id, r.dst)),
+            _ => (r.dst == node).then_some((r.id, r.src)),
+        })
+        .collect()
+}
+
+/// The store's adjacency is exact: for every node, direction and type the
+/// sorted `hops` equal the brute-force list, and an untyped list holds
+/// each type's entries in one run.
+fn check_adjacency(view: &dyn GraphView) {
+    for node in view.all_node_ids() {
+        for dir in [Direction::Out, Direction::In] {
+            for ty in HOP_TYPES {
+                let mut got = view.hops(node, dir, ty).into_owned();
+                got.sort();
+                let want = brute_force_hops(view, node, dir, ty);
+                assert_eq!(got, want, "hops of {node} {dir:?} {ty:?}");
+            }
+            let types: Vec<&str> = (view.hops(node, dir, None).iter())
+                .map(|(r, _)| view.rel(*r).unwrap().rel_type.as_str())
+                .collect();
+            let mut runs = types.clone();
+            runs.dedup();
+            let mut distinct = runs.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(
+                runs.len(),
+                distinct.len(),
+                "{node} {dir:?} not in runs: {types:?}"
+            );
         }
     }
 }
@@ -251,6 +291,7 @@ proptest! {
         g.rollback().unwrap();
         prop_assert_eq!(snapshot(&g), before);
         check_indexes(&g);
+        check_adjacency(&g.snapshot());
     }
 
     #[test]
@@ -262,6 +303,7 @@ proptest! {
         for s in &tx { apply(&mut g, s); }
         g.commit().unwrap();
         check_indexes(&g);
+        check_adjacency(&g.snapshot());
     }
 
     #[test]
@@ -287,11 +329,15 @@ proptest! {
         prop_assert_eq!(view.all_rel_ids(), reference.all_rel_ids());
         for id in reference.all_node_ids() {
             prop_assert_eq!(view.node(id), reference.node(id));
-            let mut want_r = reference.rels_of(id, Direction::Both).into_owned();
-            want_r.sort();
-            let mut got_r = view.rels_of(id, Direction::Both).into_owned();
-            got_r.sort();
-            prop_assert_eq!(got_r, want_r);
+            for (dir, ty) in [Direction::Out, Direction::In]
+                .into_iter()
+                .flat_map(|dir| HOP_TYPES.map(|ty| (dir, ty)))
+            {
+                let mut want = reference.hops(id, dir, ty).into_owned();
+                want.sort();
+                let got = view.hops(id, dir, ty).into_owned();
+                prop_assert_eq!(got, want, "{} {:?} {:?}", id, dir, ty);
+            }
         }
         for id in reference.all_rel_ids() {
             prop_assert_eq!(view.rel(id), reference.rel(id));
